@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lint lint-stats test fuzz-smoke check
+.PHONY: build vet fmt lint lint-stats test fuzz-smoke bench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -27,7 +27,19 @@ lint-stats:
 test:
 	$(GO) test -race -shuffle=on ./...
 
+# go test fuzzes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzPayloadDecode -fuzztime 10s ./internal/wire/
+
+# The repository's benchmark (BENCHMARK.json, bench/README.md): every
+# workload at full length, end-to-end and per-layer metrics.
+bench:
+	$(GO) run ./bench
+
+# Two seconds of the headline workload over TCP and the binary codec; fails
+# unless the result line says the delivery oracle held.
+bench-smoke:
+	$(GO) run ./bench -workload xr-stream -seconds 2 | tee /dev/stderr | grep -q '"correct":true'
 
 check: build vet fmt lint test

@@ -10,6 +10,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"sync"
@@ -81,7 +82,7 @@ func (h *Histogram) Record(v int64) {
 	h.minInit.Do(func() { h.min.Store(math.MaxInt64) })
 	idx := 0
 	if v > 0 {
-		idx = 64 - leadingZeros64(uint64(v))
+		idx = 64 - bits.LeadingZeros64(uint64(v))
 		if idx >= histBuckets {
 			idx = histBuckets - 1
 		}
@@ -192,18 +193,6 @@ func (s Snapshot) DurationString() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		s.Count, time.Duration(int64(s.Mean)).Round(time.Microsecond),
 		time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.Max))
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
 }
 
 // Registry is a named collection of metrics, used by cmd/scibench to print

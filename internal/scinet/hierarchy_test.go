@@ -249,11 +249,14 @@ func TestHierarchySpilloverCounted(t *testing.T) {
 
 	// The overflowed digest reaches the publisher as a wildcard upward
 	// summary (root's downward digest folds the subscriber's subtree in).
+	// Wait for the wildcard tap itself, alone: the per-type taps an earlier,
+	// not yet overflowed digest installed see neither "nobody.cares" nor,
+	// once superseded, anything at all.
 	waitFor(t, func() bool {
 		pub.mu.Lock()
-		wild := pub.upDigest != nil && pub.upDigest.Wildcard()
-		pub.mu.Unlock()
-		return wild && pub.hasTap()
+		defer pub.mu.Unlock()
+		_, tapped := pub.taps[ctxtype.Wildcard]
+		return pub.upDigest != nil && pub.upDigest.Wildcard() && tapped && len(pub.taps) == 1
 	})
 
 	src := guid.New(guid.KindDevice)

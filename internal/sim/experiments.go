@@ -75,6 +75,15 @@ type E1Row struct {
 	TreeRelayRatio           float64
 }
 
+// seededGUID draws a GUID from rng, so that an experiment's seed fixes its
+// node identifiers — and with them the topology — as well as its probes.
+func seededGUID(rng *rand.Rand, kind guid.Kind) guid.GUID {
+	var g guid.GUID
+	rng.Read(g[:]) // documented to never fail
+	g[0] = byte(kind)
+	return g
+}
+
 // RunE1 reproduces the paper's Section 3 claim: overlay routing avoids the
 // hierarchy's root bottleneck at comparable hop counts. For each n it
 // builds both networks over a zero-latency memory transport, sends `probes`
@@ -93,6 +102,7 @@ func RunE1(sizes []int, probes int, seed int64) ([]E1Row, error) {
 		var hops metrics.Histogram
 		for i := 0; i < n; i++ {
 			node, err := overlay.NewNode(overlay.Config{
+				ID:      seededGUID(rng, guid.KindServer),
 				Network: onet,
 				Deliver: func(d overlay.Delivery) {
 					mu.Lock()
@@ -150,7 +160,7 @@ func RunE1(sizes []int, probes int, seed int64) ([]E1Row, error) {
 		tnet := transport.NewMemory(transport.MemoryConfig{Seed: seed})
 		ids := make([]guid.GUID, n)
 		for i := range ids {
-			ids[i] = guid.New(guid.KindServer)
+			ids[i] = seededGUID(rng, guid.KindServer)
 		}
 		var tmu sync.Mutex
 		tDelivered := 0

@@ -5,10 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"slices"
-	"strconv"
 	"time"
-	"unicode/utf8"
 
 	"sci/internal/ctxtype"
 	"sci/internal/event"
@@ -298,146 +295,6 @@ func (e *Encoder) rollbackDict() {
 	e.newGUIDs = e.newGUIDs[:0]
 }
 
-// ----- payload JSON encoding -----
-
-const hexdigits = "0123456789abcdef"
-
-// appendJSONMap appends the JSON encoding of a payload map with sorted keys
-// (deterministic output, like encoding/json) without allocating in steady
-// state: the per-depth key slices are reused across calls.
-func (e *Encoder) appendJSONMap(b []byte, m map[string]any, depth int) ([]byte, error) {
-	for len(e.keyStack) <= depth {
-		e.keyStack = append(e.keyStack, nil)
-	}
-	keys := e.keyStack[depth][:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	e.keyStack[depth] = keys
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendJSONString(b, k)
-		b = append(b, ':')
-		var err error
-		if b, err = e.appendJSONValue(b, m[k], depth+1); err != nil {
-			return b, err
-		}
-	}
-	return append(b, '}'), nil
-}
-
-func (e *Encoder) appendJSONValue(b []byte, v any, depth int) ([]byte, error) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...), nil
-	case bool:
-		if x {
-			return append(b, "true"...), nil
-		}
-		return append(b, "false"...), nil
-	case string:
-		return appendJSONString(b, x), nil
-	case float64:
-		return appendJSONFloat(b, x)
-	case float32:
-		return appendJSONFloat(b, float64(x))
-	case int:
-		return strconv.AppendInt(b, int64(x), 10), nil
-	case int64:
-		return strconv.AppendInt(b, x, 10), nil
-	case uint64:
-		return strconv.AppendUint(b, x, 10), nil
-	case json.Number:
-		if !json.Valid([]byte(x)) {
-			return b, fmt.Errorf("%w: invalid json.Number %q", ErrBadMessage, string(x))
-		}
-		return append(b, x...), nil
-	case json.RawMessage:
-		if !json.Valid(x) {
-			return b, fmt.Errorf("%w: invalid raw payload value", ErrBadMessage)
-		}
-		return append(b, x...), nil
-	case map[string]any:
-		return e.appendJSONMap(b, x, depth)
-	case []any:
-		b = append(b, '[')
-		for i, el := range x {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			var err error
-			if b, err = e.appendJSONValue(b, el, depth); err != nil {
-				return b, err
-			}
-		}
-		return append(b, ']'), nil
-	default:
-		// Uncommon payload value types take the reflective slow path.
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return b, fmt.Errorf("wire: encode payload value: %w", err)
-		}
-		return append(b, raw...), nil
-	}
-}
-
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
-	if math.IsNaN(f) || math.IsInf(f, 0) {
-		return b, fmt.Errorf("%w: unsupported float value in payload", ErrBadMessage)
-	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	return strconv.AppendFloat(b, f, format, -1, 64), nil
-}
-
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c == '"' || c == '\\' || c < 0x20 {
-				b = append(b, s[start:i]...)
-				switch c {
-				case '"':
-					b = append(b, '\\', '"')
-				case '\\':
-					b = append(b, '\\', '\\')
-				case '\n':
-					b = append(b, '\\', 'n')
-				case '\r':
-					b = append(b, '\\', 'r')
-				case '\t':
-					b = append(b, '\\', 't')
-				default:
-					b = append(b, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0x0f])
-				}
-				start = i + 1
-			}
-			i++
-			continue
-		}
-		// Invalid UTF-8 becomes U+FFFD, matching encoding/json, so encoded
-		// payloads always decode to the same string they re-encode from.
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, "�"...)
-			start = i + 1
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
-}
-
 // ----- decoding -----
 
 // cursor walks a binary frame with sticky bounds checking: the first
@@ -635,19 +492,17 @@ func (d *Decoder) decodeBatch(c *cursor) *NativeBatch {
 	if c.err != nil {
 		return nil
 	}
-	events := make([]event.Event, 0, nevents)
-	for i := uint64(0); i < nevents && c.err == nil; i++ {
-		events = append(events, d.decodeEvent(c))
+	nb.Events = make([]event.Event, nevents)
+	for i := range nb.Events {
+		if d.decodeEvent(c, &nb.Events[i]); c.err != nil {
+			return nil
+		}
 	}
-	if c.err != nil {
-		return nil
-	}
-	nb.Events = events
 	return nb
 }
 
-func (d *Decoder) decodeEvent(c *cursor) event.Event {
-	var ev event.Event
+// decodeEvent fills ev, a zero element of the batch's slice, in place.
+func (d *Decoder) decodeEvent(c *cursor, ev *event.Event) {
 	fl := c.u8()
 	ev.ID = c.guid()
 	ev.Type = d.typeRef(c)
@@ -662,14 +517,13 @@ func (d *Decoder) decodeEvent(c *cursor) event.Event {
 		ev.Quality = math.Float64frombits(c.u64())
 	}
 	if fl&evfPayload != 0 {
-		raw := c.blob()
-		if c.err == nil {
-			if err := json.Unmarshal(raw, &ev.Payload); err != nil {
+		if raw := c.blob(); c.err == nil {
+			var err error
+			if ev.Payload, err = d.decodePayload(raw); err != nil {
 				c.fail("event payload: %v", err)
 			}
 		}
 	}
-	return ev
 }
 
 func (d *Decoder) typeRef(c *cursor) ctxtype.Type {

@@ -301,6 +301,12 @@ type Decoder struct {
 	// appended to in stream order from each frame's dictionary deltas.
 	types []string
 	guids []guid.GUID
+
+	// Payload decode state (payload.go): object keys seen on this connection,
+	// interned up to maxDictEntries entries of at most maxInternedKeyLen
+	// bytes, and the scratch buffer string literals are unquoted into.
+	keys       map[string]string
+	unquoteBuf []byte
 }
 
 // NewDecoder wraps r.

@@ -69,6 +69,24 @@
 // appender with per-depth reused key slices, and dictionary hits cost a map
 // lookup.
 //
+// # Payload decoding
+//
+// An event's payload travels as JSON object text inside the binary frame
+// (payload.go holds both directions). The decoder parses it with its own
+// single-pass parser rather than encoding/json, under an equality contract:
+// for any bytes, it rejects exactly what json.Unmarshal into a
+// map[string]any rejects and otherwise returns a reflect.DeepEqual value —
+// numbers arrive as float64 (a literal float64 cannot hold is an error),
+// nested objects as map[string]any, arrays as []any, a duplicate key keeps
+// its last value, invalid UTF-8 and lone surrogates become U+FFFD.
+// FuzzPayloadDecode checks the contract differentially against
+// encoding/json. Two bounds protect the decoder from a hostile peer:
+// nesting deeper than maxPayloadDepth (encoding/json's own 10000) fails with
+// ErrBadMessage instead of recursing further, and object keys are interned
+// per connection — one string per distinct key, not one per event — in a
+// table that stops growing at maxDictEntries keys of at most
+// maxInternedKeyLen bytes; later or longer keys still decode, uninterned.
+//
 // # Version negotiation
 //
 // A dialing endpoint opens each connection with a JSON-encoded

@@ -1,13 +1,16 @@
 package wire
 
-// Allocation cross-checks for this package's //lint:hotpath annotations
+// Allocation checks for the binary codec's per-event paths. Encode first:
+// cross-checks for this package's //lint:hotpath annotations
 // (Encoder.appendBinary, appendBatch, appendEvent). The static analyzer
 // proves the absence of allocating constructs up to the //lint:allow
 // escapes (the once-per-connection dictionary maps, the payload JSON
 // encoder's error path); these tests prove the escapes were justified —
 // once the dictionaries and scratch buffers are warm, encoding a batch
 // frame allocates nothing. internal/analysis/hotpath's registry test fails
-// if an annotation exists without a covering check here.
+// if an annotation exists without a covering check here. Decode cannot be
+// allocation-free — it builds the events it returns — so it gets a budget
+// instead: what a frame and each of its events may allocate.
 
 import (
 	"io"
@@ -18,10 +21,9 @@ import (
 	"sci/internal/guid"
 )
 
-// warmEncoder returns a binary encoder whose interning dictionaries and
-// scratch buffers have already seen msg, plus a frame buffer with room.
-func warmEncoder(t testing.TB) (*Encoder, Message, []byte) {
-	t.Helper()
+// hotMessage is the frame both directions are measured on: four events
+// with payloads, one publisher, piggybacked credit.
+func hotMessage() Message {
 	src := guid.New(guid.KindServer)
 	dst := guid.New(guid.KindServer)
 	pub := guid.New(guid.KindApplication)
@@ -38,7 +40,7 @@ func warmEncoder(t testing.TB) (*Encoder, Message, []byte) {
 			Payload: map[string]any{"value": 21.5, "seq": i},
 		}
 	}
-	msg := Message{
+	return Message{
 		Src:  src,
 		Dst:  dst,
 		Kind: KindEventBatch,
@@ -47,6 +49,13 @@ func warmEncoder(t testing.TB) (*Encoder, Message, []byte) {
 			Credit: &BatchCredit{Events: 4, Dropped: 0, QueueFree: 128},
 		},
 	}
+}
+
+// warmEncoder returns a binary encoder whose interning dictionaries and
+// scratch buffers have already seen msg, plus a frame buffer with room.
+func warmEncoder(t testing.TB) (*Encoder, Message, []byte) {
+	t.Helper()
+	msg := hotMessage()
 	e := NewEncoder(io.Discard, CodecBinary)
 	buf := make([]byte, 0, 4096)
 	// First encode interns the batch's types and GUIDs and takes the
@@ -91,5 +100,64 @@ func BenchmarkHotpathAppendBinary(b *testing.B) {
 			b.Fatal(err)
 		}
 		_ = out
+	}
+}
+
+// warmDecoder returns a decoder that has already read msg's first frame —
+// the one shipping the dictionary deltas and the payload keys — plus the
+// steady-state frame a warmed encoder emits for msg from then on.
+func warmDecoder(t testing.TB) (*Decoder, []byte) {
+	t.Helper()
+	msg := hotMessage()
+	e := NewEncoder(io.Discard, CodecBinary)
+	first, err := e.appendBinary(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.commitDict()
+	steady, err := e.appendBinary(nil, msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(nil)
+	if _, err := d.decodeBinaryFrame(first); err != nil {
+		t.Fatal(err)
+	}
+	return d, steady
+}
+
+// TestHotpathDecodeAllocBudget caps what a warmed binary batch decode may
+// allocate: per frame the batch and its event slice (plus the credit when
+// one rides along), per event the payload map and one box per non-zero
+// number — no key strings, no reflection, no intermediate copies.
+func TestHotpathDecodeAllocBudget(t *testing.T) {
+	d, frame := warmDecoder(t)
+	const events, perEvent, perFrame = 4, 4, 2
+	allocs := testing.AllocsPerRun(500, func() {
+		m, err := d.decodeBinaryFrame(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Batch.Events) != events {
+			t.Fatal("short batch")
+		}
+	})
+	if budget := float64(events*perEvent + perFrame); allocs > budget {
+		t.Fatalf("warmed binary decode allocates %.1f times per %d-event frame, budget %.0f", allocs, events, budget)
+	}
+}
+
+var sinkMessage Message
+
+func BenchmarkHotpathDecodeBinary(b *testing.B) {
+	d, frame := warmDecoder(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := d.decodeBinaryFrame(frame)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sinkMessage = m
 	}
 }
