@@ -263,11 +263,10 @@ func BenchmarkE10_ScaleOut(b *testing.B) {
 	}
 }
 
-// BenchmarkWireCodec — the PR 7 wire-path grid: one event batch encoded as
-// a legacy JSON envelope (per-event frames re-marshaled into the body) vs
-// the negotiated binary codec (contiguous batch, interned type/GUID
-// dictionaries), across batch sizes. Binary steady state — dictionaries
-// warmed by the first frame — must report 0 allocs/op.
+// BenchmarkWireCodec — the wire-path grid: one event batch through each
+// encoding, the JSON envelope vs the binary codec (contiguous batch,
+// interned type/GUID dictionaries), across batch sizes. Binary steady
+// state — dictionaries warmed by the first frame — must report 0 allocs/op.
 func BenchmarkWireCodec(b *testing.B) {
 	for _, codec := range []wire.Codec{wire.CodecJSON, wire.CodecBinary} {
 		for _, batch := range []int{1, 16, 64, 256} {
@@ -317,29 +316,22 @@ func benchWireCodec(b *testing.B, codec wire.Codec, batch int) {
 // BenchmarkCrossRangeFanout — SCINET cross-range event fan-out: events
 // published in one Range reach remote subscribers in sibling Ranges as
 // coalesced scinet.event_batch overlay messages (batch=1 is the unbatched
-// per-event baseline). The codec dimension compares the native batch path
-// (events cross the transport un-serialized, as over a binary TCP link)
-// against the forced legacy JSON materialization every hop (the pre-PR-7
-// wire path). Reports delivered events/s end to end and the coalescing
-// ratio actually achieved on the wire.
+// per-event baseline), over the in-process network. Reports delivered
+// events/s end to end and the coalescing ratio actually achieved on the
+// wire.
 func BenchmarkCrossRangeFanout(b *testing.B) {
-	for _, codec := range []string{"native", "json"} {
-		for _, peers := range []int{1, 3} {
-			for _, batch := range []int{1, 16, 64} {
-				b.Run(fmt.Sprintf("codec=%s/peers=%d/batch=%d", codec, peers, batch), func(b *testing.B) {
-					benchCrossRangeFanout(b, codec, peers, batch)
-				})
-			}
+	for _, peers := range []int{1, 3} {
+		for _, batch := range []int{1, 16, 64} {
+			b.Run(fmt.Sprintf("peers=%d/batch=%d", peers, batch), func(b *testing.B) {
+				benchCrossRangeFanout(b, peers, batch)
+			})
 		}
 	}
 }
 
-func benchCrossRangeFanout(b *testing.B, codec string, peers, batch int) {
+func benchCrossRangeFanout(b *testing.B, peers, batch int) {
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
-	if codec == "json" {
-		net.SetDefaultCodec(wire.CodecJSON)
-	}
 	mk := func(name string) (*server.Range, *scinet.Fabric) {
 		rng := server.New(server.Config{
 			Name:           name,

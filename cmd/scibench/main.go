@@ -14,33 +14,21 @@ import (
 	"time"
 
 	"sci/internal/sim"
-	"sci/internal/wire"
 )
 
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: e1..e16 or all")
 	big := flag.Bool("big", false, "larger parameter sweeps (slower)")
 	seed := flag.Int64("seed", 42, "simulation seed")
-	codec := flag.String("codec", "native",
-		"wire path for e11: native (zero-copy batches) or json (legacy baseline)")
 	jsonPath := flag.String("json", "", "write e16 rows and verdict to this file as JSON")
 	flag.Parse()
-	if err := run(*exp, *codec, *jsonPath, *big, *seed); err != nil {
+	if err := run(*exp, *jsonPath, *big, *seed); err != nil {
 		fmt.Fprintln(os.Stderr, "scibench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp, codec, jsonPath string, big bool, seed int64) error {
-	var wireCodec wire.Codec
-	switch codec {
-	case "native", "binary", "":
-		// Batches ride the transport un-serialized (the default).
-	case "json":
-		wireCodec = wire.CodecJSON
-	default:
-		return fmt.Errorf("unknown -codec %q (want native or json)", codec)
-	}
+func run(exp, jsonPath string, big bool, seed int64) error {
 	all := exp == "all"
 	sizes := func(small, large []int) []int {
 		if big {
@@ -124,7 +112,7 @@ func run(exp, codec, jsonPath string, big bool, seed int64) error {
 		if big {
 			events = 200000
 		}
-		rows, fleet, err := sim.RunE11Codec(sizes([]int{2, 4}, []int{2, 4, 8, 16}), events, 64, wireCodec)
+		rows, fleet, err := sim.RunE11(sizes([]int{2, 4}, []int{2, 4, 8, 16}), events, 64)
 		if err != nil {
 			return err
 		}

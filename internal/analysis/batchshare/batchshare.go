@@ -1,12 +1,12 @@
-// Package batchshare enforces the PR 7 native-batch sharing contract
+// Package batchshare enforces the batch sharing contract
 // (internal/wire/doc.go): a wire.NativeBatch attached to a Message is a
 // shared read-only pointer — the memory transport delivers it
 // pointer-identical, possibly to several receivers — so once a batch may
 // have escaped, its Events slice must be neither reassigned, appended to
 // nor mutated element-wise. Copy on escape, copy before mutate.
 //
-// The analyzer flags, outside the wire package itself (which owns the
-// codec and the sanctioned clone/materialize helpers):
+// The analyzer flags, in every package — the wire codec included, whose
+// decoders only ever fill batches they just allocated:
 //
 //   - assignment to the Events or Credit field of a NativeBatch
 //   - assignment through the Events slice (nb.Events[i] = e,
@@ -15,7 +15,7 @@
 //
 // A batch the function itself constructed (nb := &wire.NativeBatch{...},
 // new(wire.NativeBatch), or a zero-valued local) has not escaped yet and
-// is exempt — that exemption is exactly the sanctioned clone idiom: build
+// is exempt — that exemption is exactly the sanctioned copy idiom: build
 // a fresh batch, then attach it. Anything subtler carries a
 // //lint:allow batchshare <reason> suppression.
 package batchshare
@@ -32,7 +32,7 @@ import (
 // Analyzer is the batchshare pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "batchshare",
-	Doc:  "an escaped wire.NativeBatch is shared read-only: no field writes, element mutation or append outside the clone helpers",
+	Doc:  "an escaped wire.NativeBatch is shared read-only: no field writes, element mutation or append except on a batch the function just built",
 	Run:  run,
 }
 
@@ -73,9 +73,6 @@ func writesThroughBatch(pass *analysis.Pass, lhs ast.Expr) *ast.SelectorExpr {
 }
 
 func run(pass *analysis.Pass) error {
-	if strings.HasSuffix(pass.Pkg.Path(), "internal/wire") {
-		return nil // the codec owns its batches; its contract is the doc + fuzz suite
-	}
 	for _, f := range pass.Files {
 		name := pass.Fset.Position(f.Pos()).Filename
 		if strings.HasSuffix(name, "_test.go") {

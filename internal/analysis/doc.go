@@ -30,10 +30,10 @@
 // batchshare — wire.NativeBatch rides the fan-out path by reference: one
 // decoded batch is shared by every local subscriber. Writing through
 // Events/Credit, mutating an element in place, or appending into the
-// Events slice outside internal/wire's sanctioned clone/materialize
-// helpers corrupts a neighbour's view (the copy-on-escape /
-// copy-before-mutate contract in wire/doc.go). The analyzer exempts
-// batches provably constructed fresh in the current function.
+// Events slice corrupts a neighbour's view (the copy-on-escape /
+// copy-before-mutate contract in wire/doc.go). The only exemption, in
+// every package, is a batch provably constructed fresh in the current
+// function.
 //
 // guardedby — struct fields carrying a `// guarded by <mu>` comment may
 // only be accessed while that mutex is held, checked intra-procedurally:

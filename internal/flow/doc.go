@@ -107,7 +107,7 @@
 // global total — so one endpoint's flood cannot throttle an innocent
 // neighbour sharing the Range. Credit is also *transitive* across relays:
 // a fabric that forwards batches onward folds the congestion it observes
-// downstream (the Downstream field of its overlay acks, itself a monotone
+// downstream (the DownstreamBy accounts of its overlay acks, each a monotone
 // counter) into the figure it reports upstream, so a multi-hop chain
 // throttles at the origin rather than hop by hop. Both counters are
 // monotone per reporter; UpdateCredit treats a regression (a report below
@@ -123,7 +123,7 @@
 // idle window, because an all-clear decays the sender's penalty and must
 // not outpace the congestion it is meant to confirm gone; and a pending
 // report can be claimed (Take) for piggybacking on reverse-direction
-// batches (wire.EventBatchBody.Credit), sparing the standalone ack frame
+// batches (wire.NativeBatch.Credit), sparing the standalone ack frame
 // entirely. A relay reporting downstream congestion excludes what it
 // learned from the very peer it is acking — echoing a peer's own figure
 // back would amplify one finite drop episode around any cycle forever.

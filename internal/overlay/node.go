@@ -24,10 +24,9 @@ type Delivery struct {
 	AppKind string
 	// Payload is the opaque application body.
 	Payload json.RawMessage
-	// Batch carries the native event batch when the payload was routed with
-	// RouteBatch and every hop spoke a batch-aware codec. Consumers must
-	// treat it as shared and read-only: the same pointer may fan out to
-	// several local deliveries.
+	// Batch carries the event batch when the payload was routed with
+	// RouteBatch. Consumers must treat it as shared and read-only: the same
+	// pointer may fan out to several local deliveries.
 	Batch *wire.NativeBatch
 	// Hops is the number of overlay forwards taken.
 	Hops int
@@ -305,12 +304,10 @@ func (n *Node) Route(target guid.GUID, appKind string, payload []byte) error {
 	return n.RouteBatch(target, appKind, payload, nil)
 }
 
-// RouteBatch routes an application payload accompanied by a native event
-// batch. The batch rides the envelope, not the JSON payload: batch-aware
-// codecs ship (or pass through) it natively, and legacy hops fold it into
-// the payload via the folder registered for appKind with
-// RegisterAppBatchFolder. The batch is shared from this call on — neither
-// the caller nor any consumer may mutate it.
+// RouteBatch routes an application payload accompanied by an event batch.
+// The batch rides the wire envelope (Message.Batch), not the JSON payload,
+// hop by hop to the destination's Delivery. It is shared from this call on
+// — neither the caller nor any consumer may mutate it.
 func (n *Node) RouteBatch(target guid.GUID, appKind string, payload []byte, batch *wire.NativeBatch) error {
 	body := routeBody{
 		Target:  target,

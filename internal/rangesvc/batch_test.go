@@ -88,18 +88,10 @@ func TestCoalescedRemoteDeliveryMessageBudget(t *testing.T) {
 		if m.Kind != wire.KindEventBatch {
 			t.Fatalf("got %s message, want %s", m.Kind, wire.KindEventBatch)
 		}
-		frames, err := m.EventFrames()
-		if err != nil {
-			t.Fatal(err)
+		if m.Batch == nil || len(m.Batch.Events) > 4 {
+			t.Fatalf("batch %+v exceeds BatchMaxEvents=4 or is missing", m.Batch)
 		}
-		if len(frames) > 4 {
-			t.Fatalf("batch of %d exceeds BatchMaxEvents=4", len(frames))
-		}
-		for _, f := range frames {
-			e, err := event.Decode(f)
-			if err != nil {
-				t.Fatal(err)
-			}
+		for _, e := range m.Batch.Events {
 			seqs = append(seqs, e.Seq)
 		}
 	}
@@ -131,31 +123,42 @@ func TestBatchDelayFlushesPartialBatch(t *testing.T) {
 	}
 	r.clk.Advance(10 * time.Millisecond)
 	waitFor(t, func() bool { return len(msgs()) == 1 })
-	frames, err := msgs()[0].EventFrames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) != 1 {
-		t.Fatalf("flushed %d events, want 1", len(frames))
+	if b := msgs()[0].Batch; b == nil || len(b.Events) != 1 {
+		t.Fatalf("flushed %+v, want one event", b)
 	}
 }
 
-func TestUnbatchedHostSendsLegacySingleEventFrames(t *testing.T) {
+// TestUnbatchedHostSendsOneEventBatches: with coalescing disabled every
+// delivery is its own event.batch of one event — the same message form, and
+// the same flow control, as batched traffic.
+func TestUnbatchedHostSendsOneEventBatches(t *testing.T) {
 	r := newRig(t) // BatchMaxEvents unset: coalescing disabled
 	defer r.close()
 	dest := guid.New(guid.KindApplication)
 	msgs := tap(t, r.net, dest)
+	src := guid.New(guid.KindDevice)
 
-	r.host.sendEvent(dest, mkReading(guid.New(guid.KindDevice), 7))
-	waitFor(t, func() bool { return len(msgs()) == 1 })
-	if m := msgs()[0]; m.Kind != wire.KindEvent {
-		t.Fatalf("kind = %s, want legacy %s", m.Kind, wire.KindEvent)
+	r.host.sendEvent(dest, mkReading(src, 7))
+	r.host.sendEvents(dest, []event.Event{mkReading(src, 8), mkReading(src, 9)})
+	waitFor(t, func() bool { return len(msgs()) == 3 })
+	for i, m := range msgs() {
+		if m.Kind != wire.KindEventBatch || m.Batch == nil || len(m.Batch.Events) != 1 {
+			t.Fatalf("message %d = %s %+v, want a one-event %s", i, m.Kind, m.Batch, wire.KindEventBatch)
+		}
+		if got := m.Batch.Events[0].Seq; got != uint64(7+i) {
+			t.Fatalf("message %d carries seq %d, want %d", i, got, 7+i)
+		}
+	}
+	if b, e := r.rng.RemoteBatchesSent.Value(), r.rng.RemoteEventsSent.Value(); b != 3 || e != 3 {
+		t.Fatalf("RemoteBatchesSent/RemoteEventsSent = %d/%d, want 3/3", b, e)
 	}
 }
 
 // TestConnectorPublishAllIngested sends a remote CE's batch over the wire
 // and checks the Range ingests it through the batched dispatch path,
-// dropping spoofed sources per event.
+// applying the per-event rules: spoofed sources and invalid events are
+// dropped without poisoning their neighbours, and a client-supplied Range
+// stamp is stripped.
 func TestConnectorPublishAllIngested(t *testing.T) {
 	r := newRig(t)
 	defer r.close()
@@ -189,7 +192,7 @@ func TestConnectorPublishAllIngested(t *testing.T) {
 		mkReading(ceID, 1),
 		mkReading(guid.New(guid.KindDevice), 2), // spoofed: not the sender
 		invalid,
-		mkReading(ceID, 3),
+		mkReading(ceID, 3).WithRange(guid.New(guid.KindRange)), // forged sibling-Range stamp
 	}
 	if err := c.PublishAll(batch); err != nil {
 		t.Fatal(err)
@@ -382,14 +385,10 @@ func TestAdaptiveIdleEndpointFlushesImmediately(t *testing.T) {
 	waitFor(t, func() bool {
 		total := 0
 		for _, m := range hotMsgs() {
-			frames, err := m.EventFrames()
-			if err != nil {
-				t.Fatal(err)
+			if m.Batch == nil || len(m.Batch.Events) > 64 {
+				t.Fatalf("hot batch %+v exceeds the ceiling or is missing", m.Batch)
 			}
-			if len(frames) > 64 {
-				t.Fatalf("hot batch of %d exceeds the ceiling", len(frames))
-			}
-			total += len(frames)
+			total += len(m.Batch.Events)
 		}
 		return total == 50*100
 	})
@@ -459,7 +458,7 @@ func TestReceiverOverloadThrottlesHostCoalescer(t *testing.T) {
 
 // TestHostAcksPublishesWithCredit: a remote CE's batched publish is
 // acknowledged with the Range's dispatch-drop credit, so remote publishers
-// can observe the drops their traffic causes (old hosts simply never ack).
+// can observe the drops their traffic causes.
 func TestHostAcksPublishesWithCredit(t *testing.T) {
 	r := newRig(t)
 	defer r.close()

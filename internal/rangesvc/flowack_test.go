@@ -1,12 +1,11 @@
 package rangesvc
 
-// Tests for PR 5's flow-control correctness fixes: per-endpoint attributed
-// ack credit, ack coalescing under legacy-frame floods, piggybacked credit
-// on bidirectional links, deterministic Connector.Close drain-or-discard,
-// and the rate-adaptive delivery queue.
+// Tests for the flow-control correctness rules: per-endpoint attributed ack
+// credit, ack coalescing under floods of one-event batches, piggybacked
+// credit on bidirectional links, deterministic Connector.Close
+// drain-or-discard, and the rate-adaptive delivery queue.
 
 import (
-	"encoding/json"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,8 +21,7 @@ import (
 )
 
 // rawPeer attaches a bare endpoint that records everything sent to it and
-// can send raw wire messages — a stand-in for remote publishers of any
-// protocol vintage.
+// can send raw wire messages — a stand-in for a remote publisher.
 type rawPeer struct {
 	id guid.GUID
 	ep transport.Endpoint
@@ -64,15 +62,7 @@ func (p *rawPeer) sendBatch(t testing.TB, to guid.GUID, n int, base uint64) {
 	for i := range events {
 		events[i] = mkReading(p.id, base+uint64(i))
 	}
-	frames := make([]json.RawMessage, 0, n)
-	for i := range events {
-		raw, err := json.Marshal(events[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, raw)
-	}
-	m, err := wire.NewEventBatch(p.id, to, frames)
+	m, err := wire.NewNativeEventBatch(p.id, to, events, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,41 +71,32 @@ func (p *rawPeer) sendBatch(t testing.TB, to guid.GUID, n int, base uint64) {
 	}
 }
 
-func (p *rawPeer) sendLegacy(t testing.TB, to guid.GUID, seq uint64) {
-	t.Helper()
-	m, err := wire.NewMessage(p.id, to, wire.KindEvent, mkReading(p.id, seq))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.ep.Send(m); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAckCoalescingUnderLegacyFlood: one event.batch marks the endpoint
-// ack-aware; a 1000-frame legacy burst then accrues into ONE deferred
-// report (the window timer), not one reverse frame per ingested message.
-func TestAckCoalescingUnderLegacyFlood(t *testing.T) {
-	r := batchRig(t, 4, 2*time.Millisecond)
+// TestUnbatchedPublisherAckedOncePerWindow: a default-configured Range (no
+// coalescing) still acks the publishers of one-event batches — they must
+// learn of the drops they cause — and a 1000-message healthy flood accrues
+// into ONE deferred report per ack window, not one reverse frame per
+// ingested message.
+func TestUnbatchedPublisherAckedOncePerWindow(t *testing.T) {
+	r := newRig(t) // BatchMaxEvents unset: coalescing disabled
 	defer r.close()
 	pub := newRawPeer(t, r.net)
 	srv := r.rng.ServerID()
 
-	pub.sendBatch(t, srv, 2, 1)
+	pub.sendBatch(t, srv, 1, 1)
 	waitFor(t, func() bool { return len(pub.received(wire.KindEventBatchAck)) == 1 })
 
 	const flood = 1000
 	base := r.rng.DispatchStats().Published
 	for i := 0; i < flood; i++ {
-		pub.sendLegacy(t, srv, uint64(100+i))
+		pub.sendBatch(t, srv, 1, uint64(100+i))
 	}
 	waitFor(t, func() bool { return r.rng.DispatchStats().Published >= base+flood })
 	// The flood is healthy traffic (no drops): every report after the
 	// leading one is redundant and must coalesce behind the window timer.
 	if got := len(pub.received(wire.KindEventBatchAck)); got != 1 {
-		t.Fatalf("legacy flood provoked %d standalone acks, want the initial 1", got)
+		t.Fatalf("flood provoked %d standalone acks, want the initial 1", got)
 	}
-	r.clk.Advance(2 * time.Millisecond)
+	r.clk.Advance(r.host.ackWindow)
 	waitFor(t, func() bool { return len(pub.received(wire.KindEventBatchAck)) == 2 })
 	acks := pub.received(wire.KindEventBatchAck)
 	credit, ok := acks[1].BatchCreditInfo()
@@ -123,26 +104,35 @@ func TestAckCoalescingUnderLegacyFlood(t *testing.T) {
 		t.Fatal("deferred ack carries no credit")
 	}
 	if credit.Events != flood {
-		t.Fatalf("deferred ack covers %d frames, want %d", credit.Events, flood)
+		t.Fatalf("deferred ack covers %d events, want %d", credit.Events, flood)
 	}
 	if got := r.host.AcksSent.Value(); got != 2 {
 		t.Fatalf("AcksSent = %d, want 2 for 1001 ingested messages", got)
 	}
 }
 
-// TestLegacyOnlyPeerNeverAcked: a peer that has only ever sent legacy
-// single-event frames predates acks and must stay unanswered.
-func TestLegacyOnlyPeerNeverAcked(t *testing.T) {
-	r := batchRig(t, 4, 2*time.Millisecond)
+// TestConnectorPublishIsAcked: Connector.Publish ships a one-event batch, so
+// a single-event remote CE receives the Range's credit like any other.
+func TestConnectorPublishIsAcked(t *testing.T) {
+	r := newRig(t)
 	defer r.close()
-	pub := newRawPeer(t, r.net)
-	for i := 0; i < 50; i++ {
-		pub.sendLegacy(t, r.rng.ServerID(), uint64(i))
+	c, err := NewConnector(guid.New(guid.KindDevice), "single-event-ce", r.net, nil, r.clk)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r.clk.Advance(10 * time.Millisecond)
-	time.Sleep(20 * time.Millisecond)
-	if got := len(pub.received(wire.KindEventBatchAck)); got != 0 {
-		t.Fatalf("legacy-only peer received %d acks, want 0", got)
+	defer c.Close()
+	if err := c.Register(r.rng.ServerID(), profile.Profile{}, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.RemoteCredit(); ok {
+		t.Fatal("credit before any publish")
+	}
+	if err := c.Publish(mkReading(c.ID(), 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { _, ok := c.RemoteCredit(); return ok })
+	if credit, _ := c.RemoteCredit(); credit.Events != 1 || credit.Dropped != 0 {
+		t.Fatalf("credit = %+v, want 1 event, no drops", credit)
 	}
 }
 

@@ -23,7 +23,6 @@
 package rangesvc
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log"
@@ -96,15 +95,16 @@ type serviceReplyBody struct {
 
 // Host serves a Range over a transport endpoint. Construct with NewHost.
 //
-// Outbound event deliveries to remote components flow through a
-// per-endpoint flow.Coalescer when the Range's BatchMaxEvents enables it:
-// up to BatchMaxEvents events bound for one remote endpoint are collected
-// into a single event.batch wire message, with a BatchMaxDelay timer
-// flushing partially filled batches so a trickle never stalls. N
-// deliveries to one endpoint therefore cost ⌈N/BatchMaxEvents⌉ wire
-// messages instead of N — and with RangeConfig.AdaptiveBatching the
-// per-endpoint batch size and delay follow each endpoint's observed
-// arrival rate between the configured floors and those ceilings. Remote
+// Outbound event deliveries to remote components travel as event.batch
+// wire messages. When the Range's BatchMaxEvents enables it they flow
+// through a per-endpoint flow.Coalescer first: up to BatchMaxEvents events
+// bound for one remote endpoint are collected into a single message, with a
+// BatchMaxDelay timer flushing partially filled batches so a trickle never
+// stalls (otherwise each event is its own one-event batch). N deliveries to
+// one endpoint therefore cost ⌈N/BatchMaxEvents⌉ wire messages instead of
+// N — and with RangeConfig.AdaptiveBatching the per-endpoint batch size and
+// delay follow each endpoint's observed arrival rate between the
+// configured floors and those ceilings. Remote
 // receivers acknowledge event.batch messages with flow credit
 // (wire.BatchCredit); a collapsing credit throttles that endpoint's
 // coalescer flush rate, surfaced through the Range's
@@ -115,10 +115,9 @@ type serviceReplyBody struct {
 // per-publisher attribution, Range.DispatchDropsFor), never the Range-wide
 // total. Acks are coalesced per endpoint — a report carrying fresh drops
 // leaves immediately, redundant healthy reports are rate-limited to one
-// per ack window with a timer fallback — and, toward endpoints known to
-// speak the credit protocol, ride outbound event.batch messages
-// (EventBatchBody.Credit) instead of standalone event.batch_ack frames
-// when reverse-direction traffic is available to carry them.
+// per ack window with a timer fallback — and ride outbound event.batch
+// messages (NativeBatch.Credit) instead of standalone event.batch_ack
+// frames when reverse-direction traffic is available to carry them.
 type Host struct {
 	rng *server.Range
 	ep  transport.Endpoint
@@ -129,13 +128,12 @@ type Host struct {
 	adaptive  flow.Adaptive
 	ackWindow time.Duration
 
-	mu          sync.Mutex
-	remotes     map[guid.GUID]*remoteProxy       // guarded by mu; remote CE/CAA → proxy
-	out         map[guid.GUID]*flow.Coalescer    // guarded by mu; remote endpoint → outbound coalescer
-	acks        map[guid.GUID]*flow.AckCoalescer // guarded by mu; publishing endpoint → coalesced ack owed
-	creditAware guid.Set                         // guarded by mu; endpoints that have sent us credit (decode piggybacks)
-	failing     guid.Set                         // guarded by mu; endpoints whose last send failed (transition logging)
-	closed      bool                             // guarded by mu
+	mu      sync.Mutex
+	remotes map[guid.GUID]*remoteProxy       // guarded by mu; remote CE/CAA → proxy
+	out     map[guid.GUID]*flow.Coalescer    // guarded by mu; remote endpoint → outbound coalescer
+	acks    map[guid.GUID]*flow.AckCoalescer // guarded by mu; publishing endpoint → coalesced ack owed
+	failing guid.Set                         // guarded by mu; endpoints whose last send failed (transition logging)
+	closed  bool                             // guarded by mu
 
 	// AcksSent counts standalone event.batch_ack frames shipped;
 	// AcksPiggybacked counts credit reports that rode an outbound
@@ -180,17 +178,16 @@ func NewHost(rng *server.Range, net transport.Network, clk clock.Clock) (*Host, 
 		clk = clock.Real()
 	}
 	h := &Host{
-		rng:         rng,
-		clk:         clk,
-		maxBatch:    rng.BatchMaxEvents(),
-		maxDelay:    rng.BatchMaxDelay(),
-		adaptive:    rng.AdaptiveBatching(),
-		ackWindow:   rng.BatchMaxDelay(),
-		remotes:     make(map[guid.GUID]*remoteProxy),
-		out:         make(map[guid.GUID]*flow.Coalescer),
-		acks:        make(map[guid.GUID]*flow.AckCoalescer),
-		creditAware: guid.NewSet(),
-		failing:     guid.NewSet(),
+		rng:       rng,
+		clk:       clk,
+		maxBatch:  rng.BatchMaxEvents(),
+		maxDelay:  rng.BatchMaxDelay(),
+		adaptive:  rng.AdaptiveBatching(),
+		ackWindow: rng.BatchMaxDelay(),
+		remotes:   make(map[guid.GUID]*remoteProxy),
+		out:       make(map[guid.GUID]*flow.Coalescer),
+		acks:      make(map[guid.GUID]*flow.AckCoalescer),
+		failing:   guid.NewSet(),
 	}
 	if h.ackWindow <= 0 {
 		h.ackWindow = server.DefaultBatchMaxDelay
@@ -201,7 +198,7 @@ func NewHost(rng *server.Range, net transport.Network, clk clock.Clock) (*Host, 
 	}
 	h.ep = ep
 	// Surface the endpoint's wire-level state — which codec each live
-	// connection negotiated and the bytes that crossed the wire — through
+	// connection encodes and the bytes that crossed the wire — through
 	// the Range's stats surfaces (StatsMap / FillMetrics / dispatch.stats).
 	if ws, ok := ep.(transport.WireStatser); ok {
 		rng.AddStatsSource(func() map[string]float64 {
@@ -278,8 +275,8 @@ func (h *Host) handle(m wire.Message) {
 		_ = h.rng.Registrar().Renew(m.Src)
 	case wire.KindQuery:
 		h.handleQuery(m)
-	case wire.KindEvent, wire.KindEventBatch:
-		h.handleEvents(m)
+	case wire.KindEventBatch:
+		h.ingestNativeBatch(m)
 	case wire.KindEventBatchAck:
 		h.handleCredit(m)
 	case wire.KindServiceCall:
@@ -374,44 +371,22 @@ func (h *Host) handleQuery(m wire.Message) {
 	_ = h.send(m.Src, reply)
 }
 
-// handleEvents ingests events published by a remote CE, accepting both the
-// coalesced event.batch form and the legacy single-event frame (the two may
-// interleave on one connection). The batch body is decoded once: its frames
-// feed dispatch and its optional piggybacked credit feeds the endpoint's
-// outbound coalescer.
-func (h *Host) handleEvents(m wire.Message) {
-	if m.Kind == wire.KindEventBatch && m.Batch != nil {
-		h.ingestNativeBatch(m)
+// ingestNativeBatch ingests a batch of events published by a remote CE. The
+// batch is shared — the memory transport may hand one pointer to several
+// receivers — so events are copied by value before the stamp strip and
+// payload maps are never touched.
+func (h *Host) ingestNativeBatch(m wire.Message) {
+	if m.Batch == nil {
 		return
 	}
-	var frames []json.RawMessage
-	var credit *wire.BatchCredit
-	switch m.Kind {
-	case wire.KindEvent:
-		if len(m.Body) == 0 {
-			return
-		}
-		frames = []json.RawMessage{m.Body}
-	case wire.KindEventBatch:
-		var body wire.EventBatchBody
-		if err := m.DecodeBody(&body); err != nil || len(body.Events) == 0 {
-			return
-		}
-		frames = body.Events
-		credit = body.Credit
-	default:
-		return
-	}
-	events := make([]event.Event, 0, len(frames))
-	for _, f := range frames {
-		var e event.Event
-		if err := json.Unmarshal(f, &e); err != nil {
-			continue
-		}
+	in := m.Batch.Events
+	events := make([]event.Event, 0, len(in))
+	for i := range in {
+		e := in[i]
 		if e.Source != m.Src {
 			continue // a remote may only publish as itself
 		}
-		// Validate per frame: PublishAll rejects a batch whole, and one bad
+		// Validate per event: PublishAll rejects a batch whole, and one bad
 		// event must not discard its 63 valid neighbours.
 		if err := e.Validate(); err != nil {
 			continue
@@ -430,59 +405,24 @@ func (h *Host) handleEvents(m wire.Message) {
 	if len(events) > 0 {
 		_ = h.rng.PublishAllFrom(m.Src, events)
 	}
-	// Batched publishers get a flow-credit ack so remote CEs can see the
-	// drops their traffic causes — attributed to this endpoint, never the
-	// Range-wide total. Acks are coalesced per endpoint: fresh drops leave
-	// immediately, redundant healthy reports at most once per ack window
-	// (timer fallback), and pending reports ride outbound batches when the
-	// reverse direction is hot. Endpoints that have only ever sent legacy
-	// single-event frames predate acks and stay silent (they would not
-	// understand the reply either).
-	h.noteIngest(m.Src, len(frames), m.Kind == wire.KindEventBatch)
+	// Publishers get a flow-credit ack so remote CEs can see the drops
+	// their traffic causes — attributed to this endpoint, never the
+	// Range-wide total.
+	h.noteIngest(m.Src, len(in))
 	// A publisher that also receives deliveries may piggyback its credit.
-	if credit != nil {
-		h.applyCredit(m.Src, *credit)
-	}
-}
-
-// ingestNativeBatch is handleEvents for a batch that arrived decoded
-// (binary wire connection or in-process native pass-through): the same
-// per-event source check, validation and Range-stamp strip, without the
-// per-frame JSON decode. The batch is shared — the memory transport may
-// hand one pointer to several receivers — so events are copied by value
-// before the stamp strip and payload maps are never touched.
-func (h *Host) ingestNativeBatch(m wire.Message) {
-	in := m.Batch.Events
-	events := make([]event.Event, 0, len(in))
-	for i := range in {
-		e := in[i]
-		if e.Source != m.Src {
-			continue // a remote may only publish as itself
-		}
-		if err := e.Validate(); err != nil {
-			continue
-		}
-		e.Range = guid.Nil
-		events = append(events, e)
-	}
-	if len(events) > 0 {
-		_ = h.rng.PublishAllFrom(m.Src, events)
-	}
-	h.noteIngest(m.Src, len(in), true)
 	if m.Batch.Credit != nil {
 		h.applyCredit(m.Src, *m.Batch.Credit)
 	}
 }
 
-// noteIngest records frames ingested from a publishing endpoint with the
+// noteIngest records events ingested from a publishing endpoint with the
 // endpoint's ack coalescer (flow.AckCoalescer): the leading report and
 // reports whose attributed drop figure moved leave promptly (rate-limited
 // to one per ack window even under a drop storm — the figure is
 // cumulative, so one frame per window says everything), redundant healthy
 // reports ride the window timer, and a pending report is claimed by the
-// next outbound batch that can carry it. batch marks the message form:
-// only endpoints that have sent at least one event.batch are ack-aware.
-func (h *Host) noteIngest(src guid.GUID, frames int, batch bool) {
+// next outbound batch that can carry it.
+func (h *Host) noteIngest(src guid.GUID, events int) {
 	h.mu.Lock()
 	if h.closed {
 		h.mu.Unlock()
@@ -490,10 +430,6 @@ func (h *Host) noteIngest(src guid.GUID, frames int, batch bool) {
 	}
 	a := h.acks[src]
 	if a == nil {
-		if !batch {
-			h.mu.Unlock()
-			return // legacy-only peer: never ack
-		}
 		a = flow.NewAckCoalescer(flow.AckConfig{
 			Clock:  h.clk,
 			Window: h.ackWindow,
@@ -503,7 +439,7 @@ func (h *Host) noteIngest(src guid.GUID, frames int, batch bool) {
 		h.acks[src] = a
 	}
 	h.mu.Unlock()
-	a.Note(frames)
+	a.Note(events)
 }
 
 // ackCredit builds the credit report an ack to one endpoint carries: the
@@ -532,15 +468,13 @@ func (h *Host) sendAck(to guid.GUID, events int) bool {
 
 // takePiggybackCredit claims the pending credit report owed to an endpoint
 // for carriage on an outbound event.batch, suppressing the standalone ack
-// frame. Only endpoints that have demonstrated credit awareness (sent us a
-// credit report of their own) qualify: an older peer reads credit solely
-// from standalone acks, and a report piggybacked to it would be lost.
+// frame.
 func (h *Host) takePiggybackCredit(to guid.GUID) *wire.BatchCredit {
 	h.mu.Lock()
 	a := h.acks[to]
-	aware := h.creditAware.Has(to) && !h.closed
+	closed := h.closed
 	h.mu.Unlock()
-	if a == nil || !aware {
+	if a == nil || closed {
 		return nil
 	}
 	events, ok := a.Take()
@@ -563,11 +497,9 @@ func (h *Host) handleCredit(m wire.Message) {
 // applyCredit routes a receiver flow-credit report into the reporting
 // endpoint's outbound coalescer, which throttles its flush rate while the
 // credit stays collapsed. Reports from endpoints we never coalesce to are
-// dropped — a credit must not create a queue. Any report also marks the
-// endpoint credit-aware, unlocking piggybacked acks toward it.
+// dropped — a credit must not create a queue.
 func (h *Host) applyCredit(from guid.GUID, credit wire.BatchCredit) {
 	h.mu.Lock()
-	h.creditAware.Add(from)
 	q := h.out[from]
 	h.mu.Unlock()
 	if q != nil {
@@ -622,18 +554,11 @@ func (h *Host) serveInfra(op string) (map[string]any, error) {
 	}
 }
 
-// sendEvent ships an event to a remote component, through the endpoint's
-// coalescer when batching is enabled.
+// sendEvent ships an event to a remote component: through the endpoint's
+// coalescer when batching is enabled, as a one-event batch otherwise.
 func (h *Host) sendEvent(to guid.GUID, e event.Event) {
 	if h.maxBatch <= 1 {
-		m, err := wire.NewMessage(h.rng.ServerID(), to, wire.KindEvent, e)
-		if err != nil {
-			return
-		}
-		if h.send(to, m) == nil {
-			h.rng.RemoteBatchesSent.Inc()
-			h.rng.RemoteEventsSent.Inc()
-		}
+		h.sendBatch(to, []event.Event{e})
 		return
 	}
 	if q := h.queueFor(to); q != nil {
@@ -643,14 +568,11 @@ func (h *Host) sendEvent(to guid.GUID, e event.Event) {
 
 // sendEvents ships a run of events to one remote component. With batching
 // enabled the whole run enters the endpoint's coalescer under one lock
-// acquisition; otherwise each event ships as its own legacy frame.
+// acquisition; otherwise each event ships as its own one-event batch.
 func (h *Host) sendEvents(to guid.GUID, events []event.Event) {
-	if len(events) == 0 {
-		return
-	}
 	if h.maxBatch <= 1 {
 		for i := range events {
-			h.sendEvent(to, events[i])
+			h.sendBatch(to, events[i:i+1])
 		}
 		return
 	}
@@ -685,19 +607,17 @@ func (h *Host) queueFor(to guid.GUID) *flow.Coalescer {
 	return q
 }
 
-// sendBatch encodes a coalesced run of events into one event.batch wire
-// message, folding in any pending flow-credit ack owed to the destination —
+// sendBatch ships a run of events as one event.batch wire message,
+// folding in any pending flow-credit ack owed to the destination —
 // on a hot bidirectional link the reverse traffic carries the credit and
 // the standalone ack frame is never paid.
 func (h *Host) sendBatch(to guid.GUID, events []event.Event) {
 	if len(events) == 0 {
 		return
 	}
-	// The coalescer's flush slice aliases its pending buffer and is reused
-	// after this callback returns; the native batch escapes with the wire
-	// message, so it gets its own storage. Encoding happens at the wire —
-	// binary connections ship the batch contiguously, JSON and in-process
-	// legacy peers get it materialized into the classic body.
+	// The caller's slice (the coalescer's flush buffer, a delivery run) is
+	// reused after this returns; the batch escapes with the wire message, so
+	// it gets its own storage. Encoding happens at the wire.
 	owned := make([]event.Event, len(events))
 	copy(owned, events)
 	credit := h.takePiggybackCredit(to)
@@ -766,7 +686,7 @@ func (h *Host) send(to guid.GUID, m wire.Message) error {
 // throttle its flush rate while the connector is overloaded. Acks are
 // coalesced: a report carrying fresh drops leaves immediately, redundant
 // healthy reports at most once per ack window (timer fallback), and a
-// pending report rides the next published batch (EventBatchBody.Credit)
+// pending report rides the next published batch (NativeBatch.Credit)
 // instead of paying a standalone event.batch_ack frame.
 type Connector struct {
 	id   guid.GUID
@@ -930,8 +850,7 @@ func (c *Connector) DeliveryDrops() uint64 {
 // RemoteCredit returns the last flow-credit report received from the
 // Range Service (acks to this connector's published batches, standalone or
 // piggybacked on a delivery batch): the drops this connector's own traffic
-// caused in the Range. ok is false until a report arrives — old hosts
-// never send one.
+// caused in the Range. ok is false until a report arrives.
 func (c *Connector) RemoteCredit() (wire.BatchCredit, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -950,7 +869,7 @@ func (c *Connector) AcksPiggybacked() uint64 { return c.acksPiggy.Value() }
 // promptly (one per window even under a drop storm), redundant healthy
 // reports ride the window timer or the next published batch that can carry
 // them.
-func (c *Connector) noteDeliveryAck(from guid.GUID, frames int) {
+func (c *Connector) noteDeliveryAck(from guid.GUID, events int) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -967,7 +886,7 @@ func (c *Connector) noteDeliveryAck(from guid.GUID, frames int) {
 		c.acks[from] = a
 	}
 	c.mu.Unlock()
-	a.Note(frames)
+	a.Note(events)
 }
 
 // deliveryCredit builds the credit report an ack carries: the delivery
@@ -997,9 +916,7 @@ func (c *Connector) sendAck(to guid.GUID, events int) bool {
 
 // takePiggybackCredit claims the report pending toward the given endpoint
 // for carriage on a published batch — a report is never piggybacked past
-// its addressee; per-endpoint coalescers make that structural. (Hosts have
-// always decoded EventBatchBody.Credit, so no capability gate is needed in
-// this direction.)
+// its addressee; per-endpoint coalescers make that structural.
 func (c *Connector) takePiggybackCredit(to guid.GUID) *wire.BatchCredit {
 	c.mu.Lock()
 	a := c.acks[to]
@@ -1212,17 +1129,10 @@ func (c *Connector) Call(provider guid.GUID, op string, args map[string]any) (ma
 	return res.Result, nil
 }
 
-// Publish sends an event to the Range's mediator (remote CE emission).
+// Publish sends an event to the Range's mediator (remote CE emission) as a
+// one-event batch.
 func (c *Connector) Publish(e event.Event) error {
-	srv := c.ServerID()
-	if srv.IsNil() {
-		return ErrNotRegistered
-	}
-	m, err := wire.NewMessage(c.id, srv, wire.KindEvent, e)
-	if err != nil {
-		return err
-	}
-	return c.ep.Send(m)
+	return c.PublishAll([]event.Event{e})
 }
 
 // PublishAll sends a batch of events to the Range's mediator as one
@@ -1362,7 +1272,10 @@ func (c *Connector) handle(m wire.Message) {
 			default:
 			}
 		}
-	case wire.KindEvent, wire.KindEventBatch:
+	case wire.KindEventBatch:
+		if m.Batch == nil {
+			return
+		}
 		// A delivery batch may itself piggyback the host's ack to our
 		// published batches — read it before the events.
 		if credit, ok := m.BatchCreditInfo(); ok {
@@ -1371,36 +1284,14 @@ func (c *Connector) handle(m wire.Message) {
 		if c.onEvent == nil && c.onBatch == nil {
 			return
 		}
-		var events []event.Event
-		var got int
-		if m.Batch != nil {
-			// Native delivery: the queue copies event values on admission and
-			// never mutates the slice, so the shared batch is read directly.
-			events = m.Batch.Events
-			got = len(events)
-		} else {
-			frames, err := m.EventFrames()
-			if err != nil {
-				return
-			}
-			got = len(frames)
-			events = make([]event.Event, 0, len(frames))
-			for _, f := range frames {
-				var e event.Event
-				if err := json.Unmarshal(f, &e); err == nil {
-					events = append(events, e)
-				}
-			}
-		}
-		c.enqueueDeliveries(events)
+		// The queue copies event values on admission and never mutates the
+		// slice, so the shared batch is read directly.
+		c.enqueueDeliveries(m.Batch.Events)
 		// Acknowledge with flow credit so the host's coalescer can match its
 		// flush rate to what this connector absorbs — coalesced per the ack
 		// window, urgent on fresh drops, piggybacked on the next publish
-		// when one beats the timer. Legacy single-event frames stay silent:
-		// their senders predate acks.
-		if m.Kind == wire.KindEventBatch {
-			c.noteDeliveryAck(m.Src, got)
-		}
+		// when one beats the timer.
+		c.noteDeliveryAck(m.Src, len(m.Batch.Events))
 	case wire.KindEventBatchAck:
 		if credit, ok := m.BatchCreditInfo(); ok {
 			c.storeRemoteCredit(credit)

@@ -18,16 +18,16 @@ import (
 
 // injectAck delivers a crafted fan-out credit report to f as if peer had
 // sent it.
-func injectAck(t *testing.T, f *Fabric, peer guid.GUID, dropped, downstream uint64) {
+func injectAck(t *testing.T, f *Fabric, peer guid.GUID, dropped uint64) {
 	t.Helper()
-	injectAckBy(t, f, peer, dropped, downstream, nil)
+	injectAckBy(t, f, peer, dropped, nil)
 }
 
 // injectAckBy additionally carries per-origin downstream accounts.
-func injectAckBy(t *testing.T, f *Fabric, peer guid.GUID, dropped, downstream uint64, by map[guid.GUID]uint64) {
+func injectAckBy(t *testing.T, f *Fabric, peer guid.GUID, dropped uint64, by map[guid.GUID]uint64) {
 	t.Helper()
 	payload, err := json.Marshal(eventBatchAckMsg{
-		Origin: peer, Dropped: dropped, Downstream: downstream, DownstreamBy: by, QueueFree: -1,
+		Origin: peer, Dropped: dropped, DownstreamBy: by, QueueFree: -1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,9 +93,9 @@ func TestChainOriginThrottlesOnRelayDownstream(t *testing.T) {
 	// authoritative for it). B must throttle its own fan-out AND remember
 	// the congestion as downstream state.
 	phantom := guid.New(guid.KindServer)
-	injectAck(t, fB, fC.NodeID(), 0, 0) // baseline at B
-	injectAckBy(t, fB, fC.NodeID(), 0, 50, map[guid.GUID]uint64{phantom: 50})
-	injectAckBy(t, fB, fC.NodeID(), 0, 120, map[guid.GUID]uint64{phantom: 120})
+	injectAck(t, fB, fC.NodeID(), 0) // baseline at B
+	injectAckBy(t, fB, fC.NodeID(), 0, map[guid.GUID]uint64{phantom: 50})
+	injectAckBy(t, fB, fC.NodeID(), 0, map[guid.GUID]uint64{phantom: 120})
 	if !fB.fan.Throttled() {
 		t.Fatal("relay did not throttle on its receiver's collapse")
 	}
@@ -143,7 +143,7 @@ func TestDownstreamAccountsConvergeOnCycles(t *testing.T) {
 
 	// A learns of B's own congestion (direct account) and of D's (relayed
 	// through B).
-	injectAckBy(t, fA, fB.NodeID(), 50, 30, map[guid.GUID]uint64{d: 30})
+	injectAckBy(t, fA, fB.NodeID(), 50, map[guid.GUID]uint64{d: 30})
 	if got := fA.DownstreamDrops(); got != 80 {
 		t.Fatalf("downstream total = %d, want 80 (B's 50 + D's 30)", got)
 	}
@@ -157,12 +157,12 @@ func TestDownstreamAccountsConvergeOnCycles(t *testing.T) {
 
 	// The same figures arriving again — another relay path, or a full lap
 	// of a cycle — merge idempotently: no growth, no fresh delta upstream.
-	injectAckBy(t, fA, fC.NodeID(), 0, 80, map[guid.GUID]uint64{fB.NodeID(): 50, d: 30})
+	injectAckBy(t, fA, fC.NodeID(), 0, map[guid.GUID]uint64{fB.NodeID(): 50, d: 30})
 	if got := fA.DownstreamDrops(); got != 80 {
 		t.Fatalf("relayed copy re-counted: downstream total = %d, want 80", got)
 	}
 	// A's own account echoed back must be skipped outright.
-	injectAckBy(t, fA, fC.NodeID(), 0, 999, map[guid.GUID]uint64{fA.NodeID(): 999})
+	injectAckBy(t, fA, fC.NodeID(), 0, map[guid.GUID]uint64{fA.NodeID(): 999})
 	if got := fA.DownstreamDrops(); got != 80 {
 		t.Fatalf("own account echoed back was folded: downstream total = %d, want 80", got)
 	}
@@ -179,26 +179,26 @@ func TestPeerRejoinRebaselinesFanCredit(t *testing.T) {
 	waitCoverage(t, fn)
 	peer := fB.NodeID()
 
-	injectAck(t, fA, peer, 1000, 0) // baseline
-	injectAck(t, fA, peer, 1050, 0) // 50 fresh drops: throttled
+	injectAck(t, fA, peer, 1000) // baseline
+	injectAck(t, fA, peer, 1050) // 50 fresh drops: throttled
 	if !fA.fan.Throttled() {
 		t.Fatal("drop delta did not throttle")
 	}
 	for i := 0; i < 10 && fA.fan.Throttled(); i++ {
-		injectAck(t, fA, peer, 1050, 0)
+		injectAck(t, fA, peer, 1050)
 	}
 	if fA.fan.Throttled() {
 		t.Fatal("healthy acks did not recover")
 	}
 
 	// Restart: the peer's counter resets. Regression is not congestion.
-	injectAck(t, fA, peer, 0, 0)
+	injectAck(t, fA, peer, 0)
 	if fA.fan.Throttled() {
 		t.Fatal("counter regression read as congestion")
 	}
 	// The stale 1050 baseline must be gone: 5 post-restart drops throttle
 	// immediately instead of waiting for the counter to re-pass 1050.
-	injectAck(t, fA, peer, 5, 0)
+	injectAck(t, fA, peer, 5)
 	if !fA.fan.Throttled() {
 		t.Fatal("post-restart drops frozen behind the stale baseline")
 	}

@@ -18,6 +18,7 @@ import (
 	"sci/internal/query"
 	"sci/internal/server"
 	"sci/internal/transport"
+	"sci/internal/wire"
 )
 
 // fanNet is an n-range SCINET for cross-range fan-out tests.
@@ -321,13 +322,13 @@ func TestCrossRangeCycleLoopSuppression(t *testing.T) {
 
 	// Belt and braces: a batch that somehow arrives at its own origin is
 	// dropped, not ingested.
-	frames := encodeFrames(makeEvents(1, fn.clk))
-	payload, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), Via: []guid.GUID{fA.NodeID()}, Events: frames})
+	payload, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), Via: []guid.GUID{fA.NodeID()}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := fA.EchoesDropped.Value()
-	fA.handleEventBatch(overlay.Delivery{Origin: fC.NodeID(), AppKind: appEventBatch, Payload: payload})
+	fA.handleEventBatch(overlay.Delivery{Origin: fC.NodeID(), AppKind: appEventBatch, Payload: payload,
+		Batch: &wire.NativeBatch{Events: makeEvents(1, fn.clk)}})
 	if fA.EchoesDropped.Value() != before+1 {
 		t.Fatal("echo batch not counted as dropped")
 	}
@@ -530,13 +531,13 @@ func TestDuplicateBatchSuppressed(t *testing.T) {
 		Origin:  fA.NodeID(),
 		BatchID: guid.New(guid.KindEvent),
 		Via:     []guid.GUID{fA.NodeID(), fB.NodeID()},
-		Events:  encodeFrames(events),
 	}
 	payload, err := json.Marshal(msg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload}
+	d := overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload,
+		Batch: &wire.NativeBatch{Events: events}}
 	fB.handleEventBatch(d)
 	fB.handleEventBatch(d)
 	waitFor(t, func() bool { return recv.total() >= 4 })
@@ -549,6 +550,90 @@ func TestDuplicateBatchSuppressed(t *testing.T) {
 	}
 	if got := fB.BatchesIngested.Value(); got != 1 {
 		t.Fatalf("BatchesIngested = %d, want 1", got)
+	}
+}
+
+// TestNativeBatchIngestPerEventRules feeds both arms of handleEventBatch one
+// batch mixing a good event with every kind the ingest must refuse: on the
+// fan-out arm an invalid event is skipped, a local-Range echo and an
+// unstamped event are dropped and counted as echoes; on the routed-query arm
+// an invalid event is skipped. Neighbours of a refused event still arrive,
+// and a scinet.event_batch that carries no batch at all is dropped whole.
+func TestNativeBatchIngestPerEventRules(t *testing.T) {
+	fn := newFanNet(t, 2, 8)
+	defer fn.close()
+	fA, fB := fn.fabrics[0], fn.fabrics[1]
+
+	recv := newCounter()
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	if _, err := fB.SubscribeRemote(guid.New(guid.KindApplication), flt, recv.handle); err != nil {
+		t.Fatal(err)
+	}
+	events := makeEvents(5, fn.clk)
+	foreign := guid.New(guid.KindRange)
+	events[0].Range = foreign
+	events[1].Range = foreign
+	events[1].ID = guid.Nil       // invalid
+	events[2].Range = fB.rng.ID() // local-Range echo
+	events[3].Range = guid.Nil    // unstamped: would be restamped local and re-forwarded
+	events[4].Range = foreign
+	batch := &wire.NativeBatch{Events: events}
+
+	fan, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), BatchID: guid.New(guid.KindEvent),
+		Via: []guid.GUID{fA.NodeID(), fB.NodeID()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	echoes := fB.EchoesDropped.Value()
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: fan, Batch: batch})
+	waitFor(t, func() bool { return recv.total() >= 2 })
+	time.Sleep(20 * time.Millisecond)
+	if !recv.exactlyOnce(2) {
+		t.Fatalf("fan-out arm delivered %d events, want exactly the 2 good ones", recv.total())
+	}
+	if got := fB.EchoesDropped.Value() - echoes; got != 2 {
+		t.Fatalf("EchoesDropped moved by %d, want 2 (echo + unstamped)", got)
+	}
+	if got := fB.EventsIngested.Value(); got != 2 {
+		t.Fatalf("EventsIngested = %d, want 2", got)
+	}
+	if events[3].Range != guid.Nil || events[1].ID != guid.Nil {
+		t.Fatal("ingest mutated the shared batch")
+	}
+
+	// Routed-query arm: no Range rules (results are consumed, not re-published).
+	qid := guid.New(guid.KindQuery)
+	var consumed []uint64
+	var mu sync.Mutex
+	sink := entity.NewCAA("sink", func(e event.Event) {
+		mu.Lock()
+		consumed = append(consumed, e.Seq)
+		mu.Unlock()
+	}, fn.clk)
+	fB.mu.Lock()
+	fB.consumers[qid] = &outQuery{caa: sink, target: fA.NodeID()}
+	fB.mu.Unlock()
+	routed, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), QueryID: qid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: routed, Batch: batch})
+	mu.Lock()
+	got := append([]uint64(nil), consumed...)
+	mu.Unlock()
+	if len(got) != 4 || got[0] != 1 || got[1] != 3 || got[2] != 4 || got[3] != 5 {
+		t.Fatalf("routed-query arm consumed seqs %v, want [1 3 4 5] (the invalid event skipped)", got)
+	}
+
+	// No batch, no ingest: the envelope alone is malformed.
+	acks := fB.AcksSent.Value()
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: routed})
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: fan})
+	mu.Lock()
+	n := len(consumed)
+	mu.Unlock()
+	if n != 4 || fB.EventsIngested.Value() != 2 || fB.AcksSent.Value() != acks {
+		t.Fatal("a batch-less scinet.event_batch was processed")
 	}
 }
 

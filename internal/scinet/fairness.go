@@ -57,8 +57,7 @@ func (f *Fabric) interestSnapshot() []interestEntry {
 const maxRelayBacklog = 64
 
 // relayItem is one queued relayed batch: the encoded envelope payload plus
-// the shared native batch when the events arrived un-serialized (nil on the
-// legacy path, where the events are already spliced into the payload).
+// the shared event batch it forwards.
 type relayItem struct {
 	payload []byte
 	batch   *wire.NativeBatch
@@ -191,8 +190,8 @@ func (f *Fabric) drainRelay(to guid.GUID, rq *relayQueue) {
 // figure — the dispatch drops attributed to the peer's traffic here — so
 // one shared per-peer AckCoalescer replaces the per-result-batch frames:
 // ≤1 cumulative ack frame per peer per ack window however many queries and
-// result batches ride the link. Query acks keep excluding Downstream
-// figures: results are consumed here, not relayed, and folding unrelated
+// result batches ride the link. Query acks carry no downstream accounts:
+// results are consumed here, not relayed, and folding unrelated
 // fan-out congestion into them would throttle a healthy query stream for
 // another link's collapse.
 func (f *Fabric) noteQueryAck(to guid.GUID, events int) {

@@ -16,6 +16,7 @@ import (
 	"sci/internal/event"
 	"sci/internal/guid"
 	"sci/internal/overlay"
+	"sci/internal/wire"
 )
 
 // injectRelayedBatch delivers a crafted fan-out batch to f as if origin had
@@ -27,12 +28,12 @@ func injectRelayedBatch(t *testing.T, f *Fabric, origin guid.GUID, via []guid.GU
 		Origin:  origin,
 		BatchID: id,
 		Via:     via,
-		Events:  encodeFrames(events),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.handleEventBatch(overlay.Delivery{Origin: origin, AppKind: appEventBatch, Payload: payload})
+	f.handleEventBatch(overlay.Delivery{Origin: origin, AppKind: appEventBatch, Payload: payload,
+		Batch: &wire.NativeBatch{Events: events}})
 	return id
 }
 
@@ -64,8 +65,8 @@ func TestThrottledRelayShedsNotAmplifies(t *testing.T) {
 	}
 
 	// Collapse B's forwarding credit: 50 fresh drops double the penalty.
-	injectAck(t, fB, fC.NodeID(), 0, 0) // baseline
-	injectAck(t, fB, fC.NodeID(), 50, 0)
+	injectAck(t, fB, fC.NodeID(), 0) // baseline
+	injectAck(t, fB, fC.NodeID(), 50)
 	if p := fB.FanoutPenalty(); p <= 1 {
 		t.Fatalf("penalty = %v after fresh drops, want > 1", p)
 	}
@@ -117,12 +118,12 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 		payload, err := json.Marshal(eventBatchMsg{
 			Origin:  fA.NodeID(),
 			QueryID: qid,
-			Events:  encodeFrames(events),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload})
+		fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload,
+			Batch: &wire.NativeBatch{Events: events}})
 	}
 	// Clock frozen: only the leading report leaves; the other 99 batches
 	// coalesce behind it (the figure is cumulative and hasn't moved).
@@ -177,8 +178,7 @@ func TestInterestScanRunsWithoutFabricLock(t *testing.T) {
 		fA.relay(eventBatchMsg{
 			Origin: fB.NodeID(),
 			Via:    []guid.GUID{fA.NodeID(), fB.NodeID()},
-			Events: encodeFrames(events),
-		}, events, nil)
+		}, events, &wire.NativeBatch{Events: events})
 	}()
 	select {
 	case <-done:

@@ -411,8 +411,8 @@ func TestInterestDeltaAnnouncements(t *testing.T) {
 	fb := fn.fabrics[1]
 
 	rec := newInterestRecorder(t, fn, fb.NodeID())
-	// Tell fb the recorder understands generations (a Gen-stamped hello),
-	// as any delta-aware fabric would have.
+	// Introduce the recorder to fb: any message makes its sender a known
+	// peer, and known peers get interest announcements.
 	hello, err := json.Marshal(interestMsg{
 		Owner: rec.node.ID(), Gen: 1, Full: true,
 		Filters: []event.Filter{{Type: "hello.x"}},
@@ -435,16 +435,17 @@ func TestInterestDeltaAnnouncements(t *testing.T) {
 	waitFor(t, func() bool { return len(rec.recorded()) >= 3 })
 
 	msgs := rec.recorded()
-	if !msgs[0].Full || msgs[0].Gen != 1 || len(msgs[0].Filters) != 1 || msgs[0].Filters[0] != fltA {
-		t.Fatalf("first announcement not the gen-1 full set: %+v", msgs[0])
+	// The generation counter starts at 1, so the first change is generation 2.
+	if !msgs[0].Full || msgs[0].Gen != 2 || len(msgs[0].Filters) != 1 || msgs[0].Filters[0] != fltA {
+		t.Fatalf("first announcement not the gen-2 full set: %+v", msgs[0])
 	}
-	if msgs[1].Full || msgs[1].Gen != 2 || msgs[1].Prev != 1 ||
+	if msgs[1].Full || msgs[1].Gen != 3 || msgs[1].Prev != 2 ||
 		len(msgs[1].Add) != 1 || msgs[1].Add[0] != fltB || len(msgs[1].Del) != 0 {
-		t.Fatalf("second announcement not the gen-2 add delta: %+v", msgs[1])
+		t.Fatalf("second announcement not the gen-3 add delta: %+v", msgs[1])
 	}
-	if msgs[2].Full || msgs[2].Gen != 3 || msgs[2].Prev != 2 ||
+	if msgs[2].Full || msgs[2].Gen != 4 || msgs[2].Prev != 3 ||
 		len(msgs[2].Del) != 1 || msgs[2].Del[0] != fltA || len(msgs[2].Add) != 0 {
-		t.Fatalf("third announcement not the gen-3 del delta: %+v", msgs[2])
+		t.Fatalf("third announcement not the gen-4 del delta: %+v", msgs[2])
 	}
 }
 
@@ -457,38 +458,66 @@ func TestInterestDeltaGapResync(t *testing.T) {
 	waitCoverage(t, fn)
 	fa, fb := fn.fabrics[0], fn.fabrics[1]
 
-	// fa announces once so fb knows it is delta-aware (gossip flows both
-	// ways in this fleet).
-	fa.AddInterest(event.Filter{Type: "x.only"})
 	fltA := event.Filter{Type: "g.a"}
 	fltB := event.Filter{Type: "g.b"}
 	fltC := event.Filter{Type: "g.c"}
 	fb.AddInterest(fltA)
-	waitFor(t, func() bool {
-		fb.mu.Lock()
-		aware := fb.deltaAware[fa.NodeID()]
-		fb.mu.Unlock()
-		return aware && len(fa.Interests()[fb.NodeID()]) == 1
-	})
+	waitFor(t, func() bool { return len(fa.Interests()[fb.NodeID()]) == 1 })
 	fb.AddInterest(fltB)
 	waitFor(t, func() bool { return len(fa.Interests()[fb.NodeID()]) == 2 })
 
-	// Roll fa back to generation 1 holding only fltA: to fa the gen-2 delta
-	// now looks lost.
+	// Roll fa back to generation 2 (fb's first) holding only fltA: to fa the
+	// gen-3 delta now looks lost.
 	fa.mu.Lock()
-	fa.interestGen[fb.NodeID()] = 1
+	fa.interestGen[fb.NodeID()] = 2
 	fa.interests[fb.NodeID()] = []event.Filter{fltA}
 	fa.refreshInterestSnapLocked()
 	fa.mu.Unlock()
 
-	// The next delta (gen 3, prev 2) hits the gap; fa must ask fb for the
-	// full set and converge on all three filters at generation 3.
+	// The next delta (gen 4, prev 3) hits the gap; fa must ask fb for the
+	// full set and converge on all three filters at generation 4.
 	fb.AddInterest(fltC)
 	waitFor(t, func() bool {
 		fa.mu.Lock()
 		defer fa.mu.Unlock()
-		return len(fa.interests[fb.NodeID()]) == 3 && fa.interestGen[fb.NodeID()] == 3
+		return len(fa.interests[fb.NodeID()]) == 3 && fa.interestGen[fb.NodeID()] == 4
 	})
+}
+
+// TestInterestSyncReplyClearsGhostEntry: the forced resync reply of a fabric
+// that never held an interest is an empty full set — and must still carry a
+// non-zero generation, because generation zero is dropped as malformed.
+func TestInterestSyncReplyClearsGhostEntry(t *testing.T) {
+	fn := newFanNet(t, 2, 0)
+	defer fn.close()
+	waitCoverage(t, fn)
+	fa, fb := fn.fabrics[0], fn.fabrics[1]
+
+	ghost := event.Filter{Type: "ghost.x"}
+	zero, err := json.Marshal(interestMsg{Owner: fb.NodeID(), Full: true, Filters: []event.Filter{ghost}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa.handleInterest(overlay.Delivery{Origin: fb.NodeID(), AppKind: appInterest, Payload: zero})
+	if fa.knowsInterest(fb.NodeID()) {
+		t.Fatal("a generation-zero announcement was applied")
+	}
+
+	fa.setInterests(map[guid.GUID][]event.Filter{fb.NodeID(): {ghost}})
+	sync, err := json.Marshal(interestSyncMsg{From: fa.NodeID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fa.node.Route(fb.NodeID(), appInterestSync, sync); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return !fa.knowsInterest(fb.NodeID()) })
+	fa.mu.Lock()
+	gen := fa.interestGen[fb.NodeID()]
+	fa.mu.Unlock()
+	if gen != 1 {
+		t.Fatalf("the empty resync reply was applied at generation %d, want 1", gen)
+	}
 }
 
 // TestInterestSnapshotSkipsEmptyEntries pins the copy-on-write snapshot

@@ -83,24 +83,6 @@ import (
 	"sci/internal/wire"
 )
 
-// init registers the legacy fold for scinet.event_batch payloads: when a
-// routed native batch must leave on a JSON-only hop, the overlay hands the
-// batch's per-event frames back here to be spliced into the eventBatchMsg a
-// legacy fabric expects. The wire batch credit is ignored by design —
-// scinet flow credit rides separate event_batch_ack messages, never
-// piggybacked batch credit.
-func init() {
-	overlay.RegisterAppBatchFolder(appEventBatch,
-		func(payload json.RawMessage, frames []json.RawMessage, _ *wire.BatchCredit) (json.RawMessage, error) {
-			var msg eventBatchMsg
-			if err := json.Unmarshal(payload, &msg); err != nil {
-				return nil, err
-			}
-			msg.Events = frames
-			return json.Marshal(msg)
-		})
-}
-
 // App kinds for overlay payloads.
 const (
 	appCoverage    = "scinet.coverage"
@@ -110,16 +92,13 @@ const (
 	// longer wants it), so the serving fabric releases its record, proxy
 	// and configuration instead of streaming to nobody.
 	appCancel = "scinet.cancel"
-	appEvent  = "scinet.event"
-	// appEventBatch carries a coalesced run of events between fabrics: the
-	// cross-range fan-out path and the batched replacement for per-event
-	// appEvent frames on the routed-query path.
+	// appEventBatch carries a run of events between fabrics — cross-range
+	// fan-out and routed-query results alike — in the routed message's
+	// batch (overlay.Delivery.Batch).
 	appEventBatch = "scinet.event_batch"
 	// appEventBatchAck is the scinet.event_batch reply hint: the receiving
 	// fabric reports its flow credit (cumulative dispatch drops) so the
 	// sender's coalescer can throttle while the receiver is overloaded.
-	// Fabrics that predate it neither send nor understand it — unknown app
-	// kinds are ignored — so mixed fleets interoperate.
 	appEventBatchAck = "scinet.event_batch_ack"
 	// appInterest announces (and re-gossips) a fabric's cross-range event
 	// interests.
@@ -157,18 +136,11 @@ type queryResultMsg struct {
 	Error         string    `json:"error,omitempty"`
 }
 
-// eventMsg is the legacy single-event frame, kept so fabrics that predate
-// scinet.event_batch interoperate (it is still emitted when batching is
-// disabled, and always accepted).
-type eventMsg struct {
-	QueryID guid.GUID   `json:"query_id"`
-	Event   event.Event `json:"event"`
-}
-
-// eventBatchMsg is a coalesced run of events crossing the overlay. With
-// QueryID set it carries routed results for one forwarded query; otherwise
-// it is a cross-range fan-out batch stamped for loop suppression: Origin is
-// the publishing fabric and Via names every fabric already covered (origin,
+// eventBatchMsg is the envelope of a run of events crossing the overlay;
+// the events themselves ride the routed message's batch. With QueryID set
+// it carries routed results for one forwarded query; otherwise it is a
+// cross-range fan-out batch stamped for loop suppression: Origin is the
+// publishing fabric and Via names every fabric already covered (origin,
 // direct recipients, and relays' additions), so no fabric ingests the run
 // twice and it never echoes back to its origin.
 type eventBatchMsg struct {
@@ -178,19 +150,16 @@ type eventBatchMsg struct {
 	// it, and a receiver ingests each id at most once. The hop set alone
 	// cannot cover every race — two relays that each know an interested
 	// fabric absent from Via would both forward to it.
-	BatchID guid.GUID         `json:"batch_id,omitzero"`
-	Via     []guid.GUID       `json:"via,omitempty"`
-	Events  []json.RawMessage `json:"events"`
+	BatchID guid.GUID   `json:"batch_id,omitzero"`
+	Via     []guid.GUID `json:"via,omitempty"`
 }
 
 // interestMsg announces one fabric's cross-range interests. Receivers
 // update their table entry for Owner and re-gossip changes, so records
 // cross partially connected topologies.
 //
-// Two forms share the message. The legacy wholesale form (Gen zero)
-// carries the owner's full set in Filters and replaces the entry. The
-// generation-stamped form orders announcements per owner: Full carries
-// the complete set (sent on first contact, on resync, and whenever the
+// Gen orders announcements per owner and is never zero: Full carries the
+// complete set (sent on first contact, on resync, and whenever the
 // receiver's delta chain broke), while Add/Del carry only the change
 // since Prev — a receiver applies a delta only when Prev equals the
 // generation it holds, and otherwise asks the owner for a full
@@ -202,8 +171,8 @@ type interestMsg struct {
 	// Remove withdraws all of Owner's interests (departure, or a Full
 	// announcement of an empty set).
 	Remove bool `json:"remove,omitempty"`
-	// Gen orders announcements per owner (zero = legacy wholesale form).
-	Gen uint64 `json:"gen,omitempty"`
+	// Gen orders announcements per owner; zero is malformed.
+	Gen uint64 `json:"gen"`
 	// Prev is the generation a delta applies on top of.
 	Prev uint64 `json:"prev,omitempty"`
 	// Full marks a complete-set announcement (Filters is authoritative).
@@ -219,30 +188,25 @@ type interestMsg struct {
 // the Range-wide total, which would blame one link for another's flood)
 // and QueueFree its remaining queue capacity (negative = unknown).
 //
-// Downstream/DownstreamBy make credit transitive across relays.
-// DownstreamBy carries per-origin *accounts*: cumulative drop figures keyed
-// by the fabric that observed them at its own receivers, merged by max at
-// every hop. Max-merging is idempotent, so a figure that travels a cycle —
-// or returns to the fabric that first reported it — converges instead of
-// being re-counted as fresh congestion on every lap; the sender also
-// excludes accounts keyed by the recipient, so nobody is told about its
-// own receivers' drops twice. Downstream is the sum of DownstreamBy (the
-// back-compat scalar a peer that predates the map still understands —
-// summed figures are monotone per sender because the excluded key set per
-// recipient is fixed). Peers that predate both fields simply omit them
-// (read as 0). QueryAck marks a cumulative routed-query credit frame that
-// applies to every per-(peer, query) coalescer the serving fabric keeps
-// toward the sender — all of them track the same per-peer drop figure, so
-// one frame per peer per window replaces a frame per result batch; those
-// acks carry no downstream figures at all. QueryID is the legacy
-// per-query form retained for peers that predate QueryAck.
+// DownstreamBy makes credit transitive across relays: it carries per-origin
+// *accounts*, cumulative drop figures keyed by the fabric that observed
+// them at its own receivers, merged by max at every hop. Max-merging is
+// idempotent, so a figure that travels a cycle — or returns to the fabric
+// that first reported it — converges instead of being re-counted as fresh
+// congestion on every lap; the sender also excludes accounts keyed by the
+// recipient, so nobody is told about its own receivers' drops twice.
+// Receivers throttle on Dropped plus the sum of the accounts, which is
+// monotone per sender because the excluded key set per recipient is fixed.
+// QueryAck marks a cumulative routed-query credit frame that applies to
+// every per-(peer, query) coalescer the serving fabric keeps toward the
+// sender — all of them track the same per-peer drop figure, so one frame
+// per peer per window replaces a frame per result batch; those acks carry
+// no downstream accounts at all.
 type eventBatchAckMsg struct {
 	Origin       guid.GUID            `json:"origin"`
-	QueryID      guid.GUID            `json:"query_id,omitzero"`
 	QueryAck     bool                 `json:"query_ack,omitempty"`
 	Events       int                  `json:"events,omitempty"`
 	Dropped      uint64               `json:"dropped"`
-	Downstream   uint64               `json:"downstream,omitempty"`
 	DownstreamBy map[guid.GUID]uint64 `json:"downstream_by,omitempty"`
 	QueueFree    int                  `json:"queue_free"`
 }
@@ -389,9 +353,8 @@ type Fabric struct {
 	childFwd     map[guid.GUID]uint64                // guarded by mu; batches forwarded into each child subtree
 
 	// Delta interest-announcement state.
-	announceGen uint64               // guarded by mu; local interest-set generation
-	sentGen     map[guid.GUID]uint64 // guarded by mu; last generation announced per peer
-	deltaAware  map[guid.GUID]bool   // guarded by mu; peers known to speak the generation-stamped form
+	announceGen uint64               // guarded by mu; local interest-set generation, starts at 1 (zero is malformed on the wire)
+	sentGen     map[guid.GUID]uint64 // guarded by mu; last generation announced per peer (absent = never)
 	interestGen map[guid.GUID]uint64 // guarded by mu; last generation applied per interest owner
 
 	// interestSnap is the lock-free copy-on-write view of interests that
@@ -424,7 +387,7 @@ type Fabric struct {
 	// peer's bounded relay backlog instead of being forwarded at line rate.
 	BatchesRelayShed metrics.Counter
 	// AcksSent counts flow-credit ack frames this fabric put on the wire
-	// (fan-path, routed-query, and legacy per-batch forms alike).
+	// (fan-path and routed-query alike).
 	AcksSent metrics.Counter
 	// SpilloverDropped counts hierarchy-routed batches that crossed this
 	// hop for nobody — digest false positives (matched no local filter and
@@ -485,8 +448,8 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 		digestSent:   make(map[guid.GUID]*wire.Digest),
 		digestCoal:   make(map[guid.GUID]*flow.UpdateCoalescer),
 		childFwd:     make(map[guid.GUID]uint64),
+		announceGen:  1,
 		sentGen:      make(map[guid.GUID]uint64),
-		deltaAware:   make(map[guid.GUID]bool),
 		interestGen:  make(map[guid.GUID]uint64),
 	}
 	f.refreshInterestSnapLocked()
@@ -744,17 +707,6 @@ func (f *Fabric) deliver(d overlay.Delivery) {
 		if ok && sq.origin == msg.Origin {
 			f.dropServed(msg.QueryID)
 		}
-	case appEvent:
-		var msg eventMsg
-		if json.Unmarshal(d.Payload, &msg) != nil {
-			return
-		}
-		f.mu.Lock()
-		oq, ok := f.consumers[msg.QueryID]
-		f.mu.Unlock()
-		if ok {
-			oq.caa.Consume(msg.Event)
-		}
 	case appEventBatch:
 		f.handleEventBatch(d)
 	case appEventBatchAck:
@@ -999,8 +951,8 @@ func (f *Fabric) AddInterest(flt event.Filter) {
 // RemoveInterest drops one reference to a previously added interest. The
 // filter is withdrawn from peers only when its last reference goes — two
 // SubscribeRemote calls sharing one filter survive the first withdrawal.
-// Delta-aware peers get just the withdrawal; a withdrawal that empties the
-// whole set makes peers drop this fabric's entry entirely.
+// Peers whose delta chain is intact get just the withdrawal; a withdrawal
+// that empties the whole set makes peers drop this fabric's entry entirely.
 func (f *Fabric) RemoveInterest(flt event.Filter) {
 	f.mu.Lock()
 	changed := false
@@ -1102,11 +1054,11 @@ func (f *Fabric) announceChange(gen uint64, add, del []event.Filter) {
 }
 
 // announceChangeTo ships one interest change to one peer. The delta form
-// goes only when the peer is known to understand generations and holds
-// exactly the previous one; any doubt — first contact, a skipped or failed
-// announcement, out-of-order change goroutines — falls back to the full
-// set stamped with the current generation. A change already covered by a
-// newer announcement to this peer is skipped outright.
+// goes only when the peer was last sent exactly the previous generation;
+// any doubt — first contact, a skipped announcement, out-of-order change
+// goroutines — falls back to the full set stamped with the current
+// generation. A change already covered by a newer announcement to this
+// peer is skipped outright.
 func (f *Fabric) announceChangeTo(peer guid.GUID, gen uint64, add, del []event.Filter) {
 	f.mu.Lock()
 	if f.closed {
@@ -1115,7 +1067,7 @@ func (f *Fabric) announceChangeTo(peer guid.GUID, gen uint64, add, del []event.F
 	}
 	msg := interestMsg{Owner: f.node.ID()}
 	switch {
-	case f.deltaAware[peer] && gen > 1 && f.sentGen[peer] == gen-1:
+	case f.sentGen[peer] == gen-1: // gen ≥ 2 here, so an absent entry never matches
 		msg.Gen = gen
 		msg.Prev = gen - 1
 		msg.Add = add
@@ -1194,28 +1146,22 @@ func (f *Fabric) handleInterest(d overlay.Delivery) {
 	if json.Unmarshal(d.Payload, &msg) != nil {
 		return
 	}
-	if msg.Owner == f.node.ID() {
-		return // our own record, echoed back
+	if msg.Gen == 0 || msg.Owner == f.node.ID() {
+		return // malformed, or our own record echoed back
 	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return
 	}
-	if msg.Gen > 0 {
-		f.deltaAware[msg.Owner] = true
-	}
 	changed := false
 	resync := false
 	switch {
-	case msg.Gen > 0 && msg.Gen <= f.interestGen[msg.Owner]:
+	case msg.Gen <= f.interestGen[msg.Owner]:
 		// Stale or duplicate generation: nothing to apply or re-gossip.
-	case msg.Gen == 0 || msg.Full || msg.Remove:
-		// Legacy wholesale announcement (Gen zero) or a generation-stamped
-		// full set: replace or delete outright.
-		if msg.Gen > 0 {
-			f.interestGen[msg.Owner] = msg.Gen
-		}
+	case msg.Full || msg.Remove:
+		// A full set: replace or delete outright.
+		f.interestGen[msg.Owner] = msg.Gen
 		if msg.Remove || len(msg.Filters) == 0 {
 			if _, ok := f.interests[msg.Owner]; ok {
 				delete(f.interests, msg.Owner)
@@ -1494,12 +1440,10 @@ func (f *Fabric) fanOut(events []event.Event) {
 	if len(recips) == 0 {
 		return
 	}
-	// Events travel as one native batch shared across every recipient: the
-	// envelope (origin, batch id, hop set) is the only JSON this path
-	// marshals, and binary or in-memory hops never serialize the events at
-	// all. The flush slice aliases the coalescer's buffer, so copy before it
-	// escapes into routed messages that outlive this call; legacy JSON hops
-	// fold the events back into the payload via the registered app folder.
+	// Events travel as one batch shared across every recipient: the envelope
+	// (origin, batch id, hop set) is the only JSON this path marshals. The
+	// flush slice aliases the coalescer's buffer, so copy before it escapes
+	// into routed messages that outlive this call.
 	owned := make([]event.Event, len(events))
 	copy(owned, events)
 	via := make([]guid.GUID, 0, len(recips)+1)
@@ -1529,7 +1473,7 @@ func (f *Fabric) fanOut(events []event.Event) {
 // interested peers the hop set does not cover.
 func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	var msg eventBatchMsg
-	if json.Unmarshal(d.Payload, &msg) != nil {
+	if d.Batch == nil || json.Unmarshal(d.Payload, &msg) != nil {
 		return
 	}
 	if msg.Origin == f.node.ID() {
@@ -1544,19 +1488,12 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 		if !ok {
 			return
 		}
-		var events []event.Event
-		got := len(msg.Events)
-		if d.Batch != nil {
-			events, _ = nativeEvents(d.Batch, guid.Nil)
-			got = len(d.Batch.Events)
-		} else {
-			events, _ = decodeFrames(msg.Events, guid.Nil)
-		}
+		events, _ := nativeEvents(d.Batch, guid.Nil)
 		oq.caa.ConsumeAll(events)
 		// Credit reports for routed-query traffic coalesce per peer: every
 		// (peer, query) coalescer at the sender tracks the same cumulative
 		// figure, so one frame per window covers them all.
-		f.noteQueryAck(d.Origin, got)
+		f.noteQueryAck(d.Origin, len(d.Batch.Events))
 		return
 	}
 
@@ -1571,17 +1508,8 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	// Events stamped with the local Range are echoes of our own production
 	// regardless of what the envelope claims; events with no Range stamp
 	// would be restamped as local by PublishAll and re-enter the forwarding
-	// tap, so both are dropped for loop safety. A native batch applies the
-	// same rules without ever touching JSON.
-	var events []event.Event
-	var echoes int
-	got := len(msg.Events)
-	if d.Batch != nil {
-		events, echoes = nativeEvents(d.Batch, f.rng.ID())
-		got = len(d.Batch.Events)
-	} else {
-		events, echoes = decodeFrames(msg.Events, f.rng.ID())
-	}
+	// tap, so both are dropped for loop safety.
+	events, echoes := nativeEvents(d.Batch, f.rng.ID())
 	if echoes > 0 {
 		f.EchoesDropped.Add(uint64(echoes))
 	}
@@ -1614,7 +1542,7 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	// ingest so the report covers this batch's own drops, not last
 	// batch's; coalesced per peer so a relayed burst answers with one
 	// frame, not one per message.
-	f.noteFanAck(d.Origin, got)
+	f.noteFanAck(d.Origin, len(d.Batch.Events))
 	// Relays match against the full batch: peers' filters differ from ours.
 	relayed := 0
 	if len(events) > 0 {
@@ -1628,10 +1556,13 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	}
 }
 
-// nativeEvents applies decodeFrames' validation and loop-safety rules to a
-// natively delivered batch. The batch is shared — the memory transport may
-// hand one pointer to several local receivers — so event values are copied
-// out and the batch itself is never mutated.
+// nativeEvents copies a received batch's valid events out, skipping invalid
+// ones. When localRange is non-nil the fan-out loop-safety rules apply:
+// events stamped with the local Range (echoes) or with no Range stamp at
+// all (would be restamped as local and re-forwarded) are dropped, and
+// counted separately in echoes so malformed events never read as routing
+// loops. The batch is shared — the memory transport may hand one pointer to
+// several local receivers — so the batch itself is never mutated.
 func nativeEvents(b *wire.NativeBatch, localRange guid.GUID) (events []event.Event, echoes int) {
 	events = make([]event.Event, 0, len(b.Events))
 	for i := range b.Events {
@@ -1674,20 +1605,14 @@ func (f *Fabric) markSeen(id guid.GUID) bool {
 // fabric has itself observed downstream of its relays (the transitive
 // half, fan-out path only), and an unknown queue depth — drops, not
 // depth, are the signal a Range can honestly report, since its delivery
-// rings are per subscription. Routed-query acks carry no Downstream:
-// query results are consumed here, not relayed, and folding unrelated
-// fan-out congestion into them would throttle a healthy query stream for
-// another link's collapse.
-func (f *Fabric) sendBatchAck(to, qid guid.GUID, events int) error {
+// rings are per subscription. (Routed-query credit takes sendQueryAck.)
+func (f *Fabric) sendBatchAck(to guid.GUID, events int) error {
 	msg := eventBatchAckMsg{
-		Origin:    f.node.ID(),
-		QueryID:   qid,
-		Events:    events,
-		Dropped:   f.rng.DispatchDropsFor(to),
-		QueueFree: -1,
-	}
-	if qid.IsNil() {
-		msg.DownstreamBy, msg.Downstream = f.downstreamByFor(to)
+		Origin:       f.node.ID(),
+		Events:       events,
+		Dropped:      f.rng.DispatchDropsFor(to),
+		DownstreamBy: f.downstreamByFor(to),
+		QueueFree:    -1,
 	}
 	payload, err := json.Marshal(msg)
 	if err != nil {
@@ -1717,14 +1642,12 @@ func (f *Fabric) DownstreamDrops() uint64 {
 
 // downstreamByFor snapshots the accounts reported to one peer, excluding
 // the account that peer itself observed — telling a fabric about its own
-// receivers' drops would double-count them — and returns the map alongside
-// its sum (the back-compat scalar). The excluded key set per recipient is
-// fixed and every account is monotone, so both figures are monotone per
-// recipient.
-func (f *Fabric) downstreamByFor(peer guid.GUID) (map[guid.GUID]uint64, uint64) {
+// receivers' drops would double-count them. The excluded key set per
+// recipient is fixed and every account is monotone, so the accounts' sum is
+// monotone per recipient.
+func (f *Fabric) downstreamByFor(peer guid.GUID) map[guid.GUID]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	var sum uint64
 	var out map[guid.GUID]uint64
 	for o, v := range f.downObs {
 		if o == peer {
@@ -1734,12 +1657,11 @@ func (f *Fabric) downstreamByFor(peer guid.GUID) (map[guid.GUID]uint64, uint64) 
 			out = make(map[guid.GUID]uint64, len(f.downObs))
 		}
 		out[o] = v
-		sum += v
 	}
-	return out, sum
+	return out
 }
 
-// downstreamFor returns just the scalar figure of downstreamByFor,
+// downstreamFor returns just the sum of downstreamByFor's accounts,
 // allocation-free — it runs in the ack coalescer's Figure callback on
 // every ingested fan-out message.
 func (f *Fabric) downstreamFor(peer guid.GUID) uint64 {
@@ -1779,7 +1701,7 @@ func (f *Fabric) noteFanAck(to guid.GUID, events int) {
 				return f.rng.DispatchDropsFor(to) + f.downstreamFor(to)
 			},
 			Send: func(events int) bool {
-				return f.sendBatchAck(to, guid.Nil, events) == nil
+				return f.sendBatchAck(to, events) == nil
 			},
 		})
 		f.facks[to] = a
@@ -1810,7 +1732,10 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 	if json.Unmarshal(d.Payload, &msg) != nil {
 		return
 	}
-	combined := msg.Dropped + msg.Downstream
+	combined := msg.Dropped
+	for _, v := range msg.DownstreamBy {
+		combined += v
+	}
 	if msg.QueryAck {
 		// One cumulative routed-query frame credits every coalescer toward
 		// that peer: they all track the same per-peer drop figure.
@@ -1823,16 +1748,6 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 		}
 		f.mu.Unlock()
 		for _, q := range qs {
-			q.UpdateCredit(combined, msg.QueueFree)
-		}
-		return
-	}
-	if !msg.QueryID.IsNil() {
-		// Legacy per-query ack from a peer that predates QueryAck.
-		f.mu.Lock()
-		q := f.queues[queueKey{peer: msg.Origin, qid: msg.QueryID}]
-		f.mu.Unlock()
-		if q != nil {
 			q.UpdateCredit(combined, msg.QueueFree)
 		}
 		return
@@ -1881,11 +1796,9 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 // interested peers the origin did not know, and in hierarchy mode the
 // links whose digest admits the batch (up toward the parent, down into
 // matching subtrees, across to matching peer super-peers) — extending the
-// hop set with every new recipient. When the batch arrived natively, the
-// same shared batch pointer rides the relayed copies — events stay
-// un-serialized across the whole relay chain unless a legacy hop forces a
-// fold. It returns the number of next hops taken (zero means the batch
-// terminated here).
+// hop set with every new recipient. The same shared batch pointer rides the
+// relayed copies. It returns the number of next hops taken (zero means the
+// batch terminated here).
 func (f *Fabric) relay(msg eventBatchMsg, events []event.Event, batch *wire.NativeBatch) int {
 	via := guid.NewSet(msg.Via...)
 	via.Add(msg.Origin)
@@ -1903,9 +1816,6 @@ func (f *Fabric) relay(msg eventBatchMsg, events []event.Event, batch *wire.Nati
 		Origin:  msg.Origin,
 		BatchID: msg.BatchID, // preserved, so receivers can dedup relayed copies
 		Via:     via.Members(),
-	}
-	if batch == nil {
-		out.Events = msg.Events
 	}
 	payload, err := json.Marshal(out)
 	if err != nil {
@@ -1935,65 +1845,15 @@ func matchAny(filters []event.Filter, events []event.Event, rng *server.Range) b
 	return false
 }
 
-// encodeFrames marshals events into batch frames, skipping unencodable
-// ones.
-func encodeFrames(events []event.Event) []json.RawMessage {
-	frames := make([]json.RawMessage, 0, len(events))
-	for i := range events {
-		raw, err := json.Marshal(events[i])
-		if err != nil {
-			continue
-		}
-		frames = append(frames, raw)
-	}
-	return frames
-}
-
-// decodeFrames unmarshals and validates batch frames, skipping invalid
-// ones. When localRange is non-nil the fan-out loop-safety rules apply:
-// frames stamped with the local Range (echoes) or with no Range stamp at
-// all (would be restamped as local and re-forwarded) are dropped, and
-// counted separately in echoes so malformed frames never read as routing
-// loops.
-func decodeFrames(frames []json.RawMessage, localRange guid.GUID) (events []event.Event, echoes int) {
-	events = make([]event.Event, 0, len(frames))
-	for _, raw := range frames {
-		var e event.Event
-		if err := json.Unmarshal(raw, &e); err != nil {
-			continue
-		}
-		if err := e.Validate(); err != nil {
-			continue
-		}
-		if !localRange.IsNil() && (e.Range.IsNil() || e.Range == localRange) {
-			echoes++
-			continue
-		}
-		events = append(events, e)
-	}
-	return events, echoes
-}
-
 // ----- outbound coalescers -----
 
 // sendQueryEvents routes a run of result events for one forwarded query
-// back to its origin fabric: through the per-peer coalescer when batching
-// is enabled, as legacy single-event frames otherwise (old fabrics decode
-// those).
+// back to its origin fabric: through the per-(peer, query) coalescer when
+// batching is enabled, as one-event batches otherwise.
 func (f *Fabric) sendQueryEvents(to, qid guid.GUID, events []event.Event) {
-	if len(events) == 0 {
-		return
-	}
 	if f.maxBatch <= 1 {
 		for i := range events {
-			payload, err := json.Marshal(eventMsg{QueryID: qid, Event: events[i]})
-			if err != nil {
-				continue
-			}
-			if f.node.Route(to, appEvent, payload) == nil {
-				f.BatchesForwarded.Inc()
-				f.EventsForwarded.Inc()
-			}
+			f.sendQueryBatch(to, qid, events[i:i+1])
 		}
 		return
 	}
@@ -2003,8 +1863,8 @@ func (f *Fabric) sendQueryEvents(to, qid guid.GUID, events []event.Event) {
 }
 
 // sendQueryBatch ships one bounded chunk as a scinet.event_batch message.
-// Result events ride natively: the chunk aliases the coalescer's buffer, so
-// it is copied before escaping, and legacy hops fold it back to frames.
+// The chunk aliases the caller's buffer (the coalescer's, or the proxy's
+// delivery run), so it is copied before escaping with the routed message.
 func (f *Fabric) sendQueryBatch(to, qid guid.GUID, events []event.Event) {
 	if len(events) == 0 {
 		return
@@ -2068,7 +1928,6 @@ func (f *Fabric) peerGone(peer guid.GUID) {
 	}
 	delete(f.peerDrops, peer)
 	delete(f.sentGen, peer)
-	delete(f.deltaAware, peer)
 	delete(f.interestGen, peer)
 	// Hierarchy state for the departed peer: its digests no longer route.
 	hierChanged := false

@@ -61,7 +61,7 @@ type Config struct {
 	EventShards int
 	// BatchMaxEvents caps how many events the Range Service coalesces into
 	// one outbound wire message per remote endpoint. 0 or 1 disables
-	// coalescing: every remote delivery ships as its own single-event frame.
+	// coalescing: every remote delivery ships as its own one-event batch.
 	BatchMaxEvents int
 	// BatchMaxDelay bounds how long a coalesced event may wait for its
 	// batch to fill before the pending run is flushed anyway (default
@@ -80,13 +80,6 @@ type Config struct {
 	// PublisherQuota enforces per-publisher admission and weighted-fair
 	// flushing: PR 5's drop attribution turned into isolation.
 	PublisherQuota PublisherQuota
-	// WireCodec names the wire codec the Range's transport endpoints should
-	// run: "" negotiates (binary with capable peers, JSON with legacy ones),
-	// "json" pins the legacy format. The Range itself never serialises —
-	// deployment glue (simulations, cmd/scid) reads this through WireCodec()
-	// and applies it to the transport via transport.CodecConfigurer or the
-	// factory's Codec knob.
-	WireCodec string
 }
 
 // PublisherQuota configures per-publisher enforcement on a Range. Rate > 0
@@ -151,7 +144,6 @@ type Range struct {
 	batchMaxDelay  time.Duration
 	adaptive       flow.Adaptive
 	quota          PublisherQuota
-	wireCodec      string
 	// statsSources are external contributors to StatsMap/FillMetrics —
 	// layers owning state the Range can't see (the Range Service's wire
 	// codec and byte gauges). Each returns dotted metric names.
@@ -244,7 +236,6 @@ func New(cfg Config) *Range {
 		batchMaxDelay:  cfg.BatchMaxDelay,
 		adaptive:       cfg.AdaptiveBatching,
 		quota:          cfg.PublisherQuota,
-		wireCodec:      cfg.WireCodec,
 	}
 	r.registrar = registry.New(registry.Config{Clock: cfg.Clock, Lease: cfg.Lease})
 	medOpts := []mediator.Option{mediator.WithShards(cfg.EventShards)}
@@ -659,10 +650,6 @@ func (r *Range) BatchMaxDelay() time.Duration { return r.batchMaxDelay }
 // Range's outbound coalescers run with.
 func (r *Range) AdaptiveBatching() flow.Adaptive { return r.adaptive }
 
-// WireCodec reports the configured wire codec name ("" = negotiate) for
-// deployment glue to apply to the Range's transport endpoints.
-func (r *Range) WireCodec() string { return r.wireCodec }
-
 // FlowStats returns the shared flow-control stats sink the Range's
 // outbound coalescers report into; its counters feed the
 // remote.backpressure.* gauges.
@@ -773,7 +760,7 @@ func (r *Range) StatsMap() map[string]float64 {
 // AddStatsSource registers an external gauge contributor: f is called on
 // every StatsMap/FillMetrics render and returns dotted metric names
 // (StatsMap flattens the dots to underscores to match its key style). Used
-// by the Range Service to surface wire-level state — negotiated codecs,
+// by the Range Service to surface wire-level state — connection codecs,
 // bytes on the wire — the Range itself never sees.
 func (r *Range) AddStatsSource(f func() map[string]float64) {
 	if f == nil {

@@ -12,7 +12,6 @@ import (
 	"sci/internal/scinet"
 	"sci/internal/server"
 	"sci/internal/transport"
-	"sci/internal/wire"
 )
 
 // E11Row reports cross-range fan-out delivery for one SCINET size.
@@ -23,11 +22,6 @@ type E11Row struct {
 	Events int
 	// Batch is BatchMaxEvents on every Range.
 	Batch int
-	// Codec is the wire path events rode: "native" (batches cross the
-	// in-process transport un-serialized, the moral equivalent of the
-	// binary TCP codec) or "json" (every batch materialized to legacy
-	// per-event JSON frames, the pre-PR-7 baseline).
-	Codec string
 	// EventsPerSec is the fleet-wide delivered throughput (publish start to
 	// last remote delivery).
 	EventsPerSec float64
@@ -44,21 +38,8 @@ type E11Row struct {
 // row per SCINET size, plus the fleet-wide dispatch.stats rollup collected
 // over the overlay from the last topology.
 func RunE11(rangeCounts []int, events, batch int) ([]E11Row, *scinet.FleetStats, error) {
-	return RunE11Codec(rangeCounts, events, batch, "")
-}
-
-// RunE11Codec is RunE11 with an explicit wire codec: wire.CodecJSON forces
-// every hop onto the legacy materialized-JSON path (the pre-binary-codec
-// baseline), anything else rides batches natively across the in-process
-// transport. The ratio between the two is the end-to-end win of the
-// zero-copy wire path.
-func RunE11Codec(rangeCounts []int, events, batch int, codec wire.Codec) ([]E11Row, *scinet.FleetStats, error) {
 	if batch < 1 {
 		batch = 1
-	}
-	codecName := "native"
-	if codec == wire.CodecJSON {
-		codecName = "json"
 	}
 	var rows []E11Row
 	var fleet *scinet.FleetStats
@@ -67,9 +48,6 @@ func RunE11Codec(rangeCounts []int, events, batch int, codec wire.Codec) ([]E11R
 			return nil, nil, fmt.Errorf("sim: e11 needs at least 2 ranges, got %d", rc)
 		}
 		net := transport.NewMemory(transport.MemoryConfig{})
-		if codec == wire.CodecJSON {
-			net.SetDefaultCodec(wire.CodecJSON)
-		}
 		mk := func(name string) (*server.Range, *scinet.Fabric, error) {
 			rng := server.New(server.Config{
 				Name:           name,
@@ -136,7 +114,6 @@ func RunE11Codec(rangeCounts []int, events, batch int, codec wire.Codec) ([]E11R
 			Ranges:       rc,
 			Events:       events,
 			Batch:        batch,
-			Codec:        codecName,
 			EventsPerSec: float64(target) / elapsed,
 		}
 		if msgs := pubFabric.BatchesForwarded.Value(); msgs > 0 {
@@ -164,14 +141,13 @@ func RunE11Codec(rangeCounts []int, events, batch int, codec wire.Codec) ([]E11R
 func E11Table(rows []E11Row) Table {
 	t := Table{
 		Title:  "E11 (ROADMAP fan-out): cross-range batched event fan-out over the SCINET",
-		Header: []string{"ranges", "events", "batch", "codec", "events/s", "msgs/peer", "events/msg"},
+		Header: []string{"ranges", "events", "batch", "events/s", "msgs/peer", "events/msg"},
 	}
 	for _, r := range rows {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", r.Ranges),
 			fmt.Sprintf("%d", r.Events),
 			fmt.Sprintf("%d", r.Batch),
-			r.Codec,
 			fmt.Sprintf("%.0f", r.EventsPerSec),
 			fmt.Sprintf("%.1f", r.MsgsPerPeer),
 			fmt.Sprintf("%.1f", r.EventsPerMsg),

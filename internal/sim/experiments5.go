@@ -4,7 +4,7 @@ package sim
 // relay B, sink C, where A never learned C's interest and relies on B's
 // relay — is driven into relay-side overload: C's consumer collapses, C's
 // acks to B report the drops B's traffic caused (per-publisher
-// attribution), B folds them into the Downstream field of its own acks to
+// attribution), B folds them into the DownstreamBy accounts of its acks to
 // A, and A — two hops from the congestion — throttles at the source. A
 // second phase measures the ack economy of a hot bidirectional wire link:
 // credit reports ride the opposing event.batch traffic instead of paying

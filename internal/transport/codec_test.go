@@ -1,14 +1,18 @@
 package transport
 
 import (
+	"errors"
+	"io"
 	"net"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
 	"sci/internal/ctxtype"
 	"sci/internal/event"
 	"sci/internal/guid"
+	"sci/internal/leak"
 	"sci/internal/wire"
 )
 
@@ -71,7 +75,6 @@ func testBatchMsg(t *testing.T, src, dst guid.GUID, n int) wire.Message {
 }
 
 func TestTCPNegotiatesBinary(t *testing.T) {
-	shortHelloTimeout(t)
 	tn := NewTCP(nil)
 	defer tn.Close()
 
@@ -106,13 +109,15 @@ func TestTCPNegotiatesBinary(t *testing.T) {
 	}
 }
 
-func TestTCPForcedJSONSkipsNegotiation(t *testing.T) {
-	shortHelloTimeout(t)
+// TestTCPNetworkWideCodecJSON: SetDefaultCodec(JSON) puts the debugging encoding
+// on the wire — and it is an encoding of the same message, so the receiver
+// still sees the batch in Message.Batch.
+func TestTCPNetworkWideCodecJSON(t *testing.T) {
 	tn := NewTCP(nil)
 	defer tn.Close()
+	tn.SetDefaultCodec(wire.CodecJSON)
 
 	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
-	tn.ConfigureCodec(a, wire.CodecJSON)
 	sink := newMsgSink()
 	if _, err := tn.Attach(b, sink.handler); err != nil {
 		t.Fatal(err)
@@ -121,174 +126,209 @@ func TestTCPForcedJSONSkipsNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	if err := epA.Send(testBatchMsg(t, a, b, 4)); err != nil {
 		t.Fatal(err)
 	}
 	got := sink.waitFor(t, 1)
-	if got[0].Batch != nil {
-		t.Fatal("JSON-forced sender must deliver a legacy body, not a native batch")
-	}
-	frames, err := got[0].EventFrames()
-	if err != nil || len(frames) != 4 {
-		t.Fatalf("legacy frames: %d, %v", len(frames), err)
+	if got[0].Batch == nil || len(got[0].Batch.Events) != 4 {
+		t.Fatalf("JSON connection must deliver the batch decoded: %+v", got[0])
 	}
 	if c, ok := got[0].BatchCreditInfo(); !ok || c.Dropped != 5 {
-		t.Fatalf("credit lost in materialization: %+v ok=%v", c, ok)
+		t.Fatalf("credit lost on the JSON encoding: %+v ok=%v", c, ok)
 	}
-	st := epA.(WireStatser).WireStats()
-	if st.Codecs[string(wire.CodecJSON)] != 1 {
+	if st := epA.(WireStatser).WireStats(); st.Codecs[string(wire.CodecJSON)] != 1 {
 		t.Fatalf("expected one json connection, stats %+v", st)
 	}
 }
 
-func TestTCPJSONForcedAcceptSideDeclinesBinary(t *testing.T) {
-	shortHelloTimeout(t)
-	tn := NewTCP(nil)
-	defer tn.Close()
-
-	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
-	tn.ConfigureCodec(b, wire.CodecJSON) // receiver is "legacy"
-	sink := newMsgSink()
-	if _, err := tn.Attach(b, sink.handler); err != nil {
-		t.Fatal(err)
-	}
-	epA, err := tn.Attach(a, func(wire.Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if err := epA.Send(testBatchMsg(t, a, b, 4)); err != nil {
-		t.Fatal(err)
-	}
-	got := sink.waitFor(t, 1)
-	if got[0].Batch != nil {
-		t.Fatal("receiver declined binary; sender must fall back to JSON")
-	}
-	st := epA.(WireStatser).WireStats()
-	if st.Codecs[string(wire.CodecJSON)] != 1 {
-		t.Fatalf("expected json fallback connection, stats %+v", st)
-	}
-}
-
-// TestTCPLegacyPeerFallback dials a hand-rolled listener that never answers
-// the hello — a pre-negotiation peer — and checks the dialer times out into
-// JSON and the peer receives well-formed legacy frames, hello included
-// (which legacy stacks ignore by kind).
-func TestTCPLegacyPeerFallback(t *testing.T) {
-	shortHelloTimeout(t)
+// fakePeer is a hand-rolled accept side: it reads the dialer's hello and
+// answers with whatever the test case says (nothing, when answer is nil),
+// then holds the connection open until the dialer closes it.
+func fakePeer(t *testing.T, answer func(hello wire.Message) *wire.Message) (addr string, stop func()) {
+	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer ln.Close()
-
-	type result struct {
-		msgs []wire.Message
-		err  error
-	}
-	results := make(chan result, 1)
+	var wg sync.WaitGroup
+	wg.Add(1)
 	go func() {
-		conn, err := ln.Accept()
-		if err != nil {
-			results <- result{err: err}
-			return
-		}
-		defer conn.Close()
-		r := wire.NewReader(conn) // legacy peers use the JSON-era reader
-		var got []wire.Message
-		for len(got) < 2 {
-			m, err := r.Read()
+		defer wg.Done()
+		for {
+			conn, err := ln.Accept()
 			if err != nil {
-				results <- result{err: err}
 				return
 			}
-			got = append(got, m)
+			dec := wire.NewDecoder(conn)
+			if hello, err := dec.Read(); err == nil {
+				if m := answer(hello); m != nil {
+					_ = wire.NewEncoder(conn, wire.CodecJSON).Write(*m)
+				}
+				_, _ = dec.Read() // park until the dialer gives the socket up
+			}
+			_ = conn.Close()
 		}
-		results <- result{msgs: got}
 	}()
+	return ln.Addr().String(), func() { _ = ln.Close(); wg.Wait() }
+}
 
-	tn := NewTCP(nil)
-	defer tn.Close()
-	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
-	tn.Directory().Register(b, ln.Addr().String())
-	epA, err := tn.Attach(a, func(wire.Message) {})
-	if err != nil {
-		t.Fatal(err)
+// TestTCPVersionMismatchAtConnect: a peer that answers the hello with another
+// version, with something that is not a hello, or not at all is a typed
+// connect error — never a downgrade — and once the peer is fixed the very
+// next Send redials and succeeds.
+func TestTCPVersionMismatchAtConnect(t *testing.T) {
+	shortHelloTimeout(t)
+	reply := func(hello wire.Message, kind wire.Kind, body any) *wire.Message {
+		m, err := hello.Reply(kind, body)
+		if err != nil {
+			t.Error(err)
+			return nil
+		}
+		return &m
 	}
+	cases := []struct {
+		name   string
+		answer func(hello wire.Message) *wire.Message
+	}{
+		{"other version", func(h wire.Message) *wire.Message {
+			return reply(h, wire.KindCodecHello, wire.CodecHello{Version: protocolVersion + 1, Chosen: wire.CodecBinary})
+		}},
+		{"versionless hello", func(h wire.Message) *wire.Message {
+			return reply(h, wire.KindCodecHello, map[string]string{"chosen": "binary"})
+		}},
+		{"not a hello", func(h wire.Message) *wire.Message {
+			return reply(h, wire.KindHeartbeat, map[string]string{"hb": "1"})
+		}},
+		{"never answers", func(wire.Message) *wire.Message { return nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer leak.Check(t)()
+			addr, stop := fakePeer(t, tc.answer)
+			defer stop()
 
-	start := time.Now()
-	if err := epA.Send(testBatchMsg(t, a, b, 4)); err != nil {
-		t.Fatal(err)
-	}
-	if waited := time.Since(start); waited < helloTimeout/2 {
-		t.Fatalf("dialer should have waited out the hello deadline, took %v", waited)
-	}
+			tn := NewTCP(nil)
+			defer tn.Close()
+			a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
+			tn.Directory().Register(b, addr)
+			epA, err := tn.Attach(a, func(wire.Message) {})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ { // a failed hello is never cached
+				if err := epA.Send(testBatchMsg(t, a, b, 2)); !errors.Is(err, ErrProtocolVersion) {
+					t.Fatalf("send %d: want ErrProtocolVersion, got %v", i, err)
+				}
+			}
+			if st := epA.(WireStatser).WireStats(); len(st.Codecs) != 0 {
+				t.Fatalf("no connection may survive a failed hello: %+v", st)
+			}
 
-	res := <-results
-	if res.err != nil {
-		t.Fatalf("legacy peer read: %v", res.err)
-	}
-	if res.msgs[0].Kind != wire.KindCodecHello {
-		t.Fatalf("first frame should be the hello, got %s", res.msgs[0].Kind)
-	}
-	batch := res.msgs[1]
-	if batch.Kind != wire.KindEventBatch || batch.Batch != nil {
-		t.Fatalf("legacy peer must get a JSON event.batch, got %+v", batch)
-	}
-	frames, err := batch.EventFrames()
-	if err != nil || len(frames) != 4 {
-		t.Fatalf("legacy frames: %d, %v", len(frames), err)
+			// The peer is fixed: b now attaches as a real endpoint.
+			sink := newMsgSink()
+			if _, err := tn.Attach(b, sink.handler); err != nil {
+				t.Fatal(err)
+			}
+			if err := epA.Send(testBatchMsg(t, a, b, 2)); err != nil {
+				t.Fatalf("send after the peer was fixed: %v", err)
+			}
+			if got := sink.waitFor(t, 1); got[0].Batch == nil {
+				t.Fatalf("delivery after redial: %+v", got[0])
+			}
+		})
 	}
 }
 
-func TestMemoryNativePassthroughAndForcedJSON(t *testing.T) {
-	n := NewMemory(MemoryConfig{})
-	defer n.Close()
-
-	a, b, c := guid.New(guid.KindServer), guid.New(guid.KindServer), guid.New(guid.KindServer)
-	n.ConfigureCodec(c, wire.CodecJSON)
-
-	sinkB, sinkC := newMsgSink(), newMsgSink()
-	if _, err := n.Attach(b, sinkB.handler); err != nil {
+// TestTCPAcceptSideVersionCheck: nothing reaches the handler from a
+// connection whose first frame is not a hello of this side's version, the
+// accept side closes it, and a dialer of another version is told ours.
+func TestTCPAcceptSideVersionCheck(t *testing.T) {
+	defer leak.Check(t)()
+	tn := NewTCP(nil)
+	defer tn.Close()
+	b := guid.New(guid.KindServer)
+	sink := newMsgSink()
+	epB, err := tn.Attach(b, sink.handler)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Attach(c, sinkC.handler); err != nil {
+	addr := epB.(*tcpEndpoint).Addr()
+	src := guid.New(guid.KindServer)
+	hb := wire.Message{Src: src, Dst: b, Kind: wire.KindHeartbeat}
+	oldHello, err := wire.NewMessage(src, b, wire.KindCodecHello,
+		wire.CodecHello{Version: protocolVersion + 1, Codecs: []wire.Codec{wire.CodecBinary}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name       string
+		first      wire.Message
+		wantAnswer bool
+	}{
+		{"first frame not a hello", hb, false},
+		{"hello of another version", oldHello, true},
+	} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc := wire.NewEncoder(conn, wire.CodecJSON)
+		if err := enc.Write(tc.first); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		_ = enc.Write(hb) // must never be delivered
+		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		dec := wire.NewDecoder(conn)
+		m, err := dec.Read()
+		if tc.wantAnswer {
+			var h wire.CodecHello
+			if err != nil || m.Kind != wire.KindCodecHello || m.DecodeBody(&h) != nil || h.Version != protocolVersion {
+				t.Fatalf("%s: want a hello answer stating version %d, got %+v, %v", tc.name, protocolVersion, m, err)
+			}
+			_, err = dec.Read()
+		}
+		if !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("%s: accept side must close the connection, read returned %v", tc.name, err)
+		}
+		_ = conn.Close()
+	}
+	sink.mu.Lock()
+	n := len(sink.msgs)
+	sink.mu.Unlock()
+	if n != 0 {
+		t.Fatalf("handler saw %d frames from connections that never established the version", n)
+	}
+}
+
+// TestMemoryNativePassthroughAndForcedJSON: the memory network has no wire,
+// so a batch arrives pointer-identical — also when the factory's
+// network-wide Codec asks for JSON, which only TCP can honour.
+func TestMemoryNativePassthroughAndForcedJSON(t *testing.T) {
+	net, err := New(Config{Codec: wire.CodecJSON})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := net.(*Memory)
+	defer n.Close()
+
+	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
+	sink := newMsgSink()
+	if _, err := n.Attach(b, sink.handler); err != nil {
 		t.Fatal(err)
 	}
 	epA, err := n.Attach(a, func(wire.Message) {})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	mB := testBatchMsg(t, a, b, 3)
-	if err := epA.Send(mB); err != nil {
+	m := testBatchMsg(t, a, b, 3)
+	if err := epA.Send(m); err != nil {
 		t.Fatal(err)
 	}
-	got := sinkB.waitFor(t, 1)
-	if got[0].Batch != mB.Batch {
+	if got := sink.waitFor(t, 1); got[0].Batch != m.Batch {
 		t.Fatal("memory delivery must pass the native batch pointer through untouched")
 	}
-
-	if err := epA.Send(testBatchMsg(t, a, c, 3)); err != nil {
-		t.Fatal(err)
-	}
-	gotC := sinkC.waitFor(t, 1)
-	if gotC[0].Batch != nil {
-		t.Fatal("JSON-forced receiver must get a materialized legacy body")
-	}
-	if frames, err := gotC[0].EventFrames(); err != nil || len(frames) != 3 {
-		t.Fatalf("materialized frames: %d, %v", len(frames), err)
-	}
-
-	if st := epA.(WireStatser).WireStats(); st.Codecs["native"] != 1 {
-		t.Fatalf("default memory endpoint should report native: %+v", st)
-	}
-	n.mu.RLock()
-	cEp := n.eps[c]
-	n.mu.RUnlock()
-	if st := cEp.WireStats(); st.Codecs["json"] != 1 {
-		t.Fatalf("forced endpoint should report json: %+v", st)
+	if st := epA.(WireStatser).WireStats(); st.Codecs["native"] != 1 || len(st.Codecs) != 1 {
+		t.Fatalf("memory endpoints report native: %+v", st)
 	}
 }
 
@@ -306,8 +346,7 @@ func TestFactoryBackends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tt := tcp.(*TCP)
-	if tt.codecFor(guid.New(guid.KindServer)) != wire.CodecJSON {
+	if tcp.(*TCP).defaultCodec() != wire.CodecJSON {
 		t.Fatal("factory Codec knob should set the default codec")
 	}
 	_ = tcp.Close()

@@ -15,9 +15,9 @@ type Config struct {
 	// Backend names the transport: "memory" (default) or "tcp". Additional
 	// backends register with Register.
 	Backend string
-	// Codec forces the default wire codec for every endpoint the network
-	// attaches. Empty means negotiate (TCP) or native pass-through (memory);
-	// wire.CodecJSON pins the legacy format fleet-wide.
+	// Codec is the network-wide wire encoding. Empty means binary;
+	// wire.CodecJSON puts the readable debugging encoding on every TCP
+	// connection. The memory backend has no wire and ignores it.
 	Codec wire.Codec
 	// Memory tunes the "memory" backend.
 	Memory MemoryConfig
@@ -71,11 +71,7 @@ func New(cfg Config) (Network, error) {
 
 func init() {
 	Register("memory", func(cfg Config) (Network, error) {
-		n := NewMemory(cfg.Memory)
-		if cfg.Codec != "" {
-			n.SetDefaultCodec(cfg.Codec)
-		}
-		return n, nil
+		return NewMemory(cfg.Memory), nil
 	})
 	Register("tcp", func(cfg Config) (Network, error) {
 		t := NewTCP(cfg.Dir)

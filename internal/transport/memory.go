@@ -33,11 +33,9 @@ type Memory struct {
 	cfg MemoryConfig
 	clk clock.Clock
 
-	mu       sync.RWMutex
-	eps      map[guid.GUID]*memEndpoint
-	codecs   map[guid.GUID]wire.Codec
-	defCodec wire.Codec
-	closed   bool
+	mu     sync.RWMutex
+	eps    map[guid.GUID]*memEndpoint
+	closed bool
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -61,39 +59,11 @@ func NewMemory(cfg MemoryConfig) *Memory {
 		seed = 20030617 // workshop date: fixed for reproducibility
 	}
 	return &Memory{
-		cfg:    cfg,
-		clk:    cfg.Clock,
-		eps:    make(map[guid.GUID]*memEndpoint),
-		codecs: make(map[guid.GUID]wire.Codec),
-		rng:    rand.New(rand.NewSource(seed)),
+		cfg: cfg,
+		clk: cfg.Clock,
+		eps: make(map[guid.GUID]*memEndpoint),
+		rng: rand.New(rand.NewSource(seed)),
 	}
-}
-
-// ConfigureCodec implements CodecConfigurer. The memory network has no wire,
-// so the default ("native") delivery passes Message.Batch pointers through
-// untouched. Forcing wire.CodecJSON on an endpoint makes every native batch
-// it sends or receives materialize into the legacy JSON body first — an
-// in-process stand-in for a pre-binary peer.
-func (n *Memory) ConfigureCodec(id guid.GUID, codec wire.Codec) {
-	n.mu.Lock()
-	n.codecs[id] = codec
-	n.mu.Unlock()
-}
-
-// SetDefaultCodec forces every endpoint without an explicit ConfigureCodec
-// entry (used by the transport factory's Codec knob).
-func (n *Memory) SetDefaultCodec(codec wire.Codec) {
-	n.mu.Lock()
-	n.defCodec = codec
-	n.mu.Unlock()
-}
-
-// codecForLocked reads the effective codec for id; callers hold n.mu.
-func (n *Memory) codecForLocked(id guid.GUID) wire.Codec {
-	if c, ok := n.codecs[id]; ok {
-		return c
-	}
-	return n.defCodec
 }
 
 // Attach implements Network.
@@ -183,21 +153,9 @@ func (n *Memory) deliver(m wire.Message) error {
 		return ErrClosed
 	}
 	dst, ok := n.eps[m.Dst]
-	legacy := m.Batch != nil &&
-		(n.codecForLocked(m.Src) == wire.CodecJSON || n.codecForLocked(m.Dst) == wire.CodecJSON)
 	n.mu.RUnlock()
 	if !ok {
 		return ErrUnknownDestination
-	}
-	if legacy {
-		// A JSON-forced sender cannot emit, and a JSON-forced receiver cannot
-		// decode, a native batch: fold it into the legacy body exactly as a
-		// JSON wire connection would.
-		folded, err := wire.Materialize(m)
-		if err != nil {
-			return err
-		}
-		m = folded
 	}
 	n.Sent.Inc()
 
@@ -264,23 +222,14 @@ func (ep *memEndpoint) Close() error {
 	return nil
 }
 
-// WireStats implements WireStatser. No bytes cross a wire in process; the
-// codec gauge reports "native" (batch pointers pass through) or "json"
-// (forced legacy materialization).
+// WireStats implements WireStatser. No bytes cross a wire in process: every
+// message, batch pointer included, is handed over as is ("native").
 func (ep *memEndpoint) WireStats() WireStats {
-	ep.net.mu.RLock()
-	codec := ep.net.codecForLocked(ep.id)
-	ep.net.mu.RUnlock()
-	name := "native"
-	if codec == wire.CodecJSON {
-		name = "json"
-	}
-	return WireStats{Codecs: map[string]int{name: 1}}
+	return WireStats{Codecs: map[string]int{"native": 1}}
 }
 
 var (
-	_ Network         = (*Memory)(nil)
-	_ Endpoint        = (*memEndpoint)(nil)
-	_ WireStatser     = (*memEndpoint)(nil)
-	_ CodecConfigurer = (*Memory)(nil)
+	_ Network     = (*Memory)(nil)
+	_ Endpoint    = (*memEndpoint)(nil)
+	_ WireStatser = (*memEndpoint)(nil)
 )

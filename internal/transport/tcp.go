@@ -55,21 +55,25 @@ func (d *Directory) Len() int {
 	return len(d.addrs)
 }
 
-// helloTimeout bounds how long a dialing endpoint waits for the accept
-// side's codec-hello answer before falling back to JSON (a legacy peer never
-// answers). Package variable so negotiation tests can shorten it.
-var helloTimeout = 250 * time.Millisecond
+// protocolVersion names the one message set this build speaks (internal/wire
+// doc.go). Both ends of a connection state theirs in the hello; anything
+// but equality is ErrProtocolVersion.
+const protocolVersion = 1
+
+// helloTimeout is the connect bound: how long a dialing endpoint waits for
+// the accept side's hello answer before giving the connection up. A variable
+// only so tests can shorten it.
+var helloTimeout = 5 * time.Second
 
 // TCP is a Network over real TCP sockets. Each attached endpoint owns a
-// listener; outbound connections are cached per destination and negotiate
-// their codec at dial time (see internal/wire: version negotiation).
-// Construct with NewTCP.
+// listener; outbound connections are cached per destination and exchange a
+// hello — protocol version and codec — at dial time (see internal/wire: the
+// version rule). Construct with NewTCP.
 type TCP struct {
 	dir *Directory
 
 	mu       sync.Mutex
 	eps      map[guid.GUID]*tcpEndpoint
-	codecs   map[guid.GUID]wire.Codec
 	defCodec wire.Codec
 	closed   bool
 	wg       sync.WaitGroup
@@ -81,32 +85,21 @@ func NewTCP(dir *Directory) *TCP {
 	if dir == nil {
 		dir = &Directory{}
 	}
-	return &TCP{dir: dir, eps: make(map[guid.GUID]*tcpEndpoint), codecs: make(map[guid.GUID]wire.Codec)}
+	return &TCP{dir: dir, eps: make(map[guid.GUID]*tcpEndpoint)}
 }
 
-// ConfigureCodec implements CodecConfigurer. Forcing wire.CodecJSON makes id
-// skip negotiation on outbound dials and answer inbound hellos with "json" —
-// indistinguishable, on the wire, from a legacy peer.
-func (t *TCP) ConfigureCodec(id guid.GUID, codec wire.Codec) {
-	t.mu.Lock()
-	t.codecs[id] = codec
-	t.mu.Unlock()
-}
-
-// SetDefaultCodec forces every endpoint without an explicit ConfigureCodec
-// entry (used by the transport factory's Codec knob).
+// SetDefaultCodec selects the encoding every endpoint of this network asks
+// for and grants in the hello: empty means binary, wire.CodecJSON puts the
+// readable debugging encoding on the wire. New connections pick it up.
 func (t *TCP) SetDefaultCodec(codec wire.Codec) {
 	t.mu.Lock()
 	t.defCodec = codec
 	t.mu.Unlock()
 }
 
-func (t *TCP) codecFor(id guid.GUID) wire.Codec {
+func (t *TCP) defaultCodec() wire.Codec {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if c, ok := t.codecs[id]; ok {
-		return c
-	}
 	return t.defCodec
 }
 
@@ -344,33 +337,13 @@ func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 		return nil, fmt.Errorf("transport: dial %s (%s): %w", dst.Short(), addr, err)
 	}
 	enc := wire.NewEncoder(raw, wire.CodecJSON)
-	if ep.net.codecFor(ep.id) != wire.CodecJSON {
-		// Negotiate: offer our codecs as a JSON frame every peer decodes, and
-		// give a codec-aware accept side a brief window to answer. A legacy
-		// peer ignores the unknown kind and the deadline expires into the
-		// JSON fallback. This is the only read we ever issue on an outbound
-		// connection; past it, reverse traffic drains to io.Discard below.
-		negotiated := wire.CodecJSON
-		if hello, err := wire.NewCodecHello(ep.id, dst, wire.CodecBinary, wire.CodecJSON); err == nil {
-			if err := enc.Write(hello); err != nil {
-				enc.Release()
-				_ = raw.Close()
-				return nil, fmt.Errorf("transport: hello to %s: %w", dst.Short(), err)
-			}
-			//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
-			_ = raw.SetReadDeadline(time.Now().Add(helloTimeout))
-			dec := wire.NewDecoder(raw)
-			if m, err := dec.Read(); err == nil && m.Kind == wire.KindCodecHello {
-				var h wire.CodecHello
-				if m.DecodeBody(&h) == nil && h.Chosen == wire.CodecBinary {
-					negotiated = wire.CodecBinary
-				}
-			}
-			dec.Release()
-			_ = raw.SetReadDeadline(time.Time{})
-		}
-		enc.SetCodec(negotiated)
+	codec, err := ep.hello(raw, enc, dst)
+	if err != nil {
+		enc.Release()
+		_ = raw.Close()
+		return nil, fmt.Errorf("transport: hello to %s: %w", dst.Short(), err)
 	}
+	enc.SetCodec(codec)
 	c := &tcpConn{c: raw, enc: enc}
 
 	ep.mu.Lock()
@@ -397,6 +370,49 @@ func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 		_, _ = io.Copy(io.Discard, raw)
 	}()
 	return c, nil
+}
+
+// hello opens an outbound connection: it states this side's protocol
+// version and codec offer, and waits at most helloTimeout for the accept
+// side's answer — the only read ever issued on an outbound connection; past
+// it, reverse traffic drains to io.Discard. It returns the codec the
+// connection will encode, or ErrProtocolVersion when the peer answers with
+// another version, with something that is not a well-formed hello, or not
+// at all.
+func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) (wire.Codec, error) {
+	offer := wire.CodecHello{Version: protocolVersion, Codecs: []wire.Codec{wire.CodecBinary, wire.CodecJSON}}
+	if ep.net.defaultCodec() == wire.CodecJSON {
+		offer.Codecs = offer.Codecs[1:]
+	}
+	m, err := wire.NewMessage(ep.id, dst, wire.KindCodecHello, offer)
+	if err != nil {
+		return "", err
+	}
+	if err := enc.Write(m); err != nil {
+		return "", err
+	}
+	//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
+	_ = raw.SetReadDeadline(time.Now().Add(helloTimeout))
+	dec := wire.NewDecoder(raw)
+	defer dec.Release()
+	answer, err := dec.Read()
+	if err != nil {
+		return "", fmt.Errorf("%w: no hello answer: %v", ErrProtocolVersion, err)
+	}
+	_ = raw.SetReadDeadline(time.Time{})
+	var h wire.CodecHello
+	if answer.Kind != wire.KindCodecHello || answer.DecodeBody(&h) != nil {
+		return "", fmt.Errorf("%w: peer answered with %s, not a hello", ErrProtocolVersion, answer.Kind)
+	}
+	if h.Version != protocolVersion {
+		return "", fmt.Errorf("%w: peer speaks %d, this side %d", ErrProtocolVersion, h.Version, protocolVersion)
+	}
+	for _, c := range offer.Codecs {
+		if c == h.Chosen {
+			return c, nil
+		}
+	}
+	return "", fmt.Errorf("%w: peer chose codec %q, which was not offered", ErrProtocolVersion, h.Chosen)
 }
 
 func (ep *tcpEndpoint) dropConn(dst guid.GUID, c *tcpConn) {
@@ -447,7 +463,11 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 		ep.deadRecv.Add(dec.BytesRead())
 		dec.Release()
 	}()
-	answered := false
+	// The first frame must be the dialer's hello; nothing reaches the handler
+	// from a connection that has not agreed on the protocol version.
+	if m, err := dec.Read(); err != nil || !ep.answerHello(conn, m) {
+		return
+	}
 	for {
 		m, err := dec.Read()
 		if err != nil {
@@ -456,33 +476,35 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 		if ep.isClosed() {
 			return
 		}
-		if m.Kind == wire.KindCodecHello {
-			// Answer the dialer's codec offer once — the only bytes this side
-			// ever writes on an inbound connection — and keep the hello away
-			// from the application handler. An endpoint forced to JSON
-			// answers "json", declining binary.
-			if !answered {
-				answered = true
-				chosen := wire.CodecJSON
-				var h wire.CodecHello
-				if m.DecodeBody(&h) == nil && ep.net.codecFor(ep.id) != wire.CodecJSON {
-					chosen = wire.ChooseCodec(h.Codecs)
-				}
-				if ack, err := wire.NewCodecHelloAck(m, chosen); err == nil {
-					aw := wire.NewWriter(conn)
-					_ = aw.Write(ack)
-					aw.Release()
-				}
-			}
-			continue
-		}
 		ep.h(m)
 	}
 }
 
+// answerHello answers a dialer's hello with this side's protocol version and
+// codec choice — the only bytes the accept side ever writes on an inbound
+// connection — and reports whether the connection may proceed: the frame was
+// a hello, the versions are equal and the answer was written. A dialer of
+// another version still gets the answer, so its error names both versions.
+func (ep *tcpEndpoint) answerHello(conn net.Conn, m wire.Message) bool {
+	var h wire.CodecHello
+	if m.Kind != wire.KindCodecHello || m.DecodeBody(&h) != nil {
+		return false
+	}
+	answer := wire.CodecHello{Version: protocolVersion, Chosen: wire.ChooseCodec(h.Codecs)}
+	if ep.net.defaultCodec() == wire.CodecJSON {
+		answer.Chosen = wire.CodecJSON
+	}
+	reply, err := m.Reply(wire.KindCodecHello, answer)
+	if err != nil {
+		return false
+	}
+	enc := wire.NewEncoder(conn, wire.CodecJSON)
+	defer enc.Release()
+	return enc.Write(reply) == nil && h.Version == protocolVersion
+}
+
 var (
-	_ Network         = (*TCP)(nil)
-	_ Endpoint        = (*tcpEndpoint)(nil)
-	_ WireStatser     = (*tcpEndpoint)(nil)
-	_ CodecConfigurer = (*TCP)(nil)
+	_ Network     = (*TCP)(nil)
+	_ Endpoint    = (*tcpEndpoint)(nil)
+	_ WireStatser = (*tcpEndpoint)(nil)
 )

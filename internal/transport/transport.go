@@ -53,6 +53,12 @@ type Network interface {
 var (
 	ErrUnknownDestination = errors.New("transport: unknown destination")
 	ErrClosed             = errors.New("transport: closed")
+	// ErrProtocolVersion reports a connection whose hello exchange did not
+	// establish the same protocol version on both sides: the peer stated
+	// another version, answered with something else, or did not answer
+	// within the connect bound. The connection is closed, never downgraded;
+	// the next Send redials.
+	ErrProtocolVersion = errors.New("transport: protocol version not established")
 )
 
 // WireStats summarises an endpoint's wire-level activity: how many live
@@ -67,15 +73,6 @@ type WireStats struct {
 // WireStatser is implemented by endpoints that can report wire statistics.
 type WireStatser interface {
 	WireStats() WireStats
-}
-
-// CodecConfigurer is implemented by networks whose per-endpoint codec can be
-// forced. Forcing wire.CodecJSON makes the endpoint behave exactly like a
-// pre-binary peer: it emits only legacy JSON frames (TCP) or only
-// materialized legacy bodies (Memory), and never negotiates. Configure
-// before or after Attach; new connections pick the setting up.
-type CodecConfigurer interface {
-	ConfigureCodec(id guid.GUID, codec wire.Codec)
 }
 
 // inbox is an unbounded FIFO with a wake channel, drained by one goroutine.

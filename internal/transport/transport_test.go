@@ -15,7 +15,7 @@ import (
 
 func mkMsg(t testing.TB, src, dst guid.GUID, body any) wire.Message {
 	t.Helper()
-	m, err := wire.NewMessage(src, dst, wire.KindEvent, body)
+	m, err := wire.NewMessage(src, dst, wire.KindServiceCall, body)
 	if err != nil {
 		t.Fatal(err)
 	}

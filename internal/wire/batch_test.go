@@ -2,259 +2,90 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
+	"errors"
 	"testing"
 
 	"sci/internal/guid"
 )
 
-// frame encodes a minimal event-shaped payload for batch tests; this
-// package treats frames as opaque JSON.
-func frame(seq int) json.RawMessage {
-	return json.RawMessage(fmt.Sprintf(`{"seq":%d,"type":"test.reading"}`, seq))
-}
-
-func frames(seqs ...int) []json.RawMessage {
-	out := make([]json.RawMessage, len(seqs))
-	for i, s := range seqs {
-		out[i] = frame(s)
-	}
-	return out
-}
-
+// TestEventBatchRoundTrip sends one credit-bearing batch through each
+// encoding: order, content and credit must survive both.
 func TestEventBatchRoundTrip(t *testing.T) {
 	src := guid.New(guid.KindServer)
 	dst := guid.New(guid.KindEntity)
-	m, err := NewEventBatch(src, dst, frames(1, 2, 3))
+	events := testEvents(t, 3)
+	m, err := NewNativeEventBatch(src, dst, events, &BatchCredit{Dropped: 7, QueueFree: 12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m.Kind != KindEventBatch {
 		t.Fatalf("kind = %s, want %s", m.Kind, KindEventBatch)
 	}
-
-	var buf bytes.Buffer
-	if err := NewWriter(&buf).Write(m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewReader(&buf).Read()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs, err := got.EventFrames()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fs) != 3 {
-		t.Fatalf("got %d frames, want 3", len(fs))
-	}
-	for i, f := range fs {
-		var body struct {
-			Seq int `json:"seq"`
+	for _, codec := range []Codec{CodecJSON, CodecBinary} {
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf, codec).Write(m); err != nil {
+			t.Fatalf("%s: %v", codec, err)
 		}
-		if err := json.Unmarshal(f, &body); err != nil {
-			t.Fatal(err)
+		got, err := NewDecoder(&buf).Read()
+		if err != nil {
+			t.Fatalf("%s: %v", codec, err)
 		}
-		if body.Seq != i+1 {
-			t.Fatalf("frame %d carries seq %d, want %d (order must survive)", i, body.Seq, i+1)
+		if got.Batch == nil {
+			t.Fatalf("%s: decoded message carries no batch", codec)
+		}
+		eventsEquivalent(t, events, got.Batch.Events)
+		if c, ok := got.BatchCreditInfo(); !ok || c.Dropped != 7 || c.QueueFree != 12 {
+			t.Fatalf("%s: credit = %+v ok=%v", codec, c, ok)
 		}
 	}
 }
 
 func TestEventBatchRejectsEmpty(t *testing.T) {
-	if _, err := NewEventBatch(guid.New(guid.KindServer), guid.New(guid.KindEntity), nil); err == nil {
+	if _, err := NewNativeEventBatch(guid.New(guid.KindServer), guid.New(guid.KindEntity), nil, nil); err == nil {
 		t.Fatal("want error for empty batch")
 	}
 }
 
-func TestEventFramesSingleEventFallback(t *testing.T) {
-	m := mkMsg(t, KindEvent, map[string]any{"seq": 9})
-	fs, err := m.EventFrames()
+// TestBatchCreditInfo: a credit-free batch reads as "no report", never as an
+// all-clear; a standalone ack carries its report in the body.
+func TestBatchCreditInfo(t *testing.T) {
+	src, dst := guid.New(guid.KindServer), guid.New(guid.KindEntity)
+	plain, err := NewNativeEventBatch(src, dst, testEvents(t, 1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fs) != 1 || !bytes.Equal(fs[0], m.Body) {
-		t.Fatalf("fallback frames = %v", fs)
+	if _, ok := plain.BatchCreditInfo(); ok {
+		t.Fatal("credit-free batch invented a credit report")
+	}
+	ack, err := NewEventBatchAck(dst, src, BatchCredit{Events: 2, Dropped: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := ack.BatchCreditInfo(); !ok || c.Dropped != 9 || c.Events != 2 {
+		t.Fatalf("ack credit = %+v ok=%v", c, ok)
+	}
+	if _, ok := mkMsg(t, KindQuery, map[string]any{"q": 1}).BatchCreditInfo(); ok {
+		t.Fatal("a query carries no credit")
 	}
 }
 
-func TestEventFramesRejectsOtherKinds(t *testing.T) {
-	m := mkMsg(t, KindQuery, map[string]any{"q": 1})
-	if _, err := m.EventFrames(); err == nil {
-		t.Fatal("want error for non-event kind")
-	}
-	empty := Message{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindEntity), Kind: KindEvent}
-	if _, err := empty.EventFrames(); err == nil {
-		t.Fatal("want error for empty single-event body")
-	}
-}
-
-// TestMixedStreamOldAndNewFrames interleaves legacy single-event frames
-// between batches on one connection, as an old peer would produce, and
-// checks a batch-aware reader decodes the whole stream in order.
-func TestMixedStreamOldAndNewFrames(t *testing.T) {
-	src := guid.New(guid.KindServer)
-	dst := guid.New(guid.KindEntity)
-
+// TestRetiredKindIDRejected: kind id 10 once named the single-event frame.
+// The slot is never reassigned, and a frame carrying it is malformed.
+func TestRetiredKindIDRejected(t *testing.T) {
+	src, dst := guid.New(guid.KindServer), guid.New(guid.KindEntity)
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	batch1, err := NewEventBatch(src, dst, frames(1, 2))
-	if err != nil {
+	if err := NewEncoder(&buf, CodecBinary).Write(Message{Src: src, Dst: dst, Kind: KindHeartbeat}); err != nil {
 		t.Fatal(err)
 	}
-	single, err := NewMessage(src, dst, KindEvent, json.RawMessage(frame(3)))
-	if err != nil {
-		t.Fatal(err)
+	frame := buf.Bytes()
+	if frame[4] != magicByte || kindTable[frame[6]] != KindHeartbeat {
+		t.Fatalf("unexpected frame header % x", frame[:8])
 	}
-	batch2, err := NewEventBatch(src, dst, frames(4, 5, 6))
-	if err != nil {
-		t.Fatal(err)
+	frame[6] = 10
+	if _, err := NewDecoder(bytes.NewReader(frame)).Read(); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("kind id 10: want ErrBadMessage, got %v", err)
 	}
-	for _, m := range []Message{batch1, single, batch2} {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	r := NewReader(&buf)
-	var seqs []int
-	for i := 0; i < 3; i++ {
-		m, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs, err := m.EventFrames()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range fs {
-			var body struct {
-				Seq int `json:"seq"`
-			}
-			if err := json.Unmarshal(f, &body); err != nil {
-				t.Fatal(err)
-			}
-			seqs = append(seqs, body.Seq)
-		}
-	}
-	for i, s := range seqs {
-		if s != i+1 {
-			t.Fatalf("mixed stream order: got %v", seqs)
-		}
-	}
-	if len(seqs) != 6 {
-		t.Fatalf("decoded %d events, want 6", len(seqs))
-	}
-}
-
-// TestMixedVersionStreamWithCredit interleaves credit-bearing event.batch
-// frames, legacy single-event frames, credit-free batches (what an
-// old-format peer ships) and standalone event.batch_ack frames on one
-// connection, and checks both decode stances: a new-format reader sees
-// every event in order plus exactly the credit reports that were sent,
-// and an old-format reader — which knows nothing of the credit fields —
-// still extracts every event untouched.
-func TestMixedVersionStreamWithCredit(t *testing.T) {
-	src := guid.New(guid.KindServer)
-	dst := guid.New(guid.KindEntity)
-
-	withCredit, err := NewEventBatch(src, dst, frames(1, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Piggyback a credit report the old wire format has no field for.
-	var body EventBatchBody
-	if err := withCredit.DecodeBody(&body); err != nil {
-		t.Fatal(err)
-	}
-	body.Credit = &BatchCredit{Dropped: 7, QueueFree: 12}
-	withCredit, err = NewMessage(src, dst, KindEventBatch, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	single, err := NewMessage(src, dst, KindEvent, json.RawMessage(frame(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldBatch, err := NewEventBatch(src, dst, frames(4, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ack, err := NewEventBatchAck(dst, src, BatchCredit{Events: 2, Dropped: 9, QueueFree: 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	for _, m := range []Message{withCredit, single, oldBatch, ack} {
-		if err := w.Write(m); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// New-format reader: events in order, credit where carried.
-	r := NewReader(&buf)
-	var seqs []int
-	var credits []BatchCredit
-	for i := 0; i < 4; i++ {
-		m, err := r.Read()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if c, ok := m.BatchCreditInfo(); ok {
-			credits = append(credits, c)
-		}
-		if m.Kind != KindEvent && m.Kind != KindEventBatch {
-			continue
-		}
-		fs, err := m.EventFrames()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range fs {
-			var b struct {
-				Seq int `json:"seq"`
-			}
-			if err := json.Unmarshal(f, &b); err != nil {
-				t.Fatal(err)
-			}
-			seqs = append(seqs, b.Seq)
-		}
-	}
-	if len(seqs) != 5 {
-		t.Fatalf("decoded %d events, want 5", len(seqs))
-	}
-	for i, s := range seqs {
-		if s != i+1 {
-			t.Fatalf("mixed-version stream order: got %v", seqs)
-		}
-	}
-	if len(credits) != 2 {
-		t.Fatalf("decoded %d credit reports, want 2 (piggyback + ack)", len(credits))
-	}
-	if credits[0].Dropped != 7 || credits[0].QueueFree != 12 {
-		t.Fatalf("piggybacked credit = %+v", credits[0])
-	}
-	if credits[1].Dropped != 9 || credits[1].QueueFree != 0 {
-		t.Fatalf("ack credit = %+v", credits[1])
-	}
-	// The credit-free batch must read as "no report", never as all-clear.
-	if _, ok := oldBatch.BatchCreditInfo(); ok {
-		t.Fatal("old-format batch invented a credit report")
-	}
-
-	// Old-format reader stance: decode the same credit-bearing batch with
-	// the pre-credit body shape — the unknown field is skipped and every
-	// event frame survives.
-	var oldBody struct {
-		Events []json.RawMessage `json:"events"`
-	}
-	if err := withCredit.DecodeBody(&oldBody); err != nil {
-		t.Fatal(err)
-	}
-	if len(oldBody.Events) != 2 {
-		t.Fatalf("old-format decode got %d frames, want 2", len(oldBody.Events))
+	if _, ok := kindIDs[""]; ok {
+		t.Fatal("the retired slot must not be encodable")
 	}
 }

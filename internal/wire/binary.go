@@ -51,7 +51,9 @@ const (
 const maxDictEntries = 4096
 
 // kindTable assigns the well-known kinds their one-byte wire ids. The order
-// is wire ABI: append only. Index 0 is reserved for "kind shipped inline".
+// is wire ABI: append only. Index 0 is reserved for "kind shipped inline";
+// index 10 is retired and never reassigned (it decodes to an empty kind,
+// which Validate rejects).
 var kindTable = []Kind{
 	0:  "",
 	1:  KindAnnounce,
@@ -63,7 +65,7 @@ var kindTable = []Kind{
 	7:  KindQuery,
 	8:  KindQueryResult,
 	9:  KindQueryError,
-	10: KindEvent,
+	10: "",
 	11: KindEventBatch,
 	12: KindEventBatchAck,
 	13: KindServiceCall,
@@ -79,7 +81,7 @@ var kindTable = []Kind{
 var kindIDs = func() map[Kind]byte {
 	m := make(map[Kind]byte, len(kindTable))
 	for i, k := range kindTable {
-		if i > 0 {
+		if k != "" {
 			m[k] = byte(i)
 		}
 	}

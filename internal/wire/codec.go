@@ -9,19 +9,21 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"sci/internal/event"
 	"sci/internal/guid"
 )
 
-// Codec names a frame encoding. The decoder never needs to be told which
-// one a peer uses — every binary frame leads with a magic byte that cannot
-// begin a JSON document — so negotiation only ever gates the encoder.
+// Codec names a frame encoding of the one message set. The decoder never
+// needs to be told which one a peer uses — every binary frame leads with a
+// magic byte that cannot begin a JSON document — so the connection hello
+// only ever selects what the encoder emits.
 type Codec string
 
 const (
-	// CodecJSON is the original length-prefixed JSON envelope. Every peer
-	// speaks it; it is the fallback when negotiation fails or is skipped.
+	// CodecJSON is the length-prefixed JSON envelope: the debugging
+	// encoding, human-readable on the wire.
 	CodecJSON Codec = "json"
 	// CodecBinary is the length-prefixed binary envelope with native batch
 	// sections and per-connection interned dictionaries (see doc.go).
@@ -35,27 +37,11 @@ const (
 // and receivers must copy events before modifying them.
 type NativeBatch struct {
 	// Events are the batched events, ordered as published.
-	Events []event.Event
+	Events []event.Event `json:"events"`
 	// Credit optionally piggybacks the sender's receive-side flow-control
-	// report, exactly like EventBatchBody.Credit on the JSON form.
-	Credit *BatchCredit
-}
-
-// EncodeFrames marshals the batch's events to the per-event JSON frames the
-// legacy body format carries.
-func (nb *NativeBatch) EncodeFrames() ([]json.RawMessage, error) {
-	if nb == nil || len(nb.Events) == 0 {
-		return nil, fmt.Errorf("%w: empty event batch", ErrBadMessage)
-	}
-	frames := make([]json.RawMessage, len(nb.Events))
-	for i := range nb.Events {
-		raw, err := json.Marshal(nb.Events[i])
-		if err != nil {
-			return nil, fmt.Errorf("wire: marshal event: %w", err)
-		}
-		frames[i] = raw
-	}
-	return frames, nil
+	// report, sparing a standalone event.batch_ack. Receivers treat nil as
+	// "no report", never as an all-clear.
+	Credit *BatchCredit `json:"credit,omitempty"`
 }
 
 // NewNativeEventBatch builds a KindEventBatch message carrying the events
@@ -71,77 +57,14 @@ func NewNativeEventBatch(src, dst guid.GUID, events []event.Event, credit *Batch
 	}, nil
 }
 
-// BatchFolder rewrites a message whose native batch must be folded back
-// into its kind-specific JSON body for a legacy peer. It receives the
-// message with Batch already detached, the batch's events encoded as
-// per-event frames, and the batch credit; it returns the JSON-only form.
-// Layers that nest batches inside their own body formats (the overlay's
-// routed payloads) register one per kind.
-type BatchFolder func(m Message, frames []json.RawMessage, credit *BatchCredit) (Message, error)
-
-var (
-	folderMu sync.RWMutex
-	folders  = make(map[Kind]BatchFolder)
-)
-
-// RegisterBatchFolder installs the legacy fold for one message kind.
-// KindEventBatch needs none — its body format is this package's own.
-func RegisterBatchFolder(k Kind, f BatchFolder) {
-	folderMu.Lock()
-	defer folderMu.Unlock()
-	folders[k] = f
-}
-
-func folderFor(k Kind) BatchFolder {
-	folderMu.RLock()
-	defer folderMu.RUnlock()
-	return folders[k]
-}
-
-// Materialize folds a native batch back into the legacy JSON-only message
-// form: the exact frames and body layout a pre-binary peer expects. A
-// message without a batch passes through unchanged.
-func Materialize(m Message) (Message, error) {
-	if m.Batch == nil {
-		return m, nil
-	}
-	frames, err := m.Batch.EncodeFrames()
-	if err != nil {
-		return Message{}, err
-	}
-	credit := m.Batch.Credit
-	out := m
-	out.Batch = nil
-	if m.Kind == KindEventBatch {
-		body, err := json.Marshal(EventBatchBody{Events: frames, Credit: credit})
-		if err != nil {
-			return Message{}, fmt.Errorf("wire: marshal batch body: %w", err)
-		}
-		out.Body = body
-		return out, nil
-	}
-	if f := folderFor(m.Kind); f != nil {
-		return f(out, frames, credit)
-	}
-	return Message{}, fmt.Errorf("%w: no batch folder registered for kind %s", ErrBadMessage, m.Kind)
-}
-
-// CodecHello is the body of a KindCodecHello frame: the dialer's offer
-// (Codecs, preferred first) or the accept side's answer (Chosen).
+// CodecHello is the body of a KindCodecHello frame, always JSON-encoded:
+// the dialer's offer (Version, Codecs preferred first) or the accept side's
+// answer (Version, Chosen). The two Versions must be equal for the
+// connection to carry anything else; internal/transport owns the check.
 type CodecHello struct {
-	Codecs []Codec `json:"codecs,omitempty"`
-	Chosen Codec   `json:"chosen,omitempty"`
-}
-
-// NewCodecHello builds the dialer's opening offer. It is always encoded as
-// JSON so a legacy peer can at least parse the envelope it ignores.
-func NewCodecHello(src, dst guid.GUID, codecs ...Codec) (Message, error) {
-	return NewMessage(src, dst, KindCodecHello, CodecHello{Codecs: codecs})
-}
-
-// NewCodecHelloAck builds the accept side's one-shot answer to an offer.
-func NewCodecHelloAck(offer Message, chosen Codec) (Message, error) {
-	return offer.Reply(KindCodecHello, CodecHello{Chosen: chosen})
+	Version int     `json:"version"`
+	Codecs  []Codec `json:"codecs,omitempty"`
+	Chosen  Codec   `json:"chosen,omitempty"`
 }
 
 // ChooseCodec picks the first offered codec this implementation speaks,
@@ -233,10 +156,7 @@ func (e *Encoder) Release() {
 	}
 }
 
-// Write frames and flushes one message. A native batch is encoded in place
-// on the binary codec and folded to the legacy body format (Materialize) on
-// the JSON codec, so callers attach batches without caring what the
-// connection negotiated.
+// Write frames and flushes one message in the encoder's codec.
 func (e *Encoder) Write(m Message) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -256,11 +176,6 @@ func (e *Encoder) Write(m Message) error {
 		}
 		e.commitDict()
 	} else {
-		if m.Batch != nil {
-			if m, err = Materialize(m); err != nil {
-				return err
-			}
-		}
 		e.scratch, err = appendEnvelopeJSON(e.scratch[:0], m)
 		if err != nil {
 			return err
@@ -377,6 +292,16 @@ func (d *Decoder) Read() (Message, error) {
 	}
 	if err := m.Validate(); err != nil {
 		return Message{}, err
+	}
+	if m.Batch != nil {
+		// An event's time is an instant on the wire, not a zone: give it the
+		// representation the binary decoder produces, so both encodings
+		// decode to the same Message.
+		for i := range m.Batch.Events {
+			if ev := &m.Batch.Events[i]; !ev.Time.IsZero() {
+				ev.Time = time.Unix(0, ev.Time.UnixNano())
+			}
+		}
 	}
 	return m, nil
 }

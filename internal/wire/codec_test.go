@@ -179,7 +179,7 @@ func TestMixedCodecStream(t *testing.T) {
 	if err := benc.Write(native); err != nil {
 		t.Fatal(err)
 	}
-	if err := jenc.Write(native); err != nil { // JSON encoder folds the batch
+	if err := jenc.Write(native); err != nil {
 		t.Fatal(err)
 	}
 
@@ -191,23 +191,13 @@ func TestMixedCodecStream(t *testing.T) {
 		t.Fatalf("frame 2 should be native: %+v, %v", m2, err)
 	}
 	m3, err := dec.Read()
-	if err != nil {
-		t.Fatalf("frame 3: %v", err)
+	if err != nil || m3.Batch == nil {
+		t.Fatalf("frame 3 should carry the batch too: %+v, %v", m3, err)
 	}
-	if m3.Batch != nil {
-		t.Fatal("JSON-encoded frame must not carry a native batch")
+	if !reflect.DeepEqual(m2, m3) {
+		t.Fatalf("the two encodings decoded differently:\n binary: %+v\n   json: %+v", m2, m3)
 	}
-	frames, err := m3.EventFrames()
-	if err != nil || len(frames) != 4 {
-		t.Fatalf("legacy frames: %d, %v", len(frames), err)
-	}
-	var first event.Event
-	if err := json.Unmarshal(frames[0], &first); err != nil {
-		t.Fatalf("legacy frame decode: %v", err)
-	}
-	if first.ID != events[0].ID || first.Type != events[0].Type {
-		t.Fatalf("legacy frame mismatch: %+v vs %+v", first, events[0])
-	}
+	eventsEquivalent(t, events, m3.Batch.Events)
 }
 
 func TestWriterEnvelopeMatchesJSONMarshal(t *testing.T) {
@@ -215,6 +205,11 @@ func TestWriterEnvelopeMatchesJSONMarshal(t *testing.T) {
 		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer), Kind: KindHeartbeat},
 		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindDevice), Kind: KindQueryResult,
 			Corr: guid.New(guid.KindQuery), TTL: 3, Body: json.RawMessage(`{"a":[1,2,{"b":"c"}]}`)},
+		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer), Kind: KindEventBatch,
+			Batch: &NativeBatch{Events: testEvents(t, 2)}},
+		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer), Kind: KindOverlayRoute,
+			TTL: 2, Body: json.RawMessage(`{"app_kind":"x"}`),
+			Batch: &NativeBatch{Events: testEvents(t, 1), Credit: &BatchCredit{Dropped: 3, QueueFree: -1}}},
 	}
 	for _, m := range msgs {
 		want, err := json.Marshal(m)
@@ -233,7 +228,7 @@ func TestWriterEnvelopeMatchesJSONMarshal(t *testing.T) {
 
 func TestWriterRejectsInvalidBody(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewEncoder(&buf, CodecJSON)
 	m := Message{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer),
 		Kind: KindQuery, Body: json.RawMessage(`{"broken`)}
 	if err := w.Write(m); !errors.Is(err, ErrBadMessage) {
@@ -241,37 +236,6 @@ func TestWriterRejectsInvalidBody(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("rejected write must emit nothing, wrote %d bytes", buf.Len())
-	}
-}
-
-func TestMaterializeEventBatch(t *testing.T) {
-	events := testEvents(t, 3)
-	credit := &BatchCredit{Dropped: 7, QueueFree: 12}
-	m, err := NewNativeEventBatch(guid.New(guid.KindServer), guid.New(guid.KindServer), events, credit)
-	if err != nil {
-		t.Fatal(err)
-	}
-	folded, err := Materialize(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded.Batch != nil {
-		t.Fatal("materialized message still carries a native batch")
-	}
-	var body EventBatchBody
-	if err := folded.DecodeBody(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Events) != 3 || body.Credit == nil || body.Credit.Dropped != 7 {
-		t.Fatalf("legacy body: %+v", body)
-	}
-}
-
-func TestMaterializeUnknownKindFails(t *testing.T) {
-	m := Message{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer),
-		Kind: Kind("no.folder"), Batch: &NativeBatch{Events: testEvents(t, 1)}}
-	if _, err := Materialize(m); !errors.Is(err, ErrBadMessage) {
-		t.Fatalf("want ErrBadMessage, got %v", err)
 	}
 }
 
@@ -377,17 +341,21 @@ func FuzzDecoderRobustness(f *testing.F) {
 			// Whatever decoded must re-encode on both codecs without panic.
 			var sink bytes.Buffer
 			_ = NewEncoder(&sink, CodecBinary).Write(msg)
-			if msg.Batch == nil {
-				_ = NewEncoder(&sink, CodecJSON).Write(msg)
-			}
+			_ = NewEncoder(&sink, CodecJSON).Write(msg)
 		}
 	})
 }
 
+// FuzzBinaryRoundTrip round-trips generated messages — with and without a
+// batch, with and without credit — through both encodings: the binary form
+// must re-encode byte-identically, and the JSON form must decode to the very
+// same Message (one message set, two encodings).
 func FuzzBinaryRoundTrip(f *testing.F) {
-	f.Add("temperature.celsius", "room-1", uint64(7), 0.5, int64(1700000000), 3)
+	f.Add("temperature.celsius", "room-1", uint64(7), 0.5, int64(1700000000), 3) // batch + credit
+	f.Add("presence", "", uint64(4), 0.0, int64(-5), 1)                          // batch, no credit
+	f.Add("", "body only", uint64(1), 1.0, int64(0), 0)                          // no batch
 	f.Fuzz(func(t *testing.T, typ, payloadStr string, seq uint64, quality float64, unixSec int64, n int) {
-		if n <= 0 || n > 64 {
+		if n < 0 || n > 64 {
 			return
 		}
 		if math.IsNaN(quality) || math.IsInf(quality, 0) {
@@ -412,9 +380,18 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 				Payload: map[string]any{"s": payloadStr, "i": float64(i)},
 			}
 		}
-		m, err := NewNativeEventBatch(src, guid.New(guid.KindServer), events, nil)
-		if err != nil {
-			t.Fatal(err)
+		// n == 0 exercises the batch-free envelope: a body-only message.
+		m := Message{Src: src, Dst: guid.New(guid.KindServer), Kind: KindQueryResult,
+			Corr: guid.New(guid.KindQuery), TTL: int(seq % 8)}
+		if body, err := json.Marshal(map[string]string{"s": payloadStr}); err == nil {
+			m.Body = body
+		}
+		if n > 0 {
+			m.Kind = KindEventBatch
+			m.Batch = &NativeBatch{Events: events}
+			if seq%2 == 1 { // odd seeds piggyback a credit report
+				m.Batch.Credit = &BatchCredit{Events: n, Dropped: seq / 2, QueueFree: int(seq%7) - 1}
+			}
 		}
 		var buf1 bytes.Buffer
 		if err := NewEncoder(&buf1, CodecBinary).Write(m); err != nil {
@@ -424,13 +401,26 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		eventsEquivalent(t, events, got.Batch.Events)
+		if n > 0 {
+			eventsEquivalent(t, events, got.Batch.Events)
+		}
 		var buf2 bytes.Buffer
 		if err := NewEncoder(&buf2, CodecBinary).Write(got); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
 			t.Fatal("round trip not byte-identical")
+		}
+		var jbuf bytes.Buffer
+		if err := NewEncoder(&jbuf, CodecJSON).Write(m); err != nil {
+			t.Fatalf("JSON encode of a binary-encodable message failed: %v", err)
+		}
+		jgot, err := NewDecoder(&jbuf).Read()
+		if err != nil {
+			t.Fatalf("JSON decode of own encoding failed: %v", err)
+		}
+		if !reflect.DeepEqual(got, jgot) {
+			t.Fatalf("encodings disagree:\n binary: %+v\n   json: %+v", got, jgot)
 		}
 	})
 }

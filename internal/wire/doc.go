@@ -1,27 +1,38 @@
-// Package wire defines the message envelope, framing and codecs used for
-// all point-to-point communication in SCI.
+// Package wire defines the SCI message set and its two encodings.
+//
+// # The message set
+//
+// Everything SCI components say to each other point to point is a Message:
+// source and destination GUIDs (never network addresses), a Kind, an
+// optional correlation id and hop budget, a kind-specific JSON Body, and —
+// on every message that carries events — the events themselves, decoded, in
+// Message.Batch (a NativeBatch: the events in publication order plus an
+// optional piggybacked BatchCredit). There is one form of each message:
+//
+//   - events travel in Message.Batch and nowhere else — a single event is a
+//     batch of one (KindEventBatch between a Range and its remote
+//     components; KindOverlayRoute when the SCINET routes a batch, the
+//     application's own envelope riding in Body);
+//   - flow credit rides the reverse-direction batch (NativeBatch.Credit)
+//     when there is one, and the standalone KindEventBatchAck otherwise;
+//   - every other kind carries only a Body.
+//
+// Layers above define their bodies (internal/rangesvc, internal/overlay,
+// internal/scinet); none of them defines a second shape for events.
 //
 // # Framing
 //
 // Every frame is a 4-byte big-endian length followed by at most MaxFrame
-// payload bytes. Two payload encodings exist, and a frame declares its own:
-// a JSON payload always begins with '{', a binary payload with the magic
-// byte 0xB5 (which can never open a JSON document). A Decoder therefore
-// handles arbitrarily interleaved JSON and binary frames on one connection
-// with no negotiation state — negotiation only ever decides what a peer's
-// Encoder emits.
+// payload bytes. A frame declares its own encoding: a JSON payload always
+// begins with '{', a binary payload with the magic byte 0xB5 (which can
+// never open a JSON document). A Decoder therefore needs no per-connection
+// state to tell them apart; the connection hello (below) only decides what
+// the peer's Encoder emits. Both encodings decode to the same Message —
+// FuzzBinaryRoundTrip holds them to reflect.DeepEqual.
 //
-// # JSON codec
+// # Binary encoding
 //
-// The original format: the JSON encoding of Message (src, dst, kind, corr,
-// ttl, body). Every peer, of every version, decodes it. The Encoder
-// assembles the envelope by hand in one pass over a pooled buffer — the
-// pre-encoded Body is spliced in once, not re-validated, re-compacted and
-// copied again as json.Marshal of the envelope used to do.
-//
-// # Binary codec
-//
-// The binary payload after the length prefix:
+// The payload after the length prefix:
 //
 //	magic(0xB5) version(0x01) kindID(u8) flags(u8)
 //	[kind: uvarint len + bytes]   when kindID == 0 (kind outside the table)
@@ -33,10 +44,9 @@
 //	[batch section]               flags bit 3
 //
 // kindID indexes the append-only kind table in binary.go (wire ABI); id 0
-// means the kind string ships inline.
+// means the kind string ships inline, and a retired id is never reassigned.
 //
-// The batch section encodes a whole event batch natively — the contiguous
-// form a Message carries decoded in Message.Batch (NativeBatch):
+// The batch section is Message.Batch:
 //
 //	credit: u8 present flag; when 1: events(zigzag) dropped(uvarint)
 //	        queue_free(zigzag)
@@ -51,25 +61,21 @@
 //	    seq(uvarint) [time: unixnano u64 be] [quality: float64 bits u64 be]
 //	    [payload: uvarint len + JSON object bytes]
 //
-// # Dictionary interning
-//
-// Each connection direction carries two append-only dictionaries — context
-// types and recurring GUIDs (source/subject/range; never event ids). The
-// encoder assigns indices in first-use order and ships each entry exactly
-// once, as a delta in the frame that first references it; the decoder
-// appends deltas in stream order, so the index spaces stay aligned on any
-// ordered byte stream. Both sides cap the dictionaries at maxDictEntries
-// (overflow values ship as literals; a peer shipping more deltas than the
-// cap is malformed), and the state dies with the connection: a redial
-// starts empty on both ends.
+// Each connection direction carries two append-only interning dictionaries
+// — context types and recurring GUIDs (source/subject/range; never event
+// ids). The encoder assigns indices in first-use order and ships each entry
+// exactly once, as a delta in the frame that first references it; the
+// decoder appends deltas in stream order, so the index spaces stay aligned
+// on any ordered byte stream. Both sides cap the dictionaries at
+// maxDictEntries (overflow values ship as literals; a peer shipping more
+// deltas than the cap is malformed), and the state dies with the
+// connection: a redial starts empty on both ends.
 //
 // Steady-state binary encode is allocation-free: the frame is built in a
 // reused buffer (taken from a sync.Pool at connection setup, returned when
 // the connection dies), payload maps are encoded by a non-reflective
 // appender with per-depth reused key slices, and dictionary hits cost a map
 // lookup.
-//
-// # Payload decoding
 //
 // An event's payload travels as JSON object text inside the binary frame
 // (payload.go holds both directions). The decoder parses it with its own
@@ -87,28 +93,40 @@
 // table that stops growing at maxDictEntries keys of at most
 // maxInternedKeyLen bytes; later or longer keys still decode, uninterned.
 //
-// # Version negotiation
+// # JSON encoding
 //
-// A dialing endpoint opens each connection with a JSON-encoded
-// KindCodecHello frame listing the codecs it speaks, then waits briefly for
-// the accept side's one-shot answer on the same socket (the only byte the
-// accept side ever writes on an inbound connection). A codec-aware accept
-// side answers with its choice (CodecHello.Chosen) and decodes whatever
-// arrives next either way; a legacy accept side ignores the unknown kind —
-// the same stance PR 2/PR 5 established for event.batch and credit fields —
-// and the dialer's deadline expires into the JSON fallback. Forcing
-// Codec "json" on an endpoint skips the hello entirely and emits strictly
-// legacy frames, which doubles as an in-process stand-in for a legacy peer.
+// The same Message as one JSON object — src, dst, kind, corr, ttl, body,
+// batch — where batch is {"events":[…],"credit":{…}} with each event in
+// event.Event's JSON form. It exists so a connection can be read by eye
+// (transport.Config.Codec = "json"); nothing depends on it for
+// interoperability. The Encoder assembles the envelope by hand in one pass
+// over a pooled buffer (the pre-encoded Body is spliced in, not re-validated
+// and re-copied by json.Marshal); the Decoder fills Message.Batch back in
+// and gives event times the representation the binary decoder produces (an
+// instant: unix nanoseconds, no zone). A payload that is present but empty
+// is omitted, so it decodes as absent.
 //
-// Decoding is always mixed-version: unknown kinds, absent credit fields and
-// JSON frames from a binary-negotiated peer all remain valid.
+// # The version rule
 //
-// # Native batches above this layer
+// The message set as a whole — kinds, bodies, the one-form rules above —
+// has a single protocol version, and a connection carries messages only
+// between two sides that state the same one. A dialing endpoint opens each
+// connection with a JSON-encoded KindCodecHello (CodecHello: its Version and
+// the codecs it offers, preferred first) and waits, bounded, for the accept
+// side's answer on the same socket: the accept side's Version and the codec
+// it chose — the only bytes an accept side ever writes on an inbound
+// connection. A different version, an answer that is not a hello, or no
+// answer within the bound fails the dial with transport.ErrProtocolVersion
+// and closes the socket; the accept side likewise closes a connection whose
+// first frame is not a hello of its own version, delivering nothing from
+// it. There is no downgrade and no per-feature capability: a message a peer
+// of this version sends is a message every peer of this version
+// understands. internal/transport owns the version constant and the check.
 //
-// Message.Batch carries events decoded end to end: the memory transport
-// delivers the pointer untouched, binary connections encode it as the batch
-// section, and JSON connections fold it back into the legacy body with
-// Materialize — for kinds that nest batches inside their own body format
-// (the overlay's routed payloads), via the fold hook installed with
-// RegisterBatchFolder.
+// # Sharing
+//
+// A NativeBatch attached to a Message is handed over: the memory transport
+// delivers the same pointer, possibly to several receivers, so senders
+// never touch it again and receivers copy events before modifying them
+// (scilint's batchshare analyzer enforces this, in this package too).
 package wire

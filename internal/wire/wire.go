@@ -9,7 +9,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"strconv"
 
 	"sci/internal/guid"
@@ -38,15 +37,10 @@ const (
 	KindQueryResult Kind = "query_result" // CS → CAA
 	KindQueryError  Kind = "query_error"  //
 
-	// Events crossing range boundaries. KindEvent carries one encoded event
-	// in the body; KindEventBatch carries an EventBatchBody coalescing many.
-	// Receivers decode both through Message.EventFrames, so a peer that still
-	// ships the single-event form interoperates with a batching one.
-	// KindEventBatchAck flows the other way: the receiver of an event.batch
-	// reports its flow credit (BatchCredit) so the sending coalescer can
-	// throttle. Peers that predate it simply never send it, and ignore it
-	// when received — no negotiation needed.
-	KindEvent         Kind = "event"
+	// Events crossing range boundaries. KindEventBatch carries one or more
+	// events in Message.Batch. KindEventBatchAck flows the other way: the
+	// receiver of an event.batch reports its flow credit (BatchCredit) so
+	// the sending coalescer can throttle.
 	KindEventBatch    Kind = "event.batch"
 	KindEventBatchAck Kind = "event.batch_ack"
 
@@ -61,12 +55,9 @@ const (
 	KindOverlayPong      Kind = "overlay_pong"
 	KindOverlayRoute     Kind = "overlay_route" // encapsulated routed payload
 
-	// Codec negotiation. A dialer opens each connection with a codec.hello
-	// listing the codecs it speaks; a codec-aware accept side answers once
-	// on the same socket with its choice. Legacy peers never answer (the
-	// dialer falls back to JSON after a short deadline) and ignore the
-	// unknown kind when they receive it — the same no-negotiation-required
-	// stance the event.batch and credit fields already rely on.
+	// Connection setup. A dialer opens each connection with a codec.hello
+	// carrying its protocol version and the codecs it offers; the accept
+	// side answers once on the same socket with its version and choice.
 	KindCodecHello Kind = "codec.hello"
 )
 
@@ -83,13 +74,11 @@ type Message struct {
 	TTL int `json:"ttl,omitempty"`
 	// Body is the kind-specific JSON payload.
 	Body json.RawMessage `json:"body,omitempty"`
-	// Batch optionally carries a whole event batch natively: decoded events
-	// instead of per-event JSON frames. It rides pointer-identical through
-	// the in-process memory transport and as one contiguous dictionary-
-	// interned section of a binary frame on binary-negotiated connections;
-	// encoders targeting a JSON-only peer fold it back into the legacy body
-	// format via Materialize. It is never part of the JSON envelope.
-	Batch *NativeBatch `json:"-"`
+	// Batch carries the events of an event-bearing message, decoded. It
+	// rides pointer-identical through the in-process memory transport, as
+	// one contiguous dictionary-interned section of a binary frame, and as
+	// the envelope's "batch" member on the JSON codec.
+	Batch *NativeBatch `json:"batch,omitempty"`
 }
 
 // Errors.
@@ -122,22 +111,8 @@ func (m Message) Reply(kind Kind, body any) (Message, error) {
 	return r, nil
 }
 
-// EventBatchBody is the payload of a KindEventBatch message: multiple
-// independently encoded events, ordered as published. Events stay encoded
-// at this layer (the envelope knows nothing of event schemas); senders
-// marshal each event themselves and receivers unmarshal the frames they
-// accept.
-type EventBatchBody struct {
-	Events []json.RawMessage `json:"events"`
-	// Credit optionally piggybacks the sender's receive-side flow-control
-	// state on return traffic, sparing a standalone ack. Absent on frames
-	// from peers that predate it; receivers must treat nil as "no report",
-	// never as an all-clear.
-	Credit *BatchCredit `json:"credit,omitempty"`
-}
-
 // BatchCredit is a receiver's flow-control report: carried on a
-// KindEventBatchAck reply (or piggybacked on an EventBatchBody heading the
+// KindEventBatchAck reply (or piggybacked on a NativeBatch heading the
 // other way) so the peer's outbound coalescer can match its flush rate to
 // what the receiver absorbs.
 type BatchCredit struct {
@@ -152,33 +127,14 @@ type BatchCredit struct {
 	QueueFree int `json:"queue_free"`
 }
 
-// NewEventBatch builds a KindEventBatch message coalescing the given
-// encoded events into one wire frame.
-func NewEventBatch(src, dst guid.GUID, events []json.RawMessage) (Message, error) {
-	return NewEventBatchWithCredit(src, dst, events, nil)
-}
-
-// NewEventBatchWithCredit builds a KindEventBatch message that additionally
-// piggybacks the sender's pending receive-side flow-credit report, sparing
-// the standalone event.batch_ack frame on a hot bidirectional link. A nil
-// credit yields a plain batch.
-func NewEventBatchWithCredit(src, dst guid.GUID, events []json.RawMessage, credit *BatchCredit) (Message, error) {
-	if len(events) == 0 {
-		return Message{}, fmt.Errorf("%w: empty event batch", ErrBadMessage)
-	}
-	return NewMessage(src, dst, KindEventBatch, EventBatchBody{Events: events, Credit: credit})
-}
-
 // NewEventBatchAck builds the credit reply to an event.batch message.
 func NewEventBatchAck(src, dst guid.GUID, credit BatchCredit) (Message, error) {
 	return NewMessage(src, dst, KindEventBatchAck, credit)
 }
 
 // BatchCreditInfo extracts the flow-credit report a message carries: the
-// body of a KindEventBatchAck, or the optional Credit field piggybacked on
-// a KindEventBatch. ok is false when the message carries none — including
-// every frame from a peer that predates the credit fields, whose JSON
-// simply lacks them.
+// body of a KindEventBatchAck, or the credit piggybacked on a batch. ok is
+// false when the message carries none.
 func (m Message) BatchCreditInfo() (BatchCredit, bool) {
 	if m.Batch != nil {
 		if m.Batch.Credit == nil {
@@ -186,51 +142,14 @@ func (m Message) BatchCreditInfo() (BatchCredit, bool) {
 		}
 		return *m.Batch.Credit, true
 	}
-	switch m.Kind {
-	case KindEventBatchAck:
-		var c BatchCredit
-		if err := m.DecodeBody(&c); err != nil {
-			return BatchCredit{}, false
-		}
-		return c, true
-	case KindEventBatch:
-		var b EventBatchBody
-		if err := m.DecodeBody(&b); err != nil || b.Credit == nil {
-			return BatchCredit{}, false
-		}
-		return *b.Credit, true
-	default:
+	if m.Kind != KindEventBatchAck {
 		return BatchCredit{}, false
 	}
-}
-
-// EventFrames returns the encoded events an event-bearing message carries:
-// the batch's frames for KindEventBatch, or a single-element slice holding
-// the body of a legacy KindEvent frame — the decode fallback that lets a
-// batching receiver interleave old-format single-event traffic from peers
-// that predate event.batch.
-func (m Message) EventFrames() ([]json.RawMessage, error) {
-	switch m.Kind {
-	case KindEvent:
-		if len(m.Body) == 0 {
-			return nil, fmt.Errorf("%w: empty body for %s", ErrBadMessage, m.Kind)
-		}
-		return []json.RawMessage{m.Body}, nil
-	case KindEventBatch:
-		if m.Batch != nil {
-			return m.Batch.EncodeFrames()
-		}
-		var b EventBatchBody
-		if err := m.DecodeBody(&b); err != nil {
-			return nil, err
-		}
-		if len(b.Events) == 0 {
-			return nil, fmt.Errorf("%w: empty event batch", ErrBadMessage)
-		}
-		return b.Events, nil
-	default:
-		return nil, fmt.Errorf("%w: %s carries no events", ErrBadMessage, m.Kind)
+	var c BatchCredit
+	if err := m.DecodeBody(&c); err != nil {
+		return BatchCredit{}, false
 	}
+	return c, true
 }
 
 // DecodeBody unmarshals the body into out.
@@ -259,24 +178,6 @@ func (m Message) Validate() error {
 func (m Message) String() string {
 	return fmt.Sprintf("msg{%s %s→%s}", m.Kind, m.Src.Short(), m.Dst.Short())
 }
-
-// Writer frames messages onto an io.Writer with the JSON codec. It is the
-// historical name for a JSON-fixed Encoder; new code that negotiates a
-// codec uses NewEncoder directly. Not safe for concurrent use; callers
-// serialise (internal/transport does).
-type Writer = Encoder
-
-// NewWriter wraps w with a JSON-codec encoder.
-func NewWriter(w io.Writer) *Writer { return NewEncoder(w, CodecJSON) }
-
-// Reader unframes messages from an io.Reader. It is the historical name for
-// a Decoder, which detects the codec of every frame from its leading byte,
-// so mixed JSON/binary streams decode transparently. Not safe for
-// concurrent use.
-type Reader = Decoder
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader { return NewDecoder(r) }
 
 // appendEnvelopeJSON appends the JSON wire form of m to b. It produces what
 // json.Marshal(m) would, assembled by hand so the pre-encoded Body splices
@@ -307,6 +208,14 @@ func appendEnvelopeJSON(b []byte, m Message) ([]byte, error) {
 		}
 		b = append(b, `,"body":`...)
 		b = append(b, m.Body...)
+	}
+	if m.Batch != nil {
+		raw, err := json.Marshal(m.Batch)
+		if err != nil {
+			return b, fmt.Errorf("wire: marshal batch: %w", err)
+		}
+		b = append(b, `,"batch":`...)
+		b = append(b, raw...)
 	}
 	return append(b, '}'), nil
 }

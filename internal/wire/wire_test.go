@@ -74,7 +74,7 @@ func TestReply(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
-	m := mkMsg(t, KindEvent, nil)
+	m := mkMsg(t, KindHeartbeat, nil)
 	if err := m.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestValidate(t *testing.T) {
 
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
+	w := NewEncoder(&buf, CodecJSON)
 	msgs := []Message{
 		mkMsg(t, KindRegister, map[string]string{"name": "ce1"}),
 		mkMsg(t, KindHeartbeat, nil),
@@ -106,7 +106,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := NewReader(&buf)
+	r := NewDecoder(&buf)
 	for i, want := range msgs {
 		got, err := r.Read()
 		if err != nil {
@@ -122,7 +122,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestWriterRejectsInvalid(t *testing.T) {
-	w := NewWriter(io.Discard)
+	w := NewEncoder(io.Discard, CodecJSON)
 	if err := w.Write(Message{}); err == nil {
 		t.Fatal("invalid message written")
 	}
@@ -133,7 +133,7 @@ func TestReaderFrameTooLarge(t *testing.T) {
 	var lenBuf [4]byte
 	binary.BigEndian.PutUint32(lenBuf[:], MaxFrame+1)
 	buf.Write(lenBuf[:])
-	r := NewReader(&buf)
+	r := NewDecoder(&buf)
 	if _, err := r.Read(); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("want ErrFrameTooLarge, got %v", err)
 	}
@@ -145,7 +145,7 @@ func TestReaderTruncatedFrame(t *testing.T) {
 	binary.BigEndian.PutUint32(lenBuf[:], 100)
 	buf.Write(lenBuf[:])
 	buf.WriteString("short")
-	r := NewReader(&buf)
+	r := NewDecoder(&buf)
 	if _, err := r.Read(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("truncated frame: got %v, want unexpected-EOF error", err)
 	}
@@ -158,7 +158,7 @@ func TestReaderGarbageJSON(t *testing.T) {
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
 	buf.Write(lenBuf[:])
 	buf.Write(payload)
-	r := NewReader(&buf)
+	r := NewDecoder(&buf)
 	if _, err := r.Read(); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("want ErrBadMessage, got %v", err)
 	}
@@ -171,7 +171,7 @@ func TestReaderInvalidEnvelope(t *testing.T) {
 	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
 	buf.Write(lenBuf[:])
 	buf.Write(payload)
-	r := NewReader(&buf)
+	r := NewDecoder(&buf)
 	if _, err := r.Read(); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("want ErrBadMessage, got %v", err)
 	}
@@ -192,8 +192,8 @@ func TestOverTCP(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		r := NewReader(conn)
-		w := NewWriter(conn)
+		r := NewDecoder(conn)
+		w := NewEncoder(conn, CodecJSON)
 		for {
 			m, err := r.Read()
 			if err != nil {
@@ -220,8 +220,8 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewWriter(conn)
-	r := NewReader(conn)
+	w := NewEncoder(conn, CodecJSON)
+	r := NewDecoder(conn)
 	for i := 0; i < 10; i++ {
 		m := mkMsg(t, KindQuery, map[string]int{"i": i})
 		m.Corr = guid.New(guid.KindQuery)
@@ -257,16 +257,16 @@ func TestPropRoundTripArbitraryBodies(t *testing.T) {
 		key = strings.ToValidUTF8(key, "?")
 		val = strings.ToValidUTF8(val, "?")
 		m, err := NewMessage(guid.New(guid.KindServer), guid.New(guid.KindEntity),
-			KindEvent, map[string]string{key: val})
+			KindServiceCall, map[string]string{key: val})
 		if err != nil {
 			return false
 		}
 		m.TTL = int(ttl)
 		var buf bytes.Buffer
-		if err := NewWriter(&buf).Write(m); err != nil {
+		if err := NewEncoder(&buf, CodecJSON).Write(m); err != nil {
 			return false
 		}
-		got, err := NewReader(&buf).Read()
+		got, err := NewDecoder(&buf).Read()
 		if err != nil {
 			return false
 		}
@@ -283,7 +283,7 @@ func TestPropRoundTripArbitraryBodies(t *testing.T) {
 
 func BenchmarkWriteRead(b *testing.B) {
 	m, err := NewMessage(guid.New(guid.KindServer), guid.New(guid.KindEntity),
-		KindEvent, map[string]string{"door": "L10.01"})
+		KindServiceCall, map[string]string{"door": "L10.01"})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,10 +291,10 @@ func BenchmarkWriteRead(b *testing.B) {
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := NewWriter(&buf).Write(m); err != nil {
+		if err := NewEncoder(&buf, CodecJSON).Write(m); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := NewReader(&buf).Read(); err != nil {
+		if _, err := NewDecoder(&buf).Read(); err != nil {
 			b.Fatal(err)
 		}
 	}

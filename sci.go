@@ -351,16 +351,16 @@ type (
 	// NewNetwork: Backend names a registered builder ("memory", "tcp"),
 	// Codec sets the network's default wire codec.
 	TransportConfig = transport.Config
-	// WireCodec names a negotiated wire encoding: CodecBinary (the
-	// zero-copy batch path) or CodecJSON (the legacy line-delimited form
-	// every peer understands).
+	// WireCodec names a wire encoding of the one message set: CodecBinary
+	// (the default: zero-copy batch sections, interned dictionaries) or
+	// CodecJSON (the same messages, readable on the wire, for debugging).
 	WireCodec = wire.Codec
 )
 
-// Wire codecs. TCP endpoints negotiate per connection at setup — a hello
-// exchange settles on binary when both ends support it and falls back to
-// JSON for legacy peers — so mixed fleets interoperate; forcing CodecJSON
-// on an endpoint (or network default) skips negotiation entirely.
+// Wire codecs. Every TCP connection opens with a hello exchange stating
+// each side's protocol version and settling the encoding; a peer of another
+// version is a connect error, never a downgrade. TransportConfig.Codec picks
+// the encoding network-wide; the in-process memory network has no wire.
 const (
 	CodecBinary = wire.CodecBinary
 	CodecJSON   = wire.CodecJSON
