@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lint lint-stats test fuzz-smoke bench bench-smoke check
+.PHONY: build vet fmt lint lint-stats test examples fuzz-smoke bench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -27,6 +27,19 @@ lint-stats:
 test:
 	$(GO) test -race -shuffle=on ./...
 
+# Every examples/* program, built once and run with a timeout; each must
+# exit 0. capa exits non-zero unless the paper's outcome (Bob → P1,
+# John → P4) holds.
+EXAMPLES := $(notdir $(wildcard examples/*))
+
+examples:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./examples/... && \
+	for e in $(EXAMPLES); do \
+		echo "== examples/$$e"; \
+		timeout 60 "$$dir/$$e" || { echo "examples/$$e failed (exit $$?)"; exit 1; }; \
+	done
+
 # go test fuzzes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/wire/
@@ -42,4 +55,4 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -workload xr-stream -seconds 2 | tee /dev/stderr | grep -q '"correct":true'
 
-check: build vet fmt lint test
+check: build vet fmt lint test examples

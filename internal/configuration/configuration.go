@@ -106,7 +106,10 @@ type activeCfg struct {
 
 // edgeQueueLen is the per-subscription queue capacity for configuration
 // plumbing: generous enough to absorb sensor bursts without dropping
-// context updates (freshest-wins drop still applies beyond it).
+// context updates (freshest-wins drop still applies beyond it). It is a
+// bound, not an up-front cost: the bus commits an edge's ring at the edge's
+// first event, so a configuration torn down before its sources fire never
+// pays for it.
 const edgeQueueLen = 1024
 
 // Errors.

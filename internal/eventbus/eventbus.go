@@ -348,8 +348,11 @@ type Subscription struct {
 	// evaluation.
 	matchAll bool
 
+	// limit bounds the total queued *events*; fixed at Subscribe time.
+	limit int
+
 	mu     sync.Mutex
-	queue  []entry // guarded by mu; ring of entries; capacity bounds total queued *events*
+	queue  []entry // guarded by mu; ring of limit entries, nil until the first enqueue
 	head   int     // guarded by mu
 	count  int     // guarded by mu; entries in the ring
 	events int     // guarded by mu; events across those entries
@@ -364,14 +367,16 @@ type Subscription struct {
 // SubOption configures a subscription.
 type SubOption func(*Subscription)
 
-// WithQueueLen sets the bounded queue capacity in events (min 1).
+// WithQueueLen sets the bounded queue capacity in events (min 1;
+// DefaultQueueLen when not given). The capacity is a bound: the ring's
+// memory is committed at the subscription's first event, so a subscription
+// that never receives one costs nothing for it.
 func WithQueueLen(n int) SubOption {
 	return func(s *Subscription) {
 		if n < 1 {
 			n = 1
 		}
-		//lint:allow guardedby options run at Subscribe time, before the subscription is indexed
-		s.queue = make([]entry, n)
+		s.limit = n
 	}
 }
 
@@ -431,8 +436,8 @@ func (b *Bus) subscribe(f event.Filter, h BatchHandler, opts []SubOption) (*Subs
 	for _, o := range opts {
 		o(s)
 	}
-	if s.queue == nil {
-		s.queue = make([]entry, DefaultQueueLen)
+	if s.limit == 0 {
+		s.limit = DefaultQueueLen
 	}
 
 	s.residual = f.Type == "" || f.Type == ctxtype.Wildcard
@@ -1056,7 +1061,8 @@ func (s *Subscription) evictOldestLocked() guid.GUID {
 
 // pushLocked appends en to the ring. The caller has checked capacity: the
 // ring array can always hold the entry, because every entry carries at
-// least one event and total queued events are bounded by the array length.
+// least one event and total queued events are bounded by limit, the array's
+// length.
 func (s *Subscription) pushLocked(en entry) {
 	s.queue[(s.head+s.count)%len(s.queue)] = en
 	s.count++
@@ -1074,9 +1080,12 @@ func (s *Subscription) enqueue(e event.Event) int {
 		s.mu.Unlock()
 		return 0
 	}
+	if s.queue == nil {
+		s.queue = make([]entry, s.limit)
+	}
 	admitted := true
 	dropped := 0
-	if s.events == len(s.queue) {
+	if s.events == s.limit {
 		dropped = 1
 		if s.policy == DropNewest {
 			admitted = false
@@ -1135,7 +1144,11 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 		s.mu.Unlock()
 		return 0
 	}
-	capEvents := len(s.queue)
+	if s.queue == nil {
+		//lint:allow hotpath once per subscription, at its first event: rings are not committed for subscriptions that never receive one
+		s.queue = make([]entry, s.limit)
+	}
+	capEvents := s.limit
 	dropped := 0
 	admitted := true
 	if s.policy == DropNewest {

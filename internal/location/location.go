@@ -210,15 +210,21 @@ type Link struct {
 // Map is the ground truth for a deployment area: the place graph plus the
 // cross-model correspondences. It is immutable after Build; Lookup methods
 // are safe for concurrent use.
+//
+// Route searches run over an integer-indexed copy of the graph: each place
+// gets its position in sorted PlaceID order, so comparing indices is
+// comparing ids, and adjacency is a slice per index.
 type Map struct {
 	places map[PlaceID]Place
 	byPath map[Path]PlaceID
-	adj    map[PlaceID][]edge
+	ids    []PlaceID         // index → place, sorted
+	index  map[PlaceID]int32 // place → index
+	adj    [][]edge          // by index, each list in link order
 	links  []Link
 }
 
 type edge struct {
-	to     PlaceID
+	to     int32
 	weight float64
 	locked bool
 	door   string
@@ -236,7 +242,7 @@ func NewMap(places []Place, links []Link) (*Map, error) {
 	m := &Map{
 		places: make(map[PlaceID]Place, len(places)),
 		byPath: make(map[Path]PlaceID, len(places)),
-		adj:    make(map[PlaceID][]edge),
+		index:  make(map[PlaceID]int32, len(places)),
 		links:  make([]Link, 0, len(links)),
 	}
 	for _, p := range places {
@@ -254,7 +260,13 @@ func NewMap(places []Place, links []Link) (*Map, error) {
 		}
 		m.places[p.ID] = p
 		m.byPath[p.Path] = p.ID
+		m.ids = append(m.ids, p.ID)
 	}
+	sort.Slice(m.ids, func(i, j int) bool { return m.ids[i] < m.ids[j] })
+	for i, id := range m.ids {
+		m.index[id] = int32(i)
+	}
+	m.adj = make([][]edge, len(m.ids))
 	for _, l := range links {
 		pa, okA := m.places[l.A]
 		pb, okB := m.places[l.B]
@@ -271,8 +283,9 @@ func NewMap(places []Place, links []Link) (*Map, error) {
 		if w <= 0 {
 			return nil, fmt.Errorf("location: non-positive link weight %s–%s", l.A, l.B)
 		}
-		m.adj[l.A] = append(m.adj[l.A], edge{to: l.B, weight: w, locked: l.Locked, door: l.Door})
-		m.adj[l.B] = append(m.adj[l.B], edge{to: l.A, weight: w, locked: l.Locked, door: l.Door})
+		a, b := m.index[l.A], m.index[l.B]
+		m.adj[a] = append(m.adj[a], edge{to: b, weight: w, locked: l.Locked, door: l.Door})
+		m.adj[b] = append(m.adj[b], edge{to: a, weight: w, locked: l.Locked, door: l.Door})
 		m.links = append(m.links, l)
 	}
 	return m, nil
@@ -286,11 +299,8 @@ func (m *Map) Place(id PlaceID) (Place, bool) {
 
 // Places returns all place ids, sorted.
 func (m *Map) Places() []PlaceID {
-	out := make([]PlaceID, 0, len(m.places))
-	for id := range m.places {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]PlaceID, len(m.ids))
+	copy(out, m.ids)
 	return out
 }
 
@@ -331,6 +341,24 @@ func (m *Map) NearestPlace(pt Point) (PlaceID, error) {
 //	hierarchical → topological (exact path), then as above
 //	geometric    → topological (nearest centroid in frame), then as above
 func (m *Map) Resolve(r Ref) (Ref, error) {
+	i, err := m.placeIndex(r)
+	if err != nil {
+		return r, err
+	}
+	p := m.places[m.ids[i]]
+	out := Ref{Place: p.ID, Path: p.Path}
+	if r.Point != nil {
+		out.Point = r.Point // keep the precise observed point
+	} else {
+		c := p.Centroid
+		out.Point = &c
+	}
+	return out, nil
+}
+
+// placeIndex resolves r to its topological place, by Resolve's rules, and
+// returns that place's search index.
+func (m *Map) placeIndex(r Ref) (int32, error) {
 	place := r.Place
 	if place == "" && r.Path != "" {
 		if id, ok := m.byPath[r.Path]; ok {
@@ -340,25 +368,18 @@ func (m *Map) Resolve(r Ref) (Ref, error) {
 	if place == "" && r.Point != nil {
 		id, err := m.NearestPlace(*r.Point)
 		if err != nil {
-			return r, fmt.Errorf("%w: %v", ErrUnresolvable, err)
+			return 0, fmt.Errorf("%w: %v", ErrUnresolvable, err)
 		}
 		place = id
 	}
 	if place == "" {
-		return r, ErrUnresolvable
+		return 0, ErrUnresolvable
 	}
-	p, ok := m.places[place]
+	i, ok := m.index[place]
 	if !ok {
-		return r, fmt.Errorf("%w: %q", ErrUnknownPlace, place)
+		return 0, fmt.Errorf("%w: %q", ErrUnknownPlace, place)
 	}
-	out := Ref{Place: place, Path: p.Path}
-	if r.Point != nil {
-		out.Point = r.Point // keep the precise observed point
-	} else {
-		c := p.Centroid
-		out.Point = &c
-	}
-	return out, nil
+	return i, nil
 }
 
 // SamePlace reports whether two refs resolve to the same topological place.
@@ -407,90 +428,199 @@ func ThroughLockedDoors() RouteOption {
 
 // ShortestRoute computes the minimum-cost route between two refs using
 // Dijkstra over the place graph. Locked doors are impassable by default.
+// Among equal-cost routes the search keeps the one it discovers first,
+// settling places in (distance, PlaceID) order, so the answer is
+// deterministic.
 func (m *Map) ShortestRoute(from, to Ref, opts ...RouteOption) (Route, error) {
 	var o routeOpts
 	for _, opt := range opts {
 		opt(&o)
 	}
-	rf, err := m.Resolve(from)
+	src, err := m.placeIndex(from)
 	if err != nil {
 		return Route{}, fmt.Errorf("location: route source: %w", err)
 	}
-	rt, err := m.Resolve(to)
+	dst, err := m.placeIndex(to)
 	if err != nil {
 		return Route{}, fmt.Errorf("location: route destination: %w", err)
 	}
-	src, dst := rf.Place, rt.Place
 	if src == dst {
-		return Route{Places: []PlaceID{src}}, nil
+		return Route{Places: []PlaceID{m.ids[src]}}, nil
+	}
+	nodes := m.search(src, o.throughLocked, func(at int32) bool { return at == dst })
+	if nodes[dst].state != settled {
+		return Route{}, fmt.Errorf("%w: %s → %s", ErrNoPath, m.ids[src], m.ids[dst])
 	}
 
-	dist := map[PlaceID]float64{src: 0}
-	prev := map[PlaceID]PlaceID{}
-	prevDoor := map[PlaceID]string{}
-	visited := map[PlaceID]bool{}
-
-	for {
-		// Extract the unvisited place with minimal distance (linear scan:
-		// building graphs are small; determinism matters more than O(log n)).
-		cur := PlaceID("")
-		curD := math.Inf(1)
-		for id, d := range dist {
-			if visited[id] {
-				continue
-			}
-			if d < curD || (d == curD && (cur == "" || id < cur)) {
-				cur, curD = id, d
-			}
-		}
-		if cur == "" {
-			return Route{}, fmt.Errorf("%w: %s → %s", ErrNoPath, src, dst)
-		}
-		if cur == dst {
+	hops := 0
+	for at := dst; at != src; at = nodes[at].prev {
+		hops++
+	}
+	places := make([]PlaceID, hops+1)
+	doors := make([]string, hops)
+	for at, k := dst, hops; ; k-- {
+		places[k] = m.ids[at]
+		if k == 0 {
 			break
 		}
-		visited[cur] = true
-		for _, e := range m.adj[cur] {
-			if e.locked && !o.throughLocked {
-				continue
-			}
-			nd := curD + e.weight
-			if old, ok := dist[e.to]; !ok || nd < old {
-				dist[e.to] = nd
-				prev[e.to] = cur
-				prevDoor[e.to] = e.door
-			}
-		}
+		doors[k-1] = nodes[at].door
+		at = nodes[at].prev
 	}
-
-	// Reconstruct.
-	var places []PlaceID
-	var doors []string
-	for at := dst; ; {
-		places = append(places, at)
-		if at == src {
-			break
-		}
-		doors = append(doors, prevDoor[at])
-		at = prev[at]
-	}
-	// Reverse.
-	for i, j := 0, len(places)-1; i < j; i, j = i+1, j-1 {
-		places[i], places[j] = places[j], places[i]
-	}
-	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
-		doors[i], doors[j] = doors[j], doors[i]
-	}
-	return Route{Places: places, Doors: doors, Length: dist[dst]}, nil
+	return Route{Places: places, Doors: doors, Length: nodes[dst].dist}, nil
 }
 
 // TravelDistance returns the route length between two refs, or +Inf when
 // unreachable. It is the metric behind the CAPA "closest printer" Which
 // clause.
 func (m *Map) TravelDistance(from, to Ref) float64 {
-	r, err := m.ShortestRoute(from, to)
-	if err != nil {
-		return math.Inf(1)
+	return m.TravelDistances(from, []Ref{to})[0]
+}
+
+// TravelDistances returns the route length from one ref to each of several,
+// as TravelDistance would give it, from a single search: +Inf for a target
+// that is unresolvable or unreachable. The search stops once every
+// resolvable target has settled.
+func (m *Map) TravelDistances(from Ref, to []Ref) []float64 {
+	out := make([]float64, len(to))
+	for i := range out {
+		out[i] = math.Inf(1)
 	}
-	return r.Length
+	src, err := m.placeIndex(from)
+	if err != nil {
+		return out
+	}
+	targets := make([]int32, len(to))
+	wanted := make([]bool, len(m.ids))
+	pending := 0
+	for i, r := range to {
+		t, err := m.placeIndex(r)
+		if err != nil {
+			targets[i] = -1
+			continue
+		}
+		targets[i] = t
+		if !wanted[t] {
+			wanted[t] = true
+			pending++
+		}
+	}
+	if pending == 0 {
+		return out
+	}
+	nodes := m.search(src, false, func(at int32) bool {
+		if wanted[at] {
+			pending--
+		}
+		return pending == 0
+	})
+	for i, t := range targets {
+		if t >= 0 {
+			out[i] = nodes[t].dist
+		}
+	}
+	return out
+}
+
+// Search states of a place.
+const (
+	unseen uint8 = iota
+	queued
+	settled
+)
+
+// searchNode is one place's state during a route search.
+type searchNode struct {
+	dist  float64 // +Inf until reached
+	prev  int32   // predecessor on the best route found so far
+	door  string  // door on the link from prev
+	state uint8
+}
+
+// queueItem is a heap entry: a place and the distance it was queued at.
+type queueItem struct {
+	dist float64
+	at   int32
+}
+
+func (a queueItem) less(b queueItem) bool {
+	return a.dist < b.dist || (a.dist == b.dist && a.at < b.at)
+}
+
+// search runs Dijkstra from src and returns every place's final state. A
+// binary heap keyed (distance, index) settles places in minimum-distance
+// order with ties to the lower PlaceID; a place whose distance improves is
+// pushed again and its superseded entry skipped when popped. Distances and
+// predecessors change only on a strict improvement, so the first
+// equal-cost route discovered is kept. The search stops once done reports
+// true for a place it has just settled, or when every reachable place has
+// settled. All state is per call: the Map is never written.
+func (m *Map) search(src int32, throughLocked bool, done func(at int32) bool) []searchNode {
+	nodes := make([]searchNode, len(m.ids))
+	for i := range nodes {
+		nodes[i].dist = math.Inf(1)
+	}
+	nodes[src] = searchNode{dist: 0, prev: -1, state: queued}
+	heap := append(make([]queueItem, 0, len(nodes)), queueItem{dist: 0, at: src})
+	for len(heap) > 0 {
+		var cur queueItem
+		cur, heap = popItem(heap)
+		n := &nodes[cur.at]
+		if n.state == settled {
+			continue // superseded entry
+		}
+		n.state = settled
+		if done(cur.at) {
+			break
+		}
+		for _, e := range m.adj[cur.at] {
+			if e.locked && !throughLocked {
+				continue
+			}
+			to := &nodes[e.to]
+			if to.state == settled {
+				continue
+			}
+			nd := cur.dist + e.weight
+			if to.state == unseen || nd < to.dist {
+				*to = searchNode{dist: nd, prev: cur.at, door: e.door, state: queued}
+				heap = pushItem(heap, queueItem{dist: nd, at: e.to})
+			}
+		}
+	}
+	return nodes
+}
+
+func pushItem(h []queueItem, it queueItem) []queueItem {
+	h = append(h, it)
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h[i].less(h[p]) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+	return h
+}
+
+func popItem(h []queueItem) (queueItem, []queueItem) {
+	top := h[0]
+	last := len(h) - 1
+	h[0] = h[last]
+	h = h[:last]
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].less(h[c]) {
+			c = r
+		}
+		if !h[c].less(h[i]) {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+	return top, h
 }

@@ -2,8 +2,11 @@ package location
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -426,4 +429,239 @@ func BenchmarkShortestRoute(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// referenceRoute is the original route search, kept as an oracle for the
+// indexed one: Dijkstra over map-keyed state, extracting the next place by a
+// linear scan for the minimum distance, ties to the lower PlaceID. It builds
+// its own adjacency from Links, in link order.
+func referenceRoute(m *Map, from, to Ref, throughLocked bool) (Route, error) {
+	type refEdge struct {
+		to     PlaceID
+		weight float64
+		locked bool
+		door   string
+	}
+	adj := map[PlaceID][]refEdge{}
+	for _, l := range m.Links() {
+		pa, _ := m.Place(l.A)
+		pb, _ := m.Place(l.B)
+		w := l.Weight
+		if w == 0 {
+			w = pa.Centroid.Distance(pb.Centroid)
+			if math.IsInf(w, 1) {
+				w = 1
+			}
+		}
+		adj[l.A] = append(adj[l.A], refEdge{l.B, w, l.Locked, l.Door})
+		adj[l.B] = append(adj[l.B], refEdge{l.A, w, l.Locked, l.Door})
+	}
+	rf, err := m.Resolve(from)
+	if err != nil {
+		return Route{}, err
+	}
+	rt, err := m.Resolve(to)
+	if err != nil {
+		return Route{}, err
+	}
+	src, dst := rf.Place, rt.Place
+	if src == dst {
+		return Route{Places: []PlaceID{src}}, nil
+	}
+	dist := map[PlaceID]float64{src: 0}
+	prev := map[PlaceID]PlaceID{}
+	prevDoor := map[PlaceID]string{}
+	visited := map[PlaceID]bool{}
+	for {
+		cur := PlaceID("")
+		curD := math.Inf(1)
+		for id, d := range dist {
+			if visited[id] {
+				continue
+			}
+			if d < curD || (d == curD && (cur == "" || id < cur)) {
+				cur, curD = id, d
+			}
+		}
+		if cur == "" {
+			return Route{}, ErrNoPath
+		}
+		if cur == dst {
+			break
+		}
+		visited[cur] = true
+		for _, e := range adj[cur] {
+			if e.locked && !throughLocked {
+				continue
+			}
+			nd := curD + e.weight
+			if old, ok := dist[e.to]; !ok || nd < old {
+				dist[e.to] = nd
+				prev[e.to] = cur
+				prevDoor[e.to] = e.door
+			}
+		}
+	}
+	var places []PlaceID
+	var doors []string
+	for at := dst; ; {
+		places = append(places, at)
+		if at == src {
+			break
+		}
+		doors = append(doors, prevDoor[at])
+		at = prev[at]
+	}
+	for i, j := 0, len(places)-1; i < j; i, j = i+1, j-1 {
+		places[i], places[j] = places[j], places[i]
+	}
+	for i, j := 0, len(doors)-1; i < j; i, j = i+1, j-1 {
+		doors[i], doors[j] = doors[j], doors[i]
+	}
+	return Route{Places: places, Doors: doors, Length: dist[dst]}, nil
+}
+
+// randomMap builds a seeded map of up to 24 places over up to three frames.
+// Centroids sit on a small integer grid and explicit weights are small
+// integers, so equal-cost routes are common; links are sparse enough to leave
+// unreachable components; about one link in five is locked, and links
+// between frames without an explicit weight cost one unit. Place ids are
+// dealt in shuffled order so sorted order differs from insertion order.
+func randomMap(t *testing.T, rng *rand.Rand) *Map {
+	t.Helper()
+	n := 2 + rng.Intn(23)
+	frames := 1 + rng.Intn(3)
+	perm := rng.Perm(n)
+	places := make([]Place, n)
+	for i := range places {
+		id := fmt.Sprintf("p%02d", perm[i])
+		places[i] = Place{
+			ID:   PlaceID(id),
+			Path: Path("site/" + id),
+			Centroid: Point{
+				Frame: fmt.Sprintf("F%d", rng.Intn(frames)),
+				X:     float64(rng.Intn(4)),
+				Y:     float64(rng.Intn(4)),
+			},
+		}
+	}
+	var links []Link
+	for k := rng.Intn(2 * n); k > 0; k-- {
+		a, b := places[rng.Intn(n)], places[rng.Intn(n)]
+		l := Link{A: a.ID, B: b.ID, Door: fmt.Sprintf("d%d", k), Locked: rng.Intn(5) == 0}
+		if a.ID == b.ID || a.Centroid == b.Centroid || rng.Intn(2) == 0 {
+			l.Weight = float64(1 + rng.Intn(3))
+		}
+		links = append(links, l)
+	}
+	m, err := NewMap(places, links)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestRouteMatchesReference: on seeded random maps, the indexed search
+// returns the reference search's route — places, doors and length — for
+// every ordered pair of places, with and without ThroughLockedDoors, and
+// fails with ErrNoPath exactly where the reference does. TravelDistances
+// agrees with TravelDistance for every target, including unresolvable ones.
+func TestRouteMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(26))
+	unreachable := 0
+	for trial := 0; trial < 200; trial++ {
+		m := randomMap(t, rng)
+		ids := m.Places()
+		targets := make([]Ref, 0, len(ids)+2)
+		for _, id := range ids {
+			targets = append(targets, AtPlace(id))
+		}
+		targets = append(targets, Ref{}, AtPath("site/nowhere"))
+		for _, a := range ids {
+			for _, b := range ids {
+				for _, locked := range []bool{false, true} {
+					var opts []RouteOption
+					if locked {
+						opts = append(opts, ThroughLockedDoors())
+					}
+					got, err := m.ShortestRoute(AtPlace(a), AtPlace(b), opts...)
+					want, werr := referenceRoute(m, AtPlace(a), AtPlace(b), locked)
+					if errors.Is(werr, ErrNoPath) {
+						unreachable++
+						if !errors.Is(err, ErrNoPath) {
+							t.Fatalf("trial %d %s→%s locked=%v: got %+v, %v; reference finds no path", trial, a, b, locked, got, err)
+						}
+						continue
+					}
+					if werr != nil || err != nil {
+						t.Fatalf("trial %d %s→%s: err %v, reference err %v", trial, a, b, err, werr)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("trial %d %s→%s locked=%v:\n got %+v\nwant %+v", trial, a, b, locked, got, want)
+					}
+				}
+			}
+			ds := m.TravelDistances(AtPlace(a), targets)
+			for i, to := range targets {
+				if d := m.TravelDistance(AtPlace(a), to); d != ds[i] && !(math.IsInf(d, 1) && math.IsInf(ds[i], 1)) {
+					t.Fatalf("trial %d from %s to %v: TravelDistances %v, TravelDistance %v", trial, a, to, ds[i], d)
+				}
+			}
+		}
+	}
+	if unreachable == 0 {
+		t.Fatal("no unreachable pair generated: the maps do not exercise ErrNoPath")
+	}
+}
+
+// TestTravelDistancesUnresolvableSource: an unresolvable source gives +Inf
+// for every target, and an empty target list gives an empty answer.
+func TestTravelDistancesUnresolvableSource(t *testing.T) {
+	m := testMap(t)
+	for _, d := range m.TravelDistances(Ref{}, []Ref{AtPlace("l10.01"), AtPlace("l10.lobby")}) {
+		if !math.IsInf(d, 1) {
+			t.Fatalf("distance from an unresolvable source = %v, want +Inf", d)
+		}
+	}
+	if ds := m.TravelDistances(AtPlace("l10.lobby"), nil); len(ds) != 0 {
+		t.Fatalf("no targets gave %v", ds)
+	}
+}
+
+// TestConcurrentSearches: searches from several goroutines at once share
+// only the immutable Map, so each gets the answer a lone search gives (run
+// with -race).
+func TestConcurrentSearches(t *testing.T) {
+	m := randomMap(t, rand.New(rand.NewSource(7)))
+	ids := m.Places()
+	targets := make([]Ref, len(ids))
+	for i, id := range ids {
+		targets[i] = AtPlace(id)
+	}
+	want := make([][]float64, len(ids))
+	wantRoute := make([]Route, len(ids))
+	for i, id := range ids {
+		want[i] = m.TravelDistances(AtPlace(id), targets)
+		wantRoute[i], _ = m.ShortestRoute(AtPlace(id), targets[0], ThroughLockedDoors())
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for rep := 0; rep < 20; rep++ {
+				for i, id := range ids {
+					if got := m.TravelDistances(AtPlace(id), targets); !reflect.DeepEqual(got, want[i]) {
+						t.Errorf("concurrent distances from %s = %v, want %v", id, got, want[i])
+						return
+					}
+					if got, _ := m.ShortestRoute(AtPlace(id), targets[0], ThroughLockedDoors()); !reflect.DeepEqual(got, wantRoute[i]) {
+						t.Errorf("concurrent route from %s = %+v, want %+v", id, got, wantRoute[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -17,7 +17,9 @@
 // door sightings rebind to W-LAN sightings (experiment E9, the iQueue
 // critique). Resolved sub-graphs are cached and reused across queries while
 // the profile store is unchanged (Solar's scalability idea); the cache
-// invalidates on any profile mutation.
+// invalidates on any profile mutation. The cache is bypassed whenever
+// Context.LiveOnly is set, and a Range's Submit always sets it, so queries
+// submitted through a Range never reuse a sub-graph.
 package resolver
 
 import (
@@ -478,18 +480,29 @@ func (r *Resolver) meetsWhere(p profile.Profile, w query.Where, ctx Context) boo
 }
 
 // rankCandidates orders candidates best-first under the Which criterion,
-// falling back to (score, quality, GUID).
+// falling back to (score, quality, GUID). Under the closest criterion every
+// candidate's travel distance is computed once, by one search from the
+// owner, before sorting; a candidate with no location ranks at +Inf, and
+// without a map every candidate does.
 func (r *Resolver) rankCandidates(cands []profile.Candidate, q query.Query, ctx Context) {
 	crit := q.Which.Criterion
 	if crit == "" && q.Where.Implicit == query.ImplicitClosest {
 		crit = query.CriterionClosest
 	}
-	less := func(a, b profile.Candidate) bool {
+	var dist []float64 // travel distance from the owner, aligned with cands
+	if crit == query.CriterionClosest && r.places != nil {
+		to := make([]location.Ref, len(cands))
+		for i, c := range cands {
+			to[i] = c.Profile.Location
+		}
+		dist = r.places.TravelDistances(ctx.OwnerLocation, to)
+	}
+	less := func(i, j int) bool {
+		a, b := cands[i], cands[j]
 		switch crit {
 		case query.CriterionClosest:
-			da, db := r.distanceTo(a.Profile, ctx), r.distanceTo(b.Profile, ctx)
-			if da != db {
-				return da < db
+			if dist != nil && dist[i] != dist[j] {
+				return dist[i] < dist[j]
 			}
 		case query.CriterionShortestQueue:
 			qa, qb := attrFloat(a.Profile, "queue", math.Inf(1)), attrFloat(b.Profile, "queue", math.Inf(1))
@@ -511,19 +524,16 @@ func (r *Resolver) rankCandidates(cands []profile.Candidate, q query.Query, ctx 
 		return guid.Less(a.Profile.Entity, b.Profile.Entity)
 	}
 	// Insertion sort: candidate lists are small and this keeps the
-	// comparator stable without an extra dependency.
+	// comparator stable without an extra dependency. Distances move with
+	// their candidates.
 	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && less(cands[j], cands[j-1]); j-- {
+		for j := i; j > 0 && less(j, j-1); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
+			if dist != nil {
+				dist[j], dist[j-1] = dist[j-1], dist[j]
+			}
 		}
 	}
-}
-
-func (r *Resolver) distanceTo(p profile.Profile, ctx Context) float64 {
-	if r.places == nil || p.Location.Empty() || ctx.OwnerLocation.Empty() {
-		return math.Inf(1)
-	}
-	return r.places.TravelDistance(ctx.OwnerLocation, p.Location)
 }
 
 // effectiveQuality is the profile's own quality, else the registry default
