@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lint lint-stats test examples fuzz-smoke bench bench-smoke check
+.PHONY: build vet fmt lint lint-stats test examples experiments fuzz-smoke bench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -40,6 +40,12 @@ examples:
 		timeout 60 "$$dir/$$e" || { echo "examples/$$e failed (exit $$?)"; exit 1; }; \
 	done
 
+# Every registered experiment (internal/sim) at the default sizes, timing
+# bars included; fails if any bar fails. BENCH_experiments.json records each
+# run's tables and verdict.
+experiments:
+	$(GO) run ./cmd/scibench -json BENCH_experiments.json
+
 # go test fuzzes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/wire/
@@ -55,4 +61,4 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -workload xr-stream -seconds 2 | tee /dev/stderr | grep -q '"correct":true'
 
-check: build vet fmt lint test examples
+check: build vet fmt lint test examples experiments

@@ -1,6 +1,7 @@
 package eventbus
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -323,32 +324,39 @@ func TestSubscriptionAccessors(t *testing.T) {
 	}
 }
 
-func BenchmarkPublish1Sub(b *testing.B) {
-	benchPublish(b, 1)
-}
-
-func BenchmarkPublish16Subs(b *testing.B) {
-	benchPublish(b, 16)
-}
-
-func BenchmarkPublish256Subs(b *testing.B) {
-	benchPublish(b, 256)
-}
-
-func benchPublish(b *testing.B, nsubs int) {
-	bus := New(nil)
-	defer bus.Close()
-	for i := 0; i < nsubs; i++ {
-		if _, err := bus.Subscribe(event.Filter{}, func(event.Event) {}, WithQueueLen(4096)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	e := mkEvent(ctxtype.TemperatureCelsius, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := bus.Publish(e); err != nil {
-			b.Fatal(err)
+// BenchmarkPublish measures one Publish across total-subscription counts.
+// In exact mode each subscriber filters on its own concrete type and every
+// publish matches one of them, so an indexed dispatch costs the same at
+// every count, with 0 allocs/op. In wildcard mode every subscriber matches
+// every event, so the cost grows with the count.
+func BenchmarkPublish(b *testing.B) {
+	for _, mode := range []string{"exact", "wildcard"} {
+		for _, subs := range []int{1, 100, 10000} {
+			b.Run(fmt.Sprintf("%s/subs=%d", mode, subs), func(b *testing.B) {
+				bus := New(nil)
+				defer bus.Close()
+				for i := 0; i < subs; i++ {
+					f := event.Filter{Type: ctxtype.Type(fmt.Sprintf("bench.sub%d", i))}
+					if mode == "wildcard" {
+						f = event.Filter{}
+					}
+					if _, err := bus.Subscribe(f, func(event.Event) {}, WithQueueLen(64)); err != nil {
+						b.Fatal(err)
+					}
+				}
+				e := mkEvent("bench.sub0", 0)
+				// Warm the dispatch path (index key cache, target pools) before timing.
+				if err := bus.Publish(e); err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := bus.Publish(e); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -195,8 +195,9 @@ func (s Snapshot) DurationString() string {
 		time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.Max))
 }
 
-// Registry is a named collection of metrics, used by cmd/scibench to print
-// experiment outputs. Safe for concurrent use; the zero value is usable.
+// Registry is a named collection of metrics; server.Range.FillMetrics
+// exports a Range's gauges into one. Safe for concurrent use; the zero
+// value is usable.
 type Registry struct {
 	mu      sync.Mutex
 	counts  map[string]*Counter

@@ -371,6 +371,74 @@ func TestCrossRangeBatchBudget(t *testing.T) {
 	}
 }
 
+// TestFleetDispatchStatsRollup: after a cross-range fan-out to two
+// subscriber Ranges, the fleet rollup covers all three Ranges, its totals
+// are the sums of the per-Range figures, and nothing was dropped.
+func TestFleetDispatchStatsRollup(t *testing.T) {
+	const n = 64
+	fn := newFanNet(t, 3, 8)
+	defer fn.close()
+	fA := fn.fabrics[0]
+	waitCoverage(t, fn)
+
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	var recv []*counter
+	for _, f := range fn.fabrics[1:] {
+		c := newCounter()
+		if _, err := f.SubscribeRemote(guid.New(guid.KindApplication), flt, c.handle); err != nil {
+			t.Fatal(err)
+		}
+		recv = append(recv, c)
+	}
+	waitFor(t, func() bool {
+		return fA.knowsInterest(fn.fabrics[1].NodeID()) && fA.knowsInterest(fn.fabrics[2].NodeID()) && fA.hasTap()
+	})
+	if err := fn.ranges[0].PublishAll(makeEvents(n, fn.clk)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return recv[0].exactlyOnce(n) && recv[1].exactlyOnce(n) })
+
+	// The probe deadline runs on the manual clock: if a peer never answers,
+	// advance it so the call returns before the test fails.
+	done := make(chan *FleetStats, 1)
+	go func() {
+		fs, err := fA.FleetDispatchStats(time.Second)
+		if err != nil {
+			t.Error(err)
+		}
+		done <- fs
+	}()
+	var fs *FleetStats
+	select {
+	case fs = <-done:
+	case <-time.After(5 * time.Second):
+		fn.clk.Advance(time.Second)
+		<-done
+		t.Fatal("a fabric never answered the stats probe")
+	}
+	if fs == nil {
+		t.FailNow()
+	}
+	if fs.Ranges != 3 || len(fs.PerRange) != 3 {
+		t.Fatalf("rollup covers %d Ranges (%d entries), want 3", fs.Ranges, len(fs.PerRange))
+	}
+	var published float64
+	for _, pr := range fs.PerRange {
+		// The publisher published the burst; each subscriber Range
+		// re-published the copy it ingested.
+		if pr.Stats["published"] < n {
+			t.Errorf("%s published %v events, want at least %d", pr.Name, pr.Stats["published"], n)
+		}
+		published += pr.Stats["published"]
+	}
+	if fs.Totals["published"] != published {
+		t.Fatalf("Totals[published] = %v, want the per-Range sum %v", fs.Totals["published"], published)
+	}
+	if fs.Totals["dropped"] != 0 {
+		t.Fatalf("fleet dropped %v events", fs.Totals["dropped"])
+	}
+}
+
 // TestCrossRangeDelayFlush: a partial batch is held for BatchMaxDelay and
 // flushed by the timer, not dribbled per event.
 func TestCrossRangeDelayFlush(t *testing.T) {

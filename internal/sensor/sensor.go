@@ -6,9 +6,10 @@
 // The substitution preserves the behaviour that matters to the middleware:
 // the infrastructure only ever sees typed events arriving through the same
 // CE interfaces a hardware driver would use, so discovery, registration,
-// composition and dissemination exercise identical code paths (see
-// DESIGN.md, substitutions table). internal/mobility drives these sensors
-// from a simulated world; tests drive them directly.
+// composition and dissemination exercise identical code paths.
+// internal/mobility drives these sensors from a simulated world; the
+// experiments in internal/sim (each entry's Claim names what it reproduces)
+// and the tests drive them directly.
 //
 // Every sensor is a Context Entity (embeds entity.Base) with a truthful
 // Profile, so the Query Resolver can discover and bind them.

@@ -1,6 +1,8 @@
 // Package sim provides the experiment harness: synthetic buildings, the
-// Section 5 CAPA scenario, and the per-figure experiments of DESIGN.md
-// (E1–E10), each regenerable from cmd/scibench and the root benchmarks.
+// Section 5 CAPA scenario, and the experiment registry (Experiments), whose
+// entries each name in their Claim the paper section, figure or subsystem
+// promise they reproduce. cmd/scibench runs the registry; the package
+// tests run it at Quick scale.
 package sim
 
 import (

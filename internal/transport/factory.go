@@ -9,8 +9,8 @@ import (
 )
 
 // Config selects and tunes a transport backend by name, so deployments
-// (cmd/scid, cmd/scibench, simulations) pick their network — and its wire
-// codec — from configuration instead of hard-wiring a constructor.
+// (through sci.NewNetwork) pick their network — and its wire codec — from
+// configuration instead of hard-wiring a constructor.
 type Config struct {
 	// Backend names the transport: "memory" (default) or "tcp". Additional
 	// backends register with Register.
