@@ -373,16 +373,20 @@ func TestThrottledBufferShedsOldest(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddFlushCredit exercises the locking under -race.
+// TestConcurrentAddFlushCredit exercises the locking under -race. The
+// credit goroutine throttles the coalescer, and a throttled coalescer sheds
+// its oldest events, so the check is conservation: every event added is
+// delivered, shed, or dropped by the final Discard.
 func TestConcurrentAddFlushCredit(t *testing.T) {
 	rec := &recorder{}
+	st := &SharedStats{}
 	c := New(Config{
 		Clock:    clock.Real(),
 		MaxBatch: 16,
 		MaxDelay: time.Millisecond,
 		Send:     rec.send,
 		Adaptive: Adaptive{Enabled: true},
-		Stats:    &SharedStats{},
+		Stats:    st,
 	})
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -404,9 +408,12 @@ func TestConcurrentAddFlushCredit(t *testing.T) {
 	}()
 	wg.Wait()
 	c.Flush()
+	discarded := c.PendingLen()
 	c.Discard()
-	if got := len(rec.events()); got != 4*200*3 {
-		t.Fatalf("delivered %d events, want %d", got, 4*200*3)
+	delivered, shed := len(rec.events()), int(st.EventsShed.Value())
+	if got := delivered + shed + discarded; got != 4*200*3 {
+		t.Fatalf("delivered %d + shed %d + discarded %d = %d events, want %d",
+			delivered, shed, discarded, got, 4*200*3)
 	}
 }
 

@@ -24,9 +24,9 @@ type Delivery struct {
 	AppKind string
 	// Payload is the opaque application body.
 	Payload json.RawMessage
-	// Batch carries the event batch when the payload was routed with
-	// RouteBatch. Consumers must treat it as shared and read-only: the same
-	// pointer may fan out to several local deliveries.
+	// Batch carries the event batch when the payload was sent with Send.
+	// Consumers must treat it as shared and read-only: the same pointer may
+	// fan out to several local deliveries.
 	Batch *wire.NativeBatch
 	// Hops is the number of overlay forwards taken.
 	Hops int
@@ -117,6 +117,9 @@ type routeBody struct {
 	AppKind string          `json:"app_kind"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 	Hops    int             `json:"hops"`
+	// batch is the event batch a Send put on the envelope (Message.Batch);
+	// never encoded in the body, and never carried by key-based forwarding.
+	batch *wire.NativeBatch
 }
 
 type gossipBody struct {
@@ -297,38 +300,51 @@ func (n *Node) forget(id guid.GUID) {
 	}
 }
 
-// Route implements Router. The payload travels greedily toward target; it
-// is delivered at target itself, or at the closest reachable node when the
-// target is unknown (key-based routing semantics).
+// Route implements Router: the key-based routing primitive experiment E1
+// measures. The payload travels greedily toward target; it is delivered at
+// target itself, or at the closest reachable node when the target is
+// unknown. An application that already knows its peer uses Send instead.
 func (n *Node) Route(target guid.GUID, appKind string, payload []byte) error {
-	return n.RouteBatch(target, appKind, payload, nil)
+	return n.forward(routeBody{Target: target, Origin: n.id, AppKind: appKind, Payload: payload})
 }
 
-// RouteBatch routes an application payload accompanied by an event batch.
-// The batch rides the wire envelope (Message.Batch), not the JSON payload,
-// hop by hop to the destination's Delivery. It is shared from this call on
-// — neither the caller nor any consumer may mutate it.
-func (n *Node) RouteBatch(target guid.GUID, appKind string, payload []byte, batch *wire.NativeBatch) error {
-	body := routeBody{
-		Target:  target,
-		Origin:  n.id,
-		AppKind: appKind,
-		Payload: payload,
-		Hops:    0,
+// Send delivers an application payload straight to peer in one hop: no
+// next-hop lookup, no retry through another node, never a delivery on this
+// node. When the transport refuses, peer is forgotten (firing Forgot) and
+// the error returned. The batch, when non-nil, rides the wire envelope
+// (Message.Batch) to the peer's Delivery; it is shared from this call on —
+// neither the caller nor any consumer may mutate it.
+func (n *Node) Send(peer guid.GUID, appKind string, payload []byte, batch *wire.NativeBatch) error {
+	n.mu.Lock()
+	closed := n.closed
+	n.mu.Unlock()
+	if closed {
+		return ErrClosed
 	}
-	return n.forward(body, batch)
+	m, err := wire.NewMessage(n.id, peer, wire.KindOverlayRoute,
+		routeBody{Target: peer, Origin: n.id, AppKind: appKind, Payload: payload})
+	if err != nil {
+		return err
+	}
+	m.TTL = n.maxTTL
+	m.Batch = batch
+	if err := n.ep.Send(m); err != nil {
+		n.forget(peer)
+		return err
+	}
+	return nil
 }
 
-// forward advances a route body one step from this node.
-func (n *Node) forward(body routeBody, batch *wire.NativeBatch) error {
+// forward advances a key-routed body one step from this node.
+func (n *Node) forward(body routeBody) error {
 	if body.Target == n.id {
-		n.deliverLocal(body, batch)
+		n.deliverLocal(body)
 		return nil
 	}
 	hop := n.st.nextHop(body.Target)
 	if hop.IsNil() {
 		// No strictly closer node known: deliver here (closest node).
-		n.deliverLocal(body, batch)
+		n.deliverLocal(body)
 		return nil
 	}
 	if body.Hops >= n.maxTTL {
@@ -340,7 +356,6 @@ func (n *Node) forward(body routeBody, batch *wire.NativeBatch) error {
 		return err
 	}
 	m.TTL = n.maxTTL - body.Hops
-	m.Batch = batch
 	if err := n.ep.Send(m); err != nil {
 		// The hop is unreachable: drop it from our tables and retry once
 		// with the next best candidate (self-healing routing).
@@ -352,13 +367,13 @@ func (n *Node) forward(body routeBody, batch *wire.NativeBatch) error {
 			}
 			n.forget(retry)
 		}
-		n.deliverLocal(body, batch)
+		n.deliverLocal(body)
 		return nil
 	}
 	return nil
 }
 
-func (n *Node) deliverLocal(body routeBody, batch *wire.NativeBatch) {
+func (n *Node) deliverLocal(body routeBody) {
 	n.delivered.Inc()
 	n.RouteHops.Record(int64(body.Hops))
 	if n.cfg.Deliver != nil {
@@ -367,7 +382,7 @@ func (n *Node) deliverLocal(body routeBody, batch *wire.NativeBatch) {
 			Origin:  body.Origin,
 			AppKind: body.AppKind,
 			Payload: body.Payload,
-			Batch:   batch,
+			Batch:   body.batch,
 			Hops:    body.Hops,
 		})
 	}
@@ -405,7 +420,8 @@ func (n *Node) handle(m wire.Message) {
 		if body.Target != n.id {
 			n.relayed.Inc()
 		}
-		_ = n.forward(body, m.Batch)
+		body.batch = m.Batch
+		_ = n.forward(body)
 	case wire.KindOverlayPing:
 		var gb gossipBody
 		if err := m.DecodeBody(&gb); err == nil {

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"math/rand"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"sci/internal/clock"
 	"sci/internal/guid"
 	"sci/internal/transport"
+	"sci/internal/wire"
 )
 
 func waitFor(t *testing.T, cond func() bool) {
@@ -299,6 +301,81 @@ func TestCloseIsIdempotentAndStopsRouting(t *testing.T) {
 	}
 	if err := n.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSendOneHopSharesBatch: Send reaches a known peer on the direct link
+// — no forwards — and hands its Delivery the very batch pointer it was given.
+func TestSendOneHopSharesBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	nodes, sinks, net := buildOverlay(t, 8, rng)
+	defer closeAll(t, nodes, net)
+	src, dst := nodes[0], nodes[len(nodes)-1]
+	batch := &wire.NativeBatch{}
+	if err := src.Send(dst.ID(), "direct", []byte(`"x"`), batch); err != nil {
+		t.Fatal(err)
+	}
+	sink := sinks[dst.ID()]
+	waitFor(t, func() bool { return sink.count() == 1 })
+	d := sink.all()[0]
+	if d.Hops != 0 || d.Origin != src.ID() || d.Target != dst.ID() || d.AppKind != "direct" {
+		t.Fatalf("delivery = %+v", d)
+	}
+	if d.Batch != batch {
+		t.Fatal("Delivery.Batch is not the batch that was sent")
+	}
+	for _, n := range nodes {
+		if n.Relayed() != 0 {
+			t.Fatalf("node %s relayed a direct send", n.ID().Short())
+		}
+	}
+}
+
+// TestSendToUnattachedPeerFails: a refused send is an error and one Forgot
+// call, never a delivery on the sender (the key-based Route's fallback).
+func TestSendToUnattachedPeerFails(t *testing.T) {
+	net := NewTestMemory()
+	defer net.Close()
+	var forgot []guid.GUID // Forgot runs synchronously inside Send
+	own := &deliverySink{}
+	n, err := NewNode(Config{
+		Network: net,
+		Deliver: own.add,
+		Forgot:  func(id guid.GUID) { forgot = append(forgot, id) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	ghost := guid.New(guid.KindServer)
+	if err := n.Send(ghost, "lost", nil, &wire.NativeBatch{}); err == nil {
+		t.Fatal("send to an unattached GUID succeeded")
+	}
+	if len(forgot) != 1 || forgot[0] != ghost {
+		t.Fatalf("Forgot calls = %v, want exactly [%s]", forgot, ghost.Short())
+	}
+	if own.count() != 0 || n.Delivered() != 0 {
+		t.Fatalf("the failed send was delivered on the sender (%d deliveries)", own.count())
+	}
+}
+
+func TestSendOnClosedNode(t *testing.T) {
+	net := NewTestMemory()
+	defer net.Close()
+	a, err := NewNode(Config{Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewNode(Config{Network: net})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(b.ID(), "late", nil, nil); !errors.Is(err, ErrClosed) {
+		t.Fatalf("send on a closed node = %v, want ErrClosed", err)
 	}
 }
 

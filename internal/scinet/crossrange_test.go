@@ -875,3 +875,40 @@ func TestCancelWithdrawsServedQuery(t *testing.T) {
 	waitFor(t, func() bool { return len(tr.l10.Runtime().Active()) == 0 })
 	waitFor(t, func() bool { return !tr.l10.Registrar().IsLive(caa.ID()) })
 }
+
+// TestDeadPeerSendIsNotAnEcho pins how a lost delivery surfaces. B's
+// overlay endpoint goes away without a scinet.leave, so the memory
+// transport refuses A's batch with ErrUnknownDestination (Partition would
+// lose it silently instead). The refused send must tear B down at A —
+// peerGone drops B's interest entry and withdraws A's tap — and must be
+// booked neither as a forwarded batch nor as an echo.
+func TestDeadPeerSendIsNotAnEcho(t *testing.T) {
+	const maxBatch = 8
+	fn := newFanNet(t, 2, maxBatch)
+	defer fn.close()
+	fA, fB := fn.fabrics[0], fn.fabrics[1]
+	waitCoverage(t, fn)
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	if _, err := fB.SubscribeRemote(guid.New(guid.KindApplication), flt, func(event.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return fA.knowsInterest(fB.NodeID()) && fA.hasTap() })
+
+	if err := fB.node.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fwd, echoes := fA.BatchesForwarded.Value(), fA.EchoesDropped.Value()
+	if err := fn.ranges[0].PublishAll(makeEvents(maxBatch, fn.clk)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return !fA.knowsInterest(fB.NodeID()) && !fA.hasTap() })
+	// peerGone ran inside the fan-out flush; a second flush waits for that
+	// one to return, so every counter it would move has moved.
+	fA.fan.Flush()
+	if got := fA.BatchesForwarded.Value() - fwd; got != 0 {
+		t.Errorf("BatchesForwarded moved by %d for a batch the transport refused", got)
+	}
+	if got := fA.EchoesDropped.Value() - echoes; got != 0 {
+		t.Errorf("EchoesDropped moved by %d: a lost delivery was booked as an echo", got)
+	}
+}

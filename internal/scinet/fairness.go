@@ -130,7 +130,7 @@ func (f *Fabric) relayTo(to guid.GUID, payload []byte, batch *wire.NativeBatch) 
 		rq.mu.Lock()
 		if !rq.dead && len(rq.pending) == 0 && rq.timer == nil {
 			rq.mu.Unlock()
-			if f.node.RouteBatch(to, appEventBatch, payload, batch) == nil {
+			if f.node.Send(to, appEventBatch, payload, batch) == nil {
 				f.BatchesRelayed.Inc()
 				f.noteSubtreeForward(to)
 			}
@@ -171,7 +171,7 @@ func (f *Fabric) drainRelay(to guid.GUID, rq *relayQueue) {
 	rq.pending = nil
 	rq.mu.Unlock()
 	for _, it := range pending {
-		if f.node.RouteBatch(to, appEventBatch, it.payload, it.batch) == nil {
+		if f.node.Send(to, appEventBatch, it.payload, it.batch) == nil {
 			f.BatchesRelayed.Inc()
 			f.noteSubtreeForward(to)
 		}
@@ -217,7 +217,7 @@ func (f *Fabric) noteQueryAck(to guid.GUID, events int) {
 	a.Note(events)
 }
 
-// sendQueryAck routes one cumulative routed-query credit frame: QueryAck
+// sendQueryAck sends one cumulative routed-query credit frame: QueryAck
 // marks it as applying to every per-(peer, query) coalescer toward this
 // fabric at the receiver.
 func (f *Fabric) sendQueryAck(to guid.GUID, events int) error {
@@ -232,7 +232,7 @@ func (f *Fabric) sendQueryAck(to guid.GUID, events int) error {
 	if err != nil {
 		return nil // unencodable: dropping the report is all we can do
 	}
-	err = f.node.Route(to, appEventBatchAck, payload)
+	err = f.node.Send(to, appEventBatchAck, payload, nil)
 	if err == nil {
 		f.AcksSent.Inc()
 	}

@@ -87,28 +87,17 @@ type HierarchyConfig struct {
 	DigestWindow time.Duration
 }
 
-// digestMsg is one hierarchy digest announcement. Exactly one of
-// Child/Down/Peer states the sender's relation to the receiver, so the
-// receiver files the digest in the right table; Remove withdraws the
-// sender's digest (departure).
-//
-// To names the link the update is for. Digest links are point-to-point but
-// ride a DHT overlay whose Route falls back to closest-node delivery while
-// the fleet is still converging (including looping a pre-Join send straight
-// back to the sender) — and a misdelivered digest would otherwise latch the
-// sender's sent-state and suppress every retry. A receiver that is not To
-// bounces a Nak to the owner, which unlatches the link and retries on the
-// window timer.
+// digestMsg is one hierarchy digest announcement, sent on the direct link
+// to the neighbor it is for. Exactly one of Child/Down/Peer states the
+// sender's relation to the receiver, so the receiver files the digest in
+// the right table; Remove withdraws the sender's digest (departure).
 type digestMsg struct {
 	Owner  guid.GUID `json:"owner"`
-	To     guid.GUID `json:"to"`
-	Nak    bool      `json:"nak,omitempty"`
 	Child  bool      `json:"child,omitempty"`
 	Down   bool      `json:"down,omitempty"`
 	Peer   bool      `json:"peer,omitempty"`
 	Remove bool      `json:"remove,omitempty"`
-	// Digest is the wire.EncodeDigest binary form (absent with Remove and
-	// Nak).
+	// Digest is the wire.EncodeDigest binary form (absent with Remove).
 	Digest []byte `json:"digest,omitempty"`
 }
 
@@ -337,18 +326,18 @@ func (f *Fabric) isHierPeerLocked(id guid.GUID) bool {
 	return false
 }
 
-// sendDigestTo builds and routes the digest owed to one hierarchy link,
+// sendDigestTo builds and sends the digest owed to one hierarchy link,
 // stamped with the next generation. An unchanged summary is suppressed
 // (the delta behavior: churn that cancels out never reaches the wire).
-// Reports success; a false return makes the update coalescer retry on its
-// window timer.
+// A failed send has already run peerGone for the link, clearing its
+// sent-state and stopping its coalescer; the next touch rebuilds both.
 func (f *Fabric) sendDigestTo(to guid.GUID) bool {
 	f.mu.Lock()
 	if f.closed || !f.hierOn {
 		f.mu.Unlock()
 		return true
 	}
-	msg := digestMsg{Owner: f.node.ID(), To: to}
+	msg := digestMsg{Owner: f.node.ID()}
 	var d *wire.Digest
 	switch {
 	case to == f.hier.Parent:
@@ -377,51 +366,11 @@ func (f *Fabric) sendDigestTo(to guid.GUID) bool {
 	if err != nil {
 		return true // unencodable: dropping the update is all we can do
 	}
-	if f.node.Route(to, appDigest, payload) != nil {
-		f.mu.Lock()
-		if f.digestSent[to] == d {
-			delete(f.digestSent, to)
-		}
-		f.mu.Unlock()
+	if f.node.Send(to, appDigest, payload, nil) != nil {
 		return false
 	}
 	f.DigestUpdatesSent.Inc()
 	return true
-}
-
-// refreshDigestLinks unlatches every digest link and re-touches them —
-// called when a new fleet member's coverage arrives. Routes that fell back
-// to closest-node delivery before may reach their true target now that the
-// overlay knows strictly more, and this also recovers the rare update whose
-// bounce was itself misrouted. Steady fleets never take this path.
-func (f *Fabric) refreshDigestLinks() {
-	f.mu.Lock()
-	if f.closed || !f.hierOn {
-		f.mu.Unlock()
-		return
-	}
-	for id := range f.digestSent {
-		delete(f.digestSent, id)
-	}
-	f.mu.Unlock()
-	f.touchDigestAnnouncements()
-}
-
-// retryDigestLink unlatches one link's sent-state after a bounced or
-// looped-back update, so the next window-timer firing resends it.
-func (f *Fabric) retryDigestLink(to guid.GUID) {
-	if to.IsNil() {
-		return
-	}
-	f.mu.Lock()
-	if f.closed || !f.hierOn || f.digestSent[to] == nil {
-		f.mu.Unlock()
-		return
-	}
-	delete(f.digestSent, to)
-	c := f.digestCoalLocked(to)
-	f.mu.Unlock()
-	c.Touch()
 }
 
 // handleDigest ingests one hierarchy digest announcement: it is filed by
@@ -432,22 +381,6 @@ func (f *Fabric) retryDigestLink(to guid.GUID) {
 func (f *Fabric) handleDigest(d overlay.Delivery) {
 	var msg digestMsg
 	if json.Unmarshal(d.Payload, &msg) != nil {
-		return
-	}
-	if msg.Nak || msg.Owner == f.node.ID() {
-		// A wrong receiver bounced our update, or our own send looped back
-		// (pre-Join routing with an empty table delivers locally): unlatch
-		// the link so the window timer retries it.
-		f.retryDigestLink(msg.To)
-		return
-	}
-	if msg.To != f.node.ID() {
-		// Misdelivered: the overlay routed the owner's update to us because
-		// it did not know the real target yet. Bounce it so the owner
-		// retries instead of believing the link is up to date.
-		if nak, err := json.Marshal(digestMsg{Owner: f.node.ID(), To: msg.To, Nak: true}); err == nil {
-			_ = f.node.Route(msg.Owner, appDigest, nak)
-		}
 		return
 	}
 	var dig *wire.Digest
@@ -679,7 +612,7 @@ func (f *Fabric) withdrawFlatAnnouncements() {
 		}
 		f.sentGen[peer] = gen
 		f.mu.Unlock()
-		_ = f.node.Route(peer, appInterest, payload)
+		_ = f.node.Send(peer, appInterest, payload, nil)
 	}
 }
 

@@ -420,7 +420,7 @@ func TestInterestDeltaAnnouncements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.node.Route(fb.NodeID(), appInterest, hello); err != nil {
+	if err := rec.node.Send(fb.NodeID(), appInterest, hello, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return fb.knowsInterest(rec.node.ID()) })
@@ -508,7 +508,7 @@ func TestInterestSyncReplyClearsGhostEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fa.node.Route(fb.NodeID(), appInterestSync, sync); err != nil {
+	if err := fa.node.Send(fb.NodeID(), appInterestSync, sync, nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return !fa.knowsInterest(fb.NodeID()) })
@@ -538,4 +538,45 @@ func TestInterestSnapshotSkipsEmptyEntries(t *testing.T) {
 	if len(snap) != 1 || snap[0].owner != full {
 		t.Fatalf("snapshot holds %d entries, want only the non-empty one", len(snap))
 	}
+}
+
+// TestDigestReachesLateConfiguredParent: a child that already holds an
+// interest activates its hierarchy before its parent is configured, so its
+// first digest reaches a parent that drops it. The child must re-send the
+// digest once it first hears from the parent (the parent's coverage), or
+// the parent would never route the child's interest.
+func TestDigestReachesLateConfiguredParent(t *testing.T) {
+	net := transport.NewMemory(transport.MemoryConfig{})
+	defer net.Close()
+	var fabs []*Fabric
+	for i := 0; i < 2; i++ {
+		rng := server.New(server.Config{
+			Name:     fmt.Sprintf("late%d", i),
+			Coverage: location.Path(fmt.Sprintf("campus/late%d", i)),
+		})
+		defer rng.Close()
+		f, err := NewFabric(rng, net, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		fabs = append(fabs, f)
+	}
+	parent, child := fabs[0], fabs[1]
+	topic := ctxtype.Type("late.topic")
+	child.AddInterest(event.Filter{Type: topic})
+	child.SetHierarchy(HierarchyConfig{Parent: parent.NodeID(), Level: 1})
+	// The child's first digest lands while the parent is unconfigured. A
+	// probe queued behind it on the parent's inbox shows it was handled:
+	// the parent's second delivery starts only after the digest's returns.
+	waitFor(t, func() bool { return child.DigestUpdatesSent.Value() > 0 })
+	if err := child.node.Send(parent.NodeID(), "test.probe", nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return parent.node.Delivered() >= 2 })
+	parent.SetHierarchy(HierarchyConfig{SuperPeer: true})
+	if err := child.Join(parent.NodeID()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return parent.childMatches(child.NodeID(), topic) })
 }

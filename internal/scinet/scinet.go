@@ -9,8 +9,11 @@
 // ("campus/lt/l10"); a query whose Where clause names an area covered by
 // another Range is forwarded to that Range's Context Server — exactly the
 // CAPA scenario's hop from the lift-lobby Range to the Level Ten Range —
-// and the resulting context events are routed back to the querying
-// application through the overlay.
+// and the resulting context events travel back to the querying
+// application on direct links. The overlay supplies membership and GUID
+// addressing; every fabric-to-fabric message goes one hop, straight to a
+// peer the fabric already knows (overlay.Node.Send), so a dead peer shows
+// up as a failed send and peer teardown, never as a delivery elsewhere.
 //
 // # Cross-range fan-out
 //
@@ -18,7 +21,7 @@
 // A Range announces cross-range interests (event filters) to its peers;
 // each peer taps its own Event Mediator through a batch subscription and
 // forwards matching publishes as coalesced scinet.event_batch payloads —
-// one overlay message per BatchMaxEvents events per interested peer, not
+// one message per BatchMaxEvents events per interested peer, not
 // one per event. The receiving fabric ingests a whole batch through
 // Range.PublishAll, so it enters the batched dispatch path, and re-forwards
 // it to interested peers the sender did not know about.
@@ -83,7 +86,7 @@ import (
 	"sci/internal/wire"
 )
 
-// App kinds for overlay payloads.
+// App kinds of the fabric-to-fabric payloads.
 const (
 	appCoverage    = "scinet.coverage"
 	appQuery       = "scinet.query"
@@ -92,9 +95,9 @@ const (
 	// longer wants it), so the serving fabric releases its record, proxy
 	// and configuration instead of streaming to nobody.
 	appCancel = "scinet.cancel"
-	// appEventBatch carries a run of events between fabrics — cross-range
-	// fan-out and routed-query results alike — in the routed message's
-	// batch (overlay.Delivery.Batch).
+	// appEventBatch carries a run of events from one fabric to a peer it
+	// knows — cross-range fan-out and routed-query results alike — in the
+	// message's batch (overlay.Delivery.Batch).
 	appEventBatch = "scinet.event_batch"
 	// appEventBatchAck is the scinet.event_batch reply hint: the receiving
 	// fabric reports its flow credit (cumulative dispatch drops) so the
@@ -136,8 +139,8 @@ type queryResultMsg struct {
 	Error         string    `json:"error,omitempty"`
 }
 
-// eventBatchMsg is the envelope of a run of events crossing the overlay;
-// the events themselves ride the routed message's batch. With QueryID set
+// eventBatchMsg is the envelope of a run of events sent to a peer fabric;
+// the events themselves ride the message's batch. With QueryID set
 // it carries routed results for one forwarded query; otherwise it is a
 // cross-range fan-out batch stamped for loop suppression: Origin is the
 // publishing fabric and Via names every fabric already covered (origin,
@@ -366,8 +369,9 @@ type Fabric struct {
 	hierSnap atomic.Pointer[hierView]
 
 	// BatchesForwarded / EventsForwarded count the fan-out and routed-query
-	// batches this fabric originated (one batch per overlay message per
-	// peer) and the events they carried.
+	// batches this fabric originated and handed to the transport (one batch
+	// per message per peer) and the events they carried. A send the
+	// transport refused is not counted: it tears the peer down instead.
 	BatchesForwarded metrics.Counter
 	EventsForwarded  metrics.Counter
 	// BatchesIngested / EventsIngested count cross-range batches accepted
@@ -377,8 +381,9 @@ type Fabric struct {
 	// BatchesRelayed counts batches re-forwarded to interested peers the
 	// sender's hop set did not cover.
 	BatchesRelayed metrics.Counter
-	// EchoesDropped counts batches (or events within them) suppressed
-	// because they would have returned to their origin.
+	// EchoesDropped counts batches (or events within them) that arrived
+	// back at their origin. Batches travel on direct links and relays
+	// exclude the origin, so only a misbehaving peer produces one.
 	EchoesDropped metrics.Counter
 	// DuplicatesDropped counts batches whose id was already ingested — two
 	// relays covering the same gap in a sender's hop set.
@@ -524,7 +529,7 @@ func (f *Fabric) AnnounceCoverage(echo bool) {
 		return
 	}
 	for _, peer := range f.node.Known() {
-		_ = f.node.Route(peer, appCoverage, payload)
+		_ = f.node.Send(peer, appCoverage, payload, nil)
 	}
 }
 
@@ -608,7 +613,7 @@ func (f *Fabric) Submit(q query.Query, owner *entity.CAA) (*Result, error) {
 		f.mu.Unlock()
 	}()
 
-	if err := f.node.Route(target, appQuery, payload); err != nil {
+	if err := f.node.Send(target, appQuery, payload, nil); err != nil {
 		f.dropConsumer(q.ID)
 		return nil, err
 	}
@@ -643,7 +648,7 @@ func (f *Fabric) sendCancel(target, qid guid.GUID) {
 	if err != nil {
 		return
 	}
-	_ = f.node.Route(target, appCancel, payload)
+	_ = f.node.Send(target, appCancel, payload, nil)
 }
 
 func (f *Fabric) dropConsumer(qid guid.GUID) {
@@ -750,6 +755,11 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 	f.mu.Lock()
 	_, known := f.coverage[msg.Origin]
 	f.coverage[msg.Origin] = coverageMsg{Origin: msg.Origin, Coverage: msg.Coverage, Name: msg.Name}
+	if !known {
+		// A digest sent before first contact may have reached the fabric
+		// before its SetHierarchy, which drops it: owe that link afresh.
+		delete(f.digestSent, msg.Origin)
+	}
 	f.mu.Unlock()
 	if !known {
 		// The fleet grew: a configured hierarchy may now reach its minimum.
@@ -759,9 +769,7 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 		// flat announcements when flat, digest announcements when
 		// hierarchical (unchanged summaries are suppressed at send time).
 		f.announceInterestsTo(msg.Origin)
-		if f.hierarchyActive() {
-			f.refreshDigestLinks()
-		}
+		f.touchDigestAnnouncements()
 	}
 	if msg.Echo && !known {
 		// Reply with our own coverage so the joiner learns us.
@@ -771,7 +779,7 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 			Name:     f.rng.Name(),
 		}
 		if payload, err := json.Marshal(reply); err == nil {
-			_ = f.node.Route(msg.Origin, appCoverage, payload)
+			_ = f.node.Send(msg.Origin, appCoverage, payload, nil)
 		}
 	}
 }
@@ -793,8 +801,8 @@ func (f *Fabric) handleRemoteQuery(d overlay.Delivery) {
 		return
 	}
 	// Stand-in application for the remote owner: whole delivery runs it
-	// consumes are coalesced and routed back through the overlay tagged
-	// with the query id.
+	// consumes are coalesced and sent back to the origin tagged with the
+	// query id.
 	origin := msg.Origin
 	qid := msg.QueryID
 	proxy := entity.NewRemoteBatchCAA(q.Owner, "scinet-proxy", func(events []event.Event) {
@@ -907,7 +915,7 @@ func (f *Fabric) sendResult(to guid.GUID, msg queryResultMsg) {
 	if err != nil {
 		return
 	}
-	_ = f.node.Route(to, appQueryResult, payload)
+	_ = f.node.Send(to, appQueryResult, payload, nil)
 }
 
 // ----- cross-range fan-out -----
@@ -1088,7 +1096,7 @@ func (f *Fabric) announceChangeTo(peer guid.GUID, gen uint64, add, del []event.F
 	if err != nil {
 		return
 	}
-	_ = f.node.Route(peer, appInterest, payload)
+	_ = f.node.Send(peer, appInterest, payload, nil)
 }
 
 // localFiltersLocked snapshots this fabric's own interest filters (one
@@ -1132,7 +1140,7 @@ func (f *Fabric) announceFull(peer guid.GUID, force bool) {
 	if err != nil {
 		return
 	}
-	_ = f.node.Route(peer, appInterest, payload)
+	_ = f.node.Send(peer, appInterest, payload, nil)
 }
 
 // handleInterest ingests an interest announcement, establishes or tears
@@ -1212,7 +1220,7 @@ func (f *Fabric) handleInterest(d overlay.Delivery) {
 	f.mu.Unlock()
 	if resync {
 		if payload, err := json.Marshal(interestSyncMsg{From: f.node.ID()}); err == nil {
-			_ = f.node.Route(msg.Owner, appInterestSync, payload)
+			_ = f.node.Send(msg.Owner, appInterestSync, payload, nil)
 		}
 		return
 	}
@@ -1228,7 +1236,7 @@ func (f *Fabric) handleInterest(d overlay.Delivery) {
 		if peer == d.Origin || peer == msg.Owner {
 			continue
 		}
-		_ = f.node.Route(peer, appInterest, payload)
+		_ = f.node.Send(peer, appInterest, payload, nil)
 	}
 }
 
@@ -1443,7 +1451,7 @@ func (f *Fabric) fanOut(events []event.Event) {
 	// Events travel as one batch shared across every recipient: the envelope
 	// (origin, batch id, hop set) is the only JSON this path marshals. The
 	// flush slice aliases the coalescer's buffer, so copy before it escapes
-	// into routed messages that outlive this call.
+	// into messages that outlive this call.
 	owned := make([]event.Event, len(events))
 	copy(owned, events)
 	via := make([]guid.GUID, 0, len(recips)+1)
@@ -1459,7 +1467,7 @@ func (f *Fabric) fanOut(events []event.Event) {
 	}
 	batch := &wire.NativeBatch{Events: owned}
 	for _, to := range recips {
-		if f.node.RouteBatch(to, appEventBatch, payload, batch) == nil {
+		if f.node.Send(to, appEventBatch, payload, batch) == nil {
 			f.BatchesForwarded.Inc()
 			f.EventsForwarded.Add(uint64(len(owned)))
 			f.noteSubtreeForward(to)
@@ -1598,7 +1606,7 @@ func (f *Fabric) markSeen(id guid.GUID) bool {
 	return true
 }
 
-// sendBatchAck routes a flow-credit report to the fabric that shipped an
+// sendBatchAck sends a flow-credit report to the fabric that shipped an
 // event_batch: the cumulative dispatch drops attributed to *that fabric's*
 // traffic (its receive health on this link — never the Range-wide total,
 // which would blame it for other links' floods), the congestion this
@@ -1618,7 +1626,7 @@ func (f *Fabric) sendBatchAck(to guid.GUID, events int) error {
 	if err != nil {
 		return nil // unencodable: dropping the report is all we can do
 	}
-	err = f.node.Route(to, appEventBatchAck, payload)
+	err = f.node.Send(to, appEventBatchAck, payload, nil)
 	if err == nil {
 		f.AcksSent.Inc()
 	}
@@ -1847,7 +1855,7 @@ func matchAny(filters []event.Filter, events []event.Event, rng *server.Range) b
 
 // ----- outbound coalescers -----
 
-// sendQueryEvents routes a run of result events for one forwarded query
+// sendQueryEvents sends a run of result events for one forwarded query
 // back to its origin fabric: through the per-(peer, query) coalescer when
 // batching is enabled, as one-event batches otherwise.
 func (f *Fabric) sendQueryEvents(to, qid guid.GUID, events []event.Event) {
@@ -1864,7 +1872,7 @@ func (f *Fabric) sendQueryEvents(to, qid guid.GUID, events []event.Event) {
 
 // sendQueryBatch ships one bounded chunk as a scinet.event_batch message.
 // The chunk aliases the caller's buffer (the coalescer's, or the proxy's
-// delivery run), so it is copied before escaping with the routed message.
+// delivery run), so it is copied before escaping with the message.
 func (f *Fabric) sendQueryBatch(to, qid guid.GUID, events []event.Event) {
 	if len(events) == 0 {
 		return
@@ -1875,7 +1883,7 @@ func (f *Fabric) sendQueryBatch(to, qid guid.GUID, events []event.Event) {
 	if err != nil {
 		return
 	}
-	if f.node.RouteBatch(to, appEventBatch, payload, &wire.NativeBatch{Events: owned}) == nil {
+	if f.node.Send(to, appEventBatch, payload, &wire.NativeBatch{Events: owned}) == nil {
 		f.BatchesForwarded.Inc()
 		f.EventsForwarded.Add(uint64(len(owned)))
 	}
@@ -2024,13 +2032,13 @@ func (f *Fabric) handleStats(d overlay.Delivery) {
 	if err != nil {
 		return
 	}
-	_ = f.node.Route(msg.Origin, appStatsResult, payload)
+	_ = f.node.Send(msg.Origin, appStatsResult, payload, nil)
 }
 
-// FleetDispatchStats collects dispatch.stats from every known fabric over
-// the overlay and aggregates them with this Range's own snapshot. Peers
-// that do not answer within timeout (default RequestTimeout) are left out;
-// the rollup reports how many Ranges it covers.
+// FleetDispatchStats collects dispatch.stats from every known fabric and
+// aggregates them with this Range's own snapshot. Peers that do not answer
+// within timeout (default RequestTimeout) are left out; the rollup reports
+// how many Ranges it covers.
 func (f *Fabric) FleetDispatchStats(timeout time.Duration) (*FleetStats, error) {
 	if timeout <= 0 {
 		timeout = RequestTimeout
@@ -2055,7 +2063,7 @@ func (f *Fabric) FleetDispatchStats(timeout time.Duration) (*FleetStats, error) 
 		f.statsWait[corr] = ch
 		f.mu.Unlock()
 		payload, err := json.Marshal(statsQueryMsg{Origin: f.node.ID(), Corr: corr})
-		if err == nil && f.node.Route(peer, appStats, payload) == nil {
+		if err == nil && f.node.Send(peer, appStats, payload, nil) == nil {
 			probes = append(probes, probe{peer: peer, corr: corr, ch: ch})
 			continue
 		}
@@ -2225,7 +2233,7 @@ func (f *Fabric) Close() error {
 				msg.Down = true
 			}
 			if payload, err := json.Marshal(msg); err == nil {
-				_ = f.node.Route(to, appDigest, payload)
+				_ = f.node.Send(to, appDigest, payload, nil)
 			}
 		}
 	}
@@ -2242,7 +2250,7 @@ func (f *Fabric) Close() error {
 	}
 	if payload, err := json.Marshal(leaveMsg{Origin: f.node.ID()}); err == nil {
 		for _, peer := range f.node.Known() {
-			_ = f.node.Route(peer, appLeave, payload)
+			_ = f.node.Send(peer, appLeave, payload, nil)
 		}
 	}
 	guid.Sort(served)

@@ -123,6 +123,13 @@
 // of this version sends is a message every peer of this version
 // understands. internal/transport owns the version constant and the check.
 //
+// The version moves whenever a message changes meaning, application
+// payloads that upper layers carry included, so a mixed fleet fails at
+// connect instead of misreading traffic. Version 2: SCINET peer traffic
+// goes on direct links, and the hierarchy's digest announcement no longer
+// names the link it is for — a version-1 receiver would bounce every
+// version-2 digest as misdelivered.
+//
 // # Sharing
 //
 // A NativeBatch attached to a Message is handed over: the memory transport
