@@ -49,7 +49,8 @@ experiments:
 # go test fuzzes one target per invocation.
 fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzBinaryRoundTrip -fuzztime 10s ./internal/wire/
-	$(GO) test -run xxx -fuzz FuzzPayloadDecode -fuzztime 10s ./internal/wire/
+	$(GO) test -run xxx -fuzz FuzzPayloadRoundTrip -fuzztime 10s ./internal/wire/
+	$(GO) test -run xxx -fuzz '^FuzzPayloadDecode$$' -fuzztime 10s ./internal/wire/
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload at full length, end-to-end and per-layer metrics.

@@ -2,16 +2,18 @@
 // (internal/wire/doc.go): a wire.NativeBatch attached to a Message is a
 // shared read-only pointer — the memory transport delivers it
 // pointer-identical, possibly to several receivers — so once a batch may
-// have escaped, its Events slice must be neither reassigned, appended to
-// nor mutated element-wise. Copy on escape, copy before mutate.
+// have escaped, neither its Events nor its header may be reassigned,
+// appended to or mutated element-wise. Copy on escape, copy before mutate.
 //
 // The analyzer flags, in every package — the wire codec included, whose
 // decoders only ever fill batches they just allocated:
 //
-//   - assignment to the Events or Credit field of a NativeBatch
-//   - assignment through the Events slice (nb.Events[i] = e,
-//     nb.Events[i].Seq = 7, ++/--, op-assign)
-//   - append whose first argument is a NativeBatch's Events slice
+//   - assignment to a field of a NativeBatch: Events, Credit, or the
+//     header's Origin, ID, Query and Via
+//   - assignment through the Events or Via slice (nb.Events[i] = e,
+//     nb.Events[i].Seq = 7, nb.Via[i] = g, ++/--, op-assign)
+//   - append whose first argument is a NativeBatch's Events or Via slice,
+//     or a reslice of one
 //
 // A batch the function itself constructed (nb := &wire.NativeBatch{...},
 // new(wire.NativeBatch), or a zero-valued local) has not escaped yet and
@@ -36,10 +38,12 @@ var Analyzer = &analysis.Analyzer{
 	Run:  run,
 }
 
-// batchField reports whether sel selects the Events or Credit field of a
-// wire.NativeBatch.
+// batchField reports whether sel selects a shared field of a
+// wire.NativeBatch: its events, credit or header.
 func batchField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
-	if sel.Sel.Name != "Events" && sel.Sel.Name != "Credit" {
+	switch sel.Sel.Name {
+	case "Events", "Credit", "Origin", "ID", "Query", "Via":
+	default:
 		return false
 	}
 	s, ok := pass.TypesInfo.Selections[sel]
@@ -51,7 +55,7 @@ func batchField(pass *analysis.Pass, sel *ast.SelectorExpr) bool {
 
 // writesThroughBatch reports the innermost NativeBatch field selector an
 // assignment target writes through, or nil: nb.Events, nb.Events[i],
-// nb.Events[i].Seq, m.Batch.Credit all qualify.
+// nb.Events[i].Seq, m.Batch.Credit, nb.Via[i] all qualify.
 func writesThroughBatch(pass *analysis.Pass, lhs ast.Expr) *ast.SelectorExpr {
 	for {
 		switch x := lhs.(type) {
@@ -109,7 +113,11 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 		case *ast.CallExpr:
 			if id, ok := st.Fun.(*ast.Ident); ok && id.Name == "append" && len(st.Args) > 0 {
-				if sel, ok := unparen(st.Args[0]).(*ast.SelectorExpr); ok && batchField(pass, sel) && !exempt(sel) {
+				arg := unparen(st.Args[0])
+				if sl, ok := arg.(*ast.SliceExpr); ok { // append(nb.Via[:k], ...) writes the shared array too
+					arg = unparen(sl.X)
+				}
+				if sel, ok := arg.(*ast.SelectorExpr); ok && batchField(pass, sel) && !exempt(sel) {
 					pass.Reportf(st.Args[0].Pos(), "append to %s.%s may grow into a shared NativeBatch's backing array; copy on escape (wire/doc.go)",
 						render(sel.X), sel.Sel.Name)
 				}

@@ -4,6 +4,7 @@ package batchfix
 
 import (
 	"sci/internal/event"
+	"sci/internal/guid"
 	"sci/internal/wire"
 )
 
@@ -16,6 +17,17 @@ func stampRange(m wire.Message, e event.Event) {
 	m.Batch.Credit = nil                       // want `write through m\.Batch\.Credit mutates a shared NativeBatch`
 	m.Batch.Events = append(m.Batch.Events, e) // want `write through m\.Batch\.Events mutates a shared NativeBatch` `append to m\.Batch\.Events may grow into a shared NativeBatch`
 	_ = append(m.Batch.Events, e)              // want `append to m\.Batch\.Events may grow into a shared NativeBatch`
+}
+
+// restamp rewrites a received batch's header in place — as wrong as
+// rewriting its events: relays must build a fresh batch instead.
+func restamp(m wire.Message, g guid.GUID) {
+	m.Batch.Origin = g                   // want `write through m\.Batch\.Origin mutates a shared NativeBatch`
+	m.Batch.ID = g                       // want `write through m\.Batch\.ID mutates a shared NativeBatch`
+	m.Batch.Query = g                    // want `write through m\.Batch\.Query mutates a shared NativeBatch`
+	m.Batch.Via[0] = g                   // want `write through m\.Batch\.Via mutates a shared NativeBatch`
+	m.Batch.Via = append(m.Batch.Via, g) // want `write through m\.Batch\.Via mutates a shared NativeBatch` `append to m\.Batch\.Via may grow into a shared NativeBatch`
+	_ = append(m.Batch.Via[:1], g)       // want `append to m\.Batch\.Via may grow into a shared NativeBatch`
 }
 
 // reslice through a parameter batch is equally shared.
@@ -33,6 +45,16 @@ func cloneAndFilter(m wire.Message, keep func(event.Event) bool) *wire.NativeBat
 		}
 	}
 	out.Credit = m.Batch.Credit
+	return out
+}
+
+// relayCopy is the relay idiom: a fresh batch shares the received events
+// and carries its own header, extended freely before it is attached.
+func relayCopy(in *wire.NativeBatch, self guid.GUID) *wire.NativeBatch {
+	out := &wire.NativeBatch{Events: in.Events, Origin: in.Origin, ID: in.ID}
+	out.Via = append(out.Via, in.Via...)
+	out.Via = append(out.Via, self)
+	out.Query = in.Query
 	return out
 }
 
@@ -54,6 +76,11 @@ func reads(m wire.Message) int {
 	n := 0
 	for _, e := range m.Batch.Events {
 		n += int(e.Seq)
+	}
+	for _, g := range m.Batch.Via {
+		if g == m.Batch.Origin {
+			n++
+		}
 	}
 	dst := make([]event.Event, len(m.Batch.Events))
 	copy(dst, m.Batch.Events)

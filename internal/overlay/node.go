@@ -14,9 +14,10 @@ import (
 	"sci/internal/wire"
 )
 
-// Delivery is a routed application payload arriving at its destination.
+// Delivery is an application payload arriving at its destination: routed
+// there by Route, or sent straight to this node by Send.
 type Delivery struct {
-	// Target is the GUID the message was routed to.
+	// Target is the GUID the message was addressed or routed to.
 	Target guid.GUID
 	// Origin is the node that injected the message.
 	Origin guid.GUID
@@ -24,11 +25,11 @@ type Delivery struct {
 	AppKind string
 	// Payload is the opaque application body.
 	Payload json.RawMessage
-	// Batch carries the event batch when the payload was sent with Send.
-	// Consumers must treat it as shared and read-only: the same pointer may
-	// fan out to several local deliveries.
+	// Batch carries the event batch, header included, when the payload was
+	// sent with Send. Consumers must treat it as shared and read-only: the
+	// same pointer may fan out to several local deliveries.
 	Batch *wire.NativeBatch
-	// Hops is the number of overlay forwards taken.
+	// Hops is the number of overlay forwards taken (0 for Send).
 	Hops int
 }
 
@@ -111,15 +112,17 @@ type joinBody struct {
 	Leaves []guid.GUID `json:"leaves,omitempty"`
 }
 
+// routeBody is the envelope of a key-routed (Route) payload.
 type routeBody struct {
 	Target  guid.GUID       `json:"target"`
 	Origin  guid.GUID       `json:"origin"`
 	AppKind string          `json:"app_kind"`
 	Payload json.RawMessage `json:"payload,omitempty"`
 	Hops    int             `json:"hops"`
-	// batch is the event batch a Send put on the envelope (Message.Batch);
-	// never encoded in the body, and never carried by key-based forwarding.
-	batch *wire.NativeBatch
+}
+
+func (b routeBody) delivery() Delivery {
+	return Delivery{Target: b.Target, Origin: b.Origin, AppKind: b.AppKind, Payload: b.Payload, Hops: b.Hops}
 }
 
 type gossipBody struct {
@@ -310,10 +313,12 @@ func (n *Node) Route(target guid.GUID, appKind string, payload []byte) error {
 
 // Send delivers an application payload straight to peer in one hop: no
 // next-hop lookup, no retry through another node, never a delivery on this
-// node. When the transport refuses, peer is forgotten (firing Forgot) and
-// the error returned. The batch, when non-nil, rides the wire envelope
-// (Message.Batch) to the peer's Delivery; it is shared from this call on —
-// neither the caller nor any consumer may mutate it.
+// node. No envelope wraps it: appKind is the message's kind (it must not be
+// one of the overlay's own), payload (JSON, or nil) its body and batch its
+// batch, so the peer's Delivery reads them as sent. When the transport
+// refuses, peer is forgotten (firing Forgot) and the error returned. The
+// batch is shared from this call on — neither the caller nor any consumer
+// may mutate it.
 func (n *Node) Send(peer guid.GUID, appKind string, payload []byte, batch *wire.NativeBatch) error {
 	n.mu.Lock()
 	closed := n.closed
@@ -321,13 +326,7 @@ func (n *Node) Send(peer guid.GUID, appKind string, payload []byte, batch *wire.
 	if closed {
 		return ErrClosed
 	}
-	m, err := wire.NewMessage(n.id, peer, wire.KindOverlayRoute,
-		routeBody{Target: peer, Origin: n.id, AppKind: appKind, Payload: payload})
-	if err != nil {
-		return err
-	}
-	m.TTL = n.maxTTL
-	m.Batch = batch
+	m := wire.Message{Src: n.id, Dst: peer, Kind: wire.Kind(appKind), Body: payload, Batch: batch}
 	if err := n.ep.Send(m); err != nil {
 		n.forget(peer)
 		return err
@@ -338,13 +337,13 @@ func (n *Node) Send(peer guid.GUID, appKind string, payload []byte, batch *wire.
 // forward advances a key-routed body one step from this node.
 func (n *Node) forward(body routeBody) error {
 	if body.Target == n.id {
-		n.deliverLocal(body)
+		n.deliverLocal(body.delivery())
 		return nil
 	}
 	hop := n.st.nextHop(body.Target)
 	if hop.IsNil() {
 		// No strictly closer node known: deliver here (closest node).
-		n.deliverLocal(body)
+		n.deliverLocal(body.delivery())
 		return nil
 	}
 	if body.Hops >= n.maxTTL {
@@ -367,24 +366,17 @@ func (n *Node) forward(body routeBody) error {
 			}
 			n.forget(retry)
 		}
-		n.deliverLocal(body)
+		n.deliverLocal(body.delivery())
 		return nil
 	}
 	return nil
 }
 
-func (n *Node) deliverLocal(body routeBody) {
+func (n *Node) deliverLocal(d Delivery) {
 	n.delivered.Inc()
-	n.RouteHops.Record(int64(body.Hops))
+	n.RouteHops.Record(int64(d.Hops))
 	if n.cfg.Deliver != nil {
-		n.cfg.Deliver(Delivery{
-			Target:  body.Target,
-			Origin:  body.Origin,
-			AppKind: body.AppKind,
-			Payload: body.Payload,
-			Batch:   body.batch,
-			Hops:    body.Hops,
-		})
+		n.cfg.Deliver(d)
 	}
 }
 
@@ -420,7 +412,6 @@ func (n *Node) handle(m wire.Message) {
 		if body.Target != n.id {
 			n.relayed.Inc()
 		}
-		body.batch = m.Batch
 		_ = n.forward(body)
 	case wire.KindOverlayPing:
 		var gb gossipBody
@@ -454,6 +445,10 @@ func (n *Node) handle(m wire.Message) {
 				n.st.consider(id)
 			}
 		}
+	default:
+		// Any kind the overlay does not own is an application payload Send
+		// put on the direct link.
+		n.deliverLocal(Delivery{Target: n.id, Origin: m.Src, AppKind: string(m.Kind), Payload: m.Body, Batch: m.Batch})
 	}
 }
 

@@ -322,13 +322,9 @@ func TestCrossRangeCycleLoopSuppression(t *testing.T) {
 
 	// Belt and braces: a batch that somehow arrives at its own origin is
 	// dropped, not ingested.
-	payload, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), Via: []guid.GUID{fA.NodeID()}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	before := fA.EchoesDropped.Value()
-	fA.handleEventBatch(overlay.Delivery{Origin: fC.NodeID(), AppKind: appEventBatch, Payload: payload,
-		Batch: &wire.NativeBatch{Events: makeEvents(1, fn.clk)}})
+	fA.handleEventBatch(overlay.Delivery{Origin: fC.NodeID(), AppKind: appEventBatch,
+		Batch: &wire.NativeBatch{Events: makeEvents(1, fn.clk), Origin: fA.NodeID(), Via: []guid.GUID{fA.NodeID()}}})
 	if fA.EchoesDropped.Value() != before+1 {
 		t.Fatal("echo batch not counted as dropped")
 	}
@@ -595,17 +591,12 @@ func TestDuplicateBatchSuppressed(t *testing.T) {
 	for i := range events {
 		events[i].Range = foreign
 	}
-	msg := eventBatchMsg{
-		Origin:  fA.NodeID(),
-		BatchID: guid.New(guid.KindEvent),
-		Via:     []guid.GUID{fA.NodeID(), fB.NodeID()},
-	}
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload,
-		Batch: &wire.NativeBatch{Events: events}}
+	d := overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: &wire.NativeBatch{
+		Events: events,
+		Origin: fA.NodeID(),
+		ID:     guid.New(guid.KindEvent),
+		Via:    []guid.GUID{fA.NodeID(), fB.NodeID()},
+	}}
 	fB.handleEventBatch(d)
 	fB.handleEventBatch(d)
 	waitFor(t, func() bool { return recv.total() >= 4 })
@@ -627,6 +618,7 @@ func TestDuplicateBatchSuppressed(t *testing.T) {
 // unstamped event are dropped and counted as echoes; on the routed-query arm
 // an invalid event is skipped. Neighbours of a refused event still arrive,
 // and a scinet.event_batch that carries no batch at all is dropped whole.
+// Both arms receive the same events under their own headers.
 func TestNativeBatchIngestPerEventRules(t *testing.T) {
 	fn := newFanNet(t, 2, 8)
 	defer fn.close()
@@ -645,15 +637,11 @@ func TestNativeBatchIngestPerEventRules(t *testing.T) {
 	events[2].Range = fB.rng.ID() // local-Range echo
 	events[3].Range = guid.Nil    // unstamped: would be restamped local and re-forwarded
 	events[4].Range = foreign
-	batch := &wire.NativeBatch{Events: events}
+	fan := &wire.NativeBatch{Events: events, Origin: fA.NodeID(), ID: guid.New(guid.KindEvent),
+		Via: []guid.GUID{fA.NodeID(), fB.NodeID()}}
 
-	fan, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), BatchID: guid.New(guid.KindEvent),
-		Via: []guid.GUID{fA.NodeID(), fB.NodeID()}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	echoes := fB.EchoesDropped.Value()
-	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: fan, Batch: batch})
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: fan})
 	waitFor(t, func() bool { return recv.total() >= 2 })
 	time.Sleep(20 * time.Millisecond)
 	if !recv.exactlyOnce(2) {
@@ -681,11 +669,8 @@ func TestNativeBatchIngestPerEventRules(t *testing.T) {
 	fB.mu.Lock()
 	fB.consumers[qid] = &outQuery{caa: sink, target: fA.NodeID()}
 	fB.mu.Unlock()
-	routed, err := json.Marshal(eventBatchMsg{Origin: fA.NodeID(), QueryID: qid})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: routed, Batch: batch})
+	routed := &wire.NativeBatch{Events: events, Origin: fA.NodeID(), Query: qid}
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: routed})
 	mu.Lock()
 	got := append([]uint64(nil), consumed...)
 	mu.Unlock()
@@ -693,10 +678,10 @@ func TestNativeBatchIngestPerEventRules(t *testing.T) {
 		t.Fatalf("routed-query arm consumed seqs %v, want [1 3 4 5] (the invalid event skipped)", got)
 	}
 
-	// No batch, no ingest: the envelope alone is malformed.
+	// No batch, no ingest: a body is not an event batch.
 	acks := fB.AcksSent.Value()
-	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: routed})
-	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: fan})
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: []byte(`{}`)})
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch})
 	mu.Lock()
 	n := len(consumed)
 	mu.Unlock()
@@ -910,5 +895,54 @@ func TestDeadPeerSendIsNotAnEcho(t *testing.T) {
 	}
 	if got := fA.EchoesDropped.Value() - echoes; got != 0 {
 		t.Errorf("EchoesDropped moved by %d: a lost delivery was booked as an echo", got)
+	}
+}
+
+// TestRelayLeavesReceivedBatchUntouched: on transport.Memory a received
+// batch is the sender's pointer, possibly shared with other receivers. B
+// ingests a batch from A and relays it to C and D, which A did not know;
+// the relayed copies carry the extended hop set, and the received batch's
+// header is exactly what A sent.
+func TestRelayLeavesReceivedBatchUntouched(t *testing.T) {
+	fn := newFanNet(t, 4, 8)
+	defer fn.close()
+	fA, fB, fC, fD := fn.fabrics[0], fn.fabrics[1], fn.fabrics[2], fn.fabrics[3]
+	waitCoverage(t, fn)
+
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	recv := map[*Fabric]*counter{fB: newCounter(), fC: newCounter(), fD: newCounter()}
+	for f, c := range recv {
+		if _, err := f.SubscribeRemote(guid.New(guid.KindApplication), flt, c.handle); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return fB.knowsInterest(fC.NodeID()) && fB.knowsInterest(fD.NodeID()) })
+	fB.setInterests(map[guid.GUID][]event.Filter{fC.NodeID(): {flt}, fD.NodeID(): {flt}})
+
+	events := makeEvents(4, fn.clk)
+	foreign := guid.New(guid.KindRange)
+	for i := range events {
+		events[i].Range = foreign
+	}
+	id := guid.New(guid.KindEvent)
+	via := []guid.GUID{fA.NodeID(), fB.NodeID()}
+	in := &wire.NativeBatch{Events: events, Origin: fA.NodeID(), ID: id, Via: via}
+	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: in})
+
+	waitFor(t, func() bool {
+		return recv[fB].total() >= 4 && recv[fC].total() >= 4 && recv[fD].total() >= 4
+	})
+	for f, c := range recv {
+		if !c.exactlyOnce(4) {
+			t.Fatalf("%s: %d deliveries for 4 events", f.NodeID().Short(), c.total())
+		}
+	}
+	if got := fB.BatchesRelayed.Value(); got != 2 {
+		t.Fatalf("BatchesRelayed = %d, want 2 (C and D)", got)
+	}
+	if in.Origin != fA.NodeID() || in.ID != id || len(in.Via) != 2 ||
+		&in.Via[0] != &via[0] || via[0] != fA.NodeID() || via[1] != fB.NodeID() {
+		t.Fatalf("relay edited the received batch: origin %s id %s via %v",
+			in.Origin.Short(), in.ID.Short(), in.Via)
 	}
 }

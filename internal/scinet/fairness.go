@@ -52,27 +52,20 @@ func (f *Fabric) interestSnapshot() []interestEntry {
 
 // ----- credit-aware relay shedding -----
 
-// maxRelayBacklog bounds how many relayed batch payloads wait toward one
+// maxRelayBacklog bounds how many relayed batches wait toward one
 // throttled peer before the oldest are shed.
 const maxRelayBacklog = 64
 
-// relayItem is one queued relayed batch: the encoded envelope payload plus
-// the shared event batch it forwards.
-type relayItem struct {
-	payload []byte
-	batch   *wire.NativeBatch
-}
-
-// relayQueue buffers relayed batch payloads toward one peer while this
-// fabric's forwarding is credit-throttled. Relayed payloads are queued
-// already encoded — re-coalescing their events would mint new batch ids and
-// defeat the receivers' duplicate suppression — drained in FIFO order on a
+// relayQueue buffers relayed batches toward one peer while this fabric's
+// forwarding is credit-throttled. Relayed batches are queued whole, header
+// and all — re-coalescing their events would mint new batch ids and defeat
+// the receivers' duplicate suppression — drained in FIFO order on a
 // penalty-stretched timer, and shed oldest-first beyond maxRelayBacklog, so
 // a throttled relay stops amplifying load into an already-collapsed
 // receiver.
 type relayQueue struct {
 	mu      sync.Mutex
-	pending []relayItem
+	pending []*wire.NativeBatch
 	timer   clock.Timer
 	dead    bool
 }
@@ -118,10 +111,10 @@ func (f *Fabric) relayDrainDelay() time.Duration {
 	return base
 }
 
-// relayTo forwards one relayed batch payload toward a peer: at line rate
-// while forwarding is unthrottled and nothing is queued (the historical
-// path), otherwise through the peer's bounded drop-oldest backlog.
-func (f *Fabric) relayTo(to guid.GUID, payload []byte, batch *wire.NativeBatch) {
+// relayTo forwards one relayed batch toward a peer: at line rate while
+// forwarding is unthrottled and nothing is queued (the historical path),
+// otherwise through the peer's bounded drop-oldest backlog.
+func (f *Fabric) relayTo(to guid.GUID, batch *wire.NativeBatch) {
 	rq := f.relayQueueFor(to)
 	if rq == nil {
 		return
@@ -130,7 +123,7 @@ func (f *Fabric) relayTo(to guid.GUID, payload []byte, batch *wire.NativeBatch) 
 		rq.mu.Lock()
 		if !rq.dead && len(rq.pending) == 0 && rq.timer == nil {
 			rq.mu.Unlock()
-			if f.node.Send(to, appEventBatch, payload, batch) == nil {
+			if f.node.Send(to, appEventBatch, nil, batch) == nil {
 				f.BatchesRelayed.Inc()
 				f.noteSubtreeForward(to)
 			}
@@ -145,7 +138,7 @@ func (f *Fabric) relayTo(to guid.GUID, payload []byte, batch *wire.NativeBatch) 
 		rq.mu.Unlock()
 		return
 	}
-	rq.pending = append(rq.pending, relayItem{payload: payload, batch: batch})
+	rq.pending = append(rq.pending, batch)
 	if over := len(rq.pending) - maxRelayBacklog; over > 0 {
 		rq.pending = append(rq.pending[:0], rq.pending[over:]...)
 		f.BatchesRelayShed.Add(uint64(over))
@@ -170,8 +163,8 @@ func (f *Fabric) drainRelay(to guid.GUID, rq *relayQueue) {
 	pending := rq.pending
 	rq.pending = nil
 	rq.mu.Unlock()
-	for _, it := range pending {
-		if f.node.Send(to, appEventBatch, it.payload, it.batch) == nil {
+	for _, batch := range pending {
+		if f.node.Send(to, appEventBatch, nil, batch) == nil {
 			f.BatchesRelayed.Inc()
 			f.noteSubtreeForward(to)
 		}

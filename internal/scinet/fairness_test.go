@@ -24,16 +24,8 @@ import (
 func injectRelayedBatch(t *testing.T, f *Fabric, origin guid.GUID, via []guid.GUID, events []event.Event) guid.GUID {
 	t.Helper()
 	id := guid.New(guid.KindEvent)
-	payload, err := json.Marshal(eventBatchMsg{
-		Origin:  origin,
-		BatchID: id,
-		Via:     via,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.handleEventBatch(overlay.Delivery{Origin: origin, AppKind: appEventBatch, Payload: payload,
-		Batch: &wire.NativeBatch{Events: events}})
+	f.handleEventBatch(overlay.Delivery{Origin: origin, AppKind: appEventBatch,
+		Batch: &wire.NativeBatch{Events: events, Origin: origin, ID: id, Via: via}})
 	return id
 }
 
@@ -115,15 +107,8 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 	const storm = 100
 	events := makeEvents(1, fn.clk)
 	for i := 0; i < storm; i++ {
-		payload, err := json.Marshal(eventBatchMsg{
-			Origin:  fA.NodeID(),
-			QueryID: qid,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Payload: payload,
-			Batch: &wire.NativeBatch{Events: events}})
+		fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch,
+			Batch: &wire.NativeBatch{Events: events, Origin: fA.NodeID(), Query: qid}})
 	}
 	// Clock frozen: only the leading report leaves; the other 99 batches
 	// coalesce behind it (the figure is cumulative and hasn't moved).
@@ -175,10 +160,11 @@ func TestInterestScanRunsWithoutFabricLock(t *testing.T) {
 		fA.fanOut(events)
 		// The relay scan too: B already in the hop set, so the scan is the
 		// whole call.
-		fA.relay(eventBatchMsg{
+		fA.relay(&wire.NativeBatch{
+			Events: events,
 			Origin: fB.NodeID(),
 			Via:    []guid.GUID{fA.NodeID(), fB.NodeID()},
-		}, events, &wire.NativeBatch{Events: events})
+		}, events)
 	}()
 	select {
 	case <-done:

@@ -20,7 +20,7 @@ package scinet
 //   - event batches route along the links whose digest admits them
 //     (false-positive tolerant: a digest may over-claim, never under-claim;
 //     leaves count non-matching arrivals as spillover), with the existing
-//     Via hop set and BatchID window providing exactly-once delivery, and
+//     Via hop set and batch-id window providing exactly-once delivery, and
 //     each hop reusing the per-link coalescer, relay backlog and credit
 //     acks unchanged — PR 5/6 flow semantics hold per link;
 //   - digest updates are whole-state summaries, rate-limited per link by a

@@ -96,8 +96,15 @@ const (
 	// and configuration instead of streaming to nobody.
 	appCancel = "scinet.cancel"
 	// appEventBatch carries a run of events from one fabric to a peer it
-	// knows — cross-range fan-out and routed-query results alike — in the
-	// message's batch (overlay.Delivery.Batch).
+	// knows in the message's batch (overlay.Delivery.Batch), stamped in the
+	// batch header. With Query set it carries routed results for one
+	// forwarded query; otherwise it is a cross-range fan-out batch stamped
+	// for loop suppression: Origin is the publishing fabric, Via names every
+	// fabric already covered (origin, direct recipients, and relays'
+	// additions), and ID names the batch for duplicate suppression — relays
+	// preserve it, and a receiver ingests each id at most once, since the
+	// hop set alone cannot cover every race (two relays that each know an
+	// interested fabric absent from Via would both forward to it).
 	appEventBatch = "scinet.event_batch"
 	// appEventBatchAck is the scinet.event_batch reply hint: the receiving
 	// fabric reports its flow credit (cumulative dispatch drops) so the
@@ -137,24 +144,6 @@ type queryResultMsg struct {
 	Configuration guid.GUID `json:"configuration,omitzero"`
 	Provider      guid.GUID `json:"provider,omitzero"`
 	Error         string    `json:"error,omitempty"`
-}
-
-// eventBatchMsg is the envelope of a run of events sent to a peer fabric;
-// the events themselves ride the message's batch. With QueryID set
-// it carries routed results for one forwarded query; otherwise it is a
-// cross-range fan-out batch stamped for loop suppression: Origin is the
-// publishing fabric and Via names every fabric already covered (origin,
-// direct recipients, and relays' additions), so no fabric ingests the run
-// twice and it never echoes back to its origin.
-type eventBatchMsg struct {
-	Origin  guid.GUID `json:"origin"`
-	QueryID guid.GUID `json:"query_id,omitzero"`
-	// BatchID names this batch for duplicate suppression: relays preserve
-	// it, and a receiver ingests each id at most once. The hop set alone
-	// cannot cover every race — two relays that each know an interested
-	// fabric absent from Via would both forward to it.
-	BatchID guid.GUID   `json:"batch_id,omitzero"`
-	Via     []guid.GUID `json:"via,omitempty"`
 }
 
 // interestMsg announces one fabric's cross-range interests. Receivers
@@ -1448,26 +1437,18 @@ func (f *Fabric) fanOut(events []event.Event) {
 	if len(recips) == 0 {
 		return
 	}
-	// Events travel as one batch shared across every recipient: the envelope
-	// (origin, batch id, hop set) is the only JSON this path marshals. The
-	// flush slice aliases the coalescer's buffer, so copy before it escapes
-	// into messages that outlive this call.
+	// Events travel as one batch, header (origin, batch id, hop set)
+	// included, shared across every recipient; nothing on this path is
+	// JSON. The flush slice aliases the coalescer's buffer, so copy before
+	// it escapes into messages that outlive this call.
 	owned := make([]event.Event, len(events))
 	copy(owned, events)
 	via := make([]guid.GUID, 0, len(recips)+1)
 	via = append(via, self)
 	via = append(via, recips...)
-	payload, err := json.Marshal(eventBatchMsg{
-		Origin:  self,
-		BatchID: guid.New(guid.KindEvent),
-		Via:     via,
-	})
-	if err != nil {
-		return
-	}
-	batch := &wire.NativeBatch{Events: owned}
+	batch := &wire.NativeBatch{Events: owned, Origin: self, ID: guid.New(guid.KindEvent), Via: via}
 	for _, to := range recips {
-		if f.node.Send(to, appEventBatch, payload, batch) == nil {
+		if f.node.Send(to, appEventBatch, nil, batch) == nil {
 			f.BatchesForwarded.Inc()
 			f.EventsForwarded.Add(uint64(len(owned)))
 			f.noteSubtreeForward(to)
@@ -1475,49 +1456,49 @@ func (f *Fabric) fanOut(events []event.Event) {
 	}
 }
 
-// handleEventBatch ingests a scinet.event_batch payload: routed query
-// results go to their waiting consumer; fan-out batches enter the local
-// Range through PublishAll (the batched dispatch path) and are relayed to
-// interested peers the hop set does not cover.
+// handleEventBatch ingests a scinet.event_batch message by its batch
+// header: routed query results go to their waiting consumer; fan-out
+// batches enter the local Range through PublishAll (the batched dispatch
+// path) and are relayed to interested peers the hop set does not cover.
 func (f *Fabric) handleEventBatch(d overlay.Delivery) {
-	var msg eventBatchMsg
-	if d.Batch == nil || json.Unmarshal(d.Payload, &msg) != nil {
+	b := d.Batch
+	if b == nil {
 		return
 	}
-	if msg.Origin == f.node.ID() {
+	if b.Origin == f.node.ID() {
 		// A batch must never return to its origin.
 		f.EchoesDropped.Inc()
 		return
 	}
-	if !msg.QueryID.IsNil() {
+	if !b.Query.IsNil() {
 		f.mu.Lock()
-		oq, ok := f.consumers[msg.QueryID]
+		oq, ok := f.consumers[b.Query]
 		f.mu.Unlock()
 		if !ok {
 			return
 		}
-		events, _ := nativeEvents(d.Batch, guid.Nil)
+		events, _ := nativeEvents(b, guid.Nil)
 		oq.caa.ConsumeAll(events)
 		// Credit reports for routed-query traffic coalesce per peer: every
 		// (peer, query) coalescer at the sender tracks the same cumulative
 		// figure, so one frame per window covers them all.
-		f.noteQueryAck(d.Origin, len(d.Batch.Events))
+		f.noteQueryAck(d.Origin, len(b.Events))
 		return
 	}
 
 	// Duplicate window: two relays may each cover the same fabric missing
 	// from a sender's hop set; only the first copy of a batch id is
 	// ingested.
-	if !msg.BatchID.IsNil() && !f.markSeen(msg.BatchID) {
+	if !b.ID.IsNil() && !f.markSeen(b.ID) {
 		f.DuplicatesDropped.Inc()
 		return
 	}
 
 	// Events stamped with the local Range are echoes of our own production
-	// regardless of what the envelope claims; events with no Range stamp
+	// regardless of what the header claims; events with no Range stamp
 	// would be restamped as local by PublishAll and re-enter the forwarding
 	// tap, so both are dropped for loop safety.
-	events, echoes := nativeEvents(d.Batch, f.rng.ID())
+	events, echoes := nativeEvents(b, f.rng.ID())
 	if echoes > 0 {
 		f.EchoesDropped.Add(uint64(echoes))
 	}
@@ -1550,11 +1531,11 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	// ingest so the report covers this batch's own drops, not last
 	// batch's; coalesced per peer so a relayed burst answers with one
 	// frame, not one per message.
-	f.noteFanAck(d.Origin, len(d.Batch.Events))
+	f.noteFanAck(d.Origin, len(b.Events))
 	// Relays match against the full batch: peers' filters differ from ours.
 	relayed := 0
 	if len(events) > 0 {
-		relayed = f.relay(msg, events, d.Batch)
+		relayed = f.relay(b, events)
 	}
 	// A hierarchy-routed batch that crossed this hop for nobody — matched
 	// no local filter, relayed nowhere — is a digest false positive:
@@ -1804,12 +1785,15 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 // interested peers the origin did not know, and in hierarchy mode the
 // links whose digest admits the batch (up toward the parent, down into
 // matching subtrees, across to matching peer super-peers) — extending the
-// hop set with every new recipient. The same shared batch pointer rides the
-// relayed copies. It returns the number of next hops taken (zero means the
-// batch terminated here).
-func (f *Fabric) relay(msg eventBatchMsg, events []event.Event, batch *wire.NativeBatch) int {
-	via := guid.NewSet(msg.Via...)
-	via.Add(msg.Origin)
+// hop set with every new recipient. events are the batch's valid events,
+// matched against peers' filters. The relayed copies share one new batch
+// that keeps the received batch's events, origin and id under the extended
+// hop set; the received batch itself is shared and never edited. It
+// returns the number of next hops taken (zero means the batch terminated
+// here).
+func (f *Fabric) relay(in *wire.NativeBatch, events []event.Event) int {
+	via := guid.NewSet(in.Via...)
+	via.Add(in.Origin)
 	via.Add(f.node.ID())
 	// Matching runs against the lock-free snapshots, same as fanOut: relays
 	// sit on the ingest path and must not serialize behind f.mu.
@@ -1820,21 +1804,14 @@ func (f *Fabric) relay(msg eventBatchMsg, events []event.Event, batch *wire.Nati
 	for _, id := range extra {
 		via.Add(id)
 	}
-	out := eventBatchMsg{
-		Origin:  msg.Origin,
-		BatchID: msg.BatchID, // preserved, so receivers can dedup relayed copies
-		Via:     via.Members(),
-	}
-	payload, err := json.Marshal(out)
-	if err != nil {
-		return 0
-	}
+	// The id is preserved, so receivers can dedup relayed copies.
+	out := &wire.NativeBatch{Events: in.Events, Origin: in.Origin, ID: in.ID, Via: via.Members()}
 	// Forwarding honors this fabric's own credit state: while the fan-out
 	// penalty is engaged, relayed batches queue into a bounded drop-oldest
 	// backlog per peer instead of amplifying the origin's burst at line
 	// rate into receivers already reporting collapse.
 	for _, to := range extra {
-		f.relayTo(to, payload, batch)
+		f.relayTo(to, out)
 	}
 	return len(extra)
 }
@@ -1879,11 +1856,7 @@ func (f *Fabric) sendQueryBatch(to, qid guid.GUID, events []event.Event) {
 	}
 	owned := make([]event.Event, len(events))
 	copy(owned, events)
-	payload, err := json.Marshal(eventBatchMsg{Origin: f.node.ID(), QueryID: qid})
-	if err != nil {
-		return
-	}
-	if f.node.Send(to, appEventBatch, payload, &wire.NativeBatch{Events: owned}) == nil {
+	if f.node.Send(to, appEventBatch, nil, &wire.NativeBatch{Events: owned, Origin: f.node.ID(), Query: qid}) == nil {
 		f.BatchesForwarded.Inc()
 		f.EventsForwarded.Add(uint64(len(owned)))
 	}

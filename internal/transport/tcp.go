@@ -58,7 +58,7 @@ func (d *Directory) Len() int {
 // protocolVersion names the one message set this build speaks (internal/wire
 // doc.go). Both ends of a connection state theirs in the hello; anything
 // but equality is ErrProtocolVersion.
-const protocolVersion = 2
+const protocolVersion = 3
 
 // helloTimeout is the connect bound: how long a dialing endpoint waits for
 // the accept side's hello answer before giving the connection up. A variable

@@ -15,7 +15,7 @@ import (
 // Binary frame layout (after the shared 4-byte big-endian length prefix;
 // full contract in doc.go):
 //
-//	magic(0xB5) version(0x01) kindID(u8) flags(u8)
+//	magic(0xB5) version(0x02) kindID(u8) flags(u8)
 //	[kind uvarint-len + bytes]     when kindID == 0 (kind not in the table)
 //	src(16) dst(16)
 //	[corr(16)]                     flags&flagCorr
@@ -27,7 +27,7 @@ import (
 // the codecs per frame without negotiation state.
 const (
 	magicByte     = 0xB5
-	binaryVersion = 1
+	binaryVersion = 2
 )
 
 // Envelope flags.
@@ -36,6 +36,15 @@ const (
 	flagTTL
 	flagBody
 	flagBatch
+)
+
+// Batch header flags: which of the NativeBatch header fields follow the
+// dictionary deltas.
+const (
+	hdrOrigin byte = 1 << iota
+	hdrID
+	hdrQuery
+	hdrVia
 )
 
 // Per-event flags inside a batch section.
@@ -143,11 +152,25 @@ func (e *Encoder) appendBatch(b []byte, nb *NativeBatch) ([]byte, error) {
 	} else {
 		b = append(b, 0)
 	}
+	var hf byte
+	if !nb.Origin.IsNil() {
+		hf |= hdrOrigin
+	}
+	if !nb.ID.IsNil() {
+		hf |= hdrID
+	}
+	if !nb.Query.IsNil() {
+		hf |= hdrQuery
+	}
+	if len(nb.Via) > 0 {
+		hf |= hdrVia
+	}
+	b = append(b, hf)
 
 	// Dictionary deltas: every type/GUID of this batch not yet shipped to
 	// the peer is assigned the next index and sent once, here, before the
-	// events that reference it. Both sides append in stream order, so the
-	// index spaces stay aligned on an ordered connection.
+	// header and events that reference it. Both sides append in stream
+	// order, so the index spaces stay aligned on an ordered connection.
 	if e.types == nil {
 		//lint:allow hotpath dictionary maps built once per connection, before the first batch
 		e.types = make(map[string]uint32)
@@ -156,6 +179,11 @@ func (e *Encoder) appendBatch(b []byte, nb *NativeBatch) ([]byte, error) {
 	}
 	e.newTypes = e.newTypes[:0]
 	e.newGUIDs = e.newGUIDs[:0]
+	e.internGUID(nb.Origin)
+	e.internGUID(nb.Query)
+	for _, g := range nb.Via {
+		e.internGUID(g)
+	}
 	for i := range nb.Events {
 		ev := &nb.Events[i]
 		e.internType(string(ev.Type))
@@ -171,6 +199,22 @@ func (e *Encoder) appendBatch(b []byte, nb *NativeBatch) ([]byte, error) {
 	b = binary.AppendUvarint(b, uint64(len(e.newGUIDs)))
 	for _, g := range e.newGUIDs {
 		b = append(b, g[:]...)
+	}
+
+	if hf&hdrOrigin != 0 {
+		b = e.appendGUIDRef(b, nb.Origin)
+	}
+	if hf&hdrID != 0 {
+		b = append(b, nb.ID[:]...) // batch ids are unique: never interned
+	}
+	if hf&hdrQuery != 0 {
+		b = e.appendGUIDRef(b, nb.Query)
+	}
+	if hf&hdrVia != 0 {
+		b = binary.AppendUvarint(b, uint64(len(nb.Via)))
+		for _, g := range nb.Via {
+			b = e.appendGUIDRef(b, g)
+		}
 	}
 
 	b = binary.AppendUvarint(b, uint64(len(nb.Events)))
@@ -192,7 +236,8 @@ func (e *Encoder) appendEvent(b []byte, ev *event.Event) ([]byte, error) {
 	if ev.Quality != 0 {
 		fl |= evfQuality
 	}
-	if ev.Payload != nil {
+	if len(ev.Payload) > 0 {
+		// An empty payload is absent, as on the JSON codec (omitempty).
 		fl |= evfPayload
 	}
 	b = append(b, fl)
@@ -209,17 +254,8 @@ func (e *Encoder) appendEvent(b []byte, ev *event.Event) ([]byte, error) {
 		b = binary.BigEndian.AppendUint64(b, math.Float64bits(ev.Quality))
 	}
 	if fl&evfPayload != 0 {
-		if e.payloadBuf == nil {
-			e.payloadBuf = poolGetBuf()
-		}
-		var err error
-		//lint:allow hotpath the summary sees appendJSONFloat's fmt.Errorf, which fires only on malformed payloads
-		e.payloadBuf, err = e.appendJSONMap(e.payloadBuf[:0], ev.Payload, 0)
-		if err != nil {
-			return b, err
-		}
-		b = binary.AppendUvarint(b, uint64(len(e.payloadBuf)))
-		b = append(b, e.payloadBuf...)
+		//lint:allow hotpath the summary sees appendValue's error and slow paths (malformed payloads, value types beyond the JSON ones); builtin values take neither
+		return e.appendPayload(b, ev.Payload)
 	}
 	return b, nil
 }
@@ -339,12 +375,14 @@ func (c *cursor) take(n int) []byte {
 	return v
 }
 
+// uvarint and varint accept only the minimal encoding the encoder emits
+// (no trailing zero group), so every value has one form on the wire.
 func (c *cursor) uvarint() uint64 {
 	if c.err != nil {
 		return 0
 	}
 	v, n := binary.Uvarint(c.b[c.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.b[c.off+n-1] == 0) {
 		c.fail("bad varint at offset %d", c.off)
 		return 0
 	}
@@ -357,7 +395,7 @@ func (c *cursor) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(c.b[c.off:])
-	if n <= 0 {
+	if n <= 0 || (n > 1 && c.b[c.off+n-1] == 0) {
 		c.fail("bad varint at offset %d", c.off)
 		return 0
 	}
@@ -405,7 +443,11 @@ func (d *Decoder) decodeBinaryFrame(data []byte) (Message, error) {
 	switch {
 	case c.err != nil:
 	case kid == 0:
-		m.Kind = Kind(c.blob())
+		// Inline kinds are application kinds riding a stream: interned, so
+		// a run of them allocates no string per frame.
+		if k := c.blob(); c.err == nil {
+			m.Kind = Kind(d.internKey(k))
+		}
 	case int(kid) < len(kindTable):
 		m.Kind = kindTable[kid]
 	default:
@@ -439,18 +481,32 @@ func (d *Decoder) decodeBinaryFrame(data []byte) (Message, error) {
 	return m, nil
 }
 
+// creditBatch holds a batch and its credit report in one allocation.
+type creditBatch struct {
+	nb     NativeBatch
+	credit BatchCredit
+}
+
+// decodeBatch fills a local batch and moves it to the heap once whole: one
+// allocation, shared with the credit report when one rides along.
 func (d *Decoder) decodeBatch(c *cursor) *NativeBatch {
-	nb := &NativeBatch{}
-	switch v := c.u8(); v {
+	var nb NativeBatch
+	var credit BatchCredit
+	hasCredit := c.u8()
+	switch hasCredit {
 	case 0:
 	case 1:
-		nb.Credit = &BatchCredit{
+		credit = BatchCredit{
 			Events:    int(c.varint()),
 			Dropped:   c.uvarint(),
 			QueueFree: int(c.varint()),
 		}
 	default:
-		c.fail("bad credit flag %d", v)
+		c.fail("bad credit flag %d", hasCredit)
+	}
+	hf := c.u8()
+	if hf&^(hdrOrigin|hdrID|hdrQuery|hdrVia) != 0 {
+		c.fail("bad batch header flags %#x", hf)
 	}
 
 	ntypes := c.uvarint()
@@ -484,6 +540,29 @@ func (d *Decoder) decodeBatch(c *cursor) *NativeBatch {
 		d.guids = append(d.guids, g)
 	}
 
+	if hf&hdrOrigin != 0 {
+		nb.Origin = d.guidRef(c)
+	}
+	if hf&hdrID != 0 {
+		nb.ID = c.guid()
+	}
+	if hf&hdrQuery != 0 {
+		nb.Query = d.guidRef(c)
+	}
+	if hf&hdrVia != 0 {
+		nvia := c.uvarint()
+		// Every member costs at least one reference byte.
+		if c.err == nil && nvia > uint64(c.rem()) {
+			c.fail("via count %d exceeds frame", nvia)
+		}
+		if c.err == nil {
+			nb.Via = make([]guid.GUID, nvia)
+			for i := range nb.Via {
+				nb.Via[i] = d.guidRef(c)
+			}
+		}
+	}
+
 	nevents := c.uvarint()
 	// Every event costs at least its flag byte + raw id, so the count is
 	// bounded by the remaining frame; reject inflated counts before the
@@ -500,7 +579,13 @@ func (d *Decoder) decodeBatch(c *cursor) *NativeBatch {
 			return nil
 		}
 	}
-	return nb
+	if hasCredit == 0 {
+		out := nb // nb itself stays on the stack
+		return &out
+	}
+	cb := &creditBatch{nb: nb, credit: credit}
+	cb.nb.Credit = &cb.credit
+	return &cb.nb
 }
 
 // decodeEvent fills ev, a zero element of the batch's slice, in place.
@@ -519,12 +604,7 @@ func (d *Decoder) decodeEvent(c *cursor, ev *event.Event) {
 		ev.Quality = math.Float64frombits(c.u64())
 	}
 	if fl&evfPayload != 0 {
-		if raw := c.blob(); c.err == nil {
-			var err error
-			if ev.Payload, err = d.decodePayload(raw); err != nil {
-				c.fail("event payload: %v", err)
-			}
-		}
+		ev.Payload = d.decodePayload(c)
 	}
 }
 

@@ -31,10 +31,10 @@ const (
 )
 
 // NativeBatch is a whole event batch carried in decoded form on a Message.
-// The slice is handed over: once attached to a Message given to a transport
-// the caller must neither mutate nor append to it (the in-process memory
-// transport delivers it pointer-identical, possibly to several receivers),
-// and receivers must copy events before modifying them.
+// The batch is handed over: once attached to a Message given to a transport
+// the caller must neither mutate nor append to any of its fields (the
+// in-process memory transport delivers it pointer-identical, possibly to
+// several receivers), and receivers must copy events before modifying them.
 type NativeBatch struct {
 	// Events are the batched events, ordered as published.
 	Events []event.Event `json:"events"`
@@ -42,6 +42,16 @@ type NativeBatch struct {
 	// report, sparing a standalone event.batch_ack. Receivers treat nil as
 	// "no report", never as an all-clear.
 	Credit *BatchCredit `json:"credit,omitempty"`
+
+	// The header: what the SCINET stamps on a batch crossing Ranges (all
+	// zero on a Range's own batches). Origin is the fabric that published
+	// the events, ID names the batch for duplicate suppression, Query is
+	// set when the batch carries results of one forwarded query, and Via
+	// names every fabric the batch already covers.
+	Origin guid.GUID   `json:"origin,omitzero"`
+	ID     guid.GUID   `json:"id,omitzero"`
+	Query  guid.GUID   `json:"query,omitzero"`
+	Via    []guid.GUID `json:"via,omitempty"`
 }
 
 // NewNativeEventBatch builds a KindEventBatch message carrying the events
@@ -101,10 +111,10 @@ type Encoder struct {
 	lenBuf [4]byte
 	bytes  atomic.Uint64
 
-	// Reused encode state (taken from frameBufPool on first use).
+	// Reused encode state: the frame buffer (taken from frameBufPool on
+	// first use) and per-depth payload entry slices.
 	scratch    []byte
-	payloadBuf []byte
-	keyStack   [][]string
+	entryStack [][]payloadEntry
 
 	// Per-connection interning dictionaries for the binary codec: types and
 	// GUIDs already shipped to the peer, by index. newTypes/newGUIDs are the
@@ -149,10 +159,6 @@ func (e *Encoder) Release() {
 	if e.scratch != nil {
 		poolPutBuf(e.scratch)
 		e.scratch = nil
-	}
-	if e.payloadBuf != nil {
-		poolPutBuf(e.payloadBuf)
-		e.payloadBuf = nil
 	}
 }
 
@@ -217,11 +223,10 @@ type Decoder struct {
 	types []string
 	guids []guid.GUID
 
-	// Payload decode state (payload.go): object keys seen on this connection,
+	// Strings seen on this connection — payload keys and inline kinds —
 	// interned up to maxDictEntries entries of at most maxInternedKeyLen
-	// bytes, and the scratch buffer string literals are unquoted into.
-	keys       map[string]string
-	unquoteBuf []byte
+	// bytes (payload.go).
+	keys map[string]string
 }
 
 // NewDecoder wraps r.

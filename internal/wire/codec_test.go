@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"io"
@@ -210,6 +211,9 @@ func TestWriterEnvelopeMatchesJSONMarshal(t *testing.T) {
 		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer), Kind: KindOverlayRoute,
 			TTL: 2, Body: json.RawMessage(`{"app_kind":"x"}`),
 			Batch: &NativeBatch{Events: testEvents(t, 1), Credit: &BatchCredit{Dropped: 3, QueueFree: -1}}},
+		{Src: guid.New(guid.KindServer), Dst: guid.New(guid.KindServer), Kind: "scinet.event_batch",
+			Batch: &NativeBatch{Events: testEvents(t, 1), Origin: guid.New(guid.KindServer),
+				ID: guid.New(guid.KindEvent), Query: guid.New(guid.KindQuery), Via: []guid.GUID{guid.New(guid.KindServer)}}},
 	}
 	for _, m := range msgs {
 		want, err := json.Marshal(m)
@@ -326,6 +330,16 @@ func FuzzDecoderRobustness(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, magicByte, binaryVersion})
 	f.Add([]byte{0, 0, 0, 1, '{'})
 	f.Add([]byte{})
+	// Hostile payloads and an inflated hop set.
+	for _, bad := range malformedPayloads() {
+		f.Add(payloadFrame(bad.payload))
+	}
+	via := []byte{magicByte, binaryVersion, kindIDs[KindEventBatch], flagBatch}
+	via = append(via, src[:]...)
+	via = append(via, dst[:]...)
+	via = append(via, 0, hdrVia, 0, 0)
+	via = binary.AppendUvarint(via, 1<<40)
+	f.Add(append(binary.BigEndian.AppendUint32(nil, uint32(len(via))), via...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := NewDecoder(bytes.NewReader(data))
@@ -347,9 +361,10 @@ func FuzzDecoderRobustness(f *testing.F) {
 }
 
 // FuzzBinaryRoundTrip round-trips generated messages — with and without a
-// batch, with and without credit — through both encodings: the binary form
-// must re-encode byte-identically, and the JSON form must decode to the very
-// same Message (one message set, two encodings).
+// batch, with and without credit and header, with nil, empty, flat and
+// nested payloads — through both encodings: the binary form must re-encode
+// byte-identically, and the JSON form must decode to the very same Message
+// (one message set, two encodings).
 func FuzzBinaryRoundTrip(f *testing.F) {
 	f.Add("temperature.celsius", "room-1", uint64(7), 0.5, int64(1700000000), 3) // batch + credit
 	f.Add("presence", "", uint64(4), 0.0, int64(-5), 1)                          // batch, no credit
@@ -361,11 +376,13 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if math.IsNaN(quality) || math.IsInf(quality, 0) {
 			return
 		}
-		// Invalid UTF-8 is coerced to U+FFFD by every JSON layer (ours and
-		// encoding/json alike), so it cannot round-trip to the original.
-		if !utf8.ValidString(typ) || !utf8.ValidString(payloadStr) {
+		// Types ship verbatim on the binary codec but coerced to valid UTF-8
+		// on JSON. Payload strings are coerced on both, so an invalid one
+		// still holds the codecs to agreement, just not to the original.
+		if !utf8.ValidString(typ) {
 			return
 		}
+		validPayload := utf8.ValidString(payloadStr)
 		const maxSec = int64(1 << 33) // keep UnixNano in range
 		if unixSec > maxSec || unixSec < -maxSec {
 			return
@@ -373,11 +390,20 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		src := guid.New(guid.KindDevice)
 		events := make([]event.Event, n)
 		for i := range events {
+			var payload map[string]any
+			switch (seq + uint64(i)) % 4 {
+			case 1:
+				payload = map[string]any{} // empty is absent on both codecs
+			case 2:
+				payload = map[string]any{"s": payloadStr, "i": float64(i)}
+			case 3:
+				payload = map[string]any{payloadStr: []any{float64(i), nil, true,
+					map[string]any{"q": quality, "list": []any{}, "obj": map[string]any{}}}}
+			}
 			events[i] = event.Event{
 				ID: guid.New(guid.KindEvent), Type: ctxtype.Type(typ), Source: src,
 				Seq: seq + uint64(i), Time: time.Unix(unixSec, int64(i)),
-				Quality: quality,
-				Payload: map[string]any{"s": payloadStr, "i": float64(i)},
+				Quality: quality, Payload: payload,
 			}
 		}
 		// n == 0 exercises the batch-free envelope: a body-only message.
@@ -392,6 +418,15 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 			if seq%2 == 1 { // odd seeds piggyback a credit report
 				m.Batch.Credit = &BatchCredit{Events: n, Dropped: seq / 2, QueueFree: int(seq%7) - 1}
 			}
+			if unixSec%2 != 0 { // odd times carry a SCINET batch header
+				m.Kind = "scinet.event_batch"
+				m.Batch.Origin = m.Src
+				m.Batch.ID = guid.New(guid.KindEvent)
+				m.Batch.Via = []guid.GUID{m.Src, m.Dst, guid.New(guid.KindServer)}[:1+n%3]
+				if seq%3 == 0 {
+					m.Batch.Query = guid.New(guid.KindQuery)
+				}
+			}
 		}
 		var buf1 bytes.Buffer
 		if err := NewEncoder(&buf1, CodecBinary).Write(m); err != nil {
@@ -401,8 +436,14 @@ func FuzzBinaryRoundTrip(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decode of own encoding failed: %v", err)
 		}
-		if n > 0 {
-			eventsEquivalent(t, events, got.Batch.Events)
+		if n > 0 && validPayload {
+			want := append([]event.Event(nil), events...)
+			for i := range want {
+				if len(want[i].Payload) == 0 {
+					want[i].Payload = nil
+				}
+			}
+			eventsEquivalent(t, want, got.Batch.Events)
 		}
 		var buf2 bytes.Buffer
 		if err := NewEncoder(&buf2, CodecBinary).Write(got); err != nil {

@@ -4,8 +4,8 @@ package wire
 // cross-checks for this package's //lint:hotpath annotations
 // (Encoder.appendBinary, appendBatch, appendEvent). The static analyzer
 // proves the absence of allocating constructs up to the //lint:allow
-// escapes (the once-per-connection dictionary maps, the payload JSON
-// encoder's error path); these tests prove the escapes were justified —
+// escapes (the once-per-connection dictionary maps, the payload encoder's
+// error and slow paths); these tests prove the escapes were justified —
 // once the dictionaries and scratch buffers are warm, encoding a batch
 // frame allocates nothing. internal/analysis/hotpath's registry test fails
 // if an annotation exists without a covering check here. Decode cannot be
@@ -21,8 +21,9 @@ import (
 	"sci/internal/guid"
 )
 
-// hotMessage is the frame both directions are measured on: four events
-// with payloads, one publisher, piggybacked credit.
+// hotMessage is the frame both directions are measured on: an application
+// kind shipped inline (as SCINET batches travel), four events with
+// mixed-type payloads, one publisher, piggybacked credit and a batch header.
 func hotMessage() Message {
 	src := guid.New(guid.KindServer)
 	dst := guid.New(guid.KindServer)
@@ -37,16 +38,19 @@ func hotMessage() Message {
 			Seq:     uint64(i + 1),
 			Time:    time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC),
 			Quality: 0.75,
-			Payload: map[string]any{"value": 21.5, "seq": i},
+			Payload: map[string]any{"value": 21.5, "seq": i, "ok": i%2 == 0, "unit": nil},
 		}
 	}
 	return Message{
 		Src:  src,
 		Dst:  dst,
-		Kind: KindEventBatch,
+		Kind: "bench.app.batch",
 		Batch: &NativeBatch{
 			Events: events,
 			Credit: &BatchCredit{Events: 4, Dropped: 0, QueueFree: 128},
+			Origin: src,
+			ID:     guid.New(guid.KindEvent),
+			Via:    []guid.GUID{src, dst},
 		},
 	}
 }
@@ -127,9 +131,10 @@ func warmDecoder(t testing.TB) (*Decoder, []byte) {
 }
 
 // TestHotpathDecodeAllocBudget caps what a warmed binary batch decode may
-// allocate: per frame the batch and its event slice (plus the credit when
-// one rides along), per event the payload map and one box per non-zero
-// number — no key strings, no reflection, no intermediate copies.
+// allocate: per frame the batch (its credit in the same allocation), its
+// event slice and its hop set; per event the payload map and one box per
+// non-zero number — no kind or key strings, no boxes for booleans or null,
+// no reflection, no intermediate copies. Measured: 18 per frame.
 func TestHotpathDecodeAllocBudget(t *testing.T) {
 	d, frame := warmDecoder(t)
 	const events, perEvent, perFrame = 4, 4, 2
@@ -142,6 +147,7 @@ func TestHotpathDecodeAllocBudget(t *testing.T) {
 			t.Fatal("short batch")
 		}
 	})
+	t.Logf("warmed binary decode: %.1f allocations per %d-event frame", allocs, events)
 	if budget := float64(events*perEvent + perFrame); allocs > budget {
 		t.Fatalf("warmed binary decode allocates %.1f times per %d-event frame, budget %.0f", allocs, events, budget)
 	}

@@ -1,213 +1,309 @@
 package wire
 
-// Event payloads cross the binary codec as JSON object text. Both directions
-// live here and mirror each other: the encoder appends that text without
-// reflection, the decoder parses it back in one pass. Either side must stay
-// interchangeable with encoding/json — same bytes out, same values and same
-// rejections in — which FuzzPayloadDecode and the codec tests enforce.
+// Event payloads cross the binary codec as tagged binary values; both
+// directions live here and mirror each other. The encoder writes what a
+// JSON-codec round trip of the same payload would decode to — numbers as
+// float64, invalid UTF-8 as U+FFFD — so both codecs decode one message to
+// reflect.DeepEqual values, which FuzzPayloadRoundTrip and the codec tests
+// enforce. Grammar (doc.go):
+//
+//	payload = object body: uvarint count, then count × (key, value),
+//	          keys as uvarint len + UTF-8 bytes in strictly ascending order
+//	value   = tag(u8) then: null/false/true nothing; float 8 bytes
+//	          big-endian IEEE bits; string uvarint len + UTF-8 bytes;
+//	          array uvarint count + values; object as payload
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
 	"strconv"
-	"unicode"
-	"unicode/utf16"
+	"strings"
 	"unicode/utf8"
+)
+
+// Payload value tags. The order is wire ABI.
+const (
+	tagNull byte = iota
+	tagFalse
+	tagTrue
+	tagFloat
+	tagString
+	tagArray
+	tagObject
+)
+
+const (
+	// maxPayloadDepth is the deepest object/array nesting a payload may
+	// have, the payload object itself being level 1. It is encoding/json's
+	// own limit, so the JSON codec can decode whatever the binary one
+	// carries; it also bounds both directions' recursion.
+	maxPayloadDepth = 10000
+	// maxInternedKeyLen caps the length of a string the decoder interns.
+	// With maxDictEntries it bounds the table's memory whatever a peer
+	// sends; longer or later strings still decode, just not remembered.
+	maxInternedKeyLen = 64
 )
 
 // ----- encoding -----
 
-const hexdigits = "0123456789abcdef"
+// appendPayload appends an event payload map. Steady state allocates
+// nothing: per-depth entry slices are reused across calls.
+func (e *Encoder) appendPayload(b []byte, m map[string]any) ([]byte, error) {
+	return e.appendObject(b, m, 1)
+}
 
-// appendJSONMap appends the JSON encoding of a payload map with sorted keys
-// (deterministic output, like encoding/json) without allocating in steady
-// state: the per-depth key slices are reused across calls.
-func (e *Encoder) appendJSONMap(b []byte, m map[string]any, depth int) ([]byte, error) {
-	for len(e.keyStack) <= depth {
-		e.keyStack = append(e.keyStack, nil)
+// appendObject appends m's body (count and sorted entries) at nesting depth.
+func (e *Encoder) appendObject(b []byte, m map[string]any, depth int) ([]byte, error) {
+	if depth > maxPayloadDepth {
+		return b, fmt.Errorf("%w: payload nesting exceeds max depth %d", ErrBadMessage, maxPayloadDepth)
 	}
-	keys := e.keyStack[depth][:0]
-	for k := range m {
-		keys = append(keys, k)
+	for len(e.entryStack) < depth {
+		e.entryStack = append(e.entryStack, nil)
 	}
-	slices.Sort(keys)
-	e.keyStack[depth] = keys
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
+	entries := e.entryStack[depth-1][:0]
+	for k, v := range m {
+		if !utf8.ValidString(k) {
+			// Coerced keys may collide, and encoding/json decides which
+			// value survives: let it.
+			jv, err := jsonValue(m)
+			if err != nil {
+				return b, err
+			}
+			return e.appendObject(b, jv.(map[string]any), depth)
 		}
-		b = appendJSONString(b, k)
-		b = append(b, ':')
+		entries = append(entries, payloadEntry{k, v})
+	}
+	slices.SortFunc(entries, func(x, y payloadEntry) int { return strings.Compare(x.key, y.key) })
+	e.entryStack[depth-1] = entries
+	b = binary.AppendUvarint(b, uint64(len(entries)))
+	for _, en := range entries {
+		b = appendPayloadString(b, en.key)
 		var err error
-		if b, err = e.appendJSONValue(b, m[k], depth+1); err != nil {
+		if b, err = e.appendValue(b, en.val, depth); err != nil {
 			return b, err
 		}
 	}
-	return append(b, '}'), nil
+	return b, nil
 }
 
-func (e *Encoder) appendJSONValue(b []byte, v any, depth int) ([]byte, error) {
+// payloadEntry is one object member, collected for sorting.
+type payloadEntry struct {
+	key string
+	val any
+}
+
+// appendValue appends one tagged value held at nesting depth.
+func (e *Encoder) appendValue(b []byte, v any, depth int) ([]byte, error) {
 	switch x := v.(type) {
 	case nil:
-		return append(b, "null"...), nil
+		return append(b, tagNull), nil
 	case bool:
 		if x {
-			return append(b, "true"...), nil
+			return append(b, tagTrue), nil
 		}
-		return append(b, "false"...), nil
-	case string:
-		return appendJSONString(b, x), nil
+		return append(b, tagFalse), nil
 	case float64:
-		return appendJSONFloat(b, x)
-	case float32:
-		return appendJSONFloat(b, float64(x))
-	case int:
-		return strconv.AppendInt(b, int64(x), 10), nil
-	case int64:
-		return strconv.AppendInt(b, x, 10), nil
-	case uint64:
-		return strconv.AppendUint(b, x, 10), nil
-	case json.Number:
-		if !json.Valid([]byte(x)) {
-			return b, fmt.Errorf("%w: invalid json.Number %q", ErrBadMessage, string(x))
-		}
-		return append(b, x...), nil
-	case json.RawMessage:
-		if !json.Valid(x) {
-			return b, fmt.Errorf("%w: invalid raw payload value", ErrBadMessage)
-		}
-		return append(b, x...), nil
+		return appendFloat(b, x)
+	case string:
+		return appendPayloadString(append(b, tagString), x), nil
 	case map[string]any:
-		return e.appendJSONMap(b, x, depth)
+		if x == nil {
+			return append(b, tagNull), nil
+		}
+		return e.appendObject(append(b, tagObject), x, depth+1)
 	case []any:
-		b = append(b, '[')
-		for i, el := range x {
-			if i > 0 {
-				b = append(b, ',')
-			}
+		if x == nil {
+			return append(b, tagNull), nil
+		}
+		if depth+1 > maxPayloadDepth {
+			return b, fmt.Errorf("%w: payload nesting exceeds max depth %d", ErrBadMessage, maxPayloadDepth)
+		}
+		b = append(b, tagArray)
+		b = binary.AppendUvarint(b, uint64(len(x)))
+		for _, el := range x {
 			var err error
-			if b, err = e.appendJSONValue(b, el, depth); err != nil {
+			if b, err = e.appendValue(b, el, depth+1); err != nil {
 				return b, err
 			}
 		}
-		return append(b, ']'), nil
-	default:
-		// Uncommon payload value types take the reflective slow path.
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return b, fmt.Errorf("wire: encode payload value: %w", err)
+		return b, nil
+	case int:
+		return appendFloat(b, float64(x))
+	case int64:
+		return appendFloat(b, float64(x))
+	case int32:
+		return appendFloat(b, float64(x))
+	case uint:
+		return appendFloat(b, float64(x))
+	case uint64:
+		return appendFloat(b, float64(x))
+	case uint32:
+		return appendFloat(b, float64(x))
+	case float32:
+		// encoding/json writes a float32 in its shortest 32-bit form; the
+		// value that text parses back to is what the JSON codec delivers.
+		f := float64(x)
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			var text [32]byte
+			f, _ = strconv.ParseFloat(string(strconv.AppendFloat(text[:0], f, 'g', -1, 32)), 64)
 		}
-		return append(b, raw...), nil
+		return appendFloat(b, f)
+	case json.Number:
+		if x == "" {
+			return appendFloat(b, 0) // encoding/json writes an empty Number as 0
+		}
+		if !json.Valid([]byte(x)) || (x[0] != '-' && (x[0] < '0' || x[0] > '9')) {
+			return b, fmt.Errorf("%w: invalid json.Number %q", ErrBadMessage, string(x))
+		}
+		f, err := strconv.ParseFloat(string(x), 64)
+		if err != nil {
+			return b, fmt.Errorf("%w: json.Number %q: %v", ErrBadMessage, string(x), err)
+		}
+		return appendFloat(b, f)
+	default:
+		// json.RawMessage, other integer widths, structs, typed maps and
+		// slices: one reflective slow path yields exactly what the JSON
+		// codec would deliver.
+		jv, err := jsonValue(v)
+		if err != nil {
+			return b, err
+		}
+		return e.appendValue(b, jv, depth)
 	}
 }
 
-func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+// jsonValue is what a JSON round trip makes of v: nil, bool, float64,
+// string, []any or map[string]any.
+func jsonValue(v any) (any, error) {
+	raw, err := json.Marshal(v)
+	if err != nil {
+		return nil, fmt.Errorf("wire: encode payload value: %w", err)
+	}
+	var out any
+	if err := json.Unmarshal(raw, &out); err != nil {
+		return nil, fmt.Errorf("wire: encode payload value: %w", err)
+	}
+	return out, nil
+}
+
+func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
 		return b, fmt.Errorf("%w: unsupported float value in payload", ErrBadMessage)
 	}
-	abs := math.Abs(f)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	return strconv.AppendFloat(b, f, format, -1, 64), nil
+	b = append(b, tagFloat)
+	return binary.BigEndian.AppendUint64(b, math.Float64bits(f)), nil
 }
 
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c == '"' || c == '\\' || c < 0x20 {
-				b = append(b, s[start:i]...)
-				switch c {
-				case '"':
-					b = append(b, '\\', '"')
-				case '\\':
-					b = append(b, '\\', '\\')
-				case '\n':
-					b = append(b, '\\', 'n')
-				case '\r':
-					b = append(b, '\\', 'r')
-				case '\t':
-					b = append(b, '\\', 't')
-				default:
-					b = append(b, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0x0f])
-				}
-				start = i + 1
-			}
-			i++
-			continue
+// appendPayloadString appends s as uvarint length + bytes. Invalid UTF-8
+// becomes U+FFFD per byte, the rule encoding/json and appendJSONString
+// apply, so the string decodes the same on both codecs.
+func appendPayloadString(b []byte, s string) []byte {
+	if !utf8.ValidString(s) {
+		var sb strings.Builder
+		for i := 0; i < len(s); {
+			r, size := utf8.DecodeRuneInString(s[i:])
+			sb.WriteRune(r) // an invalid byte decodes as (RuneError, 1)
+			i += size
 		}
-		// Invalid UTF-8 becomes U+FFFD, matching encoding/json, so encoded
-		// payloads always decode to the same string they re-encode from.
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, "�"...)
-			start = i + 1
-		}
-		i += size
+		s = sb.String()
 	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
 }
 
 // ----- decoding -----
 
-const (
-	// maxPayloadDepth is the deepest object/array nesting a payload may have.
-	// It is encoding/json's own limit, so the two reject the same inputs; it
-	// also bounds the parser's recursion on hostile input.
-	maxPayloadDepth = 10000
-	// maxInternedKeyLen caps the length of an object key the decoder interns.
-	// With maxDictEntries it bounds the table's memory whatever a peer sends;
-	// keys beyond either bound are still decoded, just not remembered.
-	maxInternedKeyLen = 64
-)
-
-// payloadParser is a single-pass recursive-descent JSON parser over one
-// event's payload bytes. It accepts exactly the documents encoding/json
-// decodes into a map[string]any and builds the same values: objects as
-// map[string]any (duplicate keys: last wins), arrays as []any, numbers as
-// float64, invalid UTF-8 and lone surrogates as U+FFFD.
-type payloadParser struct {
-	d     *Decoder
-	b     []byte
-	off   int
-	depth int
+// decodePayload reads an event payload at the cursor. Nothing in the result
+// aliases the frame. Malformed input — a bad tag, NaN or infinite bits,
+// invalid UTF-8, keys out of order, counts beyond the bytes left, nesting
+// beyond maxPayloadDepth — fails the cursor.
+func (d *Decoder) decodePayload(c *cursor) map[string]any {
+	return d.decodeObject(c, 1)
 }
 
-// decodePayload parses raw as an event payload: a JSON object, or null for
-// a nil map. Nothing in the result aliases raw.
-func (d *Decoder) decodePayload(raw []byte) (map[string]any, error) {
-	p := payloadParser{d: d, b: raw}
-	p.skipSpace()
-	var m map[string]any
-	var err error
-	switch p.peek() {
-	case '{':
-		m, err = p.object()
-	case 'n':
-		err = p.literal("null")
+func (d *Decoder) decodeObject(c *cursor, depth int) map[string]any {
+	if depth > maxPayloadDepth {
+		c.fail("payload nesting exceeds max depth %d", maxPayloadDepth)
+		return nil
+	}
+	n := c.uvarint()
+	// Every entry costs at least a key length and a value tag.
+	if c.err == nil && n > uint64(c.rem()/2) {
+		c.fail("payload object of %d entries exceeds frame", n)
+	}
+	if c.err != nil {
+		return nil
+	}
+	m := make(map[string]any, min(n, 8))
+	var prev string
+	for i := uint64(0); i < n; i++ {
+		kb := c.blob()
+		if c.err == nil && !utf8.Valid(kb) {
+			c.fail("payload key is not UTF-8")
+		}
+		if c.err != nil {
+			return nil
+		}
+		key := d.internKey(kb)
+		if i > 0 && key <= prev {
+			c.fail("payload keys out of order")
+			return nil
+		}
+		prev = key
+		m[key] = d.decodeValue(c, depth)
+	}
+	return m
+}
+
+func (d *Decoder) decodeValue(c *cursor, depth int) any {
+	switch tag := c.u8(); tag {
+	case tagNull:
+		return nil
+	case tagFalse:
+		return false
+	case tagTrue:
+		return true
+	case tagFloat:
+		f := math.Float64frombits(c.u64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			c.fail("payload float is NaN or infinite")
+		}
+		return f
+	case tagString:
+		s := c.blob()
+		if c.err == nil && !utf8.Valid(s) {
+			c.fail("payload string is not UTF-8")
+		}
+		return string(s)
+	case tagArray:
+		if depth+1 > maxPayloadDepth {
+			c.fail("payload nesting exceeds max depth %d", maxPayloadDepth)
+			return nil
+		}
+		n := c.uvarint()
+		// Every element costs at least its tag.
+		if c.err == nil && n > uint64(c.rem()) {
+			c.fail("payload array of %d elements exceeds frame", n)
+		}
+		arr := make([]any, 0, min(n, 64))
+		for i := uint64(0); i < n && c.err == nil; i++ {
+			arr = append(arr, d.decodeValue(c, depth+1))
+		}
+		return arr
+	case tagObject:
+		return d.decodeObject(c, depth+1)
 	default:
-		err = p.errAt("payload is not a JSON object")
+		c.fail("bad payload tag %d", tag)
+		return nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	if p.skipSpace(); p.off != len(p.b) {
-		return nil, p.errAt("trailing data after payload")
-	}
-	return m, nil
 }
 
-// internKey returns b as a string, sharing one copy per distinct key across
-// the events of a connection while the table has room.
+// internKey returns b as a string, sharing one copy per distinct value
+// across the frames of a connection while the table has room. Payload keys
+// and inline kinds go through it.
 func (d *Decoder) internKey(b []byte) string {
 	if s, ok := d.keys[string(b)]; ok {
 		return s
@@ -220,312 +316,4 @@ func (d *Decoder) internKey(b []byte) string {
 		d.keys[s] = s
 	}
 	return s
-}
-
-func (p *payloadParser) errAt(msg string) error {
-	return fmt.Errorf("%s at payload offset %d", msg, p.off)
-}
-
-// peek returns the next byte, or 0 — which no token begins with — at the end.
-func (p *payloadParser) peek() byte {
-	if p.off < len(p.b) {
-		return p.b[p.off]
-	}
-	return 0
-}
-
-func (p *payloadParser) skipSpace() {
-	for p.off < len(p.b) {
-		switch p.b[p.off] {
-		case ' ', '\t', '\r', '\n':
-			p.off++
-		default:
-			return
-		}
-	}
-}
-
-// enter steps over the bracket opening an object or array; leave steps over
-// the one closing it.
-func (p *payloadParser) enter() error {
-	if p.depth++; p.depth > maxPayloadDepth {
-		return p.errAt("payload nesting exceeds max depth")
-	}
-	p.off++
-	p.skipSpace()
-	return nil
-}
-
-func (p *payloadParser) leave() {
-	p.off++
-	p.depth--
-}
-
-func (p *payloadParser) object() (map[string]any, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	m := make(map[string]any)
-	if p.peek() == '}' {
-		p.leave()
-		return m, nil
-	}
-	for {
-		if p.peek() != '"' {
-			return nil, p.errAt("expected object key")
-		}
-		kb, err := p.stringBytes()
-		if err != nil {
-			return nil, err
-		}
-		key := p.d.internKey(kb)
-		if p.skipSpace(); p.peek() != ':' {
-			return nil, p.errAt("expected ':' after object key")
-		}
-		p.off++
-		p.skipSpace()
-		v, err := p.value()
-		if err != nil {
-			return nil, err
-		}
-		m[key] = v
-		p.skipSpace()
-		switch p.peek() {
-		case ',':
-			p.off++
-			p.skipSpace()
-		case '}':
-			p.leave()
-			return m, nil
-		default:
-			return nil, p.errAt("expected ',' or '}' in object")
-		}
-	}
-}
-
-func (p *payloadParser) array() ([]any, error) {
-	if err := p.enter(); err != nil {
-		return nil, err
-	}
-	arr := []any{}
-	if p.peek() == ']' {
-		p.leave()
-		return arr, nil
-	}
-	for {
-		v, err := p.value()
-		if err != nil {
-			return nil, err
-		}
-		arr = append(arr, v)
-		p.skipSpace()
-		switch p.peek() {
-		case ',':
-			p.off++
-			p.skipSpace()
-		case ']':
-			p.leave()
-			return arr, nil
-		default:
-			return nil, p.errAt("expected ',' or ']' in array")
-		}
-	}
-}
-
-func (p *payloadParser) value() (any, error) {
-	switch c := p.peek(); {
-	case c == '"':
-		b, err := p.stringBytes()
-		if err != nil {
-			return nil, err
-		}
-		return string(b), nil
-	case c == '{':
-		return p.object()
-	case c == '[':
-		return p.array()
-	case c == '-' || isDigit(c):
-		return p.number()
-	case c == 't':
-		return true, p.literal("true")
-	case c == 'f':
-		return false, p.literal("false")
-	case c == 'n':
-		return nil, p.literal("null")
-	default:
-		return nil, p.errAt("expected a JSON value")
-	}
-}
-
-func (p *payloadParser) literal(word string) error {
-	if len(p.b)-p.off < len(word) || string(p.b[p.off:p.off+len(word)]) != word {
-		return p.errAt("invalid literal")
-	}
-	p.off += len(word)
-	return nil
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
-
-func (p *payloadParser) digits() bool {
-	start := p.off
-	for isDigit(p.peek()) {
-		p.off++
-	}
-	return p.off > start
-}
-
-// number checks the JSON number grammar — stricter than strconv's — and then
-// lets strconv.ParseFloat produce the value, as encoding/json does; a
-// literal float64 cannot hold (1e999) is an error there and here.
-func (p *payloadParser) number() (any, error) {
-	start := p.off
-	if p.peek() == '-' {
-		p.off++
-	}
-	if p.peek() == '0' {
-		p.off++
-	} else if !p.digits() {
-		return nil, p.errAt("invalid number")
-	}
-	if p.peek() == '.' {
-		p.off++
-		if !p.digits() {
-			return nil, p.errAt("invalid number fraction")
-		}
-	}
-	if c := p.peek(); c == 'e' || c == 'E' {
-		p.off++
-		if c := p.peek(); c == '+' || c == '-' {
-			p.off++
-		}
-		if !p.digits() {
-			return nil, p.errAt("invalid number exponent")
-		}
-	}
-	f, err := strconv.ParseFloat(string(p.b[start:p.off]), 64)
-	if err != nil {
-		return nil, fmt.Errorf("payload number at offset %d: %w", start, err)
-	}
-	return f, nil
-}
-
-// stringBytes parses the string literal at the cursor and returns its
-// unquoted bytes: a sub-slice of the input when the literal is plain ASCII,
-// the decoder's scratch buffer otherwise. Either way the caller must copy
-// them (string conversion, interning) before parsing on.
-func (p *payloadParser) stringBytes() ([]byte, error) {
-	p.off++ // opening quote
-	start := p.off
-	for p.off < len(p.b) {
-		c := p.b[p.off]
-		if c == '"' {
-			p.off++
-			return p.b[start : p.off-1], nil
-		}
-		if c == '\\' || c < 0x20 || c >= utf8.RuneSelf {
-			break
-		}
-		p.off++
-	}
-	return p.unquote(start)
-}
-
-// unquote finishes a string literal that needs rewriting: escapes, and
-// non-ASCII bytes that must be checked as UTF-8. p.b[start:p.off] is the
-// plain prefix already scanned.
-func (p *payloadParser) unquote(start int) ([]byte, error) {
-	buf := append(p.d.unquoteBuf[:0], p.b[start:p.off]...)
-	for p.off < len(p.b) {
-		c := p.b[p.off]
-		switch {
-		case c == '"':
-			p.off++
-			p.d.unquoteBuf = buf
-			return buf, nil
-		case c < 0x20:
-			return nil, p.errAt("control character in string")
-		case c == '\\':
-			var err error
-			if buf, err = p.escape(buf); err != nil {
-				return nil, err
-			}
-		case c < utf8.RuneSelf:
-			buf = append(buf, c)
-			p.off++
-		default:
-			// An invalid byte decodes as (RuneError, 1) and is written as
-			// U+FFFD, like encoding/json and like appendJSONString.
-			r, size := utf8.DecodeRune(p.b[p.off:])
-			buf = utf8.AppendRune(buf, r)
-			p.off += size
-		}
-	}
-	return nil, p.errAt("unterminated string")
-}
-
-// escape decodes the backslash escape at the cursor onto buf.
-func (p *payloadParser) escape(buf []byte) ([]byte, error) {
-	if p.off+1 >= len(p.b) {
-		return nil, p.errAt("unterminated string")
-	}
-	c := p.b[p.off+1]
-	switch c {
-	case '"', '\\', '/':
-	case 'b':
-		c = '\b'
-	case 'f':
-		c = '\f'
-	case 'n':
-		c = '\n'
-	case 'r':
-		c = '\r'
-	case 't':
-		c = '\t'
-	case 'u':
-		r := p.hex4(p.off)
-		if r < 0 {
-			return nil, p.errAt("invalid \\u escape")
-		}
-		p.off += 6
-		if utf16.IsSurrogate(r) {
-			// A high half directly followed by a low half is one code point.
-			// A lone half becomes U+FFFD and whatever follows it is read on
-			// its own.
-			if dec := utf16.DecodeRune(r, p.hex4(p.off)); dec != unicode.ReplacementChar {
-				p.off += 6
-				r = dec
-			} else {
-				r = unicode.ReplacementChar
-			}
-		}
-		return utf8.AppendRune(buf, r), nil
-	default:
-		return nil, p.errAt("invalid string escape")
-	}
-	p.off += 2
-	return append(buf, c), nil
-}
-
-// hex4 reads a \uXXXX escape at offset i and returns its code unit, or -1
-// when the bytes there are anything else.
-func (p *payloadParser) hex4(i int) rune {
-	if len(p.b)-i < 6 || p.b[i] != '\\' || p.b[i+1] != 'u' {
-		return -1
-	}
-	var r rune
-	for _, c := range p.b[i+2 : i+6] {
-		switch {
-		case isDigit(c):
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
-		default:
-			return -1
-		}
-		r = r<<4 | rune(c)
-	}
-	return r
 }

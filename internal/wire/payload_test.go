@@ -10,29 +10,32 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"sci/internal/ctxtype"
+	"sci/internal/event"
 	"sci/internal/guid"
 )
 
-// payloadSeeds covers every value shape appendJSONValue can emit plus the
-// inputs on which a hand-written parser most easily parts ways with
-// encoding/json.
+// payloadSeeds are JSON documents: what events carry, plus the inputs on
+// which a JSON decoder and a hand-built value most easily part ways
+// (escapes, surrogates, invalid UTF-8, duplicate keys, number edges). The
+// ones encoding/json rejects seed the byte-level decoder fuzz as garbage.
 var payloadSeeds = []string{
-	// What the encoder emits.
 	`{}`,
 	`{"value":21.5,"seq":3}`,
 	`{"b":true,"f":false,"n":null,"s":"room-1"}`,
 	`{"i":-9223372036854775808,"u":18446744073709551615,"big":9007199254740993}`,
 	`{"e":1e-7,"E":1.5e+21,"neg":-0,"z":0}`,
 	`{"nested":{"a":[1,"two",{"three":[]}],"o":{}}}`,
-	`{"num":  12.50 ,"raw": { "k" : [ 1 , 2 ] } }`, // json.Number / json.RawMessage keep inner whitespace
+	`{"num":  12.50 ,"raw": { "k" : [ 1 , 2 ] } }`,
 	`{"esc":"q\" b\\ n\n r\r t\t nul\u0000 del\u007f"}`,
 	"{\"utf8\":\"caf\u00e9 \u2603 \U0001F600 \ufffd\"}",
 	// Escapes and surrogates.
 	`{"sl":"\/","bf":"\b\f","u":"\u00e9\u00E9","pair":"\ud83d\ude00"}`,
 	`{"lone":"\ud800","low":"\udc00","hi2":"\ud800\ud800","hiascii":"\ud800\u0041","hitext":"\ud800x"}`,
 	`{"\u006bey":"escaped key","key":"last wins"}`,
-	"{\"bad\":\"\xff\xfe ok \xc3\"}", // invalid UTF-8 → U+FFFD
+	"{\"bad\":\"\xff\xfe ok \xc3\"}",
 	"{\"\xff\":1}",
 	// Numbers at the edges.
 	`{"a":1e999}`, `{"a":-1e999}`, `{"a":1e-999}`, `{"a":0.1e1}`, `{"a":1E+2}`,
@@ -51,50 +54,176 @@ var payloadSeeds = []string{
 	`{"":""}`,
 }
 
-// jsonPayload is the reference: what the decoder did before it had its own
-// parser.
-func jsonPayload(data []byte) (map[string]any, error) {
-	var m map[string]any
-	err := json.Unmarshal(data, &m)
-	return m, err
+// tagged encodes a payload map the way an event's payload is written.
+func tagged(t testing.TB, m map[string]any) []byte {
+	t.Helper()
+	b, err := new(Encoder).appendPayload(nil, m)
+	if err != nil {
+		t.Fatalf("encode %#v: %v", m, err)
+	}
+	return b
 }
 
-// checkAgainstJSON requires decodePayload and encoding/json to agree on data:
-// both reject it, or both accept it with deeply equal results.
-func checkAgainstJSON(t *testing.T, data []byte) {
-	t.Helper()
-	want, wantErr := jsonPayload(data)
-	got, gotErr := new(Decoder).decodePayload(data)
-	if (gotErr != nil) != (wantErr != nil) {
-		t.Fatalf("payload %q: decodePayload err = %v, encoding/json err = %v", data, gotErr, wantErr)
+// untag decodes one payload that must fill data exactly.
+func untag(d *Decoder, data []byte) (map[string]any, error) {
+	c := cursor{b: data}
+	m := d.decodePayload(&c)
+	if c.err == nil && c.rem() != 0 {
+		c.fail("%d trailing bytes", c.rem())
 	}
-	if gotErr != nil {
-		if got != nil {
-			t.Fatalf("payload %q: rejected but returned %v", data, got)
-		}
-		return
+	return m, c.err
+}
+
+// checkRoundTrip requires every document encoding/json accepts as a payload
+// to come back from the tagged form deeply equal to what encoding/json made
+// of it — the JSON codec's view of the same payload.
+func checkRoundTrip(t *testing.T, doc []byte) {
+	t.Helper()
+	var want map[string]any
+	if json.Unmarshal(doc, &want) != nil || want == nil {
+		return // not a payload
+	}
+	got, err := untag(new(Decoder), tagged(t, want))
+	if err != nil {
+		t.Fatalf("payload %q: decode of own encoding: %v", doc, err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("payload %q:\n got %#v\nwant %#v", data, got, want)
+		t.Fatalf("payload %q:\n got %#v\nwant %#v", doc, got, want)
 	}
 }
 
 func TestPayloadDecodeMatchesEncodingJSON(t *testing.T) {
 	for _, s := range payloadSeeds {
-		checkAgainstJSON(t, []byte(s))
-	}
-	// Every prefix of a document rich in token kinds: truncation anywhere is
-	// rejected by both, never mis-accepted.
-	doc := `{"k\u00e9":[1.5e-3,"s\n\ud83d\ude00",true,false,null,{"x":{}}],"z":-0}`
-	for i := 0; i <= len(doc); i++ {
-		checkAgainstJSON(t, []byte(doc[:i]))
+		checkRoundTrip(t, []byte(s))
 	}
 }
 
-// DeepEqual cannot tell -0 from 0, but re-encoding can: "-0" must come back
-// as the negative zero that encodes to "-0" again.
+func FuzzPayloadRoundTrip(f *testing.F) {
+	for _, s := range payloadSeeds {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		checkRoundTrip(t, doc)
+	})
+}
+
+// FuzzPayloadDecode feeds the tagged decoder arbitrary bytes: it never
+// panics, and whatever it accepts is canonical — it re-encodes to the very
+// bytes it came from.
+func FuzzPayloadDecode(f *testing.F) {
+	for _, s := range payloadSeeds {
+		var m map[string]any
+		if json.Unmarshal([]byte(s), &m) == nil && m != nil {
+			f.Add(tagged(f, m))
+		} else {
+			f.Add([]byte(s))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := untag(new(Decoder), data)
+		if err != nil {
+			return
+		}
+		if again := tagged(t, m); !bytes.Equal(again, data) {
+			t.Fatalf("accepted non-canonical payload % x (re-encodes as % x)", data, again)
+		}
+	})
+}
+
+type payloadStruct struct {
+	Name string  `json:"name"`
+	Temp float32 `json:"temp"`
+	Skip int     `json:"-"`
+}
+
+// TestPayloadGoValues pins the encoder's conversions: every Go value an
+// event may carry decodes on the binary codec to what the JSON codec
+// delivers for it.
+func TestPayloadGoValues(t *testing.T) {
+	values := map[string]any{
+		"int64 above 2^53":  int64(1<<53 + 1),
+		"int64 min":         int64(math.MinInt64),
+		"uint64 max":        uint64(math.MaxUint64),
+		"int":               42,
+		"int8":              int8(-8),
+		"uint16":            uint16(65535),
+		"float32":           float32(0.1),
+		"float32 tiny":      float32(1e-45),
+		"json.Number":       json.Number("12.50"),
+		"json.Number empty": json.Number(""),
+		"json.RawMessage":   json.RawMessage(` { "k" : [1, "two", null] } `),
+		"struct":            payloadStruct{Name: "p1", Temp: 21.5, Skip: 3},
+		"pointer":           &payloadStruct{Name: "p2"},
+		"typed map":         map[string]int{"b": 2, "a": 1},
+		"typed slice":       []float64{1.5, -0.5},
+		"nil map":           map[string]any(nil),
+		"nil slice":         []any(nil),
+		"invalid UTF-8":     "a\xffb\xc3",
+		"duration":          2 * time.Second,
+	}
+	for name, v := range values {
+		t.Run(name, func(t *testing.T) {
+			checkCodecsAgree(t, map[string]any{"v": v})
+		})
+	}
+	// Invalid keys coerce to the same key; encoding/json's order decides
+	// which value survives.
+	checkCodecsAgree(t, map[string]any{"k\xfe": 1, "k\xff": 2, "k": map[string]any{"\xc3": true}})
+}
+
+// checkCodecsAgree sends one event carrying payload over both codecs and
+// requires the two decoded payloads to be deeply equal.
+func checkCodecsAgree(t *testing.T, payload map[string]any) {
+	t.Helper()
+	ev := event.New(ctxtype.TemperatureCelsius, guid.New(guid.KindDevice), 1, time.Unix(1700000000, 0), payload)
+	m, err := NewNativeEventBatch(guid.New(guid.KindServer), guid.New(guid.KindServer), []event.Event{ev}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got [2]Message
+	for i, codec := range []Codec{CodecBinary, CodecJSON} {
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf, codec).Write(m); err != nil {
+			t.Fatalf("%s encode: %v", codec, err)
+		}
+		if got[i], err = NewDecoder(&buf).Read(); err != nil {
+			t.Fatalf("%s decode: %v", codec, err)
+		}
+	}
+	if !reflect.DeepEqual(got[0], got[1]) {
+		t.Fatalf("codecs disagree on %#v:\n binary: %#v\n   json: %#v",
+			payload, got[0].Batch.Events[0].Payload, got[1].Batch.Events[0].Payload)
+	}
+}
+
+// TestPayloadRejectsUnencodable: values JSON cannot carry fail the encode
+// on the binary codec too.
+func TestPayloadRejectsUnencodable(t *testing.T) {
+	for name, v := range map[string]any{
+		"NaN":              math.NaN(),
+		"-Inf":             math.Inf(-1),
+		"float32 Inf":      float32(math.Inf(1)),
+		"json.Number bad":  json.Number("0x10"),
+		"json.Number huge": json.Number("1e999"),
+		"raw invalid":      json.RawMessage(`{"broken`),
+		"channel":          make(chan int),
+	} {
+		if _, err := new(Encoder).appendPayload(nil, map[string]any{"v": v}); err == nil {
+			t.Errorf("%s: encoded", name)
+		}
+	}
+}
+
+// TestEmptyPayloadCodecsAgree: an empty non-nil payload is absent on both
+// codecs (Event.Payload is omitempty on JSON), so both decode it as nil.
+func TestEmptyPayloadCodecsAgree(t *testing.T) {
+	checkCodecsAgree(t, map[string]any{})
+}
+
+// DeepEqual cannot tell -0 from 0, but the float bits can: -0 must come
+// back as negative zero.
 func TestPayloadDecodeNegativeZero(t *testing.T) {
-	m, err := new(Decoder).decodePayload([]byte(`{"a":-0}`))
+	m, err := untag(new(Decoder), tagged(t, map[string]any{"a": math.Copysign(0, -1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,34 +232,36 @@ func TestPayloadDecodeNegativeZero(t *testing.T) {
 	}
 }
 
-func FuzzPayloadDecode(f *testing.F) {
-	for _, s := range payloadSeeds {
-		f.Add([]byte(s))
+// nested returns a payload whose nesting depth (the payload object being
+// level 1) is levels.
+func nested(levels int) map[string]any {
+	var v any = []any{}
+	for i := 2; i < levels; i++ {
+		v = []any{v}
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstJSON(t, data)
-	})
+	return map[string]any{"a": v}
 }
 
 // TestPayloadDepthLimit pins the nesting bound to encoding/json's: the
-// deepest document it accepts is accepted, one level more is rejected by
-// both, and a megabyte of '[' fails without unbounded recursion.
+// deepest payload it accepts encodes and decodes, one level more is refused
+// by the encoder, and a hand-made bomb past the bound fails the frame
+// without unbounded recursion.
 func TestPayloadDepthLimit(t *testing.T) {
-	nest := func(levels int) []byte {
-		// The payload object is level 1.
-		return []byte(`{"a":` + strings.Repeat("[", levels-1) + strings.Repeat("]", levels-1) + `}`)
+	ok := nested(maxPayloadDepth)
+	raw, err := json.Marshal(ok)
+	if err != nil {
+		t.Fatal(err)
 	}
-	checkAgainstJSON(t, nest(maxPayloadDepth))
-	if _, err := new(Decoder).decodePayload(nest(maxPayloadDepth)); err != nil {
-		t.Fatalf("depth %d rejected: %v", maxPayloadDepth, err)
+	checkRoundTrip(t, raw)
+	if _, err := new(Encoder).appendPayload(nil, nested(maxPayloadDepth+1)); !errors.Is(err, ErrBadMessage) {
+		t.Fatalf("depth %d: want ErrBadMessage, got %v", maxPayloadDepth+1, err)
 	}
-	checkAgainstJSON(t, nest(maxPayloadDepth+1))
-	if _, err := new(Decoder).decodePayload(nest(maxPayloadDepth + 1)); err == nil {
-		t.Fatalf("depth %d accepted", maxPayloadDepth+1)
+	var tooDeep map[string]any
+	if json.Unmarshal(append(append([]byte(`{"a":`), raw...), '}'), &tooDeep) == nil {
+		t.Fatalf("encoding/json accepted depth %d", maxPayloadDepth+1)
 	}
 
-	bomb := append([]byte(`{"a":`), bytes.Repeat([]byte("["), 1<<20)...)
-	_, err := NewDecoder(bytes.NewReader(payloadFrame(bomb))).Read()
+	_, err = NewDecoder(bytes.NewReader(payloadFrame(depthBomb(1 << 20)))).Read()
 	if !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("depth bomb: want ErrBadMessage, got %v", err)
 	}
@@ -139,35 +270,75 @@ func TestPayloadDepthLimit(t *testing.T) {
 	}
 }
 
+// depthBomb is a payload {"a": [[[…]]]} of the given nesting depth.
+func depthBomb(levels int) []byte {
+	b := []byte{1, 1, 'a'}
+	return append(b, bytes.Repeat([]byte{tagArray, 1}, levels-1)...)
+}
+
 // TestPayloadKeyInternBounded sends more distinct keys, and longer keys,
 // than the intern table may hold: everything still decodes, and the table
 // stops at its cap.
 func TestPayloadKeyInternBounded(t *testing.T) {
 	const distinct = 10000
-	var doc bytes.Buffer
-	doc.WriteByte('{')
+	p := make(map[string]any, distinct+1)
 	for i := 0; i < distinct; i++ {
-		fmt.Fprintf(&doc, `"key-%d":%d,`, i, i)
+		p[fmt.Sprintf("key-%d", i)] = float64(i)
 	}
 	long := strings.Repeat("k", maxInternedKeyLen+1)
-	fmt.Fprintf(&doc, `"%s":true}`, long)
+	p[long] = true
+	frame := payloadFrame(tagged(t, p))
 
-	d := NewDecoder(bytes.NewReader(append(payloadFrame(doc.Bytes()), payloadFrame(doc.Bytes())...)))
-	for frame := 0; frame < 2; frame++ {
+	d := NewDecoder(bytes.NewReader(append(frame, frame...)))
+	for i := 0; i < 2; i++ {
 		msg, err := d.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := msg.Batch.Events[0].Payload
-		if len(p) != distinct+1 || p["key-9999"] != float64(9999) || p[long] != true {
-			t.Fatalf("frame %d: payload lost keys: %d entries", frame, len(p))
+		got := msg.Batch.Events[0].Payload
+		if len(got) != distinct+1 || got["key-9999"] != float64(9999) || got[long] != true {
+			t.Fatalf("frame %d: payload lost keys: %d entries", i, len(got))
 		}
 		if len(d.keys) != maxDictEntries {
-			t.Fatalf("frame %d: intern table holds %d keys, want cap %d", frame, len(d.keys), maxDictEntries)
+			t.Fatalf("frame %d: intern table holds %d keys, want cap %d", i, len(d.keys), maxDictEntries)
 		}
 		if _, ok := d.keys[long]; ok {
 			t.Fatalf("key of %d bytes was interned; cap is %d", len(long), maxInternedKeyLen)
 		}
+	}
+}
+
+// TestPayloadDecodeRejectsMalformed: hostile payload bytes fail the frame
+// with ErrBadMessage.
+func TestPayloadDecodeRejectsMalformed(t *testing.T) {
+	for _, bad := range malformedPayloads() {
+		if _, err := NewDecoder(bytes.NewReader(payloadFrame(bad.payload))).Read(); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: want ErrBadMessage, got %v", bad.name, err)
+		}
+	}
+}
+
+type malformedPayload struct {
+	name    string
+	payload []byte
+}
+
+func malformedPayloads() []malformedPayload {
+	nan := binary.BigEndian.AppendUint64([]byte{1, 1, 'a', tagFloat}, math.Float64bits(math.NaN()))
+	inf := binary.BigEndian.AppendUint64([]byte{1, 1, 'a', tagFloat}, math.Float64bits(math.Inf(1)))
+	return []malformedPayload{
+		{"depth bomb", depthBomb(maxPayloadDepth + 1)},
+		{"inflated object", binary.AppendUvarint(nil, 1<<40)},
+		{"inflated array", binary.AppendUvarint([]byte{1, 1, 'a', tagArray}, 1<<40)},
+		{"inflated string", binary.AppendUvarint([]byte{1, 1, 'a', tagString}, 1<<40)},
+		{"NaN bits", nan},
+		{"Inf bits", inf},
+		{"invalid string", []byte{1, 1, 'a', tagString, 2, 0xff, 0xfe}},
+		{"invalid key", []byte{1, 1, 0xff, tagNull}},
+		{"unknown tag", []byte{1, 1, 'a', tagObject + 1}},
+		{"duplicate key", []byte{2, 1, 'a', tagNull, 1, 'a', tagTrue}},
+		{"keys out of order", []byte{2, 1, 'b', tagNull, 1, 'a', tagTrue}},
+		{"truncated", []byte{1, 1, 'a', tagFloat, 0x40}},
 	}
 }
 
@@ -181,14 +352,13 @@ func payloadFrame(payload []byte) []byte {
 	b := []byte{magicByte, binaryVersion, kindIDs[KindEventBatch], flagBatch}
 	b = append(b, src[:]...)
 	b = append(b, dst[:]...)
-	b = append(b, 0, 0, 0, 1) // no credit, no type deltas, no guid deltas, one event
+	b = append(b, 0, 0, 0, 0, 1) // no credit, no header, no type or guid deltas, one event
 	b = append(b, evfPayload)
 	b = append(b, id[:]...)
 	b = binary.AppendUvarint(b, 0) // literal type
 	b = binary.AppendUvarint(b, uint64(len(typ)))
 	b = append(b, typ...)
 	b = append(b, 0, 0, 0, 1) // nil source, subject, range; seq 1
-	b = binary.AppendUvarint(b, uint64(len(payload)))
 	b = append(b, payload...)
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(b))), b...)
 }

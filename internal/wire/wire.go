@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 
 	"sci/internal/guid"
 )
@@ -72,7 +73,9 @@ type Message struct {
 	Corr guid.GUID `json:"corr,omitzero"`
 	// TTL bounds forwarding hops for routed messages; decremented per hop.
 	TTL int `json:"ttl,omitempty"`
-	// Body is the kind-specific JSON payload.
+	// Body is the kind-specific JSON payload: the control half of the
+	// message set. Events and their batch header travel in Batch, never
+	// here.
 	Body json.RawMessage `json:"body,omitempty"`
 	// Batch carries the events of an event-bearing message, decoded. It
 	// rides pointer-identical through the in-process memory transport, as
@@ -220,14 +223,58 @@ func appendEnvelopeJSON(b []byte, m Message) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
+const hexdigits = "0123456789abcdef"
+
 // appendGUIDText appends the canonical "kind:hex32" form of g — what
 // g.MarshalText produces — without allocating.
 func appendGUIDText(b []byte, g guid.GUID) []byte {
-	const hexdigits = "0123456789abcdef"
 	b = append(b, g.Kind().String()...)
 	b = append(b, ':')
 	for _, x := range g {
 		b = append(b, hexdigits[x>>4], hexdigits[x&0x0f])
 	}
 	return b
+}
+
+// appendJSONString appends s as a JSON string literal, as encoding/json
+// writes it minus HTML escaping (which decodes the same).
+func appendJSONString(b []byte, s string) []byte {
+	b = append(b, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			if c == '"' || c == '\\' || c < 0x20 {
+				b = append(b, s[start:i]...)
+				switch c {
+				case '"':
+					b = append(b, '\\', '"')
+				case '\\':
+					b = append(b, '\\', '\\')
+				case '\n':
+					b = append(b, '\\', 'n')
+				case '\r':
+					b = append(b, '\\', 'r')
+				case '\t':
+					b = append(b, '\\', 't')
+				default:
+					b = append(b, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0x0f])
+				}
+				start = i + 1
+			}
+			i++
+			continue
+		}
+		// Invalid UTF-8 becomes U+FFFD, matching encoding/json, so a string
+		// decodes to the same value it re-encodes from.
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			b = append(b, s[start:i]...)
+			b = append(b, "�"...)
+			start = i + 1
+		}
+		i += size
+	}
+	b = append(b, s[start:]...)
+	return append(b, '"')
 }
