@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -42,21 +45,50 @@ func (s *msgSink) handler(m wire.Message) {
 	s.mu.Unlock()
 }
 
+// waitFor blocks until the sink holds n messages, failing the test after 5
+// seconds. The deadline timer broadcasts under the lock, so the wakeup it
+// sends cannot slip between the expiry check and cond.Wait.
 func (s *msgSink) waitFor(t *testing.T, n int) []wire.Message {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
+	expired := false
+	timer := time.AfterFunc(5*time.Second, func() {
+		s.mu.Lock()
+		expired = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer timer.Stop()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for len(s.msgs) < n {
-		if time.Now().After(deadline) {
+		if expired {
 			t.Fatalf("timed out waiting for %d messages, have %d", n, len(s.msgs))
 		}
-		done := make(chan struct{})
-		go func() { time.Sleep(10 * time.Millisecond); s.cond.Broadcast(); close(done) }()
 		s.cond.Wait()
-		<-done
 	}
 	return append([]wire.Message(nil), s.msgs...)
+}
+
+// frame is m as the binary codec puts it on the wire. It reports failure
+// with t.Error, so fakePeer's goroutine may call it.
+func frame(t *testing.T, m wire.Message) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := wire.NewEncoder(&buf, wire.CodecBinary).Write(m); err != nil {
+		t.Error(err)
+		return nil
+	}
+	return buf.Bytes()
+}
+
+// jsonFrame is v as a protocol-3 peer framed it: length-prefixed JSON text.
+func jsonFrame(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(binary.BigEndian.AppendUint32(nil, uint32(len(b))), b...)
 }
 
 func testBatchMsg(t *testing.T, src, dst guid.GUID, n int) wire.Message {
@@ -101,7 +133,7 @@ func TestTCPNegotiatesBinary(t *testing.T) {
 	}
 
 	st := epA.(WireStatser).WireStats()
-	if st.Codecs[string(wire.CodecBinary)] != 1 {
+	if st.Codecs["binary"] != 1 {
 		t.Fatalf("expected one binary connection, stats %+v", st)
 	}
 	if st.BytesSent == 0 {
@@ -109,42 +141,10 @@ func TestTCPNegotiatesBinary(t *testing.T) {
 	}
 }
 
-// TestTCPNetworkWideCodecJSON: SetDefaultCodec(JSON) puts the debugging encoding
-// on the wire — and it is an encoding of the same message, so the receiver
-// still sees the batch in Message.Batch.
-func TestTCPNetworkWideCodecJSON(t *testing.T) {
-	tn := NewTCP(nil)
-	defer tn.Close()
-	tn.SetDefaultCodec(wire.CodecJSON)
-
-	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
-	sink := newMsgSink()
-	if _, err := tn.Attach(b, sink.handler); err != nil {
-		t.Fatal(err)
-	}
-	epA, err := tn.Attach(a, func(wire.Message) {})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := epA.Send(testBatchMsg(t, a, b, 4)); err != nil {
-		t.Fatal(err)
-	}
-	got := sink.waitFor(t, 1)
-	if got[0].Batch == nil || len(got[0].Batch.Events) != 4 {
-		t.Fatalf("JSON connection must deliver the batch decoded: %+v", got[0])
-	}
-	if c, ok := got[0].BatchCreditInfo(); !ok || c.Dropped != 5 {
-		t.Fatalf("credit lost on the JSON encoding: %+v ok=%v", c, ok)
-	}
-	if st := epA.(WireStatser).WireStats(); st.Codecs[string(wire.CodecJSON)] != 1 {
-		t.Fatalf("expected one json connection, stats %+v", st)
-	}
-}
-
 // fakePeer is a hand-rolled accept side: it reads the dialer's hello and
-// answers with whatever the test case says (nothing, when answer is nil),
-// then holds the connection open until the dialer closes it.
-func fakePeer(t *testing.T, answer func(hello wire.Message) *wire.Message) (addr string, stop func()) {
+// writes back whatever bytes the test case says (nothing, when answer
+// returns nil), then holds the connection open until the dialer closes it.
+func fakePeer(t *testing.T, answer func(hello wire.Message) []byte) (addr string, stop func()) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -161,8 +161,8 @@ func fakePeer(t *testing.T, answer func(hello wire.Message) *wire.Message) (addr
 			}
 			dec := wire.NewDecoder(conn)
 			if hello, err := dec.Read(); err == nil {
-				if m := answer(hello); m != nil {
-					_ = wire.NewEncoder(conn, wire.CodecJSON).Write(*m)
+				if b := answer(hello); b != nil {
+					_, _ = conn.Write(b)
 				}
 				_, _ = dec.Read() // park until the dialer gives the socket up
 			}
@@ -173,33 +173,40 @@ func fakePeer(t *testing.T, answer func(hello wire.Message) *wire.Message) (addr
 }
 
 // TestTCPVersionMismatchAtConnect: a peer that answers the hello with another
-// version, with something that is not a hello, or not at all is a typed
-// connect error — never a downgrade — and once the peer is fixed the very
-// next Send redials and succeeds.
+// version, with something that is not a hello, in the retired JSON encoding
+// or not at all is a typed connect error — never a downgrade — and once the
+// peer is fixed the very next Send redials and succeeds.
 func TestTCPVersionMismatchAtConnect(t *testing.T) {
 	shortHelloTimeout(t)
-	reply := func(hello wire.Message, kind wire.Kind, body any) *wire.Message {
+	reply := func(hello wire.Message, kind wire.Kind, body any) []byte {
 		m, err := hello.Reply(kind, body)
 		if err != nil {
 			t.Error(err)
 			return nil
 		}
-		return &m
+		return frame(t, m)
 	}
+	// A protocol-3 answer in JSON, stating this side's version so that only
+	// the encoding can fail it.
+	jsonAnswer := jsonFrame(t, map[string]any{
+		"src": guid.New(guid.KindServer), "dst": guid.New(guid.KindServer), "kind": "codec.hello",
+		"body": map[string]any{"version": protocolVersion, "chosen": "json"},
+	})
 	cases := []struct {
 		name   string
-		answer func(hello wire.Message) *wire.Message
+		answer func(hello wire.Message) []byte
 	}{
-		{"other version", func(h wire.Message) *wire.Message {
-			return reply(h, wire.KindCodecHello, wire.CodecHello{Version: protocolVersion + 1, Chosen: wire.CodecBinary})
+		{"other version", func(h wire.Message) []byte {
+			return reply(h, wire.KindHello, wire.Hello{Version: protocolVersion + 1})
 		}},
-		{"versionless hello", func(h wire.Message) *wire.Message {
-			return reply(h, wire.KindCodecHello, map[string]string{"chosen": "binary"})
+		{"versionless hello", func(h wire.Message) []byte {
+			return reply(h, wire.KindHello, map[string]string{"chosen": "binary"})
 		}},
-		{"not a hello", func(h wire.Message) *wire.Message {
+		{"not a hello", func(h wire.Message) []byte {
 			return reply(h, wire.KindHeartbeat, map[string]string{"hb": "1"})
 		}},
-		{"never answers", func(wire.Message) *wire.Message { return nil }},
+		{"JSON answer", func(wire.Message) []byte { return jsonAnswer }},
+		{"never answers", func(wire.Message) []byte { return nil }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -241,7 +248,9 @@ func TestTCPVersionMismatchAtConnect(t *testing.T) {
 
 // TestTCPAcceptSideVersionCheck: nothing reaches the handler from a
 // connection whose first frame is not a hello of this side's version, the
-// accept side closes it, and a dialer of another version is told ours.
+// accept side closes it, and a dialer of another version is told ours —
+// unless its hello is a protocol-3 JSON frame, which is malformed here and
+// closed unanswered.
 func TestTCPAcceptSideVersionCheck(t *testing.T) {
 	defer leak.Check(t)()
 	tn := NewTCP(nil)
@@ -255,34 +264,37 @@ func TestTCPAcceptSideVersionCheck(t *testing.T) {
 	addr := epB.(*tcpEndpoint).Addr()
 	src := guid.New(guid.KindServer)
 	hb := wire.Message{Src: src, Dst: b, Kind: wire.KindHeartbeat}
-	oldHello, err := wire.NewMessage(src, b, wire.KindCodecHello,
-		wire.CodecHello{Version: protocolVersion + 1, Codecs: []wire.Codec{wire.CodecBinary}})
+	otherHello, err := wire.NewMessage(src, b, wire.KindHello, wire.Hello{Version: protocolVersion + 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	v3Hello := jsonFrame(t, map[string]any{
+		"src": src, "dst": b, "kind": "codec.hello",
+		"body": map[string]any{"version": 3, "codecs": []string{"binary", "json"}},
+	})
 	for _, tc := range []struct {
 		name       string
-		first      wire.Message
+		first      []byte
 		wantAnswer bool
 	}{
-		{"first frame not a hello", hb, false},
-		{"hello of another version", oldHello, true},
+		{"first frame not a hello", frame(t, hb), false},
+		{"hello of another version", frame(t, otherHello), true},
+		{"protocol-3 JSON hello", v3Hello, false},
 	} {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		enc := wire.NewEncoder(conn, wire.CodecJSON)
-		if err := enc.Write(tc.first); err != nil {
+		if _, err := conn.Write(tc.first); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		_ = enc.Write(hb) // must never be delivered
+		_, _ = conn.Write(frame(t, hb)) // must never be delivered
 		_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
 		dec := wire.NewDecoder(conn)
 		m, err := dec.Read()
 		if tc.wantAnswer {
-			var h wire.CodecHello
-			if err != nil || m.Kind != wire.KindCodecHello || m.DecodeBody(&h) != nil || h.Version != protocolVersion {
+			var h wire.Hello
+			if err != nil || m.Kind != wire.KindHello || m.DecodeBody(&h) != nil || h.Version != protocolVersion {
 				t.Fatalf("%s: want a hello answer stating version %d, got %+v, %v", tc.name, protocolVersion, m, err)
 			}
 			_, err = dec.Read()
@@ -300,11 +312,10 @@ func TestTCPAcceptSideVersionCheck(t *testing.T) {
 	}
 }
 
-// TestMemoryNativePassthroughAndForcedJSON: the memory network has no wire,
-// so a batch arrives pointer-identical — also when the factory's
-// network-wide Codec asks for JSON, which only TCP can honour.
-func TestMemoryNativePassthroughAndForcedJSON(t *testing.T) {
-	net, err := New(Config{Codec: wire.CodecJSON})
+// TestMemoryNativePassthrough: the memory network has no wire, so a batch
+// arrives pointer-identical.
+func TestMemoryNativePassthrough(t *testing.T) {
+	net, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,12 +353,12 @@ func TestFactoryBackends(t *testing.T) {
 	}
 	_ = n.Close()
 
-	tcp, err := New(Config{Backend: "tcp", Codec: wire.CodecJSON})
+	tcp, err := New(Config{Backend: "tcp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tcp.(*TCP).defaultCodec() != wire.CodecJSON {
-		t.Fatal("factory Codec knob should set the default codec")
+	if _, ok := tcp.(*TCP); !ok {
+		t.Fatalf("tcp backend built %T", tcp)
 	}
 	_ = tcp.Close()
 

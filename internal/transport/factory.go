@@ -4,21 +4,15 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-
-	"sci/internal/wire"
 )
 
 // Config selects and tunes a transport backend by name, so deployments
-// (through sci.NewNetwork) pick their network — and its wire codec — from
-// configuration instead of hard-wiring a constructor.
+// (through sci.NewNetwork) pick their network from configuration instead of
+// hard-wiring a constructor.
 type Config struct {
 	// Backend names the transport: "memory" (default) or "tcp". Additional
 	// backends register with Register.
 	Backend string
-	// Codec is the network-wide wire encoding. Empty means binary;
-	// wire.CodecJSON puts the readable debugging encoding on every TCP
-	// connection. The memory backend has no wire and ignores it.
-	Codec wire.Codec
 	// Memory tunes the "memory" backend.
 	Memory MemoryConfig
 	// Dir seeds the "tcp" backend's GUID→address directory; nil gets a
@@ -74,10 +68,6 @@ func init() {
 		return NewMemory(cfg.Memory), nil
 	})
 	Register("tcp", func(cfg Config) (Network, error) {
-		t := NewTCP(cfg.Dir)
-		if cfg.Codec != "" {
-			t.SetDefaultCodec(cfg.Codec)
-		}
-		return t, nil
+		return NewTCP(cfg.Dir), nil
 	})
 }

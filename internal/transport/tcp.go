@@ -58,7 +58,7 @@ func (d *Directory) Len() int {
 // protocolVersion names the one message set this build speaks (internal/wire
 // doc.go). Both ends of a connection state theirs in the hello; anything
 // but equality is ErrProtocolVersion.
-const protocolVersion = 3
+const protocolVersion = 4
 
 // helloTimeout is the connect bound: how long a dialing endpoint waits for
 // the accept side's hello answer before giving the connection up. A variable
@@ -67,16 +67,15 @@ var helloTimeout = 5 * time.Second
 
 // TCP is a Network over real TCP sockets. Each attached endpoint owns a
 // listener; outbound connections are cached per destination and exchange a
-// hello — protocol version and codec — at dial time (see internal/wire: the
+// hello stating the protocol version at dial time (see internal/wire: the
 // version rule). Construct with NewTCP.
 type TCP struct {
 	dir *Directory
 
-	mu       sync.Mutex
-	eps      map[guid.GUID]*tcpEndpoint
-	defCodec wire.Codec
-	closed   bool
-	wg       sync.WaitGroup
+	mu     sync.Mutex
+	eps    map[guid.GUID]*tcpEndpoint
+	closed bool
+	wg     sync.WaitGroup
 }
 
 // NewTCP builds a TCP network resolving destinations through dir. A nil dir
@@ -86,21 +85,6 @@ func NewTCP(dir *Directory) *TCP {
 		dir = &Directory{}
 	}
 	return &TCP{dir: dir, eps: make(map[guid.GUID]*tcpEndpoint)}
-}
-
-// SetDefaultCodec selects the encoding every endpoint of this network asks
-// for and grants in the hello: empty means binary, wire.CodecJSON puts the
-// readable debugging encoding on the wire. New connections pick it up.
-func (t *TCP) SetDefaultCodec(codec wire.Codec) {
-	t.mu.Lock()
-	t.defCodec = codec
-	t.mu.Unlock()
-}
-
-func (t *TCP) defaultCodec() wire.Codec {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.defCodec
 }
 
 // Directory exposes the GUID→address directory (for seeding remote peers).
@@ -252,15 +236,16 @@ func (ep *tcpEndpoint) Send(m wire.Message) error {
 	return nil
 }
 
-// WireStats implements WireStatser: codec counts over live outbound
-// connections plus bytes across every connection this endpoint ever had.
+// WireStats implements WireStatser: the live outbound connections, every
+// one of them binary, plus bytes across every connection this endpoint
+// ever had.
 func (ep *tcpEndpoint) WireStats() WireStats {
 	st := WireStats{Codecs: make(map[string]int)}
 	ep.mu.Lock()
 	for _, c := range ep.conns {
 		c.mu.Lock()
 		if !c.dead {
-			st.Codecs[string(c.enc.Codec())]++
+			st.Codecs["binary"]++
 			st.BytesSent += c.enc.BytesWritten()
 		}
 		c.mu.Unlock()
@@ -336,14 +321,12 @@ func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s (%s): %w", dst.Short(), addr, err)
 	}
-	enc := wire.NewEncoder(raw, wire.CodecJSON)
-	codec, err := ep.hello(raw, enc, dst)
-	if err != nil {
+	enc := wire.NewEncoder(raw, wire.CodecBinary)
+	if err := ep.hello(raw, enc, dst); err != nil {
 		enc.Release()
 		_ = raw.Close()
 		return nil, fmt.Errorf("transport: hello to %s: %w", dst.Short(), err)
 	}
-	enc.SetCodec(codec)
 	c := &tcpConn{c: raw, enc: enc}
 
 	ep.mu.Lock()
@@ -373,23 +356,18 @@ func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 }
 
 // hello opens an outbound connection: it states this side's protocol
-// version and codec offer, and waits at most helloTimeout for the accept
-// side's answer — the only read ever issued on an outbound connection; past
-// it, reverse traffic drains to io.Discard. It returns the codec the
-// connection will encode, or ErrProtocolVersion when the peer answers with
-// another version, with something that is not a well-formed hello, or not
-// at all.
-func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) (wire.Codec, error) {
-	offer := wire.CodecHello{Version: protocolVersion, Codecs: []wire.Codec{wire.CodecBinary, wire.CodecJSON}}
-	if ep.net.defaultCodec() == wire.CodecJSON {
-		offer.Codecs = offer.Codecs[1:]
-	}
-	m, err := wire.NewMessage(ep.id, dst, wire.KindCodecHello, offer)
+// version and waits at most helloTimeout for the accept side's answer — the
+// only read ever issued on an outbound connection; past it, reverse traffic
+// drains to io.Discard. It returns ErrProtocolVersion when the peer answers
+// with another version, with something that is not a well-formed hello, or
+// not at all.
+func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) error {
+	m, err := wire.NewMessage(ep.id, dst, wire.KindHello, wire.Hello{Version: protocolVersion})
 	if err != nil {
-		return "", err
+		return err
 	}
 	if err := enc.Write(m); err != nil {
-		return "", err
+		return err
 	}
 	//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
 	_ = raw.SetReadDeadline(time.Now().Add(helloTimeout))
@@ -397,22 +375,17 @@ func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) (wi
 	defer dec.Release()
 	answer, err := dec.Read()
 	if err != nil {
-		return "", fmt.Errorf("%w: no hello answer: %v", ErrProtocolVersion, err)
+		return fmt.Errorf("%w: no hello answer: %v", ErrProtocolVersion, err)
 	}
 	_ = raw.SetReadDeadline(time.Time{})
-	var h wire.CodecHello
-	if answer.Kind != wire.KindCodecHello || answer.DecodeBody(&h) != nil {
-		return "", fmt.Errorf("%w: peer answered with %s, not a hello", ErrProtocolVersion, answer.Kind)
+	var h wire.Hello
+	if answer.Kind != wire.KindHello || answer.DecodeBody(&h) != nil {
+		return fmt.Errorf("%w: peer answered with %s, not a hello", ErrProtocolVersion, answer.Kind)
 	}
 	if h.Version != protocolVersion {
-		return "", fmt.Errorf("%w: peer speaks %d, this side %d", ErrProtocolVersion, h.Version, protocolVersion)
+		return fmt.Errorf("%w: peer speaks %d, this side %d", ErrProtocolVersion, h.Version, protocolVersion)
 	}
-	for _, c := range offer.Codecs {
-		if c == h.Chosen {
-			return c, nil
-		}
-	}
-	return "", fmt.Errorf("%w: peer chose codec %q, which was not offered", ErrProtocolVersion, h.Chosen)
+	return nil
 }
 
 func (ep *tcpEndpoint) dropConn(dst guid.GUID, c *tcpConn) {
@@ -480,25 +453,21 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 	}
 }
 
-// answerHello answers a dialer's hello with this side's protocol version and
-// codec choice — the only bytes the accept side ever writes on an inbound
-// connection — and reports whether the connection may proceed: the frame was
-// a hello, the versions are equal and the answer was written. A dialer of
-// another version still gets the answer, so its error names both versions.
+// answerHello answers a dialer's hello with this side's protocol version —
+// the only bytes the accept side ever writes on an inbound connection — and
+// reports whether the connection may proceed: the frame was a hello, the
+// versions are equal and the answer was written. A dialer of another
+// version still gets the answer, so its error names both versions.
 func (ep *tcpEndpoint) answerHello(conn net.Conn, m wire.Message) bool {
-	var h wire.CodecHello
-	if m.Kind != wire.KindCodecHello || m.DecodeBody(&h) != nil {
+	var h wire.Hello
+	if m.Kind != wire.KindHello || m.DecodeBody(&h) != nil {
 		return false
 	}
-	answer := wire.CodecHello{Version: protocolVersion, Chosen: wire.ChooseCodec(h.Codecs)}
-	if ep.net.defaultCodec() == wire.CodecJSON {
-		answer.Chosen = wire.CodecJSON
-	}
-	reply, err := m.Reply(wire.KindCodecHello, answer)
+	reply, err := m.Reply(wire.KindHello, wire.Hello{Version: protocolVersion})
 	if err != nil {
 		return false
 	}
-	enc := wire.NewEncoder(conn, wire.CodecJSON)
+	enc := wire.NewEncoder(conn, wire.CodecBinary)
 	defer enc.Release()
 	return enc.Write(reply) == nil && h.Version == protocolVersion
 }

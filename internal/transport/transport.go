@@ -61,9 +61,10 @@ var (
 	ErrProtocolVersion = errors.New("transport: protocol version not established")
 )
 
-// WireStats summarises an endpoint's wire-level activity: how many live
-// connections (or, for wireless transports, the endpoint itself) run each
-// codec, and the total bytes that crossed the wire in each direction.
+// WireStats summarises an endpoint's wire-level activity: its live
+// connections by encoding — "binary" for each live TCP connection,
+// "native" for a Memory endpoint, which has no wire — and the total bytes
+// that crossed the wire in each direction.
 type WireStats struct {
 	Codecs        map[string]int
 	BytesSent     uint64

@@ -23,8 +23,7 @@ import (
 //	[body uvarint-len + bytes]     flags&flagBody (opaque JSON sub-blob)
 //	[batch section]                flags&flagBatch
 //
-// The magic byte can never open a JSON document, so a decoder distinguishes
-// the codecs per frame without negotiation state.
+// A frame that does not open with the magic byte is malformed.
 const (
 	magicByte     = 0xB5
 	binaryVersion = 2
@@ -84,7 +83,7 @@ var kindTable = []Kind{
 	17: KindOverlayPing,
 	18: KindOverlayPong,
 	19: KindOverlayRoute,
-	20: KindCodecHello,
+	20: KindHello,
 }
 
 var kindIDs = func() map[Kind]byte {
@@ -237,7 +236,7 @@ func (e *Encoder) appendEvent(b []byte, ev *event.Event) ([]byte, error) {
 		fl |= evfQuality
 	}
 	if len(ev.Payload) > 0 {
-		// An empty payload is absent, as on the JSON codec (omitempty).
+		// An empty payload is absent, as in Event's JSON form (omitempty).
 		fl |= evfPayload
 	}
 	b = append(b, fl)
@@ -433,7 +432,9 @@ func (c *cursor) blob() []byte {
 
 func (d *Decoder) decodeBinaryFrame(data []byte) (Message, error) {
 	c := cursor{b: data}
-	c.u8() // magic, already matched by Read
+	if magic := c.u8(); c.err == nil && magic != magicByte {
+		return Message{}, fmt.Errorf("%w: frame opens with %#x, not the magic byte", ErrBadMessage, magic)
+	}
 	if ver := c.u8(); c.err == nil && ver != binaryVersion {
 		return Message{}, fmt.Errorf("%w: unsupported binary version %d", ErrBadMessage, ver)
 	}

@@ -9,26 +9,19 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"sci/internal/event"
 	"sci/internal/guid"
 )
 
-// Codec names a frame encoding of the one message set. The decoder never
-// needs to be told which one a peer uses — every binary frame leads with a
-// magic byte that cannot begin a JSON document — so the connection hello
-// only ever selects what the encoder emits.
+// Codec names the one frame encoding. It survives only as NewEncoder's
+// second parameter, which the benchmark harness (bench/) passes; the next
+// change to bench/ drops both.
 type Codec string
 
-const (
-	// CodecJSON is the length-prefixed JSON envelope: the debugging
-	// encoding, human-readable on the wire.
-	CodecJSON Codec = "json"
-	// CodecBinary is the length-prefixed binary envelope with native batch
-	// sections and per-connection interned dictionaries (see doc.go).
-	CodecBinary Codec = "binary"
-)
+// CodecBinary is the length-prefixed binary envelope with native batch
+// sections and per-connection interned dictionaries (see doc.go).
+const CodecBinary Codec = "binary"
 
 // NativeBatch is a whole event batch carried in decoded form on a Message.
 // The batch is handed over: once attached to a Message given to a transport
@@ -67,25 +60,12 @@ func NewNativeEventBatch(src, dst guid.GUID, events []event.Event, credit *Batch
 	}, nil
 }
 
-// CodecHello is the body of a KindCodecHello frame, always JSON-encoded:
-// the dialer's offer (Version, Codecs preferred first) or the accept side's
-// answer (Version, Chosen). The two Versions must be equal for the
-// connection to carry anything else; internal/transport owns the check.
-type CodecHello struct {
-	Version int     `json:"version"`
-	Codecs  []Codec `json:"codecs,omitempty"`
-	Chosen  Codec   `json:"chosen,omitempty"`
-}
-
-// ChooseCodec picks the first offered codec this implementation speaks,
-// falling back to JSON.
-func ChooseCodec(offered []Codec) Codec {
-	for _, c := range offered {
-		if c == CodecBinary || c == CodecJSON {
-			return c
-		}
-	}
-	return CodecJSON
+// Hello is the body of a KindHello frame: the protocol version of the side
+// sending it, in the dialer's opening frame and in the accept side's
+// answer. The two must be equal for the connection to carry anything else;
+// internal/transport owns the check.
+type Hello struct {
+	Version int `json:"version"`
 }
 
 // frameBufPool recycles encode/decode frame buffers across connection
@@ -103,11 +83,10 @@ var frameBufPool = sync.Pool{
 func poolGetBuf() []byte  { return (*(frameBufPool.Get().(*[]byte)))[:0] }
 func poolPutBuf(b []byte) { b = b[:0]; frameBufPool.Put(&b) }
 
-// Encoder frames messages onto an io.Writer with a selectable codec. Not
-// safe for concurrent use; callers serialise (internal/transport does).
+// Encoder frames messages onto an io.Writer. Not safe for concurrent use;
+// callers serialise (internal/transport does).
 type Encoder struct {
 	bw     *bufio.Writer
-	codec  Codec
 	lenBuf [4]byte
 	bytes  atomic.Uint64
 
@@ -116,37 +95,20 @@ type Encoder struct {
 	scratch    []byte
 	entryStack [][]payloadEntry
 
-	// Per-connection interning dictionaries for the binary codec: types and
-	// GUIDs already shipped to the peer, by index. newTypes/newGUIDs are the
-	// current frame's dictionary deltas, kept for rollback when an encode
-	// fails before the frame ships.
+	// Per-connection interning dictionaries: types and GUIDs already
+	// shipped to the peer, by index. newTypes/newGUIDs are the current
+	// frame's dictionary deltas, kept for rollback when an encode fails
+	// before the frame ships.
 	types    map[string]uint32
 	guids    map[guid.GUID]uint32
 	newTypes []string
 	newGUIDs []guid.GUID
 }
 
-// NewEncoder wraps w with the given codec ("" means JSON).
-func NewEncoder(w io.Writer, codec Codec) *Encoder {
-	if codec == "" {
-		codec = CodecJSON
-	}
-	return &Encoder{bw: bufio.NewWriter(w), codec: codec}
-}
-
-// Codec reports the encoder's active codec.
-func (e *Encoder) Codec() Codec { return e.codec }
-
-// SetCodec switches the encoder's codec — the dial-side transition after a
-// successful hello exchange. Dictionaries reset: the peer's decoder state
-// starts empty with the connection.
-func (e *Encoder) SetCodec(c Codec) {
-	if c == "" {
-		c = CodecJSON
-	}
-	e.codec = c
-	e.types, e.guids = nil, nil
-	e.newTypes, e.newGUIDs = nil, nil
+// NewEncoder wraps w. The Codec argument is ignored: CodecBinary is its
+// only value (see Codec).
+func NewEncoder(w io.Writer, _ Codec) *Encoder {
+	return &Encoder{bw: bufio.NewWriter(w)}
 }
 
 // BytesWritten reports the cumulative bytes this encoder has put on the
@@ -162,34 +124,28 @@ func (e *Encoder) Release() {
 	}
 }
 
-// Write frames and flushes one message in the encoder's codec.
+// Write frames and flushes one message. A Body that is not valid JSON is
+// rejected before anything ships: no receiver could decode it.
 func (e *Encoder) Write(m Message) error {
 	if err := m.Validate(); err != nil {
 		return err
+	}
+	if len(m.Body) > 0 && !json.Valid(m.Body) {
+		return fmt.Errorf("%w: body is not valid JSON", ErrBadMessage)
 	}
 	if e.scratch == nil {
 		e.scratch = poolGetBuf()
 	}
 	var err error
-	if e.codec == CodecBinary {
-		e.scratch, err = e.appendBinary(e.scratch[:0], m)
-		if err == nil && len(e.scratch) > MaxFrame {
-			err = ErrFrameTooLarge
-		}
-		if err != nil {
-			e.rollbackDict()
-			return err
-		}
-		e.commitDict()
-	} else {
-		e.scratch, err = appendEnvelopeJSON(e.scratch[:0], m)
-		if err != nil {
-			return err
-		}
-		if len(e.scratch) > MaxFrame {
-			return ErrFrameTooLarge
-		}
+	e.scratch, err = e.appendBinary(e.scratch[:0], m)
+	if err == nil && len(e.scratch) > MaxFrame {
+		err = ErrFrameTooLarge
 	}
+	if err != nil {
+		e.rollbackDict()
+		return err
+	}
+	e.commitDict()
 	binary.BigEndian.PutUint32(e.lenBuf[:], uint32(len(e.scratch)))
 	if _, err := e.bw.Write(e.lenBuf[:]); err != nil {
 		return fmt.Errorf("wire: write length: %w", err)
@@ -204,18 +160,14 @@ func (e *Encoder) Write(m Message) error {
 	return nil
 }
 
-// Decoder unframes messages from an io.Reader, detecting each frame's codec
-// from its leading byte (binary frames open with a magic byte that can
-// never begin a JSON document), so one connection may interleave both. Not
-// safe for concurrent use.
+// Decoder unframes messages from an io.Reader. Not safe for concurrent use.
 type Decoder struct {
 	br     *bufio.Reader
 	lenBuf [4]byte
 	bytes  atomic.Uint64
 
-	// buf is the reused binary-frame buffer (decoded fields are copied out,
-	// so the frame memory never escapes a Read). JSON frames still allocate
-	// per frame: their Body aliases the frame buffer by design.
+	// buf is the reused frame buffer: decoded fields are copied out, so the
+	// frame memory never escapes a Read.
 	buf []byte
 
 	// Per-connection mirror of the peer encoder's interning dictionaries,
@@ -248,8 +200,9 @@ func (d *Decoder) Release() {
 }
 
 // Read reads one framed message. On clean EOF between frames it returns
-// io.EOF; a truncated frame yields io.ErrUnexpectedEOF; a corrupt frame a
-// typed error wrapping ErrBadMessage (never a panic).
+// io.EOF; a truncated frame yields io.ErrUnexpectedEOF; a corrupt frame —
+// one that does not open with the magic byte included — a typed error
+// wrapping ErrBadMessage (never a panic).
 func (d *Decoder) Read() (Message, error) {
 	if _, err := io.ReadFull(d.br, d.lenBuf[:]); err != nil {
 		if errors.Is(err, io.EOF) {
@@ -264,49 +217,20 @@ func (d *Decoder) Read() (Message, error) {
 	if n == 0 {
 		return Message{}, fmt.Errorf("%w: empty frame", ErrBadMessage)
 	}
-	first, err := d.br.Peek(1)
-	if err != nil {
+	if d.buf == nil {
+		d.buf = poolGetBuf()
+	}
+	if cap(d.buf) < n {
+		poolPutBuf(d.buf)
+		d.buf = make([]byte, n)
+	}
+	data := d.buf[:n]
+	if _, err := io.ReadFull(d.br, data); err != nil {
 		if errors.Is(err, io.EOF) {
 			err = io.ErrUnexpectedEOF
 		}
 		return Message{}, fmt.Errorf("wire: read frame: %w", err)
 	}
-	if first[0] == magicByte {
-		if d.buf == nil {
-			d.buf = poolGetBuf()
-		}
-		if cap(d.buf) < n {
-			poolPutBuf(d.buf)
-			d.buf = make([]byte, n)
-		}
-		data := d.buf[:n]
-		if _, err := io.ReadFull(d.br, data); err != nil {
-			return Message{}, fmt.Errorf("wire: read frame: %w", err)
-		}
-		d.bytes.Add(uint64(n) + 4)
-		return d.decodeBinaryFrame(data)
-	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(d.br, data); err != nil {
-		return Message{}, fmt.Errorf("wire: read frame: %w", err)
-	}
 	d.bytes.Add(uint64(n) + 4)
-	var m Message
-	if err := json.Unmarshal(data, &m); err != nil {
-		return Message{}, fmt.Errorf("%w: %v", ErrBadMessage, err)
-	}
-	if err := m.Validate(); err != nil {
-		return Message{}, err
-	}
-	if m.Batch != nil {
-		// An event's time is an instant on the wire, not a zone: give it the
-		// representation the binary decoder produces, so both encodings
-		// decode to the same Message.
-		for i := range m.Batch.Events {
-			if ev := &m.Batch.Events[i]; !ev.Time.IsZero() {
-				ev.Time = time.Unix(0, ev.Time.UnixNano())
-			}
-		}
-	}
-	return m, nil
+	return d.decodeBinaryFrame(data)
 }

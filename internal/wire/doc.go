@@ -1,4 +1,4 @@
-// Package wire defines the SCI message set and its two encodings.
+// Package wire defines the SCI message set and its binary encoding.
 //
 // # The message set
 //
@@ -25,12 +25,10 @@
 // # Framing
 //
 // Every frame is a 4-byte big-endian length followed by at most MaxFrame
-// payload bytes. A frame declares its own encoding: a JSON payload always
-// begins with '{', a binary payload with the magic byte 0xB5 (which can
-// never open a JSON document). A Decoder therefore needs no per-connection
-// state to tell them apart; the connection hello (below) only decides what
-// the peer's Encoder emits. Both encodings decode to the same Message —
-// FuzzBinaryRoundTrip holds them to reflect.DeepEqual.
+// payload bytes, and every payload is binary: it opens with the magic byte
+// 0xB5, and a Decoder rejects a frame that does not as ErrBadMessage. There
+// is one encoding, so a connection settles nothing but the protocol version
+// (below).
 //
 // # Binary encoding
 //
@@ -95,14 +93,14 @@
 // map lookup.
 //
 // The payload contract (payload.go holds both directions): the encoder
-// writes what a JSON-codec round trip of the payload decodes to, so both
-// codecs decode one message to reflect.DeepEqual values. Integers become
+// writes what an encoding/json round trip of the payload decodes to, and
+// the decoder delivers it reflect.DeepEqual to that. Integers become
 // float64 (rounded to nearest-even, as parsing their decimal text does), a
 // float32 the value of encoding/json's shortest 32-bit text, a json.Number
 // its parsed value, invalid UTF-8 U+FFFD per byte; NaN and ±Inf are
 // rejected, and any other type (json.RawMessage, structs, typed maps and
 // slices) takes one reflective slow path through encoding/json. An empty
-// payload is absent, as on the JSON codec. FuzzPayloadRoundTrip holds any
+// payload is absent, as in Event's JSON form. FuzzPayloadRoundTrip holds any
 // JSON document to the contract, and FuzzPayloadDecode holds the decoder
 // to canonical input: whatever it accepts re-encodes to the same bytes. A
 // hostile peer gets ErrBadMessage for nesting deeper than maxPayloadDepth
@@ -113,34 +111,21 @@
 // maxDictEntries strings of at most maxInternedKeyLen bytes; later or
 // longer keys still decode, uninterned.
 //
-// # JSON encoding
-//
-// The same Message as one JSON object — src, dst, kind, corr, ttl, body,
-// batch — where batch is {"events":[…],"credit":{…},"origin":…,"id":…,
-// "query":…,"via":[…]} with each event in event.Event's JSON form and zero
-// header fields omitted. It exists so a connection can be read by eye
-// (transport.Config.Codec = "json"); nothing depends on it for
-// interoperability. The Encoder assembles the envelope by hand in one pass
-// over a pooled buffer (the pre-encoded Body is spliced in, not re-validated
-// and re-copied by json.Marshal); the Decoder fills Message.Batch back in
-// and gives event times the representation the binary decoder produces (an
-// instant: unix nanoseconds, no zone). A payload that is present but empty
-// is omitted, so it decodes as absent.
-//
 // # The version rule
 //
 // The message set as a whole — kinds, bodies, the one-form rules above —
 // has a single protocol version, and a connection carries messages only
 // between two sides that state the same one. A dialing endpoint opens each
-// connection with a JSON-encoded KindCodecHello (CodecHello: its Version and
-// the codecs it offers, preferred first) and waits, bounded, for the accept
-// side's answer on the same socket: the accept side's Version and the codec
-// it chose — the only bytes an accept side ever writes on an inbound
-// connection. A different version, an answer that is not a hello, or no
-// answer within the bound fails the dial with transport.ErrProtocolVersion
-// and closes the socket; the accept side likewise closes a connection whose
-// first frame is not a hello of its own version, delivering nothing from
-// it. There is no downgrade and no per-feature capability: a message a peer
+// connection with a binary KindHello frame whose Body is a Hello holding its
+// Version and nothing else, and waits, bounded, for the accept side's
+// answer on the same socket: a hello stating the accept side's Version —
+// the only bytes an accept side ever writes on an inbound connection. A
+// different version, an answer that is not a hello, or no answer within
+// the bound fails the dial with transport.ErrProtocolVersion and closes the
+// socket; the accept side likewise closes a connection whose first frame is
+// not a hello of its own version, delivering nothing from it, and answers a
+// well-formed hello of another version first, so that dialer's error names
+// both versions. There is no downgrade and no per-feature capability: a message a peer
 // of this version sends is a message every peer of this version
 // understands. internal/transport owns the version constant and the check.
 //
@@ -153,7 +138,12 @@
 // batch's origin, id, query and hop set travel in the batch header instead
 // of a JSON body, an overlay direct send carries the application kind as
 // the message kind instead of a route envelope, and payloads are tagged
-// binary instead of JSON text.
+// binary instead of JSON text. Version 4: the JSON frame encoding and the
+// codec offer are gone, and the hello itself is a binary frame carrying
+// only the version. Version 3 spoke both encodings, so a version-3 accept
+// side still reads a version-4 hello and closes on the version; its JSON
+// answer, like a version-3 dialer's JSON hello, is a malformed frame here,
+// and either dial ends in the version error.
 //
 // # Sharing
 //

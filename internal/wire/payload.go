@@ -1,11 +1,10 @@
 package wire
 
-// Event payloads cross the binary codec as tagged binary values; both
-// directions live here and mirror each other. The encoder writes what a
-// JSON-codec round trip of the same payload would decode to — numbers as
-// float64, invalid UTF-8 as U+FFFD — so both codecs decode one message to
-// reflect.DeepEqual values, which FuzzPayloadRoundTrip and the codec tests
-// enforce. Grammar (doc.go):
+// Event payloads cross the wire as tagged binary values; both directions
+// live here and mirror each other. The encoder writes what an encoding/json
+// round trip of the same payload decodes to — numbers as float64, invalid
+// UTF-8 as U+FFFD — which FuzzPayloadRoundTrip and the codec tests enforce
+// with reflect.DeepEqual. Grammar (doc.go):
 //
 //	payload = object body: uvarint count, then count × (key, value),
 //	          keys as uvarint len + UTF-8 bytes in strictly ascending order
@@ -38,8 +37,8 @@ const (
 const (
 	// maxPayloadDepth is the deepest object/array nesting a payload may
 	// have, the payload object itself being level 1. It is encoding/json's
-	// own limit, so the JSON codec can decode whatever the binary one
-	// carries; it also bounds both directions' recursion.
+	// own limit, so encoding/json can decode whatever the wire carries; it
+	// also bounds both directions' recursion.
 	maxPayloadDepth = 10000
 	// maxInternedKeyLen caps the length of a string the decoder interns.
 	// With maxDictEntries it bounds the table's memory whatever a peer
@@ -144,7 +143,7 @@ func (e *Encoder) appendValue(b []byte, v any, depth int) ([]byte, error) {
 		return appendFloat(b, float64(x))
 	case float32:
 		// encoding/json writes a float32 in its shortest 32-bit form; the
-		// value that text parses back to is what the JSON codec delivers.
+		// value that text parses back to is what a round trip delivers.
 		f := float64(x)
 		if !math.IsNaN(f) && !math.IsInf(f, 0) {
 			var text [32]byte
@@ -165,8 +164,8 @@ func (e *Encoder) appendValue(b []byte, v any, depth int) ([]byte, error) {
 		return appendFloat(b, f)
 	default:
 		// json.RawMessage, other integer widths, structs, typed maps and
-		// slices: one reflective slow path yields exactly what the JSON
-		// codec would deliver.
+		// slices: one reflective slow path yields exactly what an
+		// encoding/json round trip delivers.
 		jv, err := jsonValue(v)
 		if err != nil {
 			return b, err
@@ -198,8 +197,8 @@ func appendFloat(b []byte, f float64) ([]byte, error) {
 }
 
 // appendPayloadString appends s as uvarint length + bytes. Invalid UTF-8
-// becomes U+FFFD per byte, the rule encoding/json and appendJSONString
-// apply, so the string decodes the same on both codecs.
+// becomes U+FFFD per byte, the rule encoding/json applies, so the string
+// decodes to what an encoding/json round trip delivers.
 func appendPayloadString(b []byte, s string) []byte {
 	if !utf8.ValidString(s) {
 		var sb strings.Builder

@@ -2,15 +2,14 @@
 // events with point-to-point messages. This file is the point-to-point
 // half's envelope: a Message addressed by GUIDs (never by network
 // addresses, per Section 3's overlay premise) with a JSON body. Framing and
-// codecs live in codec.go/binary.go; the full wire contract is in doc.go.
+// the encoding live in codec.go/binary.go; the full wire contract is in
+// doc.go.
 package wire
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"strconv"
-	"unicode/utf8"
 
 	"sci/internal/guid"
 )
@@ -56,10 +55,10 @@ const (
 	KindOverlayPong      Kind = "overlay_pong"
 	KindOverlayRoute     Kind = "overlay_route" // encapsulated routed payload
 
-	// Connection setup. A dialer opens each connection with a codec.hello
-	// carrying its protocol version and the codecs it offers; the accept
-	// side answers once on the same socket with its version and choice.
-	KindCodecHello Kind = "codec.hello"
+	// Connection setup. A dialer opens each connection with a hello stating
+	// its protocol version; the accept side answers once on the same socket
+	// with its own.
+	KindHello Kind = "hello"
 )
 
 // Message is the wire envelope. Payload semantics depend on Kind.
@@ -78,9 +77,8 @@ type Message struct {
 	// here.
 	Body json.RawMessage `json:"body,omitempty"`
 	// Batch carries the events of an event-bearing message, decoded. It
-	// rides pointer-identical through the in-process memory transport, as
-	// one contiguous dictionary-interned section of a binary frame, and as
-	// the envelope's "batch" member on the JSON codec.
+	// rides pointer-identical through the in-process memory transport and
+	// as one contiguous dictionary-interned section of a binary frame.
 	Batch *NativeBatch `json:"batch,omitempty"`
 }
 
@@ -180,101 +178,4 @@ func (m Message) Validate() error {
 // String renders a compact log form.
 func (m Message) String() string {
 	return fmt.Sprintf("msg{%s %s→%s}", m.Kind, m.Src.Short(), m.Dst.Short())
-}
-
-// appendEnvelopeJSON appends the JSON wire form of m to b. It produces what
-// json.Marshal(m) would, assembled by hand so the pre-encoded Body splices
-// into the envelope once instead of being re-validated, re-compacted and
-// copied a second time by the marshaller — the frame is built in a single
-// pass over a reused buffer. The one property kept from json.Marshal is
-// rejecting a Body that is not valid JSON (a hand-spliced frame must never
-// ship an unparseable envelope).
-func appendEnvelopeJSON(b []byte, m Message) ([]byte, error) {
-	b = append(b, `{"src":"`...)
-	b = appendGUIDText(b, m.Src)
-	b = append(b, `","dst":"`...)
-	b = appendGUIDText(b, m.Dst)
-	b = append(b, `","kind":`...)
-	b = appendJSONString(b, string(m.Kind))
-	if !m.Corr.IsNil() {
-		b = append(b, `,"corr":"`...)
-		b = appendGUIDText(b, m.Corr)
-		b = append(b, '"')
-	}
-	if m.TTL != 0 {
-		b = append(b, `,"ttl":`...)
-		b = strconv.AppendInt(b, int64(m.TTL), 10)
-	}
-	if len(m.Body) > 0 {
-		if !json.Valid(m.Body) {
-			return b, fmt.Errorf("%w: body is not valid JSON", ErrBadMessage)
-		}
-		b = append(b, `,"body":`...)
-		b = append(b, m.Body...)
-	}
-	if m.Batch != nil {
-		raw, err := json.Marshal(m.Batch)
-		if err != nil {
-			return b, fmt.Errorf("wire: marshal batch: %w", err)
-		}
-		b = append(b, `,"batch":`...)
-		b = append(b, raw...)
-	}
-	return append(b, '}'), nil
-}
-
-const hexdigits = "0123456789abcdef"
-
-// appendGUIDText appends the canonical "kind:hex32" form of g — what
-// g.MarshalText produces — without allocating.
-func appendGUIDText(b []byte, g guid.GUID) []byte {
-	b = append(b, g.Kind().String()...)
-	b = append(b, ':')
-	for _, x := range g {
-		b = append(b, hexdigits[x>>4], hexdigits[x&0x0f])
-	}
-	return b
-}
-
-// appendJSONString appends s as a JSON string literal, as encoding/json
-// writes it minus HTML escaping (which decodes the same).
-func appendJSONString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c == '"' || c == '\\' || c < 0x20 {
-				b = append(b, s[start:i]...)
-				switch c {
-				case '"':
-					b = append(b, '\\', '"')
-				case '\\':
-					b = append(b, '\\', '\\')
-				case '\n':
-					b = append(b, '\\', 'n')
-				case '\r':
-					b = append(b, '\\', 'r')
-				case '\t':
-					b = append(b, '\\', 't')
-				default:
-					b = append(b, '\\', 'u', '0', '0', hexdigits[c>>4], hexdigits[c&0x0f])
-				}
-				start = i + 1
-			}
-			i++
-			continue
-		}
-		// Invalid UTF-8 becomes U+FFFD, matching encoding/json, so a string
-		// decodes to the same value it re-encodes from.
-		r, size := utf8.DecodeRuneInString(s[i:])
-		if r == utf8.RuneError && size == 1 {
-			b = append(b, s[start:i]...)
-			b = append(b, "�"...)
-			start = i + 1
-		}
-		i += size
-	}
-	b = append(b, s[start:]...)
-	return append(b, '"')
 }

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -95,7 +96,7 @@ func TestValidate(t *testing.T) {
 
 func TestWriterReaderRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewEncoder(&buf, CodecJSON)
+	w := NewEncoder(&buf, CodecBinary)
 	msgs := []Message{
 		mkMsg(t, KindRegister, map[string]string{"name": "ce1"}),
 		mkMsg(t, KindHeartbeat, nil),
@@ -122,7 +123,7 @@ func TestWriterReaderRoundTrip(t *testing.T) {
 }
 
 func TestWriterRejectsInvalid(t *testing.T) {
-	w := NewEncoder(io.Discard, CodecJSON)
+	w := NewEncoder(io.Discard, CodecBinary)
 	if err := w.Write(Message{}); err == nil {
 		t.Fatal("invalid message written")
 	}
@@ -151,29 +152,48 @@ func TestReaderTruncatedFrame(t *testing.T) {
 	}
 }
 
+// readFramed decodes one length-prefixed frame holding payload.
+func readFramed(payload []byte) error {
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(payload)))
+	frame = append(frame, payload...)
+	_, err := NewDecoder(bytes.NewReader(frame)).Read()
+	return err
+}
+
 func TestReaderGarbageJSON(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte("this is not json")
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	buf.Write(lenBuf[:])
-	buf.Write(payload)
-	r := NewDecoder(&buf)
-	if _, err := r.Read(); !errors.Is(err, ErrBadMessage) {
+	if err := readFramed([]byte("this is not json")); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("want ErrBadMessage, got %v", err)
 	}
 }
 
 func TestReaderInvalidEnvelope(t *testing.T) {
-	var buf bytes.Buffer
-	payload := []byte(`{"kind":""}`)
-	var lenBuf [4]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(payload)))
-	buf.Write(lenBuf[:])
-	buf.Write(payload)
-	r := NewDecoder(&buf)
-	if _, err := r.Read(); !errors.Is(err, ErrBadMessage) {
+	if err := readFramed([]byte(`{"kind":""}`)); !errors.Is(err, ErrBadMessage) {
 		t.Fatalf("want ErrBadMessage, got %v", err)
+	}
+}
+
+// TestReaderRejectsNonBinaryFrames: a frame that does not open with the
+// magic byte is malformed, whatever it holds — a protocol-3 JSON envelope
+// included.
+func TestReaderRejectsNonBinaryFrames(t *testing.T) {
+	v3Hello, err := json.Marshal(map[string]any{
+		"src": guid.New(guid.KindServer), "dst": guid.New(guid.KindServer), "kind": "codec.hello",
+		"body": map[string]any{"version": 3, "codecs": []string{"binary", "json"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"protocol-3 JSON hello", v3Hello},
+		{"open brace", []byte("{")},
+		{"version byte first", []byte{binaryVersion, magicByte, kindIDs[KindHeartbeat], 0}},
+	} {
+		if err := readFramed(tc.payload); !errors.Is(err, ErrBadMessage) {
+			t.Errorf("%s: want ErrBadMessage, got %v", tc.name, err)
+		}
 	}
 }
 
@@ -193,7 +213,7 @@ func TestOverTCP(t *testing.T) {
 		}
 		defer conn.Close()
 		r := NewDecoder(conn)
-		w := NewEncoder(conn, CodecJSON)
+		w := NewEncoder(conn, CodecBinary)
 		for {
 			m, err := r.Read()
 			if err != nil {
@@ -220,7 +240,7 @@ func TestOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := NewEncoder(conn, CodecJSON)
+	w := NewEncoder(conn, CodecBinary)
 	r := NewDecoder(conn)
 	for i := 0; i < 10; i++ {
 		m := mkMsg(t, KindQuery, map[string]int{"i": i})
@@ -263,7 +283,7 @@ func TestPropRoundTripArbitraryBodies(t *testing.T) {
 		}
 		m.TTL = int(ttl)
 		var buf bytes.Buffer
-		if err := NewEncoder(&buf, CodecJSON).Write(m); err != nil {
+		if err := NewEncoder(&buf, CodecBinary).Write(m); err != nil {
 			return false
 		}
 		got, err := NewDecoder(&buf).Read()
@@ -291,7 +311,7 @@ func BenchmarkWriteRead(b *testing.B) {
 	var buf bytes.Buffer
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := NewEncoder(&buf, CodecJSON).Write(m); err != nil {
+		if err := NewEncoder(&buf, CodecBinary).Write(m); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := NewDecoder(&buf).Read(); err != nil {

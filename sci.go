@@ -54,7 +54,6 @@ import (
 	"sci/internal/server"
 	"sci/internal/sim"
 	"sci/internal/transport"
-	"sci/internal/wire"
 )
 
 // Identity.
@@ -348,22 +347,12 @@ type (
 	// MemoryNetwork is the in-process simulation network.
 	MemoryNetwork = transport.Memory
 	// TransportConfig selects and parameterises a transport backend for
-	// NewNetwork: Backend names a registered builder ("memory", "tcp"),
-	// Codec sets the network's default wire codec.
+	// NewNetwork: Backend names a registered builder ("memory", "tcp").
+	// Every TCP connection carries the binary encoding and opens with a
+	// hello stating each side's protocol version; a peer of another version
+	// is a connect error, never a downgrade. The in-process memory network
+	// has no wire.
 	TransportConfig = transport.Config
-	// WireCodec names a wire encoding of the one message set: CodecBinary
-	// (the default: zero-copy batch sections, interned dictionaries) or
-	// CodecJSON (the same messages, readable on the wire, for debugging).
-	WireCodec = wire.Codec
-)
-
-// Wire codecs. Every TCP connection opens with a hello exchange stating
-// each side's protocol version and settling the encoding; a peer of another
-// version is a connect error, never a downgrade. TransportConfig.Codec picks
-// the encoding network-wide; the in-process memory network has no wire.
-const (
-	CodecBinary = wire.CodecBinary
-	CodecJSON   = wire.CodecJSON
 )
 
 // NewNetwork builds a transport from a declarative config via the backend
