@@ -20,7 +20,9 @@ import (
 )
 
 // Event is one typed context observation. Events are immutable once
-// published; consumers must not modify the payload map.
+// published: consumers must not modify the payload map, nor the events of
+// a batch slice they are handed. Batch paths share one slice between the
+// bus, every subscriber ring and the fabric's relays, and read it in place.
 type Event struct {
 	// ID uniquely names this event instance.
 	ID guid.GUID `json:"id"`
@@ -76,6 +78,24 @@ func (e Event) Validate() error {
 		return fmt.Errorf("%w: nil source", ErrBadEvent)
 	}
 	return nil
+}
+
+// ValidateBatch validates a batch in place, in order, with Validate's
+// checks. It returns the index of the first invalid event and Validate's
+// error for it, or len(evs) and nil when every event is valid. The type's
+// syntax is checked only where it differs from the previous event's, so a
+// run of one type pays for it once; the ID, wildcard and source checks run
+// for every event.
+func ValidateBatch(evs []Event) (int, error) {
+	for i := range evs {
+		e := &evs[i]
+		newType := i == 0 || e.Type != evs[i-1].Type
+		if e.ID.IsNil() || e.Type == ctxtype.Wildcard || e.Source.IsNil() ||
+			newType && e.Type.Validate() != nil {
+			return i, e.Validate()
+		}
+	}
+	return len(evs), nil
 }
 
 // WithSubject returns a copy of e with the subject set.
@@ -171,12 +191,12 @@ type Filter struct {
 // Matches applies the filter using plain hierarchical type matching (no
 // equivalence registry).
 func (f Filter) Matches(e Event) bool {
-	return f.MatchesIn(e, nil)
+	return f.MatchesIn(&e, nil)
 }
 
 // MatchesIn applies the filter; when reg is non-nil, type matching also
-// accepts declared semantic equivalences.
-func (f Filter) MatchesIn(e Event, reg *ctxtype.Registry) bool {
+// accepts declared semantic equivalences. The event is read in place.
+func (f Filter) MatchesIn(e *Event, reg *ctxtype.Registry) bool {
 	if f.Type != "" && f.Type != ctxtype.Wildcard {
 		ok := e.Type.HasAncestor(f.Type)
 		if !ok && reg != nil {
@@ -193,7 +213,7 @@ func (f Filter) MatchesIn(e Event, reg *ctxtype.Registry) bool {
 // in internal/eventbus resolves the type constraint through its pattern
 // index and calls MatchesRest for the remaining per-event checks, all of
 // which are allocation-free comparisons.
-func (f Filter) MatchesRest(e Event) bool {
+func (f Filter) MatchesRest(e *Event) bool {
 	if !f.Source.IsNil() && e.Source != f.Source {
 		return false
 	}

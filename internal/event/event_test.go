@@ -51,6 +51,44 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// TestValidateBatchAgreesWithValidate: ValidateBatch stops at the first
+// event Validate rejects, with Validate's own error. An ID or source fault
+// inside a run of one type is caught although the run's type syntax is
+// checked once.
+func TestValidateBatchAgreesWithValidate(t *testing.T) {
+	src := guid.New(guid.KindEntity)
+	good := New(ctxtype.TemperatureCelsius, src, 1, t0, nil)
+	bad := map[string]func(*Event){
+		"nil id":      func(e *Event) { e.ID = guid.Nil },
+		"bad type":    func(e *Event) { e.Type = "BAD TYPE" },
+		"empty type":  func(e *Event) { e.Type = "" },
+		"wildcard":    func(e *Event) { e.Type = ctxtype.Wildcard },
+		"nil source":  func(e *Event) { e.Source = guid.Nil },
+		"empty field": func(e *Event) { e.Type = "a..b" },
+	}
+	for name, spoil := range bad {
+		for _, at := range []int{0, 1, 3} {
+			evs := make([]Event, 5)
+			for i := range evs {
+				evs[i] = good
+			}
+			spoil(&evs[at])
+			i, err := ValidateBatch(evs)
+			want := evs[at].Validate()
+			if i != at || err == nil || err.Error() != want.Error() {
+				t.Errorf("%s at %d: ValidateBatch = %d, %v; want %d, %v", name, at, i, err, at, want)
+			}
+		}
+	}
+	clean := []Event{good, good, New(ctxtype.PrinterStatus, src, 2, t0, nil), good}
+	if i, err := ValidateBatch(clean); i != len(clean) || err != nil {
+		t.Fatalf("clean batch: ValidateBatch = %d, %v; want %d, nil", i, err, len(clean))
+	}
+	if i, err := ValidateBatch(nil); i != 0 || err != nil {
+		t.Fatalf("empty batch: ValidateBatch = %d, %v", i, err)
+	}
+}
+
 func TestWithHelpers(t *testing.T) {
 	src := guid.New(guid.KindEntity)
 	subj := guid.New(guid.KindPerson)
@@ -170,7 +208,7 @@ func TestFilterMatchesInWithEquivalence(t *testing.T) {
 	if f.Matches(wlan) {
 		t.Fatal("plain matching should not cross equivalence classes")
 	}
-	if !f.MatchesIn(wlan, reg) {
+	if !f.MatchesIn(&wlan, reg) {
 		t.Fatal("registry matching should accept equivalent type")
 	}
 }

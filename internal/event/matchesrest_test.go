@@ -36,7 +36,7 @@ func TestMatchesRestAgreesWithMatches(t *testing.T) {
 		{"all met", Filter{Source: src, Subject: subj, Range: rng, MinQuality: 0.5}, true},
 	}
 	for _, tc := range cases {
-		if got := tc.f.MatchesRest(e); got != tc.want {
+		if got := tc.f.MatchesRest(&e); got != tc.want {
 			t.Errorf("%s: MatchesRest = %v, want %v", tc.name, got, tc.want)
 		}
 		if got := tc.f.Matches(e); got != tc.want {

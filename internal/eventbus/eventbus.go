@@ -571,7 +571,7 @@ func (b *Bus) Publish(e event.Event) error {
 		}
 		sh.mu.RLock()
 		for _, s := range sh.exact[k] {
-			if s.filter.MatchesRest(e) {
+			if s.filter.MatchesRest(&e) {
 				targets = append(targets, s)
 			}
 		}
@@ -590,7 +590,7 @@ func (b *Bus) Publish(e event.Event) error {
 			sh.mu.RLock()
 			scanned += uint64(len(sh.residual))
 			for _, s := range sh.residual {
-				if s.filter.MatchesIn(e, b.reg) {
+				if s.filter.MatchesIn(&e, b.reg) {
 					targets = append(targets, s)
 				}
 			}
@@ -632,10 +632,8 @@ func (b *Bus) PublishAll(events []event.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	for i := range events {
-		if err := events[i].Validate(); err != nil {
-			return err
-		}
+	if _, err := event.ValidateBatch(events); err != nil {
+		return err
 	}
 	if b.closed.Load() {
 		return ErrClosed
@@ -660,10 +658,12 @@ func (b *Bus) PublishAll(events []event.Event) error {
 }
 
 // PublishAllOwned is PublishAll for callers that hand the slice over: the
-// bus retains it and shares views of it with subscriber rings, so the
-// caller must never read or write it again. It exists to spare batch
-// pipelines that already build a private slice per batch (the mediator's
-// stamping layer, wire ingest) the defensive copy.
+// bus retains it and shares read-only views of it with subscriber rings,
+// so the caller must never write it again. Reads stay safe — the bus never
+// writes into it either — so a caller may keep reading the slice, or share
+// it with other readers, after the call. It exists to spare batch
+// pipelines that already hold a slice nobody will write (the Range
+// Service's filtering copy, SCINET's decoded batches) the defensive copy.
 func (b *Bus) PublishAllOwned(events []event.Event) error {
 	return b.PublishAllOwnedFrom(guid.Nil, events)
 }
@@ -675,14 +675,14 @@ func (b *Bus) PublishAllOwned(events []event.Event) error {
 // a credit ack can report the drops that endpoint's traffic caused — not
 // the Range-wide total, and not the blameless co-tenant whose event a flood
 // happened to evict. A nil pub falls back to per-event Source attribution.
+// The slice is handed over as for PublishAllOwned: never written again,
+// still safe to read.
 func (b *Bus) PublishAllOwnedFrom(pub guid.GUID, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
 	}
-	for i := range events {
-		if err := events[i].Validate(); err != nil {
-			return err
-		}
+	if _, err := event.ValidateBatch(events); err != nil {
+		return err
 	}
 	if b.closed.Load() {
 		return ErrClosed
@@ -755,7 +755,7 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 			if !s.matchAll {
 				nmatch := 0
 				for k := range run {
-					if s.matchesEvent(run[k], b.reg) {
+					if s.matchesEvent(&run[k], b.reg) {
 						nmatch++
 					}
 				}
@@ -769,7 +769,7 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 					//lint:allow hotpath partial-match subset is retained by the ring and must be owned memory
 					ms := make([]event.Event, 0, nmatch)
 					for k := range run {
-						if s.matchesEvent(run[k], b.reg) {
+						if s.matchesEvent(&run[k], b.reg) {
 							ms = append(ms, run[k])
 						}
 					}
@@ -799,7 +799,7 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 // matchesEvent applies the subscription's filter to one event: exact-tier
 // subscriptions had their type constraint resolved by the index, so only
 // the residual constraints remain; residual-tier filters match in full.
-func (s *Subscription) matchesEvent(e event.Event, reg *ctxtype.Registry) bool {
+func (s *Subscription) matchesEvent(e *event.Event, reg *ctxtype.Registry) bool {
 	if s.residual {
 		return s.filter.MatchesIn(e, reg)
 	}

@@ -176,7 +176,11 @@ type Config struct {
 	MaxDelay time.Duration
 	// Send ships one bounded chunk. It is called outside the queue lock,
 	// serialised with other flushes of this Coalescer, and must not call
-	// back into the Coalescer.
+	// back into the Coalescer. The callee may keep the chunk without
+	// copying it: the Coalescer never writes a region it has passed to
+	// Send — the held-back tail starts past it, later adds append behind
+	// that tail, and a throttled shed compacts only the pending events.
+	// The callee must not write the chunk either.
 	Send func(batch []event.Event)
 	// Adaptive optionally derives effective bounds from the arrival rate.
 	Adaptive Adaptive

@@ -581,3 +581,67 @@ func TestAckCoalescerRateLimitsReports(t *testing.T) {
 		t.Fatal("stopped coalescer still reported")
 	}
 }
+
+// TestSendMayKeepChunks pins the Config.Send retention contract: a Send
+// that keeps every chunk it is given, uncopied, still reads each one as it
+// was shipped after size flushes, timer flushes, a held-back tail and the
+// throttled shed path have all reused the Coalescer's buffer.
+func TestSendMayKeepChunks(t *testing.T) {
+	clk := clock.NewManual(epoch)
+	var kept, shipped [][]event.Event
+	c := New(Config{Clock: clk, MaxBatch: 4, MaxDelay: 10 * time.Millisecond,
+		Send: func(batch []event.Event) {
+			kept = append(kept, batch)
+			shipped = append(shipped, append([]event.Event(nil), batch...))
+		}})
+	seq := uint64(0)
+	next := func(n int) []event.Event {
+		evs := mkEvents(n, clk.Now())
+		for i := range evs {
+			seq++
+			evs[i].Seq = seq
+		}
+		return evs
+	}
+
+	c.AddAll(next(10)) // size flush of 8; a tail of 2 is held back
+	if len(kept) != 2 || c.PendingLen() != 2 {
+		t.Fatalf("size flush: %d chunks, %d pending; want 2 and 2", len(kept), c.PendingLen())
+	}
+	c.Add(next(1)[0])                  // appends behind the held-back tail
+	clk.Advance(10 * time.Millisecond) // timer flush ships the tail
+	if c.PendingLen() != 0 {
+		t.Fatalf("timer flush left %d pending", c.PendingLen())
+	}
+	c.AddAll(next(6)) // size flush of 4, tail of 2
+
+	c.UpdateCredit(0, 100)
+	c.UpdateCredit(5, 0) // throttled: no size flushes, sheds past the bound
+	if !c.Throttled() {
+		t.Fatal("not throttled")
+	}
+	limit := 4 * throttleBufferFactor
+	c.AddAll(next(limit))
+	c.AddAll(next(3))
+	if c.PendingLen() != limit {
+		t.Fatalf("throttled pending = %d, want %d", c.PendingLen(), limit)
+	}
+	c.Flush()
+	c.AddAll(next(5))
+	c.Flush()
+
+	if len(kept) < 4 {
+		t.Fatalf("only %d chunks shipped", len(kept))
+	}
+	for i := range kept {
+		if len(kept[i]) != len(shipped[i]) {
+			t.Fatalf("chunk %d changed length: %d, shipped %d", i, len(kept[i]), len(shipped[i]))
+		}
+		for j := range kept[i] {
+			if kept[i][j].ID != shipped[i][j].ID || kept[i][j].Seq != shipped[i][j].Seq {
+				t.Fatalf("chunk %d event %d rewritten after Send: seq %d, shipped seq %d",
+					i, j, kept[i][j].Seq, shipped[i][j].Seq)
+			}
+		}
+	}
+}

@@ -311,8 +311,9 @@ func (m *Mediator) PublishAll(events []event.Event) error {
 }
 
 // PublishAllOwned is PublishAll with ownership transfer: the slice is
-// retained and shared with subscriber rings, so the caller must not touch
-// it again. Use from pipelines that already build a private slice per batch.
+// retained and shared read-only with subscriber rings, so the caller must
+// never write it again; reading it stays safe. Use from pipelines that
+// already hold a slice nobody will write.
 func (m *Mediator) PublishAllOwned(events []event.Event) error {
 	return m.bus.PublishAllOwned(events)
 }

@@ -264,10 +264,22 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 
 	// Kill b: partition it so pings go unanswered, then advance past
 	// FailAfter. The heartbeat loop must evict b from a's and c's tables.
+	// Each round waits until the survivors have answered each other's
+	// pings, so a slow pong never reads as a failure.
+	answered := func(n *Node) bool {
+		n.mu.Lock()
+		defer n.mu.Unlock()
+		for id := range n.pinged {
+			if id != b.ID() {
+				return false
+			}
+		}
+		return true
+	}
 	net.Partition(b.ID())
 	for i := 0; i < 8; i++ {
 		clk.Advance(time.Second)
-		time.Sleep(5 * time.Millisecond) // let handlers drain
+		waitFor(t, func() bool { return answered(a) && answered(c) })
 	}
 	waitFor(t, func() bool {
 		return !guid.NewSet(a.Known()...).Has(b.ID()) &&

@@ -373,8 +373,9 @@ func (h *Host) handleQuery(m wire.Message) {
 
 // ingestNativeBatch ingests a batch of events published by a remote CE. The
 // batch is shared — the memory transport may hand one pointer to several
-// receivers — so events are copied by value before the stamp strip and
-// payload maps are never touched.
+// receivers — so events are copied by value before they are stamped, and
+// payload maps are never touched. That filtering copy is the only one: it
+// goes to the bus as is.
 func (h *Host) ingestNativeBatch(m wire.Message) {
 	if m.Batch == nil {
 		return
@@ -391,11 +392,13 @@ func (h *Host) ingestNativeBatch(m wire.Message) {
 		if err := e.Validate(); err != nil {
 			continue
 		}
-		// Strip any client-supplied Range stamp: Publish/PublishAll preserve
-		// non-nil stamps for SCINET cross-range forwarding, so an untrusted
-		// wire client could otherwise forge a sibling Range's stamp and dodge
-		// Range-filtered subscriptions or the fabric's forwarding tap.
-		e.Range = guid.Nil
+		// Overwrite any client-supplied Range stamp: Publish/PublishAll
+		// preserve non-nil stamps for SCINET cross-range forwarding, so an
+		// untrusted wire client could otherwise forge a sibling Range's stamp
+		// and dodge Range-filtered subscriptions or the fabric's forwarding
+		// tap. A remote CE publishes into this Range, so it gets this
+		// Range's stamp.
+		e.Range = h.rng.ID()
 		events = append(events, e)
 	}
 	// The whole ingest is attributed to the publishing endpoint, so any
@@ -403,7 +406,7 @@ func (h *Host) ingestNativeBatch(m wire.Message) {
 	// acks carry (every event's Source equals m.Src here, but the explicit
 	// key documents the contract and survives future relaxations).
 	if len(events) > 0 {
-		_ = h.rng.PublishAllFrom(m.Src, events)
+		_ = h.rng.Mediator().PublishAllOwnedFrom(m.Src, events)
 	}
 	// Publishers get a flow-credit ack so remote CEs can see the drops
 	// their traffic causes — attributed to this endpoint, never the

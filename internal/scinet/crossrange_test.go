@@ -3,6 +3,8 @@ package scinet
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -899,10 +901,13 @@ func TestDeadPeerSendIsNotAnEcho(t *testing.T) {
 }
 
 // TestRelayLeavesReceivedBatchUntouched: on transport.Memory a received
-// batch is the sender's pointer, possibly shared with other receivers. B
-// ingests a batch from A and relays it to C and D, which A did not know;
-// the relayed copies carry the extended hop set, and the received batch's
-// header is exactly what A sent.
+// batch is the sender's pointer, possibly shared with other receivers, and
+// ingest hands its events to the bus without copying them. B ingests a
+// batch from A, dispatches it to two local subscribers and relays it to C
+// and D, which A did not know; the relayed copies carry the extended hop
+// set, the received batch's header is exactly what A sent, and every event
+// of it — payload values included — still equals a snapshot taken before
+// the ingest.
 func TestRelayLeavesReceivedBatchUntouched(t *testing.T) {
 	fn := newFanNet(t, 4, 8)
 	defer fn.close()
@@ -916,6 +921,10 @@ func TestRelayLeavesReceivedBatchUntouched(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	second := newCounter() // B's second local subscriber
+	if _, err := fB.SubscribeRemote(guid.New(guid.KindApplication), flt, second.handle); err != nil {
+		t.Fatal(err)
+	}
 	waitFor(t, func() bool { return fB.knowsInterest(fC.NodeID()) && fB.knowsInterest(fD.NodeID()) })
 	fB.setInterests(map[guid.GUID][]event.Filter{fC.NodeID(): {flt}, fD.NodeID(): {flt}})
 
@@ -923,6 +932,12 @@ func TestRelayLeavesReceivedBatchUntouched(t *testing.T) {
 	foreign := guid.New(guid.KindRange)
 	for i := range events {
 		events[i].Range = foreign
+		events[i].Payload["label"] = fmt.Sprintf("reading-%d", i)
+	}
+	snapshot := make([]event.Event, len(events))
+	for i, e := range events {
+		e.Payload = maps.Clone(e.Payload)
+		snapshot[i] = e
 	}
 	id := guid.New(guid.KindEvent)
 	via := []guid.GUID{fA.NodeID(), fB.NodeID()}
@@ -930,19 +945,85 @@ func TestRelayLeavesReceivedBatchUntouched(t *testing.T) {
 	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: in})
 
 	waitFor(t, func() bool {
-		return recv[fB].total() >= 4 && recv[fC].total() >= 4 && recv[fD].total() >= 4
+		return recv[fB].total() >= 4 && second.total() >= 4 && recv[fC].total() >= 4 && recv[fD].total() >= 4
 	})
 	for f, c := range recv {
 		if !c.exactlyOnce(4) {
 			t.Fatalf("%s: %d deliveries for 4 events", f.NodeID().Short(), c.total())
 		}
 	}
+	if !second.exactlyOnce(4) {
+		t.Fatalf("B's second subscriber: %d deliveries for 4 events", second.total())
+	}
 	if got := fB.BatchesRelayed.Value(); got != 2 {
 		t.Fatalf("BatchesRelayed = %d, want 2 (C and D)", got)
+	}
+	if len(in.Events) != len(snapshot) || &in.Events[0] != &events[0] {
+		t.Fatalf("the received batch's event slice was replaced")
+	}
+	for i := range snapshot {
+		if !reflect.DeepEqual(in.Events[i], snapshot[i]) {
+			t.Fatalf("event %d of the received batch changed:\n got %+v\nwant %+v", i, in.Events[i], snapshot[i])
+		}
 	}
 	if in.Origin != fA.NodeID() || in.ID != id || len(in.Via) != 2 ||
 		&in.Via[0] != &via[0] || via[0] != fA.NodeID() || via[1] != fB.NodeID() {
 		t.Fatalf("relay edited the received batch: origin %s id %s via %v",
 			in.Origin.Short(), in.ID.Short(), in.Via)
+	}
+}
+
+// TestIngestFiltersCopyFromFirstDrop: a batch with events to drop gets a
+// slice of its own — invalid events skipped, local and unstamped ones
+// counted as echoes — and the received batch is left as it was.
+func TestIngestFiltersCopyFromFirstDrop(t *testing.T) {
+	b, local := ingestBatch()
+	b.Events = b.Events[:6]
+	b.Events[1].ID = guid.Nil       // invalid
+	b.Events[2].Range = local       // echo of local production
+	b.Events[4].Range = guid.Nil    // unstamped
+	b.Events[5].Type = "NOT.A.TYPE" // invalid
+	before := append([]event.Event(nil), b.Events...)
+
+	got, echoes := nativeEvents(b, local)
+	if echoes != 2 {
+		t.Fatalf("echoes = %d, want 2", echoes)
+	}
+	if len(got) != 2 || got[0].Seq != 1 || got[1].Seq != 4 {
+		t.Fatalf("kept %v, want seqs 1 and 4", got)
+	}
+	if &got[0] == &b.Events[0] {
+		t.Fatal("a filtered result aliases the received batch")
+	}
+	for i := range before {
+		if b.Events[i].ID != before[i].ID || b.Events[i].Range != before[i].Range || b.Events[i].Type != before[i].Type {
+			t.Fatalf("event %d of the received batch changed", i)
+		}
+	}
+
+	// The query path (nil local Range) drops only invalid events.
+	got, echoes = nativeEvents(b, guid.Nil)
+	if echoes != 0 || len(got) != 4 {
+		t.Fatalf("query path kept %d with %d echoes, want 4 and 0", len(got), echoes)
+	}
+}
+
+// TestKeepMatchingCopiesOnlyWhenFiltering: the local-interest filter
+// returns its input when every event matches, and a copy of the matching
+// events otherwise.
+func TestKeepMatchingCopiesOnlyWhenFiltering(t *testing.T) {
+	b, _ := ingestBatch()
+	evs := b.Events[:4]
+	all := []event.Filter{{Type: ctxtype.TemperatureCelsius}}
+	if got := keepMatching(evs, all, nil); len(got) != 4 || &got[0] != &evs[0] {
+		t.Fatal("a batch that filters nothing was copied")
+	}
+	some := []event.Filter{{Type: ctxtype.PrinterStatus}, {Type: ctxtype.TemperatureCelsius, MinQuality: 0.5}}
+	evs[2].Quality = 0.9
+	if got := keepMatching(evs, some, nil); len(got) != 1 || got[0].Seq != 3 || &got[0] == &evs[2] {
+		t.Fatalf("kept %v, want a copy of seq 3 alone", got)
+	}
+	if got := keepMatching(evs, nil, nil); len(got) != 0 {
+		t.Fatalf("no filter kept %d events", len(got))
 	}
 }

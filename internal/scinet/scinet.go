@@ -22,9 +22,9 @@
 // each peer taps its own Event Mediator through a batch subscription and
 // forwards matching publishes as coalesced scinet.event_batch payloads —
 // one message per BatchMaxEvents events per interested peer, not
-// one per event. The receiving fabric ingests a whole batch through
-// Range.PublishAll, so it enters the batched dispatch path, and re-forwards
-// it to interested peers the sender did not know about.
+// one per event. The receiving fabric hands a whole batch to its Event
+// Mediator's batched dispatch path without copying it, and re-forwards it
+// to interested peers the sender did not know about.
 //
 // Loop suppression: every forwarded batch is stamped with the origin
 // fabric's id, a batch id, and a hop set (Via) naming every fabric already
@@ -1416,9 +1416,11 @@ func (f *Fabric) forwardLocal(events []event.Event) {
 		f.fan.AddAll(events)
 		return
 	}
-	// Coalescing disabled: each event ships as its own batch message.
+	// Coalescing disabled: each event ships as its own batch message, in a
+	// slice of its own — events is the deliver loop's reused buffer, and
+	// fanOut's batch outlives this call.
 	for i := range events {
-		f.fanOut(events[i : i+1])
+		f.fanOut([]event.Event{events[i]})
 	}
 }
 
@@ -1439,18 +1441,16 @@ func (f *Fabric) fanOut(events []event.Event) {
 	}
 	// Events travel as one batch, header (origin, batch id, hop set)
 	// included, shared across every recipient; nothing on this path is
-	// JSON. The flush slice aliases the coalescer's buffer, so copy before
-	// it escapes into messages that outlive this call.
-	owned := make([]event.Event, len(events))
-	copy(owned, events)
+	// JSON. The chunk ships as is: the coalescer never rewrites a chunk it
+	// has handed to Send (flow.Config.Send), so the batch may keep it.
 	via := make([]guid.GUID, 0, len(recips)+1)
 	via = append(via, self)
 	via = append(via, recips...)
-	batch := &wire.NativeBatch{Events: owned, Origin: self, ID: guid.New(guid.KindEvent), Via: via}
+	batch := &wire.NativeBatch{Events: events, Origin: self, ID: guid.New(guid.KindEvent), Via: via}
 	for _, to := range recips {
 		if f.node.Send(to, appEventBatch, nil, batch) == nil {
 			f.BatchesForwarded.Inc()
-			f.EventsForwarded.Add(uint64(len(owned)))
+			f.EventsForwarded.Add(uint64(len(events)))
 			f.noteSubtreeForward(to)
 		}
 	}
@@ -1458,8 +1458,8 @@ func (f *Fabric) fanOut(events []event.Event) {
 
 // handleEventBatch ingests a scinet.event_batch message by its batch
 // header: routed query results go to their waiting consumer; fan-out
-// batches enter the local Range through PublishAll (the batched dispatch
-// path) and are relayed to interested peers the hop set does not cover.
+// batches enter the local Range's batched dispatch path and are relayed to
+// interested peers the hop set does not cover.
 func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	b := d.Batch
 	if b == nil {
@@ -1495,9 +1495,8 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	}
 
 	// Events stamped with the local Range are echoes of our own production
-	// regardless of what the header claims; events with no Range stamp
-	// would be restamped as local by PublishAll and re-enter the forwarding
-	// tap, so both are dropped for loop safety.
+	// regardless of what the header claims, and unstamped events cannot be
+	// told apart from it; both are dropped for loop safety.
 	events, echoes := nativeEvents(b, f.rng.ID())
 	if echoes > 0 {
 		f.EchoesDropped.Add(uint64(echoes))
@@ -1509,22 +1508,17 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	f.mu.Lock()
 	local := f.localFiltersLocked()
 	f.mu.Unlock()
-	keep := make([]event.Event, 0, len(events))
-	for i := range events {
-		for j := range local {
-			if local[j].MatchesIn(events[i], f.rng.Types()) {
-				keep = append(keep, events[i])
-				break
-			}
-		}
-	}
+	keep := keepMatching(events, local, f.rng.Types())
 	if len(keep) > 0 {
 		f.BatchesIngested.Inc()
 		f.EventsIngested.Add(uint64(len(keep)))
-		// Attribute the ingest to the fabric that shipped it (origin or
-		// relay): any drops it causes count against that link, and the ack
-		// below reports them.
-		_ = f.rng.PublishAllFrom(d.Origin, keep)
+		// Every kept event carries a foreign Range stamp (nativeEvents
+		// dropped the rest), so there is nothing to stamp: the bus takes the
+		// slice as a read-only view — it may be the received batch itself,
+		// which relay below keeps reading. The ingest is attributed to the
+		// fabric that shipped it (origin or relay): any drops it causes
+		// count against that link, and the ack below reports them.
+		_ = f.rng.Mediator().PublishAllOwnedFrom(d.Origin, keep)
 	}
 	// The reply hint: report this Range's flow credit to whichever fabric
 	// shipped the batch, so its coalescer can throttle. Noted after the
@@ -1545,27 +1539,92 @@ func (f *Fabric) handleEventBatch(d overlay.Delivery) {
 	}
 }
 
-// nativeEvents copies a received batch's valid events out, skipping invalid
-// ones. When localRange is non-nil the fan-out loop-safety rules apply:
-// events stamped with the local Range (echoes) or with no Range stamp at
-// all (would be restamped as local and re-forwarded) are dropped, and
-// counted separately in echoes so malformed events never read as routing
-// loops. The batch is shared — the memory transport may hand one pointer to
-// several local receivers — so the batch itself is never mutated.
+// nativeEvents returns a received batch's valid events. When localRange is
+// non-nil the fan-out loop-safety rules apply: events stamped with the
+// local Range (echoes) or with no Range stamp at all (indistinguishable
+// from local production) are dropped and counted in echoes; invalid events
+// are dropped uncounted, so malformed events never read as routing loops. The batch is shared — the
+// memory transport may hand one pointer to several local receivers, and
+// relay re-sends it — so it is never written: when nothing is dropped, the
+// common case, the result is b.Events itself, a read-only view; otherwise
+// it is a copy made from the first dropped event onward.
+//
+//lint:hotpath
 func nativeEvents(b *wire.NativeBatch, localRange guid.GUID) (events []event.Event, echoes int) {
-	events = make([]event.Event, 0, len(b.Events))
-	for i := range b.Events {
-		e := b.Events[i]
-		if err := e.Validate(); err != nil {
-			continue
+	all := b.Events
+	//lint:allow hotpath ValidateBatch formats an error only for an invalid event, which then takes the filtering branch
+	cut, _ := event.ValidateBatch(all)
+	for i := range all[:cut] {
+		if isEcho(&all[i], localRange) {
+			cut = i
+			break
 		}
-		if !localRange.IsNil() && (e.Range.IsNil() || e.Range == localRange) {
-			echoes++
-			continue
+	}
+	if cut == len(all) {
+		return all, 0
+	}
+	//lint:allow hotpath filtering branch: a batch with an event to drop needs its own slice; a clean batch takes none
+	return dropFrom(all, cut, localRange)
+}
+
+// isEcho reports whether ingest must drop e under the loop-safety rules
+// (never with a nil localRange).
+func isEcho(e *event.Event, localRange guid.GUID) bool {
+	return !localRange.IsNil() && (e.Range.IsNil() || e.Range == localRange)
+}
+
+// dropFrom is nativeEvents' filtering branch: all[:cut] is kept as is and
+// all[cut] is the first event to drop.
+func dropFrom(all []event.Event, cut int, localRange guid.GUID) (events []event.Event, echoes int) {
+	events = make([]event.Event, cut, len(all)-1)
+	copy(events, all[:cut])
+	for rest := all[cut:]; len(rest) > 0; {
+		n, err := event.ValidateBatch(rest)
+		for i := range rest[:n] {
+			if isEcho(&rest[i], localRange) {
+				echoes++
+				continue
+			}
+			events = append(events, rest[i])
 		}
-		events = append(events, e)
+		if err == nil {
+			break
+		}
+		rest = rest[n+1:] // skip the invalid event
 	}
 	return events, echoes
+}
+
+// keepMatching returns the events some filter accepts, in order: events
+// itself when every event matches, otherwise a copy made from the first
+// unmatched event onward. Like nativeEvents it never writes events.
+func keepMatching(events []event.Event, filters []event.Filter, reg *ctxtype.Registry) []event.Event {
+	var keep []event.Event
+	copied := false
+	for i := range events {
+		match := matchesSome(filters, &events[i], reg)
+		switch {
+		case match && copied:
+			keep = append(keep, events[i])
+		case !match && !copied:
+			copied = true
+			keep = append(keep, events[:i]...)
+		}
+	}
+	if !copied {
+		return events
+	}
+	return keep
+}
+
+// matchesSome reports whether any filter accepts e.
+func matchesSome(filters []event.Filter, e *event.Event, reg *ctxtype.Registry) bool {
+	for i := range filters {
+		if filters[i].MatchesIn(e, reg) {
+			return true
+		}
+	}
+	return false
 }
 
 // markSeen records a batch id in the bounded duplicate window, reporting
@@ -1820,11 +1879,9 @@ func (f *Fabric) relay(in *wire.NativeBatch, events []event.Event) int {
 // type registry for semantic equivalence.
 func matchAny(filters []event.Filter, events []event.Event, rng *server.Range) bool {
 	reg := rng.Types()
-	for i := range filters {
-		for j := range events {
-			if filters[i].MatchesIn(events[j], reg) {
-				return true
-			}
+	for j := range events {
+		if matchesSome(filters, &events[j], reg) {
+			return true
 		}
 	}
 	return false

@@ -617,11 +617,11 @@ func (r *Range) PublishAll(events []event.Event) error {
 
 // PublishAllFrom is PublishAll with an explicit drop-attribution key:
 // events of this batch later discarded from full subscription queues count
-// against pub (see DispatchDropsFor) rather than their own Source. The
-// Range Service and SCINET ingest paths pass the sending endpoint/fabric,
-// so the flow-credit acks they return carry the drops caused by that
-// link's traffic instead of the Range-wide total. A nil pub attributes per
-// event Source.
+// against pub (see DispatchDropsFor) rather than their own Source, so a
+// flow-credit ack can carry the drops caused by one link's traffic instead
+// of the Range-wide total. A nil pub attributes per event Source. (The
+// Range Service and SCINET ingest paths stamp their events themselves and
+// hand them to the Mediator's PublishAllOwnedFrom, sparing this copy.)
 func (r *Range) PublishAllFrom(pub guid.GUID, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
