@@ -16,6 +16,7 @@ package configuration
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -97,19 +98,23 @@ type Runtime struct {
 }
 
 type activeCfg struct {
-	cfg     *resolver.Configuration
-	deliver BatchDeliverFunc
-	rctx    resolver.Context
-	repairs int
-	dead    bool
+	cfg *resolver.Configuration
+	// providers is cfg.Providers(), read and written under Runtime.mu:
+	// computed once per instantiation and per repair, then reused to index,
+	// unindex and report status.
+	providers []guid.GUID
+	deliver   BatchDeliverFunc
+	rctx      resolver.Context
+	repairs   int
+	dead      bool
 }
 
 // edgeQueueLen is the per-subscription queue capacity for configuration
 // plumbing: generous enough to absorb sensor bursts without dropping
 // context updates (freshest-wins drop still applies beyond it). It is a
-// bound, not an up-front cost: the bus commits an edge's ring at the edge's
-// first event, so a configuration torn down before its sources fire never
-// pays for it.
+// bound, not an up-front cost: the bus commits an edge's ring, and starts
+// its delivery goroutine, at the edge's first event, so a configuration
+// torn down before its sources fire pays for neither.
 const edgeQueueLen = 1024
 
 // Errors.
@@ -155,14 +160,14 @@ func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Co
 	if cfg == nil || cfg.Root == nil {
 		return errors.New("configuration: nil configuration")
 	}
-	ac := &activeCfg{cfg: cfg, deliver: deliver, rctx: rctx}
+	ac := &activeCfg{cfg: cfg, providers: cfg.Providers(), deliver: deliver, rctx: rctx}
 	if err := r.wire(ac); err != nil {
 		r.med.CancelConfiguration(cfg.ID)
 		return err
 	}
 	r.mu.Lock()
 	r.active[cfg.ID] = ac
-	r.indexProvidersLocked(cfg)
+	r.indexProvidersLocked(ac)
 	r.mu.Unlock()
 	r.primeSources(cfg.Root)
 	return nil
@@ -236,7 +241,7 @@ func (r *Runtime) Teardown(id guid.GUID) error {
 	ac, ok := r.active[id]
 	if ok {
 		delete(r.active, id)
-		r.unindexProvidersLocked(ac.cfg)
+		r.unindexProvidersLocked(ac)
 	}
 	r.mu.Unlock()
 	if !ok {
@@ -254,7 +259,7 @@ func (r *Runtime) Active() []Status {
 	for id, ac := range r.active {
 		out = append(out, Status{
 			ID:            id,
-			Providers:     ac.cfg.Providers(),
+			Providers:     slices.Clone(ac.providers),
 			Repairs:       ac.repairs,
 			Subscriptions: len(r.med.ForConfiguration(id)),
 		})
@@ -319,7 +324,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrRepairBudget, r.maxRepairs)
 	}
-	r.unindexProvidersLocked(ac.cfg)
+	r.unindexProvidersLocked(ac)
 	r.mu.Unlock()
 
 	rctx := ac.rctx
@@ -332,7 +337,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	if err != nil {
 		// Restore indexing so a later retry can find the configuration.
 		r.mu.Lock()
-		r.indexProvidersLocked(ac.cfg)
+		r.indexProvidersLocked(ac)
 		r.mu.Unlock()
 		return err
 	}
@@ -346,9 +351,11 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		return err
 	}
 
+	providers := ac.cfg.Providers()
 	r.mu.Lock()
 	ac.repairs++
-	r.indexProvidersLocked(ac.cfg)
+	ac.providers = providers
+	r.indexProvidersLocked(ac)
 	r.mu.Unlock()
 
 	r.Repairs.Inc()
@@ -380,21 +387,23 @@ func (r *Runtime) repairBinding(b *resolver.Binding, q query.Query, failed guid.
 	return out, nil
 }
 
-func (r *Runtime) indexProvidersLocked(cfg *resolver.Configuration) {
-	for _, p := range cfg.Providers() {
+// indexProvidersLocked records ac under each of its providers.
+func (r *Runtime) indexProvidersLocked(ac *activeCfg) {
+	for _, p := range ac.providers {
 		set, ok := r.byProv[p]
 		if !ok {
 			set = guid.NewSet()
 			r.byProv[p] = set
 		}
-		set.Add(cfg.ID)
+		set.Add(ac.cfg.ID)
 	}
 }
 
-func (r *Runtime) unindexProvidersLocked(cfg *resolver.Configuration) {
-	for _, p := range cfg.Providers() {
+// unindexProvidersLocked drops ac from the providers it was indexed under.
+func (r *Runtime) unindexProvidersLocked(ac *activeCfg) {
+	for _, p := range ac.providers {
 		if set, ok := r.byProv[p]; ok {
-			set.Remove(cfg.ID)
+			set.Remove(ac.cfg.ID)
 			if len(set) == 0 {
 				delete(r.byProv, p)
 			}

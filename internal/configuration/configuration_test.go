@@ -3,6 +3,7 @@ package configuration
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -509,4 +510,55 @@ func TestBatchEdgeAndBatchRootDelivery(t *testing.T) {
 		}
 		return total >= calls
 	})
+}
+
+// TestActiveProvidersCachedAndCopied: Active reports the provider list the
+// runtime indexed, recomputed by a repair, and each call returns its own
+// copy, so writing to one Status cannot reach the runtime.
+func TestActiveProvidersCachedAndCopied(t *testing.T) {
+	r := newRig(t)
+	defer r.close()
+	cfg, err := r.res.Resolve(positionQuery(guid.New(guid.KindApplication)), resolver.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	want := cfg.Providers()
+	sts := r.rt.Active()
+	if len(sts) != 1 || !reflect.DeepEqual(sts[0].Providers, want) {
+		t.Fatalf("Active = %+v, want providers %v", sts, want)
+	}
+	for i := range sts[0].Providers {
+		sts[0].Providers[i] = guid.Nil
+	}
+	if again := r.rt.Active(); !reflect.DeepEqual(again[0].Providers, want) {
+		t.Fatalf("a write to one Status reached the runtime: %v, want %v", again[0].Providers, want)
+	}
+
+	// Repair onto the WLAN station: the list is recomputed, and the index
+	// follows it.
+	bound := cfg.Root.Inputs[0].Provider
+	for _, d := range r.doors {
+		r.profiles.Remove(d.ID())
+	}
+	if n := r.rt.HandleDeparture(bound); n != 1 {
+		t.Fatalf("HandleDeparture repaired %d", n)
+	}
+	want = cfg.Providers()
+	if got := r.rt.Active()[0].Providers; !reflect.DeepEqual(got, want) {
+		t.Fatalf("providers after repair = %v, want %v", got, want)
+	}
+	if r.rt.Uses(bound) || !r.rt.Uses(r.wlan.ID()) {
+		t.Fatal("provider index not rebuilt from the repaired graph")
+	}
+	if err := r.rt.Teardown(cfg.ID); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range want {
+		if r.rt.Uses(p) {
+			t.Fatalf("provider %s still indexed after teardown", p.Short())
+		}
+	}
 }

@@ -7,7 +7,9 @@
 // through a Bus: producers publish typed events; subscribers receive the
 // subset matching their Filter on a bounded queue serviced by a dedicated
 // delivery goroutine, so one slow consumer can never stall producers or
-// other consumers.
+// other consumers. A subscription's queue and its delivery goroutine are
+// both started at its first event: a subscription that never receives one
+// costs an index entry and nothing else.
 //
 // # Dispatch architecture
 //
@@ -90,14 +92,16 @@ const maxKeyCacheTypes = 4096
 var ErrClosed = errors.New("eventbus: closed")
 
 // Handler consumes delivered events. Handlers run on the subscription's
-// delivery goroutine: they may block that subscription only.
+// delivery goroutine, started at its first event: they may block that
+// subscription only.
 type Handler func(event.Event)
 
 // BatchHandler consumes delivered events a slice at a time: the delivery
-// goroutine drains everything queued since the last wakeup and hands it over
-// in one call, so consumers that can amortise per-event overhead (wire
-// encoding, lock acquisition, fsync) see the whole backlog at once. The
-// slice is reused between invocations; handlers must not retain it.
+// goroutine (started at the subscription's first event) drains everything
+// queued since the last wakeup and hands it over in one call, so consumers
+// that can amortise per-event overhead (wire encoding, lock acquisition,
+// fsync) see the whole backlog at once. The slice is reused between
+// invocations; handlers must not retain it.
 // Single-event Handlers are adapted onto this interface by Subscribe.
 type BatchHandler func([]event.Event)
 
@@ -351,14 +355,20 @@ type Subscription struct {
 	// limit bounds the total queued *events*; fixed at Subscribe time.
 	limit int
 
+	// handler is what the delivery goroutine runs; it is kept here until
+	// the first event starts that goroutine.
+	handler BatchHandler
+
 	mu     sync.Mutex
 	queue  []entry // guarded by mu; ring of limit entries, nil until the first enqueue
 	head   int     // guarded by mu
 	count  int     // guarded by mu; entries in the ring
 	events int     // guarded by mu; events across those entries
 	policy DropPolicy
-	wake   chan struct{}
-	closed bool // guarded by mu
+	// wake signals the delivery goroutine. It is made, and the goroutine
+	// started, with the ring at the first enqueue: nil means no goroutine.
+	wake   chan struct{} // guarded by mu
+	closed bool          // guarded by mu
 
 	oneShot bool
 	fired   atomic.Bool
@@ -397,7 +407,8 @@ func OneShot() SubOption {
 }
 
 // Subscribe registers h for events matching f. The returned Subscription
-// must be Cancelled when no longer needed.
+// must be Cancelled when no longer needed. No goroutine runs for it until
+// its first event arrives.
 //
 // Filters naming a concrete type pattern are placed in the exact index under
 // that pattern; wildcard and untyped filters join the residual tier.
@@ -427,11 +438,11 @@ func (b *Bus) SubscribeBatch(f event.Filter, h BatchHandler, opts ...SubOption) 
 
 func (b *Bus) subscribe(f event.Filter, h BatchHandler, opts []SubOption) (*Subscription, error) {
 	s := &Subscription{
-		id:     guid.New(guid.KindSubscription),
-		filter: f,
-		bus:    b,
-		policy: DropOldest,
-		wake:   make(chan struct{}, 1),
+		id:      guid.New(guid.KindSubscription),
+		filter:  f,
+		bus:     b,
+		policy:  DropOldest,
+		handler: h,
 	}
 	for _, o := range opts {
 		o(s)
@@ -467,13 +478,7 @@ func (b *Bus) subscribe(f event.Filter, h BatchHandler, opts []SubOption) (*Subs
 	} else {
 		sh.exact[s.key] = append(sh.exact[s.key], s)
 	}
-	b.wg.Add(1)
 	sh.mu.Unlock()
-
-	go func() {
-		defer b.wg.Done()
-		s.deliverLoop(h)
-	}()
 	return s, nil
 }
 
@@ -941,7 +946,13 @@ func (b *Bus) CancelOwned(owner guid.GUID) int {
 }
 
 // Close cancels all subscriptions and waits for delivery goroutines to exit.
-// Further Publish/Subscribe calls fail with ErrClosed.
+// Further Publish/Subscribe calls fail with ErrClosed. Subscriptions that
+// never received an event have no goroutine, so nothing is waited for them.
+//
+// A first event can start a goroutine while Close runs: it does so under
+// the subscription's lock and only while the subscription is open, and
+// Close cancels every indexed subscription under that lock before it waits,
+// so every such start is counted before the wait begins.
 func (b *Bus) Close() {
 	b.closeMu.Lock()
 	if b.closed.Load() {
@@ -979,8 +990,9 @@ func (s *Subscription) Owner() guid.GUID { return s.owner }
 // Filter returns the subscription's filter.
 func (s *Subscription) Filter() event.Filter { return s.filter }
 
-// Cancel removes the subscription and stops its delivery goroutine. Queued
-// but undelivered events are discarded. Cancel is idempotent.
+// Cancel removes the subscription and stops its delivery goroutine, if its
+// first event started one; it never waits for that goroutine. Queued but
+// undelivered events are discarded. Cancel is idempotent.
 func (s *Subscription) Cancel() {
 	s.mu.Lock()
 	if s.closed {
@@ -988,11 +1000,14 @@ func (s *Subscription) Cancel() {
 		return
 	}
 	s.closed = true
+	wake := s.wake
 	s.mu.Unlock()
-	// Wake the delivery loop so it observes closure.
-	select {
-	case s.wake <- struct{}{}:
-	default:
+	// Wake the delivery loop, when there is one, so it observes closure.
+	if wake != nil {
+		select {
+		case wake <- struct{}{}:
+		default:
+		}
 	}
 	s.detach()
 }
@@ -1081,7 +1096,7 @@ func (s *Subscription) enqueue(e event.Event) int {
 		return 0
 	}
 	if s.queue == nil {
-		s.queue = make([]entry, s.limit)
+		s.startLocked()
 	}
 	admitted := true
 	dropped := 0
@@ -1102,10 +1117,11 @@ func (s *Subscription) enqueue(e event.Event) int {
 		s.count++
 		s.events++
 	}
+	wake := s.wake
 	s.mu.Unlock()
 	if admitted {
 		select {
-		case s.wake <- struct{}{}:
+		case wake <- struct{}{}:
 		default:
 		}
 	}
@@ -1145,8 +1161,8 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 		return 0
 	}
 	if s.queue == nil {
-		//lint:allow hotpath once per subscription, at its first event: rings are not committed for subscriptions that never receive one
-		s.queue = make([]entry, s.limit)
+		//lint:allow hotpath once per subscription, at its first event: neither rings nor delivery goroutines exist for subscriptions that never receive one
+		s.startLocked()
 	}
 	capEvents := s.limit
 	dropped := 0
@@ -1180,14 +1196,31 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 	if admitted {
 		s.pushLocked(entry{run: run, pub: pub})
 	}
+	wake := s.wake
 	s.mu.Unlock()
 	if admitted {
 		select {
-		case s.wake <- struct{}{}:
+		case wake <- struct{}{}:
 		default:
 		}
 	}
 	return dropped
+}
+
+// startLocked commits the ring and starts the delivery goroutine; enqueue
+// calls it at the subscription's first event, under s.mu on an open
+// subscription. The goroutine is counted in the bus's wait group here, so
+// a concurrent Bus.Close — which cancels this subscription under s.mu
+// before it waits — either sees it counted or keeps it from starting.
+func (s *Subscription) startLocked() {
+	s.queue = make([]entry, s.limit)
+	s.wake = make(chan struct{}, 1)
+	wake := s.wake
+	s.bus.wg.Add(1)
+	go func() {
+		defer s.bus.wg.Done()
+		s.deliverLoop(wake)
+	}()
 }
 
 // drain appends every queued event to buf under one lock acquisition and
@@ -1223,7 +1256,8 @@ func (s *Subscription) isClosed() bool {
 // deliverLoop drains the ring into a reused slice per wakeup and hands the
 // whole backlog to the batch handler in one call, so a consumer behind a
 // burst pays the wakeup and lock cost once per burst instead of per event.
-func (s *Subscription) deliverLoop(h BatchHandler) {
+func (s *Subscription) deliverLoop(wake <-chan struct{}) {
+	h := s.handler
 	var buf []event.Event
 	for {
 		var closed bool
@@ -1232,7 +1266,7 @@ func (s *Subscription) deliverLoop(h BatchHandler) {
 			if closed {
 				return
 			}
-			<-s.wake
+			<-wake
 			continue
 		}
 		if s.oneShot {

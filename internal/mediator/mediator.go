@@ -195,7 +195,8 @@ type SubOptions struct {
 }
 
 // Subscribe establishes a subscription for owner. The handler runs on a
-// dedicated delivery goroutine.
+// dedicated delivery goroutine, which the bus starts at the subscription's
+// first event: a subscription that never receives one runs no goroutine.
 func (m *Mediator) Subscribe(owner guid.GUID, f event.Filter, h func(event.Event), opts SubOptions) (Record, error) {
 	if h == nil {
 		return Record{}, errors.New("mediator: nil handler")
@@ -236,10 +237,12 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	var rec Record
 	// ready gates the one-shot cleanup on the record having been indexed:
 	// the single delivery can fire before Subscribe returns, and removing
-	// the record before it exists would leave a stale entry behind.
-	ready := make(chan struct{})
+	// the record before it exists would leave a stale entry behind. Only a
+	// one-shot subscription cleans up after itself, so only it needs one.
+	var ready chan struct{}
 	wrapped := h
 	if opts.OneShot {
+		ready = make(chan struct{})
 		wrapped = func(events []event.Event) {
 			h(events)
 			<-ready
@@ -263,7 +266,9 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	// the stripes, so either we observe it here or Close observes us there.
 	if m.closed.Load() {
 		rs.mu.Unlock()
-		close(ready)
+		if ready != nil {
+			close(ready)
+		}
 		sub.Cancel()
 		return Record{}, fmt.Errorf("mediator: %w", eventbus.ErrClosed)
 	}
@@ -273,7 +278,9 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	if !opts.Configuration.IsNil() {
 		m.addIndex(m.cfgs, opts.Configuration, rec.ID)
 	}
-	close(ready)
+	if ready != nil {
+		close(ready)
+	}
 	return rec, nil
 }
 

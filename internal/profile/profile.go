@@ -16,7 +16,7 @@ package profile
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"sci/internal/ctxtype"
@@ -99,17 +99,23 @@ func (p Profile) Validate() error {
 func (p Profile) ProvidesIn(want ctxtype.Type, reg *ctxtype.Registry) int {
 	best := 0
 	for _, out := range p.Outputs {
-		var s int
-		if reg != nil {
-			s = reg.MatchScore(out, want)
-		} else if out.HasAncestor(want) || out == want {
-			s = 3
-		}
-		if s > best {
+		if s := matchScore(out, want, reg); s > best {
 			best = s
 		}
 	}
 	return best
+}
+
+// matchScore grades one output type against want: the registry's
+// MatchScore, or hierarchy-only matching (3 or 0) without a registry.
+func matchScore(out, want ctxtype.Type, reg *ctxtype.Registry) int {
+	if reg != nil {
+		return reg.MatchScore(out, want)
+	}
+	if out.HasAncestor(want) || out == want {
+		return 3
+	}
+	return 0
 }
 
 // IsSource reports whether the entity produces context without consuming
@@ -150,11 +156,25 @@ func (p Profile) Clone() Profile {
 
 // Manager is the Profile Manager Context Utility. It is safe for concurrent
 // use. The zero value is usable.
+//
+// Stored profiles are never mutated in place: Put stores a deep copy and a
+// later Put replaces it whole. That is what lets the finders return stored
+// values without copying them.
 type Manager struct {
 	mu         sync.RWMutex
 	profiles   map[guid.GUID]Profile
 	version    map[guid.GUID]uint64
+	byOutput   map[ctxtype.Type]*bucket
 	generation uint64
+}
+
+// bucket lists the providers of one output type. Put appends to it and
+// FindProviders orders it, by quality descending and then entity GUID
+// ascending, the first time it reads the bucket after a change: registering
+// n providers of one type costs one sort, not n ordered inserts.
+type bucket struct {
+	ids     []guid.GUID
+	ordered bool
 }
 
 // ErrNotFound reports a missing profile.
@@ -171,11 +191,66 @@ func (m *Manager) Put(p Profile) error {
 	if m.profiles == nil {
 		m.profiles = make(map[guid.GUID]Profile)
 		m.version = make(map[guid.GUID]uint64)
+		m.byOutput = make(map[ctxtype.Type]*bucket)
+	}
+	if old, ok := m.profiles[cp.Entity]; ok {
+		m.unindexLocked(old)
 	}
 	m.profiles[cp.Entity] = cp
+	m.indexLocked(cp)
 	m.version[cp.Entity]++
 	m.generation++
 	return nil
+}
+
+// indexLocked adds p to the bucket of each distinct output type it
+// declares.
+func (m *Manager) indexLocked(p Profile) {
+	for i, t := range p.Outputs {
+		if slices.Contains(p.Outputs[:i], t) {
+			continue
+		}
+		b := m.byOutput[t]
+		if b == nil {
+			b = &bucket{}
+			m.byOutput[t] = b
+		}
+		b.ids = append(b.ids, p.Entity)
+		b.ordered = len(b.ids) == 1
+	}
+}
+
+// unindexLocked removes p from the bucket of each output type it declares,
+// keeping the others' order.
+func (m *Manager) unindexLocked(p Profile) {
+	for _, t := range p.Outputs {
+		b := m.byOutput[t]
+		if b == nil {
+			continue // a repeated output type whose bucket is already gone
+		}
+		if i := slices.Index(b.ids, p.Entity); i >= 0 {
+			b.ids = slices.Delete(b.ids, i, i+1)
+		}
+		if len(b.ids) == 0 {
+			delete(m.byOutput, t)
+		}
+	}
+}
+
+// orderLocked sorts b by quality descending, then entity GUID ascending:
+// the order FindProviders returns one bucket's matches in.
+func (m *Manager) orderLocked(b *bucket) {
+	slices.SortFunc(b.ids, func(x, y guid.GUID) int {
+		qx, qy := m.profiles[x].Quality, m.profiles[y].Quality
+		switch {
+		case qx > qy:
+			return -1
+		case qx < qy:
+			return 1
+		}
+		return guid.Compare(x, y)
+	})
+	b.ordered = true
 }
 
 // Generation counts every mutation (Put or Remove) of the store. Callers
@@ -210,7 +285,8 @@ func (m *Manager) Version(entity guid.GUID) uint64 {
 func (m *Manager) Remove(entity guid.GUID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, ok := m.profiles[entity]; ok {
+	if old, ok := m.profiles[entity]; ok {
+		m.unindexLocked(old)
 		m.generation++
 	}
 	delete(m.profiles, entity)
@@ -233,14 +309,14 @@ func (m *Manager) All() []Profile {
 	for _, p := range m.profiles {
 		out = append(out, p.Clone())
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return guid.Less(out[i].Entity, out[j].Entity)
-	})
+	sortByEntity(out)
 	return out
 }
 
 // Candidate is a provider matched by FindProviders, with its match score.
 type Candidate struct {
+	// Profile is the stored profile itself, not a copy: read it, never
+	// write through its slices, maps or Advertisement.
 	Profile Profile
 	// Score is the type-match grade (3 exact, 2 subsumption, 1 equivalence).
 	Score int
@@ -248,58 +324,132 @@ type Candidate struct {
 
 // FindProviders returns all profiles offering an output that satisfies want
 // under reg's matching rules, best score first; ties break by descending
-// quality and then by entity GUID (deterministic).
+// quality and then by entity GUID (deterministic). A profile with several
+// matching outputs appears once, at its best score.
+//
+// The result shares the stored profiles: callers must treat every slice,
+// map and Advertisement in it as read-only, and Clone what they hand on to
+// code that may write. Get and All return copies.
+//
+// Only the output-type buckets that match want are visited, each type is
+// graded once, and a single matching bucket is already in result order.
 func (m *Manager) FindProviders(want ctxtype.Type, reg *ctxtype.Registry) []Candidate {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []Candidate
-	for _, p := range m.profiles {
-		if s := p.ProvidesIn(want, reg); s > 0 {
-			out = append(out, Candidate{Profile: p.Clone(), Score: s})
-		}
+	out, ok := m.findProvidersLocked(want, reg, false)
+	m.mu.RUnlock()
+	if ok {
+		return out
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Score != out[j].Score {
-			return out[i].Score > out[j].Score
-		}
-		qi, qj := out[i].Profile.Quality, out[j].Profile.Quality
-		if qi != qj {
-			return qi > qj
-		}
-		return guid.Less(out[i].Profile.Entity, out[j].Profile.Entity)
-	})
+	// A matching bucket changed since it was last ordered: order it under
+	// the write lock and answer from there.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out, _ = m.findProvidersLocked(want, reg, true)
 	return out
 }
 
+// findProvidersLocked answers FindProviders under m.mu. Ordering a bucket
+// writes it, so without the write lock (order false) it gives up, reporting
+// false, on the first matching bucket that needs ordering.
+func (m *Manager) findProvidersLocked(want ctxtype.Type, reg *ctxtype.Registry, order bool) ([]Candidate, bool) {
+	type bucketHit struct {
+		ids   []guid.GUID
+		score int
+	}
+	var hitBuf [4]bucketHit
+	hits := hitBuf[:0]
+	n := 0
+	for t, b := range m.byOutput {
+		s := matchScore(t, want, reg)
+		if s == 0 {
+			continue
+		}
+		if !b.ordered {
+			if !order {
+				return nil, false
+			}
+			m.orderLocked(b)
+		}
+		hits = append(hits, bucketHit{ids: b.ids, score: s})
+		n += len(b.ids)
+	}
+	if n == 0 {
+		return nil, true
+	}
+	out := make([]Candidate, 0, n)
+	multi := false // some match declares several outputs
+	for _, h := range hits {
+		for _, id := range h.ids {
+			p := m.profiles[id]
+			multi = multi || len(p.Outputs) > 1
+			out = append(out, Candidate{Profile: p, Score: h.score})
+		}
+	}
+	if len(hits) == 1 {
+		return out, true
+	}
+	slices.SortFunc(out, func(a, b Candidate) int {
+		if a.Score != b.Score {
+			return b.Score - a.Score
+		}
+		if a.Profile.Quality != b.Profile.Quality {
+			if a.Profile.Quality > b.Profile.Quality {
+				return -1
+			}
+			return 1
+		}
+		return guid.Compare(a.Profile.Entity, b.Profile.Entity)
+	})
+	if !multi {
+		return out, true
+	}
+	// A profile listed in several matching buckets keeps its first, and so
+	// best-scored, place.
+	seen := make(map[guid.GUID]struct{}, len(out))
+	kept := out[:0]
+	for _, c := range out {
+		if _, dup := seen[c.Profile.Entity]; dup {
+			continue
+		}
+		seen[c.Profile.Entity] = struct{}{}
+		kept = append(kept, c)
+	}
+	clear(out[len(kept):])
+	return kept, true
+}
+
 // FindByAttr returns profiles whose attribute key equals value, ordered by
-// entity GUID.
+// entity GUID. Like FindProviders it returns the stored profiles, which
+// callers must not write through.
 func (m *Manager) FindByAttr(key, value string) []Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []Profile
 	for _, p := range m.profiles {
 		if p.Attributes[key] == value {
-			out = append(out, p.Clone())
+			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return guid.Less(out[i].Entity, out[j].Entity)
-	})
+	sortByEntity(out)
 	return out
 }
 
-// FindByInterface returns profiles advertising the named interface.
+// FindByInterface returns profiles advertising the named interface, ordered
+// by entity GUID. Like FindProviders it returns the stored profiles, which
+// callers must not write through.
 func (m *Manager) FindByInterface(iface string) []Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	var out []Profile
 	for _, p := range m.profiles {
 		if p.Advertisement != nil && p.Advertisement.Interface == iface {
-			out = append(out, p.Clone())
+			out = append(out, p)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return guid.Less(out[i].Entity, out[j].Entity)
-	})
+	sortByEntity(out)
 	return out
+}
+
+func sortByEntity(ps []Profile) {
+	slices.SortFunc(ps, func(a, b Profile) int { return guid.Compare(a.Entity, b.Entity) })
 }

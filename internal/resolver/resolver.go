@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,19 +77,20 @@ type Configuration struct {
 
 // Providers returns every distinct provider in the graph, sorted.
 func (c *Configuration) Providers() []guid.GUID {
-	set := guid.NewSet()
+	var out []guid.GUID
 	var walk func(b *Binding)
 	walk = func(b *Binding) {
 		if b == nil {
 			return
 		}
-		set.Add(b.Provider)
+		out = append(out, b.Provider)
 		for _, in := range b.Inputs {
 			walk(in)
 		}
 	}
 	walk(c.Root)
-	return set.Members()
+	slices.SortFunc(out, guid.Compare)
+	return slices.Compact(out)
 }
 
 // Depth returns the longest provider chain in the graph.

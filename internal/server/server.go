@@ -437,7 +437,9 @@ func (r *Range) Submit(q query.Query) (*Result, error) {
 	}
 }
 
-// submitProfile answers a profile request.
+// submitProfile answers a profile request. The profile finders return the
+// stored profiles read-only; the answer goes to an application, so it gets
+// copies.
 func (r *Range) submitProfile(q query.Query) (*Result, error) {
 	res := &Result{Query: q.ID}
 	switch q.What.Kind() {
@@ -451,9 +453,12 @@ func (r *Range) submitProfile(q query.Query) (*Result, error) {
 		res.Profiles = append(r.profiles.FindByInterface(q.What.EntityType),
 			r.profiles.FindByAttr("kind", q.What.EntityType)...)
 		res.Profiles = dedupeProfiles(res.Profiles)
+		for i := range res.Profiles {
+			res.Profiles[i] = res.Profiles[i].Clone()
+		}
 	case "pattern":
 		for _, c := range r.profiles.FindProviders(q.What.Pattern, r.types) {
-			res.Profiles = append(res.Profiles, c.Profile)
+			res.Profiles = append(res.Profiles, c.Profile.Clone())
 		}
 	}
 	return res, nil

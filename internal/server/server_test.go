@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -12,6 +13,8 @@ import (
 	"sci/internal/guid"
 	"sci/internal/location"
 	"sci/internal/mediator"
+	"sci/internal/profile"
+	"sci/internal/profile/profiletest"
 	"sci/internal/query"
 	"sci/internal/sensor"
 )
@@ -446,5 +449,46 @@ func TestWhichClosestPrinterScenario(t *testing.T) {
 	}
 	if res.Provider != near.ID() {
 		t.Fatalf("closest printer = %s, want P-near", res.Provider.Short())
+	}
+}
+
+// TestSubmitProfileAnswersAreCopies: the profile finders return stored
+// profiles read-only, so Submit must hand the application copies. Writing
+// through every answer leaves the store as it was.
+func TestSubmitProfileAnswersAreCopies(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	for _, name := range []string{"P1", "P2"} {
+		if err := w.rng.AddEntity(sensor.NewPrinter(name, location.AtPlace("corr"), w.clk)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := w.rng.Profiles().All()
+	for _, what := range []query.What{
+		{Pattern: ctxtype.LocationSightingDoor},
+		{Pattern: ctxtype.LocationSighting},
+		{Pattern: ctxtype.PrinterStatus},
+		{EntityType: "printer"},
+		{EntityType: "door-sensor"},
+		{Entity: w.obj.ID()},
+	} {
+		res, err := w.rng.Submit(query.New(w.caa.ID(), what, query.ModeProfile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Profiles) == 0 {
+			t.Fatalf("profile query %+v answered nothing", what)
+		}
+		for i := range res.Profiles {
+			profiletest.Scribble(&res.Profiles[i])
+		}
+	}
+	res, err := w.rng.Submit(query.New(w.caa.ID(), query.What{EntityType: "printer"}, query.ModeAdvertisement))
+	if err != nil {
+		t.Fatal(err)
+	}
+	profiletest.Scribble(&profile.Profile{Advertisement: res.Advertisement})
+	if after := w.rng.Profiles().All(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("stored profiles changed by writes to Submit's answers:\n got %+v\nwant %+v", after, before)
 	}
 }
