@@ -11,6 +11,13 @@
 // (a dead door sensor's duties can fall to a W-LAN base station), and is
 // bounded by a per-configuration repair budget — the paper's future-work
 // item 3 asks for exactly such "bounds on acceptable adaptation".
+//
+// The plumbing is one mediator subscription per consumer input — per
+// (consumer, event type) pair of the graph — plus one for the root, not one
+// per edge: an input fed by several producers (an object-location CE over
+// every door sensor of a building) is a single subscription whose source set
+// names them all. Its events reach the consumer from one delivery goroutine,
+// in publish order across all of its producers.
 package configuration
 
 import (
@@ -71,7 +78,8 @@ type Status struct {
 	Providers []guid.GUID
 	// Repairs counts successful repairs so far.
 	Repairs int
-	// Subscriptions counts live mediator subscriptions.
+	// Subscriptions counts live mediator subscriptions: one per consumer
+	// input, however many producers feed it, plus the root delivery.
 	Subscriptions int
 }
 
@@ -88,7 +96,12 @@ type Runtime struct {
 
 	mu     sync.Mutex
 	active map[guid.GUID]*activeCfg
-	byProv map[guid.GUID]guid.Set // provider → configurations using it
+	// byProv lists, per provider, the configurations bound to it, in no
+	// particular order. An entry that empties keeps its slice, so binding
+	// the same providers again allocates nothing; the entry goes when its
+	// provider departs (HandleDeparture), so the table is bounded by the
+	// providers that are still registered.
+	byProv map[guid.GUID][]guid.GUID
 
 	// RepairLatency records time from failure report to repaired plumbing
 	// (experiment E8); Repairs/RepairFailures count outcomes.
@@ -111,10 +124,13 @@ type activeCfg struct {
 
 // edgeQueueLen is the per-subscription queue capacity for configuration
 // plumbing: generous enough to absorb sensor bursts without dropping
-// context updates (freshest-wins drop still applies beyond it). It is a
-// bound, not an up-front cost: the bus commits an edge's ring, and starts
-// its delivery goroutine, at the edge's first event, so a configuration
-// torn down before its sources fire pays for neither.
+// context updates (freshest-wins drop still applies beyond it). A consumer
+// input is one subscription, so the bound is per input and shared by all of
+// the producers feeding it; a discarded event is still attributed to its
+// own Source. It is a bound, not an up-front cost: the bus commits an
+// input's ring, and starts its delivery goroutine, at the input's first
+// event, so a configuration torn down before its sources fire pays for
+// neither.
 const edgeQueueLen = 1024
 
 // Errors.
@@ -134,13 +150,14 @@ func New(med *mediator.Mediator, res *resolver.Resolver, comps Components, maxRe
 		comps:      comps,
 		maxRepairs: maxRepairs,
 		active:     make(map[guid.GUID]*activeCfg),
-		byProv:     make(map[guid.GUID]guid.Set),
+		byProv:     make(map[guid.GUID][]guid.GUID),
 	}
 }
 
-// Instantiate wires cfg into the mediator: one subscription per edge
-// delivering into the consumer CE's HandleInput, plus the root subscription
-// delivering to the querying application. rctx is remembered for repairs.
+// Instantiate wires cfg into the mediator: one subscription per consumer
+// input, accepting every producer bound to that input and delivering into
+// the consumer CE's HandleInput, plus the root subscription delivering to
+// the querying application. rctx is remembered for repairs.
 func (r *Runtime) Instantiate(cfg *resolver.Configuration, rctx resolver.Context, deliver DeliverFunc) error {
 	var all BatchDeliverFunc
 	if deliver != nil {
@@ -192,26 +209,49 @@ func (r *Runtime) primeSources(b *resolver.Binding) {
 	}
 }
 
-// wire establishes all subscriptions for the configuration's current graph.
+// wire establishes all subscriptions for the configuration's current graph:
+// one per consumer input. Flatten orders the edges by (Consumer, Type,
+// Producer), so each input is one run of adjacent edges; edges in another
+// order are still wired correctly, an input split across runs just takes
+// one subscription per run. An input with a single producer keeps the
+// filter {Type, Source}; a fan-in input filters on {Type} and accepts its
+// run's producers as a source set.
 func (r *Runtime) wire(ac *activeCfg) error {
 	cfg := ac.cfg
-	for _, e := range cfg.Edges {
-		consumer, ok := r.comps.Component(e.Consumer)
-		if !ok {
-			return fmt.Errorf("configuration: consumer %s not local", e.Consumer.Short())
+	edges := cfg.Edges
+	for i := 0; i < len(edges); {
+		in := edges[i]
+		j := i + 1
+		for j < len(edges) && edges[j].Consumer == in.Consumer && edges[j].Type == in.Type {
+			j++
 		}
-		filter := event.Filter{Type: e.Type, Source: e.Producer}
+		run := edges[i:j]
+		i = j
+
+		consumer, ok := r.comps.Component(in.Consumer)
+		if !ok {
+			return fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
+		}
+		filter := event.Filter{Type: in.Type}
 		opts := mediator.SubOptions{Configuration: cfg.ID, QueueLen: edgeQueueLen}
+		if len(run) == 1 {
+			filter.Source = in.Producer
+		} else {
+			opts.Sources = make([]guid.GUID, len(run))
+			for k, e := range run {
+				opts.Sources[k] = e.Producer
+			}
+		}
 		// Batch-capable consumers (remote proxies feeding a wire coalescer)
 		// take a burst as one slice; plain CEs stay per event.
 		if bc, ok := consumer.(entity.BatchInput); ok {
-			if _, err := r.med.SubscribeBatch(e.Consumer, filter, bc.HandleInputAll, opts); err != nil {
+			if _, err := r.med.SubscribeBatch(in.Consumer, filter, bc.HandleInputAll, opts); err != nil {
 				return err
 			}
 			continue
 		}
 		ce := consumer
-		if _, err := r.med.Subscribe(e.Consumer, filter, func(ev event.Event) {
+		if _, err := r.med.Subscribe(in.Consumer, filter, func(ev event.Event) {
 			ce.HandleInput(ev)
 		}, opts); err != nil {
 			return err
@@ -281,18 +321,25 @@ func (r *Runtime) Uses(provider guid.GUID) bool {
 }
 
 // HandleDeparture repairs every configuration bound to the departed
-// provider. It is the hook the Registrar watcher calls. Returns the number
-// of configurations repaired (configurations whose repair fails are torn
-// down).
+// provider, in configuration-id order. It is the hook the Registrar watcher
+// calls. Returns the number of configurations repaired (configurations
+// whose repair fails are torn down). The provider's entry in the provider
+// index goes with it.
 func (r *Runtime) HandleDeparture(provider guid.GUID) int {
 	r.mu.Lock()
-	affectedSet := r.byProv[provider]
-	affected := make([]guid.GUID, 0, len(affectedSet))
-	for id := range affectedSet {
-		affected = append(affected, id)
-	}
+	affected := slices.Clone(r.byProv[provider])
 	r.mu.Unlock()
 	guid.Sort(affected)
+	defer func() {
+		// Every repair excluded the provider and every failure tore its
+		// configuration down, so the entry is empty unless a configuration
+		// bound the provider concurrently.
+		r.mu.Lock()
+		if len(r.byProv[provider]) == 0 {
+			delete(r.byProv, provider)
+		}
+		r.mu.Unlock()
+	}()
 
 	repaired := 0
 	for _, id := range affected {
@@ -387,26 +434,24 @@ func (r *Runtime) repairBinding(b *resolver.Binding, q query.Query, failed guid.
 	return out, nil
 }
 
-// indexProvidersLocked records ac under each of its providers.
+// indexProvidersLocked records ac under each of its providers. ac.providers
+// is deduplicated, so each provider lists the configuration once.
 func (r *Runtime) indexProvidersLocked(ac *activeCfg) {
 	for _, p := range ac.providers {
-		set, ok := r.byProv[p]
-		if !ok {
-			set = guid.NewSet()
-			r.byProv[p] = set
-		}
-		set.Add(ac.cfg.ID)
+		r.byProv[p] = append(r.byProv[p], ac.cfg.ID)
 	}
 }
 
 // unindexProvidersLocked drops ac from the providers it was indexed under.
+// An emptied entry stays, with its slice, until its provider departs.
 func (r *Runtime) unindexProvidersLocked(ac *activeCfg) {
+	id := ac.cfg.ID
 	for _, p := range ac.providers {
-		if set, ok := r.byProv[p]; ok {
-			set.Remove(ac.cfg.ID)
-			if len(set) == 0 {
-				delete(r.byProv, p)
-			}
+		ids := r.byProv[p]
+		if k := slices.Index(ids, id); k >= 0 {
+			last := len(ids) - 1
+			ids[k] = ids[last]
+			r.byProv[p] = ids[:last]
 		}
 	}
 }

@@ -57,7 +57,10 @@ func (s *sensorCE) sight(subject guid.GUID, place string) error {
 	return s.Emit(s.Profile().Outputs[0], subject, map[string]any{"place": place})
 }
 
-func newRig(t testing.TB) *rig {
+func newRig(t testing.TB) *rig { return newRigDoors(t, 2) }
+
+// newRigDoors is newRig with the given number of door sensors.
+func newRigDoors(t testing.TB, doors int) *rig {
 	t.Helper()
 	r := &rig{
 		profiles: &profile.Manager{},
@@ -72,23 +75,27 @@ func newRig(t testing.TB) *rig {
 		return ce, ok
 	}), 4)
 
-	add := func(ce entity.CE) {
-		ce.Attach(r.med)
-		r.comps[ce.ID()] = ce
-		if err := r.profiles.Put(ce.Profile()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < doors; i++ {
 		d := newSensorCE(fmt.Sprintf("door-%d", i), ctxtype.LocationSightingDoor, 0.9, r.clk)
 		r.doors = append(r.doors, d)
-		add(d)
+		r.add(t, d)
 	}
 	r.wlan = newSensorCE("basestation", ctxtype.LocationSightingWLAN, 0.6, r.clk)
-	add(r.wlan)
+	r.add(t, r.wlan)
 	r.objLoc = entity.NewObjLocationCE(nil, r.clk)
-	add(r.objLoc)
+	r.add(t, r.objLoc)
 	return r
+}
+
+// add attaches ce to the rig's mediator, makes it a local component and
+// registers its profile.
+func (r *rig) add(t testing.TB, ce entity.CE) {
+	t.Helper()
+	ce.Attach(r.med)
+	r.comps[ce.ID()] = ce
+	if err := r.profiles.Put(ce.Profile()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func (r *rig) close() {
@@ -161,7 +168,7 @@ func TestInstantiateDeliversEndToEnd(t *testing.T) {
 	if len(sts) != 1 || sts[0].ID != cfg.ID || sts[0].Repairs != 0 {
 		t.Fatalf("status = %+v", sts)
 	}
-	if sts[0].Subscriptions != 3 { // objLoc←door ×2 (fan-in) + root
+	if sts[0].Subscriptions != 2 { // objLoc's one input (both doors) + root
 		t.Fatalf("subscriptions = %d", sts[0].Subscriptions)
 	}
 	if !r.rt.Uses(boundDoor) {

@@ -63,12 +63,14 @@ type Consumer interface {
 }
 
 // BatchInput is implemented by CEs that can absorb a whole run of
-// configuration-edge events in one call. The configuration runtime wires
+// configuration input events in one call. The configuration runtime wires
 // such consumers through Mediator.SubscribeBatch, so a publish burst
 // reaches them as one slice instead of one HandleInput call per event —
 // the remote proxies in rangesvc use this to append a burst to their
-// outbound wire coalescer under a single lock acquisition. The slice is
-// the delivery loop's reused buffer and must not be retained.
+// outbound wire coalescer under a single lock acquisition. An input fed by
+// several producers is one subscription, so one run may mix producers (in
+// publish order; tell them apart by Source). The slice is the delivery
+// loop's reused buffer and must not be retained.
 type BatchInput interface {
 	HandleInputAll([]event.Event)
 }

@@ -54,6 +54,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -351,6 +352,9 @@ type Subscription struct {
 	// event, letting a batched publish admit a whole run without per-event
 	// evaluation.
 	matchAll bool
+	// sources, when non-empty, is the sorted, deduplicated set of producers
+	// the subscription accepts (WithSources); fixed at Subscribe time.
+	sources []guid.GUID
 
 	// limit bounds the total queued *events*; fixed at Subscribe time.
 	limit int
@@ -382,12 +386,7 @@ type SubOption func(*Subscription)
 // memory is committed at the subscription's first event, so a subscription
 // that never receives one costs nothing for it.
 func WithQueueLen(n int) SubOption {
-	return func(s *Subscription) {
-		if n < 1 {
-			n = 1
-		}
-		s.limit = n
-	}
+	return func(s *Subscription) { s.limit = max(n, 1) }
 }
 
 // WithPolicy sets the full-queue policy.
@@ -398,6 +397,24 @@ func WithPolicy(p DropPolicy) SubOption {
 // WithOwner records the subscribing entity's GUID.
 func WithOwner(owner guid.GUID) SubOption {
 	return func(s *Subscription) { s.owner = owner }
+}
+
+// WithSources restricts the subscription to events whose Source is one of
+// srcs: one subscription serves a consumer input fed by several producers
+// (a configuration's fan-in) instead of one subscription per producer. The
+// bus keeps a sorted, deduplicated copy, so the caller may reuse srcs; an
+// empty set adds no constraint. It cannot be combined with a filter that
+// names a Source: Subscribe rejects the pair.
+func WithSources(srcs []guid.GUID) SubOption {
+	return func(s *Subscription) {
+		if len(srcs) == 0 {
+			s.sources = nil
+			return
+		}
+		set := slices.Clone(srcs)
+		slices.SortFunc(set, guid.Compare)
+		s.sources = slices.Compact(set)
+	}
 }
 
 // OneShot makes the subscription cancel itself after the first delivery —
@@ -450,12 +467,15 @@ func (b *Bus) subscribe(f event.Filter, h BatchHandler, opts []SubOption) (*Subs
 	if s.limit == 0 {
 		s.limit = DefaultQueueLen
 	}
+	if len(s.sources) > 0 && !f.Source.IsNil() {
+		return nil, errors.New("eventbus: filter Source and WithSources are exclusive")
+	}
 
 	s.residual = f.Type == "" || f.Type == ctxtype.Wildcard
 	// Exact-tier type constraints are resolved by the index and residual
 	// filters are untyped, so in both tiers a filter with no further
 	// constraints accepts every candidate event.
-	s.matchAll = f.Source.IsNil() && f.Subject.IsNil() && f.Range.IsNil() && f.MinQuality <= 0
+	s.matchAll = f.Source.IsNil() && f.Subject.IsNil() && f.Range.IsNil() && f.MinQuality <= 0 && len(s.sources) == 0
 	if s.residual {
 		s.shard = b.idShard(s.id)
 	} else {
@@ -576,7 +596,7 @@ func (b *Bus) Publish(e event.Event) error {
 		}
 		sh.mu.RLock()
 		for _, s := range sh.exact[k] {
-			if s.filter.MatchesRest(&e) {
+			if s.matchesEvent(&e, b.reg) {
 				targets = append(targets, s)
 			}
 		}
@@ -595,7 +615,7 @@ func (b *Bus) Publish(e event.Event) error {
 			sh.mu.RLock()
 			scanned += uint64(len(sh.residual))
 			for _, s := range sh.residual {
-				if s.filter.MatchesIn(&e, b.reg) {
+				if s.matchesEvent(&e, b.reg) {
 					targets = append(targets, s)
 				}
 			}
@@ -801,10 +821,16 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 	targetPool.Put(tp)
 }
 
-// matchesEvent applies the subscription's filter to one event: exact-tier
-// subscriptions had their type constraint resolved by the index, so only
-// the residual constraints remain; residual-tier filters match in full.
+// matchesEvent applies the subscription's filter and source set to one
+// event: exact-tier subscriptions had their type constraint resolved by the
+// index, so only the residual constraints remain; residual-tier filters
+// match in full.
 func (s *Subscription) matchesEvent(e *event.Event, reg *ctxtype.Registry) bool {
+	if len(s.sources) > 0 {
+		if _, ok := slices.BinarySearchFunc(s.sources, e.Source, guid.Compare); !ok {
+			return false
+		}
+	}
 	if s.residual {
 		return s.filter.MatchesIn(e, reg)
 	}

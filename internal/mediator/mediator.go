@@ -10,7 +10,10 @@
 // secondary indexes make the two bulk-teardown paths — an entity departing
 // its Range (Section 3.4) and the configuration runtime tearing down or
 // rewiring a subscription graph — O(subscriptions removed) instead of a
-// scan of every record.
+// scan of every record. A configuration records one subscription per
+// consumer input, not per producer: a fan-in input's record carries the
+// set of producers it accepts (Record.Sources), so the three indexes grow
+// with a graph's inputs, not its edges.
 //
 // The bookkeeping is striped across lock shards exactly like the bus
 // underneath: the primary table shards by subscription id, the owner index
@@ -29,6 +32,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,8 +54,19 @@ type Record struct {
 	// Configuration groups subscriptions created on behalf of one resolved
 	// configuration; nil for free-standing subscriptions.
 	Configuration guid.GUID
+	// Sources, when non-empty, is the sorted, deduplicated set of producers
+	// the subscription accepts on top of Filter (SubOptions.Sources). Every
+	// Record handed out holds its own copy.
+	Sources []guid.GUID
 	// OneShot marks one-time subscriptions.
 	OneShot bool
+}
+
+// clone returns r with a Sources slice of its own, so that no caller can
+// write through a Record into the Mediator's table.
+func (r Record) clone() Record {
+	r.Sources = slices.Clone(r.Sources)
+	return r
 }
 
 // recShard is one stripe of the primary subscription table.
@@ -192,6 +207,12 @@ type SubOptions struct {
 	OneShot bool
 	// QueueLen overrides the delivery queue capacity.
 	QueueLen int
+	// Sources, when non-empty, restricts delivery to events produced by one
+	// of these entities (eventbus.WithSources): one subscription serves a
+	// consumer input fed by several producers. The Mediator keeps its own
+	// sorted, deduplicated copy. It cannot be combined with a filter that
+	// names a Source.
+	Sources []guid.GUID
 }
 
 // Subscribe establishes a subscription for owner. The handler runs on a
@@ -233,31 +254,45 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	if opts.QueueLen > 0 {
 		busOpts = append(busOpts, eventbus.WithQueueLen(opts.QueueLen))
 	}
+	var sources []guid.GUID
+	if len(opts.Sources) > 0 {
+		sources = slices.Clone(opts.Sources)
+		slices.SortFunc(sources, guid.Compare)
+		sources = slices.Compact(sources)
+		busOpts = append(busOpts, eventbus.WithSources(sources))
+	}
 
-	var rec Record
 	// ready gates the one-shot cleanup on the record having been indexed:
 	// the single delivery can fire before Subscribe returns, and removing
 	// the record before it exists would leave a stale entry behind. Only a
-	// one-shot subscription cleans up after itself, so only it needs one.
+	// one-shot subscription cleans up after itself, so only it needs one,
+	// and only its closure holds the id it removes.
 	var ready chan struct{}
+	var oneShotID *guid.GUID
 	wrapped := h
 	if opts.OneShot {
 		ready = make(chan struct{})
+		id := new(guid.GUID)
+		oneShotID = id
 		wrapped = func(events []event.Event) {
 			h(events)
 			<-ready
-			m.remove(rec.ID)
+			m.remove(*id)
 		}
 	}
 	sub, err := m.bus.SubscribeBatch(f, wrapped, busOpts...)
 	if err != nil {
 		return Record{}, fmt.Errorf("mediator: %w", err)
 	}
-	rec = Record{
+	if oneShotID != nil {
+		*oneShotID = sub.ID()
+	}
+	rec := Record{
 		ID:            sub.ID(),
 		Owner:         owner,
 		Filter:        f,
 		Configuration: opts.Configuration,
+		Sources:       sources,
 		OneShot:       opts.OneShot,
 	}
 	rs := m.recShard(rec.ID)
@@ -281,7 +316,7 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	if ready != nil {
 		close(ready)
 	}
-	return rec, nil
+	return rec.clone(), nil
 }
 
 // remove deletes id from the primary table (first remover wins) and then
@@ -388,7 +423,7 @@ func (m *Mediator) Get(id guid.GUID) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	return ls.rec, true
+	return ls.rec.clone(), true
 }
 
 // Records returns all live subscription records, ordered by id.
@@ -397,7 +432,7 @@ func (m *Mediator) Records() []Record {
 	for _, rs := range m.recs {
 		rs.mu.Lock()
 		for _, ls := range rs.recs {
-			out = append(out, ls.rec)
+			out = append(out, ls.rec.clone())
 		}
 		rs.mu.Unlock()
 	}

@@ -2,6 +2,7 @@ package mediator
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -222,5 +223,52 @@ func TestStatsAndConcurrency(t *testing.T) {
 	st := m.Stats()
 	if st.Published != pubs*per || st.Subs != subs {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestSubscribeSources: a source-set subscription records its sorted,
+// deduplicated set, every Record handed out holds its own copy, delivery
+// follows the set, and a filter Source alongside a set is refused without
+// leaving a record behind.
+func TestSubscribeSources(t *testing.T) {
+	m := New(nil)
+	defer m.Close()
+	owner := guid.New(guid.KindSoftware)
+	cfg := guid.New(guid.KindConfiguration)
+	a, b := guid.New(guid.KindDevice), guid.New(guid.KindDevice)
+	want := []guid.GUID{a, b}
+	guid.Sort(want)
+	var got atomic.Int64
+	rec, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus}, func(event.Event) { got.Add(1) },
+		SubOptions{Configuration: cfg, Sources: []guid.GUID{b, a, b}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(rec.Sources, want) {
+		t.Fatalf("Subscribe record sources = %v, want %v", rec.Sources, want)
+	}
+	rec.Sources[0] = guid.Nil
+	recs := m.ForConfiguration(cfg)
+	if len(recs) != 1 || !slices.Equal(recs[0].Sources, want) {
+		t.Fatalf("ForConfiguration = %+v, want sources %v", recs, want)
+	}
+	recs[0].Sources[0] = guid.Nil
+	if all := m.Records(); len(all) != 1 || !slices.Equal(all[0].Sources, want) {
+		t.Fatalf("Records = %+v, want sources %v", all, want)
+	}
+
+	for i, src := range []guid.GUID{a, guid.New(guid.KindDevice), b} {
+		if err := m.Publish(event.New(ctxtype.PrinterStatus, src, uint64(i), t0, nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return got.Load() == 2 })
+
+	if _, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus, Source: a}, func(event.Event) {},
+		SubOptions{Configuration: cfg, Sources: want}); err == nil {
+		t.Fatal("filter Source together with Sources accepted")
+	}
+	if n := m.Len(); n != 1 {
+		t.Fatalf("Len = %d after a refused subscribe, want 1", n)
 	}
 }

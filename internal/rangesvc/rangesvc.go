@@ -159,7 +159,7 @@ func (p *remoteProxy) HandleInput(e event.Event) {
 // HandleInputAll forwards a whole run of configuration-edge events to the
 // remote CE: the run is appended to the endpoint's outbound coalescer under
 // one lock acquisition instead of one per event. The configuration runtime
-// detects this (entity.BatchInput) and wires the edge through
+// detects this (entity.BatchInput) and wires the input through
 // Mediator.SubscribeBatch.
 func (p *remoteProxy) HandleInputAll(events []event.Event) {
 	p.host.sendEvents(p.remote, events)

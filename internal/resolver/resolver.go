@@ -69,28 +69,55 @@ type Configuration struct {
 	Query query.Query `json:"query"`
 	// Root is the top-level binding answering the query's What.
 	Root *Binding `json:"root"`
-	// Edges flattens the graph into the subscriptions to establish,
-	// deduplicated, consumers before their producers' consumers
-	// (deterministic order).
+	// Edges flattens the graph into its consumer←producer edges,
+	// deduplicated and sorted by (Consumer, Type, Producer): the edges
+	// feeding one consumer input are adjacent, and the configuration runtime
+	// wires each such run as one subscription.
 	Edges []Edge `json:"edges"`
 }
 
 // Providers returns every distinct provider in the graph, sorted.
 func (c *Configuration) Providers() []guid.GUID {
-	var out []guid.GUID
-	var walk func(b *Binding)
-	walk = func(b *Binding) {
-		if b == nil {
-			return
-		}
-		out = append(out, b.Provider)
-		for _, in := range b.Inputs {
-			walk(in)
-		}
-	}
-	walk(c.Root)
+	out := c.Root.appendProviders(make([]guid.GUID, 0, c.Root.nodes()))
 	slices.SortFunc(out, guid.Compare)
 	return slices.Compact(out)
+}
+
+// nodes counts the bindings reachable from b, a shared sub-graph once per
+// path to it: the length of a pre-order walk, so callers can size the walk's
+// result up front.
+func (b *Binding) nodes() int {
+	if b == nil {
+		return 0
+	}
+	n := 1
+	for _, in := range b.Inputs {
+		n += in.nodes()
+	}
+	return n
+}
+
+// appendProviders appends the provider of every binding reachable from b,
+// in pre-order.
+func (b *Binding) appendProviders(out []guid.GUID) []guid.GUID {
+	if b == nil {
+		return out
+	}
+	out = append(out, b.Provider)
+	for _, in := range b.Inputs {
+		out = in.appendProviders(out)
+	}
+	return out
+}
+
+// appendEdges appends a consumer←producer edge for every input of every
+// binding reachable from b, in pre-order.
+func (b *Binding) appendEdges(out []Edge) []Edge {
+	for _, in := range b.Inputs {
+		out = append(out, Edge{Consumer: b.Provider, Producer: in.Provider, Type: in.Output})
+		out = in.appendEdges(out)
+	}
+	return out
 }
 
 // Depth returns the longest provider chain in the graph.
@@ -615,26 +642,28 @@ func canonConstraints(cons map[string]string) string {
 	return b.String()
 }
 
-// Flatten walks a binding graph emitting deduplicated consumer←producer
-// edges in deterministic (pre-order) order. The configuration runtime uses
+// Flatten walks a binding graph emitting its consumer←producer edges,
+// deduplicated and sorted by (Consumer, Type, Producer), so that the edges
+// feeding one consumer input form one run. The configuration runtime uses
 // it to recompute edges after a repair graft.
 func Flatten(root *Binding) []Edge {
-	var edges []Edge
-	seen := map[Edge]bool{}
-	var walk func(b *Binding)
-	walk = func(b *Binding) {
-		if b == nil {
-			return
-		}
-		for _, in := range b.Inputs {
-			e := Edge{Consumer: b.Provider, Producer: in.Provider, Type: in.Output}
-			if !seen[e] {
-				seen[e] = true
-				edges = append(edges, e)
-			}
-			walk(in)
-		}
+	// Every binding but the root is the producer end of one edge of the walk.
+	n := root.nodes() - 1
+	if n <= 0 {
+		return nil
 	}
-	walk(root)
-	return edges
+	edges := root.appendEdges(make([]Edge, 0, n))
+	slices.SortFunc(edges, compareEdges)
+	return slices.Compact(edges)
+}
+
+// compareEdges orders edges by consumer, then type, then producer.
+func compareEdges(a, b Edge) int {
+	if c := guid.Compare(a.Consumer, b.Consumer); c != 0 {
+		return c
+	}
+	if c := strings.Compare(string(a.Type), string(b.Type)); c != 0 {
+		return c
+	}
+	return guid.Compare(a.Producer, b.Producer)
 }

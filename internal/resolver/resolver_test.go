@@ -3,6 +3,7 @@ package resolver
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"sci/internal/ctxtype"
@@ -502,5 +503,41 @@ func BenchmarkResolvePathQuery(b *testing.B) {
 		if _, err := w.res.Resolve(q, Context{}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestFlattenOrdersEdgesByInput: Flatten sorts the edges by (Consumer,
+// Type, Producer), so each consumer input is one run of adjacent edges
+// whatever order the graph lists its bindings in, and an edge reached twice
+// through a shared sub-graph appears once.
+func TestFlattenOrdersEdgesByInput(t *testing.T) {
+	ids := make([]guid.GUID, 6)
+	for i := range ids {
+		ids[i] = guid.New(guid.KindDevice)
+	}
+	guid.Sort(ids)
+	leaf := func(p guid.GUID, out ctxtype.Type) *Binding { return &Binding{Provider: p, Output: out} }
+	// ids[1] consumes door sightings from ids[4], ids[3] and ids[5] and a
+	// W-LAN sighting from ids[2]; ids[0], the root, consumes ids[1] twice
+	// over the same sub-graph.
+	mid := &Binding{Provider: ids[1], Output: ctxtype.LocationPosition, Inputs: []*Binding{
+		leaf(ids[4], ctxtype.LocationSightingDoor),
+		leaf(ids[2], ctxtype.LocationSightingWLAN),
+		leaf(ids[3], ctxtype.LocationSightingDoor),
+		leaf(ids[5], ctxtype.LocationSightingDoor),
+	}}
+	root := &Binding{Provider: ids[0], Output: ctxtype.PathRoute, Inputs: []*Binding{mid, mid}}
+	want := []Edge{
+		{Consumer: ids[0], Producer: ids[1], Type: ctxtype.LocationPosition},
+		{Consumer: ids[1], Producer: ids[3], Type: ctxtype.LocationSightingDoor},
+		{Consumer: ids[1], Producer: ids[4], Type: ctxtype.LocationSightingDoor},
+		{Consumer: ids[1], Producer: ids[5], Type: ctxtype.LocationSightingDoor},
+		{Consumer: ids[1], Producer: ids[2], Type: ctxtype.LocationSightingWLAN},
+	}
+	if got := Flatten(root); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Flatten = %v\nwant      %v", got, want)
+	}
+	if got := Flatten(leaf(ids[0], ctxtype.PathRoute)); got != nil {
+		t.Fatalf("Flatten of a lone binding = %v, want nil", got)
 	}
 }
