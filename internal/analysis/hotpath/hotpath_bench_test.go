@@ -20,6 +20,7 @@ import (
 var allocChecks = map[string]string{
 	"sci/internal/eventbus.Bus.dispatchRuns":        "internal/eventbus/hotpath_bench_test.go:TestHotpathPublishZeroAlloc",
 	"sci/internal/eventbus.Bus.lookupKeys":          "internal/eventbus/hotpath_bench_test.go:TestHotpathLookupKeysZeroAlloc",
+	"sci/internal/eventbus.Subscription.drain":      "internal/eventbus/hotpath_bench_test.go:TestHotpathDrainZeroAlloc",
 	"sci/internal/eventbus.Subscription.enqueueRun": "internal/eventbus/hotpath_bench_test.go:TestHotpathPublishZeroAlloc",
 	"sci/internal/eventbus.shard.dropCounter":       "internal/eventbus/hotpath_bench_test.go:TestHotpathDropCounterZeroAlloc",
 	"sci/internal/flow.Coalescer.doFlush":           "internal/flow/hotpath_bench_test.go:TestHotpathDoFlushZeroAlloc",

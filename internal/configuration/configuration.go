@@ -57,8 +57,8 @@ type DeliverFunc func(event.Event)
 // BatchDeliverFunc receives the configuration's root output events in runs:
 // every event queued since the delivery loop's last wakeup arrives as one
 // slice. Consumers that feed an outbound coalescer (remote proxies) take
-// their lock once per run instead of once per event. The slice is reused
-// between invocations and must not be retained.
+// their lock once per run instead of once per event. The slice may be a run
+// shared with other subscribers: it is read-only and must not be retained.
 type BatchDeliverFunc func([]event.Event)
 
 // Primer is implemented by source CEs that can re-emit their current state

@@ -69,8 +69,8 @@ type Consumer interface {
 // the remote proxies in rangesvc use this to append a burst to their
 // outbound wire coalescer under a single lock acquisition. An input fed by
 // several producers is one subscription, so one run may mix producers (in
-// publish order; tell them apart by Source). The slice is the delivery
-// loop's reused buffer and must not be retained.
+// publish order; tell them apart by Source). The slice may be a run shared
+// with other subscribers: it is read-only and must not be retained.
 type BatchInput interface {
 	HandleInputAll([]event.Event)
 }
@@ -215,8 +215,8 @@ func NewRemoteCAA(id guid.GUID, name string, fn func(event.Event), clk clock.Clo
 
 // NewRemoteBatchCAA builds a CAA proxy whose ConsumeAll hands whole event
 // runs to fn — the stand-in for remote applications whose deliveries flow
-// through an outbound coalescer (rangesvc, scinet). fn must not retain the
-// slice: it is the delivery loop's reused buffer.
+// through an outbound coalescer (rangesvc, scinet). The slice may be a run
+// shared with other subscribers: fn must not write or retain it.
 func NewRemoteBatchCAA(id guid.GUID, name string, fn func([]event.Event), clk clock.Clock) *CAA {
 	base := NewBaseWithID(id, profile.Profile{Name: name}, clk)
 	return &CAA{Base: base, batch: fn}
@@ -241,7 +241,8 @@ func (c *CAA) Consume(e event.Event) {
 // ConsumeAll delivers a run of events in one call: batch-handler CAAs get
 // the whole slice, per-event handlers are invoked in order, and handler-less
 // CAAs append the run to the inbox under a single lock acquisition. The
-// slice must not be retained by batch handlers (delivery loops reuse it).
+// slice may be a run shared with other subscribers: it is read-only, and
+// batch handlers must not retain it.
 func (c *CAA) ConsumeAll(events []event.Event) {
 	if len(events) == 0 {
 		return

@@ -39,15 +39,18 @@
 //
 // # Batched delivery
 //
-// The pipeline is batch-native end to end. PublishAll accepts a slice of
-// events and walks it in runs of consecutive same-type events, resolving
-// the index once per run and appending each subscriber's share of the run
-// to its ring buffer under a single lock acquisition with one wakeup.
-// Delivery loops drain everything queued since the last wakeup into a
-// reused slice and hand it to a BatchHandler in one call; single-event
-// Handlers are adapted transparently, so per-event subscribers observe
-// identical semantics while batch-aware consumers (SubscribeBatch) amortise
-// their own downstream costs across the burst.
+// The pipeline is batch-native end to end, and events are shared, never
+// copied, between publish and handler. PublishAll accepts a slice of events
+// and walks it in runs of consecutive same-type events, resolving the index
+// once per run and appending each subscriber's share of the run to its ring
+// as one slice header under a single lock acquisition with one wakeup;
+// Publish is a one-event run on the same path. Delivery loops take the run
+// headers queued since the last wakeup out of the ring and read the runs in
+// place: a Handler is called once per event, and a BatchHandler gets the
+// whole backlog in one call — the shared run itself when one run is
+// queued, so batch-aware consumers (SubscribeBatch) amortise their own
+// downstream costs across the burst. A delivered run may be shared with
+// other subscribers and with the publisher, so it is read-only.
 package eventbus
 
 import (
@@ -101,9 +104,9 @@ type Handler func(event.Event)
 // goroutine (started at the subscription's first event) drains everything
 // queued since the last wakeup and hands it over in one call, so consumers
 // that can amortise per-event overhead (wire encoding, lock acquisition,
-// fsync) see the whole backlog at once. The slice is reused between
-// invocations; handlers must not retain it.
-// Single-event Handlers are adapted onto this interface by Subscribe.
+// fsync) see the whole backlog at once. The slice may be a run shared with
+// other subscribers (or the delivery loop's reused buffer): handlers must
+// treat it as read-only and must not retain it.
 type BatchHandler func([]event.Event)
 
 // Stats counts bus activity; retrieved via Bus.Stats.
@@ -304,14 +307,13 @@ func (b *Bus) idShard(id guid.GUID) *shard {
 	return b.shards[binary.BigEndian.Uint32(id[1:5])&b.mask]
 }
 
-// entry is one slot of a subscription's delivery ring: either a single
-// event (per-event Publish) or a run — a slice of a batch shared, immutably,
-// by every subscriber the run matched. Sharing runs makes a batched publish
-// cost one slice header per subscriber instead of one struct copy per
-// subscriber per event.
+// entry is one slot of a subscription's delivery ring: a run of events — a
+// Publish's one-event run or a slice of a batch — shared, immutably, by
+// every subscriber the run matched and handed to their handlers in place.
+// Sharing runs makes a publish cost one slice header per subscriber instead
+// of one event copy per subscriber, at publish and again at drain.
 type entry struct {
-	e   event.Event
-	run []event.Event // non-nil: a shared batched run; never written through
+	run []event.Event // never written through
 	// pub is the publisher/endpoint the entry's events are attributed to for
 	// drop accounting; nil means attribute each discarded event to its own
 	// Source. Wire and overlay ingest set it to the sending endpoint so
@@ -327,14 +329,6 @@ func (en *entry) attribution(e event.Event) guid.GUID {
 		return en.pub
 	}
 	return e.Source
-}
-
-// events reports the entry's weight against the queue's event capacity.
-func (en *entry) events() int {
-	if en.run != nil {
-		return len(en.run)
-	}
-	return 1
 }
 
 // Subscription is one consumer's registration with the bus.
@@ -359,9 +353,10 @@ type Subscription struct {
 	// limit bounds the total queued *events*; fixed at Subscribe time.
 	limit int
 
-	// handler is what the delivery goroutine runs; it is kept here until
-	// the first event starts that goroutine.
-	handler BatchHandler
+	// handler (Subscribe) or batch (SubscribeBatch) is what the delivery
+	// goroutine runs; exactly one is set.
+	handler Handler
+	batch   BatchHandler
 
 	mu     sync.Mutex
 	queue  []entry // guarded by mu; ring of limit entries, nil until the first enqueue
@@ -430,17 +425,13 @@ func OneShot() SubOption {
 // Filters naming a concrete type pattern are placed in the exact index under
 // that pattern; wildcard and untyped filters join the residual tier.
 //
-// The handler is adapted onto the batch delivery loop: each wakeup drains
-// the queue and invokes h once per drained event, preserving order.
+// Each wakeup drains the queue and invokes h once per drained event, in
+// order, reading every event in place from the run it was published in.
 func (b *Bus) Subscribe(f event.Filter, h Handler, opts ...SubOption) (*Subscription, error) {
 	if h == nil {
 		return nil, errors.New("eventbus: nil handler")
 	}
-	return b.subscribe(f, func(events []event.Event) {
-		for i := range events {
-			h(events[i])
-		}
-	}, opts)
+	return b.subscribe(f, h, nil, opts)
 }
 
 // SubscribeBatch registers h for events matching f, delivering everything
@@ -450,16 +441,17 @@ func (b *Bus) SubscribeBatch(f event.Filter, h BatchHandler, opts ...SubOption) 
 	if h == nil {
 		return nil, errors.New("eventbus: nil handler")
 	}
-	return b.subscribe(f, h, opts)
+	return b.subscribe(f, nil, h, opts)
 }
 
-func (b *Bus) subscribe(f event.Filter, h BatchHandler, opts []SubOption) (*Subscription, error) {
+func (b *Bus) subscribe(f event.Filter, h Handler, bh BatchHandler, opts []SubOption) (*Subscription, error) {
 	s := &Subscription{
 		id:      guid.New(guid.KindSubscription),
 		filter:  f,
 		bus:     b,
 		policy:  DropOldest,
 		handler: h,
+		batch:   bh,
 	}
 	for _, o := range opts {
 		o(s)
@@ -566,9 +558,9 @@ var targetPool = sync.Pool{
 // Publish dispatches e to every matching subscription. It never blocks on
 // slow consumers. Publish on a closed bus returns ErrClosed.
 //
-// Targets are resolved through the exact index (O(1) per lookup key) plus a
-// sweep of the residual tier when it is non-empty; concurrent publishes on
-// context types in different shards proceed without contending.
+// The event travels as a one-event run: one allocation per call, shared by
+// every matching subscription's ring, through the same dispatch path as
+// PublishAll.
 func (b *Bus) Publish(e event.Event) error {
 	if err := e.Validate(); err != nil {
 		return err
@@ -582,63 +574,7 @@ func (b *Bus) Publish(e event.Event) error {
 			return err
 		}
 	}
-
-	tp := targetPool.Get().(*[]*Subscription)
-	targets := (*tp)[:0]
-
-	// computeKeys puts the event's own type first, so the first iteration's
-	// stripe doubles as the per-type counter's home — one hash, not two.
-	var home *shard
-	for _, k := range b.lookupKeys(e.Type) {
-		sh := b.typeShard(k)
-		if home == nil {
-			home = sh
-		}
-		sh.mu.RLock()
-		for _, s := range sh.exact[k] {
-			if s.matchesEvent(&e, b.reg) {
-				targets = append(targets, s)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	if hits := uint64(len(targets)); hits > 0 {
-		b.indexHits.Add(hits)
-	}
-
-	if b.residuals.Load() > 0 {
-		var scanned uint64
-		for _, sh := range b.shards {
-			if sh.nresidual.Load() == 0 {
-				continue
-			}
-			sh.mu.RLock()
-			scanned += uint64(len(sh.residual))
-			for _, s := range sh.residual {
-				if s.matchesEvent(&e, b.reg) {
-					targets = append(targets, s)
-				}
-			}
-			sh.mu.RUnlock()
-		}
-		if scanned > 0 {
-			b.residualScanned.Add(scanned)
-		}
-	}
-
-	b.published.Add(1)
-	home.published.Add(1)
-	for _, s := range targets {
-		if n := s.enqueue(e); n > 0 {
-			b.dropped.Add(uint64(n))
-			s.shard.dropped.Add(uint64(n))
-		}
-	}
-	for i := range targets {
-		targets[i] = nil
-	}
-	*tp = targets[:0]
-	targetPool.Put(tp)
+	b.dispatchRuns([]event.Event{e}, guid.Nil)
 	return nil
 }
 
@@ -1077,26 +1013,17 @@ func (s *Subscription) detach() {
 }
 
 // evictOldestLocked discards the single oldest queued event — the head of
-// the head entry's run, or the head entry itself when it holds one event —
+// the head entry's run, and the entry with it when that was its last event —
 // and returns the publisher the discarded event is attributed to.
 func (s *Subscription) evictOldestLocked() guid.GUID {
 	en := &s.queue[s.head]
+	src := en.attribution(en.run[0])
 	s.events--
-	if en.run != nil {
-		src := en.attribution(en.run[0])
-		en.run = en.run[1:]
-		if len(en.run) > 0 {
-			return src
-		}
-		s.queue[s.head] = entry{}
+	if en.run = en.run[1:]; len(en.run) == 0 {
+		*en = entry{}
 		s.head = (s.head + 1) % len(s.queue)
 		s.count--
-		return src
 	}
-	src := en.attribution(en.e)
-	s.queue[s.head] = entry{}
-	s.head = (s.head + 1) % len(s.queue)
-	s.count--
 	return src
 }
 
@@ -1107,51 +1034,7 @@ func (s *Subscription) evictOldestLocked() guid.GUID {
 func (s *Subscription) pushLocked(en entry) {
 	s.queue[(s.head+s.count)%len(s.queue)] = en
 	s.count++
-	s.events += en.events()
-}
-
-// enqueue adds e to the ring buffer, applying the drop policy. It returns
-// the number of events discarded by the call: 0 when e was admitted with no
-// eviction, 1 when the queue was full (either e itself under DropNewest, or
-// the evicted oldest event under DropOldest). A closed subscription admits
-// nothing and drops nothing.
-func (s *Subscription) enqueue(e event.Event) int {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return 0
-	}
-	if s.queue == nil {
-		s.startLocked()
-	}
-	admitted := true
-	dropped := 0
-	if s.events == s.limit {
-		dropped = 1
-		if s.policy == DropNewest {
-			admitted = false
-			s.shard.dropCounter(e.Source).Add(1)
-		} else {
-			s.shard.dropCounter(s.evictOldestLocked()).Add(1)
-		}
-	}
-	if admitted {
-		slot := &s.queue[(s.head+s.count)%len(s.queue)]
-		slot.e = e
-		slot.run = nil
-		slot.pub = guid.Nil
-		s.count++
-		s.events++
-	}
-	wake := s.wake
-	s.mu.Unlock()
-	if admitted {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
-	}
-	return dropped
+	s.events += len(en.run)
 }
 
 // enqueueRun appends a shared batched run to the ring as one entry — one
@@ -1249,28 +1132,23 @@ func (s *Subscription) startLocked() {
 	}()
 }
 
-// drain appends every queued event to buf under one lock acquisition and
-// empties the ring, returning the extended buffer and the closed flag (read
-// under the same lock, saving the delivery loop a second acquisition per
-// wakeup cycle).
-func (s *Subscription) drain(buf []event.Event) ([]event.Event, bool) {
+// drain moves every queued run header into runs under one lock acquisition
+// and empties the ring, returning the extended slice and the closed flag
+// (read under the same lock, saving the delivery loop a second acquisition
+// per wakeup cycle). No event is copied: the runs stay shared.
+//
+//lint:hotpath
+func (s *Subscription) drain(runs [][]event.Event) ([][]event.Event, bool) {
 	s.mu.Lock()
-	n := len(s.queue)
-	for s.count > 0 {
-		en := s.queue[s.head]
+	for ; s.count > 0; s.count-- {
+		runs = append(runs, s.queue[s.head].run)
 		s.queue[s.head] = entry{}
-		s.head = (s.head + 1) % n
-		s.count--
-		if en.run != nil {
-			buf = append(buf, en.run...)
-		} else {
-			buf = append(buf, en.e)
-		}
+		s.head = (s.head + 1) % len(s.queue)
 	}
 	s.events = 0
 	closed := s.closed
 	s.mu.Unlock()
-	return buf, closed
+	return runs, closed
 }
 
 func (s *Subscription) isClosed() bool {
@@ -1279,16 +1157,19 @@ func (s *Subscription) isClosed() bool {
 	return s.closed
 }
 
-// deliverLoop drains the ring into a reused slice per wakeup and hands the
-// whole backlog to the batch handler in one call, so a consumer behind a
-// burst pays the wakeup and lock cost once per burst instead of per event.
+// deliverLoop drains the ring's run headers per wakeup and hands the
+// backlog over in place, so a consumer behind a burst pays the wakeup and
+// lock cost once per burst instead of per event. A per-event handler walks
+// each run; a batch handler gets a one-run backlog as the shared run
+// itself, and a longer one flattened — outside the lock — into a reused
+// slice, so it always sees the whole backlog in one call.
 func (s *Subscription) deliverLoop(wake <-chan struct{}) {
-	h := s.handler
-	var buf []event.Event
+	var runs [][]event.Event
+	var flat []event.Event
 	for {
 		var closed bool
-		buf, closed = s.drain(buf[:0])
-		if len(buf) == 0 {
+		runs, closed = s.drain(runs[:0])
+		if len(runs) == 0 {
 			if closed {
 				return
 			}
@@ -1299,18 +1180,41 @@ func (s *Subscription) deliverLoop(wake <-chan struct{}) {
 			if !s.fired.CompareAndSwap(false, true) {
 				return
 			}
-			h(buf[:1])
+			s.deliver(runs[0][:1])
 			s.bus.delivered.Add(1)
 			s.shard.delivered.Add(1)
 			s.Cancel()
 			return
 		}
-		h(buf)
-		s.bus.delivered.Add(uint64(len(buf)))
-		s.shard.delivered.Add(uint64(len(buf)))
-		for i := range buf {
-			buf[i] = event.Event{} // release payload references while buf is pooled
+		var n int
+		if s.batch != nil && len(runs) > 1 {
+			for _, run := range runs {
+				flat = append(flat, run...)
+			}
+			s.batch(flat)
+			n = len(flat)
+			clear(flat) // release payload references while flat is reused
+			flat = flat[:0]
+		} else {
+			for _, run := range runs {
+				s.deliver(run)
+				n += len(run)
+			}
 		}
+		clear(runs)
+		s.bus.delivered.Add(uint64(n))
+		s.shard.delivered.Add(uint64(n))
+	}
+}
+
+// deliver hands one run to the subscription's handler, in place.
+func (s *Subscription) deliver(run []event.Event) {
+	if s.batch != nil {
+		s.batch(run)
+		return
+	}
+	for i := range run {
+		s.handler(run[i])
 	}
 }
 

@@ -119,6 +119,14 @@ func (qb *quotaBucket) admit(n int, now time.Time, rate float64, burst int, all 
 	return grant
 }
 
+// refund returns n tokens granted by admit, up to burst: an all-or-nothing
+// batch refused after some of its runs were granted gives them back.
+func (qb *quotaBucket) refund(n, burst int) {
+	qb.mu.Lock()
+	qb.tokens = min(qb.tokens+float64(n), float64(burst))
+	qb.mu.Unlock()
+}
+
 // srcQuotaTable is an immutable snapshot of a stripe's per-publisher
 // buckets; the buckets themselves are shared across snapshots.
 type srcQuotaTable struct {
@@ -183,8 +191,8 @@ func (b *Bus) admitOne(e event.Event) (bool, error) {
 // consecutive same-Source events is charged against that source. The
 // returned slice (which may alias events) holds the admitted subset in
 // order; refused events have been counted. In Reject mode a shortfall fails
-// the call — note that with per-source charging, runs admitted before the
-// offending run have already consumed their tokens.
+// the call and spends no tokens: the whole call is counted as refused, each
+// event against the publisher it was charged to.
 func (b *Bus) admitBatch(pub guid.GUID, events []event.Event) ([]event.Event, error) {
 	q := b.quota
 	now := q.Clock.Now()
@@ -217,11 +225,12 @@ func (b *Bus) admitBatch(pub guid.GUID, events []event.Event) ([]event.Event, er
 		qb := b.idShard(src).quotaBucketFor(src)
 		grant := qb.admit(len(run), now, q.Rate, q.Burst, q.Reject)
 		if rej := len(run) - grant; rej > 0 {
+			if q.Reject {
+				b.refuseBySource(events, i)
+				return nil, &OverQuotaError{Publisher: src, Rejected: len(events)}
+			}
 			qb.rejected.Add(uint64(rej))
 			b.quotaRejected.Add(uint64(rej))
-			if q.Reject {
-				return nil, &OverQuotaError{Publisher: src, Rejected: rej}
-			}
 			if !shed {
 				shed = true
 				out = append(out, events[:i]...)
@@ -236,6 +245,26 @@ func (b *Bus) admitBatch(pub guid.GUID, events []event.Event) ([]event.Event, er
 		return events, nil
 	}
 	return out, nil
+}
+
+// refuseBySource undoes a per-source batch admission that a run at offset
+// short ran out of tokens for: the runs before it get their grants back,
+// and every event of the batch is counted as refused against its own Source.
+func (b *Bus) refuseBySource(events []event.Event, short int) {
+	for i := 0; i < len(events); {
+		j := i + 1
+		for j < len(events) && events[j].Source == events[i].Source {
+			j++
+		}
+		src := events[i].Source
+		qb := b.idShard(src).quotaBucketFor(src)
+		if i < short {
+			qb.refund(j-i, b.quota.Burst)
+		}
+		qb.rejected.Add(uint64(j - i))
+		i = j
+	}
+	b.quotaRejected.Add(uint64(len(events)))
 }
 
 // QuotaRejectedFor returns the cumulative count of events refused by

@@ -89,6 +89,43 @@ func TestQuotaRejectMode(t *testing.T) {
 	}
 }
 
+// TestQuotaRejectRefundsEarlierRuns: in Reject mode a per-source batch
+// refused because a later run is over quota spends no tokens on the runs
+// before it, and every event of the call is counted against its own Source.
+func TestQuotaRejectRefundsEarlierRuns(t *testing.T) {
+	clk := clock.NewManual(t0)
+	b := New(nil, WithQuota(Quota{Rate: 100, Burst: 2, Reject: true, Clock: clk}))
+	defer b.Close()
+	a := guid.New(guid.KindDevice)
+	c := guid.New(guid.KindDevice)
+	var aseq, cseq uint64
+	if err := b.PublishAll(mkBatchFrom(c, 2, &cseq)); err != nil {
+		t.Fatalf("c within burst: %v", err)
+	}
+	// [A,A,C,C]: A's run fits, C's bucket is empty.
+	batch := append(mkBatchFrom(a, 2, &aseq), mkBatchFrom(c, 2, &cseq)...)
+	err := b.PublishAll(batch)
+	var oq *OverQuotaError
+	if !errors.As(err, &oq) || oq.Publisher != c || oq.Rejected != 4 {
+		t.Fatalf("over-quota batch = %v, want OverQuotaError{c, 4}", err)
+	}
+	// Same instant: A's tokens were given back.
+	if err := b.PublishAll(mkBatchFrom(a, 2, &aseq)); err != nil {
+		t.Fatalf("A after refused batch: %v", err)
+	}
+	by := b.QuotaRejectedBySource()
+	if by[a] != 2 || by[c] != 2 {
+		t.Fatalf("QuotaRejectedBySource = %v, want a:2 c:2", by)
+	}
+	var sum uint64
+	for _, n := range by {
+		sum += n
+	}
+	if st := b.Stats(); st.QuotaRejected != sum {
+		t.Fatalf("Stats().QuotaRejected = %d, per-source sum %d", st.QuotaRejected, sum)
+	}
+}
+
 // TestQuotaNilPublisherChargesPerSource: PublishAll (no explicit publisher)
 // charges each run of events against its own Source.
 func TestQuotaNilPublisherChargesPerSource(t *testing.T) {

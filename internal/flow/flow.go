@@ -313,7 +313,7 @@ func (c *Coalescer) Add(e event.Event) {
 
 // AddAll appends a whole run under one lock acquisition — the batch-fed
 // edge from Mediator.SubscribeBatch. The events are copied out of the
-// delivery loop's reused slice.
+// delivered slice, which may be a run shared with other subscribers.
 func (c *Coalescer) AddAll(events []event.Event) {
 	if len(events) == 0 {
 		return

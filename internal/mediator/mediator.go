@@ -222,11 +222,7 @@ func (m *Mediator) Subscribe(owner guid.GUID, f event.Filter, h func(event.Event
 	if h == nil {
 		return Record{}, errors.New("mediator: nil handler")
 	}
-	return m.subscribe(owner, f, func(events []event.Event) {
-		for i := range events {
-			h(events[i])
-		}
-	}, opts)
+	return m.subscribe(owner, f, h, nil, opts)
 }
 
 // SubscribeBatch establishes a subscription whose handler receives every
@@ -235,15 +231,17 @@ func (m *Mediator) Subscribe(owner guid.GUID, f event.Filter, h func(event.Event
 // configuration root delivery, the Range Service's remote proxies and the
 // SCINET fabric's cross-range forwarding tap all take a burst as one slice,
 // so their outbound coalescer lock is acquired once per run.
-// The slice is reused between invocations and must not be retained.
+// The slice may be a run shared with other subscribers: it is read-only
+// and must not be retained (eventbus.BatchHandler).
 func (m *Mediator) SubscribeBatch(owner guid.GUID, f event.Filter, h func([]event.Event), opts SubOptions) (Record, error) {
 	if h == nil {
 		return Record{}, errors.New("mediator: nil handler")
 	}
-	return m.subscribe(owner, f, h, opts)
+	return m.subscribe(owner, f, nil, h, opts)
 }
 
-func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHandler, opts SubOptions) (Record, error) {
+// subscribe registers exactly one of h (per event) and bh (per batch).
+func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler, bh eventbus.BatchHandler, opts SubOptions) (Record, error) {
 	if owner.IsNil() {
 		return Record{}, errors.New("mediator: nil owner")
 	}
@@ -269,18 +267,27 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.BatchHa
 	// and only its closure holds the id it removes.
 	var ready chan struct{}
 	var oneShotID *guid.GUID
-	wrapped := h
-	if opts.OneShot {
+	var sub *eventbus.Subscription
+	var err error
+	switch {
+	case opts.OneShot:
 		ready = make(chan struct{})
 		id := new(guid.GUID)
 		oneShotID = id
-		wrapped = func(events []event.Event) {
-			h(events)
+		sub, err = m.bus.SubscribeBatch(f, func(events []event.Event) {
+			if h != nil {
+				h(events[0])
+			} else {
+				bh(events)
+			}
 			<-ready
 			m.remove(*id)
-		}
+		}, busOpts...)
+	case h != nil:
+		sub, err = m.bus.Subscribe(f, h, busOpts...)
+	default:
+		sub, err = m.bus.SubscribeBatch(f, bh, busOpts...)
 	}
-	sub, err := m.bus.SubscribeBatch(f, wrapped, busOpts...)
 	if err != nil {
 		return Record{}, fmt.Errorf("mediator: %w", err)
 	}

@@ -1417,8 +1417,8 @@ func (f *Fabric) forwardLocal(events []event.Event) {
 		return
 	}
 	// Coalescing disabled: each event ships as its own batch message, in a
-	// slice of its own — events is the deliver loop's reused buffer, and
-	// fanOut's batch outlives this call.
+	// slice of its own — events belongs to the delivery loop (a shared run
+	// or its reused buffer), and fanOut's batch outlives this call.
 	for i := range events {
 		f.fanOut([]event.Event{events[i]})
 	}
