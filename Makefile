@@ -53,6 +53,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz '^FuzzPayloadDecode$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzDecoderRobustness -fuzztime 10s ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzRingModel -fuzztime 10s ./internal/eventbus/
+	$(GO) test -run xxx -fuzz FuzzProfileIndex -fuzztime 10s ./internal/profile/
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload at full length, end-to-end and per-layer metrics.

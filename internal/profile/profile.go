@@ -16,6 +16,7 @@ package profile
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -134,38 +135,39 @@ func (p Profile) Clone() Profile {
 	out := p
 	out.Inputs = append([]ctxtype.Type(nil), p.Inputs...)
 	out.Outputs = append([]ctxtype.Type(nil), p.Outputs...)
-	if p.Attributes != nil {
-		out.Attributes = make(map[string]string, len(p.Attributes))
-		for k, v := range p.Attributes {
-			out.Attributes[k] = v
-		}
-	}
-	if p.Advertisement != nil {
-		ad := *p.Advertisement
-		ad.Operations = append([]string(nil), p.Advertisement.Operations...)
-		if p.Advertisement.Attributes != nil {
-			ad.Attributes = make(map[string]string, len(p.Advertisement.Attributes))
-			for k, v := range p.Advertisement.Attributes {
-				ad.Attributes[k] = v
-			}
-		}
-		out.Advertisement = &ad
-	}
+	out.Attributes = maps.Clone(p.Attributes)
+	out.Advertisement = p.Advertisement.Clone()
 	return out
+}
+
+// Clone returns a deep copy of a, or nil for a nil a.
+func (a *Advertisement) Clone() *Advertisement {
+	if a == nil {
+		return nil
+	}
+	out := *a
+	out.Operations = append([]string(nil), a.Operations...)
+	out.Attributes = maps.Clone(a.Attributes)
+	return &out
 }
 
 // Manager is the Profile Manager Context Utility. It is safe for concurrent
 // use. The zero value is usable.
 //
-// Stored profiles are never mutated in place: Put stores a deep copy and a
-// later Put replaces it whole. That is what lets the finders return stored
-// values without copying them.
+// Stored profiles are frozen: Put stores a deep copy, never writes it again,
+// and a later Put swaps in a new one. So Lookup, FindProviders and
+// FindByEntityType hand out the stored profiles themselves, shared and
+// read-only, and a holder keeps seeing the profile as it was when read.
+// Get and All return copies, for callers that may write.
 type Manager struct {
-	mu         sync.RWMutex
-	profiles   map[guid.GUID]Profile
-	version    map[guid.GUID]uint64
-	byOutput   map[ctxtype.Type]*bucket
-	generation uint64
+	mu       sync.RWMutex
+	profiles map[guid.GUID]*Profile
+	version  map[guid.GUID]uint64
+	byOutput map[ctxtype.Type]*bucket
+	// byEntityType lists, in entity GUID order, the profiles advertising
+	// each interface or carrying each "kind" attribute value.
+	byEntityType map[string][]*Profile
+	generation   uint64
 }
 
 // bucket lists the providers of one output type. Put appends to it and
@@ -173,8 +175,8 @@ type Manager struct {
 // ascending, the first time it reads the bucket after a change: registering
 // n providers of one type costs one sort, not n ordered inserts.
 type bucket struct {
-	ids     []guid.GUID
-	ordered bool
+	profiles []*Profile
+	ordered  bool
 }
 
 // ErrNotFound reports a missing profile.
@@ -189,23 +191,40 @@ func (m *Manager) Put(p Profile) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.profiles == nil {
-		m.profiles = make(map[guid.GUID]Profile)
+		m.profiles = make(map[guid.GUID]*Profile)
 		m.version = make(map[guid.GUID]uint64)
 		m.byOutput = make(map[ctxtype.Type]*bucket)
+		m.byEntityType = make(map[string][]*Profile)
 	}
 	if old, ok := m.profiles[cp.Entity]; ok {
 		m.unindexLocked(old)
 	}
-	m.profiles[cp.Entity] = cp
-	m.indexLocked(cp)
+	m.profiles[cp.Entity] = &cp
+	m.indexLocked(&cp)
 	m.version[cp.Entity]++
 	m.generation++
 	return nil
 }
 
-// indexLocked adds p to the bucket of each distinct output type it
-// declares.
-func (m *Manager) indexLocked(p Profile) {
+// entityTypes returns the names FindByEntityType finds p under: its
+// advertised interface and its "kind" attribute, each at most once ("" marks
+// an absent one).
+func entityTypes(p *Profile) [2]string {
+	var names [2]string
+	if p.Advertisement != nil {
+		names[0] = p.Advertisement.Interface
+	}
+	if kind := p.Attributes["kind"]; kind != names[0] {
+		names[1] = kind
+	}
+	return names
+}
+
+func compareEntity(p *Profile, id guid.GUID) int { return guid.Compare(p.Entity, id) }
+
+// indexLocked adds p to the bucket of each distinct output type it declares
+// and to the entity-type list of each of its entity types.
+func (m *Manager) indexLocked(p *Profile) {
 	for i, t := range p.Outputs {
 		if slices.Contains(p.Outputs[:i], t) {
 			continue
@@ -215,24 +234,46 @@ func (m *Manager) indexLocked(p Profile) {
 			b = &bucket{}
 			m.byOutput[t] = b
 		}
-		b.ids = append(b.ids, p.Entity)
-		b.ordered = len(b.ids) == 1
+		b.profiles = append(b.profiles, p)
+		b.ordered = len(b.profiles) == 1
+	}
+	for _, name := range entityTypes(p) {
+		if name == "" {
+			continue
+		}
+		list := m.byEntityType[name]
+		i, _ := slices.BinarySearchFunc(list, p.Entity, compareEntity)
+		m.byEntityType[name] = slices.Insert(list, i, p)
 	}
 }
 
-// unindexLocked removes p from the bucket of each output type it declares,
-// keeping the others' order.
-func (m *Manager) unindexLocked(p Profile) {
+// unindexLocked removes p from everything indexLocked added it to, keeping
+// the others' order.
+func (m *Manager) unindexLocked(p *Profile) {
 	for _, t := range p.Outputs {
 		b := m.byOutput[t]
 		if b == nil {
 			continue // a repeated output type whose bucket is already gone
 		}
-		if i := slices.Index(b.ids, p.Entity); i >= 0 {
-			b.ids = slices.Delete(b.ids, i, i+1)
+		if i := slices.Index(b.profiles, p); i >= 0 {
+			b.profiles = slices.Delete(b.profiles, i, i+1)
 		}
-		if len(b.ids) == 0 {
+		if len(b.profiles) == 0 {
 			delete(m.byOutput, t)
+		}
+	}
+	for _, name := range entityTypes(p) {
+		if name == "" {
+			continue
+		}
+		list := m.byEntityType[name]
+		if i, ok := slices.BinarySearchFunc(list, p.Entity, compareEntity); ok {
+			list = slices.Delete(list, i, i+1)
+		}
+		if len(list) == 0 {
+			delete(m.byEntityType, name)
+		} else {
+			m.byEntityType[name] = list
 		}
 	}
 }
@@ -240,15 +281,14 @@ func (m *Manager) unindexLocked(p Profile) {
 // orderLocked sorts b by quality descending, then entity GUID ascending:
 // the order FindProviders returns one bucket's matches in.
 func (m *Manager) orderLocked(b *bucket) {
-	slices.SortFunc(b.ids, func(x, y guid.GUID) int {
-		qx, qy := m.profiles[x].Quality, m.profiles[y].Quality
+	slices.SortFunc(b.profiles, func(x, y *Profile) int {
 		switch {
-		case qx > qy:
+		case x.Quality > y.Quality:
 			return -1
-		case qx < qy:
+		case x.Quality < y.Quality:
 			return 1
 		}
-		return guid.Compare(x, y)
+		return guid.Compare(x.Entity, y.Entity)
 	})
 	b.ordered = true
 }
@@ -262,19 +302,29 @@ func (m *Manager) Generation() uint64 {
 	return m.generation
 }
 
+// Lookup returns the stored profile for entity: frozen and shared, so read
+// it and never write through it. Get returns a copy.
+func (m *Manager) Lookup(entity guid.GUID) (*Profile, error) {
+	m.mu.RLock()
+	p, ok := m.profiles[entity]
+	m.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotFound, entity.Short())
+	}
+	return p, nil
+}
+
 // Get returns a copy of the profile for entity.
 func (m *Manager) Get(entity guid.GUID) (Profile, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	p, ok := m.profiles[entity]
-	if !ok {
-		return Profile{}, fmt.Errorf("%w: %s", ErrNotFound, entity.Short())
+	p, err := m.Lookup(entity)
+	if err != nil {
+		return Profile{}, err
 	}
 	return p.Clone(), nil
 }
 
-// Version returns the profile's update count (0 when absent); the
-// configuration runtime uses it to detect concurrent profile changes.
+// Version returns the profile's update count (0 when absent). Only tests
+// call it.
 func (m *Manager) Version(entity guid.GUID) uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -304,20 +354,24 @@ func (m *Manager) Len() int {
 // determinism.
 func (m *Manager) All() []Profile {
 	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make([]Profile, 0, len(m.profiles))
+	ps := make([]*Profile, 0, len(m.profiles))
 	for _, p := range m.profiles {
-		out = append(out, p.Clone())
+		ps = append(ps, p)
 	}
-	sortByEntity(out)
+	m.mu.RUnlock()
+	slices.SortFunc(ps, func(a, b *Profile) int { return guid.Compare(a.Entity, b.Entity) })
+	out := make([]Profile, len(ps))
+	for i, p := range ps {
+		out[i] = p.Clone()
+	}
 	return out
 }
 
 // Candidate is a provider matched by FindProviders, with its match score.
 type Candidate struct {
-	// Profile is the stored profile itself, not a copy: read it, never
-	// write through its slices, maps or Advertisement.
-	Profile Profile
+	// Profile is the stored, frozen profile itself, shared with every other
+	// reader: read it, never write through it.
+	Profile *Profile
 	// Score is the type-match grade (3 exact, 2 subsumption, 1 equivalence).
 	Score int
 }
@@ -327,9 +381,9 @@ type Candidate struct {
 // quality and then by entity GUID (deterministic). A profile with several
 // matching outputs appears once, at its best score.
 //
-// The result shares the stored profiles: callers must treat every slice,
-// map and Advertisement in it as read-only, and Clone what they hand on to
-// code that may write. Get and All return copies.
+// The candidates point at the stored profiles, which are frozen and shared:
+// callers read them and Clone what they hand on to code that may write. The
+// slice itself is the caller's.
 //
 // Only the output-type buckets that match want are visited, each type is
 // graded once, and a single matching bucket is already in result order.
@@ -353,8 +407,8 @@ func (m *Manager) FindProviders(want ctxtype.Type, reg *ctxtype.Registry) []Cand
 // false, on the first matching bucket that needs ordering.
 func (m *Manager) findProvidersLocked(want ctxtype.Type, reg *ctxtype.Registry, order bool) ([]Candidate, bool) {
 	type bucketHit struct {
-		ids   []guid.GUID
-		score int
+		profiles []*Profile
+		score    int
 	}
 	var hitBuf [4]bucketHit
 	hits := hitBuf[:0]
@@ -370,8 +424,8 @@ func (m *Manager) findProvidersLocked(want ctxtype.Type, reg *ctxtype.Registry, 
 			}
 			m.orderLocked(b)
 		}
-		hits = append(hits, bucketHit{ids: b.ids, score: s})
-		n += len(b.ids)
+		hits = append(hits, bucketHit{profiles: b.profiles, score: s})
+		n += len(b.profiles)
 	}
 	if n == 0 {
 		return nil, true
@@ -379,8 +433,7 @@ func (m *Manager) findProvidersLocked(want ctxtype.Type, reg *ctxtype.Registry, 
 	out := make([]Candidate, 0, n)
 	multi := false // some match declares several outputs
 	for _, h := range hits {
-		for _, id := range h.ids {
-			p := m.profiles[id]
+		for _, p := range h.profiles {
 			multi = multi || len(p.Outputs) > 1
 			out = append(out, Candidate{Profile: p, Score: h.score})
 		}
@@ -418,38 +471,12 @@ func (m *Manager) findProvidersLocked(want ctxtype.Type, reg *ctxtype.Registry, 
 	return kept, true
 }
 
-// FindByAttr returns profiles whose attribute key equals value, ordered by
-// entity GUID. Like FindProviders it returns the stored profiles, which
-// callers must not write through.
-func (m *Manager) FindByAttr(key, value string) []Profile {
+// FindByEntityType returns, in entity GUID order, the profiles advertising
+// the interface name or carrying the attribute kind=name, each once. Like
+// FindProviders it returns the stored profiles, frozen and shared, in a
+// slice that is the caller's.
+func (m *Manager) FindByEntityType(name string) []*Profile {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	var out []Profile
-	for _, p := range m.profiles {
-		if p.Attributes[key] == value {
-			out = append(out, p)
-		}
-	}
-	sortByEntity(out)
-	return out
-}
-
-// FindByInterface returns profiles advertising the named interface, ordered
-// by entity GUID. Like FindProviders it returns the stored profiles, which
-// callers must not write through.
-func (m *Manager) FindByInterface(iface string) []Profile {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var out []Profile
-	for _, p := range m.profiles {
-		if p.Advertisement != nil && p.Advertisement.Interface == iface {
-			out = append(out, p)
-		}
-	}
-	sortByEntity(out)
-	return out
-}
-
-func sortByEntity(ps []Profile) {
-	slices.SortFunc(ps, func(a, b Profile) int { return guid.Compare(a.Entity, b.Entity) })
+	return slices.Clone(m.byEntityType[name])
 }

@@ -227,13 +227,13 @@ func TestFindByAttrAndInterface(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := m.FindByAttr("kind", "printer"); len(got) != 1 || got[0].Entity != p1.Entity {
-		t.Fatalf("FindByAttr = %+v", got)
+	if got := m.FindByEntityType("printer"); len(got) != 1 || got[0].Entity != p1.Entity {
+		t.Fatalf("FindByEntityType = %+v", got)
 	}
-	if got := m.FindByInterface("printer"); len(got) != 1 || got[0].Entity != p1.Entity {
-		t.Fatalf("FindByInterface = %+v", got)
+	if got := m.FindByEntityType("display"); len(got) != 1 || got[0].Entity != p2.Entity {
+		t.Fatalf("FindByEntityType = %+v", got)
 	}
-	if got := m.FindByInterface("scanner"); len(got) != 0 {
+	if got := m.FindByEntityType("scanner"); len(got) != 0 {
 		t.Fatal("unexpected interface match")
 	}
 }

@@ -242,7 +242,7 @@ func (r *Resolver) ResolveReplacement(q query.Query, want ctxtype.Type, failed g
 	return r.resolveType(want, q, ctx, nil, 0)
 }
 
-// Invalidate drops the sub-graph cache (profile mutations do this
+// invalidate drops the sub-graph cache (profile mutations do this
 // implicitly; explicit calls serve tests and repair).
 func (r *Resolver) invalidate() {
 	r.mu.Lock()
@@ -368,7 +368,7 @@ func (r *Resolver) resolveInput(want ctxtype.Type, q query.Query, ctx Context, p
 
 // bindEntity builds a single-node configuration for a named entity.
 func (r *Resolver) bindEntity(entity guid.GUID, ctx Context) (*Binding, error) {
-	p, err := r.profiles.Get(entity)
+	p, err := r.profiles.Lookup(entity)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrNoProvider, err)
 	}
@@ -385,19 +385,7 @@ func (r *Resolver) bindEntity(entity guid.GUID, ctx Context) (*Binding, error) {
 // bindEntityType selects the best entity advertising the named interface
 // (or carrying kind=<type> attribute), honouring Which.
 func (r *Resolver) bindEntityType(entityType string, q query.Query, ctx Context) (*Binding, error) {
-	profiles := r.profiles.FindByInterface(entityType)
-	for _, p := range r.profiles.FindByAttr("kind", entityType) {
-		dup := false
-		for _, existing := range profiles {
-			if existing.Entity == p.Entity {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			profiles = append(profiles, p)
-		}
-	}
+	profiles := r.profiles.FindByEntityType(entityType)
 	cands := make([]profile.Candidate, 0, len(profiles))
 	for _, p := range profiles {
 		cands = append(cands, profile.Candidate{Profile: p, Score: 3})
@@ -451,7 +439,7 @@ func (r *Resolver) filterCandidates(cands []profile.Candidate, q query.Query, ct
 // meetsWhere applies location scoping. Entities without a location pass
 // explicit scoping only if the query is unscoped (sensors placed abstractly
 // should not be silently excluded from implicit queries).
-func (r *Resolver) meetsWhere(p profile.Profile, w query.Where, ctx Context) bool {
+func (r *Resolver) meetsWhere(p *profile.Profile, w query.Where, ctx Context) bool {
 	if w.Empty() {
 		return true
 	}
@@ -552,9 +540,9 @@ func (r *Resolver) rankCandidates(cands []profile.Candidate, q query.Query, ctx 
 		}
 		return guid.Less(a.Profile.Entity, b.Profile.Entity)
 	}
-	// Insertion sort: candidate lists are small and this keeps the
-	// comparator stable without an extra dependency. Distances move with
-	// their candidates.
+	// Insertion sort, not slices.SortFunc: the distances must move with
+	// their candidates, so every swap is made on both slices. Candidate
+	// lists are small.
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && less(j, j-1); j-- {
 			cands[j], cands[j-1] = cands[j-1], cands[j]
@@ -577,7 +565,7 @@ func effectiveQuality(c profile.Candidate, reg *ctxtype.Registry) float64 {
 	return 0.5
 }
 
-func meetsConstraints(p profile.Profile, cons map[string]string) bool {
+func meetsConstraints(p *profile.Profile, cons map[string]string) bool {
 	for k, v := range cons {
 		if p.Attributes[k] != v {
 			return false
@@ -586,7 +574,7 @@ func meetsConstraints(p profile.Profile, cons map[string]string) bool {
 	return true
 }
 
-func attrFloat(p profile.Profile, key string, def float64) float64 {
+func attrFloat(p *profile.Profile, key string, def float64) float64 {
 	s, ok := p.Attributes[key]
 	if !ok {
 		return def
@@ -598,7 +586,7 @@ func attrFloat(p profile.Profile, key string, def float64) float64 {
 	return f
 }
 
-func bestOutput(p profile.Profile, want ctxtype.Type, reg *ctxtype.Registry) ctxtype.Type {
+func bestOutput(p *profile.Profile, want ctxtype.Type, reg *ctxtype.Registry) ctxtype.Type {
 	best := ctxtype.Type("")
 	bestScore := 0
 	for _, out := range p.Outputs {
@@ -626,12 +614,7 @@ func canonConstraints(cons map[string]string) string {
 	for k := range cons {
 		keys = append(keys, k)
 	}
-	// Sort without importing sort twice — small n insertion sort.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	slices.Sort(keys)
 	var b strings.Builder
 	for _, k := range keys {
 		b.WriteString(k)

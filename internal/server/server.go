@@ -184,7 +184,8 @@ type pendingQuery struct {
 type Result struct {
 	// Query echoes the submitted query's id.
 	Query guid.GUID
-	// Profiles answers ModeProfile.
+	// Profiles answers ModeProfile. They are copies, the caller's to
+	// write; the Profile Manager's own answers are frozen and shared.
 	Profiles []profile.Profile
 	// Advertisement and Provider answer ModeAdvertisement.
 	Advertisement *profile.Advertisement
@@ -450,15 +451,16 @@ func (r *Range) submitProfile(q query.Query) (*Result, error) {
 		}
 		res.Profiles = []profile.Profile{p}
 	case "entity-type":
-		res.Profiles = append(r.profiles.FindByInterface(q.What.EntityType),
-			r.profiles.FindByAttr("kind", q.What.EntityType)...)
-		res.Profiles = dedupeProfiles(res.Profiles)
-		for i := range res.Profiles {
-			res.Profiles[i] = res.Profiles[i].Clone()
+		ps := r.profiles.FindByEntityType(q.What.EntityType)
+		res.Profiles = make([]profile.Profile, len(ps))
+		for i, p := range ps {
+			res.Profiles[i] = p.Clone()
 		}
 	case "pattern":
-		for _, c := range r.profiles.FindProviders(q.What.Pattern, r.types) {
-			res.Profiles = append(res.Profiles, c.Profile.Clone())
+		cands := r.profiles.FindProviders(q.What.Pattern, r.types)
+		res.Profiles = make([]profile.Profile, len(cands))
+		for i, c := range cands {
+			res.Profiles[i] = c.Profile.Clone()
 		}
 	}
 	return res, nil
@@ -473,13 +475,13 @@ func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := r.profiles.Get(cfg.Root.Provider)
+	p, err := r.profiles.Lookup(cfg.Root.Provider)
 	if err != nil {
 		return nil, err
 	}
 	return &Result{
 		Query:         q.ID,
-		Advertisement: p.Advertisement,
+		Advertisement: p.Advertisement.Clone(),
 		Provider:      p.Entity,
 	}, nil
 }
@@ -903,7 +905,7 @@ func (r *Range) resolveContext(q query.Query) resolver.Context {
 	ctx := resolver.Context{
 		LiveOnly: r.registrar.IsLive,
 	}
-	if p, err := r.profiles.Get(q.Owner); err == nil {
+	if p, err := r.profiles.Lookup(q.Owner); err == nil {
 		ctx.OwnerLocation = p.Location
 	}
 	return ctx
@@ -1010,18 +1012,4 @@ func (r *Range) deliverError(owner *entity.CAA, q query.Query, err error) {
 		"error": err.Error(),
 	}).WithRange(r.id)
 	owner.Consume(e)
-}
-
-func dedupeProfiles(ps []profile.Profile) []profile.Profile {
-	seen := guid.NewSet()
-	out := ps[:0]
-	for _, p := range ps {
-		if seen.Has(p.Entity) {
-			continue
-		}
-		seen.Add(p.Entity)
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return guid.Less(out[i].Entity, out[j].Entity) })
-	return out
 }
