@@ -97,8 +97,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
+	published := fleet.Totals["eventbus.published"]
 	fmt.Printf("fleet rollup: %d ranges, %.0f published, %.0f delivered, %.0f dropped\n",
-		fleet.Ranges, fleet.Totals["published"], fleet.Totals["delivered"], fleet.Totals["dropped"])
+		fleet.Ranges, published, fleet.Totals["eventbus.delivered"], fleet.Totals["eventbus.dropped"])
+	// A renamed key reads 0 from the map: fail loudly rather than print it.
+	if fleet.Ranges != 3 || published == 0 {
+		panic(fmt.Sprintf("fleet rollup covers %d ranges with %.0f published, want 3 ranges and a non-zero total",
+			fleet.Ranges, published))
+	}
 }
 
 func mustFloat(e sci.Event, key string) float64 {

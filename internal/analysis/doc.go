@@ -46,13 +46,13 @@
 // lock-free fields in one struct; the annotation makes the discipline
 // machine-checked instead of tribal.
 //
-// gaugekey — metrics.Registry keys (Counter/Gauge/FloatGauge/Histogram)
-// and StatsMap entries must be compile-time constants or flow through a
-// bounded top-K reducer (a function marked `//lint:bounded`, or listed in
-// gaugekey.BoundedHelpers). Rationale: gauge maps are exported on every
-// stats probe; an attacker-influenced or per-entity key (publisher GUIDs,
-// source names) makes the registry grow without bound — PR 6's shedding
-// work specifically bounds per-source gauges to a top-K.
+// gaugekey — keys written into a StatsMap render must be compile-time
+// constants or flow through a bounded top-K reducer (a function marked
+// `//lint:bounded`, or listed in gaugekey.BoundedHelpers). Rationale:
+// StatsMap is the one metric surface and is exported on every stats probe;
+// an attacker-influenced or per-entity key (publisher GUIDs, source names)
+// makes it grow without bound, which is why the per-source families are
+// bounded to a top-K.
 //
 // # Whole-program analyzers
 //

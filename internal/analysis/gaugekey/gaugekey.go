@@ -1,9 +1,9 @@
-// Package gaugekey keeps metric cardinality bounded: every key handed to
-// the metrics registry (Counter, Gauge, FloatGauge, Histogram) and every
-// key written into a Range's StatsMap render must be either a compile-time
-// constant or derived inside a loop over a bounded top-K helper — the
-// topSources-style reducers that fold an unbounded per-publisher map into
-// at most K named entries plus an "other" bucket.
+// Package gaugekey keeps metric cardinality bounded: every key written
+// into a Range's StatsMap render — the one metric surface a stats round
+// trip ships over the wire — must be either a compile-time constant or
+// derived inside a loop over a bounded top-K helper — the topSources-style
+// reducers that fold an unbounded per-publisher map into at most K named
+// entries plus an "other" bucket.
 //
 // Without the check, one fmt.Sprintf keyed by GUID in a hot path grows a
 // gauge per device the deployment has ever seen: an unbounded metrics
@@ -30,7 +30,7 @@ import (
 // Analyzer is the gaugekey pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "gaugekey",
-	Doc:  "metrics/StatsMap keys must be constants or derive from a bounded top-K helper",
+	Doc:  "StatsMap keys must be constants or derive from a bounded top-K helper",
 	Run:  run,
 }
 
@@ -40,9 +40,6 @@ var Analyzer = &analysis.Analyzer{
 var BoundedHelpers = map[string]bool{
 	"(*sci/internal/mediator.Mediator).ShardStats": true,
 }
-
-// registryMethods are the key-consuming metrics entry points.
-var registryMethods = map[string]bool{"Counter": true, "Gauge": true, "FloatGauge": true, "Histogram": true}
 
 type span struct{ from, to token.Pos }
 
@@ -104,6 +101,9 @@ func boundedCall(pass *analysis.Pass, marked map[types.Object]bool, call *ast.Ca
 }
 
 func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, marked map[types.Object]bool) {
+	if fd.Name.Name != "StatsMap" {
+		return
+	}
 	// Spans of `for ... := range <boundedCall>(...)` bodies: keys built
 	// inside them inherit the helper's cardinality bound.
 	var bounded []span
@@ -129,45 +129,29 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl, marked map[types.Object]bo
 		return false
 	}
 
+	// Writes into a map[string]float64 inside a StatsMap method.
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.CallExpr:
-			sel, ok := x.Fun.(*ast.SelectorExpr)
-			if !ok || !registryMethods[sel.Sel.Name] || len(x.Args) != 1 {
-				return true
+		x, ok := n.(*ast.AssignStmt)
+		if !ok {
+			return true
+		}
+		for _, lhs := range x.Lhs {
+			ix, ok := lhs.(*ast.IndexExpr)
+			if !ok {
+				continue
 			}
-			fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-			if !ok || fn.Pkg() == nil || !strings.HasSuffix(fn.Pkg().Path(), "internal/metrics") {
-				return true
+			mt, ok := pass.TypesInfo.Types[ix.X].Type.Underlying().(*types.Map)
+			if !ok {
+				continue
 			}
-			if !keyOK(x.Args[0]) {
-				pass.Reportf(x.Args[0].Pos(), "unbounded %s key: use a constant or derive it in a loop over a bounded top-K helper", sel.Sel.Name)
+			if b, ok := mt.Key().Underlying().(*types.Basic); !ok || b.Kind() != types.String {
+				continue
 			}
-		case *ast.AssignStmt:
-			// StatsMap renders ship every key over the wire: writes into a
-			// map[string]float64 inside a StatsMap method follow the same
-			// rules.
-			if fd.Name.Name != "StatsMap" {
-				return true
+			if b, ok := mt.Elem().Underlying().(*types.Basic); !ok || b.Kind() != types.Float64 {
+				continue
 			}
-			for _, lhs := range x.Lhs {
-				ix, ok := lhs.(*ast.IndexExpr)
-				if !ok {
-					continue
-				}
-				mt, ok := pass.TypesInfo.Types[ix.X].Type.Underlying().(*types.Map)
-				if !ok {
-					continue
-				}
-				if b, ok := mt.Key().Underlying().(*types.Basic); !ok || b.Kind() != types.String {
-					continue
-				}
-				if b, ok := mt.Elem().Underlying().(*types.Basic); !ok || b.Kind() != types.Float64 {
-					continue
-				}
-				if !keyOK(ix.Index) {
-					pass.Reportf(ix.Index.Pos(), "unbounded StatsMap key: use a constant or derive it in a loop over a bounded top-K helper")
-				}
+			if !keyOK(ix.Index) {
+				pass.Reportf(ix.Index.Pos(), "unbounded StatsMap key: use a constant or derive it in a loop over a bounded top-K helper")
 			}
 		}
 		return true

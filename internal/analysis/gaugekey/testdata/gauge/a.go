@@ -1,13 +1,14 @@
-// Package gaugefix is the gaugekey fixture.
+// Package gaugefix is the gaugekey fixture. Each case is a StatsMap
+// method, the one metric rendering the analyzer checks.
 package gaugefix
 
 import (
 	"fmt"
 
-	"sci/internal/metrics"
+	"sci/internal/guid"
 )
 
-const quotaKey = "quota.rejected"
+const quotaKey = "eventbus.quota.rejected"
 
 type src struct {
 	name string
@@ -28,56 +29,64 @@ func topSrc(all map[string]uint64) []src {
 	return out
 }
 
-// unboundedKeys mints a gauge per device: the canonical violation.
-func unboundedKeys(m *metrics.Registry, device string, n int) {
-	m.Gauge("per.device." + device).Set(int64(n))       // want `unbounded Gauge key`
-	m.Counter(fmt.Sprintf("dev.%s.seen", device)).Inc() // want `unbounded Counter key`
+// unbounded mints a key per device: the canonical violations.
+type unbounded struct {
+	device guid.GUID
+	n      int
 }
 
-// constKeys are always fine.
-func constKeys(m *metrics.Registry) {
-	m.Gauge("eventbus.published").Set(1)
-	m.FloatGauge(quotaKey).Set(0.5)
-	m.Histogram("dispatch." + "latency").Record(1)
+func (u *unbounded) StatsMap() map[string]float64 {
+	out := make(map[string]float64)
+	out["per.device."+u.device.Short()] = float64(u.n)               // want `unbounded StatsMap key`
+	out[fmt.Sprintf("dev.%s.seen", u.device.Short())] = float64(u.n) // want `unbounded StatsMap key`
+	return out
+}
+
+// constKeys are always fine: literals, named constants and constant folds.
+type constKeys struct{}
+
+func (constKeys) StatsMap() map[string]float64 {
+	out := map[string]float64{"eventbus.published": 1}
+	out["eventbus.delivered"] = 2
+	out[quotaKey] = 0.5
+	out["dispatch."+"latency"] = 1
+	return out
 }
 
 // boundedLoop derives keys inside a loop over a bounded reducer: at most
 // K+1 distinct keys can exist.
-func boundedLoop(m *metrics.Registry, all map[string]uint64) {
-	for _, e := range topSrc(all) {
-		key := "dropped.from.other"
+type boundedLoop struct{ all map[string]uint64 }
+
+func (b *boundedLoop) StatsMap() map[string]float64 {
+	out := make(map[string]float64)
+	for _, e := range topSrc(b.all) {
+		key := "eventbus.dropped.from.other"
 		if e.name != "" {
-			key = "dropped.from." + e.name
+			key = "eventbus.dropped.from." + e.name
 		}
-		m.Gauge(key).Set(int64(e.n))
+		out[key] += float64(e.n)
 	}
+	return out
 }
 
 // rawLoop ranges over the raw unbounded map: still a violation.
-func rawLoop(m *metrics.Registry, all map[string]uint64) {
-	for k, v := range all {
-		m.Gauge("dropped.from." + k).Set(int64(v)) // want `unbounded Gauge key`
-	}
-}
+type rawLoop struct{ all map[string]uint64 }
 
-// StatsMap writes follow the same rules inside a StatsMap method.
-type rng struct{ all map[string]uint64 }
-
-func (r *rng) StatsMap() map[string]float64 {
-	out := map[string]float64{"published": 1}
-	out["delivered"] = 2
-	for _, e := range topSrc(r.all) {
-		out["dropped_from_"+e.name] = float64(e.n)
-	}
+func (r *rawLoop) StatsMap() map[string]float64 {
+	out := make(map[string]float64)
 	for k, v := range r.all {
-		out["dropped_from_"+k] = float64(v) // want `unbounded StatsMap key`
+		out["eventbus.dropped.from."+k] = float64(v) // want `unbounded StatsMap key`
 	}
 	return out
 }
 
 // suppressed documents a contributor whose boundedness is contractual.
-func suppressed(m *metrics.Registry, external func() map[string]float64) {
-	for name, v := range external() {
-		m.FloatGauge(name).Set(v) //lint:allow gaugekey stats-source contributors are contractually bounded
+type suppressed struct{ external func() map[string]float64 }
+
+func (s *suppressed) StatsMap() map[string]float64 {
+	out := make(map[string]float64)
+	for name, v := range s.external() {
+		out[name] = v //lint:allow gaugekey stats-source contributors are contractually bounded
 	}
+	return out
 }

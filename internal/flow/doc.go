@@ -91,12 +91,12 @@
 // Rate events/s up to a Burst ceiling, charged at PublishAll* before any
 // dispatch work, with the caller choosing shed-and-count or a typed
 // ErrOverQuota reject. Rejections are counted per source (the
-// quota_rejected_from_* gauges) by the same attribution discipline as
-// drops and sheds. The two layers compose: quotas clip what a tenant may
-// offer, weighted-fair flushing divides what the link can carry, and both
-// charge the offender — so one hostile publisher can neither starve a
-// shared Range at the publish edge nor push a shared link's backlog onto
-// its neighbours (experiment E14).
+// eventbus.quota.rejected.from.* gauges) by the same attribution
+// discipline as drops and sheds. The two layers compose: quotas clip what
+// a tenant may offer, weighted-fair flushing divides what the link can
+// carry, and both charge the offender — so one hostile publisher can
+// neither starve a shared Range at the publish edge nor push a shared
+// link's backlog onto its neighbours (experiment E14).
 //
 // # Attributed and transitive credit
 //

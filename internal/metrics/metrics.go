@@ -1,7 +1,9 @@
 // Package metrics provides the lightweight counters, gauges and histograms
-// the benchmark harness uses to characterise the infrastructure — hop
-// counts and relay load in the SCINET overlay (experiment E1), discovery
-// and repair latencies (E5, E8), end-to-end CAPA latency (E7).
+// the infrastructure keeps as plain struct fields and the benchmark harness
+// uses to characterise it — hop counts and relay load in the SCINET overlay
+// (experiment E1), discovery and repair latencies (E5, E8), end-to-end CAPA
+// latency (E7). A Range's figures reach operators through one rendering,
+// server.Range.StatsMap, under dotted layer.metric names.
 //
 // Histograms use fixed logarithmic buckets so recording is allocation-free
 // and safe to call from hot paths and many goroutines at once.
@@ -11,8 +13,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,18 +45,6 @@ func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
-
-// FloatGauge is a settable instantaneous float64 value — ratios and rates
-// such as the event dispatcher's index-hit ratio. The zero value reads 0.
-type FloatGauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *FloatGauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value returns the current value.
-func (g *FloatGauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // histBuckets is the number of logarithmic buckets: bucket i covers values
 // in [2^(i-1), 2^i) with bucket 0 covering {0}.
@@ -193,98 +181,4 @@ func (s Snapshot) DurationString() string {
 	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
 		s.Count, time.Duration(int64(s.Mean)).Round(time.Microsecond),
 		time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.Max))
-}
-
-// Registry is a named collection of metrics; server.Range.FillMetrics
-// exports a Range's gauges into one. Safe for concurrent use; the zero
-// value is usable.
-type Registry struct {
-	mu      sync.Mutex
-	counts  map[string]*Counter
-	gauges  map[string]*Gauge
-	fgauges map[string]*FloatGauge
-	hists   map[string]*Histogram
-}
-
-// Counter returns (creating if needed) the named counter.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counts == nil {
-		r.counts = make(map[string]*Counter)
-	}
-	c, ok := r.counts[name]
-	if !ok {
-		c = &Counter{}
-		r.counts[name] = c
-	}
-	return c
-}
-
-// Gauge returns (creating if needed) the named gauge.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.gauges == nil {
-		r.gauges = make(map[string]*Gauge)
-	}
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
-}
-
-// FloatGauge returns (creating if needed) the named float gauge.
-func (r *Registry) FloatGauge(name string) *FloatGauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.fgauges == nil {
-		r.fgauges = make(map[string]*FloatGauge)
-	}
-	g, ok := r.fgauges[name]
-	if !ok {
-		g = &FloatGauge{}
-		r.fgauges[name] = g
-	}
-	return g
-}
-
-// Histogram returns (creating if needed) the named histogram.
-func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.hists == nil {
-		r.hists = make(map[string]*Histogram)
-	}
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Dump renders all metrics sorted by name, one per line.
-func (r *Registry) Dump() string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var lines []string
-	for n, c := range r.counts {
-		lines = append(lines, fmt.Sprintf("counter %-40s %d", n, c.Value()))
-	}
-	for n, g := range r.gauges {
-		lines = append(lines, fmt.Sprintf("gauge   %-40s %d", n, g.Value()))
-	}
-	for n, g := range r.fgauges {
-		lines = append(lines, fmt.Sprintf("fgauge  %-40s %.4f", n, g.Value()))
-	}
-	for n, h := range r.hists {
-		s := h.Snapshot()
-		lines = append(lines, fmt.Sprintf("hist    %-40s n=%d mean=%.1f p50=%d p99=%d max=%d",
-			n, s.Count, s.Mean, s.P50, s.P99, s.Max))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n")
 }

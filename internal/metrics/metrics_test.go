@@ -159,31 +159,6 @@ func TestPropMeanWithinMinMax(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	var r Registry
-	c := r.Counter("a.count")
-	if r.Counter("a.count") != c {
-		t.Fatal("Counter not memoised")
-	}
-	c.Inc()
-	g := r.Gauge("b.gauge")
-	if r.Gauge("b.gauge") != g {
-		t.Fatal("Gauge not memoised")
-	}
-	g.Set(3)
-	h := r.Histogram("c.hist")
-	if r.Histogram("c.hist") != h {
-		t.Fatal("Histogram not memoised")
-	}
-	h.Record(7)
-	dump := r.Dump()
-	for _, want := range []string{"a.count", "b.gauge", "c.hist"} {
-		if !strings.Contains(dump, want) {
-			t.Errorf("Dump missing %q:\n%s", want, dump)
-		}
-	}
-}
-
 func BenchmarkHistogramRecord(b *testing.B) {
 	var h Histogram
 	b.ReportAllocs()

@@ -15,7 +15,6 @@ import (
 	"sci/internal/guid"
 	"sci/internal/location"
 	"sci/internal/mediator"
-	"sci/internal/metrics"
 	"sci/internal/profile"
 	"sci/internal/query"
 	"sci/internal/sensor"
@@ -244,13 +243,12 @@ func TestSendFailureMetricAndTransitionLog(t *testing.T) {
 		t.Fatalf("successful send must not count as failure; got %d", got)
 	}
 
-	reg := new(metrics.Registry)
-	r.rng.FillMetrics(reg)
-	if got := reg.Gauge("remote.send_failures").Value(); got != 2 {
-		t.Fatalf("FillMetrics remote.send_failures = %d, want 2", got)
+	stats := r.rng.StatsMap()
+	if got := stats["remote.send_failures"]; got != 2 {
+		t.Fatalf("StatsMap remote.send_failures = %v, want 2", got)
 	}
-	if got := reg.Gauge("remote.events_sent").Value(); got != 1 {
-		t.Fatalf("FillMetrics remote.events_sent = %d, want 1", got)
+	if got := stats["remote.events_sent"]; got != 1 {
+		t.Fatalf("StatsMap remote.events_sent = %v, want 1", got)
 	}
 }
 
@@ -447,8 +445,8 @@ func TestReceiverOverloadThrottlesHostCoalescer(t *testing.T) {
 	if got := r.rng.FlowStats().DropsReported.Value(); got == 0 {
 		t.Fatal("receiver drops never reached the sender's stats")
 	}
-	if got := r.rng.StatsMap()["remote_backpressure_throttled"]; got != 1 {
-		t.Fatalf("remote_backpressure_throttled = %v, want 1", got)
+	if got := r.rng.StatsMap()["remote.backpressure.throttled"]; got != 1 {
+		t.Fatalf("remote.backpressure.throttled = %v, want 1", got)
 	}
 	if got := c.DeliveryDrops(); got == 0 {
 		t.Fatal("connector reported no delivery drops")

@@ -29,21 +29,22 @@ func TestDispatchStatsServiceCall(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, key := range []string{
-		"published", "delivered", "dropped", "subs",
-		"index_hits", "residual_scanned", "index_hit_ratio", "shards",
+		"eventbus.published", "eventbus.delivered", "eventbus.dropped",
+		"eventbus.subs", "eventbus.index_hits", "eventbus.residual_scanned",
+		"eventbus.index_hit_ratio", "eventbus.shards",
 	} {
 		if _, ok := out[key].(float64); !ok {
 			t.Fatalf("dispatch.stats missing numeric %q: %v", key, out)
 		}
 	}
-	if out["shards"].(float64) < 1 {
-		t.Fatalf("shards = %v, want ≥ 1", out["shards"])
+	if out["eventbus.shards"].(float64) < 1 {
+		t.Fatalf("eventbus.shards = %v, want ≥ 1", out["eventbus.shards"])
 	}
-	if out["published"].(float64) < 1 {
-		t.Fatalf("published = %v, want ≥ 1 (lifecycle events)", out["published"])
+	if out["eventbus.published"].(float64) < 1 {
+		t.Fatalf("eventbus.published = %v, want ≥ 1 (lifecycle events)", out["eventbus.published"])
 	}
-	if r := out["index_hit_ratio"].(float64); r < 0 || r > 1 {
-		t.Fatalf("index_hit_ratio = %v, want within [0,1]", r)
+	if r := out["eventbus.index_hit_ratio"].(float64); r < 0 || r > 1 {
+		t.Fatalf("eventbus.index_hit_ratio = %v, want within [0,1]", r)
 	}
 
 	// Unknown infrastructure ops must fail loudly, not fall through to

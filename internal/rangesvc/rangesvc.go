@@ -199,7 +199,7 @@ func NewHost(rng *server.Range, net transport.Network, clk clock.Clock) (*Host, 
 	h.ep = ep
 	// Surface the endpoint's wire-level state — which codec each live
 	// connection encodes and the bytes that crossed the wire — through
-	// the Range's stats surfaces (StatsMap / FillMetrics / dispatch.stats).
+	// Range.StatsMap and so through dispatch.stats.
 	if ws, ok := ep.(transport.WireStatser); ok {
 		rng.AddStatsSource(func() map[string]float64 {
 			st := ws.WireStats()

@@ -122,8 +122,8 @@ func TestChainOriginThrottlesOnRelayDownstream(t *testing.T) {
 		t.Fatal("origin never folded the relay-reported congestion into its own counter")
 	}
 	// Observable in the origin Range's gauges.
-	if got := fn.ranges[0].StatsMap()["remote_backpressure_throttled"]; got != 1 {
-		t.Fatalf("origin remote_backpressure_throttled = %v, want 1", got)
+	if got := fn.ranges[0].StatsMap()["remote.backpressure.throttled"]; got != 1 {
+		t.Fatalf("origin remote.backpressure.throttled = %v, want 1", got)
 	}
 }
 

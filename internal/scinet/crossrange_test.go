@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"maps"
+	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -371,7 +372,8 @@ func TestCrossRangeBatchBudget(t *testing.T) {
 
 // TestFleetDispatchStatsRollup: after a cross-range fan-out to two
 // subscriber Ranges, the fleet rollup covers all three Ranges, its totals
-// are the sums of the per-Range figures, and nothing was dropped.
+// are the sums of the per-Range figures, its index-hit ratio is the ratio
+// of those sums, and nothing was dropped.
 func TestFleetDispatchStatsRollup(t *testing.T) {
 	const n = 64
 	fn := newFanNet(t, 3, 8)
@@ -387,6 +389,12 @@ func TestFleetDispatchStatsRollup(t *testing.T) {
 			t.Fatal(err)
 		}
 		recv = append(recv, c)
+	}
+	// A local wildcard subscriber puts one Range's residual tier to work,
+	// so the fleet's index-hit ratio lies strictly between 0 and 1.
+	if _, err := fn.ranges[2].Mediator().Subscribe(guid.New(guid.KindApplication),
+		event.Filter{Type: ctxtype.Wildcard}, func(event.Event) {}, mediator.SubOptions{}); err != nil {
+		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
 		return fA.knowsInterest(fn.fabrics[1].NodeID()) && fA.knowsInterest(fn.fabrics[2].NodeID()) && fA.hasTap()
@@ -420,20 +428,31 @@ func TestFleetDispatchStatsRollup(t *testing.T) {
 	if fs.Ranges != 3 || len(fs.PerRange) != 3 {
 		t.Fatalf("rollup covers %d Ranges (%d entries), want 3", fs.Ranges, len(fs.PerRange))
 	}
-	var published float64
+	var published, hits, scanned float64
 	for _, pr := range fs.PerRange {
 		// The publisher published the burst; each subscriber Range
 		// re-published the copy it ingested.
-		if pr.Stats["published"] < n {
-			t.Errorf("%s published %v events, want at least %d", pr.Name, pr.Stats["published"], n)
+		if pr.Stats["eventbus.published"] < n {
+			t.Errorf("%s published %v events, want at least %d", pr.Name, pr.Stats["eventbus.published"], n)
 		}
-		published += pr.Stats["published"]
+		published += pr.Stats["eventbus.published"]
+		hits += pr.Stats["eventbus.index_hits"]
+		scanned += pr.Stats["eventbus.residual_scanned"]
 	}
-	if fs.Totals["published"] != published {
-		t.Fatalf("Totals[published] = %v, want the per-Range sum %v", fs.Totals["published"], published)
+	if fs.Totals["eventbus.published"] != published {
+		t.Fatalf("Totals[eventbus.published] = %v, want the per-Range sum %v", fs.Totals["eventbus.published"], published)
 	}
-	if fs.Totals["dropped"] != 0 {
-		t.Fatalf("fleet dropped %v events", fs.Totals["dropped"])
+	if fs.Totals["eventbus.dropped"] != 0 {
+		t.Fatalf("fleet dropped %v events", fs.Totals["eventbus.dropped"])
+	}
+	// The fleet hit ratio is a ratio of sums, not a sum of ratios.
+	if hits == 0 || scanned == 0 {
+		t.Fatalf("fleet reported %v index hits and %v residual scans, want both non-zero", hits, scanned)
+	}
+	ratio := fs.Totals["eventbus.index_hit_ratio"]
+	if want := hits / (hits + scanned); math.Abs(ratio-want) > 1e-12 || ratio < 0 || ratio > 1 {
+		t.Fatalf("Totals[eventbus.index_hit_ratio] = %v, want Σhits/(Σhits+Σscanned) = %v/(%v+%v) = %v in [0,1]",
+			ratio, hits, hits, scanned, want)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"sci/internal/ctxtype"
 	"sci/internal/event"
 	"sci/internal/guid"
-	"sci/internal/metrics"
 	"sci/internal/overlay"
 )
 
@@ -266,22 +265,14 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 
 	// Backpressure is observable: gauges and the dispatch.stats map.
 	stats := fn.ranges[0].StatsMap()
-	if stats["remote_backpressure_throttled"] != 1 {
-		t.Fatalf("remote_backpressure_throttled = %v, want 1", stats["remote_backpressure_throttled"])
+	if stats["remote.backpressure.throttled"] != 1 {
+		t.Fatalf("remote.backpressure.throttled = %v, want 1", stats["remote.backpressure.throttled"])
 	}
-	if stats["remote_backpressure_drops_reported"] != 120 {
-		t.Fatalf("remote_backpressure_drops_reported = %v, want 120", stats["remote_backpressure_drops_reported"])
+	if stats["remote.backpressure.drops_reported"] != 120 {
+		t.Fatalf("remote.backpressure.drops_reported = %v, want 120", stats["remote.backpressure.drops_reported"])
 	}
-	if stats["remote_backpressure_throttle_events"] < 2 {
-		t.Fatalf("remote_backpressure_throttle_events = %v, want ≥ 2", stats["remote_backpressure_throttle_events"])
-	}
-	reg := new(metrics.Registry)
-	fn.ranges[0].FillMetrics(reg)
-	if got := reg.Gauge("remote.backpressure.throttled").Value(); got != 1 {
-		t.Fatalf("remote.backpressure.throttled gauge = %d, want 1", got)
-	}
-	if got := reg.Gauge("remote.backpressure.drops_reported").Value(); got != 120 {
-		t.Fatalf("remote.backpressure.drops_reported gauge = %d, want 120", got)
+	if stats["remote.backpressure.throttle_events"] < 2 {
+		t.Fatalf("remote.backpressure.throttle_events = %v, want ≥ 2", stats["remote.backpressure.throttle_events"])
 	}
 
 	// Healthy credit recovers the flush rate (the penalty decays
@@ -292,7 +283,7 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 	if fA.fan.Throttled() {
 		t.Fatal("healthy acks did not recover the fan-out coalescer")
 	}
-	if got := fn.ranges[0].StatsMap()["remote_backpressure_throttled"]; got != 0 {
-		t.Fatalf("remote_backpressure_throttled = %v after recovery, want 0", got)
+	if got := fn.ranges[0].StatsMap()["remote.backpressure.throttled"]; got != 0 {
+		t.Fatalf("remote.backpressure.throttled = %v after recovery, want 0", got)
 	}
 }

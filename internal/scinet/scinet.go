@@ -2124,10 +2124,10 @@ func (f *Fabric) FleetDispatchStats(timeout time.Duration) (*FleetStats, error) 
 		f.mu.Unlock()
 	}
 	// A ratio of sums, not a sum of ratios.
-	if hits, scanned := fs.Totals["index_hits"], fs.Totals["residual_scanned"]; hits+scanned > 0 {
-		fs.Totals["index_hit_ratio"] = hits / (hits + scanned)
+	if hits, scanned := fs.Totals["eventbus.index_hits"], fs.Totals["eventbus.residual_scanned"]; hits+scanned > 0 {
+		fs.Totals["eventbus.index_hit_ratio"] = hits / (hits + scanned)
 	} else {
-		fs.Totals["index_hit_ratio"] = 1
+		fs.Totals["eventbus.index_hit_ratio"] = 1
 	}
 	sort.Slice(fs.PerRange, func(i, j int) bool { return fs.PerRange[i].Name < fs.PerRange[j].Name })
 	return fs, nil

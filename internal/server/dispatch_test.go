@@ -1,7 +1,7 @@
 package server
 
 // Tests for the Range's dispatch tuning and observability surface:
-// Config.EventShards threading and FillMetrics.
+// Config.EventShards threading and StatsMap.
 
 import (
 	"strings"
@@ -10,7 +10,6 @@ import (
 
 	"sci/internal/clock"
 	"sci/internal/entity"
-	"sci/internal/metrics"
 )
 
 func TestEventShardsThreading(t *testing.T) {
@@ -26,7 +25,7 @@ func TestEventShardsThreading(t *testing.T) {
 	}
 }
 
-func TestFillMetrics(t *testing.T) {
+func TestStatsMap(t *testing.T) {
 	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
 	rng := New(Config{Name: "observed", Clock: clk, EventShards: 2})
 	defer rng.Close()
@@ -35,9 +34,7 @@ func TestFillMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var m metrics.Registry
-	rng.FillMetrics(&m)
-	dump := m.Dump()
+	stats := rng.StatsMap()
 	for _, want := range []string{
 		"eventbus.published",
 		"eventbus.subs",
@@ -45,16 +42,39 @@ func TestFillMetrics(t *testing.T) {
 		"eventbus.shard00.published",
 		"eventbus.shard01.delivered",
 		"queries.submitted",
+		// The rest of the dispatch and remote figures dispatch.stats
+		// answers with.
+		"eventbus.delivered",
+		"eventbus.dropped",
+		"eventbus.index_hits",
+		"eventbus.residual_scanned",
+		"eventbus.shards",
+		"eventbus.quota.rejected",
+		"remote.batches_sent",
+		"remote.events_sent",
+		"remote.send_failures",
+		"remote.flushes",
+		"remote.backpressure.throttled",
+		"remote.backpressure.drops_reported",
+		"remote.backpressure.throttle_events",
+		"remote.backpressure.shed",
 	} {
-		if !strings.Contains(dump, want) {
-			t.Fatalf("FillMetrics dump missing %q:\n%s", want, dump)
+		if _, ok := stats[want]; !ok {
+			t.Fatalf("StatsMap missing %q: %v", want, stats)
 		}
 	}
-	if m.Gauge("eventbus.subs").Value() < 1 {
-		t.Fatal("eventbus.subs gauge not populated")
+	for k := range stats {
+		if !strings.Contains(k, ".") {
+			t.Errorf("StatsMap key %q is not a dotted layer.metric name", k)
+		}
 	}
-	ratio := m.FloatGauge("eventbus.index_hit_ratio").Value()
-	if ratio < 0 || ratio > 1 {
+	if stats["eventbus.subs"] < 1 {
+		t.Fatal("eventbus.subs not populated")
+	}
+	if stats["eventbus.shards"] != 2 {
+		t.Fatalf("eventbus.shards = %v, want 2", stats["eventbus.shards"])
+	}
+	if ratio := stats["eventbus.index_hit_ratio"]; ratio < 0 || ratio > 1 {
 		t.Fatalf("index_hit_ratio = %v, want within [0,1]", ratio)
 	}
 }

@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -144,9 +143,10 @@ type Range struct {
 	batchMaxDelay  time.Duration
 	adaptive       flow.Adaptive
 	quota          PublisherQuota
-	// statsSources are external contributors to StatsMap/FillMetrics —
-	// layers owning state the Range can't see (the Range Service's wire
-	// codec and byte gauges). Each returns dotted metric names.
+	// statsSources are external contributors to StatsMap — layers owning
+	// state the Range can't see (the Range Service's wire codec and byte
+	// gauges, the fabric's hierarchy state). Each returns dotted metric
+	// names.
 	statsSources []func() map[string]float64
 	// flowStats is the shared backpressure/flush sink every outbound
 	// coalescer shipping on this Range's behalf reports into (Range
@@ -700,75 +700,82 @@ func (r *Range) DispatchDropsBySource() map[guid.GUID]uint64 {
 	return r.med.DropsBySource()
 }
 
-// StatsMap renders the Range's dispatch health as the flat float64 map the
-// "dispatch.stats" infrastructure call answers with — shared between the
-// Range Service (per-Range over the wire) and the SCINET fabric (fleet-wide
-// rollup over the overlay). Values are float64 so they survive the JSON
-// wire round trip unchanged.
+// StatsMap renders the Range's health — the Range's only metric rendering —
+// as the flat float64 map the "dispatch.stats" infrastructure call answers
+// with, shared between the Range Service (per-Range over the wire) and the
+// SCINET fabric (fleet-wide rollup over the overlay). Keys are dotted
+// layer.metric names: the Event Mediator's dispatch counters, per-shard
+// counts and per-publisher attribution (eventbus.*), the query counters
+// (queries.*), outbound delivery and flow control (remote.*), and whatever
+// the AddStatsSource contributors add. Values are float64 so they survive
+// the JSON wire round trip unchanged.
 func (r *Range) StatsMap() map[string]float64 {
 	st := r.med.Stats()
 	out := map[string]float64{
-		"published":            float64(st.Published),
-		"delivered":            float64(st.Delivered),
-		"dropped":              float64(st.Dropped),
-		"subs":                 float64(st.Subs),
-		"index_hits":           float64(st.IndexHits),
-		"residual_scanned":     float64(st.ResidualScanned),
-		"index_hit_ratio":      r.med.IndexHitRatio(),
-		"shards":               float64(len(r.med.ShardStats())),
-		"remote_batches_sent":  float64(r.RemoteBatchesSent.Value()),
-		"remote_events_sent":   float64(r.RemoteEventsSent.Value()),
-		"remote_send_failures": float64(r.RemoteSendFailures.Value()),
+		"eventbus.published":        float64(st.Published),
+		"eventbus.delivered":        float64(st.Delivered),
+		"eventbus.dropped":          float64(st.Dropped),
+		"eventbus.subs":             float64(st.Subs),
+		"eventbus.index_hits":       float64(st.IndexHits),
+		"eventbus.residual_scanned": float64(st.ResidualScanned),
+		"eventbus.index_hit_ratio":  r.med.IndexHitRatio(),
+		"eventbus.shards":           float64(len(r.med.ShardStats())),
+		"eventbus.quota.rejected":   float64(st.QuotaRejected),
 
-		"remote_flushes":                      float64(r.flowStats.Flushes.Value()),
-		"remote_backpressure_throttled":       float64(r.flowStats.Throttled.Value()),
-		"remote_backpressure_drops_reported":  float64(r.flowStats.DropsReported.Value()),
-		"remote_backpressure_throttle_events": float64(r.flowStats.ThrottleEvents.Value()),
-		"remote_backpressure_shed":            float64(r.flowStats.EventsShed.Value()),
+		"queries.submitted": float64(r.QueriesSubmitted.Value()),
+		"queries.deferred":  float64(r.QueriesDeferred.Value()),
+		"queries.executed":  float64(r.QueriesExecuted.Value()),
+
+		"remote.batches_sent":                 float64(r.RemoteBatchesSent.Value()),
+		"remote.events_sent":                  float64(r.RemoteEventsSent.Value()),
+		"remote.send_failures":                float64(r.RemoteSendFailures.Value()),
+		"remote.flushes":                      float64(r.flowStats.Flushes.Value()),
+		"remote.backpressure.throttled":       float64(r.flowStats.Throttled.Value()),
+		"remote.backpressure.drops_reported":  float64(r.flowStats.DropsReported.Value()),
+		"remote.backpressure.throttle_events": float64(r.flowStats.ThrottleEvents.Value()),
+		"remote.backpressure.shed":            float64(r.flowStats.EventsShed.Value()),
 	}
-	out["quota_rejected"] = float64(st.QuotaRejected)
+	for i, ss := range r.med.ShardStats() {
+		shard := fmt.Sprintf("eventbus.shard%02d.", i)
+		out[shard+"published"] = float64(ss.Published)
+		out[shard+"delivered"] = float64(ss.Delivered)
+		out[shard+"dropped"] = float64(ss.Dropped)
+	}
 	// Per-publisher attribution: one gauge per top publisher, keyed by its
-	// short GUID form, with the long tail folded into the _other key — the
+	// short GUID form, with the long tail folded into the .other key — the
 	// full maps stay queryable via DispatchDropsBySource and friends, but a
 	// stats round trip must not ship a key per device a high-churn Range
 	// has ever dropped for. The keys sum cleanly in fleet rollups (a
 	// publisher's figures across Ranges add up).
-	for _, e := range r.topDropSources() {
-		key := "dropped_from_other"
-		if !e.src.IsNil() {
-			key = "dropped_from_" + e.src.Short()
+	for _, fam := range []struct {
+		prefix string
+		all    map[guid.GUID]uint64
+	}{
+		{"eventbus.dropped.from.", r.med.DropsBySource()},
+		{"eventbus.quota.rejected.from.", r.med.QuotaRejectedBySource()},
+		{"remote.backpressure.throttled.by_source.", r.flowStats.ShedBySource()},
+	} {
+		for _, e := range topSources(fam.all) {
+			key := fam.prefix + "other"
+			if !e.src.IsNil() {
+				key = fam.prefix + e.src.Short()
+			}
+			out[key] += float64(e.n)
 		}
-		out[key] += float64(e.n)
-	}
-	for _, e := range topSources(r.med.QuotaRejectedBySource()) {
-		key := "quota_rejected_from_other"
-		if !e.src.IsNil() {
-			key = "quota_rejected_from_" + e.src.Short()
-		}
-		out[key] += float64(e.n)
-	}
-	for _, e := range topSources(r.flowStats.ShedBySource()) {
-		key := "throttled_by_source_other"
-		if !e.src.IsNil() {
-			key = "throttled_by_source_" + e.src.Short()
-		}
-		out[key] += float64(e.n)
 	}
 	for _, src := range r.snapshotStatsSources() {
 		for name, v := range src() {
-			// AddStatsSource contributors are contractually bounded (wire
-			// codec/byte gauges, a handful of names per endpoint).
-			out[strings.ReplaceAll(name, ".", "_")] = v //lint:allow gaugekey stats-source contributors are contractually bounded per AddStatsSource
+			out[name] = v //lint:allow gaugekey stats-source contributors are contractually bounded per AddStatsSource
 		}
 	}
 	return out
 }
 
 // AddStatsSource registers an external gauge contributor: f is called on
-// every StatsMap/FillMetrics render and returns dotted metric names
-// (StatsMap flattens the dots to underscores to match its key style). Used
-// by the Range Service to surface wire-level state — connection codecs,
-// bytes on the wire — the Range itself never sees.
+// every StatsMap render and returns dotted metric names, which StatsMap
+// passes through unchanged. Used by the Range Service to surface wire-level
+// state — connection codecs, bytes on the wire — the Range itself never
+// sees, and by the SCINET fabric for its hierarchy state.
 func (r *Range) AddStatsSource(f func() map[string]float64) {
 	if f == nil {
 		return
@@ -784,25 +791,16 @@ func (r *Range) snapshotStatsSources() []func() map[string]float64 {
 	return append([]func() map[string]float64(nil), r.statsSources...)
 }
 
-// maxDropSourceGauges bounds how many per-publisher drop gauges StatsMap
-// and FillMetrics export by name; everything beyond the top offenders is
+// maxDropSourceGauges bounds how many publishers each per-publisher family
+// of StatsMap exports by name; everything beyond the top offenders is
 // aggregated under "other".
 const maxDropSourceGauges = 8
 
-// dropSourceEntry is one exported per-publisher drop figure; a nil source
-// is the aggregated remainder.
+// dropSourceEntry is one exported per-publisher figure; a nil source is
+// the aggregated remainder.
 type dropSourceEntry struct {
 	src guid.GUID
 	n   uint64
-}
-
-// topDropSources returns up to maxDropSourceGauges named publishers by
-// descending drop count, plus (last, nil-keyed) the aggregated remainder
-// when one exists.
-//
-//lint:bounded
-func (r *Range) topDropSources() []dropSourceEntry {
-	return topSources(r.med.DropsBySource())
 }
 
 // topSources reduces a per-publisher attribution map to its top
@@ -840,63 +838,6 @@ func topSources(all map[guid.GUID]uint64) []dropSourceEntry {
 		entries = append(entries, dropSourceEntry{n: other})
 	}
 	return entries
-}
-
-// FillMetrics publishes the Range's dispatch health into m: query counters,
-// per-shard publish/deliver/drop counts of the Event Mediator's subscription
-// index, the index-hit/residual-scan ratio gauge, and the Range Service's
-// remote delivery counters (batches/events shipped, send failures).
-func (r *Range) FillMetrics(m *metrics.Registry) {
-	st := r.med.Stats()
-	m.Gauge("eventbus.published").Set(int64(st.Published))
-	m.Gauge("eventbus.delivered").Set(int64(st.Delivered))
-	m.Gauge("eventbus.dropped").Set(int64(st.Dropped))
-	m.Gauge("eventbus.subs").Set(int64(st.Subs))
-	m.FloatGauge("eventbus.index_hit_ratio").Set(r.med.IndexHitRatio())
-	for i, ss := range r.med.ShardStats() {
-		m.Gauge(fmt.Sprintf("eventbus.shard%02d.published", i)).Set(int64(ss.Published))
-		m.Gauge(fmt.Sprintf("eventbus.shard%02d.delivered", i)).Set(int64(ss.Delivered))
-		m.Gauge(fmt.Sprintf("eventbus.shard%02d.dropped", i)).Set(int64(ss.Dropped))
-	}
-	for _, e := range r.topDropSources() {
-		name := "eventbus.dropped.from.other"
-		if !e.src.IsNil() {
-			name = "eventbus.dropped.from." + e.src.Short()
-		}
-		m.Gauge(name).Set(int64(e.n))
-	}
-	m.Gauge("eventbus.quota.rejected").Set(int64(st.QuotaRejected))
-	for _, e := range topSources(r.med.QuotaRejectedBySource()) {
-		name := "eventbus.quota.rejected.from.other"
-		if !e.src.IsNil() {
-			name = "eventbus.quota.rejected.from." + e.src.Short()
-		}
-		m.Gauge(name).Set(int64(e.n))
-	}
-	for _, e := range topSources(r.flowStats.ShedBySource()) {
-		name := "remote.backpressure.throttled.by_source.other"
-		if !e.src.IsNil() {
-			name = "remote.backpressure.throttled.by_source." + e.src.Short()
-		}
-		m.Gauge(name).Set(int64(e.n))
-	}
-	m.Gauge("queries.submitted").Set(int64(r.QueriesSubmitted.Value()))
-	m.Gauge("queries.deferred").Set(int64(r.QueriesDeferred.Value()))
-	m.Gauge("queries.executed").Set(int64(r.QueriesExecuted.Value()))
-	m.Gauge("remote.batches_sent").Set(int64(r.RemoteBatchesSent.Value()))
-	m.Gauge("remote.events_sent").Set(int64(r.RemoteEventsSent.Value()))
-	m.Gauge("remote.send_failures").Set(int64(r.RemoteSendFailures.Value()))
-	m.Gauge("remote.flushes").Set(int64(r.flowStats.Flushes.Value()))
-	m.Gauge("remote.backpressure.throttled").Set(r.flowStats.Throttled.Value())
-	m.Gauge("remote.backpressure.drops_reported").Set(int64(r.flowStats.DropsReported.Value()))
-	m.Gauge("remote.backpressure.throttle_events").Set(int64(r.flowStats.ThrottleEvents.Value()))
-	m.Gauge("remote.backpressure.shed").Set(int64(r.flowStats.EventsShed.Value()))
-	for _, src := range r.snapshotStatsSources() {
-		for name, v := range src() {
-			//lint:allow gaugekey stats-source contributors are contractually bounded per AddStatsSource
-			m.FloatGauge(name).Set(v)
-		}
-	}
 }
 
 // resolveContext builds the resolver context for a query: owner location

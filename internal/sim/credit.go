@@ -260,7 +260,7 @@ func e13Run(batch int, maxDelay time.Duration) (*e13Result, error) {
 	// Per-publisher drop gauges in the fleet rollup.
 	if fleet, err := fA.FleetDispatchStats(2 * time.Second); err == nil {
 		for k, v := range fleet.Totals {
-			if strings.HasPrefix(k, "dropped_from_") {
+			if strings.HasPrefix(k, "eventbus.dropped.from.") {
 				res.fleetDropGauges++
 				res.fleetDropTotal += v
 			}

@@ -52,7 +52,7 @@ type e14Result struct {
 	floodExpected float64
 	floodClipErr  float64
 	// quotaGauge reports whether the hostile source surfaced in the
-	// Range's quota_rejected_from_* stats gauges.
+	// Range's eventbus.quota.rejected.from.* stats gauges.
 	quotaGauge bool
 
 	// Phase B: shared fabric, remote consumer is the bottleneck.
@@ -233,7 +233,7 @@ func e14Local(rate float64, burst, batch int, maxDelay time.Duration, contended 
 			acct.floodClipErr = math.Abs(float64(acct.floodAdmitted)-acct.floodExpected) / acct.floodExpected
 		}
 		for k, v := range rng.StatsMap() {
-			if strings.HasPrefix(k, "quota_rejected_from_") && v > 0 {
+			if strings.HasPrefix(k, "eventbus.quota.rejected.from.") && v > 0 {
 				acct.quotaGauge = true
 			}
 		}
@@ -403,7 +403,7 @@ func runE14(Scale, int64) ([]Table, error) {
 	errs := []error{
 		bar(r.localSoloP99 > 0 && r.remoteSoloP99 > 0, "e14: solo baselines unmeasured"),
 		bar(r.floodOffered > 0 && r.floodAdmitted > 0, "e14: hostile flood unmeasured"),
-		bar(r.quotaGauge, "e14: hostile source never surfaced in quota_rejected_from_* gauges"),
+		bar(r.quotaGauge, "e14: hostile source never surfaced in eventbus.quota.rejected.from.* gauges"),
 		bar(r.shedWell == 0, "e14: fair shed charged %d events to the well-behaved source", r.shedWell),
 	}
 	// The timing bars hold on real builds only: under -race every handler

@@ -275,7 +275,7 @@ type (
 	// FlowControlStats is the per-Range sink of outbound flow-control
 	// accounting — flushes, receiver-reported drops, throttle state —
 	// reached via Range.FlowStats and surfaced as the
-	// remote.backpressure.* gauges through Range.FillMetrics and the
+	// remote.backpressure.* gauges through Range.StatsMap and the
 	// dispatch.stats infrastructure call (and, fleet-wide, through
 	// Fabric.FleetDispatchStats).
 	FlowControlStats = flow.SharedStats
@@ -289,8 +289,9 @@ type (
 	// inside the outbound coalescers, so one flooding tenant saturates
 	// its own share of a Range and its links rather than its neighbours'.
 	// Rejections and targeted sheds are attributed per source and
-	// surfaced as the quota_rejected_from_* / throttled_by_source_*
-	// gauges through Range.FillMetrics.
+	// surfaced as the eventbus.quota.rejected.from.* /
+	// remote.backpressure.throttled.by_source.* gauges through
+	// Range.StatsMap.
 	PublisherQuota = server.PublisherQuota
 	// OverQuotaError carries the offending publisher and rejected count
 	// when PublisherQuota.Reject refuses a publish; it unwraps to
