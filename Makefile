@@ -54,6 +54,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzDecoderRobustness -fuzztime 10s ./internal/wire/
 	$(GO) test -run xxx -fuzz FuzzRingModel -fuzztime 10s ./internal/eventbus/
 	$(GO) test -run xxx -fuzz FuzzProfileIndex -fuzztime 10s ./internal/profile/
+	$(GO) test -run xxx -fuzz FuzzFabricDeliver -fuzztime 10s ./internal/scinet/
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload at full length, end-to-end and per-layer metrics.

@@ -85,6 +85,11 @@
 //	    Coalescer send callbacks run under the flush lock and take f.mu to
 //	    route; calling Flush/Touch/Stop/Discard while holding f.mu would
 //	    invert it. scinet releases f.mu before every flow entry point.
+//	scinet.Fabric.mu < scinet.link.mu
+//	    a Fabric's aggregate reads over its per-peer links (interest
+//	    snapshot, tap demand, digest merges) take one link's lock at a time
+//	    under f.mu; link.mu is a leaf that sends nothing, calls no flow
+//	    entry point and never takes f.mu, and no code holds two at once.
 //	eventbus.Subscription.mu < eventbus.shard.dropMu
 //	    drop attribution runs under a subscription's lock; dropMu is a
 //	    leaf that takes nothing.

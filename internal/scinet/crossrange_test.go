@@ -132,16 +132,21 @@ func waitCoverage(t *testing.T, fn *fanNet) {
 	})
 }
 
-func (f *Fabric) hasTap() bool {
+// tapTypes snapshots the fabric's live tap set.
+func (f *Fabric) tapTypes() map[ctxtype.Type]bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.taps) > 0
+	out := make(map[ctxtype.Type]bool, len(f.taps))
+	for t := range f.taps {
+		out[t] = true
+	}
+	return out
 }
 
+func (f *Fabric) hasTap() bool { return len(f.tapTypes()) > 0 }
+
 func (f *Fabric) knowsInterest(owner guid.GUID) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	_, ok := f.interests[owner]
+	_, ok := f.Interests()[owner]
 	return ok
 }
 
@@ -149,25 +154,31 @@ func (f *Fabric) knowsInterest(owner guid.GUID) bool {
 // entries, re-asserting until no in-flight gossip disturbs it for 25ms.
 func (f *Fabric) setInterests(table map[guid.GUID][]event.Filter) {
 	for settled := 0; settled < 25; {
-		f.mu.Lock()
-		same := len(f.interests) == len(table)
-		if same {
-			for owner := range table {
-				if _, ok := f.interests[owner]; !ok {
-					same = false
-					break
-				}
+		held := f.Interests()
+		same := len(held) == len(table)
+		for owner := range table {
+			if _, ok := held[owner]; !ok {
+				same = false
 			}
 		}
 		if !same {
-			fresh := make(map[guid.GUID][]event.Filter, len(table))
-			for owner, flts := range table {
-				fresh[owner] = flts
+			f.mu.Lock()
+			for id, l := range f.links {
+				if _, ok := table[id]; !ok {
+					l.mu.Lock()
+					l.row.interests = nil
+					l.mu.Unlock()
+				}
 			}
-			f.interests = fresh
+			for id, flts := range table {
+				l := f.linkLocked(id)
+				l.mu.Lock()
+				l.row.interests = flts
+				l.mu.Unlock()
+			}
 			f.refreshInterestSnapLocked()
+			f.mu.Unlock()
 		}
-		f.mu.Unlock()
 		if same {
 			settled++
 		} else {
@@ -239,14 +250,7 @@ func TestCrossRangeRelayViaMiddle(t *testing.T) {
 	// interest records may still be in flight, so delete until the entry
 	// stays gone.
 	for settled := 0; settled < 25; {
-		fA.mu.Lock()
-		_, present := fA.interests[fC.NodeID()]
-		if present {
-			delete(fA.interests, fC.NodeID())
-			fA.refreshInterestSnapLocked()
-		}
-		fA.mu.Unlock()
-		if present {
+		if fA.ForgetInterest(fC.NodeID()) {
 			settled = 0
 		} else {
 			settled++
@@ -687,9 +691,10 @@ func TestNativeBatchIngestPerEventRules(t *testing.T) {
 		consumed = append(consumed, e.Seq)
 		mu.Unlock()
 	}, fn.clk)
-	fB.mu.Lock()
-	fB.consumers[qid] = &outQuery{caa: sink, target: fA.NodeID()}
-	fB.mu.Unlock()
+	lA := fB.lookupLink(fA.NodeID())
+	lA.mu.Lock()
+	lA.out[qid] = &outQuery{caa: sink}
+	lA.mu.Unlock()
 	routed := &wire.NativeBatch{Events: events, Origin: fA.NodeID(), Query: qid}
 	fB.handleEventBatch(overlay.Delivery{Origin: fA.NodeID(), AppKind: appEventBatch, Batch: routed})
 	mu.Lock()

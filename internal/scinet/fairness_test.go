@@ -99,9 +99,10 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 	// B holds a waiting consumer for a routed query it submitted to A.
 	qid := guid.New(guid.KindQuery)
 	sink := entity.NewCAA("sink", func(event.Event) {}, fn.clk)
-	fB.mu.Lock()
-	fB.consumers[qid] = &outQuery{caa: sink, target: fA.NodeID()}
-	fB.mu.Unlock()
+	lA := fB.lookupLink(fA.NodeID())
+	lA.mu.Lock()
+	lA.out[qid] = &outQuery{caa: sink}
+	lA.mu.Unlock()
 
 	base := fB.AcksSent.Value()
 	const storm = 100
@@ -121,8 +122,14 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 
 	// Receiver side: one cumulative QueryAck frame from B throttles every
 	// per-(B, query) coalescer at A.
-	q1 := fA.queueFor(fB.NodeID(), guid.New(guid.KindQuery))
-	q2 := fA.queueFor(fB.NodeID(), guid.New(guid.KindQuery))
+	qid1, qid2 := guid.New(guid.KindQuery), guid.New(guid.KindQuery)
+	lB := fA.lookupLink(fB.NodeID())
+	lB.mu.Lock()
+	lB.served[qid1] = &servedQuery{}
+	lB.served[qid2] = &servedQuery{}
+	lB.mu.Unlock()
+	q1 := fA.queueFor(fB.NodeID(), qid1)
+	q2 := fA.queueFor(fB.NodeID(), qid2)
 	for _, dropped := range []uint64{0, 50} { // baseline, then 50 fresh drops
 		payload, err := json.Marshal(eventBatchAckMsg{
 			Origin: fB.NodeID(), QueryAck: true, Dropped: dropped, QueueFree: -1,

@@ -61,17 +61,6 @@ func TestInterestRefcountSurvivesFirstWithdrawal(t *testing.T) {
 	waitFor(t, func() bool { return !fA.knowsInterest(fB.NodeID()) && !fA.hasTap() })
 }
 
-// tapTypes snapshots the fabric's live tap set.
-func (f *Fabric) tapTypes() map[ctxtype.Type]bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make(map[ctxtype.Type]bool, len(f.taps))
-	for t := range f.taps {
-		out[t] = true
-	}
-	return out
-}
-
 // TestTypedTapsRideExactIndex: a peer's typed interest produces a typed
 // mediator tap that the dispatch index resolves without residual scanning,
 // so cross-range forwarding stops dragging the publisher's index-hit
@@ -175,10 +164,13 @@ func TestDesiredTapTypesDedup(t *testing.T) {
 }
 
 func (f *Fabric) peerDropBaseline(peer guid.GUID) (uint64, bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	v, ok := f.peerDrops[peer]
-	return v, ok
+	l := f.lookupLink(peer)
+	if l == nil {
+		return 0, false
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.dropBase, l.dropKnown
 }
 
 // TestFanOutAcksFlowBack: a receiving fabric acknowledges fan-out batches

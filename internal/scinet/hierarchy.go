@@ -21,8 +21,8 @@ package scinet
 //     (false-positive tolerant: a digest may over-claim, never under-claim;
 //     leaves count non-matching arrivals as spillover), with the existing
 //     Via hop set and batch-id window providing exactly-once delivery, and
-//     each hop reusing the per-link coalescer, relay backlog and credit
-//     acks unchanged — PR 5/6 flow semantics hold per link;
+//     each hop reusing its link's relay backlog and credit acks (link.go)
+//     unchanged — the flat flow semantics hold per link;
 //   - digest updates are whole-state summaries, rate-limited per link by a
 //     flow.UpdateCoalescer (leading edge immediate, churn coalesced per
 //     window) and suppressed entirely when the summary is unchanged, with
@@ -33,6 +33,7 @@ package scinet
 
 import (
 	"encoding/json"
+	"slices"
 	"sort"
 	"time"
 
@@ -172,15 +173,9 @@ func (f *Fabric) maybeActivateHierarchy() {
 	f.reconcileTaps()
 }
 
-// hierSnapshot returns the current hierarchy routing view (nil while never
-// configured — the flat fast path).
-func (f *Fabric) hierSnapshot() *hierView {
-	return f.hierSnap.Load()
-}
-
 // hierarchyActive reports whether hierarchical routing is latched on.
 func (f *Fabric) hierarchyActive() bool {
-	h := f.hierSnapshot()
+	h := f.hierSnap.Load()
 	return h != nil && h.active
 }
 
@@ -197,37 +192,45 @@ func (f *Fabric) refreshHierSnapLocked() {
 		parent: f.hier.Parent,
 		up:     f.upDigest,
 	}
-	v.children = make([]hierLink, 0, len(f.childDigests))
-	for id, d := range f.childDigests {
-		v.children = append(v.children, hierLink{id: id, digest: d})
+	for id, l := range f.links {
+		if d := l.routing().child; d != nil {
+			v.children = append(v.children, hierLink{id: id, digest: d})
+		}
 	}
 	sort.Slice(v.children, func(i, j int) bool { return guid.Less(v.children[i].id, v.children[j].id) })
 	v.peers = make([]hierLink, 0, len(f.hier.Peers))
 	for _, id := range f.hier.Peers {
-		v.peers = append(v.peers, hierLink{id: id, digest: f.peerDigests[id]})
+		v.peers = append(v.peers, hierLink{id: id, digest: f.rowLocked(id).peer})
 	}
 	f.hierSnap.Store(v)
 }
 
+// rowLocked copies out the routing row of the link to id (zero when this
+// fabric holds none). Callers hold f.mu.
+func (f *Fabric) rowLocked(id guid.GUID) routeRow {
+	if l := f.links[id]; l != nil {
+		return l.routing()
+	}
+	return routeRow{}
+}
+
 // ----- digest computation -----
 
-// localDigestInto folds this fabric's own interest filters into d. Callers
-// hold f.mu. A filter with no concrete type widens to a wildcard.
-func (f *Fabric) localDigestIntoLocked(d *wire.Digest) {
+// subtreeDigestLocked summarizes everything below and including this
+// fabric, leaving out one child's subtree (none with a nil except): its own
+// interests — a filter with no concrete type widens to a wildcard — merged
+// with every child's subtree digest. With a nil except it is the summary
+// announced up to the parent and level-wise to peer super-peers. Callers
+// hold f.mu.
+func (f *Fabric) subtreeDigestLocked(except guid.GUID) *wire.Digest {
+	d := wire.NewDigest(0)
 	for i := range f.local {
 		d.AddType(string(f.local[i].flt.Type))
 	}
-}
-
-// subtreeDigestLocked summarizes everything below and including this
-// fabric: its own interests merged with every child's subtree digest — the
-// summary announced up to the parent and level-wise to peer super-peers.
-// Callers hold f.mu.
-func (f *Fabric) subtreeDigestLocked() *wire.Digest {
-	d := wire.NewDigest(0)
-	f.localDigestIntoLocked(d)
-	for _, cd := range f.childDigests {
-		d.MergeFrom(cd)
+	for id, l := range f.links {
+		if cd := l.routing().child; cd != nil && id != except {
+			d.MergeFrom(cd)
+		}
 	}
 	return d
 }
@@ -239,13 +242,7 @@ func (f *Fabric) subtreeDigestLocked() *wire.Digest {
 // the child must keep forwarding up rather than silently dropping.
 // Callers hold f.mu.
 func (f *Fabric) downDigestLocked(child guid.GUID) *wire.Digest {
-	d := wire.NewDigest(0)
-	f.localDigestIntoLocked(d)
-	for id, cd := range f.childDigests {
-		if id != child {
-			d.MergeFrom(cd)
-		}
-	}
+	d := f.subtreeDigestLocked(child)
 	if !f.hier.Parent.IsNil() {
 		if f.upDigest == nil {
 			d.SetWildcard()
@@ -254,7 +251,7 @@ func (f *Fabric) downDigestLocked(child guid.GUID) *wire.Digest {
 		}
 	}
 	for _, id := range f.hier.Peers {
-		if pd := f.peerDigests[id]; pd == nil {
+		if pd := f.rowLocked(id).peer; pd == nil {
 			d.SetWildcard()
 		} else {
 			d.MergeFrom(pd)
@@ -269,30 +266,33 @@ func (f *Fabric) downDigestLocked(child guid.GUID) *wire.Digest {
 // owed to: the parent, the configured peer super-peers, and every known
 // child. Callers hold f.mu.
 func (f *Fabric) hierLinkIDsLocked() []guid.GUID {
-	out := make([]guid.GUID, 0, 1+len(f.hier.Peers)+len(f.childDigests))
+	out := make([]guid.GUID, 0, 1+len(f.hier.Peers))
 	if !f.hier.Parent.IsNil() {
 		out = append(out, f.hier.Parent)
 	}
 	out = append(out, f.hier.Peers...)
-	for id := range f.childDigests {
-		out = append(out, id)
+	for id, l := range f.links {
+		if l.routing().child != nil {
+			out = append(out, id)
+		}
 	}
 	return out
 }
 
-// digestCoalLocked returns the per-link digest update coalescer, creating
-// it on first use. Callers hold f.mu.
+// digestCoalLocked returns the link's digest update coalescer, creating it
+// on first use. Callers hold f.mu.
 func (f *Fabric) digestCoalLocked(to guid.GUID) *flow.UpdateCoalescer {
-	c := f.digestCoal[to]
-	if c == nil {
-		c = flow.NewUpdateCoalescer(flow.UpdateConfig{
+	l := f.linkLocked(to)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.digestCoal == nil {
+		l.digestCoal = flow.NewUpdateCoalescer(flow.UpdateConfig{
 			Clock:  f.clk,
 			Window: f.hier.DigestWindow,
 			Send:   func() bool { return f.sendDigestTo(to) },
 		})
-		f.digestCoal[to] = c
 	}
-	return c
+	return l.digestCoal
 }
 
 // touchDigestAnnouncements wakes the update coalescer of every hierarchy
@@ -315,17 +315,6 @@ func (f *Fabric) touchDigestAnnouncements() {
 	}
 }
 
-// isHierPeerLocked reports whether id is a configured peer super-peer.
-// Callers hold f.mu.
-func (f *Fabric) isHierPeerLocked(id guid.GUID) bool {
-	for _, p := range f.hier.Peers {
-		if p == id {
-			return true
-		}
-	}
-	return false
-}
-
 // sendDigestTo builds and sends the digest owed to one hierarchy link,
 // stamped with the next generation. An unchanged summary is suppressed
 // (the delta behavior: churn that cancels out never reaches the wire).
@@ -337,40 +326,56 @@ func (f *Fabric) sendDigestTo(to guid.GUID) bool {
 		f.mu.Unlock()
 		return true
 	}
-	msg := digestMsg{Owner: f.node.ID()}
-	var d *wire.Digest
-	switch {
-	case to == f.hier.Parent:
-		msg.Child = true
-		d = f.subtreeDigestLocked()
-	case f.isHierPeerLocked(to):
-		msg.Peer = true
-		d = f.subtreeDigestLocked()
-	case f.childDigests[to] != nil:
-		msg.Down = true
-		d = f.downDigestLocked(to)
-	default:
+	msg, ok := f.digestMsgLocked(to)
+	if !ok {
 		f.mu.Unlock()
 		return true // link disappeared between touch and send
 	}
-	if prev := f.digestSent[to]; prev != nil && prev.Equal(d) {
-		f.mu.Unlock()
+	var d *wire.Digest
+	if msg.Down {
+		d = f.downDigestLocked(to)
+	} else {
+		d = f.subtreeDigestLocked(guid.Nil)
+	}
+	l := f.linkLocked(to)
+	l.mu.Lock()
+	unchanged := l.digestSent != nil && l.digestSent.Equal(d)
+	if !unchanged {
+		f.hierGen++
+		d.Gen = f.hierGen
+		l.digestSent = d
+	}
+	l.mu.Unlock()
+	f.mu.Unlock()
+	if unchanged {
 		return true
 	}
-	f.hierGen++
-	d.Gen = f.hierGen
-	f.digestSent[to] = d
-	f.mu.Unlock()
 	msg.Digest = wire.EncodeDigest(d)
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return true // unencodable: dropping the update is all we can do
-	}
-	if f.node.Send(to, appDigest, payload, nil) != nil {
+	if f.sendMsg(to, appDigest, msg) != nil {
 		return false
 	}
 	f.DigestUpdatesSent.Inc()
 	return true
+}
+
+// digestMsgLocked starts the digest announcement owed to one hierarchy
+// link, stamped with the link's relation to this fabric: the parent gets
+// our subtree as its child's, a peer super-peer as its peer's, and a child
+// the rest of the fleet as its parent's. It reports false when to is no
+// hierarchy link. Callers hold f.mu.
+func (f *Fabric) digestMsgLocked(to guid.GUID) (digestMsg, bool) {
+	msg := digestMsg{Owner: f.node.ID()}
+	switch {
+	case to == f.hier.Parent:
+		msg.Child = true
+	case slices.Contains(f.hier.Peers, to):
+		msg.Peer = true
+	case f.rowLocked(to).child != nil:
+		msg.Down = true
+	default:
+		return msg, false
+	}
+	return msg, true
 }
 
 // handleDigest ingests one hierarchy digest announcement: it is filed by
@@ -395,55 +400,29 @@ func (f *Fabric) handleDigest(d overlay.Delivery) {
 		f.mu.Unlock()
 		return
 	}
+	l := f.linkLocked(msg.Owner)
+	l.mu.Lock()
 	if dig != nil {
-		if last := f.digestGens[msg.Owner]; dig.Gen <= last {
+		if dig.Gen <= l.digestGen {
+			l.mu.Unlock()
 			f.mu.Unlock()
 			return // reordered update older than what we hold
 		}
-		f.digestGens[msg.Owner] = dig.Gen
+		l.digestGen = dig.Gen
 	}
 	changed := false
 	switch {
 	case msg.Child && f.hier.SuperPeer:
-		if msg.Remove {
-			if _, ok := f.childDigests[msg.Owner]; ok {
-				delete(f.childDigests, msg.Owner)
-				changed = true
-			}
-		} else if !dig.Equal(f.childDigests[msg.Owner]) {
-			f.childDigests[msg.Owner] = dig
-			changed = true
-		} else {
-			f.childDigests[msg.Owner] = dig
-		}
-	case msg.Peer && f.isHierPeerLocked(msg.Owner):
-		if msg.Remove {
-			if _, ok := f.peerDigests[msg.Owner]; ok {
-				delete(f.peerDigests, msg.Owner)
-				changed = true
-			}
-		} else if !dig.Equal(f.peerDigests[msg.Owner]) {
-			f.peerDigests[msg.Owner] = dig
-			changed = true
-		} else {
-			f.peerDigests[msg.Owner] = dig
-		}
+		changed = setDigest(&l.row.child, dig)
+	case msg.Peer && slices.Contains(f.hier.Peers, msg.Owner):
+		changed = setDigest(&l.row.peer, dig)
 	case msg.Down && msg.Owner == f.hier.Parent:
-		if msg.Remove {
-			if f.upDigest != nil {
-				f.upDigest = nil
-				changed = true
-			}
-		} else if !dig.Equal(f.upDigest) {
-			f.upDigest = dig
-			changed = true
-		} else {
-			f.upDigest = dig
-		}
+		changed = setDigest(&f.upDigest, dig)
 	default:
 		// Role mismatch (a digest from a node that is not a configured
 		// relation): ignored rather than filed somewhere it could route.
 	}
+	l.mu.Unlock()
 	if changed {
 		f.refreshHierSnapLocked()
 	}
@@ -452,6 +431,14 @@ func (f *Fabric) handleDigest(d overlay.Delivery) {
 		f.reconcileTaps()
 		f.touchDigestAnnouncements()
 	}
+}
+
+// setDigest files a link digest (nil withdraws it) and reports whether the
+// summary changed.
+func setDigest(slot **wire.Digest, d *wire.Digest) bool {
+	changed := !d.Equal(*slot)
+	*slot = d
+	return changed
 }
 
 // ----- routing -----
@@ -507,7 +494,7 @@ func (f *Fabric) forwardTargets(events []event.Event, via guid.Set) []guid.GUID 
 			take(ent.owner)
 		}
 	}
-	h := f.hierSnapshot()
+	h := f.hierSnap.Load()
 	if h != nil && h.active {
 		reg := f.rng.Types()
 		if !h.parent.IsNil() && !via.Has(h.parent) && !taken.Has(h.parent) && digestAdmits(h.up, events, reg) {
@@ -530,12 +517,16 @@ func (f *Fabric) forwardTargets(events []event.Event, via guid.Set) []guid.GUID 
 // noteSubtreeForward attributes one forwarded batch to the child subtree
 // it entered, for the per-subtree gauges. Free on flat fabrics.
 func (f *Fabric) noteSubtreeForward(to guid.GUID) {
-	if f.hierSnapshot() == nil {
+	if f.hierSnap.Load() == nil {
 		return
 	}
 	f.mu.Lock()
-	if _, ok := f.childDigests[to]; ok {
-		f.childFwd[to]++
+	if l := f.links[to]; l != nil {
+		l.mu.Lock()
+		if l.row.child != nil {
+			l.row.childFwd++
+		}
+		l.mu.Unlock()
 	}
 	f.mu.Unlock()
 }
@@ -547,44 +538,41 @@ func (f *Fabric) noteSubtreeForward(to guid.GUID) {
 // may want forwarded. An unknown or wildcard link digest forces the
 // residual tap (never under-tap). Callers hold f.mu.
 func (f *Fabric) tapDemandLocked() (types []ctxtype.Type, wildcard bool) {
-	reg := f.rng.Types()
-	if !f.hierOn {
-		return desiredTapTypesLocked(f.interests, reg)
-	}
-	merged := make(map[guid.GUID][]event.Filter, len(f.interests)+len(f.childDigests)+len(f.hier.Peers)+1)
-	for id, flts := range f.interests {
-		merged[id] = flts
-	}
+	demand := make(map[guid.GUID][]event.Filter, len(f.links)+1)
 	// addDigest folds one link digest into the demand map (as fresh filter
-	// slices — never appended onto the live table's shared slices) and
+	// slices — never appended onto the live rows' shared slices) and
 	// reports whether it forces the residual tap.
 	addDigest := func(id guid.GUID, d *wire.Digest) bool {
 		if d == nil || d.Wildcard() {
 			return true
 		}
-		flts := append([]event.Filter(nil), merged[id]...)
+		flts := append([]event.Filter(nil), demand[id]...)
 		for _, p := range d.Prefixes() {
 			flts = append(flts, event.Filter{Type: ctxtype.Type(p)})
 		}
-		merged[id] = flts
+		demand[id] = flts
 		return false
 	}
-	if !f.hier.Parent.IsNil() {
-		if addDigest(f.hier.Parent, f.upDigest) {
+	for id, l := range f.links {
+		r := l.routing()
+		if len(r.interests) > 0 {
+			demand[id] = r.interests
+		}
+		if f.hierOn && r.child != nil && addDigest(id, r.child) {
 			return nil, true
 		}
 	}
-	for id, d := range f.childDigests {
-		if addDigest(id, d) {
+	if f.hierOn {
+		if !f.hier.Parent.IsNil() && addDigest(f.hier.Parent, f.upDigest) {
 			return nil, true
 		}
-	}
-	for _, id := range f.hier.Peers {
-		if addDigest(id, f.peerDigests[id]) {
-			return nil, true
+		for _, id := range f.hier.Peers {
+			if addDigest(id, f.rowLocked(id).peer) {
+				return nil, true
+			}
 		}
 	}
-	return desiredTapTypesLocked(merged, reg)
+	return desiredTapTypesLocked(demand, f.rng.Types())
 }
 
 // withdrawFlatAnnouncements retracts this fabric's flat interest entries
@@ -610,7 +598,7 @@ func (f *Fabric) withdrawFlatAnnouncements() {
 			f.mu.Unlock()
 			return
 		}
-		f.sentGen[peer] = gen
+		f.noteSentGenLocked(peer, gen)
 		f.mu.Unlock()
 		_ = f.node.Send(peer, appInterest, payload, nil)
 	}
@@ -623,10 +611,9 @@ func (f *Fabric) withdrawFlatAnnouncements() {
 // reply is Full even when empty, clearing it).
 func (f *Fabric) handleInterestSync(d overlay.Delivery) {
 	var msg interestSyncMsg
-	if json.Unmarshal(d.Payload, &msg) != nil || msg.From.IsNil() {
-		return
+	if json.Unmarshal(d.Payload, &msg) == nil && !msg.From.IsNil() {
+		f.announceFull(msg.From, true)
 	}
-	f.announceFullTo(msg.From)
 }
 
 // ----- diagnostics and gauges -----
@@ -638,13 +625,8 @@ func (f *Fabric) handleInterestSync(d overlay.Delivery) {
 func (f *Fabric) InterestStateSize() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	n := 0
-	for _, flts := range f.interests {
-		if len(flts) > 0 {
-			n++
-		}
-	}
-	n += len(f.childDigests) + len(f.peerDigests)
+	interests, children, peers := f.rowCountsLocked()
+	n := interests + children + peers
 	if f.upDigest != nil {
 		n++
 	}
@@ -657,7 +639,26 @@ func (f *Fabric) InterestStateSize() int {
 func (f *Fabric) HierarchyCounts() (children, peers int, upKnown bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.childDigests), len(f.peerDigests), f.upDigest != nil
+	_, children, peers = f.rowCountsLocked()
+	return children, peers, f.upDigest != nil
+}
+
+// rowCountsLocked counts the links holding interests, a child digest and a
+// peer digest. Callers hold f.mu.
+func (f *Fabric) rowCountsLocked() (interests, children, peers int) {
+	for _, l := range f.links {
+		r := l.routing()
+		if len(r.interests) > 0 {
+			interests++
+		}
+		if r.child != nil {
+			children++
+		}
+		if r.peer != nil {
+			peers++
+		}
+	}
+	return interests, children, peers
 }
 
 // OverlayCounters reports the overlay node's delivered/relayed message
@@ -688,9 +689,11 @@ func (f *Fabric) topSubtreeForwardsLocked() []subtreeCount {
 		id guid.GUID
 		n  uint64
 	}
-	all := make([]kv, 0, len(f.childFwd))
-	for id, n := range f.childFwd {
-		all = append(all, kv{id, n})
+	var all []kv
+	for id, l := range f.links {
+		if n := l.routing().childFwd; n > 0 {
+			all = append(all, kv{id, n})
+		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		if all[i].n != all[j].n {
@@ -718,14 +721,15 @@ func (f *Fabric) topSubtreeForwardsLocked() []subtreeCount {
 // per-subtree forwarding counts bounded through topSubtreeForwards.
 func (f *Fabric) hierarchyStats() map[string]float64 {
 	f.mu.Lock()
+	interests, children, peers := f.rowCountsLocked()
 	out := map[string]float64{
 		"scinet.hier.active":           b2f(f.hierOn),
 		"scinet.hier.super":            b2f(f.hier.SuperPeer),
 		"scinet.hier.level":            float64(f.hier.Level),
-		"scinet.hier.children":         float64(len(f.childDigests)),
-		"scinet.hier.peers":            float64(len(f.peerDigests)),
+		"scinet.hier.children":         float64(children),
+		"scinet.hier.peers":            float64(peers),
 		"scinet.hier.gen":              float64(f.hierGen),
-		"scinet.hier.interest_entries": float64(len(f.interests)),
+		"scinet.hier.interest_entries": float64(interests),
 	}
 	for _, e := range f.topSubtreeForwardsLocked() {
 		out["scinet.hier.subtree."+e.key+".forwarded"] = float64(e.n)

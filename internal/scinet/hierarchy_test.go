@@ -88,9 +88,8 @@ func (f *Fabric) upMatches(typ ctxtype.Type) bool {
 }
 
 func (f *Fabric) childMatches(child guid.GUID, typ ctxtype.Type) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return digestMatches(f.childDigests[child], typ)
+	l := f.lookupLink(child)
+	return l != nil && digestMatches(l.routing().child, typ)
 }
 
 // TestHierarchyExactlyOnceAcrossSuperPeers runs a 100-fabric fleet through
@@ -468,19 +467,19 @@ func TestInterestDeltaGapResync(t *testing.T) {
 
 	// Roll fa back to generation 2 (fb's first) holding only fltA: to fa the
 	// gen-3 delta now looks lost.
-	fa.mu.Lock()
-	fa.interestGen[fb.NodeID()] = 2
-	fa.interests[fb.NodeID()] = []event.Filter{fltA}
-	fa.refreshInterestSnapLocked()
-	fa.mu.Unlock()
+	fa.setInterests(map[guid.GUID][]event.Filter{fb.NodeID(): {fltA}})
+	lb := fa.lookupLink(fb.NodeID())
+	lb.mu.Lock()
+	lb.interestGen = 2
+	lb.mu.Unlock()
 
 	// The next delta (gen 4, prev 3) hits the gap; fa must ask fb for the
 	// full set and converge on all three filters at generation 4.
 	fb.AddInterest(fltC)
 	waitFor(t, func() bool {
-		fa.mu.Lock()
-		defer fa.mu.Unlock()
-		return len(fa.interests[fb.NodeID()]) == 3 && fa.interestGen[fb.NodeID()] == 4
+		lb.mu.Lock()
+		defer lb.mu.Unlock()
+		return len(lb.row.interests) == 3 && lb.interestGen == 4
 	})
 }
 
@@ -512,9 +511,10 @@ func TestInterestSyncReplyClearsGhostEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return !fa.knowsInterest(fb.NodeID()) })
-	fa.mu.Lock()
-	gen := fa.interestGen[fb.NodeID()]
-	fa.mu.Unlock()
+	lb := fa.lookupLink(fb.NodeID())
+	lb.mu.Lock()
+	gen := lb.interestGen
+	lb.mu.Unlock()
 	if gen != 1 {
 		t.Fatalf("the empty resync reply was applied at generation %d, want 1", gen)
 	}
@@ -529,11 +529,7 @@ func TestInterestSnapshotSkipsEmptyEntries(t *testing.T) {
 	f := fn.fabrics[0]
 	empty := guid.New(guid.KindServer)
 	full := guid.New(guid.KindServer)
-	f.mu.Lock()
-	f.interests[empty] = []event.Filter{}
-	f.interests[full] = []event.Filter{{Type: "s.t"}}
-	f.refreshInterestSnapLocked()
-	f.mu.Unlock()
+	f.setInterests(map[guid.GUID][]event.Filter{empty: {}, full: {{Type: "s.t"}}})
 	snap := f.interestSnapshot()
 	if len(snap) != 1 || snap[0].owner != full {
 		t.Fatalf("snapshot holds %d entries, want only the non-empty one", len(snap))
