@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet fmt lint lint-stats test examples experiments fuzz-smoke bench bench-smoke check
+.PHONY: build vet fmt lint lint-stats test examples experiments fuzz-smoke race-suites hotpath-smoke bench bench-smoke check
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,14 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzProfileIndex -fuzztime 10s ./internal/profile/
 	$(GO) test -run xxx -fuzz FuzzFabricDeliver -fuzztime 10s ./internal/scinet/
 
+# The concurrency-heavy packages, race-checked twice in shuffled order.
+race-suites:
+	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
+
+# The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
+hotpath-smoke:
+	$(GO) test -run xxx -bench Hotpath -benchtime 100x ./internal/eventbus/ ./internal/wire/ ./internal/flow/ ./internal/scinet/
+
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload at full length, end-to-end and per-layer metrics.
 bench:
@@ -66,4 +74,6 @@ bench:
 bench-smoke:
 	$(GO) run ./bench -workload xr-stream -seconds 2 | tee /dev/stderr | grep -q '"correct":true'
 
-check: build vet fmt lint test examples experiments
+# Every CI gate that needs no download, in CI's order. CI also installs and
+# runs staticcheck and govulncheck, and records lint-stats (never a gate).
+check: build vet fmt lint test examples fuzz-smoke race-suites hotpath-smoke bench-smoke experiments

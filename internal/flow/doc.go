@@ -7,8 +7,13 @@
 // # Coalescer contract
 //
 // A Coalescer collects events for one destination and ships them through
-// the configured Send function in chunks never exceeding the effective
-// batch size. Its obligations, in order of importance:
+// the configured Send function in chunks of at most MaxBatch events. It is
+// the only way events leave a Range for a remote destination: the Range
+// Service's endpoints, the fabric fan-out and routed-query results all
+// ride one, with the same static bounds. At MaxBatch 1 every event ships
+// as its own batch, synchronously in the adding goroutine while the link
+// is healthy, under the same credit throttle and fair shedding as any
+// other batch size. Its obligations, in order of importance:
 //
 //   - Flush ordering: flushes are serialised (a send mutex taken before the
 //     extraction lock), so batches leave in the order their events arrived;
@@ -16,38 +21,18 @@
 //     added while a flush is in flight leave in the next one.
 //
 //   - Partial-tail holdback: a size-triggered flush ships only whole
-//     multiples of the effective batch size — in chunks never exceeding
-//     the MaxBatch ceiling — and holds the remainder back for the delay
-//     timer. A steady stream therefore costs exactly ⌈N/effectiveBatch⌉
-//     Send calls however the producer's bursts were sliced, and a burst
-//     never costs more than one Send per MaxBatch events. Flush (the
-//     timer and close path) ships everything, tail included.
+//     MaxBatch chunks and holds the remainder back for the delay timer.
+//     N events therefore cost exactly ⌈N/MaxBatch⌉ Send calls however the
+//     producer's bursts were sliced. Flush (the timer and close path)
+//     ships everything, tail included.
 //
-//   - Bounded latency: a partial batch never waits longer than the
-//     effective delay; the timer is armed whenever events are pending and
-//     disarmed when the queue empties.
+//   - Bounded latency: a partial batch never waits longer than MaxDelay;
+//     the timer is armed whenever events are pending and disarmed when the
+//     queue empties.
 //
 //   - Close-flush: Flush followed by Discard ships every pending event
 //     exactly once and then refuses further adds with all timers disarmed.
 //     Discard alone (destination departed) drops pending events.
-//
-// # Adaptive bounds
-//
-// With Adaptive.Enabled, an EWMA arrival-rate tracker (fed by the injected
-// clock, so tests drive it deterministically) derives the effective batch
-// size and flush delay between the configured floors (Adaptive.MinBatch,
-// Adaptive.MinDelay) and ceilings (Config.MaxBatch, Config.MaxDelay): the
-// effective batch approximates the arrivals expected within one MaxDelay
-// window. An idle destination therefore sits at the floor — a lone event
-// triggers an immediate size flush instead of waiting out MaxDelay — while
-// a hot one rides full ceiling-sized batches. Disabled, the effective
-// bounds equal the ceilings and the Coalescer behaves exactly like the
-// static copies it replaced.
-//
-// The arrival-rate estimator itself is exported as RateTracker, so bounded
-// queues outside this package (the Range Service connector's delivery
-// queue) size themselves from the same EWMA signal the Coalescer adapts on
-// instead of growing private copies.
 //
 // # Credit and backpressure
 //
@@ -55,15 +40,14 @@
 // queue capacity — on batch acknowledgements; UpdateCredit ingests one
 // report. A collapsing credit (new drops) doubles a flush-rate penalty
 // (bounded by maxPenalty); healthy reports decay it, and a full queue
-// that is not yet dropping holds it steady.
-// While the penalty is above one the Coalescer stops size-flushing and
-// paces itself on the timer at penalty × the effective delay, absorbing
-// the burst in its pending queue up to a bound (throttleBufferFactor ×
-// MaxBatch) beyond which the oldest events are shed (freshest-wins, like
-// the delivery rings downstream). Chunks still never exceed the effective
-// batch size, so the wire-message budget is preserved; only the flush
-// rate falls. Every transition and shed event is reported through the
-// optional SharedStats sink, which a Range surfaces as its
+// that is not yet dropping holds it steady. While the penalty is above
+// one the Coalescer stops size-flushing and paces itself on the timer at
+// penalty × MaxDelay, absorbing the burst in its pending queue up to a
+// bound (throttleBufferFactor × MaxBatch) beyond which the oldest events
+// are shed (freshest-wins, like the delivery rings downstream). Chunks
+// still never exceed MaxBatch, so the wire-message budget is preserved;
+// only the flush rate falls. Every transition and shed event is reported
+// through the optional SharedStats sink, which a Range surfaces as its
 // remote.backpressure.* gauges.
 //
 // # Weighted-fair flushing and publisher quotas

@@ -93,16 +93,15 @@ func (c *Coalescer) enqueueFairRunsLocked(events []event.Event) {
 	}
 }
 
-// addFairN is addN's weighted-fair counterpart: app appends into the
+// addFair is add's weighted-fair counterpart: app appends into the
 // sub-queues under mu; size flushing and throttle shedding work on the
 // cross-source total.
-func (c *Coalescer) addFairN(app func(), n int) {
+func (c *Coalescer) addFair(app func()) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return
 	}
-	c.observeLocked(n, c.cfg.Clock.Now())
 	app()
 	full := false
 	if c.penalty > 1 {
@@ -110,7 +109,7 @@ func (c *Coalescer) addFairN(app func(), n int) {
 			c.shedFairLocked(c.total - limit)
 		}
 	} else {
-		full = c.total >= c.eff
+		full = c.total >= c.cfg.MaxBatch
 	}
 	if !full && c.timer == nil {
 		c.timer = c.cfg.Clock.AfterFunc(c.flushDelayLocked(), c.Flush)

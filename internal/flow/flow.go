@@ -1,7 +1,6 @@
 package flow
 
 import (
-	"math"
 	"time"
 
 	"sci/internal/clock"
@@ -11,77 +10,8 @@ import (
 	"sync"
 )
 
-// Adaptive configures rate-derived batch sizing. The zero value disables
-// adaptation: the effective batch size and delay equal the configured
-// ceilings, reproducing the static coalescers this package replaced.
-type Adaptive struct {
-	// Enabled turns the EWMA arrival-rate tracker on.
-	Enabled bool
-	// MinBatch is the effective-batch floor an idle destination settles at
-	// (default 1: a lone event flushes immediately).
-	MinBatch int
-	// MinDelay is the effective-delay floor (default 0).
-	MinDelay time.Duration
-	// RateHalfLife is the EWMA half-life: how quickly the tracked arrival
-	// rate forgets old traffic (default 100ms).
-	RateHalfLife time.Duration
-}
-
-// DefaultRateHalfLife is used when Adaptive.RateHalfLife is zero.
-const DefaultRateHalfLife = 100 * time.Millisecond
-
-// RateTracker is an EWMA arrival-rate estimator: the adaptive-sizing signal
-// the Coalescer is built on, exported so other bounded queues (the Range
-// Service connector's delivery queue) can size themselves from the same
-// estimate instead of growing a private copy. Arrivals sharing one clock
-// instant (manual clocks) accumulate and fold when the clock next moves.
-// Not safe for concurrent use: callers guard it with their own lock.
-type RateTracker struct {
-	tau  float64 // EWMA time constant, seconds
-	rate float64 // events/sec
-	buf  float64 // arrivals since last (folded when the clock moves)
-	last time.Time
-}
-
-// NewRateTracker builds a tracker with the given half-life (how quickly the
-// estimate forgets old traffic); non-positive means DefaultRateHalfLife.
-func NewRateTracker(halfLife time.Duration) *RateTracker {
-	if halfLife <= 0 {
-		halfLife = DefaultRateHalfLife
-	}
-	return &RateTracker{tau: halfLife.Seconds() / math.Ln2}
-}
-
-// Observe folds n arrivals at now into the estimate. It reports whether the
-// estimate moved: false while the clock stands still (the arrivals are
-// buffered and fold on the next tick) and on the very first arrival, which
-// only opens the measurement window.
-func (rt *RateTracker) Observe(n int, now time.Time) bool {
-	if rt.last.IsZero() {
-		// The first arrival sets the window start; it cannot contribute to a
-		// rate until time has passed.
-		rt.last = now
-		return false
-	}
-	rt.buf += float64(n)
-	dt := now.Sub(rt.last).Seconds()
-	if dt <= 0 {
-		return false
-	}
-	inst := rt.buf / dt
-	w := math.Exp(-dt / rt.tau)
-	rt.rate = w*rt.rate + (1-w)*inst
-	rt.buf = 0
-	rt.last = now
-	return true
-}
-
-// Rate returns the current estimate in events per second (0 until time has
-// passed across at least two observations).
-func (rt *RateTracker) Rate() float64 { return rt.rate }
-
 // maxPenalty bounds the credit-collapse flush-rate penalty (and with it the
-// stretched timer delay, at maxPenalty × the effective delay).
+// stretched timer delay, at maxPenalty × MaxDelay).
 const maxPenalty = 16
 
 // penaltyDecay is the per-healthy-report multiplicative decay of the
@@ -182,8 +112,6 @@ type Config struct {
 	// that tail, and a throttled shed compacts only the pending events.
 	// The callee must not write the chunk either.
 	Send func(batch []event.Event)
-	// Adaptive optionally derives effective bounds from the arrival rate.
-	Adaptive Adaptive
 	// Fair optionally drains per-source sub-queues by weighted deficit
 	// round robin instead of one global FIFO.
 	Fair Fair
@@ -213,19 +141,13 @@ type Coalescer struct {
 	ring  []guid.GUID             // guarded by mu; backlogged sources in DRR order
 	total int                     // guarded by mu; events across all sub-queues
 
-	// Adaptive state.
-	rt       *RateTracker  // guarded by mu
-	eff      int           // guarded by mu; current effective batch size
-	effDelay time.Duration // guarded by mu; current effective flush delay
-
 	// Backpressure state.
 	penalty     float64 // guarded by mu; flush-rate penalty; 1 = none
 	lastDropped uint64  // guarded by mu; last cumulative receiver drop report
 	creditSeen  bool    // guarded by mu; a credit report has established the baseline
 }
 
-// New builds a Coalescer. MaxBatch below 1 is raised to 1; adaptive floors
-// default to MinBatch 1 / MinDelay 0 / RateHalfLife 100ms.
+// New builds a Coalescer. MaxBatch below 1 is raised to 1.
 func New(cfg Config) *Coalescer {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real()
@@ -233,82 +155,20 @@ func New(cfg Config) *Coalescer {
 	if cfg.MaxBatch < 1 {
 		cfg.MaxBatch = 1
 	}
-	if cfg.Adaptive.MinBatch < 1 {
-		cfg.Adaptive.MinBatch = 1
-	}
-	if cfg.Adaptive.MinBatch > cfg.MaxBatch {
-		cfg.Adaptive.MinBatch = cfg.MaxBatch
-	}
-	if cfg.Adaptive.MinDelay < 0 {
-		cfg.Adaptive.MinDelay = 0
-	}
-	if cfg.Adaptive.MinDelay > cfg.MaxDelay {
-		cfg.Adaptive.MinDelay = cfg.MaxDelay
-	}
-	if cfg.Adaptive.RateHalfLife <= 0 {
-		cfg.Adaptive.RateHalfLife = DefaultRateHalfLife
-	}
-	c := &Coalescer{
-		cfg:     cfg,
-		rt:      NewRateTracker(cfg.Adaptive.RateHalfLife),
-		penalty: 1,
-	}
-	if cfg.Adaptive.Enabled {
-		// Unknown rate reads as idle: the first events flush fast rather
-		// than waiting out a ceiling-sized batch that may never fill.
-		c.eff = cfg.Adaptive.MinBatch
-		c.effDelay = cfg.Adaptive.MinDelay
-	} else {
-		c.eff = cfg.MaxBatch
-		c.effDelay = cfg.MaxDelay
-	}
-	return c
+	return &Coalescer{cfg: cfg, penalty: 1}
 }
 
-// observeLocked folds n arrivals at now into the EWMA rate and recomputes
-// the effective bounds. Called under mu.
-func (c *Coalescer) observeLocked(n int, now time.Time) {
-	if !c.cfg.Adaptive.Enabled {
-		return
-	}
-	if !c.rt.Observe(n, now) {
-		return
-	}
-
-	a := c.cfg.Adaptive
-	// The batch worth waiting for is the arrivals expected within one
-	// ceiling delay window; beyond that, waiting buys nothing.
-	want := int(math.Round(c.rt.Rate() * c.cfg.MaxDelay.Seconds()))
-	c.eff = clampInt(want, a.MinBatch, c.cfg.MaxBatch)
-	if c.cfg.MaxBatch > a.MinBatch {
-		frac := float64(c.eff-a.MinBatch) / float64(c.cfg.MaxBatch-a.MinBatch)
-		c.effDelay = a.MinDelay + time.Duration(frac*float64(c.cfg.MaxDelay-a.MinDelay))
-	} else {
-		c.effDelay = c.cfg.MaxDelay
-	}
-}
-
-func clampInt(v, lo, hi int) int {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
-
-// Add appends one event, flushing when the pending run reaches the
-// effective batch size and otherwise arming the delay timer so a partial
-// batch never waits longer than the effective delay (stretched by the
-// backpressure penalty while credit is collapsed).
+// Add appends one event, flushing when the pending run reaches MaxBatch
+// and otherwise arming the delay timer so a partial batch never waits
+// longer than MaxDelay (stretched by the backpressure penalty while credit
+// is collapsed).
 func (c *Coalescer) Add(e event.Event) {
 	if c.cfg.Fair.Enabled {
-		c.addFairN(func() { c.enqueueFairLocked(e) }, 1)
+		c.addFair(func() { c.enqueueFairLocked(e) })
 		return
 	}
-	//lint:allow guardedby the append closure runs under mu inside addN
-	c.addN(func() { c.pending = append(c.pending, e) }, 1)
+	//lint:allow guardedby the append closure runs under mu inside add
+	c.add(func() { c.pending = append(c.pending, e) })
 }
 
 // AddAll appends a whole run under one lock acquisition — the batch-fed
@@ -319,20 +179,19 @@ func (c *Coalescer) AddAll(events []event.Event) {
 		return
 	}
 	if c.cfg.Fair.Enabled {
-		c.addFairN(func() { c.enqueueFairRunsLocked(events) }, len(events))
+		c.addFair(func() { c.enqueueFairRunsLocked(events) })
 		return
 	}
-	//lint:allow guardedby the append closure runs under mu inside addN
-	c.addN(func() { c.pending = append(c.pending, events...) }, len(events))
+	//lint:allow guardedby the append closure runs under mu inside add
+	c.add(func() { c.pending = append(c.pending, events...) })
 }
 
-func (c *Coalescer) addN(app func(), n int) {
+func (c *Coalescer) add(app func()) {
 	c.mu.Lock()
 	if c.dead {
 		c.mu.Unlock()
 		return
 	}
-	c.observeLocked(n, c.cfg.Clock.Now())
 	app()
 	full := false
 	if c.penalty > 1 {
@@ -347,7 +206,7 @@ func (c *Coalescer) addN(app func(), n int) {
 			c.pending = append(c.pending[:0], c.pending[shed:]...)
 		}
 	} else {
-		full = len(c.pending) >= c.eff
+		full = len(c.pending) >= c.cfg.MaxBatch
 	}
 	if !full && c.timer == nil {
 		c.timer = c.cfg.Clock.AfterFunc(c.flushDelayLocked(), c.Flush)
@@ -358,50 +217,32 @@ func (c *Coalescer) addN(app func(), n int) {
 	}
 }
 
-// flushDelayLocked returns the delay to the next timer flush: the effective
-// delay stretched by the backpressure penalty. Called under mu.
+// flushDelayLocked returns the delay to the next timer flush: MaxDelay
+// stretched by the backpressure penalty. Called under mu.
 func (c *Coalescer) flushDelayLocked() time.Duration {
-	d := c.effDelay
-	if c.penalty > 1 {
-		d = time.Duration(float64(maxDur(d, c.cfg.MaxDelay)) * c.penalty)
-	}
-	return d
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
+	return time.Duration(float64(c.cfg.MaxDelay) * c.penalty)
 }
 
 // Flush ships everything pending, partial tail included (the delay-timer
 // and close path).
 func (c *Coalescer) Flush() { c.doFlush(true) }
 
-// doFlush ships pending events split so no Send call exceeds the MaxBatch
-// ceiling. A size-triggered flush (all=false) holds back the partial tail
-// (modulo the effective batch) for the delay timer, so a steady stream
-// arriving at the adapted rate costs exactly ⌈N/effectiveBatch⌉ sends —
-// each flush fires as pending reaches the effective batch — while a
-// surprise burst against an idle endpoint still rides ceiling-sized
-// chunks (⌈burst/MaxBatch⌉ sends) instead of one message per event.
+// doFlush ships pending events in chunks of at most MaxBatch. A
+// size-triggered flush (all=false) ships only whole MaxBatch chunks and
+// holds the partial tail back for the delay timer, so N events cost
+// ⌈N/MaxBatch⌉ sends however the producer's bursts were sliced.
 //
 //lint:hotpath
 func (c *Coalescer) doFlush(all bool) {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	c.mu.Lock()
-	eff := c.eff
-	if eff < 1 {
-		eff = 1
-	}
 	chunk := c.cfg.MaxBatch
 	var send []event.Event
 	if c.cfg.Fair.Enabled {
 		cut := c.total
 		if !all {
-			cut -= cut % eff
+			cut -= cut % chunk
 		}
 		//lint:allow hotpath fair mode ships an owned slice once per flush, amortised across the batch
 		send = c.extractFairLocked(cut)
@@ -409,7 +250,7 @@ func (c *Coalescer) doFlush(all bool) {
 		batch := c.pending
 		cut := len(batch)
 		if !all {
-			cut -= cut % eff
+			cut -= cut % chunk
 		}
 		// The held-back tail keeps its position: later adds append behind it
 		// in the same backing array, never overlapping the chunk being sent.
@@ -538,21 +379,6 @@ func (c *Coalescer) PendingLen() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.pendingLocked()
-}
-
-// EffectiveBatch reports the current rate-derived batch size (the ceiling
-// when adaptation is disabled).
-func (c *Coalescer) EffectiveBatch() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.eff
-}
-
-// EffectiveDelay reports the current rate-derived flush delay.
-func (c *Coalescer) EffectiveDelay() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.effDelay
 }
 
 // Throttled reports whether credit collapse currently suppresses size

@@ -68,38 +68,59 @@ func newStatic(clk clock.Clock, maxBatch int, maxDelay time.Duration, rec *recor
 	return New(Config{Clock: clk, MaxBatch: maxBatch, MaxDelay: maxDelay, Send: rec.send, Stats: st})
 }
 
+// TestSizeFlushBudgetAndTailHoldback: size flushes ship whole MaxBatch
+// chunks and hold the partial tail back for the delay timer, so N events
+// cost ⌈N/MaxBatch⌉ sends in order, whether they arrive one by one or as a
+// burst against an idle coalescer. MaxBatch 0 is raised to 1: every event
+// ships at once as its own batch, with no tail left for the timer.
 func TestSizeFlushBudgetAndTailHoldback(t *testing.T) {
-	clk := clock.NewManual(epoch)
-	rec := &recorder{}
-	c := newStatic(clk, 4, 50*time.Millisecond, rec, nil)
+	for _, tc := range []struct {
+		name          string
+		maxBatch, n   int
+		burst         bool // one AddAll instead of n Adds
+		sizeSends     int  // sends before the delay elapses
+		tail, allSend int
+	}{
+		{name: "per-event adds", maxBatch: 4, n: 10, sizeSends: 2, tail: 2, allSend: 3},
+		{name: "idle burst rides MaxBatch chunks", maxBatch: 64, n: 100, burst: true, sizeSends: 1, tail: 36, allSend: 2},
+		{name: "one-event batches", maxBatch: 0, n: 3, burst: true, sizeSends: 3, tail: 0, allSend: 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			clk := clock.NewManual(epoch)
+			rec := &recorder{}
+			c := newStatic(clk, tc.maxBatch, 50*time.Millisecond, rec, nil)
 
-	events := mkEvents(10, epoch)
-	for _, e := range events {
-		c.Add(e)
-	}
-	// Two full chunks leave on fill; the trailing partial (10 mod 4 = 2)
-	// waits for the delay timer.
-	if got := rec.sends(); got != 2 {
-		t.Fatalf("size flushes sent %d chunks, want 2", got)
-	}
-	if got := c.PendingLen(); got != 2 {
-		t.Fatalf("held-back tail = %d, want 2", got)
-	}
-	clk.Advance(50 * time.Millisecond)
-	if got := rec.sends(); got != 3 {
-		t.Fatalf("after delay flush sent %d chunks, want 3 (= ceil(10/4))", got)
-	}
-	got := rec.events()
-	if len(got) != 10 {
-		t.Fatalf("delivered %d events, want 10", len(got))
-	}
-	for i, e := range got {
-		if e.Seq != uint64(i+1) {
-			t.Fatalf("coalescing reordered events at %d: seq=%d", i, e.Seq)
-		}
-	}
-	if rec.maxChunk() > 4 {
-		t.Fatalf("chunk of %d exceeds MaxBatch=4", rec.maxChunk())
+			events := mkEvents(tc.n, epoch)
+			if tc.burst {
+				c.AddAll(events)
+			} else {
+				for _, e := range events {
+					c.Add(e)
+				}
+			}
+			if got := rec.sends(); got != tc.sizeSends {
+				t.Fatalf("size flushes sent %d chunks, want %d", got, tc.sizeSends)
+			}
+			if got := c.PendingLen(); got != tc.tail {
+				t.Fatalf("held-back tail = %d, want %d", got, tc.tail)
+			}
+			clk.Advance(50 * time.Millisecond)
+			if got := rec.sends(); got != tc.allSend {
+				t.Fatalf("after delay flush sent %d chunks, want %d", got, tc.allSend)
+			}
+			got := rec.events()
+			if len(got) != tc.n {
+				t.Fatalf("delivered %d events, want %d", len(got), tc.n)
+			}
+			for i, e := range got {
+				if e.Seq != uint64(i+1) {
+					t.Fatalf("coalescing reordered events at %d: seq=%d", i, e.Seq)
+				}
+			}
+			if limit := max(tc.maxBatch, 1); rec.maxChunk() > limit {
+				t.Fatalf("chunk of %d exceeds MaxBatch=%d", rec.maxChunk(), limit)
+			}
+		})
 	}
 }
 
@@ -154,139 +175,6 @@ func TestCloseFlushThenDiscard(t *testing.T) {
 	}
 	if n := clk.PendingCount(); n != 0 {
 		t.Fatalf("%d timers armed after Discard", n)
-	}
-}
-
-// TestAdaptiveBatchFollowsArrivalRate ramps the arrival rate with a manual
-// clock and asserts the effective batch size tracks it: floor while idle,
-// ceiling under load, back to the floor after the rate collapses.
-func TestAdaptiveBatchFollowsArrivalRate(t *testing.T) {
-	clk := clock.NewManual(epoch)
-	rec := &recorder{}
-	c := New(Config{
-		Clock:    clk,
-		MaxBatch: 64,
-		MaxDelay: 10 * time.Millisecond,
-		Send:     rec.send,
-		Adaptive: Adaptive{Enabled: true},
-	})
-
-	if got := c.EffectiveBatch(); got != 1 {
-		t.Fatalf("cold effective batch = %d, want the floor 1", got)
-	}
-	if got := c.EffectiveDelay(); got != 0 {
-		t.Fatalf("cold effective delay = %v, want the floor 0", got)
-	}
-
-	// Trickle: one event per 10ms ≈ 100/s → ~1 expected arrival per delay
-	// window: stays at the floor, so each event flushes immediately.
-	for i := 0; i < 20; i++ {
-		clk.Advance(10 * time.Millisecond)
-		c.AddAll(mkEvents(1, clk.Now()))
-	}
-	if got := c.EffectiveBatch(); got > 2 {
-		t.Fatalf("trickle effective batch = %d, want ~1", got)
-	}
-	if got := len(rec.events()); got != 20 {
-		t.Fatalf("trickle delivered %d of 20 (idle events must not wait)", got)
-	}
-
-	// Ramp: 100 events per 10ms ≈ 10k/s → 100 expected per window, clamped
-	// to the 64 ceiling.
-	for i := 0; i < 100; i++ {
-		clk.Advance(10 * time.Millisecond)
-		c.AddAll(mkEvents(100, clk.Now()))
-	}
-	if got := c.EffectiveBatch(); got != 64 {
-		t.Fatalf("hot effective batch = %d, want the 64 ceiling", got)
-	}
-	if got := c.EffectiveDelay(); got != 10*time.Millisecond {
-		t.Fatalf("hot effective delay = %v, want the 10ms ceiling", got)
-	}
-
-	// Collapse: a long idle gap folds the rate back down on the next
-	// arrival.
-	clk.Advance(5 * time.Second)
-	c.AddAll(mkEvents(1, clk.Now()))
-	if got := c.EffectiveBatch(); got > 2 {
-		t.Fatalf("post-idle effective batch = %d, want back near the floor", got)
-	}
-	c.Flush()
-}
-
-// TestAdaptiveBudgetExactUnderAdaptation: a stream arriving at the
-// adapted rate costs exactly ⌈N/effectiveBatch⌉ sends — each flush fires
-// as pending reaches the effective batch — with no chunk ever exceeding
-// the MaxBatch ceiling.
-func TestAdaptiveBudgetExactUnderAdaptation(t *testing.T) {
-	clk := clock.NewManual(epoch)
-	rec := &recorder{}
-	c := New(Config{
-		Clock:    clk,
-		MaxBatch: 64,
-		MaxDelay: 10 * time.Millisecond,
-		Send:     rec.send,
-		Adaptive: Adaptive{Enabled: true},
-	})
-	// Stabilise at an intermediate rate: 20 events per 10ms → ~20/window.
-	for i := 0; i < 200; i++ {
-		clk.Advance(10 * time.Millisecond)
-		c.AddAll(mkEvents(20, clk.Now()))
-	}
-	clk.Advance(10 * time.Millisecond)
-	c.Flush()
-	eff := c.EffectiveBatch()
-	if eff <= 1 || eff >= 64 {
-		t.Fatalf("effective batch = %d, want an adapted intermediate value", eff)
-	}
-
-	// Same-instant arrivals leave the rate (and eff) frozen, so the budget
-	// is exact: k runs of eff events cost k sends, and a run with a tail
-	// costs ⌈run/eff⌉ once the tail's delay flush lands.
-	before := rec.sends()
-	for i := 0; i < 5; i++ {
-		c.AddAll(mkEvents(eff, clk.Now()))
-	}
-	if got := rec.sends() - before; got != 5 {
-		t.Fatalf("5 runs of eff=%d cost %d sends, want 5", eff, got)
-	}
-	c.AddAll(mkEvents(eff+3, clk.Now()))
-	c.Flush()
-	if got := rec.sends() - before; got != 7 {
-		t.Fatalf("eff+3 run cost %d extra sends at eff=%d, want 2 (= ceil((eff+3)/eff))",
-			rec.sends()-before-5, eff)
-	}
-	if rec.maxChunk() > 64 {
-		t.Fatalf("chunk of %d exceeds ceiling", rec.maxChunk())
-	}
-}
-
-// TestAdaptiveIdleBurstRidesCeilingChunks: a surprise burst against an
-// idle endpoint (effective batch at the floor) must not ship one message
-// per event — flushing is immediate, but chunks ride the MaxBatch
-// ceiling: ⌈burst/MaxBatch⌉ sends.
-func TestAdaptiveIdleBurstRidesCeilingChunks(t *testing.T) {
-	clk := clock.NewManual(epoch)
-	rec := &recorder{}
-	c := New(Config{
-		Clock:    clk,
-		MaxBatch: 64,
-		MaxDelay: 10 * time.Millisecond,
-		Send:     rec.send,
-		Adaptive: Adaptive{Enabled: true},
-	})
-	if got := c.EffectiveBatch(); got != 1 {
-		t.Fatalf("cold effective batch = %d, want 1", got)
-	}
-	c.AddAll(mkEvents(100, clk.Now()))
-	if got := rec.sends(); got != 2 {
-		t.Fatalf("idle burst of 100 cost %d sends, want 2 (= ceil(100/64))", got)
-	}
-	if rec.maxChunk() > 64 {
-		t.Fatalf("chunk of %d exceeds ceiling", rec.maxChunk())
-	}
-	if got := len(rec.events()); got != 100 {
-		t.Fatalf("delivered %d of 100", got)
 	}
 }
 
@@ -373,47 +261,49 @@ func TestThrottledBufferShedsOldest(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddFlushCredit exercises the locking under -race. The
-// credit goroutine throttles the coalescer, and a throttled coalescer sheds
-// its oldest events, so the check is conservation: every event added is
+// TestConcurrentAddFlushCredit exercises the locking under -race, at
+// MaxBatch 1 (every add flushes in its own goroutine) and 16. The credit
+// goroutine throttles the coalescer, and a throttled coalescer sheds its
+// oldest events, so the check is conservation: every event added is
 // delivered, shed, or dropped by the final Discard.
 func TestConcurrentAddFlushCredit(t *testing.T) {
-	rec := &recorder{}
-	st := &SharedStats{}
-	c := New(Config{
-		Clock:    clock.Real(),
-		MaxBatch: 16,
-		MaxDelay: time.Millisecond,
-		Send:     rec.send,
-		Adaptive: Adaptive{Enabled: true},
-		Stats:    st,
-	})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for _, maxBatch := range []int{1, 16} {
+		rec := &recorder{}
+		st := &SharedStats{}
+		c := New(Config{
+			Clock:    clock.Real(),
+			MaxBatch: maxBatch,
+			MaxDelay: time.Millisecond,
+			Send:     rec.send,
+			Stats:    st,
+		})
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 200; i++ {
+					c.AddAll(mkEvents(3, epoch))
+				}
+			}()
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				c.AddAll(mkEvents(3, epoch))
+				c.UpdateCredit(uint64(i/30), 50)
+				c.Flush()
 			}
 		}()
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := 0; i < 200; i++ {
-			c.UpdateCredit(uint64(i/30), 50)
-			c.Flush()
+		wg.Wait()
+		c.Flush()
+		discarded := c.PendingLen()
+		c.Discard()
+		delivered, shed := len(rec.events()), int(st.EventsShed.Value())
+		if got := delivered + shed + discarded; got != 4*200*3 {
+			t.Fatalf("MaxBatch %d: delivered %d + shed %d + discarded %d = %d events, want %d",
+				maxBatch, delivered, shed, discarded, got, 4*200*3)
 		}
-	}()
-	wg.Wait()
-	c.Flush()
-	discarded := c.PendingLen()
-	c.Discard()
-	delivered, shed := len(rec.events()), int(st.EventsShed.Value())
-	if got := delivered + shed + discarded; got != 4*200*3 {
-		t.Fatalf("delivered %d + shed %d + discarded %d = %d events, want %d",
-			delivered, shed, discarded, got, 4*200*3)
 	}
 }
 
@@ -452,45 +342,6 @@ func TestReceiverRestartRebaselinesCredit(t *testing.T) {
 	}
 	if got := st.DropsReported.Value(); got != 55 {
 		t.Fatalf("DropsReported = %d, want 55 (50 pre-restart + 5 post)", got)
-	}
-}
-
-// TestRateTrackerEstimate: the exported tracker converges on a steady
-// arrival rate, buffers same-instant arrivals until the clock moves, and
-// decays when traffic stops.
-func TestRateTrackerEstimate(t *testing.T) {
-	rt := NewRateTracker(100 * time.Millisecond)
-	now := epoch
-	if rt.Observe(10, now) {
-		t.Fatal("first observation cannot move the estimate")
-	}
-	if rt.Rate() != 0 {
-		t.Fatalf("rate before time passed = %v, want 0", rt.Rate())
-	}
-	// 100 events every 10ms = 10k events/s, for 50 ticks (5 half-lives).
-	for i := 0; i < 50; i++ {
-		now = now.Add(10 * time.Millisecond)
-		if !rt.Observe(100, now) {
-			t.Fatal("observation across a clock tick did not fold")
-		}
-	}
-	if r := rt.Rate(); r < 9000 || r > 11000 {
-		t.Fatalf("steady 10k/s stream estimated at %.0f", r)
-	}
-	// Same-instant arrivals buffer and fold on the next tick.
-	if rt.Observe(100, now) {
-		t.Fatal("same-instant arrival folded without time passing")
-	}
-	now = now.Add(10 * time.Millisecond)
-	rt.Observe(0, now)
-	if r := rt.Rate(); r < 9000 || r > 11000 {
-		t.Fatalf("buffered same-instant arrivals lost: %.0f", r)
-	}
-	// A long silent gap collapses the estimate.
-	now = now.Add(2 * time.Second)
-	rt.Observe(0, now)
-	if r := rt.Rate(); r > 100 {
-		t.Fatalf("estimate after 20 half-lives of silence = %.0f, want ~0", r)
 	}
 }
 

@@ -35,7 +35,7 @@ func TestHotpathDoFlushZeroAlloc(t *testing.T) {
 	for i := range run {
 		run[i] = event.Event{Type: "bench.flow", Source: src, Seq: uint64(i + 1)}
 	}
-	c.AddAll(run) // 5 pending < effective batch of 8: the tail is held back
+	c.AddAll(run) // 5 pending < MaxBatch of 8: the tail is held back
 	c.doFlush(false)
 	allocs := testing.AllocsPerRun(500, func() { c.doFlush(false) })
 	if allocs != 0 {
@@ -89,6 +89,6 @@ func BenchmarkHotpathCoalescerCycle(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AddAll(run) // reaches the effective batch: size-triggered flush
+		c.AddAll(run) // reaches MaxBatch: size-triggered flush
 	}
 }

@@ -23,8 +23,8 @@
 // list an id whose record is already gone, and every read through an index
 // re-checks the primary table before trusting it.
 //
-// Shard-count tuning flows down from server.Config.EventShards via
-// WithShards; dispatch observability (per-shard counters, index-hit ratio)
+// A Range runs eventbus.DefaultShards lock stripes; WithShards sets another
+// count. Dispatch observability (per-shard counters, index-hit ratio)
 // flows back up through Stats, ShardStats and IndexHitRatio.
 package mediator
 

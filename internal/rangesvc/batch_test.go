@@ -11,7 +11,6 @@ import (
 	"sci/internal/clock"
 	"sci/internal/ctxtype"
 	"sci/internal/event"
-	"sci/internal/flow"
 	"sci/internal/guid"
 	"sci/internal/location"
 	"sci/internal/mediator"
@@ -127,11 +126,12 @@ func TestBatchDelayFlushesPartialBatch(t *testing.T) {
 	}
 }
 
-// TestUnbatchedHostSendsOneEventBatches: with coalescing disabled every
-// delivery is its own event.batch of one event — the same message form, and
-// the same flow control, as batched traffic.
+// TestUnbatchedHostSendsOneEventBatches: with BatchMaxEvents unset every
+// delivery is its own event.batch of one event, shipped at once through
+// the endpoint's coalescer — the same message form, and the same flow
+// control (TestUnbatchedHostThrottlesOnCreditCollapse), as batched traffic.
 func TestUnbatchedHostSendsOneEventBatches(t *testing.T) {
-	r := newRig(t) // BatchMaxEvents unset: coalescing disabled
+	r := newRig(t) // BatchMaxEvents unset: one-event batches
 	defer r.close()
 	dest := guid.New(guid.KindApplication)
 	msgs := tap(t, r.net, dest)
@@ -150,6 +150,58 @@ func TestUnbatchedHostSendsOneEventBatches(t *testing.T) {
 	}
 	if b, e := r.rng.RemoteBatchesSent.Value(), r.rng.RemoteEventsSent.Value(); b != 3 || e != 3 {
 		t.Fatalf("RemoteBatchesSent/RemoteEventsSent = %d/%d, want 3/3", b, e)
+	}
+}
+
+// TestUnbatchedHostThrottlesOnCreditCollapse: a Range with BatchMaxEvents
+// unset still ships through the endpoint's coalescer, so a receiver whose
+// acks report drops throttles it: one-event batches stop leaving at once
+// and wait for the penalty-stretched BatchMaxDelay timer, which ships the
+// backlog in one paced flush.
+func TestUnbatchedHostThrottlesOnCreditCollapse(t *testing.T) {
+	r := batchRig(t, 0, 0) // BatchMaxEvents 0 and BatchMaxDelay defaulted
+	defer r.close()
+	recv := newRawPeer(t, r.net)
+	src := guid.New(guid.KindDevice)
+	stats := r.rng.StatsMap
+	sent := r.rng.RemoteBatchesSent.Value // counted as the send returns
+
+	r.host.sendEvent(recv.id, mkReading(src, 1))
+	if got := sent(); got != 1 {
+		t.Fatalf("healthy one-event batch: %d messages sent, want 1 at once", got)
+	}
+	// The receiver acks with a baseline, then with 50 fresh drops.
+	for _, dropped := range []uint64{0, 50} {
+		ack, err := wire.NewEventBatchAck(recv.id, r.rng.ServerID(), wire.BatchCredit{Events: 1, Dropped: dropped, QueueFree: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recv.ep.Send(ack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitFor(t, func() bool { return stats()["remote.backpressure.throttle_events"] > 0 })
+
+	r.host.sendEvents(recv.id, []event.Event{mkReading(src, 2), mkReading(src, 3), mkReading(src, 4)})
+	if got := sent(); got != 1 {
+		t.Fatalf("throttled link still shipped at once: %d messages, want 1", got)
+	}
+	r.clk.Advance(server.DefaultBatchMaxDelay) // the unstretched delay: too early
+	if got := sent(); got != 1 {
+		t.Fatalf("throttled flush fired at the unstretched delay: %d messages", got)
+	}
+	r.clk.Advance(server.DefaultBatchMaxDelay) // penalty 2 reached
+	if got := sent(); got != 4 {
+		t.Fatalf("stretched timer flush: %d messages sent, want 4", got)
+	}
+	waitFor(t, func() bool { return len(recv.received(wire.KindEventBatch)) == 4 })
+	for i, m := range recv.received(wire.KindEventBatch) {
+		if m.Batch == nil || len(m.Batch.Events) != 1 || m.Batch.Events[0].Seq != uint64(i+1) {
+			t.Fatalf("message %d = %+v, want a one-event batch carrying seq %d", i, m.Batch, i+1)
+		}
+	}
+	if got := stats()["remote.flushes"]; got != 2 {
+		t.Fatalf("remote.flushes = %v, want 2: the backlog must leave in one timer-paced flush", got)
 	}
 }
 
@@ -317,79 +369,6 @@ func TestBatchFedRemoteCAABudget(t *testing.T) {
 	if len(got) != n {
 		t.Fatalf("remote CAA received %d events, want %d", len(got), n)
 	}
-}
-
-// adaptiveRig is a rig whose Range enables rate-adaptive coalescing.
-func adaptiveRig(t testing.TB, maxEvents int, maxDelay time.Duration) *rig {
-	t.Helper()
-	clk := clock.NewManual(epoch)
-	rng := server.New(server.Config{
-		Name:             "level-10",
-		Clock:            clk,
-		BatchMaxEvents:   maxEvents,
-		BatchMaxDelay:    maxDelay,
-		AdaptiveBatching: flow.Adaptive{Enabled: true},
-	})
-	net := transport.NewMemory(transport.MemoryConfig{Clock: clk})
-	host, err := NewHost(rng, net, clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &rig{rng: rng, host: host, net: net, clk: clk}
-}
-
-// TestAdaptiveIdleEndpointFlushesImmediately: with AdaptiveBatching on, an
-// idle endpoint's effective batch sits at the floor, so a lone delivery
-// ships at once instead of waiting out BatchMaxDelay — while a hot
-// endpoint's coalescer ramps to the ceiling and still honours the
-// ⌈N/effectiveBatch⌉ wire budget.
-func TestAdaptiveIdleEndpointFlushesImmediately(t *testing.T) {
-	r := adaptiveRig(t, 64, 50*time.Millisecond)
-	defer r.close()
-	idle := guid.New(guid.KindApplication)
-	idleMsgs := tap(t, r.net, idle)
-	src := guid.New(guid.KindDevice)
-
-	// Idle endpoint: one event, no clock advance — it must not wait for the
-	// 50ms delay timer.
-	r.host.sendEvent(idle, mkReading(src, 1))
-	waitFor(t, func() bool { return len(idleMsgs()) == 1 })
-
-	// Hot endpoint: a sustained 100-events-per-5ms stream ramps its own
-	// coalescer to the ceiling without touching the idle endpoint's.
-	hot := guid.New(guid.KindApplication)
-	hotMsgs := tap(t, r.net, hot)
-	for i := 0; i < 50; i++ {
-		r.clk.Advance(5 * time.Millisecond)
-		batch := make([]event.Event, 100)
-		for j := range batch {
-			batch[j] = mkReading(src, uint64(i*100+j))
-		}
-		r.host.sendEvents(hot, batch)
-	}
-	r.host.mu.Lock()
-	hq := r.host.out[hot]
-	iq := r.host.out[idle]
-	r.host.mu.Unlock()
-	if got := hq.EffectiveBatch(); got != 64 {
-		t.Fatalf("hot endpoint effective batch = %d, want the 64 ceiling", got)
-	}
-	if got := iq.EffectiveBatch(); got != 1 {
-		t.Fatalf("idle endpoint effective batch = %d, want the floor 1", got)
-	}
-	// Wire budget: every hot message carries at most the ceiling, and the
-	// full stream arrives.
-	r.clk.Advance(50 * time.Millisecond)
-	waitFor(t, func() bool {
-		total := 0
-		for _, m := range hotMsgs() {
-			if m.Batch == nil || len(m.Batch.Events) > 64 {
-				t.Fatalf("hot batch %+v exceeds the ceiling or is missing", m.Batch)
-			}
-			total += len(m.Batch.Events)
-		}
-		return total == 50*100
-	})
 }
 
 // blockingConnector attaches a connector whose onEvent parks on gate, so

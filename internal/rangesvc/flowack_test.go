@@ -2,8 +2,8 @@ package rangesvc
 
 // Tests for the flow-control correctness rules: per-endpoint attributed ack
 // credit, ack coalescing under floods of one-event batches, piggybacked
-// credit on bidirectional links, deterministic Connector.Close
-// drain-or-discard, and the rate-adaptive delivery queue.
+// credit on bidirectional links, and deterministic Connector.Close
+// drain-or-discard.
 
 import (
 	"sync"
@@ -71,13 +71,13 @@ func (p *rawPeer) sendBatch(t testing.TB, to guid.GUID, n int, base uint64) {
 	}
 }
 
-// TestUnbatchedPublisherAckedOncePerWindow: a default-configured Range (no
-// coalescing) still acks the publishers of one-event batches — they must
+// TestUnbatchedPublisherAckedOncePerWindow: a default-configured Range
+// (one-event batches) still acks the publishers of one-event batches — they must
 // learn of the drops they cause — and a 1000-message healthy flood accrues
 // into ONE deferred report per ack window, not one reverse frame per
 // ingested message.
 func TestUnbatchedPublisherAckedOncePerWindow(t *testing.T) {
-	r := newRig(t) // BatchMaxEvents unset: coalescing disabled
+	r := newRig(t) // BatchMaxEvents unset: one-event batches
 	defer r.close()
 	pub := newRawPeer(t, r.net)
 	srv := r.rng.ServerID()
@@ -96,7 +96,7 @@ func TestUnbatchedPublisherAckedOncePerWindow(t *testing.T) {
 	if got := len(pub.received(wire.KindEventBatchAck)); got != 1 {
 		t.Fatalf("flood provoked %d standalone acks, want the initial 1", got)
 	}
-	r.clk.Advance(r.host.ackWindow)
+	r.clk.Advance(r.host.maxDelay)
 	waitFor(t, func() bool { return len(pub.received(wire.KindEventBatchAck)) == 2 })
 	acks := pub.received(wire.KindEventBatchAck)
 	credit, ok := acks[1].BatchCreditInfo()
@@ -365,46 +365,6 @@ func TestConnectorCloseVsDrainRace(t *testing.T) {
 			t.Fatal("DeliveryDrops unstable after close")
 		}
 		_ = net.Close()
-	}
-}
-
-// TestAdaptiveDeliveryQueueFollowsRate: with EnableAdaptiveQueue the bound
-// grows under a hot stream and shrinks back when the stream goes idle.
-func TestAdaptiveDeliveryQueueFollowsRate(t *testing.T) {
-	r := batchRig(t, 4, 50*time.Millisecond)
-	defer r.close()
-	c, err := NewBatchConnector(guid.New(guid.KindApplication), "sized", r.net,
-		func([]event.Event) {}, r.clk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.EnableAdaptiveQueue(8, 2048, 100*time.Millisecond)
-	if got := c.DeliveryQueueCap(); got != 8 {
-		t.Fatalf("initial adaptive cap = %d, want the floor 8", got)
-	}
-
-	src := guid.New(guid.KindDevice)
-	burst := make([]event.Event, 100)
-	for i := range burst {
-		burst[i] = mkReading(src, uint64(i))
-	}
-	// 100 events per 5ms = 20k events/s → 50ms of traffic = 1000 ≥ cap 2048? no: 1000.
-	for i := 0; i < 60; i++ {
-		r.clk.Advance(5 * time.Millisecond)
-		c.enqueueDeliveries(burst)
-	}
-	hot := c.DeliveryQueueCap()
-	if hot < 500 {
-		t.Fatalf("hot adaptive cap = %d, want ≥ 500 (≈20k/s × 50ms)", hot)
-	}
-	// Idle: the estimate decays, the bound shrinks toward the floor.
-	for i := 0; i < 60; i++ {
-		r.clk.Advance(50 * time.Millisecond)
-		c.enqueueDeliveries(burst[:1])
-	}
-	if got := c.DeliveryQueueCap(); got >= hot/4 {
-		t.Fatalf("idle adaptive cap = %d, want well below the hot %d", got, hot)
 	}
 }
 

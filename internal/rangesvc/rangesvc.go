@@ -96,18 +96,15 @@ type serviceReplyBody struct {
 // Host serves a Range over a transport endpoint. Construct with NewHost.
 //
 // Outbound event deliveries to remote components travel as event.batch
-// wire messages. When the Range's BatchMaxEvents enables it they flow
-// through a per-endpoint flow.Coalescer first: up to BatchMaxEvents events
-// bound for one remote endpoint are collected into a single message, with a
-// BatchMaxDelay timer flushing partially filled batches so a trickle never
-// stalls (otherwise each event is its own one-event batch). N deliveries to
-// one endpoint therefore cost ⌈N/BatchMaxEvents⌉ wire messages instead of
-// N — and with RangeConfig.AdaptiveBatching the per-endpoint batch size and
-// delay follow each endpoint's observed arrival rate between the
-// configured floors and those ceilings. Remote
-// receivers acknowledge event.batch messages with flow credit
-// (wire.BatchCredit); a collapsing credit throttles that endpoint's
-// coalescer flush rate, surfaced through the Range's
+// wire messages through a per-endpoint flow.Coalescer: up to the Range's
+// BatchMaxEvents events bound for one remote endpoint are collected into a
+// single message, with a BatchMaxDelay timer flushing partially filled
+// batches so a trickle never stalls. N deliveries to one endpoint
+// therefore cost ⌈N/BatchMaxEvents⌉ wire messages instead of N; a
+// BatchMaxEvents of 0 or 1 ships each event at once as its own batch.
+// Either way remote receivers acknowledge event.batch messages with flow
+// credit (wire.BatchCredit); a collapsing credit throttles that
+// endpoint's coalescer flush rate, surfaced through the Range's
 // remote.backpressure.* gauges.
 //
 // Credit flows the other way too: batches a remote CE publishes are
@@ -123,10 +120,8 @@ type Host struct {
 	ep  transport.Endpoint
 	clk clock.Clock
 
-	maxBatch  int
-	maxDelay  time.Duration
-	adaptive  flow.Adaptive
-	ackWindow time.Duration
+	maxBatch int
+	maxDelay time.Duration
 
 	mu      sync.Mutex
 	remotes map[guid.GUID]*remoteProxy       // guarded by mu; remote CE/CAA → proxy
@@ -178,19 +173,14 @@ func NewHost(rng *server.Range, net transport.Network, clk clock.Clock) (*Host, 
 		clk = clock.Real()
 	}
 	h := &Host{
-		rng:       rng,
-		clk:       clk,
-		maxBatch:  rng.BatchMaxEvents(),
-		maxDelay:  rng.BatchMaxDelay(),
-		adaptive:  rng.AdaptiveBatching(),
-		ackWindow: rng.BatchMaxDelay(),
-		remotes:   make(map[guid.GUID]*remoteProxy),
-		out:       make(map[guid.GUID]*flow.Coalescer),
-		acks:      make(map[guid.GUID]*flow.AckCoalescer),
-		failing:   guid.NewSet(),
-	}
-	if h.ackWindow <= 0 {
-		h.ackWindow = server.DefaultBatchMaxDelay
+		rng:      rng,
+		clk:      clk,
+		maxBatch: rng.BatchMaxEvents(),
+		maxDelay: rng.BatchMaxDelay(),
+		remotes:  make(map[guid.GUID]*remoteProxy),
+		out:      make(map[guid.GUID]*flow.Coalescer),
+		acks:     make(map[guid.GUID]*flow.AckCoalescer),
+		failing:  guid.NewSet(),
 	}
 	ep, err := net.Attach(rng.ServerID(), h.handle)
 	if err != nil {
@@ -435,7 +425,7 @@ func (h *Host) noteIngest(src guid.GUID, events int) {
 	if a == nil {
 		a = flow.NewAckCoalescer(flow.AckConfig{
 			Clock:  h.clk,
-			Window: h.ackWindow,
+			Window: h.maxDelay,
 			Figure: func() uint64 { return h.rng.DispatchDropsFor(src) },
 			Send:   func(events int) bool { return h.sendAck(src, events) },
 		})
@@ -557,28 +547,17 @@ func (h *Host) serveInfra(op string) (map[string]any, error) {
 	}
 }
 
-// sendEvent ships an event to a remote component: through the endpoint's
-// coalescer when batching is enabled, as a one-event batch otherwise.
+// sendEvent ships an event to a remote component through the endpoint's
+// coalescer.
 func (h *Host) sendEvent(to guid.GUID, e event.Event) {
-	if h.maxBatch <= 1 {
-		h.sendBatch(to, []event.Event{e})
-		return
-	}
 	if q := h.queueFor(to); q != nil {
 		q.Add(e)
 	}
 }
 
-// sendEvents ships a run of events to one remote component. With batching
-// enabled the whole run enters the endpoint's coalescer under one lock
-// acquisition; otherwise each event ships as its own one-event batch.
+// sendEvents ships a run of events to one remote component: the whole run
+// enters the endpoint's coalescer under one lock acquisition.
 func (h *Host) sendEvents(to guid.GUID, events []event.Event) {
-	if h.maxBatch <= 1 {
-		for i := range events {
-			h.sendBatch(to, events[i:i+1])
-		}
-		return
-	}
 	if q := h.queueFor(to); q != nil {
 		q.AddAll(events)
 	}
@@ -600,7 +579,6 @@ func (h *Host) queueFor(to guid.GUID) *flow.Coalescer {
 			Clock:    h.clk,
 			MaxBatch: h.maxBatch,
 			MaxDelay: h.maxDelay,
-			Adaptive: h.adaptive,
 			Fair:     h.rng.FairFlush(),
 			Stats:    h.rng.FlowStats(),
 			Send:     func(batch []event.Event) { h.sendBatch(to, batch) },
@@ -610,27 +588,21 @@ func (h *Host) queueFor(to guid.GUID) *flow.Coalescer {
 	return q
 }
 
-// sendBatch ships a run of events as one event.batch wire message,
+// sendBatch ships one coalescer chunk as one event.batch wire message,
 // folding in any pending flow-credit ack owed to the destination —
 // on a hot bidirectional link the reverse traffic carries the credit and
-// the standalone ack frame is never paid.
+// the standalone ack frame is never paid. The coalescer never writes a
+// chunk it has handed over (flow.Config.Send), so the message keeps it
+// without a copy. Encoding happens at the wire.
 func (h *Host) sendBatch(to guid.GUID, events []event.Event) {
-	if len(events) == 0 {
-		return
-	}
-	// The caller's slice (the coalescer's flush buffer, a delivery run) is
-	// reused after this returns; the batch escapes with the wire message, so
-	// it gets its own storage. Encoding happens at the wire.
-	owned := make([]event.Event, len(events))
-	copy(owned, events)
 	credit := h.takePiggybackCredit(to)
-	m, err := wire.NewNativeEventBatch(h.rng.ServerID(), to, owned, credit)
+	m, err := wire.NewNativeEventBatch(h.rng.ServerID(), to, events, credit)
 	if err != nil {
 		return
 	}
 	if h.send(to, m) == nil {
 		h.rng.RemoteBatchesSent.Inc()
-		h.rng.RemoteEventsSent.Add(uint64(len(owned)))
+		h.rng.RemoteEventsSent.Add(uint64(len(events)))
 		if credit != nil {
 			h.AcksPiggybacked.Inc()
 		}
@@ -677,11 +649,8 @@ func (h *Host) send(to guid.GUID, m wire.Message) error {
 // Pushed events (query results, configuration inputs) land in a bounded
 // delivery queue drained by a dedicated goroutine, so a slow handler can
 // never stall the transport; when the queue overflows, the oldest events
-// are dropped (context data is freshest-wins) and counted. The queue may
-// size itself from the observed arrival rate (EnableAdaptiveQueue, backed
-// by flow.RateTracker): idle connectors keep a shallow queue and low
-// staleness, hot ones grow headroom for bursts up to the configured
-// ceiling.
+// are dropped (context data is freshest-wins) and counted
+// (SetDeliveryQueueCap sets the bound).
 //
 // Received event.batch messages are acknowledged with the connector's flow
 // credit — the cumulative drop count and remaining queue capacity — which
@@ -707,15 +676,12 @@ type Connector struct {
 	dq          []event.Event // guarded by mu; bounded delivery queue (onEvent/onBatch != nil)
 	dqCap       int           // guarded by mu
 	dqWake      chan struct{}
-	deliverDone chan struct{}     // non-nil iff deliverLoop was started; closed when it exits
-	dqDropped   uint64            // guarded by mu; cumulative overflow drops, reported in acks
-	dqRate      *flow.RateTracker // guarded by mu; non-nil: adaptive queue sizing
-	dqMin       int               // guarded by mu
-	dqMax       int               // guarded by mu
-	credit      wire.BatchCredit  // guarded by mu
-	hasCredit   bool              // guarded by mu
-	hbTimer     clock.Timer       // guarded by mu
-	closed      bool              // guarded by mu
+	deliverDone chan struct{}    // non-nil iff deliverLoop was started; closed when it exits
+	dqDropped   uint64           // guarded by mu; cumulative overflow drops, reported in acks
+	credit      wire.BatchCredit // guarded by mu
+	hasCredit   bool             // guarded by mu
+	hbTimer     clock.Timer      // guarded by mu
+	closed      bool             // guarded by mu
 
 	// Coalesced ack state, one flow.AckCoalescer per delivering endpoint
 	// (acks answer the sender of the batch they cover).
@@ -732,11 +698,6 @@ const DefaultDeliveryQueueLen = 1024
 // credit reports are rate-limited to one per window (reports carrying new
 // drops always leave immediately).
 const connAckWindow = server.DefaultBatchMaxDelay
-
-// adaptiveQueueWindow is how much traffic, at the observed arrival rate, an
-// adaptively sized delivery queue provisions for: bursts shorter than this
-// window at the estimated rate fit without drops.
-const adaptiveQueueWindow = 50 * time.Millisecond
 
 // Errors.
 var (
@@ -792,42 +753,13 @@ func newConnector(id guid.GUID, name string, net transport.Network, onEvent func
 }
 
 // SetDeliveryQueueCap bounds the delivery queue (events awaiting the
-// handler) at a fixed capacity, disabling adaptive sizing. Shrinking below
-// the current backlog drops the oldest surplus.
+// handler). Shrinking below the current backlog drops the oldest surplus.
 func (c *Connector) SetDeliveryQueueCap(n int) {
 	if n < 1 {
 		n = 1
 	}
 	c.mu.Lock()
-	c.dqRate = nil
-	c.setQueueCapLocked(n)
-	c.mu.Unlock()
-}
-
-// EnableAdaptiveQueue sizes the delivery queue from the observed arrival
-// rate instead of a fixed cap: capacity = clamp(rate × adaptiveQueueWindow,
-// min, max), re-derived as deliveries arrive, reusing the flow layer's
-// EWMA rate tracker (halfLife ≤ 0 means flow.DefaultRateHalfLife). A hot
-// connector grows burst headroom toward max; an idle one shrinks toward
-// min, bounding how stale a queued event can get before freshest-wins
-// eviction.
-func (c *Connector) EnableAdaptiveQueue(min, max int, halfLife time.Duration) {
-	if min < 1 {
-		min = 1
-	}
-	if max < min {
-		max = min
-	}
-	c.mu.Lock()
-	c.dqRate = flow.NewRateTracker(halfLife)
-	c.dqMin, c.dqMax = min, max
-	c.setQueueCapLocked(min)
-	c.mu.Unlock()
-}
-
-// setQueueCapLocked applies a new queue bound, evicting the oldest surplus.
-// Callers hold c.mu.
-func (c *Connector) setQueueCapLocked(n int) {
+	defer c.mu.Unlock()
 	c.dqCap = n
 	if over := len(c.dq) - n; over > 0 {
 		c.dq = append(c.dq[:0], c.dq[over:]...)
@@ -835,7 +767,7 @@ func (c *Connector) setQueueCapLocked(n int) {
 	}
 }
 
-// DeliveryQueueCap reports the current (possibly rate-derived) queue bound.
+// DeliveryQueueCap reports the current queue bound.
 func (c *Connector) DeliveryQueueCap() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -938,26 +870,13 @@ func (c *Connector) takePiggybackCredit(to guid.GUID) *wire.BatchCredit {
 
 // enqueueDeliveries admits pushed events to the bounded delivery queue,
 // dropping the oldest (freshest-wins, like the mediator's rings) on
-// overflow. With adaptive sizing enabled the bound is re-derived from the
-// arrival-rate estimate first. The ack path reads the queue state live
-// (deliveryCredit) at report time, not here.
+// overflow. The ack path reads the queue state live (deliveryCredit) at
+// report time, not here.
 func (c *Connector) enqueueDeliveries(events []event.Event) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return
-	}
-	if c.dqRate != nil && c.dqRate.Observe(len(events), c.clk.Now()) {
-		want := int(c.dqRate.Rate() * adaptiveQueueWindow.Seconds())
-		if want < c.dqMin {
-			want = c.dqMin
-		}
-		if want > c.dqMax {
-			want = c.dqMax
-		}
-		if want != c.dqCap {
-			c.setQueueCapLocked(want)
-		}
 	}
 	if over := len(events) - c.dqCap; over > 0 {
 		// The burst alone exceeds the queue: only its freshest tail can

@@ -124,13 +124,13 @@ func (f *Fabric) downstreamFor(peer guid.GUID) uint64 {
 // noteAck records an owed credit report toward one peer through the link's
 // flow.AckCoalescer — one for fan-path batches, one for routed-query
 // results (query). The leading report and reports whose figure moved leave
-// promptly (one per ack window even under a sustained drop storm — the
-// figure is cumulative), while no-news reports wait out a fallback
-// stretched past the deepest throttled flush cycle (flow's maxPenalty of
-// 16 × the delay ceiling) — an all-clear decays the sender's penalty, so
-// answering a relayed burst with per-message "nothing new" frames would
-// wind the throttle down between the bursts still causing congestion
-// downstream. Every (peer, query) coalescer at the sender tracks the same
+// promptly (one per ack window, the Range's BatchMaxDelay, even under a
+// sustained drop storm — the figure is cumulative), while no-news reports
+// wait out a fallback stretched past the deepest throttled flush cycle
+// (flow's maxPenalty of 16 × the delay ceiling) — an all-clear decays the
+// sender's penalty, so answering a relayed burst with per-message "nothing
+// new" frames would wind the throttle down between the bursts still
+// causing congestion downstream. Every (peer, query) coalescer at the sender tracks the same
 // cumulative routed-query figure, so one shared report per peer replaces a
 // frame per result batch.
 func (f *Fabric) noteAck(to guid.GUID, events int, query bool) {
@@ -148,8 +148,8 @@ func (f *Fabric) noteAck(to guid.GUID, events int, query bool) {
 	if *slot == nil {
 		*slot = flow.NewAckCoalescer(flow.AckConfig{
 			Clock:      f.clk,
-			Window:     f.ackWindow,
-			IdleWindow: f.ackWindow * fanAckIdleFactor,
+			Window:     f.maxDelay,
+			IdleWindow: f.maxDelay * fanAckIdleFactor,
 			Figure:     func() uint64 { return f.ackFigure(to, query) },
 			Send:       func(events int) bool { return f.sendAck(to, events, query) == nil },
 		})

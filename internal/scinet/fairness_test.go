@@ -117,7 +117,7 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 		t.Fatalf("result storm answered with %d ack frames, want 1 per window", got)
 	}
 	// The deferred no-news report fires once the idle window passes.
-	fn.clk.Advance(fB.ackWindow * (fanAckIdleFactor + 1))
+	fn.clk.Advance(fB.maxDelay * (fanAckIdleFactor + 1))
 	waitFor(t, func() bool { return fB.AcksSent.Value()-base == 2 })
 
 	// Receiver side: one cumulative QueryAck frame from B throttles every

@@ -19,25 +19,6 @@ import (
 // ingested batch ids a fabric remembers.
 const seenWindow = 4096
 
-// forwardLocal is the mediator tap handler: every run of locally published
-// events reaches the fan-out coalescer as one slice appended under one lock
-// acquisition (the batch-fed remote fan-out edge).
-func (f *Fabric) forwardLocal(events []event.Event) {
-	if len(events) == 0 {
-		return
-	}
-	if f.maxBatch > 1 {
-		f.fan.AddAll(events)
-		return
-	}
-	// Coalescing disabled: each event ships as its own batch message, in a
-	// slice of its own — events belongs to the delivery loop (a shared run
-	// or its reused buffer), and fanOut's batch outlives this call.
-	for i := range events {
-		f.fanOut([]event.Event{events[i]})
-	}
-}
-
 // fanOut ships one already-bounded chunk of locally published events to
 // every next hop that wants it — flat-announced interested peers plus, in
 // hierarchy mode, the hierarchy links whose digest admits the batch —
@@ -62,11 +43,13 @@ func (f *Fabric) fanOut(events []event.Event) {
 	via = append(via, recips...)
 	batch := &wire.NativeBatch{Events: events, Origin: self, ID: guid.New(guid.KindEvent), Via: via}
 	for _, to := range recips {
-		if f.node.Send(to, appEventBatch, nil, batch) == nil {
-			f.BatchesForwarded.Inc()
-			f.EventsForwarded.Add(uint64(len(events)))
-			f.noteSubtreeForward(to)
+		if f.node.Send(to, appEventBatch, nil, batch) != nil {
+			f.ForwardFailures.Add(uint64(len(events)))
+			continue
 		}
+		f.BatchesForwarded.Inc()
+		f.EventsForwarded.Add(uint64(len(events)))
+		f.noteSubtreeForward(to)
 	}
 }
 
@@ -313,19 +296,15 @@ func matchAny(filters []event.Filter, events []event.Event, rng *server.Range) b
 // throttled peer before the oldest are shed.
 const maxRelayBacklog = 64
 
-// relayDrainDelay is the pacing interval for a throttled relay backlog: the
-// flush-delay ceiling stretched by the fan coalescer's penalty, mirroring
-// how the fabric's own production is paced while peer credit is collapsed.
-// It also reports whether that penalty is engaged.
+// relayDrainDelay is the pacing interval for a throttled relay backlog:
+// BatchMaxDelay stretched by the fan coalescer's penalty, mirroring how the
+// fabric's own production is paced while peer credit is collapsed. It also
+// reports whether that penalty is engaged.
 func (f *Fabric) relayDrainDelay() (delay time.Duration, throttled bool) {
-	base := f.maxDelay
-	if base <= 0 {
-		base = f.ackWindow
-	}
 	if p := f.fan.Penalty(); p > 1 {
-		return time.Duration(float64(base) * p), true
+		return time.Duration(float64(f.maxDelay) * p), true
 	}
-	return base, false
+	return f.maxDelay, false
 }
 
 // relayTo forwards one relayed batch toward a peer: at line rate while
@@ -354,10 +333,7 @@ func (f *Fabric) relayTo(to guid.GUID, batch *wire.NativeBatch) {
 	// per-peer FIFO order.
 	if !throttled && len(l.relayPending) == 0 && l.relayTimer == nil {
 		l.mu.Unlock()
-		if f.node.Send(to, appEventBatch, nil, batch) == nil {
-			f.BatchesRelayed.Inc()
-			f.noteSubtreeForward(to)
-		}
+		f.sendRelayed(to, batch)
 		return
 	}
 	defer l.mu.Unlock()
@@ -386,10 +362,7 @@ func (f *Fabric) drainRelay(l *link) {
 		return
 	}
 	for _, batch := range pending {
-		if f.node.Send(l.id, appEventBatch, nil, batch) == nil {
-			f.BatchesRelayed.Inc()
-			f.noteSubtreeForward(l.id)
-		}
+		f.sendRelayed(l.id, batch)
 	}
 	delay, _ := f.relayDrainDelay()
 	l.mu.Lock()
@@ -397,4 +370,16 @@ func (f *Fabric) drainRelay(l *link) {
 	if !l.closed && len(l.relayPending) > 0 && l.relayTimer == nil {
 		l.relayTimer = f.clk.AfterFunc(delay, func() { f.drainRelay(l) })
 	}
+}
+
+// sendRelayed puts one relayed batch on the wire toward a peer, counting
+// it as relayed or, when the transport refuses it, its events as forward
+// failures.
+func (f *Fabric) sendRelayed(to guid.GUID, batch *wire.NativeBatch) {
+	if f.node.Send(to, appEventBatch, nil, batch) != nil {
+		f.ForwardFailures.Add(uint64(len(batch.Events)))
+		return
+	}
+	f.BatchesRelayed.Inc()
+	f.noteSubtreeForward(to)
 }

@@ -279,3 +279,55 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 		t.Fatalf("remote.backpressure.throttled = %v after recovery, want 0", got)
 	}
 }
+
+// TestUnbatchedFanOutThrottlesOnCreditCollapse: with BatchMaxEvents unset
+// the fan-out still ships through its coalescer, so collapsing credit from
+// a peer throttles it: one-event batches stop leaving at once and wait for
+// the penalty-stretched BatchMaxDelay timer, which ships the backlog in one
+// paced flush.
+func TestUnbatchedFanOutThrottlesOnCreditCollapse(t *testing.T) {
+	fn := newFanNet(t, 2, 0)
+	defer fn.close()
+	fA, fB := fn.fabrics[0], fn.fabrics[1]
+	waitCoverage(t, fn)
+
+	recv := newCounter()
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	if _, err := fB.SubscribeRemote(guid.New(guid.KindApplication), flt, recv.handle); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return fA.knowsInterest(fB.NodeID()) && fA.hasTap() })
+
+	for _, dropped := range []uint64{0, 50} { // a baseline, then 50 fresh drops
+		payload, err := json.Marshal(eventBatchAckMsg{Origin: fB.NodeID(), Dropped: dropped, QueueFree: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fA.handleBatchAck(overlay.Delivery{Origin: fB.NodeID(), AppKind: appEventBatchAck, Payload: payload})
+	}
+	stats := fn.ranges[0].StatsMap
+	if got := stats()["remote.backpressure.throttle_events"]; got == 0 {
+		t.Fatal("collapsing credit did not throttle the unbatched fan-out")
+	}
+
+	const n = 3
+	if err := fn.ranges[0].PublishAll(makeEvents(n, fn.clk)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return fA.fan.PendingLen() == n || fA.BatchesForwarded.Value() > 0 })
+	if got := fA.BatchesForwarded.Value(); got != 0 {
+		t.Fatalf("throttled fan-out still shipped %d one-event batches at once", got)
+	}
+	fn.clk.Advance(2 * time.Millisecond) // the unstretched BatchMaxDelay
+	if got := fA.BatchesForwarded.Value(); got != 0 {
+		t.Fatalf("throttled fan-out flushed at the unstretched delay")
+	}
+	fn.clk.Advance(2 * time.Millisecond) // penalty 2 reached
+	if got := fA.BatchesForwarded.Value(); got != n {
+		t.Fatalf("stretched timer flush forwarded %d batches, want %d one-event batches", got, n)
+	}
+	if got := stats()["remote.flushes"]; got != 1 {
+		t.Fatalf("remote.flushes = %v, want 1: the backlog must leave in one timer-paced flush", got)
+	}
+	waitFor(t, func() bool { return recv.exactlyOnce(n) })
+}

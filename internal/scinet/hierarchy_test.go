@@ -576,3 +576,69 @@ func TestDigestReachesLateConfiguredParent(t *testing.T) {
 	}
 	waitFor(t, func() bool { return parent.childMatches(child.NodeID(), topic) })
 }
+
+// TestSuperPeerDeathCountsLoss: a 7-fabric tree (root, two mid-level
+// super-peers, two leaves under each) with a subscriber on a leaf under mid
+// 1 and a publisher on a leaf under mid 2. Once mid 2 — the publisher's
+// parent — is closed, the publisher's batches still head for it and the
+// transport refuses them; each refused event must be counted as a forward
+// failure, never lost silently: delivered plus the publisher's
+// remote.forward_failures accounts for every event published after the
+// death. (Degrading to flat routing would deliver them instead.)
+func TestSuperPeerDeathCountsLoss(t *testing.T) {
+	topic := ctxtype.Type("grid.freq")
+	hn := newHierNet(t, 7, 0, func(ids []guid.GUID, i int) HierarchyConfig {
+		cfg := HierarchyConfig{DigestWindow: 5 * time.Millisecond, SuperPeer: i <= 2}
+		switch {
+		case i == 1 || i == 2:
+			cfg.Parent, cfg.Level = ids[0], 1
+		case i > 2:
+			cfg.Parent, cfg.Level = ids[1+(i-3)/2], 2
+		}
+		return cfg
+	})
+	defer hn.close()
+	root, mid1, mid2 := hn.fabrics[0], hn.fabrics[1], hn.fabrics[2]
+	sub, pub := hn.fabrics[3], hn.fabrics[5]
+
+	c := newCounter()
+	if _, err := sub.SubscribeRemote(guid.New(guid.KindEntity), event.Filter{Type: topic}, c.handle); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool {
+		return mid1.childMatches(sub.NodeID(), topic) && root.childMatches(mid1.NodeID(), topic) &&
+			mid2.upMatches(topic) && pub.upMatches(topic) && pub.hasTap()
+	})
+	src := guid.New(guid.KindDevice)
+	publish := func(from uint64) {
+		t.Helper()
+		for k := from; k < from+10; k++ {
+			if err := hn.ranges[5].Publish(event.New(topic, src, k, time.Now(), nil)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	publish(1)
+	waitFor(t, func() bool { return c.exactlyOnce(10) })
+
+	if err := mid2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// The publisher has taken in mid 2's withdrawal and departure: its
+	// parent's summary is gone, so it taps everything for the parent.
+	waitFor(t, func() bool {
+		pub.mu.Lock()
+		defer pub.mu.Unlock()
+		_, wild := pub.taps[ctxtype.Wildcard]
+		return pub.upDigest == nil && pub.links[mid2.NodeID()] == nil && wild && len(pub.taps) == 1
+	})
+	publish(11)
+	accounted := func() int {
+		return c.total() - 10 + int(hn.ranges[5].StatsMap()["remote.forward_failures"])
+	}
+	waitFor(t, func() bool { return accounted() >= 10 })
+	if got := accounted(); got != 10 {
+		t.Fatalf("delivered %d + forward failures %v = %d after the super-peer died, want 10",
+			c.total()-10, hn.ranges[5].StatsMap()["remote.forward_failures"], got)
+	}
+}

@@ -510,7 +510,9 @@ func (f *Fabric) reconcileTaps() {
 		if add != ctxtype.Wildcard {
 			flt.Type = add
 		}
-		rec, err := f.rng.Mediator().SubscribeBatch(f.node.ID(), flt, f.forwardLocal,
+		// Every delivered run of local publishes enters the fan-out
+		// coalescer under one lock acquisition.
+		rec, err := f.rng.Mediator().SubscribeBatch(f.node.ID(), flt, f.fan.AddAll,
 			mediator.SubOptions{QueueLen: tapQueueLen})
 		if err != nil {
 			return

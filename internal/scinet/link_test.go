@@ -213,3 +213,44 @@ func TestForgedReplyIgnored(t *testing.T) {
 		t.Fatalf("the target's results reached the consumer %d times, want 2", len(consumed))
 	}
 }
+
+// TestForwardFailuresCounted: an interested peer drops off the network
+// without a word (its endpoint detaches, so the transport refuses sends to
+// it, unlike a Memory.Partition, which loses messages silently and leaves
+// the sender nothing to see). Every event the fabric then fails to forward
+// to it is counted, so forward failures plus what the peer received add up
+// to everything published, and Range.StatsMap reports the count on a flat
+// fabric too.
+func TestForwardFailuresCounted(t *testing.T) {
+	pf := newPeerFixture(t, 64)
+	defer pf.close()
+	p := pf.addPeer(t, "")
+	pf.from(t, p, appInterest, interestMsg{Owner: p.id(), Gen: 1, Full: true,
+		Filters: []event.Filter{{Type: ctxtype.TemperatureCelsius}}})
+	waitFor(t, pf.f.hasTap)
+
+	// publish sends one run and flushes it on the delay timer.
+	publish := func(n int) {
+		t.Helper()
+		if err := pf.rng.PublishAll(makeEvents(n, pf.clk)); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return pf.f.fan.PendingLen() == n })
+		pf.clk.Advance(2 * time.Millisecond)
+	}
+	const total, before = 10, 4
+	publish(before)
+	delivered := len(p.await(t, appEventBatch).Batch.Events)
+	if delivered != before {
+		t.Fatalf("the live peer received %d events, want %d", delivered, before)
+	}
+
+	_ = p.node.Close()
+	publish(total - before)
+	if got := pf.f.ForwardFailures.Value(); got != uint64(total-delivered) {
+		t.Fatalf("ForwardFailures = %d, want %d (published %d, delivered %d)", got, total-delivered, total, delivered)
+	}
+	if got := pf.rng.StatsMap()["remote.forward_failures"]; got != float64(total-delivered) {
+		t.Fatalf("remote.forward_failures = %v, want %d", got, total-delivered)
+	}
+}

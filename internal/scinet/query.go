@@ -280,33 +280,23 @@ func (f *Fabric) ServedQueries() []guid.GUID {
 }
 
 // sendQueryEvents sends a run of result events for one forwarded query
-// back to its origin fabric: through the per-(peer, query) coalescer when
-// batching is enabled, as one-event batches otherwise.
+// back to its origin fabric through the per-(peer, query) coalescer.
 func (f *Fabric) sendQueryEvents(to, qid guid.GUID, events []event.Event) {
-	if f.maxBatch <= 1 {
-		for i := range events {
-			f.sendQueryBatch(to, qid, events[i:i+1])
-		}
-		return
-	}
 	if q := f.queueFor(to, qid); q != nil {
 		q.AddAll(events)
 	}
 }
 
-// sendQueryBatch ships one bounded chunk as a scinet.event_batch message.
-// The chunk aliases the caller's buffer (the coalescer's, or the proxy's
-// delivery run), so it is copied before escaping with the message.
+// sendQueryBatch ships one coalescer chunk as a scinet.event_batch
+// message. The coalescer never writes a chunk it has handed over
+// (flow.Config.Send), so the batch keeps it without a copy.
 func (f *Fabric) sendQueryBatch(to, qid guid.GUID, events []event.Event) {
-	if len(events) == 0 {
+	if f.node.Send(to, appEventBatch, nil, &wire.NativeBatch{Events: events, Origin: f.node.ID(), Query: qid}) != nil {
+		f.ForwardFailures.Add(uint64(len(events)))
 		return
 	}
-	owned := make([]event.Event, len(events))
-	copy(owned, events)
-	if f.node.Send(to, appEventBatch, nil, &wire.NativeBatch{Events: owned, Origin: f.node.ID(), Query: qid}) == nil {
-		f.BatchesForwarded.Inc()
-		f.EventsForwarded.Add(uint64(len(owned)))
-	}
+	f.BatchesForwarded.Inc()
+	f.EventsForwarded.Add(uint64(len(events)))
 }
 
 // queueFor returns the result coalescer of a query served for the fabric
@@ -323,7 +313,6 @@ func (f *Fabric) queueFor(to, qid guid.GUID) *flow.Coalescer {
 		Clock:    f.clk,
 		MaxBatch: f.maxBatch,
 		MaxDelay: f.maxDelay,
-		Adaptive: f.adaptive,
 		Fair:     f.rng.FairFlush(),
 		Stats:    f.rng.FlowStats(),
 		Send:     func(batch []event.Event) { f.sendQueryBatch(to, qid, batch) },

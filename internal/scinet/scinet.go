@@ -195,10 +195,8 @@ type Fabric struct {
 	node *overlay.Node
 	clk  clock.Clock
 
-	maxBatch  int
-	maxDelay  time.Duration
-	adaptive  flow.Adaptive
-	ackWindow time.Duration
+	maxBatch int
+	maxDelay time.Duration
 
 	// Flow-layer callbacks (Coalescer send paths) run while the coalescer
 	// holds its flush lock and may take f.mu downstream, so no flow entry
@@ -240,10 +238,15 @@ type Fabric struct {
 
 	// BatchesForwarded / EventsForwarded count the fan-out and routed-query
 	// batches this fabric originated and handed to the transport (one batch
-	// per message per peer) and the events they carried. A send the
-	// transport refused is not counted: it tears the peer down instead.
+	// per message per peer) and the events they carried.
 	BatchesForwarded metrics.Counter
 	EventsForwarded  metrics.Counter
+	// ForwardFailures counts the events carried by fan-out, relayed and
+	// routed-query batches the transport refused (one count per event per
+	// refused send). A refused send also tears the peer down, so a dead
+	// next hop shows here instead of as silent loss; Range.StatsMap reports
+	// it as remote.forward_failures.
+	ForwardFailures metrics.Counter
 	// BatchesIngested / EventsIngested count cross-range batches accepted
 	// into the local Range's dispatch path.
 	BatchesIngested metrics.Counter
@@ -276,7 +279,8 @@ type Fabric struct {
 // NewFabric attaches a Range to the SCINET over net. The fabric's overlay
 // node has its own GUID (the Range's transport host, if any, keeps the CS
 // GUID). The Range's BatchMaxEvents/BatchMaxDelay govern the fabric's
-// outbound coalescers exactly as they govern the Range Service's.
+// outbound coalescers exactly as they govern the Range Service's, and
+// BatchMaxDelay is also the credit-ack window.
 func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabric, error) {
 	if clk == nil {
 		clk = clock.Real()
@@ -286,8 +290,6 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 		clk:       clk,
 		maxBatch:  rng.BatchMaxEvents(),
 		maxDelay:  rng.BatchMaxDelay(),
-		adaptive:  rng.AdaptiveBatching(),
-		ackWindow: rng.BatchMaxDelay(),
 		links:     make(map[guid.GUID]*link),
 		ownerRefs: make(map[guid.GUID]int),
 		taps:      make(map[ctxtype.Type]guid.GUID),
@@ -298,9 +300,6 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 		announceGen: 1,
 	}
 	f.refreshInterestSnapLocked()
-	if f.ackWindow <= 0 {
-		f.ackWindow = server.DefaultBatchMaxDelay
-	}
 	node, err := overlay.NewNode(overlay.Config{
 		Network: net,
 		Clock:   clk,
@@ -315,10 +314,12 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 		Clock:    clk,
 		MaxBatch: f.maxBatch,
 		MaxDelay: f.maxDelay,
-		Adaptive: f.adaptive,
 		Fair:     rng.FairFlush(),
 		Stats:    rng.FlowStats(),
 		Send:     f.fanOut,
+	})
+	rng.AddStatsSource(func() map[string]float64 {
+		return map[string]float64{"remote.forward_failures": float64(f.ForwardFailures.Value())}
 	})
 	return f, nil
 }

@@ -1,7 +1,6 @@
 package server
 
-// Tests for the Range's dispatch tuning and observability surface:
-// Config.EventShards threading and StatsMap.
+// Tests for the Range's observability surface: DispatchStats and StatsMap.
 
 import (
 	"strings"
@@ -10,15 +9,17 @@ import (
 
 	"sci/internal/clock"
 	"sci/internal/entity"
+	"sci/internal/eventbus"
 )
 
+// TestEventShardsThreading checks that a Range's event bus runs the
+// default lock stripes and that DispatchStats reaches it.
 func TestEventShardsThreading(t *testing.T) {
 	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
-	rng := New(Config{Name: "sharded", Clock: clk, EventShards: 5})
+	rng := New(Config{Name: "sharded", Clock: clk})
 	defer rng.Close()
-	// 5 rounds up to the next power of two.
-	if got := len(rng.Mediator().ShardStats()); got != 8 {
-		t.Fatalf("ShardStats stripes = %d, want 8", got)
+	if got := len(rng.Mediator().ShardStats()); got != eventbus.DefaultShards {
+		t.Fatalf("ShardStats stripes = %d, want %d", got, eventbus.DefaultShards)
 	}
 	if st := rng.DispatchStats(); st.Subs == 0 {
 		t.Fatalf("DispatchStats = %+v, want the Range's own profile-update subscription", st)
@@ -27,7 +28,7 @@ func TestEventShardsThreading(t *testing.T) {
 
 func TestStatsMap(t *testing.T) {
 	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
-	rng := New(Config{Name: "observed", Clock: clk, EventShards: 2})
+	rng := New(Config{Name: "observed", Clock: clk})
 	defer rng.Close()
 	caa := entity.NewCAA("watcher", nil, clk)
 	if err := rng.AddApplication(caa); err != nil {
@@ -40,7 +41,7 @@ func TestStatsMap(t *testing.T) {
 		"eventbus.subs",
 		"eventbus.index_hit_ratio",
 		"eventbus.shard00.published",
-		"eventbus.shard01.delivered",
+		"eventbus.shard07.delivered",
 		"queries.submitted",
 		// The rest of the dispatch and remote figures dispatch.stats
 		// answers with.
@@ -71,8 +72,8 @@ func TestStatsMap(t *testing.T) {
 	if stats["eventbus.subs"] < 1 {
 		t.Fatal("eventbus.subs not populated")
 	}
-	if stats["eventbus.shards"] != 2 {
-		t.Fatalf("eventbus.shards = %v, want 2", stats["eventbus.shards"])
+	if stats["eventbus.shards"] != eventbus.DefaultShards {
+		t.Fatalf("eventbus.shards = %v, want %d", stats["eventbus.shards"], eventbus.DefaultShards)
 	}
 	if ratio := stats["eventbus.index_hit_ratio"]; ratio < 0 || ratio > 1 {
 		t.Fatalf("index_hit_ratio = %v, want within [0,1]", ratio)

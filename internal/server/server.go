@@ -52,27 +52,16 @@ type Config struct {
 	Coverage location.Path
 	// Lease is the registration lease (default registry.DefaultLease).
 	Lease time.Duration
-	// MaxRepairs bounds per-configuration adaptation (default 8).
-	MaxRepairs int
-	// EventShards tunes the Event Mediator's dispatch lock-stripe count
-	// (rounded up to a power of two; 0 = eventbus.DefaultShards). Raise it
-	// on Ranges with many concurrent publishers.
-	EventShards int
-	// BatchMaxEvents caps how many events the Range Service coalesces into
-	// one outbound wire message per remote endpoint. 0 or 1 disables
-	// coalescing: every remote delivery ships as its own one-event batch.
+	// BatchMaxEvents caps how many events one outbound wire message
+	// carries per remote destination: every remote delivery, from the
+	// Range Service and the SCINET fabric alike, goes through a
+	// flow.Coalescer with this batch ceiling. 0 or 1 means one-event
+	// batches, shipped at once, under the same flow control.
 	BatchMaxEvents int
 	// BatchMaxDelay bounds how long a coalesced event may wait for its
-	// batch to fill before the pending run is flushed anyway (default
-	// DefaultBatchMaxDelay when BatchMaxEvents enables coalescing).
+	// batch to fill before the pending run is flushed anyway, and paces a
+	// credit-throttled link (default DefaultBatchMaxDelay).
 	BatchMaxDelay time.Duration
-	// AdaptiveBatching derives each outbound coalescer's effective batch
-	// size and flush delay from its destination's observed arrival rate,
-	// between the configured floors and the BatchMaxEvents/BatchMaxDelay
-	// ceilings: idle endpoints flush near-immediately, hot ones ride full
-	// batches. Applies to the Range Service's per-endpoint queues and the
-	// SCINET fabric's per-peer/fan-out queues alike.
-	AdaptiveBatching flow.Adaptive
 	// AutoRenewEvery renews all local registrations on this period
 	// (0 disables; tests drive renewal manually).
 	AutoRenewEvery time.Duration
@@ -141,7 +130,6 @@ type Range struct {
 
 	batchMaxEvents int
 	batchMaxDelay  time.Duration
-	adaptive       flow.Adaptive
 	quota          PublisherQuota
 	// statsSources are external contributors to StatsMap — layers owning
 	// state the Range can't see (the Range Service's wire codec and byte
@@ -168,8 +156,8 @@ type Range struct {
 	RemoteSendFailures metrics.Counter
 }
 
-// DefaultBatchMaxDelay is the flush deadline used when Config.BatchMaxEvents
-// enables outbound coalescing but no BatchMaxDelay is given.
+// DefaultBatchMaxDelay is the outbound flush deadline used when
+// Config.BatchMaxDelay is not positive.
 const DefaultBatchMaxDelay = 2 * time.Millisecond
 
 // pendingQuery is a stored query awaiting its When condition.
@@ -216,7 +204,7 @@ func New(cfg Config) *Range {
 	if cfg.Name == "" {
 		cfg.Name = "range"
 	}
-	if cfg.BatchMaxEvents > 1 && cfg.BatchMaxDelay <= 0 {
+	if cfg.BatchMaxDelay <= 0 {
 		cfg.BatchMaxDelay = DefaultBatchMaxDelay
 	}
 	r := &Range{
@@ -235,11 +223,10 @@ func New(cfg Config) *Range {
 
 		batchMaxEvents: cfg.BatchMaxEvents,
 		batchMaxDelay:  cfg.BatchMaxDelay,
-		adaptive:       cfg.AdaptiveBatching,
 		quota:          cfg.PublisherQuota,
 	}
 	r.registrar = registry.New(registry.Config{Clock: cfg.Clock, Lease: cfg.Lease})
-	medOpts := []mediator.Option{mediator.WithShards(cfg.EventShards)}
+	var medOpts []mediator.Option
 	if cfg.PublisherQuota.Rate > 0 {
 		medOpts = append(medOpts, mediator.WithQuota(eventbus.Quota{
 			Rate:   cfg.PublisherQuota.Rate,
@@ -250,7 +237,8 @@ func New(cfg Config) *Range {
 	}
 	r.med = mediator.New(cfg.Types, medOpts...)
 	r.res = resolver.New(r.profiles, cfg.Types, cfg.Places)
-	r.runtime = configuration.New(r.med, r.res, configuration.ComponentsFunc(r.Component), cfg.MaxRepairs)
+	// A zero repair budget takes the configuration runtime's default (8).
+	r.runtime = configuration.New(r.med, r.res, configuration.ComponentsFunc(r.Component), 0)
 
 	// Departures repair configurations and are announced as events;
 	// arrivals are announced as events (Section 3.4 mobility model).
@@ -645,17 +633,13 @@ func (r *Range) PublishAllFrom(pub guid.GUID, events []event.Event) error {
 	return r.med.PublishAllOwnedFrom(pub, stamped)
 }
 
-// BatchMaxEvents reports the configured per-endpoint outbound coalescing
-// cap (0 or 1: coalescing disabled).
+// BatchMaxEvents reports the configured per-destination outbound batch
+// ceiling (0 or 1: one-event batches, same flow control).
 func (r *Range) BatchMaxEvents() int { return r.batchMaxEvents }
 
-// BatchMaxDelay reports the configured flush deadline for partially filled
-// outbound batches.
+// BatchMaxDelay reports the flush deadline for partially filled outbound
+// batches, which also paces a credit-throttled link (never zero).
 func (r *Range) BatchMaxDelay() time.Duration { return r.batchMaxDelay }
-
-// AdaptiveBatching reports the rate-derived batch-sizing configuration the
-// Range's outbound coalescers run with.
-func (r *Range) AdaptiveBatching() flow.Adaptive { return r.adaptive }
 
 // FlowStats returns the shared flow-control stats sink the Range's
 // outbound coalescers report into; its counters feed the

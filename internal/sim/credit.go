@@ -19,7 +19,6 @@ import (
 
 	"sci/internal/ctxtype"
 	"sci/internal/event"
-	"sci/internal/flow"
 	"sci/internal/guid"
 	"sci/internal/location"
 	"sci/internal/profile"
@@ -80,11 +79,10 @@ func newE13Chain(batch int, maxDelay time.Duration) (*e13Chain, error) {
 	}
 	for i := 0; i < 3; i++ {
 		rng := server.New(server.Config{
-			Name:             fmt.Sprintf("e13-r%d", i),
-			Coverage:         location.Path(fmt.Sprintf("campus/e13-r%d", i)),
-			BatchMaxEvents:   batch,
-			BatchMaxDelay:    maxDelay,
-			AdaptiveBatching: flow.Adaptive{Enabled: true},
+			Name:           fmt.Sprintf("e13-r%d", i),
+			Coverage:       location.Path(fmt.Sprintf("campus/e13-r%d", i)),
+			BatchMaxEvents: batch,
+			BatchMaxDelay:  maxDelay,
 		})
 		f, err := scinet.NewFabric(rng, ch.net, nil)
 		if err != nil {
@@ -280,11 +278,10 @@ func e13AckEconomy(batch int, maxDelay time.Duration, res *e13Result) error {
 	net := transport.NewMemory(transport.MemoryConfig{})
 	defer net.Close()
 	rng := server.New(server.Config{
-		Name:             "e13-duplex",
-		Coverage:         location.Path("campus/e13-duplex"),
-		BatchMaxEvents:   batch,
-		BatchMaxDelay:    maxDelay,
-		AdaptiveBatching: flow.Adaptive{Enabled: true},
+		Name:           "e13-duplex",
+		Coverage:       location.Path("campus/e13-duplex"),
+		BatchMaxEvents: batch,
+		BatchMaxDelay:  maxDelay,
 	})
 	defer rng.Close()
 	host, err := rangesvc.NewHost(rng, net, nil)
@@ -306,7 +303,7 @@ func e13AckEconomy(batch int, maxDelay time.Duration, res *e13Result) error {
 	if err := conn.Register(rng.ServerID(), profile.Profile{}, true); err != nil {
 		return err
 	}
-	conn.EnableAdaptiveQueue(64, 1<<16, 0)
+	conn.SetDeliveryQueueCap(1 << 16)
 	q := query.New(conn.ID(), query.What{Pattern: ctxtype.TemperatureKelvin}, query.ModeSubscribe)
 	if _, err := conn.Submit(q); err != nil {
 		return err

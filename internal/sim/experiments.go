@@ -44,7 +44,7 @@ var Experiments = []Experiment{
 	{"e8", "§3.2: a live configuration repairs itself when its bound provider fails", runE8},
 	{"e9", "§2: a query bound to door sightings rebinds to W-LAN sightings when every door vanishes", runE9},
 	{"e10", "§3: aggregate query throughput grows with the number of Ranges", runE10},
-	{"e12", "flow control: adaptive coalescing frees idle endpoints from the flush delay, and receiver credit throttles the sender", runE12},
+	{"e12", "flow control: an overloaded receiver's credit throttles the sender's outbound coalescer", runE12},
 	{"e13", "flow control: congestion two hops downstream throttles the origin, and credit rides reverse batches", runE13},
 	{"e14", "fairness: per-publisher quotas and fair flushing isolate a paced tenant from a hostile one", runE14},
 	{"e16", "SCINET: super-peer digest routing keeps interest state and messages per publish sublinear in fleet size", runE16},

@@ -27,7 +27,6 @@ import (
 
 	"sci/internal/ctxtype"
 	"sci/internal/event"
-	"sci/internal/flow"
 	"sci/internal/guid"
 	"sci/internal/location"
 	"sci/internal/mediator"
@@ -175,11 +174,10 @@ func e14Local(rate float64, burst, batch int, maxDelay time.Duration, contended 
 	wellSrc := guid.New(guid.KindDevice)
 	hotSrc := guid.New(guid.KindDevice)
 	cfg := server.Config{
-		Name:             "e14-local",
-		Coverage:         location.Path("campus/e14-local"),
-		BatchMaxEvents:   batch,
-		BatchMaxDelay:    maxDelay,
-		AdaptiveBatching: flow.Adaptive{Enabled: true},
+		Name:           "e14-local",
+		Coverage:       location.Path("campus/e14-local"),
+		BatchMaxEvents: batch,
+		BatchMaxDelay:  maxDelay,
 	}
 	if rate > 0 {
 		cfg.PublisherQuota = server.PublisherQuota{Rate: rate, Burst: burst}
@@ -270,20 +268,18 @@ func e14Remote(quota server.PublisherQuota, batch int, maxDelay time.Duration,
 	}
 
 	rngA := server.New(server.Config{
-		Name:             "e14-a",
-		Coverage:         location.Path("campus/e14-a"),
-		BatchMaxEvents:   batch,
-		BatchMaxDelay:    maxDelay,
-		AdaptiveBatching: flow.Adaptive{Enabled: true},
-		PublisherQuota:   quota,
+		Name:           "e14-a",
+		Coverage:       location.Path("campus/e14-a"),
+		BatchMaxEvents: batch,
+		BatchMaxDelay:  maxDelay,
+		PublisherQuota: quota,
 	})
 	defer rngA.Close()
 	rngB := server.New(server.Config{
-		Name:             "e14-b",
-		Coverage:         location.Path("campus/e14-b"),
-		BatchMaxEvents:   batch,
-		BatchMaxDelay:    maxDelay,
-		AdaptiveBatching: flow.Adaptive{Enabled: true},
+		Name:           "e14-b",
+		Coverage:       location.Path("campus/e14-b"),
+		BatchMaxEvents: batch,
+		BatchMaxDelay:  maxDelay,
 	})
 	defer rngB.Close()
 

@@ -224,14 +224,13 @@ type (
 	// resolution and queue locking across a burst, in batches with
 	// PublishAll.
 	Range = server.Range
-	// RangeConfig parameterises NewRange, including EventShards (the Event
-	// Mediator's dispatch lock-stripe count), BatchMaxEvents /
-	// BatchMaxDelay (the per-endpoint outbound wire coalescer: up to
-	// BatchMaxEvents remote deliveries ride one event.batch message,
-	// flushed after at most BatchMaxDelay) and AdaptiveBatching (the
-	// coalescers derive effective batch size and delay from each
-	// endpoint's observed arrival rate between the configured floors and
-	// those ceilings).
+	// RangeConfig parameterises NewRange, including BatchMaxEvents /
+	// BatchMaxDelay: every remote delivery — Range Service endpoints,
+	// fabric fan-out and routed-query results — leaves through one
+	// outbound coalescer per destination, where up to BatchMaxEvents
+	// events ride one batch message, flushed after at most BatchMaxDelay.
+	// A BatchMaxEvents of 0 or 1 means one-event batches under the same
+	// flow control.
 	RangeConfig = server.Config
 	// QueryResult is the synchronous answer to Submit.
 	QueryResult = server.Result
@@ -256,22 +255,14 @@ type (
 	DispatchShardStats = eventbus.ShardStats
 )
 
-// DefaultEventShards is the dispatch stripe count used when
-// RangeConfig.EventShards is zero.
-const DefaultEventShards = eventbus.DefaultShards
-
 // DefaultBatchMaxDelay is the outbound coalescer's flush deadline when
-// RangeConfig.BatchMaxEvents enables batching without naming a delay.
+// RangeConfig.BatchMaxDelay is not positive.
 const DefaultBatchMaxDelay = server.DefaultBatchMaxDelay
 
 // Flow control — the unified outbound coalescing layer (internal/flow)
 // shared by the Range Service's per-endpoint delivery queues and the
 // SCINET fabric's per-peer and fan-out queues.
 type (
-	// AdaptiveBatching configures rate-derived batch sizing
-	// (RangeConfig.AdaptiveBatching): idle endpoints flush
-	// near-immediately while hot ones ride full batches.
-	AdaptiveBatching = flow.Adaptive
 	// FlowControlStats is the per-Range sink of outbound flow-control
 	// accounting — flushes, receiver-reported drops, throttle state —
 	// reached via Range.FlowStats and surfaced as the
@@ -279,9 +270,6 @@ type (
 	// dispatch.stats infrastructure call (and, fleet-wide, through
 	// Fabric.FleetDispatchStats).
 	FlowControlStats = flow.SharedStats
-	// FlowRateTracker is the EWMA arrival-rate estimator the adaptive
-	// coalescers and the connector's self-sizing delivery queue share.
-	FlowRateTracker = flow.RateTracker
 	// PublisherQuota is the per-publisher enforcement config
 	// (RangeConfig.PublisherQuota): token-bucket admission at the publish
 	// edge (Rate events/s up to Burst per source, shed-and-count or
@@ -302,9 +290,6 @@ type (
 // ErrOverQuota is the sentinel matched by errors.Is for publishes refused
 // under PublisherQuota.Reject.
 var ErrOverQuota = eventbus.ErrOverQuota
-
-// NewFlowRateTracker builds a rate estimator with the given half-life.
-var NewFlowRateTracker = flow.NewRateTracker
 
 // SCINET — the upper layer.
 type (
