@@ -329,12 +329,26 @@ func TestPayloadKeyInternBounded(t *testing.T) {
 }
 
 // TestPayloadDecodeRejectsMalformed: hostile payload bytes fail the frame
-// with ErrBadMessage.
+// with ErrBadMessage — every time, not only on a decoder's first frame, and
+// also behind an event whose keys the decoder already accepted.
 func TestPayloadDecodeRejectsMalformed(t *testing.T) {
 	for _, bad := range malformedPayloads() {
-		if _, err := NewDecoder(bytes.NewReader(payloadFrame(bad.payload))).Read(); !errors.Is(err, ErrBadMessage) {
-			t.Errorf("%s: want ErrBadMessage, got %v", bad.name, err)
+		frame := payloadFrame(bad.payload)
+		d := NewDecoder(bytes.NewReader(append(frame, frame...)))
+		for i := 0; i < 2; i++ {
+			if _, err := d.Read(); !errors.Is(err, ErrBadMessage) {
+				t.Errorf("%s, frame %d: want ErrBadMessage, got %v", bad.name, i, err)
+			}
 		}
+	}
+	// The second event repeats the first event's key at position 0, then
+	// carries an invalid key where the first event had a valid one.
+	frame := payloadFrame(
+		[]byte{2, 1, 'a', tagNull, 1, 'b', tagNull},
+		[]byte{2, 1, 'a', tagNull, 1, 0xff, tagNull},
+	)
+	if _, err := NewDecoder(bytes.NewReader(frame)).Read(); !errors.Is(err, ErrBadMessage) {
+		t.Errorf("invalid key after a repeated one: want ErrBadMessage, got %v", err)
 	}
 }
 
@@ -363,22 +377,26 @@ func malformedPayloads() []malformedPayload {
 }
 
 // payloadFrame hand-assembles a length-prefixed binary event.batch frame
-// whose single event carries payload verbatim — bytes the encoder itself
-// would refuse to emit.
-func payloadFrame(payload []byte) []byte {
+// with one event per payload, each carrying its payload verbatim — bytes
+// the encoder itself would refuse to emit.
+func payloadFrame(payloads ...[]byte) []byte {
 	src, dst := guid.New(guid.KindServer), guid.New(guid.KindServer)
-	id := guid.New(guid.KindEvent)
 	const typ = "test.payload"
 	b := []byte{magicByte, binaryVersion, kindIDs[KindEventBatch], flagBatch}
 	b = append(b, src[:]...)
 	b = append(b, dst[:]...)
-	b = append(b, 0, 0, 0, 0, 1) // no credit, no header, no type or guid deltas, one event
-	b = append(b, evfPayload)
-	b = append(b, id[:]...)
-	b = binary.AppendUvarint(b, 0) // literal type
-	b = binary.AppendUvarint(b, uint64(len(typ)))
-	b = append(b, typ...)
-	b = append(b, 0, 0, 0, 1) // nil source, subject, range; seq 1
-	b = append(b, payload...)
+	b = append(b, 0, 0, 0, 0) // no credit, no header, no type or guid deltas
+	b = binary.AppendUvarint(b, uint64(len(payloads)))
+	for i, payload := range payloads {
+		id := guid.New(guid.KindEvent)
+		b = append(b, evfPayload)
+		b = append(b, id[:]...)
+		b = binary.AppendUvarint(b, 0) // literal type
+		b = binary.AppendUvarint(b, uint64(len(typ)))
+		b = append(b, typ...)
+		b = append(b, 0, 0, 0)                   // nil source, subject, range
+		b = binary.AppendUvarint(b, uint64(i+1)) // seq
+		b = append(b, payload...)
+	}
 	return append(binary.BigEndian.AppendUint32(nil, uint32(len(b))), b...)
 }
