@@ -183,12 +183,24 @@ func (e *Encoder) appendBatch(b []byte, nb *NativeBatch) ([]byte, error) {
 	for _, g := range nb.Via {
 		e.internGUID(g)
 	}
+	// A field equal to the previous event's was interned with it: interning
+	// it again cannot change the dictionary, so it is skipped.
+	prev := &noEvent
 	for i := range nb.Events {
 		ev := &nb.Events[i]
-		e.internType(string(ev.Type))
-		e.internGUID(ev.Source)
-		e.internGUID(ev.Subject)
-		e.internGUID(ev.Range)
+		if ev.Type != prev.Type {
+			e.internType(string(ev.Type))
+		}
+		if ev.Source != prev.Source {
+			e.internGUID(ev.Source)
+		}
+		if ev.Subject != prev.Subject {
+			e.internGUID(ev.Subject)
+		}
+		if ev.Range != prev.Range {
+			e.internGUID(ev.Range)
+		}
+		prev = ev
 	}
 	b = binary.AppendUvarint(b, uint64(len(e.newTypes)))
 	for _, t := range e.newTypes {
@@ -216,18 +228,40 @@ func (e *Encoder) appendBatch(b []byte, nb *NativeBatch) ([]byte, error) {
 		}
 	}
 
+	// The dictionaries are fixed from here on, so a field equal to the
+	// previous event's encodes to the previous event's reference bytes:
+	// refs remembers where in b they are, and the event copies them.
+	var refs eventRefs
 	b = binary.AppendUvarint(b, uint64(len(nb.Events)))
+	prev = &noEvent
 	for i := range nb.Events {
+		ev := &nb.Events[i]
 		var err error
-		if b, err = e.appendEvent(b, &nb.Events[i]); err != nil {
+		if b, err = e.appendEvent(b, ev, prev, &refs); err != nil {
 			return b, err
 		}
+		prev = ev
 	}
 	return b, nil
 }
 
+// noEvent stands before a batch's first event. Its empty type and nil GUIDs
+// are never interned, and no reference of its was written.
+var noEvent event.Event
+
+// eventRefs records where in the frame the references of the previous
+// event's type, source, subject and range were last written.
+type eventRefs struct{ typ, src, subj, rng span }
+
+// span is a run b[off:end] of the frame being built; the zero span is
+// unset (a reference never sits at the frame's start).
+type span struct{ off, end int }
+
+// appendEvent appends ev. prev is the batch's previous event (noEvent for
+// the first) and refs where its references were written.
+//
 //lint:hotpath
-func (e *Encoder) appendEvent(b []byte, ev *event.Event) ([]byte, error) {
+func (e *Encoder) appendEvent(b []byte, ev, prev *event.Event, refs *eventRefs) ([]byte, error) {
 	var fl byte
 	if !ev.Time.IsZero() {
 		fl |= evfTime
@@ -241,10 +275,10 @@ func (e *Encoder) appendEvent(b []byte, ev *event.Event) ([]byte, error) {
 	}
 	b = append(b, fl)
 	b = append(b, ev.ID[:]...) // event ids are unique: never interned
-	b = e.appendTypeRef(b, string(ev.Type))
-	b = e.appendGUIDRef(b, ev.Source)
-	b = e.appendGUIDRef(b, ev.Subject)
-	b = e.appendGUIDRef(b, ev.Range)
+	b = e.appendTypeRefRun(b, string(ev.Type), ev.Type == prev.Type, &refs.typ)
+	b = e.appendGUIDRefRun(b, ev.Source, ev.Source == prev.Source, &refs.src)
+	b = e.appendGUIDRefRun(b, ev.Subject, ev.Subject == prev.Subject, &refs.subj)
+	b = e.appendGUIDRefRun(b, ev.Range, ev.Range == prev.Range, &refs.rng)
 	b = binary.AppendUvarint(b, ev.Seq)
 	if fl&evfTime != 0 {
 		b = binary.BigEndian.AppendUint64(b, uint64(ev.Time.UnixNano()))
@@ -311,6 +345,30 @@ func (e *Encoder) appendGUIDRef(b []byte, g guid.GUID) []byte {
 	}
 	b = binary.AppendUvarint(b, 1)
 	return append(b, g[:]...)
+}
+
+// appendTypeRefRun appends t's reference. If t is the previous event's
+// type (same) and *s holds that event's reference, those bytes repeat;
+// otherwise the reference is looked up and *s records where it went.
+func (e *Encoder) appendTypeRefRun(b []byte, t string, same bool, s *span) []byte {
+	if same && s.end != 0 {
+		return append(b, b[s.off:s.end]...)
+	}
+	s.off = len(b)
+	b = e.appendTypeRef(b, t)
+	s.end = len(b)
+	return b
+}
+
+// appendGUIDRefRun is appendTypeRefRun for a GUID field.
+func (e *Encoder) appendGUIDRefRun(b []byte, g guid.GUID, same bool, s *span) []byte {
+	if same && s.end != 0 {
+		return append(b, b[s.off:s.end]...)
+	}
+	s.off = len(b)
+	b = e.appendGUIDRef(b, g)
+	s.end = len(b)
+	return b
 }
 
 // commitDict accepts the current frame's dictionary deltas (the frame

@@ -83,15 +83,15 @@ var frameBufPool = sync.Pool{
 func poolGetBuf() []byte  { return (*(frameBufPool.Get().(*[]byte)))[:0] }
 func poolPutBuf(b []byte) { b = b[:0]; frameBufPool.Put(&b) }
 
-// Encoder frames messages onto an io.Writer. Not safe for concurrent use;
-// callers serialise (internal/transport does).
+// Encoder frames messages onto an io.Writer, one Write per frame. Not safe
+// for concurrent use; callers serialise (internal/transport does).
 type Encoder struct {
-	bw     *bufio.Writer
-	lenBuf [4]byte
-	bytes  atomic.Uint64
+	w     io.Writer
+	bytes atomic.Uint64
 
 	// Reused encode state: the frame buffer (taken from frameBufPool on
-	// first use) and per-depth payload entry slices.
+	// first use), which holds the length prefix and the frame after it,
+	// and per-depth payload entry slices.
 	scratch    []byte
 	entryStack [][]payloadEntry
 
@@ -108,7 +108,7 @@ type Encoder struct {
 // NewEncoder wraps w. The Codec argument is ignored: CodecBinary is its
 // only value (see Codec).
 func NewEncoder(w io.Writer, _ Codec) *Encoder {
-	return &Encoder{bw: bufio.NewWriter(w)}
+	return &Encoder{w: w}
 }
 
 // BytesWritten reports the cumulative bytes this encoder has put on the
@@ -124,8 +124,9 @@ func (e *Encoder) Release() {
 	}
 }
 
-// Write frames and flushes one message. A Body that is not valid JSON is
-// rejected before anything ships: no receiver could decode it.
+// Write frames one message and hands it to the writer in a single Write.
+// A Body that is not valid JSON is rejected before anything ships: no
+// receiver could decode it.
 func (e *Encoder) Write(m Message) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -136,9 +137,12 @@ func (e *Encoder) Write(m Message) error {
 	if e.scratch == nil {
 		e.scratch = poolGetBuf()
 	}
+	// The length prefix is reserved at the head of the buffer and filled
+	// in once the frame behind it is built.
 	var err error
-	e.scratch, err = e.appendBinary(e.scratch[:0], m)
-	if err == nil && len(e.scratch) > MaxFrame {
+	e.scratch, err = e.appendBinary(append(e.scratch[:0], 0, 0, 0, 0), m)
+	n := len(e.scratch) - 4
+	if err == nil && n > MaxFrame {
 		err = ErrFrameTooLarge
 	}
 	if err != nil {
@@ -146,17 +150,11 @@ func (e *Encoder) Write(m Message) error {
 		return err
 	}
 	e.commitDict()
-	binary.BigEndian.PutUint32(e.lenBuf[:], uint32(len(e.scratch)))
-	if _, err := e.bw.Write(e.lenBuf[:]); err != nil {
-		return fmt.Errorf("wire: write length: %w", err)
-	}
-	if _, err := e.bw.Write(e.scratch); err != nil {
+	binary.BigEndian.PutUint32(e.scratch, uint32(n))
+	if _, err := e.w.Write(e.scratch); err != nil {
 		return fmt.Errorf("wire: write frame: %w", err)
 	}
-	if err := e.bw.Flush(); err != nil {
-		return fmt.Errorf("wire: flush: %w", err)
-	}
-	e.bytes.Add(uint64(len(e.scratch)) + 4)
+	e.bytes.Add(uint64(len(e.scratch)))
 	return nil
 }
 
@@ -179,6 +177,10 @@ type Decoder struct {
 	// interned up to maxDictEntries entries of at most maxInternedKeyLen
 	// bytes (payload.go).
 	keys map[string]string
+	// runKeys holds the top-level keys of the payloads decoded last, by
+	// position, the first eight of each; only keys that passed UTF-8
+	// validation enter (payload.go).
+	runKeys [8]string
 }
 
 // NewDecoder wraps r.

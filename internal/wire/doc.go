@@ -88,9 +88,23 @@
 //
 // Steady-state binary encode is allocation-free: the frame is built in a
 // reused buffer (taken from a sync.Pool at connection setup, returned when
-// the connection dies), payload maps are encoded by a non-reflective
-// appender with per-depth reused entry slices, and dictionary hits cost a
-// map lookup.
+// the connection dies) behind a reserved length prefix, so each frame is
+// one Write on the connection, and payload maps are encoded by a
+// non-reflective appender with per-depth reused entry slices.
+//
+// Encoder cost. Consecutive events of a batch mostly share their type,
+// source, subject and range: a coalescer chunk is cut by type, a Range
+// stamps its own id on every event it publishes, and one producer
+// publishes runs. A field equal to the previous event's is neither
+// interned again nor looked up again; its reference repeats the bytes the
+// previous event's reference was written as, which are the bytes a lookup
+// would give, since the dictionaries do not change once a frame's deltas
+// are written. A map lookup is paid only where a field changes. Frames are
+// byte-identical to per-event encoding, and the golden streams under
+// testdata/golden (TestGoldenFrames) pin that byte for byte. The decoder
+// does the same for payload keys: a top-level key equal to the previous
+// payload's at the same position reuses the string decoded for it, which
+// passed validation, instead of validating and interning the bytes again.
 //
 // The payload contract (payload.go holds both directions): the encoder
 // writes what an encoding/json round trip of the payload decodes to, and

@@ -79,7 +79,9 @@ func (e *Encoder) appendObject(b []byte, m map[string]any, depth int) ([]byte, e
 	e.entryStack[depth-1] = entries
 	b = binary.AppendUvarint(b, uint64(len(entries)))
 	for _, en := range entries {
-		b = appendPayloadString(b, en.key)
+		// Every key passed utf8.ValidString above: written as is.
+		b = binary.AppendUvarint(b, uint64(len(en.key)))
+		b = append(b, en.key...)
 		var err error
 		if b, err = e.appendValue(b, en.val, depth); err != nil {
 			return b, err
@@ -240,13 +242,24 @@ func (d *Decoder) decodeObject(c *cursor, depth int) map[string]any {
 	var prev string
 	for i := uint64(0); i < n; i++ {
 		kb := c.blob()
-		if c.err == nil && !utf8.Valid(kb) {
-			c.fail("payload key is not UTF-8")
-		}
 		if c.err != nil {
 			return nil
 		}
-		key := d.internKey(kb)
+		var key string
+		// A top-level key equal to the previous payload's at the same
+		// position reuses the string decoded for it, which was validated.
+		if depth == 1 && i < uint64(len(d.runKeys)) && d.runKeys[i] == string(kb) {
+			key = d.runKeys[i]
+		} else {
+			if !utf8.Valid(kb) {
+				c.fail("payload key is not UTF-8")
+				return nil
+			}
+			key = d.internKey(kb)
+			if depth == 1 && i < uint64(len(d.runKeys)) {
+				d.runKeys[i] = key
+			}
+		}
 		if i > 0 && key <= prev {
 			c.fail("payload keys out of order")
 			return nil
