@@ -56,9 +56,12 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzProfileIndex -fuzztime 10s ./internal/profile/
 	$(GO) test -run xxx -fuzz FuzzFabricDeliver -fuzztime 10s ./internal/scinet/
 
-# The concurrency-heavy packages, race-checked twice in shuffled order.
+# The concurrency-heavy packages, race-checked twice in shuffled order; then
+# the SCINET interest and hierarchy convergence tests ten times over, since
+# their generation rules only break under rare interleavings.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
+	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

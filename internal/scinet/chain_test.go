@@ -26,9 +26,7 @@ func injectAck(t *testing.T, f *Fabric, peer guid.GUID, dropped uint64) {
 // injectAckBy additionally carries per-origin downstream accounts.
 func injectAckBy(t *testing.T, f *Fabric, peer guid.GUID, dropped uint64, by map[guid.GUID]uint64) {
 	t.Helper()
-	payload, err := json.Marshal(eventBatchAckMsg{
-		Origin: peer, Dropped: dropped, DownstreamBy: by, QueueFree: -1,
-	})
+	payload, err := json.Marshal(eventBatchAckMsg{Dropped: dropped, DownstreamBy: by, QueueFree: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,6 @@ import (
 // per peer per window replaces a frame per result batch; those acks carry
 // no downstream accounts at all.
 type eventBatchAckMsg struct {
-	Origin       guid.GUID            `json:"origin"`
 	QueryAck     bool                 `json:"query_ack,omitempty"`
 	Events       int                  `json:"events,omitempty"`
 	Dropped      uint64               `json:"dropped"`
@@ -54,7 +53,6 @@ type eventBatchAckMsg struct {
 // stream for another link's collapse.
 func (f *Fabric) sendAck(to guid.GUID, events int, query bool) error {
 	msg := eventBatchAckMsg{
-		Origin:    f.node.ID(),
 		QueryAck:  query,
 		Events:    events,
 		Dropped:   f.rng.DispatchDropsFor(to),
@@ -199,7 +197,7 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 	if msg.QueryAck {
 		// One cumulative routed-query frame credits every coalescer toward
 		// that peer: they all track the same per-peer drop figure.
-		if l := f.lookupLink(msg.Origin); l != nil {
+		if l := f.lookupLink(d.Origin); l != nil {
 			for _, q := range l.resultQueues() {
 				q.UpdateCredit(combined, msg.QueueFree)
 			}
@@ -211,7 +209,7 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 		f.mu.Unlock()
 		return
 	}
-	l := f.linkLocked(msg.Origin)
+	l := f.linkLocked(d.Origin)
 	l.mu.Lock()
 	last, seen := l.dropBase, l.dropKnown
 	l.dropBase, l.dropKnown = combined, true
@@ -233,8 +231,8 @@ func (f *Fabric) handleBatchAck(d overlay.Delivery) {
 	// versioned accounts (incarnation numbers) would lift that and are on
 	// the roadmap — hop-by-hop credit keeps throttling correctly
 	// meanwhile, since every adjacent pair exchanges live Dropped figures.
-	if _, ok := f.downObs[msg.Origin]; ok || msg.Dropped > 0 {
-		f.downObs[msg.Origin] = msg.Dropped
+	if _, ok := f.downObs[d.Origin]; ok || msg.Dropped > 0 {
+		f.downObs[d.Origin] = msg.Dropped
 	}
 	self := f.node.ID()
 	for o, v := range msg.DownstreamBy {

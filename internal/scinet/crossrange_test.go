@@ -870,12 +870,13 @@ func TestCancelWithdrawsServedQuery(t *testing.T) {
 		t.Fatal("query not served")
 	}
 
-	// A forged cancel from a different fabric must not withdraw it.
-	payload, err := json.Marshal(cancelMsg{QueryID: q.ID, Origin: guid.New(guid.KindServer)})
+	// A forged cancel from a fabric that never submitted the query must
+	// not withdraw it.
+	payload, err := json.Marshal(cancelMsg{QueryID: q.ID})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr.fL10.deliver(overlay.Delivery{AppKind: appCancel, Payload: payload})
+	tr.fL10.deliver(overlay.Delivery{Origin: guid.New(guid.KindServer), AppKind: appCancel, Payload: payload})
 	if len(tr.fL10.ServedQueries()) != 1 {
 		t.Fatal("forged cancel withdrew the query")
 	}

@@ -131,9 +131,7 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 	q1 := fA.queueFor(fB.NodeID(), qid1)
 	q2 := fA.queueFor(fB.NodeID(), qid2)
 	for _, dropped := range []uint64{0, 50} { // baseline, then 50 fresh drops
-		payload, err := json.Marshal(eventBatchAckMsg{
-			Origin: fB.NodeID(), QueryAck: true, Dropped: dropped, QueueFree: -1,
-		})
+		payload, err := json.Marshal(eventBatchAckMsg{QueryAck: true, Dropped: dropped, QueueFree: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -220,9 +220,7 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 
 	// Induce overload: B's receive-side drop counter climbs across acks.
 	ack := func(dropped uint64) {
-		payload, err := json.Marshal(eventBatchAckMsg{
-			Origin: fB.NodeID(), Dropped: dropped, QueueFree: -1,
-		})
+		payload, err := json.Marshal(eventBatchAckMsg{Dropped: dropped, QueueFree: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +297,7 @@ func TestUnbatchedFanOutThrottlesOnCreditCollapse(t *testing.T) {
 	waitFor(t, func() bool { return fA.knowsInterest(fB.NodeID()) && fA.hasTap() })
 
 	for _, dropped := range []uint64{0, 50} { // a baseline, then 50 fresh drops
-		payload, err := json.Marshal(eventBatchAckMsg{Origin: fB.NodeID(), Dropped: dropped, QueueFree: -1})
+		payload, err := json.Marshal(eventBatchAckMsg{Dropped: dropped, QueueFree: -1})
 		if err != nil {
 			t.Fatal(err)
 		}

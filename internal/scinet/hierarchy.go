@@ -45,15 +45,9 @@ import (
 	"sci/internal/wire"
 )
 
-// App kinds of the hierarchy protocol.
-const (
-	// appDigest carries a wire.Digest interest summary along a hierarchy
-	// link (child → parent, parent → child, or super-peer → super-peer).
-	appDigest = "scinet.digest"
-	// appInterestSync asks an interest owner to re-announce its full
-	// filter set (a delta-generation gap was detected).
-	appInterestSync = "scinet.interest_sync"
-)
+// appDigest carries a wire.Digest interest summary along a hierarchy link
+// (child → parent, parent → child, or super-peer → super-peer).
+const appDigest = "scinet.digest"
 
 // defaultDigestWindow spaces digest re-announcements per link when the
 // HierarchyConfig does not say otherwise: wide enough that mobility-grade
@@ -89,23 +83,17 @@ type HierarchyConfig struct {
 }
 
 // digestMsg is one hierarchy digest announcement, sent on the direct link
-// to the neighbor it is for. Exactly one of Child/Down/Peer states the
-// sender's relation to the receiver, so the receiver files the digest in
-// the right table; Remove withdraws the sender's digest (departure).
+// to the neighbor it is for; the envelope names the sender. Exactly one of
+// Child/Down/Peer states the sender's relation to the receiver, so the
+// receiver files the digest in the right table; Remove withdraws the
+// sender's digest (departure).
 type digestMsg struct {
-	Owner  guid.GUID `json:"owner"`
-	Child  bool      `json:"child,omitempty"`
-	Down   bool      `json:"down,omitempty"`
-	Peer   bool      `json:"peer,omitempty"`
-	Remove bool      `json:"remove,omitempty"`
+	Child  bool `json:"child,omitempty"`
+	Down   bool `json:"down,omitempty"`
+	Peer   bool `json:"peer,omitempty"`
+	Remove bool `json:"remove,omitempty"`
 	// Digest is the wire.EncodeDigest binary form (absent with Remove).
 	Digest []byte `json:"digest,omitempty"`
-}
-
-// interestSyncMsg asks the receiving fabric to re-announce its full
-// interest set to From (delta-generation gap recovery).
-type interestSyncMsg struct {
-	From guid.GUID `json:"from"`
 }
 
 // hierLink is one hierarchy neighbor in the routing snapshot. A nil digest
@@ -152,9 +140,9 @@ func (f *Fabric) SetHierarchy(cfg HierarchyConfig) {
 }
 
 // maybeActivateHierarchy latches the hierarchy on once the configured
-// fleet size is reached. Activation withdraws this fabric's flat interest
-// announcements (peers reach it through the hierarchy now) and starts the
-// digest exchange.
+// fleet size is reached. Activation announces this fabric's flat interest
+// set as empty — withdrawing its flat entries, since peers reach it through
+// the hierarchy now — and starts the digest exchange.
 func (f *Fabric) maybeActivateHierarchy() {
 	fleet := len(f.node.Known()) + 1
 	f.mu.Lock()
@@ -164,10 +152,13 @@ func (f *Fabric) maybeActivateHierarchy() {
 	}
 	f.hierOn = true
 	withdraw := len(f.local) > 0
+	if withdraw {
+		f.announceGen++ // the announced flat set just became empty
+	}
 	f.refreshHierSnapLocked()
 	f.mu.Unlock()
 	if withdraw {
-		f.withdrawFlatAnnouncements()
+		f.announceInterests(f.node.Known(), true)
 	}
 	f.touchDigestAnnouncements()
 	f.reconcileTaps()
@@ -364,7 +355,7 @@ func (f *Fabric) sendDigestTo(to guid.GUID) bool {
 // the rest of the fleet as its parent's. It reports false when to is no
 // hierarchy link. Callers hold f.mu.
 func (f *Fabric) digestMsgLocked(to guid.GUID) (digestMsg, bool) {
-	msg := digestMsg{Owner: f.node.ID()}
+	var msg digestMsg
 	switch {
 	case to == f.hier.Parent:
 		msg.Child = true
@@ -400,7 +391,7 @@ func (f *Fabric) handleDigest(d overlay.Delivery) {
 		f.mu.Unlock()
 		return
 	}
-	l := f.linkLocked(msg.Owner)
+	l := f.linkLocked(d.Origin)
 	l.mu.Lock()
 	if dig != nil {
 		if dig.Gen <= l.digestGen {
@@ -414,9 +405,9 @@ func (f *Fabric) handleDigest(d overlay.Delivery) {
 	switch {
 	case msg.Child && f.hier.SuperPeer:
 		changed = setDigest(&l.row.child, dig)
-	case msg.Peer && slices.Contains(f.hier.Peers, msg.Owner):
+	case msg.Peer && slices.Contains(f.hier.Peers, d.Origin):
 		changed = setDigest(&l.row.peer, dig)
-	case msg.Down && msg.Owner == f.hier.Parent:
+	case msg.Down && d.Origin == f.hier.Parent:
 		changed = setDigest(&f.upDigest, dig)
 	default:
 		// Role mismatch (a digest from a node that is not a configured
@@ -573,47 +564,6 @@ func (f *Fabric) tapDemandLocked() (types []ctxtype.Type, wildcard bool) {
 		}
 	}
 	return desiredTapTypesLocked(demand, f.rng.Types())
-}
-
-// withdrawFlatAnnouncements retracts this fabric's flat interest entries
-// from every known peer — called once at hierarchy activation, after which
-// peers reach this fabric's interests through digests only.
-func (f *Fabric) withdrawFlatAnnouncements() {
-	f.mu.Lock()
-	if f.closed {
-		f.mu.Unlock()
-		return
-	}
-	f.announceGen++
-	gen := f.announceGen
-	msg := interestMsg{Owner: f.node.ID(), Gen: gen, Full: true, Remove: true}
-	f.mu.Unlock()
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
-	for _, peer := range f.node.Known() {
-		f.mu.Lock()
-		if f.closed {
-			f.mu.Unlock()
-			return
-		}
-		f.noteSentGenLocked(peer, gen)
-		f.mu.Unlock()
-		_ = f.node.Send(peer, appInterest, payload, nil)
-	}
-}
-
-// ----- delta-gap recovery -----
-
-// handleInterestSync re-announces this fabric's full interest set to a
-// peer that detected a delta-generation gap (or holds a ghost entry: the
-// reply is Full even when empty, clearing it).
-func (f *Fabric) handleInterestSync(d overlay.Delivery) {
-	var msg interestSyncMsg
-	if json.Unmarshal(d.Payload, &msg) == nil && !msg.From.IsNil() {
-		f.announceFull(msg.From, true)
-	}
 }
 
 // ----- diagnostics and gauges -----

@@ -3,6 +3,7 @@ package scinet
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -355,7 +356,7 @@ func TestHierarchyMinFleetActivation(t *testing.T) {
 
 // interestRecorder is a bare overlay node on the fabric's memory network
 // that records the appInterest announcements one fabric routes to it
-// directly — the wire-level witness for the delta protocol tests.
+// directly — the wire-level witness for the announcement tests.
 // Re-gossiped copies relayed by other fabrics are ignored (same payload,
 // different origin).
 type interestRecorder struct {
@@ -399,11 +400,10 @@ func (r *interestRecorder) recorded() []interestMsg {
 	return append([]interestMsg(nil), r.msgs...)
 }
 
-// TestInterestDeltaAnnouncements watches the wire: after first contact
-// establishes a generation-stamped full set, later single-filter changes
-// must travel as deltas (Add/Del with Prev chaining), not as re-announced
-// full sets.
-func TestInterestDeltaAnnouncements(t *testing.T) {
+// TestInterestWholeSetAnnouncements watches the wire: every change of a
+// fabric's interests travels as its whole set under the next generation —
+// a withdrawal that empties the set as the empty set.
+func TestInterestWholeSetAnnouncements(t *testing.T) {
 	fn := newFanNet(t, 2, 0)
 	defer fn.close()
 	waitCoverage(t, fn)
@@ -412,10 +412,7 @@ func TestInterestDeltaAnnouncements(t *testing.T) {
 	rec := newInterestRecorder(t, fn, fb.NodeID())
 	// Introduce the recorder to fb: any message makes its sender a known
 	// peer, and known peers get interest announcements.
-	hello, err := json.Marshal(interestMsg{
-		Owner: rec.node.ID(), Gen: 1, Full: true,
-		Filters: []event.Filter{{Type: "hello.x"}},
-	})
+	hello, err := json.Marshal(interestMsg{Owner: rec.node.ID(), Gen: 1, Filters: []event.Filter{{Type: "hello.x"}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,31 +423,36 @@ func TestInterestDeltaAnnouncements(t *testing.T) {
 
 	fltA := event.Filter{Type: "d.a"}
 	fltB := event.Filter{Type: "d.b"}
-	fb.AddInterest(fltA)
-	waitFor(t, func() bool { return len(rec.recorded()) >= 1 })
-	fb.AddInterest(fltB)
-	waitFor(t, func() bool { return len(rec.recorded()) >= 2 })
-	fb.RemoveInterest(fltA)
-	waitFor(t, func() bool { return len(rec.recorded()) >= 3 })
-
+	steps := []struct {
+		change func()
+		want   []event.Filter
+	}{
+		{func() { fb.AddInterest(fltA) }, []event.Filter{fltA}},
+		{func() { fb.AddInterest(fltB) }, []event.Filter{fltA, fltB}},
+		{func() { fb.RemoveInterest(fltA) }, []event.Filter{fltB}},
+		{func() { fb.RemoveInterest(fltB) }, nil},
+	}
+	for i, st := range steps {
+		st.change()
+		waitFor(t, func() bool { return len(rec.recorded()) > i })
+	}
 	msgs := rec.recorded()
-	// The generation counter starts at 1, so the first change is generation 2.
-	if !msgs[0].Full || msgs[0].Gen != 2 || len(msgs[0].Filters) != 1 || msgs[0].Filters[0] != fltA {
-		t.Fatalf("first announcement not the gen-2 full set: %+v", msgs[0])
+	if len(msgs) != len(steps) {
+		t.Fatalf("%d announcements for %d changes", len(msgs), len(steps))
 	}
-	if msgs[1].Full || msgs[1].Gen != 3 || msgs[1].Prev != 2 ||
-		len(msgs[1].Add) != 1 || msgs[1].Add[0] != fltB || len(msgs[1].Del) != 0 {
-		t.Fatalf("second announcement not the gen-3 add delta: %+v", msgs[1])
-	}
-	if msgs[2].Full || msgs[2].Gen != 4 || msgs[2].Prev != 3 ||
-		len(msgs[2].Del) != 1 || msgs[2].Del[0] != fltA || len(msgs[2].Add) != 0 {
-		t.Fatalf("third announcement not the gen-4 del delta: %+v", msgs[2])
+	for i, st := range steps {
+		// The generation counter starts at 1, so the first change is 2.
+		if m := msgs[i]; m.Gen != uint64(i+2) || !slices.Equal(m.Filters, st.want) {
+			t.Fatalf("announcement %d = gen %d %v, want gen %d %v", i, m.Gen, m.Filters, i+2, st.want)
+		}
 	}
 }
 
-// TestInterestDeltaGapResync breaks a delta chain on purpose — the holder's
-// generation is rolled back as if an announcement was lost — and asserts the
-// next delta triggers a full resync from the owner instead of a blind apply.
+// TestInterestDeltaGapResync rolls the holder back as if one announcement
+// was lost, and asserts that the owner's next announcement alone restores
+// the whole set: interests travel as whole sets, so a gap needs no resync
+// round trip. An announcement at a generation no newer than the held one is
+// never applied.
 func TestInterestDeltaGapResync(t *testing.T) {
 	fn := newFanNet(t, 2, 0)
 	defer fn.close()
@@ -466,58 +468,91 @@ func TestInterestDeltaGapResync(t *testing.T) {
 	waitFor(t, func() bool { return len(fa.Interests()[fb.NodeID()]) == 2 })
 
 	// Roll fa back to generation 2 (fb's first) holding only fltA: to fa the
-	// gen-3 delta now looks lost.
-	fa.setInterests(map[guid.GUID][]event.Filter{fb.NodeID(): {fltA}})
+	// generation-3 announcement is lost.
 	lb := fa.lookupLink(fb.NodeID())
+	fa.mu.Lock()
 	lb.mu.Lock()
+	lb.row.interests = []event.Filter{fltA}
 	lb.interestGen = 2
 	lb.mu.Unlock()
+	fa.refreshInterestSnapLocked()
+	fa.mu.Unlock()
 
-	// The next delta (gen 4, prev 3) hits the gap; fa must ask fb for the
-	// full set and converge on all three filters at generation 4.
-	fb.AddInterest(fltC)
-	waitFor(t, func() bool {
+	held := func() ([]event.Filter, uint64) {
 		lb.mu.Lock()
 		defer lb.mu.Unlock()
-		return len(lb.row.interests) == 3 && lb.interestGen == 4
+		return lb.row.interests, lb.interestGen
+	}
+	fb.AddInterest(fltC)
+	want := []event.Filter{fltA, fltB, fltC}
+	waitFor(t, func() bool {
+		flts, gen := held()
+		return slices.Equal(flts, want) && gen == 4
 	})
+
+	stale := []event.Filter{{Type: "stale.x"}}
+	for _, gen := range []uint64{0, 3, 4} {
+		payload, err := json.Marshal(interestMsg{Owner: fb.NodeID(), Gen: gen, Filters: stale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa.deliver(overlay.Delivery{Origin: fb.NodeID(), AppKind: appInterest, Payload: payload})
+		if flts, got := held(); !slices.Equal(flts, want) || got != 4 {
+			t.Fatalf("an announcement at generation %d was applied: now %v at generation %d", gen, flts, got)
+		}
+	}
 }
 
-// TestInterestSyncReplyClearsGhostEntry: the forced resync reply of a fabric
-// that never held an interest is an empty full set — and must still carry a
-// non-zero generation, because generation zero is dropped as malformed.
+// TestInterestSyncReplyClearsGhostEntry: an entry the holder keeps for an
+// owner that never announced it (a ghost) is replaced by the owner's next
+// announcement, and the owner's empty set withdraws the entry. Generation
+// zero is malformed and never applied, whether or not the owner is held.
 func TestInterestSyncReplyClearsGhostEntry(t *testing.T) {
 	fn := newFanNet(t, 2, 0)
 	defer fn.close()
 	waitCoverage(t, fn)
 	fa, fb := fn.fabrics[0], fn.fabrics[1]
 
-	ghost := event.Filter{Type: "ghost.x"}
-	zero, err := json.Marshal(interestMsg{Owner: fb.NodeID(), Full: true, Filters: []event.Filter{ghost}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fa.handleInterest(overlay.Delivery{Origin: fb.NodeID(), AppKind: appInterest, Payload: zero})
-	if fa.knowsInterest(fb.NodeID()) {
-		t.Fatal("a generation-zero announcement was applied")
+	ghost := []event.Filter{{Type: "ghost.x"}}
+	for _, owner := range []guid.GUID{fb.NodeID(), guid.New(guid.KindServer)} {
+		zero, err := json.Marshal(interestMsg{Owner: owner, Gen: 0, Filters: ghost})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fa.deliver(overlay.Delivery{Origin: fb.NodeID(), AppKind: appInterest, Payload: zero})
+		if fa.knowsInterest(owner) {
+			t.Fatal("a generation-zero announcement was applied")
+		}
 	}
 
-	fa.setInterests(map[guid.GUID][]event.Filter{fb.NodeID(): {ghost}})
-	sync, err := json.Marshal(interestSyncMsg{From: fa.NodeID()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fa.node.Send(fb.NodeID(), appInterestSync, sync, nil); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, func() bool { return !fa.knowsInterest(fb.NodeID()) })
-	lb := fa.lookupLink(fb.NodeID())
+	// Plant the ghost on fa's row for fb, keeping the generation fa holds.
+	fa.mu.Lock()
+	lb := fa.linkLocked(fb.NodeID())
 	lb.mu.Lock()
-	gen := lb.interestGen
+	lb.row.interests = ghost
 	lb.mu.Unlock()
-	if gen != 1 {
-		t.Fatalf("the empty resync reply was applied at generation %d, want 1", gen)
+	fa.refreshInterestSnapLocked()
+	fa.mu.Unlock()
+	if !fa.knowsInterest(fb.NodeID()) {
+		t.Fatal("the planted ghost entry is not held")
 	}
+
+	held := func() ([]event.Filter, uint64) {
+		lb.mu.Lock()
+		defer lb.mu.Unlock()
+		return lb.row.interests, lb.interestGen
+	}
+	fltA := event.Filter{Type: "g.a"}
+	fb.AddInterest(fltA)
+	waitFor(t, func() bool {
+		flts, gen := held()
+		return slices.Equal(flts, []event.Filter{fltA}) && gen == 2
+	})
+	fb.RemoveInterest(fltA)
+	waitFor(t, func() bool {
+		_, gen := held()
+		return gen == 3 && !fa.knowsInterest(fb.NodeID())
+	})
 }
 
 // TestInterestSnapshotSkipsEmptyEntries pins the copy-on-write snapshot

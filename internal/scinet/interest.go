@@ -1,7 +1,7 @@
 package scinet
 
-// Cross-range interests: the local refcounted set, its delta-generation
-// gossip, the peers' announced rows, and the mediator taps they demand.
+// Cross-range interests: the local refcounted set, its whole-set gossip,
+// the peers' announced rows, and the mediator taps they demand.
 
 import (
 	"encoding/json"
@@ -15,32 +15,20 @@ import (
 	"sci/internal/overlay"
 )
 
-// interestMsg announces one fabric's cross-range interests. Receivers
-// update their table entry for Owner and re-gossip changes, so records
-// cross partially connected topologies.
+// interestMsg announces one fabric's whole cross-range interest set.
+// Receivers replace their entry for Owner and re-gossip the announcement
+// unchanged, so records cross partially connected topologies. That is why
+// this body names its owner while no other body names its sender: a
+// re-gossiped announcement arrives from a relay, not from its owner.
 //
-// Gen orders announcements per owner and is never zero: Full carries the
-// complete set (sent on first contact, on resync, and whenever the
-// receiver's delta chain broke), while Add/Del carry only the change
-// since Prev — a receiver applies a delta only when Prev equals the
-// generation it holds, and otherwise asks the owner for a full
-// re-announce (appInterestSync). Stale generations are discarded, so
-// reordered gossip cannot roll an entry back.
+// Gen orders announcements per owner and is never zero; a receiver keeps
+// an announcement only when its generation is newer than the one it holds,
+// so reordered gossip cannot roll an entry back, and a lost announcement is
+// healed by the owner's next one. An empty Filters withdraws the entry.
 type interestMsg struct {
 	Owner   guid.GUID      `json:"owner"`
+	Gen     uint64         `json:"gen"`
 	Filters []event.Filter `json:"filters,omitempty"`
-	// Remove withdraws all of Owner's interests (departure, or a Full
-	// announcement of an empty set).
-	Remove bool `json:"remove,omitempty"`
-	// Gen orders announcements per owner; zero is malformed.
-	Gen uint64 `json:"gen"`
-	// Prev is the generation a delta applies on top of.
-	Prev uint64 `json:"prev,omitempty"`
-	// Full marks a complete-set announcement (Filters is authoritative).
-	Full bool `json:"full,omitempty"`
-	// Add/Del are the delta form's changes since Prev.
-	Add []event.Filter `json:"add,omitempty"`
-	Del []event.Filter `json:"del,omitempty"`
 }
 
 // tapQueueLen is the queue capacity of the fabric's mediator tap and of
@@ -75,29 +63,19 @@ func (f *Fabric) AddInterest(flt event.Filter) {
 			break
 		}
 	}
-	var gen uint64
-	hier := false
 	if !found {
 		f.local = append(f.local, localInterest{flt: flt, refs: 1})
 		f.announceGen++
-		gen = f.announceGen
-		hier = f.hierOn
 	}
 	f.mu.Unlock()
 	if !found {
-		if hier {
-			f.touchDigestAnnouncements()
-		} else {
-			f.announceChange(gen, []event.Filter{flt}, nil)
-		}
+		f.interestsChanged()
 	}
 }
 
 // RemoveInterest drops one reference to a previously added interest. The
 // filter is withdrawn from peers only when its last reference goes — two
 // SubscribeRemote calls sharing one filter survive the first withdrawal.
-// Peers whose delta chain is intact get just the withdrawal; a withdrawal
-// that empties the whole set makes peers drop this fabric's entry entirely.
 func (f *Fabric) RemoveInterest(flt event.Filter) {
 	f.mu.Lock()
 	changed := false
@@ -106,28 +84,27 @@ func (f *Fabric) RemoveInterest(flt event.Filter) {
 			f.local[i].refs--
 			if f.local[i].refs <= 0 {
 				f.local = append(f.local[:i], f.local[i+1:]...)
+				f.announceGen++
 				changed = true
 			}
 			break
 		}
 	}
-	closed := f.closed
-	var gen uint64
-	hier := false
-	if changed && !closed {
-		f.announceGen++
-		gen = f.announceGen
-		hier = f.hierOn
-	}
 	f.mu.Unlock()
-	if !changed || closed {
-		return
+	if changed {
+		f.interestsChanged()
 	}
-	if hier {
+}
+
+// interestsChanged propagates a change of the local set: as digests while
+// the hierarchy is active, as a whole-set announcement to every known
+// fabric otherwise.
+func (f *Fabric) interestsChanged() {
+	if f.hierarchyActive() {
 		f.touchDigestAnnouncements()
 		return
 	}
-	f.announceChange(gen, nil, []event.Filter{flt})
+	f.announceInterests(f.node.Known(), true)
 }
 
 // SubscribeRemote subscribes owner to events matching flt published
@@ -190,57 +167,35 @@ func (f *Fabric) Interests() map[guid.GUID][]event.Filter {
 	return out
 }
 
-// announceInterests sends this fabric's full interest set to every known
-// peer (join-time anti-entropy; no-op while the hierarchy is active).
-func (f *Fabric) announceInterests() {
-	for _, peer := range f.node.Known() {
-		f.announceFull(peer, false)
-	}
-}
-
-// announceChange propagates one local interest change to every known peer:
-// a delta to peers whose chain is intact, a full set otherwise.
-func (f *Fabric) announceChange(gen uint64, add, del []event.Filter) {
-	for _, peer := range f.node.Known() {
-		f.announceChangeTo(peer, gen, add, del)
-	}
-}
-
-// announceChangeTo ships one interest change to one peer. The delta form
-// goes only when the peer was last sent exactly the previous generation;
-// any doubt — first contact, a skipped announcement, out-of-order change
-// goroutines — falls back to the full set stamped with the current
-// generation. A change already covered by a newer announcement to this
-// peer is skipped outright.
-func (f *Fabric) announceChangeTo(peer guid.GUID, gen uint64, add, del []event.Filter) {
+// announceInterests sends this fabric's announced interest set to peers,
+// stamped with its generation. While the hierarchy is active the announced
+// set is empty — digests carry the interests there — so an announcement
+// then withdraws this fabric's flat entries. An empty set goes out only
+// when change is set: on first contact a peer holds nothing to withdraw.
+//
+// Every change of the announced set (a local change, the hierarchy latch)
+// bumps announceGen under f.mu, so a generation names one set and the
+// newest generation a receiver holds is the newest set, whichever of
+// several concurrent announcements arrives last.
+func (f *Fabric) announceInterests(peers []guid.GUID, change bool) {
 	f.mu.Lock()
-	if f.closed {
+	var filters []event.Filter
+	if !f.hierOn {
+		filters = f.localFiltersLocked()
+	}
+	if f.closed || len(peers) == 0 || (!change && len(filters) == 0) {
 		f.mu.Unlock()
 		return
 	}
-	msg := interestMsg{Owner: f.node.ID()}
-	l := f.linkLocked(peer)
-	l.mu.Lock()
-	switch {
-	case l.sentGen == gen-1: // gen ≥ 2 here, so a never-announced peer never matches
-		msg.Gen = gen
-		msg.Prev = gen - 1
-		msg.Add = add
-		msg.Del = del
-	case gen > l.sentGen:
-		msg.Gen = f.announceGen
-		msg.Full = true
-		msg.Filters = f.localFiltersLocked()
-		msg.Remove = len(msg.Filters) == 0
-	default:
-		l.mu.Unlock()
-		f.mu.Unlock()
-		return // a newer announcement already covered this change
-	}
-	l.sentGen = msg.Gen
-	l.mu.Unlock()
+	msg := interestMsg{Owner: f.node.ID(), Gen: f.announceGen, Filters: filters}
 	f.mu.Unlock()
-	_ = f.sendMsg(peer, appInterest, msg)
+	payload, err := json.Marshal(msg)
+	if err != nil {
+		return
+	}
+	for _, peer := range peers {
+		_ = f.node.Send(peer, appInterest, payload, nil)
+	}
 }
 
 // localFiltersLocked snapshots this fabric's own interest filters (one
@@ -253,47 +208,20 @@ func (f *Fabric) localFiltersLocked() []event.Filter {
 	return out
 }
 
-// noteSentGenLocked records the local interest generation last announced to
-// peer. Callers hold f.mu.
-func (f *Fabric) noteSentGenLocked(peer guid.GUID, gen uint64) {
-	l := f.linkLocked(peer)
-	l.mu.Lock()
-	l.sentGen = gen
-	l.mu.Unlock()
-}
-
-// announceFull sends the full set to one peer: on first contact, skipped
-// when there is nothing to say; forced (the resync reply), sent even when
-// empty so a ghost entry at the peer is cleared. Never in hierarchy mode:
-// digests replace flat announcements there.
-func (f *Fabric) announceFull(peer guid.GUID, force bool) {
-	f.mu.Lock()
-	filters := f.localFiltersLocked()
-	skip := f.closed || f.hierOn || (!force && len(filters) == 0)
-	gen := f.announceGen
-	if !skip {
-		f.noteSentGenLocked(peer, gen)
-	}
-	f.mu.Unlock()
-	if skip {
-		return
-	}
-	_ = f.sendMsg(peer, appInterest, interestMsg{Owner: f.node.ID(), Gen: gen, Full: true, Filters: filters, Remove: len(filters) == 0})
-}
-
 // handleInterest ingests an interest announcement, establishes or tears
-// down the local mediator tap, and re-gossips changed records to other
-// peers so interests cross partially connected topologies. Generation-
-// stamped announcements are ordered per owner: stale ones are discarded,
-// deltas apply only on top of exactly the generation they name, and a gap
-// triggers a full resync from the owner instead of a blind apply.
+// down the local mediator tap, and re-gossips a changed entry to the other
+// peers so interests cross partially connected topologies. Only an
+// announcement newer than the held generation is applied.
 func (f *Fabric) handleInterest(d overlay.Delivery) {
 	var msg interestMsg
 	if json.Unmarshal(d.Payload, &msg) != nil {
 		return
 	}
-	if msg.Gen == 0 || msg.Owner == f.node.ID() {
+	if msg.Gen == 0 || msg.Owner.IsNil() || msg.Owner == f.node.ID() {
 		return // malformed, or our own record echoed back
+	}
+	if len(msg.Filters) == 0 {
+		msg.Filters = nil // an empty entry would cost snapshot scans for nothing
 	}
 	f.mu.Lock()
 	if f.closed {
@@ -303,75 +231,25 @@ func (f *Fabric) handleInterest(d overlay.Delivery) {
 	l := f.linkLocked(msg.Owner)
 	l.mu.Lock()
 	changed := false
-	resync := false
-	switch {
-	case msg.Gen <= l.interestGen:
-		// Stale or duplicate generation: nothing to apply or re-gossip.
-	case msg.Full || msg.Remove:
-		// A full set: replace or delete outright.
+	if msg.Gen > l.interestGen {
 		l.interestGen = msg.Gen
-		if msg.Remove || len(msg.Filters) == 0 {
-			changed = l.row.interests != nil
-			l.row.interests = nil
-		} else if !slices.Equal(l.row.interests, msg.Filters) {
-			l.row.interests = append([]event.Filter(nil), msg.Filters...)
-			changed = true
-		}
-	case msg.Prev != l.interestGen:
-		// A delta whose base we do not hold: the chain broke (lost or
-		// reordered announcement) — ask the owner for the full set.
-		resync = true
-	default:
-		// In-sequence delta: remove Del, add Add, drop the entry if empty
-		// (an empty entry would cost snapshot scans for nothing).
-		l.interestGen = msg.Gen
-		l.row.interests = applyDelta(l.row.interests, msg.Add, msg.Del)
-		changed = true
+		changed = !slices.Equal(l.row.interests, msg.Filters)
+		l.row.interests = msg.Filters
 	}
 	l.mu.Unlock()
 	if changed {
 		f.refreshInterestSnapLocked()
 	}
 	f.mu.Unlock()
-	if resync {
-		_ = f.sendMsg(msg.Owner, appInterestSync, interestSyncMsg{From: f.node.ID()})
-		return
-	}
-	f.reconcileTaps()
 	if !changed {
 		return
 	}
-	payload, err := json.Marshal(msg)
-	if err != nil {
-		return
-	}
+	f.reconcileTaps()
 	for _, peer := range f.node.Known() {
-		if peer == d.Origin || peer == msg.Owner {
-			continue
-		}
-		_ = f.node.Send(peer, appInterest, payload, nil)
-	}
-}
-
-// applyDelta returns cur without del and with add, as a fresh slice (nil
-// when empty): the live row's slices are shared with the snapshot and never
-// edited in place.
-func applyDelta(cur, add, del []event.Filter) []event.Filter {
-	next := make([]event.Filter, 0, len(cur)+len(add))
-	for _, fl := range cur {
-		if !slices.Contains(del, fl) {
-			next = append(next, fl)
+		if peer != d.Origin && peer != msg.Owner {
+			_ = f.node.Send(peer, appInterest, d.Payload, nil)
 		}
 	}
-	for _, al := range add {
-		if !slices.Contains(next, al) {
-			next = append(next, al)
-		}
-	}
-	if len(next) == 0 {
-		return nil
-	}
-	return next
 }
 
 // desiredTapTypesLocked derives the mediator tap set the interest table

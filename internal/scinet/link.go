@@ -14,7 +14,7 @@ import (
 
 // link is everything a Fabric knows about one remote fabric: what it
 // announced (coverage, interests, digests), what this fabric owes it
-// (announcement generations, coalesced acks, the relay backlog, digest
+// (the last digest sent, coalesced acks, the relay backlog, digest
 // pacing), and the forwarded queries between the two. A link is created on
 // first contact and lives in Fabric.links until peerGone detaches it (or
 // Close detaches every link); close then retires it in one step.
@@ -37,7 +37,6 @@ type link struct {
 	row    routeRow // guarded by mu
 
 	interestGen uint64 // guarded by mu; last interest generation applied from this fabric
-	sentGen     uint64 // guarded by mu; last local interest generation announced to it (0 = never)
 
 	digestGen  uint64                // guarded by mu; last digest generation it announced
 	digestSent *wire.Digest          // guarded by mu; last digest shipped to it (suppression)

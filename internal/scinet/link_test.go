@@ -14,6 +14,7 @@ import (
 	"sci/internal/location"
 	"sci/internal/overlay"
 	"sci/internal/query"
+	"sci/internal/sensor"
 	"sci/internal/server"
 	"sci/internal/transport"
 	"sci/internal/wire"
@@ -72,7 +73,7 @@ func (pf *peerFixture) addPeer(t testing.TB, coverage location.Path) *fakePeer {
 	p.node = node
 	pf.peers = append(pf.peers, p)
 	if coverage != "" {
-		pf.from(t, p, appCoverage, coverageMsg{Origin: p.id(), Coverage: coverage, Name: string(coverage)})
+		pf.from(t, p, appCoverage, coverageMsg{Coverage: coverage, Name: string(coverage)})
 	}
 	return p
 }
@@ -148,7 +149,7 @@ func TestSubmitFailsWhenTargetLeaves(t *testing.T) {
 	_, done := pf.submitAsync(entity.NewCAA("app", nil, pf.clk), "campus/x/room")
 	x.await(t, appQuery)
 
-	pf.from(t, x, appLeave, leaveMsg{Origin: x.id()})
+	pf.f.deliver(overlay.Delivery{Origin: x.id(), AppKind: appLeave})
 	if err := awaitSubmit(t, done); !errors.Is(err, ErrNoCoveringRange) {
 		t.Fatalf("Submit after the target left = %v, want ErrNoCoveringRange", err)
 	}
@@ -225,7 +226,7 @@ func TestForwardFailuresCounted(t *testing.T) {
 	pf := newPeerFixture(t, 64)
 	defer pf.close()
 	p := pf.addPeer(t, "")
-	pf.from(t, p, appInterest, interestMsg{Owner: p.id(), Gen: 1, Full: true,
+	pf.from(t, p, appInterest, interestMsg{Owner: p.id(), Gen: 1,
 		Filters: []event.Filter{{Type: ctxtype.TemperatureCelsius}}})
 	waitFor(t, pf.f.hasTap)
 
@@ -252,5 +253,103 @@ func TestForwardFailuresCounted(t *testing.T) {
 	}
 	if got := pf.rng.StatsMap()["remote.forward_failures"]; got != float64(total-delivered) {
 		t.Fatalf("remote.forward_failures = %v, want %d", got, total-delivered)
+	}
+}
+
+// senderState is what a fabric holds on one remote fabric's link that a
+// control message could change.
+type senderState struct {
+	linked    bool
+	coverage  location.Path
+	child     *wire.Digest
+	dropBase  uint64
+	dropKnown bool
+	served    int
+}
+
+func (pf *peerFixture) stateOf(p *fakePeer) senderState {
+	l := pf.f.lookupLink(p.id())
+	if l == nil {
+		return senderState{}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	st := senderState{linked: true, child: l.row.child, dropBase: l.dropBase, dropKnown: l.dropKnown, served: len(l.served)}
+	if l.row.coverage != nil {
+		st.coverage = l.row.coverage.Coverage
+	}
+	return st
+}
+
+// TestControlActsOnSenderLink: no control body names its sender, so a
+// message from fabric Z may change only Z's link. X's link — its
+// coverage, child digest, served query and fan-credit baseline — stays as
+// it was whatever Z sends, including a cancel naming X's query.
+func TestControlActsOnSenderLink(t *testing.T) {
+	digest := func(gen uint64) []byte {
+		d := wire.NewDigest(gen)
+		d.AddType(string(ctxtype.TemperatureCelsius))
+		return wire.EncodeDigest(d)
+	}
+	cases := []struct {
+		name string
+		kind string
+		body func(qid guid.GUID) any // nil: no body
+		// acted reports whether the message took effect on Z's link.
+		acted func(before, after senderState) bool
+	}{
+		{"leave", appLeave, nil,
+			func(_, after senderState) bool { return !after.linked }},
+		{"cancel", appCancel, func(qid guid.GUID) any { return cancelMsg{QueryID: qid} },
+			func(before, after senderState) bool { return after == before }},
+		{"event_batch_ack", appEventBatchAck, func(guid.GUID) any { return eventBatchAckMsg{Dropped: 9, QueueFree: -1} },
+			func(_, after senderState) bool { return after.dropKnown && after.dropBase == 9 }},
+		{"digest", appDigest, func(guid.GUID) any { return digestMsg{Child: true, Digest: digest(1)} },
+			func(_, after senderState) bool { return after.child != nil }},
+		{"coverage", appCoverage, func(guid.GUID) any { return coverageMsg{Coverage: "campus/z/moved", Name: "z"} },
+			func(_, after senderState) bool { return after.coverage == "campus/z/moved" }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pf := newPeerFixture(t, 8)
+			defer pf.close()
+			probe := sensor.NewTemperatureSensor("probe", location.Ref{}, 294, 2, 1, pf.clk)
+			if err := pf.rng.AddEntity(probe); err != nil {
+				t.Fatal(err)
+			}
+			pf.f.SetHierarchy(HierarchyConfig{SuperPeer: true})
+			x := pf.addPeer(t, "campus/x")
+			z := pf.addPeer(t, "campus/z")
+
+			// X has the fabric serve a query, reports credit and files a
+			// child digest.
+			q := query.New(guid.New(guid.KindApplication), query.What{Pattern: ctxtype.TemperatureKelvin}, query.ModeSubscribe)
+			xml, err := q.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			pf.from(t, x, appQuery, queryMsg{QueryID: q.ID, XML: xml})
+			pf.from(t, x, appEventBatchAck, eventBatchAckMsg{Dropped: 5, QueueFree: -1})
+			pf.from(t, x, appDigest, digestMsg{Child: true, Digest: digest(1)})
+			xBefore, zBefore := pf.stateOf(x), pf.stateOf(z)
+			if xBefore.served != 1 || !xBefore.dropKnown || xBefore.child == nil {
+				t.Fatalf("X's link not set up: %+v", xBefore)
+			}
+
+			if tc.body == nil {
+				pf.f.deliver(overlay.Delivery{Origin: z.id(), AppKind: tc.kind})
+			} else {
+				pf.from(t, z, tc.kind, tc.body(q.ID))
+			}
+			if got := pf.stateOf(x); got != xBefore {
+				t.Fatalf("a %s from Z changed X's link: %+v, was %+v", tc.kind, got, xBefore)
+			}
+			if got := pf.f.ServedQueries(); len(got) != 1 || got[0] != q.ID {
+				t.Fatalf("a %s from Z changed the served queries: %v", tc.kind, got)
+			}
+			if zAfter := pf.stateOf(z); !tc.acted(zBefore, zAfter) {
+				t.Fatalf("a %s from Z did not act on Z's link: %+v, was %+v", tc.kind, zAfter, zBefore)
+			}
+		})
 	}
 }

@@ -18,7 +18,6 @@ import (
 )
 
 type queryMsg struct {
-	Origin  guid.GUID `json:"origin"` // fabric node id to reply to
 	QueryID guid.GUID `json:"query_id"`
 	XML     []byte    `json:"xml"`
 }
@@ -33,7 +32,6 @@ type queryResultMsg struct {
 
 type cancelMsg struct {
 	QueryID guid.GUID `json:"query_id"`
-	Origin  guid.GUID `json:"origin"` // the fabric withdrawing its query
 }
 
 // Result mirrors the answer to a forwarded subscription query.
@@ -81,7 +79,7 @@ func (f *Fabric) Submit(q query.Query, owner *entity.CAA) (*Result, error) {
 	l.mu.Unlock()
 	f.mu.Unlock()
 
-	if err := f.sendMsg(target, appQuery, queryMsg{Origin: f.node.ID(), QueryID: q.ID, XML: xmlData}); err != nil {
+	if err := f.sendMsg(target, appQuery, queryMsg{QueryID: q.ID, XML: xmlData}); err != nil {
 		l.endQuery(q.ID, false)
 		return nil, err
 	}
@@ -116,7 +114,7 @@ func (f *Fabric) Submit(q query.Query, owner *entity.CAA) (*Result, error) {
 
 // sendCancel withdraws a forwarded query at its serving fabric.
 func (f *Fabric) sendCancel(target, qid guid.GUID) {
-	_ = f.sendMsg(target, appCancel, cancelMsg{QueryID: qid, Origin: f.node.ID()})
+	_ = f.sendMsg(target, appCancel, cancelMsg{QueryID: qid})
 }
 
 // routeTarget decides where a query executes: locally, or at the fabric
@@ -149,13 +147,13 @@ func (f *Fabric) handleRemoteQuery(d overlay.Delivery) {
 	q, err := query.Decode(msg.XML)
 	if err != nil {
 		reply.Error = err.Error()
-		_ = f.sendMsg(msg.Origin, appQueryResult, reply)
+		_ = f.sendMsg(d.Origin, appQueryResult, reply)
 		return
 	}
 	// Stand-in application for the remote owner: whole delivery runs it
 	// consumes are coalesced and sent back to the origin tagged with the
 	// query id.
-	origin := msg.Origin
+	origin := d.Origin
 	qid := msg.QueryID
 	proxy := entity.NewRemoteBatchCAA(q.Owner, "scinet-proxy", func(events []event.Event) {
 		f.sendQueryEvents(origin, qid, events)

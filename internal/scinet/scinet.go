@@ -15,16 +15,25 @@
 // peer the fabric already knows (overlay.Node.Send), so a dead peer shows
 // up as a failed send and peer teardown, never as a delivery elsewhere.
 //
+// The sender of every control message is the envelope's
+// (overlay.Delivery.Origin): no body names it, and a handler acts only on
+// the link of the fabric the message came from. Each body has one form
+// (testdata/golden holds one of each shape). An interest announcement
+// names its owner, who is not always its sender: relays re-gossip it.
+//
 // # Cross-range fan-out
 //
 // Beyond per-query forwarding, fabrics exchange published events directly.
-// A Range announces cross-range interests (event filters) to its peers;
-// each peer taps its own Event Mediator through a batch subscription and
-// forwards matching publishes as coalesced scinet.event_batch payloads —
-// one message per BatchMaxEvents events per interested peer, not
-// one per event. The receiving fabric hands a whole batch to its Event
-// Mediator's batched dispatch path without copying it, and re-forwards it
-// to interested peers the sender did not know about.
+// A Range announces cross-range interests (event filters) to its peers,
+// always as its whole set, stamped with that set's generation: a receiver
+// keeps only the newest generation per owner, so a lost or reordered
+// announcement is healed by the next one, and an empty set withdraws the
+// entry. Each peer taps its own Event Mediator through a batch
+// subscription and forwards matching publishes as coalesced
+// scinet.event_batch payloads — one message per BatchMaxEvents events per
+// interested peer, not one per event. The receiving fabric hands a whole
+// batch to its Event Mediator's batched dispatch path without copying it,
+// and re-forwards it to interested peers the sender did not know about.
 //
 // Loop suppression: every forwarded batch is stamped with the origin
 // fabric's id, a batch id, and a hop set (Via) naming every fabric already
@@ -63,10 +72,11 @@
 // # Per-peer state
 //
 // Everything a fabric knows about one remote fabric — its coverage,
-// interests and digests, the announcement and digest generations exchanged
-// with it, the ack coalescers and relay backlog owed to it, and the
-// forwarded queries between the two — lives on one link (link.go), created
-// on first contact. Peer teardown (an announced leave, or a send the
+// interests and digests, the interest and digest generations it announced,
+// the last digest sent to it, the ack coalescers and relay backlog owed to
+// it, and the forwarded queries between the two — lives on one link
+// (link.go), created on first contact; a control message reaches only the
+// link of its sender. Peer teardown (an announced leave, or a send the
 // transport refused) detaches the link and closes it in one step: pending
 // Submits to the peer fail with ErrNoCoveringRange, its coalescers and
 // timers stop, and the queries it originated are released. The Fabric
@@ -123,17 +133,17 @@ const (
 	// interests.
 	appInterest = "scinet.interest"
 	// appLeave announces a clean fabric departure so peers tear down
-	// per-peer state (proxies, interests, coalescers) immediately.
+	// per-peer state (proxies, interests, coalescers) immediately. It
+	// carries no body: the envelope names the departing fabric.
 	appLeave = "scinet.leave"
-	// appDigest and appInterestSync belong to the hierarchical interest
-	// layer; see hierarchy.go.
+	// appDigest belongs to the hierarchical interest layer; see
+	// hierarchy.go.
 	// appStats / appStatsResult carry the fleet-wide dispatch.stats rollup.
 	appStats       = "scinet.stats"
 	appStatsResult = "scinet.stats_result"
 )
 
 type coverageMsg struct {
-	Origin   guid.GUID     `json:"origin"` // fabric node id
 	Coverage location.Path `json:"coverage"`
 	Name     string        `json:"name"`
 	// Echo requests the receiver to send its own coverage back (anti-
@@ -141,13 +151,8 @@ type coverageMsg struct {
 	Echo bool `json:"echo,omitempty"`
 }
 
-type leaveMsg struct {
-	Origin guid.GUID `json:"origin"`
-}
-
 type statsQueryMsg struct {
-	Origin guid.GUID `json:"origin"`
-	Corr   guid.GUID `json:"corr"`
+	Corr guid.GUID `json:"corr"`
 }
 
 type statsResultMsg struct {
@@ -226,7 +231,7 @@ type Fabric struct {
 	hierStatsOn bool            // guarded by mu; stats source registered
 	upDigest    *wire.Digest    // guarded by mu; parent's downward rest-of-fleet digest
 
-	announceGen uint64 // guarded by mu; local interest-set generation, starts at 1 (zero is malformed on the wire)
+	announceGen uint64 // guarded by mu; generation of the announced interest set, starts at 1 (zero is malformed on the wire)
 
 	// interestSnap is the lock-free copy-on-write view of interests that
 	// fanOut and relay match against; rebuilt under mu whenever the live
@@ -343,18 +348,15 @@ func (f *Fabric) Join(bootstrap guid.GUID) error {
 	}
 	f.maybeActivateHierarchy()
 	f.AnnounceCoverage(true)
-	if f.hierarchyActive() {
-		f.touchDigestAnnouncements()
-	} else {
-		f.announceInterests()
-	}
+	f.announceInterests(f.node.Known(), false)
+	f.touchDigestAnnouncements()
 	return nil
 }
 
 // AnnounceCoverage gossips this Range's coverage to all known overlay
 // nodes.
 func (f *Fabric) AnnounceCoverage(echo bool) {
-	payload, err := json.Marshal(coverageMsg{Origin: f.node.ID(), Coverage: f.rng.Coverage(), Name: f.rng.Name(), Echo: echo})
+	payload, err := json.Marshal(coverageMsg{Coverage: f.rng.Coverage(), Name: f.rng.Name(), Echo: echo})
 	if err != nil {
 		return
 	}
@@ -407,8 +409,13 @@ func (f *Fabric) sendMsg(to guid.GUID, kind string, msg any) error {
 	return f.node.Send(to, kind, payload, nil)
 }
 
-// deliver handles overlay payloads addressed to this fabric.
+// deliver handles overlay payloads addressed to this fabric. Every message
+// comes one hop, so the envelope's Origin is the sending fabric, and a
+// handler acts only on that fabric's link; no body names its sender.
 func (f *Fabric) deliver(d overlay.Delivery) {
+	if d.Origin == f.node.ID() {
+		return // a fabric never messages itself
+	}
 	switch d.AppKind {
 	case appCoverage:
 		f.handleCoverage(d)
@@ -432,7 +439,7 @@ func (f *Fabric) deliver(d overlay.Delivery) {
 		}
 		// Only the query's own origin may withdraw it: the record lives on
 		// that origin's link.
-		if l := f.lookupLink(msg.Origin); l != nil {
+		if l := f.lookupLink(d.Origin); l != nil {
 			f.dropServed(l, msg.QueryID)
 		}
 	case appEventBatch:
@@ -443,14 +450,8 @@ func (f *Fabric) deliver(d overlay.Delivery) {
 		f.handleInterest(d)
 	case appDigest:
 		f.handleDigest(d)
-	case appInterestSync:
-		f.handleInterestSync(d)
 	case appLeave:
-		var msg leaveMsg
-		if json.Unmarshal(d.Payload, &msg) != nil {
-			return
-		}
-		f.peerGone(msg.Origin)
+		f.peerGone(d.Origin)
 	case appStats:
 		f.handleStats(d)
 	case appStatsResult:
@@ -475,18 +476,15 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 	if json.Unmarshal(d.Payload, &msg) != nil {
 		return
 	}
-	if msg.Origin == f.node.ID() {
-		return
-	}
 	f.mu.Lock()
 	if f.closed {
 		f.mu.Unlock()
 		return
 	}
-	l := f.linkLocked(msg.Origin)
+	l := f.linkLocked(d.Origin)
 	l.mu.Lock()
 	known := l.row.coverage != nil
-	l.row.coverage = &coverageMsg{Origin: msg.Origin, Coverage: msg.Coverage, Name: msg.Name}
+	l.row.coverage = &coverageMsg{Coverage: msg.Coverage, Name: msg.Name}
 	if !known {
 		// A digest sent before first contact may have reached the fabric
 		// before its SetHierarchy, which drops it: owe that link afresh.
@@ -501,12 +499,12 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 		// interest announcements may have raced ahead of its coverage) —
 		// flat announcements when flat, digest announcements when
 		// hierarchical (unchanged summaries are suppressed at send time).
-		f.announceFull(msg.Origin, false)
+		f.announceInterests([]guid.GUID{d.Origin}, false)
 		f.touchDigestAnnouncements()
 	}
 	if msg.Echo && !known {
 		// Reply with our own coverage so the joiner learns us.
-		_ = f.sendMsg(msg.Origin, appCoverage, coverageMsg{Origin: f.node.ID(), Coverage: f.rng.Coverage(), Name: f.rng.Name()})
+		_ = f.sendMsg(d.Origin, appCoverage, coverageMsg{Coverage: f.rng.Coverage(), Name: f.rng.Name()})
 	}
 }
 
@@ -514,7 +512,7 @@ func (f *Fabric) handleCoverage(d overlay.Delivery) {
 func (f *Fabric) handleStats(d overlay.Delivery) {
 	var msg statsQueryMsg
 	if json.Unmarshal(d.Payload, &msg) == nil {
-		_ = f.sendMsg(msg.Origin, appStatsResult, statsResultMsg{Corr: msg.Corr, Name: f.rng.Name(), Stats: f.rng.StatsMap()})
+		_ = f.sendMsg(d.Origin, appStatsResult, statsResultMsg{Corr: msg.Corr, Name: f.rng.Name(), Stats: f.rng.StatsMap()})
 	}
 }
 
@@ -542,7 +540,7 @@ func (f *Fabric) FleetDispatchStats(timeout time.Duration) (*FleetStats, error) 
 		f.mu.Lock()
 		f.statsWait[corr] = ch
 		f.mu.Unlock()
-		if f.sendMsg(peer, appStats, statsQueryMsg{Origin: f.node.ID(), Corr: corr}) == nil {
+		if f.sendMsg(peer, appStats, statsQueryMsg{Corr: corr}) == nil {
 			probes = append(probes, probe{peer: peer, corr: corr, ch: ch})
 			continue
 		}
@@ -672,10 +670,8 @@ func (f *Fabric) Close() error {
 			served = append(served, servedRef{l, qid})
 		}
 	}
-	if payload, err := json.Marshal(leaveMsg{Origin: f.node.ID()}); err == nil {
-		for _, peer := range f.node.Known() {
-			_ = f.node.Send(peer, appLeave, payload, nil)
-		}
+	for _, peer := range f.node.Known() {
+		_ = f.node.Send(peer, appLeave, nil, nil)
 	}
 	sort.Slice(served, func(i, j int) bool { return guid.Less(served[i].qid, served[j].qid) })
 	for _, s := range served {

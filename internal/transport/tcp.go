@@ -57,8 +57,12 @@ func (d *Directory) Len() int {
 
 // protocolVersion names the one message set this build speaks (internal/wire
 // doc.go). Both ends of a connection state theirs in the hello; anything
-// but equality is ErrProtocolVersion.
-const protocolVersion = 4
+// but equality is ErrProtocolVersion. Version 5 changed the JSON shape of
+// the SCINET control bodies: the sender comes from the envelope, so no body
+// carries an origin or owner field (interests keep Owner, which re-gossip
+// carries past the first hop), and an interest announcement is the owner's
+// whole set — the delta form and its resync request are gone.
+const protocolVersion = 5
 
 // helloTimeout is the connect bound: how long a dialing endpoint waits for
 // the accept side's hello answer before giving the connection up. A variable

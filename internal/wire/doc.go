@@ -157,7 +157,10 @@
 // only the version. Version 3 spoke both encodings, so a version-3 accept
 // side still reads a version-4 hello and closes on the version; its JSON
 // answer, like a version-3 dialer's JSON hello, is a malformed frame here,
-// and either dial ends in the version error.
+// and either dial ends in the version error. Version 5: every SCINET
+// control body has one form — no body names its sender (the envelope's Src
+// does), scinet.leave has no body, an interest announcement carries the
+// owner's whole set, and the interest resync request is gone.
 //
 // # Sharing
 //
