@@ -146,15 +146,18 @@ type Registry struct {
 	conv    map[[2]Type]Converter // exact-pair converters
 	quality map[Type]float64      // default quality score of a representation
 
-	// gen counts equivalence-class mutations. Dispatch-index caches (the
-	// event bus's lookup-key memo) key their entries on it so a
-	// DeclareEquivalent issued after subscriptions exist still reaches them.
+	// gen counts equivalence-class merges and quality changes. Dispatch-index
+	// caches (the event bus's lookup-key memo) key their entries on it so a
+	// DeclareEquivalent issued after subscriptions exist still reaches them;
+	// the resolver's cache keys on it because quality breaks ties between
+	// candidate providers.
 	gen atomic.Uint64
 }
 
-// Generation returns the equivalence-mutation counter. It changes exactly
-// when a DeclareEquivalent call merges two previously distinct classes, so
-// a cache keyed on it never serves stale equivalence answers.
+// Generation returns the registry's mutation counter. It changes when a
+// DeclareEquivalent call merges two previously distinct classes and when
+// SetQuality changes a type's quality, so a cache keyed on it never serves
+// stale equivalence or quality answers.
 func (r *Registry) Generation() uint64 { return r.gen.Load() }
 
 // NewRegistry returns a Registry pre-loaded with the core vocabulary and the
@@ -419,14 +422,18 @@ var ErrNoConversion = errors.New("ctxtype: no conversion registered")
 
 // SetQuality records the default quality score (0..1] for a representation;
 // used to break ties between equivalent providers (door sighting beats WLAN
-// sighting for precision).
+// sighting for precision). A change of quality moves the Generation.
 func (r *Registry) SetQuality(t Type, q float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.quality == nil {
 		r.quality = make(map[Type]float64)
 	}
+	if old, ok := r.quality[t]; ok && old == q {
+		return
+	}
 	r.quality[t] = q
+	r.gen.Add(1)
 }
 
 // Quality returns the recorded quality for t, defaulting to 0.5.

@@ -84,3 +84,20 @@ func TestValidateAllocationFree(t *testing.T) {
 		}
 	}
 }
+
+func TestGenerationMovesOnQualityChange(t *testing.T) {
+	r := &Registry{}
+	r.SetQuality("a.x", 0.7)
+	g := r.Generation()
+	if g == 0 {
+		t.Fatal("a new quality did not bump generation")
+	}
+	r.SetQuality("a.x", 0.7)
+	if r.Generation() != g {
+		t.Fatal("re-setting the same quality bumped generation")
+	}
+	r.SetQuality("a.x", 0.8)
+	if r.Generation() <= g {
+		t.Fatal("a changed quality did not bump generation")
+	}
+}

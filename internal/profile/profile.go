@@ -294,8 +294,8 @@ func (m *Manager) orderLocked(b *bucket) {
 }
 
 // Generation counts every mutation (Put or Remove) of the store. Callers
-// caching derived structures (the resolver's sub-graph reuse) compare
-// generations to detect staleness.
+// caching derived structures (the resolver's cache of whole resolutions)
+// compare generations to detect staleness.
 func (m *Manager) Generation() uint64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

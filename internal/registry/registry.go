@@ -93,6 +93,7 @@ type Registrar struct {
 
 	mu       sync.Mutex
 	entries  map[guid.GUID]Registration
+	gen      uint64 // guarded by mu; moves when entries gains or loses an entity
 	watchers map[int]Watcher
 	nextW    int
 	sweep    clock.Timer
@@ -134,6 +135,7 @@ func New(cfg Config) *Registrar {
 		lease:    cfg.Lease,
 		sweepGap: cfg.SweepEvery,
 		entries:  make(map[guid.GUID]Registration),
+		gen:      1,
 		watchers: make(map[int]Watcher),
 	}
 	r.mu.Lock()
@@ -168,6 +170,9 @@ func (r *Registrar) Register(entity guid.GUID, name string) (Registration, error
 	}
 	_, existed := r.entries[entity]
 	r.entries[entity] = reg
+	if !existed {
+		r.gen++
+	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
 
@@ -208,6 +213,7 @@ func (r *Registrar) Deregister(entity guid.GUID) error {
 		return fmt.Errorf("%w: %s", ErrNotRegistered, entity.Short())
 	}
 	delete(r.entries, entity)
+	r.gen++
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
 
@@ -229,6 +235,17 @@ func (r *Registrar) Lookup(entity guid.GUID) (Registration, bool) {
 func (r *Registrar) IsLive(entity guid.GUID) bool {
 	_, ok := r.Lookup(entity)
 	return ok
+}
+
+// Generation counts changes of the live set: it moves when an entity
+// arrives, is deregistered or expires, and not on Renew or on a repeated
+// Register, which leave IsLive's answers as they were. It is never zero.
+// The resolver's cache compares it to tell whether a cached resolution's
+// liveness filter still holds.
+func (r *Registrar) Generation() uint64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.gen
 }
 
 // List returns all registrations ordered by entity GUID.
@@ -320,6 +337,9 @@ func (r *Registrar) expire() {
 			dead = append(dead, reg)
 			delete(r.entries, id)
 		}
+	}
+	if len(dead) > 0 {
+		r.gen++
 	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()

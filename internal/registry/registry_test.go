@@ -183,6 +183,59 @@ func TestExpireNow(t *testing.T) {
 	}
 }
 
+// TestRegistrarGeneration: the generation moves exactly when the live set
+// changes — an arrival, a deregistration, an expiry — and stays put on a
+// renewal or a repeated Register.
+func TestRegistrarGeneration(t *testing.T) {
+	r, clk := newTestRegistrar()
+	defer r.Close()
+	g := r.Generation()
+	if g == 0 {
+		t.Fatal("a fresh registrar's generation is zero")
+	}
+	step := func(what string, moves bool) {
+		t.Helper()
+		now := r.Generation()
+		if moved := now != g; moved != moves {
+			t.Fatalf("%s: generation %d → %d, want moved=%v", what, g, now, moves)
+		}
+		g = now
+	}
+	a, b := guid.New(guid.KindDevice), guid.New(guid.KindDevice)
+	if _, err := r.Register(a, "a"); err != nil {
+		t.Fatal(err)
+	}
+	step("new Register", true)
+	if _, err := r.Register(b, "b"); err != nil {
+		t.Fatal(err)
+	}
+	step("second new Register", true)
+	if _, err := r.Register(a, "a"); err != nil {
+		t.Fatal(err)
+	}
+	step("repeated Register", false)
+	if err := r.Renew(a); err != nil {
+		t.Fatal(err)
+	}
+	step("Renew", false)
+	if err := r.Deregister(a); err != nil {
+		t.Fatal(err)
+	}
+	step("Deregister", true)
+	if err := r.Deregister(a); err == nil {
+		t.Fatal("second Deregister succeeded")
+	}
+	step("failed Deregister", false)
+	clk.Advance(10 * time.Second)
+	r.ExpireNow()
+	step("sweep before the lease lapses", false)
+	clk.Advance(25 * time.Second)
+	if r.IsLive(b) {
+		t.Fatal("b outlived its lease")
+	}
+	step("expiry", true)
+}
+
 func TestListAndListKind(t *testing.T) {
 	r, _ := newTestRegistrar()
 	defer r.Close()

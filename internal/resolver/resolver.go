@@ -15,16 +15,22 @@
 // hard filters; the criterion ranks survivors) and uses the semantic
 // equivalence classes of ctxtype, which is what lets a request bound to
 // door sightings rebind to W-LAN sightings (experiment E9, the iQueue
-// critique). Resolved sub-graphs are cached and reused across queries while
-// the profile store is unchanged (Solar's scalability idea); the cache
-// invalidates on any profile mutation. The cache is bypassed whenever
-// Context.LiveOnly is set, and a Range's Submit always sets it, so queries
-// submitted through a Range never reuse a sub-graph.
+// critique). Whole resolutions are cached and reused across queries (Solar's
+// idea of reusing resolved graphs): an entry is keyed by everything the
+// resolution read of the query (What, Which, Where), by the owner's location
+// when an implicit Where or the closest criterion reads it, and by whether
+// providers were filtered on liveness. Entries hold while the profile store,
+// the type registry and the liveness source stay at the generations they
+// were resolved under, and are dropped wholesale when any of the three
+// moves. A Range passes its Registrar's generation with its liveness filter
+// (Context.LiveGen), so every query submitted to it can be served from the
+// cache; a repair (a non-empty Exclude) never is.
 package resolver
 
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -61,7 +67,9 @@ type Edge struct {
 }
 
 // Configuration is a resolved subscription graph ready for the Event
-// Mediator to instantiate.
+// Mediator to instantiate. Root and Edges may be shared with the resolver's
+// cache and with other configurations resolved from it: they are read-only.
+// A repair replaces them with a new tree and a new slice.
 type Configuration struct {
 	// ID names this configuration.
 	ID guid.GUID `json:"id"`
@@ -149,6 +157,13 @@ type Context struct {
 	// LiveOnly, when non-nil, restricts providers to those for which the
 	// func returns true (wired to the Registrar's IsLive).
 	LiveOnly func(guid.GUID) bool
+	// LiveGen is the generation of the liveness LiveOnly reports (the
+	// Registrar's Generation, read before resolving): it must move whenever
+	// LiveOnly's answer for some entity may have changed. A Context that sets
+	// LiveOnly and leaves LiveGen zero is never served from the cache nor
+	// stored in it. Every LiveGen a Resolver is given must come from the
+	// same liveness source.
+	LiveGen uint64
 }
 
 // Resolver builds configurations from queries. Construct with New.
@@ -157,16 +172,58 @@ type Resolver struct {
 	types    *ctxtype.Registry
 	places   *location.Map // may be nil: distance criteria degrade gracefully
 
-	mu       sync.Mutex
-	cacheGen uint64
-	cache    map[cacheKey]*Binding
-	hits     uint64
-	misses   uint64
+	mu     sync.Mutex
+	gens   generations               // guarded by mu; what every cached entry was resolved under
+	cache  map[cacheKey][]cacheEntry // guarded by mu
+	size   int                       // guarded by mu; entries across all keys
+	hits   uint64                    // guarded by mu
+	misses uint64                    // guarded by mu
 }
 
+// maxCacheEntries caps the resolution cache: storing into a full cache
+// first drops every entry.
+const maxCacheEntries = 1024
+
+// generations are the store versions a resolution read: the profile store,
+// the type registry and the liveness source.
+type generations struct {
+	profiles, types, live uint64
+}
+
+// cacheKey is everything a resolution reads of its query and context, but
+// the Which constraints, which each entry holds itself so that a lookup
+// compares them without building a key from the map.
 type cacheKey struct {
-	want        ctxtype.Type
-	constraints string // canonicalised Which constraints
+	what      query.What
+	criterion string
+	where     placeKey // q.Where.Explicit
+	implicit  string   // q.Where.Implicit
+	owner     placeKey // ctx.OwnerLocation, only when the resolution reads it
+	live      bool     // providers were filtered on liveness
+}
+
+// placeKey is a location.Ref by value.
+type placeKey struct {
+	path     location.Path
+	place    location.PlaceID
+	point    location.Point
+	hasPoint bool
+}
+
+func placeKeyOf(r location.Ref) placeKey {
+	k := placeKey{path: r.Path, place: r.Place}
+	if r.Point != nil {
+		k.point, k.hasPoint = *r.Point, true
+	}
+	return k
+}
+
+// cacheEntry is one cached resolution. Nothing writes root or edges after
+// they are stored.
+type cacheEntry struct {
+	constraints map[string]string // the query's Which constraints, copied
+	root        *Binding
+	edges       []Edge
 }
 
 // MaxDepth bounds backward chaining; deeper graphs indicate a profile cycle.
@@ -185,11 +242,14 @@ func New(profiles *profile.Manager, types *ctxtype.Registry, places *location.Ma
 		profiles: profiles,
 		types:    types,
 		places:   places,
-		cache:    make(map[cacheKey]*Binding),
+		cache:    make(map[cacheKey][]cacheEntry),
 	}
 }
 
-// CacheStats reports sub-graph reuse counts (experiment E3's reuse rate).
+// CacheStats reports how many cacheable resolutions were served from the
+// cache and how many were resolved (experiment E3's reuse rate). A
+// resolution the cache may not serve, a repair or a liveness filter without
+// a generation, counts as neither.
 func (r *Resolver) CacheStats() (hits, misses uint64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -200,9 +260,24 @@ func (r *Resolver) CacheStats() (hits, misses uint64) {
 // the full backward chain; for What=entity it binds that entity directly;
 // What=entity-type resolves to the best advertisement match (used by
 // profile and advertisement modes).
+//
+// A resolution that the cache holds is not repeated: the Configuration
+// returned has its own ID and the caller's q, and shares Root and Edges
+// with the cached entry.
 func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 	if err := q.Validate(); err != nil {
 		return nil, err
+	}
+	key, gens, cacheable := r.cacheKey(q, ctx)
+	if cacheable {
+		if e, ok := r.lookup(key, gens, q.Which.Constraints); ok {
+			return &Configuration{
+				ID:    guid.New(guid.KindConfiguration),
+				Query: q,
+				Root:  e.root,
+				Edges: e.edges,
+			}, nil
+		}
 	}
 	var root *Binding
 	var err error
@@ -225,7 +300,113 @@ func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 		Root:  root,
 	}
 	cfg.Edges = Flatten(root)
+	if cacheable {
+		r.store(key, gens, q.Which.Constraints, root, cfg.Edges)
+	}
 	return cfg, nil
+}
+
+// cacheKey returns the key and generations a resolution of q under ctx is
+// cached by, reading the generations before anything is resolved. It
+// reports false when the resolution may not be cached: a repair excludes
+// providers, and a liveness filter without a generation cannot be checked.
+func (r *Resolver) cacheKey(q query.Query, ctx Context) (cacheKey, generations, bool) {
+	if len(ctx.Exclude) > 0 || (ctx.LiveOnly != nil && ctx.LiveGen == 0) {
+		return cacheKey{}, generations{}, false
+	}
+	k := cacheKey{
+		what:      q.What,
+		criterion: q.Which.Criterion,
+		where:     placeKeyOf(q.Where.Explicit),
+		implicit:  q.Where.Implicit,
+		live:      ctx.LiveOnly != nil,
+	}
+	// Implicit scoping and the closest ranking read the owner's location;
+	// nothing else does, so other queries share one entry across owners.
+	if q.Where.Implicit != "" || q.Which.Criterion == query.CriterionClosest {
+		k.owner = placeKeyOf(ctx.OwnerLocation)
+	}
+	g := generations{profiles: r.profiles.Generation()}
+	if k.live {
+		g.live = ctx.LiveGen
+	}
+	if r.types != nil {
+		g.types = r.types.Generation()
+	}
+	return k, g, true
+}
+
+// lookup returns the entry cached under k for the constraints cons.
+func (r *Resolver) lookup(k cacheKey, g generations, cons map[string]string) (cacheEntry, bool) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.adoptLocked(g) {
+		for _, e := range r.cache[k] {
+			if sameConstraints(e.constraints, cons) {
+				r.hits++
+				return e, true
+			}
+		}
+	}
+	r.misses++
+	return cacheEntry{}, false
+}
+
+// store caches a resolution of k under the constraints cons, made at
+// generations g.
+func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root *Binding, edges []Edge) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.adoptLocked(g) {
+		return
+	}
+	for _, e := range r.cache[k] {
+		if sameConstraints(e.constraints, cons) {
+			return // a concurrent resolution stored it first
+		}
+	}
+	if r.size >= maxCacheEntries {
+		clear(r.cache)
+		r.size = 0
+	}
+	r.cache[k] = append(r.cache[k], cacheEntry{constraints: maps.Clone(cons), root: root, edges: edges})
+	r.size++
+}
+
+// adoptLocked brings the cache to generations g, dropping every entry when
+// a store has moved on since the entries were resolved. It reports false
+// when g is older than the cache in some store: that resolution began
+// before a mutation the cache has already seen, and must neither be served
+// nor stored. A resolution that read no liveness leaves the cache's
+// liveness generation as it is.
+func (r *Resolver) adoptLocked(g generations) bool {
+	if g.live == 0 {
+		g.live = r.gens.live
+	}
+	if g == r.gens {
+		return true
+	}
+	if g.profiles < r.gens.profiles || g.types < r.gens.types || g.live < r.gens.live {
+		return false
+	}
+	clear(r.cache)
+	r.size = 0
+	r.gens = g
+	return true
+}
+
+// sameConstraints reports whether two constraint sets are equal; nil and
+// empty are.
+func sameConstraints(a, b map[string]string) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k, v := range a {
+		if w, ok := b[k]; !ok || w != v {
+			return false
+		}
+	}
+	return true
 }
 
 // ResolveReplacement rebuilds the sub-graph that supplied want after the
@@ -236,19 +417,7 @@ func (r *Resolver) ResolveReplacement(q query.Query, want ctxtype.Type, failed g
 		ctx.Exclude = guid.NewSet()
 	}
 	ctx.Exclude.Add(failed)
-	// Repair must not serve the stale cached subtree that contains the
-	// failed provider.
-	r.invalidate()
 	return r.resolveType(want, q, ctx, nil, 0)
-}
-
-// invalidate drops the sub-graph cache (profile mutations do this
-// implicitly; explicit calls serve tests and repair).
-func (r *Resolver) invalidate() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.cache = make(map[cacheKey]*Binding)
-	r.cacheGen = r.profiles.Generation()
 }
 
 // resolveType finds a provider for want and recursively satisfies its
@@ -256,26 +425,6 @@ func (r *Resolver) invalidate() {
 func (r *Resolver) resolveType(want ctxtype.Type, q query.Query, ctx Context, path []guid.GUID, depth int) (*Binding, error) {
 	if depth > MaxDepth {
 		return nil, fmt.Errorf("%w: depth %d exceeded for %s", ErrCycle, MaxDepth, want)
-	}
-
-	// Sub-graph reuse: only for unconstrained situational context (no
-	// exclusions, no owner anchoring) — those change per query.
-	cacheable := len(ctx.Exclude) == 0 && ctx.OwnerLocation.Empty() && ctx.LiveOnly == nil && depth > 0
-	key := cacheKey{want: want, constraints: canonConstraints(q.Which.Constraints)}
-	if cacheable {
-		r.mu.Lock()
-		if r.cacheGen == r.profiles.Generation() {
-			if b, ok := r.cache[key]; ok {
-				r.hits++
-				r.mu.Unlock()
-				return b, nil
-			}
-		} else {
-			r.cache = make(map[cacheKey]*Binding)
-			r.cacheGen = r.profiles.Generation()
-		}
-		r.misses++
-		r.mu.Unlock()
 	}
 
 	cands := r.profiles.FindProviders(want, r.types)
@@ -291,13 +440,6 @@ func (r *Resolver) resolveType(want ctxtype.Type, q query.Query, ctx Context, pa
 		if err != nil {
 			lastErr = err
 			continue // try the next-ranked candidate
-		}
-		if cacheable {
-			r.mu.Lock()
-			if r.cacheGen == r.profiles.Generation() {
-				r.cache[key] = b
-			}
-			r.mu.Unlock()
 		}
 		return b, nil
 	}
@@ -604,25 +746,6 @@ func bestOutput(p *profile.Profile, want ctxtype.Type, reg *ctxtype.Registry) ct
 		best = p.Outputs[0]
 	}
 	return best
-}
-
-func canonConstraints(cons map[string]string) string {
-	if len(cons) == 0 {
-		return ""
-	}
-	keys := make([]string, 0, len(cons))
-	for k := range cons {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	var b strings.Builder
-	for _, k := range keys {
-		b.WriteString(k)
-		b.WriteByte('=')
-		b.WriteString(cons[k])
-		b.WriteByte(';')
-	}
-	return b.String()
 }
 
 // Flatten walks a binding graph emitting its consumer←producer edges,

@@ -454,7 +454,7 @@ func TestSubgraphReuseCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	h0, m0 := w.res.CacheStats()
-	// Second identical resolution reuses the position/sighting subtrees.
+	// A second identical resolution is served whole from the cache.
 	if _, err := w.res.Resolve(q, Context{}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -151,13 +152,15 @@ func (f *Fabric) knowsInterest(owner guid.GUID) bool {
 }
 
 // setInterests pins a fabric's interest table to exactly the given
-// entries, re-asserting until no in-flight gossip disturbs it for 25ms.
+// entries, owners and filters alike, re-asserting until no in-flight gossip
+// disturbs it for 25ms. An empty filter list equals a nil one: Interests
+// reports an entry with no filters as nil.
 func (f *Fabric) setInterests(table map[guid.GUID][]event.Filter) {
 	for settled := 0; settled < 25; {
 		held := f.Interests()
 		same := len(held) == len(table)
-		for owner := range table {
-			if _, ok := held[owner]; !ok {
+		for owner, flts := range table {
+			if got, ok := held[owner]; !ok || !slices.Equal(got, flts) {
 				same = false
 			}
 		}

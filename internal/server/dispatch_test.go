@@ -43,6 +43,8 @@ func TestStatsMap(t *testing.T) {
 		"eventbus.shard00.published",
 		"eventbus.shard07.delivered",
 		"queries.submitted",
+		"resolver.cache_hits",
+		"resolver.cache_misses",
 		// The rest of the dispatch and remote figures dispatch.stats
 		// answers with.
 		"eventbus.delivered",

@@ -695,6 +695,7 @@ func (r *Range) DispatchDropsBySource() map[guid.GUID]uint64 {
 // the JSON wire round trip unchanged.
 func (r *Range) StatsMap() map[string]float64 {
 	st := r.med.Stats()
+	hits, misses := r.res.CacheStats()
 	out := map[string]float64{
 		"eventbus.published":        float64(st.Published),
 		"eventbus.delivered":        float64(st.Delivered),
@@ -709,6 +710,9 @@ func (r *Range) StatsMap() map[string]float64 {
 		"queries.submitted": float64(r.QueriesSubmitted.Value()),
 		"queries.deferred":  float64(r.QueriesDeferred.Value()),
 		"queries.executed":  float64(r.QueriesExecuted.Value()),
+
+		"resolver.cache_hits":   float64(hits),
+		"resolver.cache_misses": float64(misses),
 
 		"remote.batches_sent":                 float64(r.RemoteBatchesSent.Value()),
 		"remote.events_sent":                  float64(r.RemoteEventsSent.Value()),
@@ -825,10 +829,12 @@ func topSources(all map[guid.GUID]uint64) []dropSourceEntry {
 }
 
 // resolveContext builds the resolver context for a query: owner location
-// (for closest-to-me) and registrar liveness.
+// (for closest-to-me) and registrar liveness, with the registrar generation
+// read before resolving so that the resolver's cache can serve the query.
 func (r *Range) resolveContext(q query.Query) resolver.Context {
 	ctx := resolver.Context{
 		LiveOnly: r.registrar.IsLive,
+		LiveGen:  r.registrar.Generation(),
 	}
 	if p, err := r.profiles.Lookup(q.Owner); err == nil {
 		ctx.OwnerLocation = p.Location

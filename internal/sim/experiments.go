@@ -37,7 +37,7 @@ type Experiment struct {
 var Experiments = []Experiment{
 	{"e1", "§3, Fig 1: overlay routing avoids the hierarchy's root bottleneck at comparable hop counts", runE1},
 	{"e2", "Fig 2: one Range's Context Server sustains registration churn and event fan-out", runE2},
-	{"e3", "Fig 3: the resolver composes multi-level configurations automatically and reuses cached sub-graphs", runE3},
+	{"e3", "Fig 3: the resolver composes multi-level configurations automatically and serves repeated queries from its cache of whole resolutions", runE3},
 	{"e5", "Fig 5: concurrent discovery handshakes complete in bounded time", runE5},
 	{"e6", "Fig 6: query encode, decode and validate cost in each of the four modes", runE6},
 	{"e7", "§5, Fig 7: CAPA sends Bob's documents to P1 and John's to P4", runE7},

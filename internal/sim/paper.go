@@ -216,7 +216,7 @@ func e2Rates(n int) (register, events float64, err error) {
 
 // runE3 resolves a subscription to the top of a five-level type chain over
 // a round-robin population of sources and operators, times the first
-// resolution, and repeats it ten times to exercise the sub-graph cache.
+// resolution, and repeats it ten times to exercise the resolution cache.
 // Bars: the configuration spans the whole chain, and repeats hit the cache.
 func runE3(s Scale, _ int64) ([]Table, error) {
 	const depth = 5
