@@ -62,7 +62,8 @@ fuzz-smoke:
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
-	$(GO) test -race -count=10 -run 'ResolveCache' ./internal/resolver/ ./internal/server/
+	$(GO) test -race -count=10 -run 'ResolveCache' ./internal/resolver/
+	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert' ./internal/server/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

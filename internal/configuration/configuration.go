@@ -423,6 +423,7 @@ func (r *Runtime) repairBinding(b *resolver.Binding, q query.Query, failed guid.
 		Provider: b.Provider,
 		Want:     b.Want,
 		Output:   b.Output,
+		Profile:  b.Profile,
 	}
 	for _, in := range b.Inputs {
 		sub, err := r.repairBinding(in, q, failed, rctx)

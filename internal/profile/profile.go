@@ -382,8 +382,8 @@ type Candidate struct {
 // matching outputs appears once, at its best score.
 //
 // The candidates point at the stored profiles, which are frozen and shared:
-// callers read them and Clone what they hand on to code that may write. The
-// slice itself is the caller's.
+// callers read them and hand them on read-only, as a Range's query answers
+// do; code that may write one gets a Clone. The slice itself is the caller's.
 //
 // Only the output-type buckets that match want are visited, each type is
 // graded once, and a single matching bucket is already in result order.

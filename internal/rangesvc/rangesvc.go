@@ -74,7 +74,7 @@ type queryBody struct {
 }
 
 type queryResultBody struct {
-	Profiles      []profile.Profile      `json:"profiles,omitempty"`
+	Profiles      []*profile.Profile     `json:"profiles,omitempty"`
 	Advertisement *profile.Advertisement `json:"advertisement,omitempty"`
 	Provider      guid.GUID              `json:"provider,omitzero"`
 	Configuration guid.GUID              `json:"configuration,omitzero"`

@@ -56,6 +56,11 @@ type Binding struct {
 	// Inputs are the bindings feeding each of the provider's declared
 	// inputs, in profile order.
 	Inputs []*Binding `json:"inputs,omitempty"`
+	// Profile is the stored profile the provider was ranked by: frozen and
+	// shared with the Profile Manager, so read-only. An answer built from
+	// it needs no second lookup, which a provider departing after the
+	// resolution would fail. It is nil in a binding decoded from JSON.
+	Profile *profile.Profile `json:"-"`
 }
 
 // Edge is one event subscription to establish: Consumer subscribes to
@@ -68,7 +73,8 @@ type Edge struct {
 
 // Configuration is a resolved subscription graph ready for the Event
 // Mediator to instantiate. Root and Edges may be shared with the resolver's
-// cache and with other configurations resolved from it: they are read-only.
+// cache and with other configurations resolved from it: they are read-only,
+// like the stored profiles the bindings carry.
 // A repair replaces them with a new tree and a new slice.
 type Configuration struct {
 	// ID names this configuration.
@@ -453,6 +459,7 @@ func (r *Resolver) bindProvider(cand profile.Candidate, want ctxtype.Type, q que
 		Provider: p.Entity,
 		Want:     want,
 		Output:   bestOutput(p, want, r.types),
+		Profile:  p,
 	}
 	childPath := append(path, p.Entity)
 	for _, in := range p.Inputs {
@@ -503,6 +510,7 @@ func (r *Resolver) resolveInput(want ctxtype.Type, q query.Query, ctx Context, p
 			Provider: c.Profile.Entity,
 			Want:     want,
 			Output:   topOut,
+			Profile:  c.Profile,
 		})
 	}
 	return out, nil
@@ -521,7 +529,7 @@ func (r *Resolver) bindEntity(entity guid.GUID, ctx Context) (*Binding, error) {
 	if len(p.Outputs) > 0 {
 		out = p.Outputs[0]
 	}
-	return &Binding{Provider: entity, Want: out, Output: out}, nil
+	return &Binding{Provider: entity, Want: out, Output: out, Profile: p}, nil
 }
 
 // bindEntityType selects the best entity advertising the named interface
@@ -542,7 +550,7 @@ func (r *Resolver) bindEntityType(entityType string, q query.Query, ctx Context)
 	if len(p.Outputs) > 0 {
 		out = p.Outputs[0]
 	}
-	return &Binding{Provider: p.Entity, Want: out, Output: out}, nil
+	return &Binding{Provider: p.Entity, Want: out, Output: out, Profile: p}, nil
 }
 
 // filterCandidates applies hard filters: exclusions, liveness, cycle

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -116,9 +115,7 @@ func TestResolveCacheUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				// The printer an advertisement query binds may leave before
-				// its profile is read back; only that failure is allowed.
-				if _, err := w.rng.Submit(advert()); err != nil && !errors.Is(err, profile.ErrNotFound) {
+				if _, err := w.rng.Submit(advert()); err != nil {
 					errs <- err
 					return
 				}
@@ -175,5 +172,41 @@ func TestResolveCacheUnderChurn(t *testing.T) {
 	}
 	if res.Provider != want.Root.Provider {
 		t.Fatalf("after churn the Range answers %s, a fresh resolution %s", res.Provider.Short(), want.Root.Provider.Short())
+	}
+}
+
+// TestSubmitAdvertisementProviderDeparts: an advertisement query answers
+// from the profile its resolution ranked, so a printer whose profile leaves
+// the store after it was chosen is still the answer, not a
+// profile.ErrNotFound. The Range's resolver reads a snapshot of the store
+// taken before the departure: the resolution ranks the printer, and the
+// answer is assembled once its profile has gone.
+func TestSubmitAdvertisementProviderDeparts(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	p1 := sensor.NewPrinter("P1", location.AtPlace("corr"), w.clk)
+	if err := w.rng.AddEntity(p1); err != nil {
+		t.Fatal(err)
+	}
+	snapshot := new(profile.Manager)
+	for _, p := range w.rng.Profiles().All() {
+		if err := snapshot.Put(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ranked, err := snapshot.Lookup(p1.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.rng.res = resolver.New(snapshot, w.rng.Types(), w.rng.Places())
+	w.rng.Profiles().Remove(p1.ID())
+
+	res, err := w.rng.Submit(query.New(w.caa.ID(), query.What{EntityType: "printer"}, query.ModeAdvertisement))
+	if err != nil {
+		t.Fatalf("the ranked printer's profile left the store before the answer: %v", err)
+	}
+	if res.Provider != p1.ID() || res.Advertisement != ranked.Advertisement {
+		t.Fatalf("answer %s with advertisement %p, want P1's ranked advertisement %p",
+			res.Provider.Short(), res.Advertisement, ranked.Advertisement)
 	}
 }

@@ -172,10 +172,14 @@ type pendingQuery struct {
 type Result struct {
 	// Query echoes the submitted query's id.
 	Query guid.GUID
-	// Profiles answers ModeProfile. They are copies, the caller's to
-	// write; the Profile Manager's own answers are frozen and shared.
-	Profiles []profile.Profile
-	// Advertisement and Provider answer ModeAdvertisement.
+	// Profiles answers ModeProfile with the Profile Manager's stored
+	// profiles themselves: frozen and shared with the store and every other
+	// answer, so read-only, under the same contract as
+	// profile.Candidate.Profile and resolver.Configuration.Root. A caller
+	// that wants to change one changes a Clone.
+	Profiles []*profile.Profile
+	// Advertisement and Provider answer ModeAdvertisement. Advertisement is
+	// the stored profile's own, read-only like Profiles.
 	Advertisement *profile.Advertisement
 	Provider      guid.GUID
 	// Configuration is the instantiated configuration id for subscription
@@ -426,36 +430,32 @@ func (r *Range) Submit(q query.Query) (*Result, error) {
 	}
 }
 
-// submitProfile answers a profile request. The profile finders return the
-// stored profiles read-only; the answer goes to an application, so it gets
-// copies.
+// submitProfile answers a profile request with the stored profiles the
+// finders return, shared read-only: nothing is copied per answer.
 func (r *Range) submitProfile(q query.Query) (*Result, error) {
 	res := &Result{Query: q.ID}
 	switch q.What.Kind() {
 	case "entity":
-		p, err := r.profiles.Get(q.What.Entity)
+		p, err := r.profiles.Lookup(q.What.Entity)
 		if err != nil {
 			return nil, err
 		}
-		res.Profiles = []profile.Profile{p}
+		res.Profiles = []*profile.Profile{p}
 	case "entity-type":
-		ps := r.profiles.FindByEntityType(q.What.EntityType)
-		res.Profiles = make([]profile.Profile, len(ps))
-		for i, p := range ps {
-			res.Profiles[i] = p.Clone()
-		}
+		res.Profiles = r.profiles.FindByEntityType(q.What.EntityType)
 	case "pattern":
 		cands := r.profiles.FindProviders(q.What.Pattern, r.types)
-		res.Profiles = make([]profile.Profile, len(cands))
+		res.Profiles = make([]*profile.Profile, len(cands))
 		for i, c := range cands {
-			res.Profiles[i] = c.Profile.Clone()
+			res.Profiles[i] = c.Profile
 		}
 	}
 	return res, nil
 }
 
 // submitAdvertisement resolves the best service provider and returns its
-// advertisement.
+// advertisement, read from the profile the resolver ranked: a provider that
+// departs once resolved is still this query's answer.
 func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
 	start := time.Now()
 	cfg, err := r.res.Resolve(q, r.resolveContext(q))
@@ -463,13 +463,10 @@ func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := r.profiles.Lookup(cfg.Root.Provider)
-	if err != nil {
-		return nil, err
-	}
+	p := cfg.Root.Profile
 	return &Result{
 		Query:         q.ID,
-		Advertisement: p.Advertisement.Clone(),
+		Advertisement: p.Advertisement,
 		Provider:      p.Entity,
 	}, nil
 }

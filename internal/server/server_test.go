@@ -1,7 +1,9 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -14,7 +16,6 @@ import (
 	"sci/internal/location"
 	"sci/internal/mediator"
 	"sci/internal/profile"
-	"sci/internal/profile/profiletest"
 	"sci/internal/query"
 	"sci/internal/sensor"
 )
@@ -452,10 +453,11 @@ func TestWhichClosestPrinterScenario(t *testing.T) {
 	}
 }
 
-// TestSubmitProfileAnswersAreCopies: the profile finders return stored
-// profiles read-only, so Submit must hand the application copies. Writing
-// through every answer leaves the store as it was.
-func TestSubmitProfileAnswersAreCopies(t *testing.T) {
+// TestSubmitAnswersShareStore: Submit answers with the Profile Manager's
+// frozen records themselves. Every profile and advertisement answer is the
+// pointer Lookup returns, and once every answer path has run and its
+// answers have been read in full, the store holds what it held before.
+func TestSubmitAnswersShareStore(t *testing.T) {
 	w := newWorld(t)
 	defer w.rng.Close()
 	for _, name := range []string{"P1", "P2"} {
@@ -464,6 +466,20 @@ func TestSubmitProfileAnswersAreCopies(t *testing.T) {
 		}
 	}
 	before := w.rng.Profiles().All()
+	lookup := func(id guid.GUID) *profile.Profile {
+		t.Helper()
+		p, err := w.rng.Profiles().Lookup(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	read := func(res *Result) {
+		t.Helper()
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatal(err)
+		}
+	}
 	for _, what := range []query.What{
 		{Pattern: ctxtype.LocationSightingDoor},
 		{Pattern: ctxtype.LocationSighting},
@@ -479,16 +495,65 @@ func TestSubmitProfileAnswersAreCopies(t *testing.T) {
 		if len(res.Profiles) == 0 {
 			t.Fatalf("profile query %+v answered nothing", what)
 		}
-		for i := range res.Profiles {
-			profiletest.Scribble(&res.Profiles[i])
+		for _, p := range res.Profiles {
+			if p != lookup(p.Entity) {
+				t.Fatalf("profile query %+v answered a copy of %s, not the stored profile", what, p.Name)
+			}
 		}
+		read(res)
 	}
 	res, err := w.rng.Submit(query.New(w.caa.ID(), query.What{EntityType: "printer"}, query.ModeAdvertisement))
 	if err != nil {
 		t.Fatal(err)
 	}
-	profiletest.Scribble(&profile.Profile{Advertisement: res.Advertisement})
+	if res.Advertisement == nil || res.Advertisement != lookup(res.Provider).Advertisement {
+		t.Fatalf("advertisement answer %p is not the stored advertisement of %s", res.Advertisement, res.Provider.Short())
+	}
+	read(res)
+	res, err = w.rng.Submit(query.New(w.caa.ID(), query.What{Pattern: ctxtype.LocationPosition}, query.ModeSubscribe))
+	if err != nil {
+		t.Fatal(err)
+	}
+	read(res)
+	if err := w.rng.Runtime().Teardown(res.Configuration); err != nil {
+		t.Fatal(err)
+	}
 	if after := w.rng.Profiles().All(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("stored profiles changed by writes to Submit's answers:\n got %+v\nwant %+v", after, before)
+		t.Fatalf("stored profiles changed by answering queries:\n got %+v\nwant %+v", after, before)
+	}
+}
+
+// TestSubmitProfileAllocs: a pattern profile query shares the stored
+// profiles, so its allocations do not grow with the number of profiles it
+// answers.
+func TestSubmitProfileAllocs(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	q := query.New(w.caa.ID(), query.What{Pattern: ctxtype.PrinterStatus}, query.ModeProfile)
+	printers := 0
+	allocs := func(n int) float64 {
+		t.Helper()
+		for ; printers < n; printers++ {
+			p := sensor.NewPrinter(fmt.Sprintf("P%d", printers), location.AtPlace("corr"), w.clk)
+			if err := w.rng.AddEntity(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := w.rng.Submit(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Profiles) != n {
+			t.Fatalf("profile query answered %d printers, want %d", len(res.Profiles), n)
+		}
+		return testing.AllocsPerRun(100, func() {
+			if _, err := w.rng.Submit(q); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	few, many := allocs(3), allocs(30)
+	if few != many || many > 3 {
+		t.Fatalf("a pattern profile query makes %v allocations answering 3 profiles and %v answering 30; want the same, at most 3", few, many)
 	}
 }

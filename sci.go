@@ -232,7 +232,9 @@ type (
 	// A BatchMaxEvents of 0 or 1 means one-event batches under the same
 	// flow control.
 	RangeConfig = server.Config
-	// QueryResult is the synchronous answer to Submit.
+	// QueryResult is the synchronous answer to Submit. Its Profiles and
+	// Advertisement are the Range's stored records themselves, shared with
+	// every other reader: read them, and Clone one before changing it.
 	QueryResult = server.Result
 )
 
