@@ -64,6 +64,7 @@ race-suites:
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
 	$(GO) test -race -count=10 -run 'ResolveCache' ./internal/resolver/
 	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert' ./internal/server/
+	$(GO) test -race -count=10 -run 'Ack|Credit|Piggyback|Depart|Close' ./internal/rangesvc/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

@@ -38,9 +38,9 @@ type AckConfig struct {
 }
 
 // AckCoalescer coalesces the receive-side flow-credit reports owed to one
-// peer — the shared state machine behind the Range Service's wire acks
-// (host and connector) and the SCINET fabric's overlay acks, extracted so
-// the three sites cannot drift:
+// peer — the one state machine behind the Range Service's wire acks (one
+// path per remote endpoint, shared by host and connector) and the SCINET
+// fabric's overlay acks (per peer link):
 //
 //   - the first report to a peer leaves immediately (the leading edge
 //     establishes the sender's baseline);

@@ -108,7 +108,10 @@
 // not outpace the congestion it is meant to confirm gone; and a pending
 // report can be claimed (Take) for piggybacking on reverse-direction
 // batches (wire.NativeBatch.Credit), sparing the standalone ack frame
-// entirely. A relay reporting downstream congestion excludes what it
+// entirely. The Range Service keeps one per remote endpoint, where host and
+// connector share one ack path and differ only in the figure; the SCINET
+// fabric keeps two per peer link (fan-out and routed-query acks) and never
+// piggybacks. A relay reporting downstream congestion excludes what it
 // learned from the very peer it is acking — echoing a peer's own figure
 // back would amplify one finite drop episode around any cycle forever.
 package flow
