@@ -65,6 +65,7 @@ race-suites:
 	$(GO) test -race -count=10 -run 'ResolveCache' ./internal/resolver/
 	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert' ./internal/server/
 	$(GO) test -race -count=10 -run 'Ack|Credit|Piggyback|Depart|Close' ./internal/rangesvc/
+	$(GO) test -race -count=10 -run 'Depart|Teardown|Repair|Churn' ./internal/configuration/ ./internal/mediator/ ./internal/server/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

@@ -18,6 +18,12 @@
 // every door sensor of a building) is a single subscription whose source set
 // names them all. Its events reach the consumer from one delivery goroutine,
 // in publish order across all of its producers.
+//
+// The Runtime is the one record of what it wired: each live configuration
+// keeps its graph and the ids of its subscriptions, and teardown and repair
+// cancel exactly those ids. A departure is handled by one scan of the live
+// configurations: those whose querying application departed are torn down,
+// and those whose graph binds the departed entity are repaired.
 package configuration
 
 import (
@@ -27,7 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"sci/internal/ctxtype"
 	"sci/internal/entity"
 	"sci/internal/event"
 	"sci/internal/guid"
@@ -49,10 +54,6 @@ type ComponentsFunc func(guid.GUID) (entity.CE, bool)
 
 // Component implements Components.
 func (f ComponentsFunc) Component(g guid.GUID) (entity.CE, bool) { return f(g) }
-
-// DeliverFunc receives the configuration's root output events (bound for
-// the querying CAA) one at a time.
-type DeliverFunc func(event.Event)
 
 // BatchDeliverFunc receives the configuration's root output events in runs:
 // every event queued since the delivery loop's last wakeup arrives as one
@@ -79,7 +80,8 @@ type Status struct {
 	// Repairs counts successful repairs so far.
 	Repairs int
 	// Subscriptions counts live mediator subscriptions: one per consumer
-	// input, however many producers feed it, plus the root delivery.
+	// input, however many producers feed it, plus the root delivery until a
+	// one-shot root has fired.
 	Subscriptions int
 }
 
@@ -95,13 +97,7 @@ type Runtime struct {
 	maxRepairs int
 
 	mu     sync.Mutex
-	active map[guid.GUID]*activeCfg
-	// byProv lists, per provider, the configurations bound to it, in no
-	// particular order. An entry that empties keeps its slice, so binding
-	// the same providers again allocates nothing; the entry goes when its
-	// provider departs (HandleDeparture), so the table is bounded by the
-	// providers that are still registered.
-	byProv map[guid.GUID][]guid.GUID
+	active map[guid.GUID]*activeCfg // guarded by mu
 
 	// RepairLatency records time from failure report to repaired plumbing
 	// (experiment E8); Repairs/RepairFailures count outcomes.
@@ -110,16 +106,15 @@ type Runtime struct {
 	RepairFailures metrics.Counter
 }
 
+// activeCfg is one live configuration. A repair replaces cfg.Root,
+// cfg.Edges and subs under Runtime.mu, so read them under it too.
 type activeCfg struct {
-	cfg *resolver.Configuration
-	// providers is cfg.Providers(), read and written under Runtime.mu:
-	// computed once per instantiation and per repair, then reused to index,
-	// unindex and report status.
-	providers []guid.GUID
-	deliver   BatchDeliverFunc
-	rctx      resolver.Context
-	repairs   int
-	dead      bool
+	cfg     *resolver.Configuration
+	deliver BatchDeliverFunc
+	rctx    resolver.Context
+	// subs are the ids of the mediator subscriptions wired for cfg.
+	subs    []guid.GUID
+	repairs int
 }
 
 // edgeQueueLen is the per-subscription queue capacity for configuration
@@ -150,41 +145,25 @@ func New(med *mediator.Mediator, res *resolver.Resolver, comps Components, maxRe
 		comps:      comps,
 		maxRepairs: maxRepairs,
 		active:     make(map[guid.GUID]*activeCfg),
-		byProv:     make(map[guid.GUID][]guid.GUID),
 	}
 }
 
-// Instantiate wires cfg into the mediator: one subscription per consumer
-// input, accepting every producer bound to that input and delivering into
-// the consumer CE's HandleInput, plus the root subscription delivering to
-// the querying application. rctx is remembered for repairs.
-func (r *Runtime) Instantiate(cfg *resolver.Configuration, rctx resolver.Context, deliver DeliverFunc) error {
-	var all BatchDeliverFunc
-	if deliver != nil {
-		all = func(events []event.Event) {
-			for i := range events {
-				deliver(events[i])
-			}
-		}
-	}
-	return r.InstantiateBatch(cfg, rctx, all)
-}
-
-// InstantiateBatch is Instantiate with batched root delivery: the root
-// subscription is established through Mediator.SubscribeBatch, so deliver
-// receives every queued root event of a wakeup as one slice.
+// InstantiateBatch wires cfg into the mediator: one subscription per
+// consumer input, accepting every producer bound to that input and
+// delivering into the consumer CE's HandleInput, plus the root subscription
+// delivering to the querying application through Mediator.SubscribeBatch,
+// so deliver (which may be nil) receives every queued root event of a
+// wakeup as one slice. rctx is remembered for repairs.
 func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Context, deliver BatchDeliverFunc) error {
 	if cfg == nil || cfg.Root == nil {
 		return errors.New("configuration: nil configuration")
 	}
-	ac := &activeCfg{cfg: cfg, providers: cfg.Providers(), deliver: deliver, rctx: rctx}
-	if err := r.wire(ac); err != nil {
-		r.med.CancelConfiguration(cfg.ID)
+	subs, err := r.wire(cfg.Root, cfg.Edges, cfg.Query, deliver)
+	if err != nil {
 		return err
 	}
 	r.mu.Lock()
-	r.active[cfg.ID] = ac
-	r.indexProvidersLocked(ac)
+	r.active[cfg.ID] = &activeCfg{cfg: cfg, deliver: deliver, rctx: rctx, subs: subs}
 	r.mu.Unlock()
 	r.primeSources(cfg.Root)
 	return nil
@@ -209,16 +188,22 @@ func (r *Runtime) primeSources(b *resolver.Binding) {
 	}
 }
 
-// wire establishes all subscriptions for the configuration's current graph:
-// one per consumer input. Flatten orders the edges by (Consumer, Type,
-// Producer), so each input is one run of adjacent edges; edges in another
-// order are still wired correctly, an input split across runs just takes
-// one subscription per run. An input with a single producer keeps the
-// filter {Type, Source}; a fan-in input filters on {Type} and accepts its
-// run's producers as a source set.
-func (r *Runtime) wire(ac *activeCfg) error {
-	cfg := ac.cfg
-	edges := cfg.Edges
+// wire establishes all subscriptions for a graph and returns their ids:
+// one per consumer input, plus the root delivery to q's owner when deliver
+// is not nil. Flatten orders the edges by (Consumer, Type, Producer), so
+// each input is one run of adjacent edges; edges in another order are
+// still wired correctly, an input split across runs just takes one
+// subscription per run. An input with a single producer keeps the filter
+// {Type, Source}; a fan-in input filters on {Type} and accepts its run's
+// producers as a source set. On error, whatever was wired is cancelled.
+func (r *Runtime) wire(root *resolver.Binding, edges []resolver.Edge, q query.Query, deliver BatchDeliverFunc) (subs []guid.GUID, err error) {
+	var rec mediator.Record
+	defer func() {
+		if err != nil {
+			r.cancel(subs)
+			subs = nil
+		}
+	}()
 	for i := 0; i < len(edges); {
 		in := edges[i]
 		j := i + 1
@@ -230,10 +215,10 @@ func (r *Runtime) wire(ac *activeCfg) error {
 
 		consumer, ok := r.comps.Component(in.Consumer)
 		if !ok {
-			return fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
+			return subs, fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
 		}
 		filter := event.Filter{Type: in.Type}
-		opts := mediator.SubOptions{Configuration: cfg.ID, QueueLen: edgeQueueLen}
+		opts := mediator.SubOptions{QueueLen: edgeQueueLen}
 		if len(run) == 1 {
 			filter.Source = in.Producer
 		} else {
@@ -245,49 +230,52 @@ func (r *Runtime) wire(ac *activeCfg) error {
 		// Batch-capable consumers (remote proxies feeding a wire coalescer)
 		// take a burst as one slice; plain CEs stay per event.
 		if bc, ok := consumer.(entity.BatchInput); ok {
-			if _, err := r.med.SubscribeBatch(in.Consumer, filter, bc.HandleInputAll, opts); err != nil {
-				return err
-			}
-			continue
+			rec, err = r.med.SubscribeBatch(in.Consumer, filter, bc.HandleInputAll, opts)
+		} else {
+			rec, err = r.med.Subscribe(in.Consumer, filter, consumer.HandleInput, opts)
 		}
-		ce := consumer
-		if _, err := r.med.Subscribe(in.Consumer, filter, func(ev event.Event) {
-			ce.HandleInput(ev)
-		}, opts); err != nil {
-			return err
+		if err != nil {
+			return subs, err
 		}
+		subs = append(subs, rec.ID)
 	}
 	// Root delivery to the querying application: batched, so a burst crosses
 	// the mediator→application edge as one slice.
-	if ac.deliver != nil {
-		rootFilter := event.Filter{Type: cfg.Root.Output, Source: cfg.Root.Provider}
-		opts := mediator.SubOptions{
-			Configuration: cfg.ID,
-			OneShot:       cfg.Query.Mode == query.ModeOnce,
-			QueueLen:      edgeQueueLen,
+	if deliver != nil {
+		rootFilter := event.Filter{Type: root.Output, Source: root.Provider}
+		opts := mediator.SubOptions{OneShot: q.Mode == query.ModeOnce, QueueLen: edgeQueueLen}
+		rec, err = r.med.SubscribeBatch(q.Owner, rootFilter, deliver, opts)
+		if err != nil {
+			return subs, err
 		}
-		if _, err := r.med.SubscribeBatch(cfg.Query.Owner, rootFilter, func(evs []event.Event) {
-			ac.deliver(evs)
-		}, opts); err != nil {
-			return err
-		}
+		subs = append(subs, rec.ID)
 	}
-	return nil
+	return subs, nil
+}
+
+// cancel cancels the given subscriptions. An id the mediator no longer
+// knows is skipped: a one-shot root that fired, or a subscription its
+// owner's departure already cancelled.
+func (r *Runtime) cancel(subs []guid.GUID) {
+	for _, id := range subs {
+		_ = r.med.Cancel(id)
+	}
 }
 
 // Teardown removes the configuration and its subscriptions.
 func (r *Runtime) Teardown(id guid.GUID) error {
 	r.mu.Lock()
 	ac, ok := r.active[id]
+	var subs []guid.GUID
 	if ok {
 		delete(r.active, id)
-		r.unindexProvidersLocked(ac)
+		subs = ac.subs
 	}
 	r.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
 	}
-	r.med.CancelConfiguration(id)
+	r.cancel(subs)
 	return nil
 }
 
@@ -297,68 +285,81 @@ func (r *Runtime) Active() []Status {
 	defer r.mu.Unlock()
 	out := make([]Status, 0, len(r.active))
 	for id, ac := range r.active {
+		live := 0
+		for _, s := range ac.subs {
+			if _, ok := r.med.Get(s); ok {
+				live++
+			}
+		}
 		out = append(out, Status{
 			ID:            id,
-			Providers:     slices.Clone(ac.providers),
+			Providers:     ac.cfg.Providers(),
 			Repairs:       ac.repairs,
-			Subscriptions: len(r.med.ForConfiguration(id)),
+			Subscriptions: live,
 		})
 	}
-	// Sort by id for determinism.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && guid.Less(out[j].ID, out[j-1].ID); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.SortFunc(out, func(a, b Status) int { return guid.Compare(a.ID, b.ID) })
 	return out
 }
 
-// Uses reports whether any active configuration is bound to the provider.
-func (r *Runtime) Uses(provider guid.GUID) bool {
+// HandleDeparture is the hook the Registrar watcher calls when entity
+// departs. One scan of the live configurations tears down those that
+// entity queried for, and repairs those whose graph binds it, in
+// configuration-id order. Returns the number of configurations repaired;
+// one whose repair fails is torn down and counted in RepairFailures.
+func (r *Runtime) HandleDeparture(entity guid.GUID) int {
+	var orphaned, affected []guid.GUID
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.byProv[provider]) > 0
-}
-
-// HandleDeparture repairs every configuration bound to the departed
-// provider, in configuration-id order. It is the hook the Registrar watcher
-// calls. Returns the number of configurations repaired (configurations
-// whose repair fails are torn down). The provider's entry in the provider
-// index goes with it.
-func (r *Runtime) HandleDeparture(provider guid.GUID) int {
-	r.mu.Lock()
-	affected := slices.Clone(r.byProv[provider])
-	r.mu.Unlock()
-	guid.Sort(affected)
-	defer func() {
-		// Every repair excluded the provider and every failure tore its
-		// configuration down, so the entry is empty unless a configuration
-		// bound the provider concurrently.
-		r.mu.Lock()
-		if len(r.byProv[provider]) == 0 {
-			delete(r.byProv, provider)
+	for id, ac := range r.active {
+		switch {
+		case ac.cfg.Query.Owner == entity:
+			delete(r.active, id)
+			orphaned = append(orphaned, ac.subs...)
+		case binds(ac.cfg.Root, entity):
+			affected = append(affected, id)
 		}
-		r.mu.Unlock()
-	}()
+	}
+	r.mu.Unlock()
+	r.cancel(orphaned)
+	guid.Sort(affected)
 
 	repaired := 0
 	for _, id := range affected {
-		if err := r.Repair(id, provider); err == nil {
+		if err := r.Repair(id, entity); err == nil {
 			repaired++
 		} else {
 			// A configuration that cannot be repaired is torn down: the
 			// application sees the stream stop rather than silently stall.
-			_ = r.Teardown(id)
-			r.RepairFailures.Inc()
+			// One torn down meanwhile by someone else is no failure.
+			if r.Teardown(id) == nil {
+				r.RepairFailures.Inc()
+			}
 		}
 	}
 	return repaired
 }
 
+// binds reports whether provider is bound anywhere in the graph under b.
+func binds(b *resolver.Binding, provider guid.GUID) bool {
+	if b == nil {
+		return false
+	}
+	if b.Provider == provider {
+		return true
+	}
+	for _, in := range b.Inputs {
+		if binds(in, provider) {
+			return true
+		}
+	}
+	return false
+}
+
 // Repair rebinds the parts of configuration id that depended on the failed
 // provider, then rewires its subscriptions. Subscription churn during
 // repair can drop in-flight events; consumers detect the gap via sequence
-// numbers.
+// numbers. A configuration torn down while it is being rewired keeps none
+// of the new subscriptions.
 func (r *Runtime) Repair(id, failed guid.GUID) error {
 	start := nowMonotonic()
 	r.mu.Lock()
@@ -371,7 +372,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrRepairBudget, r.maxRepairs)
 	}
-	r.unindexProvidersLocked(ac)
+	root := ac.cfg.Root
 	r.mu.Unlock()
 
 	rctx := ac.rctx
@@ -379,31 +380,35 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		rctx.Exclude = guid.NewSet()
 	}
 	rctx.Exclude.Add(failed)
-
-	newRoot, err := r.repairBinding(ac.cfg.Root, ac.cfg.Query, failed, rctx)
+	newRoot, err := r.repairBinding(root, ac.cfg.Query, failed, rctx)
 	if err != nil {
-		// Restore indexing so a later retry can find the configuration.
-		r.mu.Lock()
-		r.indexProvidersLocked(ac)
-		r.mu.Unlock()
 		return err
 	}
-	ac.cfg.Root = newRoot
-	ac.cfg.Edges = resolver.Flatten(newRoot)
+	edges := resolver.Flatten(newRoot)
 
-	// Rewire: drop all old subscriptions, then create the new set.
-	r.med.CancelConfiguration(id)
-	if err := r.wire(ac); err != nil {
-		r.med.CancelConfiguration(id)
-		return err
-	}
-
-	providers := ac.cfg.Providers()
+	// Rewire: drop the old subscriptions, then create the new set.
 	r.mu.Lock()
-	ac.repairs++
-	ac.providers = providers
-	r.indexProvidersLocked(ac)
+	old := ac.subs
+	ac.subs = nil
 	r.mu.Unlock()
+	r.cancel(old)
+	subs, err := r.wire(newRoot, edges, ac.cfg.Query, ac.deliver)
+	if err != nil {
+		return err
+	}
+
+	r.mu.Lock()
+	if r.active[id] != ac {
+		r.mu.Unlock()
+		r.cancel(subs)
+		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
+	}
+	ac.cfg.Root, ac.cfg.Edges = newRoot, edges
+	stale := ac.subs // wired by a concurrent repair of the same configuration
+	ac.subs = subs
+	ac.repairs++
+	r.mu.Unlock()
+	r.cancel(stale)
 
 	r.Repairs.Inc()
 	r.RepairLatency.Record(nowMonotonic() - start)
@@ -435,43 +440,7 @@ func (r *Runtime) repairBinding(b *resolver.Binding, q query.Query, failed guid.
 	return out, nil
 }
 
-// indexProvidersLocked records ac under each of its providers. ac.providers
-// is deduplicated, so each provider lists the configuration once.
-func (r *Runtime) indexProvidersLocked(ac *activeCfg) {
-	for _, p := range ac.providers {
-		r.byProv[p] = append(r.byProv[p], ac.cfg.ID)
-	}
-}
-
-// unindexProvidersLocked drops ac from the providers it was indexed under.
-// An emptied entry stays, with its slice, until its provider departs.
-func (r *Runtime) unindexProvidersLocked(ac *activeCfg) {
-	id := ac.cfg.ID
-	for _, p := range ac.providers {
-		ids := r.byProv[p]
-		if k := slices.Index(ids, id); k >= 0 {
-			last := len(ids) - 1
-			ids[k] = ids[last]
-			r.byProv[p] = ids[:last]
-		}
-	}
-}
-
 // nowMonotonic returns a monotonic nanosecond reading for latency metrics.
 func nowMonotonic() int64 { return int64(time.Since(processStart)) }
 
 var processStart = time.Now()
-
-// RootFilter returns the filter an application needs to receive the
-// configuration's answers directly (diagnostics).
-func RootFilter(cfg *resolver.Configuration) event.Filter {
-	return event.Filter{Type: cfg.Root.Output, Source: cfg.Root.Provider}
-}
-
-// OutputType returns the root output type, or wildcard when unknown.
-func OutputType(cfg *resolver.Configuration) ctxtype.Type {
-	if cfg == nil || cfg.Root == nil {
-		return ctxtype.Wildcard
-	}
-	return cfg.Root.Output
-}

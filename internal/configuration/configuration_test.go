@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -129,9 +130,9 @@ func TestInstantiateDeliversEndToEnd(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []event.Event
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(e event.Event) {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func(evs []event.Event) {
 		mu.Lock()
-		got = append(got, e)
+		got = append(got, evs...)
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -171,15 +172,15 @@ func TestInstantiateDeliversEndToEnd(t *testing.T) {
 	if sts[0].Subscriptions != 2 { // objLoc's one input (both doors) + root
 		t.Fatalf("subscriptions = %d", sts[0].Subscriptions)
 	}
-	if !r.rt.Uses(boundDoor) {
-		t.Fatal("Uses(boundDoor) false")
+	if !slices.Contains(sts[0].Providers, boundDoor) {
+		t.Fatalf("providers %v lack the bound door", sts[0].Providers)
 	}
 }
 
 func TestInstantiateValidation(t *testing.T) {
 	r := newRig(t)
 	defer r.close()
-	if err := r.rt.Instantiate(nil, resolver.Context{}, nil); err == nil {
+	if err := r.rt.InstantiateBatch(nil, resolver.Context{}, nil); err == nil {
 		t.Fatal("nil configuration accepted")
 	}
 	// Configuration with a non-local consumer fails and cleans up.
@@ -189,7 +190,7 @@ func TestInstantiateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	delete(r.comps, r.objLoc.ID())
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, nil); err == nil {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, nil); err == nil {
 		t.Fatal("missing consumer accepted")
 	}
 	if r.med.Len() != 0 {
@@ -205,7 +206,7 @@ func TestTeardown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.rt.Teardown(cfg.ID); err != nil {
@@ -220,9 +221,6 @@ func TestTeardown(t *testing.T) {
 	if len(r.rt.Active()) != 0 {
 		t.Fatal("still active")
 	}
-	if r.rt.Uses(cfg.Root.Provider) {
-		t.Fatal("Uses after teardown")
-	}
 }
 
 func TestRepairRebindsToEquivalentProvider(t *testing.T) {
@@ -236,9 +234,9 @@ func TestRepairRebindsToEquivalentProvider(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var got []event.Event
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(e event.Event) {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func(evs []event.Event) {
 		mu.Lock()
-		got = append(got, e)
+		got = append(got, evs...)
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -293,7 +291,7 @@ func TestRepairFailureTearsDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	// Remove every sighting source; repair has nothing to rebind to.
@@ -329,7 +327,7 @@ func TestRepairBudgetExhaustion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Instantiate(cfg, resolver.Context{}, nil); err != nil {
+	if err := rt.InstantiateBatch(cfg, resolver.Context{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	first := cfg.Root.Inputs[0].Provider
@@ -365,9 +363,9 @@ func TestOneShotModeDeliversOnce(t *testing.T) {
 	}
 	var mu sync.Mutex
 	count := 0
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func(evs []event.Event) {
 		mu.Lock()
-		count++
+		count += len(evs)
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)
@@ -395,26 +393,6 @@ func TestOneShotModeDeliversOnce(t *testing.T) {
 	defer mu.Unlock()
 	if count != 1 {
 		t.Fatalf("one-shot delivered %d times", count)
-	}
-}
-
-func TestRootFilterAndOutputType(t *testing.T) {
-	r := newRig(t)
-	defer r.close()
-	q := positionQuery(guid.New(guid.KindApplication))
-	cfg, err := r.res.Resolve(q, resolver.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := RootFilter(cfg)
-	if f.Type != ctxtype.LocationPosition || f.Source != cfg.Root.Provider {
-		t.Fatalf("filter = %+v", f)
-	}
-	if OutputType(cfg) != ctxtype.LocationPosition {
-		t.Fatal("OutputType wrong")
-	}
-	if OutputType(nil) != ctxtype.Wildcard {
-		t.Fatal("OutputType(nil) wrong")
 	}
 }
 
@@ -519,9 +497,9 @@ func TestBatchEdgeAndBatchRootDelivery(t *testing.T) {
 	})
 }
 
-// TestActiveProvidersCachedAndCopied: Active reports the provider list the
-// runtime indexed, recomputed by a repair, and each call returns its own
-// copy, so writing to one Status cannot reach the runtime.
+// TestActiveProvidersCachedAndCopied: Active reports the providers of the
+// configuration's current graph, which a repair replaces, and each call
+// returns its own copy, so writing to one Status cannot reach the runtime.
 func TestActiveProvidersCachedAndCopied(t *testing.T) {
 	r := newRig(t)
 	defer r.close()
@@ -529,7 +507,7 @@ func TestActiveProvidersCachedAndCopied(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	want := cfg.Providers()
@@ -544,8 +522,7 @@ func TestActiveProvidersCachedAndCopied(t *testing.T) {
 		t.Fatalf("a write to one Status reached the runtime: %v, want %v", again[0].Providers, want)
 	}
 
-	// Repair onto the WLAN station: the list is recomputed, and the index
-	// follows it.
+	// Repair onto the WLAN station: the list follows the new graph.
 	bound := cfg.Root.Inputs[0].Provider
 	for _, d := range r.doors {
 		r.profiles.Remove(d.ID())
@@ -554,18 +531,54 @@ func TestActiveProvidersCachedAndCopied(t *testing.T) {
 		t.Fatalf("HandleDeparture repaired %d", n)
 	}
 	want = cfg.Providers()
-	if got := r.rt.Active()[0].Providers; !reflect.DeepEqual(got, want) {
+	got := r.rt.Active()[0].Providers
+	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("providers after repair = %v, want %v", got, want)
 	}
-	if r.rt.Uses(bound) || !r.rt.Uses(r.wlan.ID()) {
-		t.Fatal("provider index not rebuilt from the repaired graph")
+	if slices.Contains(got, bound) || !slices.Contains(got, r.wlan.ID()) {
+		t.Fatalf("providers after repair = %v: want the WLAN station, not %s", got, bound.Short())
 	}
-	if err := r.rt.Teardown(cfg.ID); err != nil {
+}
+
+// TestTeardownDuringRepair: a configuration torn down while a repair is
+// wiring its new subscriptions keeps none of them, and the repair reports
+// it unknown.
+func TestTeardownDuringRepair(t *testing.T) {
+	r := newRig(t)
+	defer r.close()
+	var cfg *resolver.Configuration
+	var armed bool // read and written on this goroutine only
+	rt := New(r.med, r.res, ComponentsFunc(func(g guid.GUID) (entity.CE, bool) {
+		if armed {
+			armed = false
+			if err := r.rt.Teardown(cfg.ID); err != nil {
+				t.Error(err)
+			}
+		}
+		ce, ok := r.comps[g]
+		return ce, ok
+	}), 4)
+	r.rt = rt
+	var err error
+	cfg, err = r.res.Resolve(positionQuery(guid.New(guid.KindApplication)), resolver.Context{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range want {
-		if r.rt.Uses(p) {
-			t.Fatalf("provider %s still indexed after teardown", p.Short())
-		}
+	if err := rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
+		t.Fatal(err)
+	}
+	armed = true
+	err = rt.Repair(cfg.ID, cfg.Root.Inputs[0].Provider)
+	if armed {
+		t.Fatal("the repair never looked up a component")
+	}
+	if n := r.med.Len(); n != 0 {
+		t.Fatalf("the mediator holds %d subscriptions after the teardown, want 0", n)
+	}
+	if !errors.Is(err, ErrUnknownConfiguration) {
+		t.Fatalf("Repair of a configuration torn down mid-repair: %v, want ErrUnknownConfiguration", err)
+	}
+	if len(rt.Active()) != 0 {
+		t.Fatal("configuration still active")
 	}
 }

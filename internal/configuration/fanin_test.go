@@ -69,10 +69,26 @@ func fanInConfiguration(owner guid.GUID, consumer guid.GUID, doors []*sensorCE) 
 	return cfg
 }
 
+// subscriptions returns the ids of the subscriptions the runtime wired for
+// configuration id.
+func (r *Runtime) subscriptions(id guid.GUID) []guid.GUID {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if ac := r.active[id]; ac != nil {
+		return slices.Clone(ac.subs)
+	}
+	return nil
+}
+
 // inputRecord returns the configuration's one non-root subscription record.
 func inputRecord(t *testing.T, r *rig, cfg *resolver.Configuration) mediator.Record {
 	t.Helper()
-	recs := r.med.ForConfiguration(cfg.ID)
+	var recs []mediator.Record
+	for _, id := range r.rt.subscriptions(cfg.ID) {
+		if rec, ok := r.med.Get(id); ok {
+			recs = append(recs, rec)
+		}
+	}
 	if len(recs) != 2 {
 		t.Fatalf("configuration has %d subscriptions, want 2 (one input + root): %+v", len(recs), recs)
 	}
@@ -97,7 +113,7 @@ func TestFanInIsOneSubscription(t *testing.T) {
 	bound, unbound := r.doors[:3], r.doors[3]
 
 	cfg := fanInConfiguration(guid.New(guid.KindApplication), rec.ID(), bound)
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.rt.Active()[0].Subscriptions; n != 2 {
@@ -185,81 +201,83 @@ func TestFanInIsOneSubscription(t *testing.T) {
 	waitFor(t, func() bool { return len(rec.events()) > n })
 }
 
-// TestProviderIndexEntryGoesOnDeparture: a provider's index entry survives
-// the teardown of the last configuration using it (so re-binding it costs
-// no allocation), and goes when the provider departs, whether its
-// configurations were repaired or torn down.
-func TestProviderIndexEntryGoesOnDeparture(t *testing.T) {
+// TestDepartureRepairsOrTearsDown: one scan of the live configurations
+// handles a departure. A provider no configuration binds repairs nothing; a
+// bound one is rebound; a bound one with no replacement tears its
+// configuration down as a repair failure; and a departed querying
+// application takes its configurations with it, without a repair failure.
+// Every step leaves the mediator holding exactly the live configurations'
+// subscriptions.
+func TestDepartureRepairsOrTearsDown(t *testing.T) {
 	r := newRig(t)
 	defer r.close()
-	entries := func() int {
-		r.rt.mu.Lock()
-		defer r.rt.mu.Unlock()
-		return len(r.rt.byProv)
+	instantiate := func(owner guid.GUID) *resolver.Configuration {
+		t.Helper()
+		cfg, err := r.res.Resolve(positionQuery(owner), resolver.Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
+			t.Fatal(err)
+		}
+		return cfg
 	}
-	cfg, err := r.res.Resolve(positionQuery(guid.New(guid.KindApplication)), resolver.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	providers := cfg.Providers() // objLoc and both doors
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.rt.Teardown(cfg.ID); err != nil {
-		t.Fatal(err)
-	}
-	if n := entries(); n != len(providers) {
-		t.Fatalf("entries after teardown = %d, want %d", n, len(providers))
-	}
-	for _, p := range providers {
-		if r.rt.Uses(p) {
-			t.Fatalf("Uses(%s) after teardown", p.Short())
+	// live checks the active configurations and that the mediator holds
+	// two subscriptions (one input, one root) for each.
+	live := func(want ...*resolver.Configuration) {
+		t.Helper()
+		sts := r.rt.Active()
+		if len(sts) != len(want) {
+			t.Fatalf("%d configurations active, want %d", len(sts), len(want))
+		}
+		for _, cfg := range want {
+			if !slices.ContainsFunc(sts, func(st Status) bool { return st.ID == cfg.ID }) {
+				t.Fatalf("configuration %s not active", cfg.ID.Short())
+			}
+		}
+		if n := r.med.Len(); n != 2*len(want) {
+			t.Fatalf("Mediator.Len() = %d, want %d", n, 2*len(want))
 		}
 	}
-	// An unused provider departs: its entry goes.
-	r.profiles.Remove(r.doors[0].ID())
-	if n := r.rt.HandleDeparture(r.doors[0].ID()); n != 0 {
-		t.Fatalf("departure of an unused provider repaired %d", n)
-	}
-	if n := entries(); n != len(providers)-1 {
-		t.Fatalf("entries after departure = %d, want %d", n, len(providers)-1)
-	}
 
-	// The remaining door, bound again, departs, and its configuration is
-	// repaired onto the WLAN station: its entry goes.
-	cfg, err = r.res.Resolve(positionQuery(guid.New(guid.KindApplication)), resolver.Context{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.rt.Instantiate(cfg, resolver.Context{}, nil); err != nil {
-		t.Fatal(err)
-	}
+	// A provider the only configuration does not bind departs: nothing is
+	// repaired. Only door 0 outputs sightings once door 1's profile goes,
+	// so the configuration binds door 0 and the WLAN station stays unbound.
 	r.profiles.Remove(r.doors[1].ID())
-	if n := r.rt.HandleDeparture(r.doors[1].ID()); n != 1 {
+	kept := instantiate(guid.New(guid.KindApplication))
+	if n := r.rt.HandleDeparture(r.doors[1].ID()); n != 0 {
+		t.Fatalf("departure of an unbound provider repaired %d", n)
+	}
+	live(kept)
+
+	// Door 0 departs: the configuration is rebound to the WLAN station.
+	r.profiles.Remove(r.doors[0].ID())
+	if n := r.rt.HandleDeparture(r.doors[0].ID()); n != 1 {
 		t.Fatalf("HandleDeparture repaired %d, want 1", n)
 	}
-	r.rt.mu.Lock()
-	_, kept := r.rt.byProv[r.doors[1].ID()]
-	r.rt.mu.Unlock()
-	if kept {
-		t.Fatal("the departed provider's entry survived its repair")
+	live(kept)
+
+	// The querying application of a second configuration departs: that
+	// configuration goes, and no repair failure is counted.
+	owner := guid.New(guid.KindApplication)
+	live(kept, instantiate(owner))
+	if n := r.rt.HandleDeparture(owner); n != 0 {
+		t.Fatalf("an owner's departure repaired %d", n)
+	}
+	live(kept)
+	if n := r.rt.RepairFailures.Value(); n != 0 {
+		t.Fatalf("RepairFailures = %d after an owner's departure, want 0", n)
 	}
 
-	// A bound provider departs and repair fails, so the configuration is
-	// torn down: the entry still goes.
+	// The WLAN station departs with no replacement left: the configuration
+	// is torn down as a repair failure.
 	r.profiles.Remove(r.wlan.ID())
 	if n := r.rt.HandleDeparture(r.wlan.ID()); n != 0 {
 		t.Fatalf("HandleDeparture repaired %d, want 0", n)
 	}
-	r.rt.mu.Lock()
-	_, kept = r.rt.byProv[r.wlan.ID()]
-	r.rt.mu.Unlock()
-	if kept || len(r.rt.Active()) != 0 {
-		t.Fatal("the departed provider's entry survived a failed repair")
-	}
-	// Only the object-location CE, which never departed, keeps an entry.
-	if n := entries(); n != 1 {
-		t.Fatalf("entries = %d, want 1", n)
+	live()
+	if n := r.rt.RepairFailures.Value(); n != 1 {
+		t.Fatalf("RepairFailures = %d, want 1", n)
 	}
 }
 
@@ -278,7 +296,7 @@ func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
 		if len(cfg.Edges) != doors {
 			t.Fatalf("%d doors resolved to %d edges", doors, len(cfg.Edges))
 		}
-		if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+		if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 			t.Fatal(err)
 		}
 		if n := r.med.Len(); n != 2 {
@@ -288,7 +306,7 @@ func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
 			t.Fatal(err)
 		}
 		return testing.AllocsPerRun(50, func() {
-			if err := r.rt.Instantiate(cfg, resolver.Context{}, func(event.Event) {}); err != nil {
+			if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 				t.Fatal(err)
 			}
 			if err := r.rt.Teardown(cfg.ID); err != nil {

@@ -65,8 +65,8 @@ func TestSubscribeBatchReceivesSlices(t *testing.T) {
 }
 
 // TestStripedBookkeepingAcrossOwners exercises the sharded record tables:
-// many owners and configurations register, publish and tear down
-// concurrently; run with -race to check stripe independence.
+// many owners register, publish and tear down concurrently, by record id
+// and by owner; run with -race to check stripe independence.
 func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 	m := New(nil, WithShards(8))
 	defer m.Close()
@@ -77,10 +77,9 @@ func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			owner := guid.New(guid.KindApplication)
-			cfg := guid.New(guid.KindConfiguration)
 			for r := 0; r < 50; r++ {
 				rec, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus},
-					func(event.Event) {}, SubOptions{Configuration: cfg})
+					func(event.Event) {}, SubOptions{})
 				if err != nil {
 					t.Error(err)
 					return
@@ -89,6 +88,7 @@ func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 					t.Error("owner index missing fresh subscription")
 					return
 				}
+				// Every third record stays live until the owner's teardown.
 				switch r % 3 {
 				case 0:
 					if err := m.Cancel(rec.ID); err != nil {
@@ -97,8 +97,6 @@ func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 					}
 				case 1:
 					m.CancelOwned(owner)
-				case 2:
-					m.CancelConfiguration(cfg)
 				}
 			}
 			m.CancelOwned(owner)

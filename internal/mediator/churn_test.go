@@ -1,7 +1,7 @@
 package mediator
 
 // Race-hardened lifecycle tests for the indexed Mediator: concurrent
-// configuration teardown vs. publish, departure handling under load, and
+// teardown of subscription graphs by record id vs. publish, departure handling under load, and
 // one-shot record cleanup racing its own delivery. Run with -race.
 
 import (
@@ -15,17 +15,15 @@ import (
 	"sci/internal/guid"
 )
 
-// TestConcurrentTeardownVsPublish rebuilds and tears down configuration
-// subscription graphs while publishers hammer the bus. Every subscription
-// must be gone at the end and the indexes must agree with the bus.
+// TestConcurrentTeardownVsPublish rebuilds and tears down subscription
+// graphs, cancelling each by the record ids its Subscribe calls returned,
+// while publishers hammer the bus. Every subscription must be gone at the
+// end and the owner index must agree with the bus.
 func TestConcurrentTeardownVsPublish(t *testing.T) {
 	m := New(ctxtype.NewRegistry(), WithShards(4))
 	defer m.Close()
 	owner := guid.New(guid.KindApplication)
-	cfgs := make([]guid.GUID, 4)
-	for i := range cfgs {
-		cfgs[i] = guid.New(guid.KindConfiguration)
-	}
+	const graphs = 4
 
 	stop := make(chan struct{})
 	var delivered atomic.Uint64
@@ -52,32 +50,36 @@ func TestConcurrentTeardownVsPublish(t *testing.T) {
 		}()
 	}
 
-	// Rewirers: each cycles one configuration — subscribe a small graph,
-	// tear it down, repeat — exactly what the configuration runtime does
-	// on repair.
-	for _, cfg := range cfgs {
+	// Rewirers: each cycles one graph — subscribe it, cancel its records,
+	// repeat — exactly what the configuration runtime does on repair.
+	for g := 0; g < graphs; g++ {
 		rewireWG.Add(1)
-		go func(cfg guid.GUID) {
+		go func() {
 			defer rewireWG.Done()
+			ids := make([]guid.GUID, 3)
 			for round := 0; round < 100; round++ {
-				for j := 0; j < 3; j++ {
+				for j := range ids {
 					f := event.Filter{Type: ctxtype.TemperatureCelsius}
 					if j == 2 {
 						f = event.Filter{} // one wildcard edge per graph
 					}
-					if _, err := m.Subscribe(owner, f, func(event.Event) {
+					rec, err := m.Subscribe(owner, f, func(event.Event) {
 						delivered.Add(1)
-					}, SubOptions{Configuration: cfg, QueueLen: 4}); err != nil {
+					}, SubOptions{QueueLen: 4})
+					if err != nil {
 						t.Errorf("Subscribe: %v", err)
 						return
 					}
+					ids[j] = rec.ID
 				}
-				if n := m.CancelConfiguration(cfg); n != 3 {
-					t.Errorf("CancelConfiguration = %d, want 3", n)
-					return
+				for _, id := range ids {
+					if err := m.Cancel(id); err != nil {
+						t.Errorf("Cancel: %v", err)
+						return
+					}
 				}
 			}
-		}(cfg)
+		}()
 	}
 
 	// Wait for the rewirers (they do bounded work), then stop publishers.
@@ -98,11 +100,6 @@ func TestConcurrentTeardownVsPublish(t *testing.T) {
 		t.Fatalf("%d records survived teardown churn", n)
 	}
 	waitFor(t, func() bool { return m.Stats().Subs == 0 })
-	for _, cfg := range cfgs {
-		if rs := m.ForConfiguration(cfg); len(rs) != 0 {
-			t.Fatalf("configuration %s still has %d records", cfg.Short(), len(rs))
-		}
-	}
 	if rs := m.OwnedBy(owner); len(rs) != 0 {
 		t.Fatalf("owner still has %d records", len(rs))
 	}

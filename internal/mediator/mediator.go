@@ -4,24 +4,21 @@
 //
 // The Mediator wraps the lock-striped, index-dispatched event bus
 // (internal/eventbus) with the bookkeeping the rest of a Range needs. Every
-// live subscription is recorded three ways: in the primary table by
-// subscription id, in an owner index (who subscribed), and in a
-// configuration index (on behalf of which resolved configuration). The
-// secondary indexes make the two bulk-teardown paths — an entity departing
-// its Range (Section 3.4) and the configuration runtime tearing down or
-// rewiring a subscription graph — O(subscriptions removed) instead of a
-// scan of every record. A configuration records one subscription per
-// consumer input, not per producer: a fan-in input's record carries the
-// set of producers it accepts (Record.Sources), so the three indexes grow
-// with a graph's inputs, not its edges.
+// live subscription is recorded two ways: in the primary table by
+// subscription id, and in an owner index (who subscribed). The owner index
+// makes the bulk-teardown path of an entity departing its Range (Section
+// 3.4) O(subscriptions removed) instead of a scan of every record. The
+// configuration runtime keeps the ids of the subscriptions it wired and
+// cancels them one by one, so the Mediator needs no index of its own for
+// configurations. A fan-in consumer input is one subscription whose record
+// carries the set of producers it accepts (Record.Sources).
 //
 // The bookkeeping is striped across lock shards exactly like the bus
-// underneath: the primary table shards by subscription id, the owner index
-// by owner id and the configuration index by configuration id, so
-// registration churn from unrelated entities never serialises on one mutex.
-// The primary table is the source of truth; a secondary index may briefly
-// list an id whose record is already gone, and every read through an index
-// re-checks the primary table before trusting it.
+// underneath: the primary table shards by subscription id and the owner
+// index by owner id, so registration churn from unrelated entities never
+// serialises on one mutex. The primary table is the source of truth; the
+// owner index may briefly list an id whose record is already gone, and
+// every read through it re-checks the primary table before trusting it.
 //
 // A Range runs eventbus.DefaultShards lock stripes; WithShards sets another
 // count. Dispatch observability (per-shard counters, index-hit ratio)
@@ -51,9 +48,6 @@ type Record struct {
 	Owner guid.GUID
 	// Filter selects the events delivered.
 	Filter event.Filter
-	// Configuration groups subscriptions created on behalf of one resolved
-	// configuration; nil for free-standing subscriptions.
-	Configuration guid.GUID
 	// Sources, when non-empty, is the sorted, deduplicated set of producers
 	// the subscription accepts on top of Filter (SubOptions.Sources). Every
 	// Record handed out holds its own copy.
@@ -75,8 +69,7 @@ type recShard struct {
 	recs map[guid.GUID]*liveSub
 }
 
-// indexShard is one stripe of a secondary index (owner or configuration →
-// subscription ids).
+// indexShard is one stripe of the owner index (owner → subscription ids).
 type indexShard struct {
 	mu   sync.Mutex
 	sets map[guid.GUID]guid.Set
@@ -90,7 +83,6 @@ type Mediator struct {
 	mask   uint32
 	recs   []*recShard
 	owners []*indexShard
-	cfgs   []*indexShard
 }
 
 type liveSub struct {
@@ -150,12 +142,10 @@ func New(reg *ctxtype.Registry, opts ...Option) *Mediator {
 		mask:   uint32(n - 1),
 		recs:   make([]*recShard, n),
 		owners: make([]*indexShard, n),
-		cfgs:   make([]*indexShard, n),
 	}
 	for i := 0; i < n; i++ {
 		m.recs[i] = &recShard{recs: make(map[guid.GUID]*liveSub)}
 		m.owners[i] = &indexShard{sets: make(map[guid.GUID]guid.Set)}
-		m.cfgs[i] = &indexShard{sets: make(map[guid.GUID]guid.Set)}
 	}
 	return m
 }
@@ -168,31 +158,29 @@ func (m *Mediator) stripe(id guid.GUID) uint32 {
 
 func (m *Mediator) recShard(id guid.GUID) *recShard { return m.recs[m.stripe(id)] }
 
-func (m *Mediator) indexShard(shards []*indexShard, key guid.GUID) *indexShard {
-	return shards[m.stripe(key)]
-}
+func (m *Mediator) ownerShard(owner guid.GUID) *indexShard { return m.owners[m.stripe(owner)] }
 
-// addIndex records id under key in the given secondary index.
-func (m *Mediator) addIndex(shards []*indexShard, key, id guid.GUID) {
-	is := m.indexShard(shards, key)
+// addOwned records id under owner in the owner index.
+func (m *Mediator) addOwned(owner, id guid.GUID) {
+	is := m.ownerShard(owner)
 	is.mu.Lock()
-	set, ok := is.sets[key]
+	set, ok := is.sets[owner]
 	if !ok {
 		set = guid.NewSet()
-		is.sets[key] = set
+		is.sets[owner] = set
 	}
 	set.Add(id)
 	is.mu.Unlock()
 }
 
-// dropIndex removes id from key's bucket, deleting the bucket when empty.
-func (m *Mediator) dropIndex(shards []*indexShard, key, id guid.GUID) {
-	is := m.indexShard(shards, key)
+// dropOwned removes id from owner's bucket, deleting the bucket when empty.
+func (m *Mediator) dropOwned(owner, id guid.GUID) {
+	is := m.ownerShard(owner)
 	is.mu.Lock()
-	if set, ok := is.sets[key]; ok {
+	if set, ok := is.sets[owner]; ok {
 		set.Remove(id)
 		if len(set) == 0 {
-			delete(is.sets, key)
+			delete(is.sets, owner)
 		}
 	}
 	is.mu.Unlock()
@@ -200,8 +188,6 @@ func (m *Mediator) dropIndex(shards []*indexShard, key, id guid.GUID) {
 
 // SubOptions configures Subscribe.
 type SubOptions struct {
-	// Configuration groups this subscription under a configuration.
-	Configuration guid.GUID
 	// OneShot cancels the subscription after first delivery (the paper's
 	// one-time subscription query mode).
 	OneShot bool
@@ -295,12 +281,11 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 		*oneShotID = sub.ID()
 	}
 	rec := Record{
-		ID:            sub.ID(),
-		Owner:         owner,
-		Filter:        f,
-		Configuration: opts.Configuration,
-		Sources:       sources,
-		OneShot:       opts.OneShot,
+		ID:      sub.ID(),
+		Owner:   owner,
+		Filter:  f,
+		Sources: sources,
+		OneShot: opts.OneShot,
 	}
 	rs := m.recShard(rec.ID)
 	rs.mu.Lock()
@@ -316,10 +301,7 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 	}
 	rs.recs[rec.ID] = &liveSub{rec: rec, sub: sub}
 	rs.mu.Unlock()
-	m.addIndex(m.owners, owner, rec.ID)
-	if !opts.Configuration.IsNil() {
-		m.addIndex(m.cfgs, opts.Configuration, rec.ID)
-	}
+	m.addOwned(owner, rec.ID)
 	if ready != nil {
 		close(ready)
 	}
@@ -327,7 +309,7 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 }
 
 // remove deletes id from the primary table (first remover wins) and then
-// cleans both secondary indexes. It returns the removed entry, or nil when
+// from the owner index. It returns the removed entry, or nil when
 // the id was unknown or already removed by a concurrent caller.
 func (m *Mediator) remove(id guid.GUID) *liveSub {
 	rs := m.recShard(id)
@@ -340,10 +322,7 @@ func (m *Mediator) remove(id guid.GUID) *liveSub {
 	if !ok {
 		return nil
 	}
-	m.dropIndex(m.owners, ls.rec.Owner, id)
-	if !ls.rec.Configuration.IsNil() {
-		m.dropIndex(m.cfgs, ls.rec.Configuration, id)
-	}
+	m.dropOwned(ls.rec.Owner, id)
 	return ls
 }
 
@@ -386,13 +365,14 @@ func (m *Mediator) Cancel(id guid.GUID) error {
 	return nil
 }
 
-// cancelIndexed empties key's bucket in the given index and cancels every
-// subscription it named that was still live.
-func (m *Mediator) cancelIndexed(shards []*indexShard, key guid.GUID) int {
-	is := m.indexShard(shards, key)
+// CancelOwned removes every subscription owned by entity (departure
+// handling); returns the number cancelled. The owner index makes this
+// proportional to the entity's own subscriptions, not the Range's total.
+func (m *Mediator) CancelOwned(entity guid.GUID) int {
+	is := m.ownerShard(entity)
 	is.mu.Lock()
-	bucket := is.sets[key]
-	delete(is.sets, key)
+	bucket := is.sets[entity]
+	delete(is.sets, entity)
 	is.mu.Unlock()
 	n := 0
 	for id := range bucket {
@@ -402,23 +382,6 @@ func (m *Mediator) cancelIndexed(shards []*indexShard, key guid.GUID) int {
 		}
 	}
 	return n
-}
-
-// CancelOwned removes every subscription owned by entity (departure
-// handling); returns the number cancelled. The owner index makes this
-// proportional to the entity's own subscriptions, not the Range's total.
-func (m *Mediator) CancelOwned(entity guid.GUID) int {
-	return m.cancelIndexed(m.owners, entity)
-}
-
-// CancelConfiguration removes every subscription belonging to a
-// configuration (teardown/rewire); returns the number cancelled. The
-// configuration index makes this proportional to the configuration's size.
-func (m *Mediator) CancelConfiguration(cfg guid.GUID) int {
-	if cfg.IsNil() {
-		return 0
-	}
-	return m.cancelIndexed(m.cfgs, cfg)
 }
 
 // Get returns the record for a live subscription.
@@ -449,19 +412,9 @@ func (m *Mediator) Records() []Record {
 
 // OwnedBy returns the live records owned by entity, ordered by id.
 func (m *Mediator) OwnedBy(entity guid.GUID) []Record {
-	return m.indexedRecords(m.owners, entity)
-}
-
-// ForConfiguration returns the live records in a configuration, ordered by
-// id.
-func (m *Mediator) ForConfiguration(cfg guid.GUID) []Record {
-	return m.indexedRecords(m.cfgs, cfg)
-}
-
-func (m *Mediator) indexedRecords(shards []*indexShard, key guid.GUID) []Record {
-	is := m.indexShard(shards, key)
+	is := m.ownerShard(entity)
 	is.mu.Lock()
-	ids := is.sets[key].Members()
+	ids := is.sets[entity].Members()
 	is.mu.Unlock()
 	out := make([]Record, 0, len(ids))
 	for _, id := range ids {
@@ -532,12 +485,10 @@ func (m *Mediator) Close() {
 		rs.recs = make(map[guid.GUID]*liveSub)
 		rs.mu.Unlock()
 	}
-	for _, shards := range [][]*indexShard{m.owners, m.cfgs} {
-		for _, is := range shards {
-			is.mu.Lock()
-			is.sets = make(map[guid.GUID]guid.Set)
-			is.mu.Unlock()
-		}
+	for _, is := range m.owners {
+		is.mu.Lock()
+		is.sets = make(map[guid.GUID]guid.Set)
+		is.mu.Unlock()
 	}
 	m.bus.Close()
 }

@@ -120,34 +120,40 @@ func TestCancelOwned(t *testing.T) {
 	}
 }
 
-func TestCancelConfiguration(t *testing.T) {
+// TestCancelByRecordID: a graph of subscriptions is torn down by cancelling
+// the ids its Subscribe calls returned, the way the configuration runtime
+// does; the owner's other subscriptions stay, and a second cancel of the
+// same id reports ErrUnknownSubscription.
+func TestCancelByRecordID(t *testing.T) {
 	m := New(nil)
 	defer m.Close()
-	cfgX := guid.New(guid.KindConfiguration)
-	cfgY := guid.New(guid.KindConfiguration)
 	owner := guid.New(guid.KindApplication)
+	var graph []guid.GUID
 	for i := 0; i < 2; i++ {
-		if _, err := m.Subscribe(owner, event.Filter{}, func(event.Event) {}, SubOptions{Configuration: cfgX}); err != nil {
+		rec, err := m.Subscribe(owner, event.Filter{}, func(event.Event) {}, SubOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		graph = append(graph, rec.ID)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := m.Subscribe(owner, event.Filter{}, func(event.Event) {}, SubOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := m.Subscribe(owner, event.Filter{}, func(event.Event) {}, SubOptions{Configuration: cfgY}); err != nil {
-		t.Fatal(err)
+	for _, id := range graph {
+		if err := m.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := m.Subscribe(owner, event.Filter{}, func(event.Event) {}, SubOptions{}); err != nil {
-		t.Fatal(err)
+	if m.Len() != 2 || len(m.OwnedBy(owner)) != 2 {
+		t.Fatalf("Len = %d, OwnedBy = %d after teardown, want 2 and 2", m.Len(), len(m.OwnedBy(owner)))
 	}
-	if got := len(m.ForConfiguration(cfgX)); got != 2 {
-		t.Fatalf("ForConfiguration = %d", got)
-	}
-	if n := m.CancelConfiguration(cfgX); n != 2 {
-		t.Fatalf("CancelConfiguration = %d", n)
+	if err := m.Cancel(graph[0]); !errors.Is(err, ErrUnknownSubscription) {
+		t.Fatalf("second cancel: %v, want ErrUnknownSubscription", err)
 	}
 	if m.Len() != 2 {
-		t.Fatalf("Len = %d after teardown", m.Len())
-	}
-	if n := m.CancelConfiguration(guid.Nil); n != 0 {
-		t.Fatal("nil configuration cancelled something")
+		t.Fatalf("Len = %d after a second cancel, want 2", m.Len())
 	}
 }
 
@@ -234,13 +240,12 @@ func TestSubscribeSources(t *testing.T) {
 	m := New(nil)
 	defer m.Close()
 	owner := guid.New(guid.KindSoftware)
-	cfg := guid.New(guid.KindConfiguration)
 	a, b := guid.New(guid.KindDevice), guid.New(guid.KindDevice)
 	want := []guid.GUID{a, b}
 	guid.Sort(want)
 	var got atomic.Int64
 	rec, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus}, func(event.Event) { got.Add(1) },
-		SubOptions{Configuration: cfg, Sources: []guid.GUID{b, a, b}})
+		SubOptions{Sources: []guid.GUID{b, a, b}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +253,9 @@ func TestSubscribeSources(t *testing.T) {
 		t.Fatalf("Subscribe record sources = %v, want %v", rec.Sources, want)
 	}
 	rec.Sources[0] = guid.Nil
-	recs := m.ForConfiguration(cfg)
+	recs := m.OwnedBy(owner)
 	if len(recs) != 1 || !slices.Equal(recs[0].Sources, want) {
-		t.Fatalf("ForConfiguration = %+v, want sources %v", recs, want)
+		t.Fatalf("OwnedBy = %+v, want sources %v", recs, want)
 	}
 	recs[0].Sources[0] = guid.Nil
 	if all := m.Records(); len(all) != 1 || !slices.Equal(all[0].Sources, want) {
@@ -265,7 +270,7 @@ func TestSubscribeSources(t *testing.T) {
 	waitFor(t, func() bool { return got.Load() == 2 })
 
 	if _, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus, Source: a}, func(event.Event) {},
-		SubOptions{Configuration: cfg, Sources: want}); err == nil {
+		SubOptions{Sources: want}); err == nil {
 		t.Fatal("filter Source together with Sources accepted")
 	}
 	if n := m.Len(); n != 1 {

@@ -136,6 +136,7 @@ func TestHostFailedCarrierRenotesCredit(t *testing.T) {
 	defer r.close()
 	srv := rng.ServerID()
 	pub := newRawPeer(t, r.net)
+	pub.register(t, srv)
 
 	pub.sendBatch(t, srv, 1, 1) // the leading report leaves at once
 	waitFor(t, func() bool { return len(pub.received(wire.KindEventBatchAck)) == 1 })

@@ -9,6 +9,7 @@ import (
 	"sci/internal/guid"
 	"sci/internal/leak"
 	"sci/internal/profile"
+	"sci/internal/wire"
 )
 
 // TestHostForgetsDepartedEndpoints: remote components that deregister, and
@@ -90,5 +91,52 @@ func TestHostForgetsDepartedEndpoints(t *testing.T) {
 	}
 	if got := r.clk.PendingCount(); got != timers {
 		t.Fatalf("%d timers armed after every remote departed, want the %d armed before any arrived", got, timers)
+	}
+}
+
+// TestHostIgnoresUnregisteredPublishers: batches from 50 peers that never
+// registered are neither ingested nor acked, and leave no endpoint in the
+// host; a registered publisher is still ingested and acked.
+func TestHostIgnoresUnregisteredPublishers(t *testing.T) {
+	r := newRig(t)
+	defer r.close()
+	srv := r.rng.ServerID()
+	member := newRawPeer(t, r.net)
+	member.register(t, srv)
+	published := r.rng.DispatchStats().Published
+
+	const strangers = 50
+	for i := 0; i < strangers; i++ {
+		p := newRawPeer(t, r.net)
+		p.sendBatch(t, srv, 1, 1)
+		// The host handles one source's traffic in order: once a service
+		// call is answered, the batch before it has been handled.
+		call, err := wire.NewMessage(p.id, srv, wire.KindServiceCall, serviceCallBody{Provider: srv, Op: "dispatch.stats"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.ep.Send(call); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return len(p.received(wire.KindServiceReply)) == 1 })
+		if acks := p.received(wire.KindEventBatchAck); len(acks) != 0 {
+			t.Fatalf("an unregistered publisher was acked %d times", len(acks))
+		}
+	}
+	if got := r.rng.DispatchStats().Published; got != published {
+		t.Fatalf("%d events from unregistered publishers were ingested", got-published)
+	}
+
+	member.sendBatch(t, srv, 1, 1)
+	waitFor(t, func() bool { return len(member.received(wire.KindEventBatchAck)) == 1 })
+	if got := r.rng.DispatchStats().Published; got != published+1 {
+		t.Fatalf("Published = %d after the registered publisher's event, want %d", got, published+1)
+	}
+	r.host.mu.Lock()
+	_, kept := r.host.out[member.id]
+	left := len(r.host.out)
+	r.host.mu.Unlock()
+	if left != 1 || !kept {
+		t.Fatalf("the host holds %d endpoints (registered publisher's kept: %v), want only the registered one", left, kept)
 	}
 }

@@ -21,7 +21,8 @@ import (
 )
 
 // rawPeer attaches a bare endpoint that records everything sent to it and
-// can send raw wire messages — a stand-in for a remote publisher.
+// can send raw wire messages — a stand-in for a remote publisher, which
+// must register before the host ingests its batches.
 type rawPeer struct {
 	id guid.GUID
 	ep transport.Endpoint
@@ -56,6 +57,25 @@ func (p *rawPeer) received(kind wire.Kind) []wire.Message {
 	return out
 }
 
+// register registers the peer with the host at srv as a remote CE and
+// waits for the host's answer.
+func (p *rawPeer) register(t *testing.T, srv guid.GUID) {
+	t.Helper()
+	m, err := wire.NewMessage(p.id, srv, wire.KindRegister, registerBody{Profile: profile.Profile{Name: "raw-peer"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Corr = guid.New(guid.KindQuery)
+	if err := p.ep.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return len(p.received(wire.KindRegisterAck)) == 1 })
+	var ack registerAckBody
+	if err := p.received(wire.KindRegisterAck)[0].DecodeBody(&ack); err != nil || ack.Error != "" {
+		t.Fatalf("register: %v %q", err, ack.Error)
+	}
+}
+
 func (p *rawPeer) sendBatch(t testing.TB, to guid.GUID, n int, base uint64) {
 	t.Helper()
 	events := make([]event.Event, n)
@@ -81,6 +101,7 @@ func TestUnbatchedPublisherAckedOncePerWindow(t *testing.T) {
 	defer r.close()
 	pub := newRawPeer(t, r.net)
 	srv := r.rng.ServerID()
+	pub.register(t, srv)
 
 	pub.sendBatch(t, srv, 1, 1)
 	waitFor(t, func() bool { return len(pub.received(wire.KindEventBatchAck)) == 1 })
@@ -146,6 +167,8 @@ func TestAckCreditAttributedToEndpoint(t *testing.T) {
 	srv := r.rng.ServerID()
 	flooder := newRawPeer(t, r.net)
 	innocent := newRawPeer(t, r.net)
+	flooder.register(t, srv)
+	innocent.register(t, srv)
 
 	// A parked subscriber with a tiny ring: the flood must overflow it.
 	entered := make(chan struct{})

@@ -427,9 +427,13 @@ func (h *Host) handleQuery(m wire.Message) {
 // batch is shared — the memory transport may hand one pointer to several
 // receivers — so events are copied by value before they are stamped, and
 // payload maps are never touched. That filtering copy is the only one: it
-// goes to the bus as is.
+// goes to the bus as is. Only a remote the host keeps an endpoint for — one
+// that registered and has not departed — is ingested and acked: a batch
+// from any other source is dropped, so a peer minting GUIDs cannot make the
+// host grow.
 func (h *Host) ingestNativeBatch(m wire.Message) {
-	if m.Batch == nil {
+	ep := h.lookup(m.Src)
+	if m.Batch == nil || ep == nil {
 		return
 	}
 	in := m.Batch.Events
@@ -464,11 +468,9 @@ func (h *Host) ingestNativeBatch(m wire.Message) {
 	// their traffic causes — attributed to this endpoint, never the
 	// Range-wide total. A publisher that also receives deliveries may
 	// piggyback its credit.
-	if e := h.endpointFor(m.Src); e != nil {
-		e.acks.Note(len(in))
-		if credit := m.Batch.Credit; credit != nil {
-			e.UpdateCredit(credit.Dropped, credit.QueueFree)
-		}
+	ep.acks.Note(len(in))
+	if credit := m.Batch.Credit; credit != nil {
+		ep.UpdateCredit(credit.Dropped, credit.QueueFree)
 	}
 }
 

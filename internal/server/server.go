@@ -160,10 +160,11 @@ type Range struct {
 // Config.BatchMaxDelay is not positive.
 const DefaultBatchMaxDelay = 2 * time.Millisecond
 
-// pendingQuery is a stored query awaiting its When condition.
+// pendingQuery is a stored query awaiting its When condition. trigger and
+// timer are written under Range.mu while the query is pending, and read by
+// whoever takes it out of Range.pending.
 type pendingQuery struct {
 	q       query.Query
-	owner   *entity.CAA
 	trigger guid.GUID // mediator subscription id watching for the trigger
 	timer   clock.Timer
 }
@@ -486,6 +487,13 @@ func (r *Range) execute(q query.Query, owner *entity.CAA) (*Result, error) {
 	if err := r.runtime.InstantiateBatch(cfg, rctx, owner.ConsumeAll); err != nil {
 		return nil, err
 	}
+	// An owner that departed while the query was resolved and wired may have
+	// been scanned for before the configuration existed: it goes now, unless
+	// the scan already took it.
+	if !r.registrar.IsLive(q.Owner) {
+		_ = r.runtime.Teardown(cfg.ID)
+		return nil, fmt.Errorf("%w: %s", ErrNoCAA, q.Owner.Short())
+	}
 	r.QueriesExecuted.Inc()
 	return &Result{Query: q.ID, Configuration: cfg.ID}, nil
 }
@@ -493,25 +501,15 @@ func (r *Range) execute(q query.Query, owner *entity.CAA) (*Result, error) {
 // defer_ stores a query until its When clause fires (CAPA configuration X:
 // "stores it until its temporal constraints are satisfied").
 func (r *Range) defer_(q query.Query, owner *entity.CAA) (*Result, error) {
-	pq := &pendingQuery{q: q, owner: owner}
+	pq := &pendingQuery{q: q}
 	r.mu.Lock()
 	r.pending[q.ID] = pq
 	r.mu.Unlock()
 	r.QueriesDeferred.Inc()
 
 	fire := func() {
-		r.mu.Lock()
-		_, still := r.pending[q.ID]
-		delete(r.pending, q.ID)
-		r.mu.Unlock()
-		if !still {
+		if !r.takePending(q.ID) {
 			return
-		}
-		if pq.trigger != (guid.GUID{}) {
-			_ = r.med.Cancel(pq.trigger)
-		}
-		if pq.timer != nil {
-			pq.timer.Stop()
 		}
 		// Execute with the When stripped (it has fired).
 		qq := q
@@ -522,38 +520,66 @@ func (r *Range) defer_(q query.Query, owner *entity.CAA) (*Result, error) {
 		}
 	}
 
+	var trigger guid.GUID
+	var timer clock.Timer
 	if tr := q.When.Trigger; tr != nil {
 		rec, err := r.med.Subscribe(r.cs, *tr, func(event.Event) { fire() },
 			mediator.SubOptions{OneShot: true})
 		if err != nil {
+			r.takePending(q.ID)
 			return nil, err
 		}
-		pq.trigger = rec.ID
+		trigger = rec.ID
 	}
 	if !q.When.After.IsZero() {
 		d := q.When.After.Sub(r.clk.Now())
-		pq.timer = r.clk.AfterFunc(d, fire)
+		timer = r.clk.AfterFunc(d, fire)
+	}
+	// The query may have fired, or its owner departed, while the watchers
+	// were set up; then they are stopped here.
+	r.mu.Lock()
+	_, still := r.pending[q.ID]
+	if still {
+		pq.trigger, pq.timer = trigger, timer
+	}
+	r.mu.Unlock()
+	if !still {
+		r.unwatch(trigger, timer)
 	}
 	if !q.When.Expires.IsZero() {
 		d := q.When.Expires.Sub(r.clk.Now())
 		r.clk.AfterFunc(d, func() {
-			r.mu.Lock()
-			pq, still := r.pending[q.ID]
-			delete(r.pending, q.ID)
-			r.mu.Unlock()
-			if !still {
-				return
+			if r.takePending(q.ID) {
+				r.deliverError(owner, q, ErrExpiredQuery)
 			}
-			if pq.trigger != (guid.GUID{}) {
-				_ = r.med.Cancel(pq.trigger)
-			}
-			if pq.timer != nil {
-				pq.timer.Stop()
-			}
-			r.deliverError(pq.owner, q, ErrExpiredQuery)
 		})
 	}
 	return &Result{Query: q.ID, Deferred: true}, nil
+}
+
+// takePending removes deferred query id from the pending set and stops
+// what watches for its When clause. It reports false when the query has
+// already fired, expired or been dropped.
+func (r *Range) takePending(id guid.GUID) bool {
+	r.mu.Lock()
+	pq, ok := r.pending[id]
+	delete(r.pending, id)
+	r.mu.Unlock()
+	if ok {
+		r.unwatch(pq.trigger, pq.timer)
+	}
+	return ok
+}
+
+// unwatch cancels a deferred query's trigger subscription and stops its
+// timer; either may be unset.
+func (r *Range) unwatch(trigger guid.GUID, timer clock.Timer) {
+	if !trigger.IsNil() {
+		_ = r.med.Cancel(trigger)
+	}
+	if timer != nil {
+		timer.Stop()
+	}
 }
 
 // PendingQueries returns the ids of stored queries, sorted.
@@ -840,15 +866,26 @@ func (r *Range) resolveContext(q query.Query) resolver.Context {
 }
 
 // handleDeparture is the registrar watcher: cancel the departed entity's
-// subscriptions, drop its profile, repair configurations, announce.
+// subscriptions and deferred queries, drop its profile, tear down or repair
+// configurations, announce.
 func (r *Range) handleDeparture(reg registry.Registration, why registry.Reason) {
+	var dropped []*pendingQuery
 	r.mu.Lock()
 	ce, isComp := r.comps[reg.Entity]
 	delete(r.comps, reg.Entity)
 	delete(r.caas, reg.Entity)
 	r.silenced.Remove(reg.Entity)
+	for id, pq := range r.pending {
+		if pq.q.Owner == reg.Entity {
+			delete(r.pending, id)
+			dropped = append(dropped, pq)
+		}
+	}
 	r.mu.Unlock()
 
+	for _, pq := range dropped {
+		r.unwatch(pq.trigger, pq.timer)
+	}
 	if isComp {
 		ce.Detach()
 	}

@@ -557,3 +557,113 @@ func TestSubmitProfileAllocs(t *testing.T) {
 		t.Fatalf("a pattern profile query makes %v allocations answering 3 profiles and %v answering 30; want the same, at most 3", few, many)
 	}
 }
+
+// TestOwnerDepartureTearsDownConfigurations: a CAA that subscribed and then
+// departed leaves no configuration behind, and the mediator holds what it
+// held before the subscribe, whether the CAA deregistered or its lease
+// lapsed.
+func TestOwnerDepartureTearsDownConfigurations(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	base := w.rng.Mediator().Len()
+	for _, lapse := range []bool{false, true} {
+		caa := entity.NewCAA("short-lived", nil, w.clk)
+		if err := w.rng.AddApplication(caa); err != nil {
+			t.Fatal(err)
+		}
+		for _, mode := range []query.Mode{query.ModeSubscribe, query.ModeOnce} {
+			q := query.New(caa.ID(), query.What{Pattern: ctxtype.LocationPosition}, mode)
+			if _, err := w.rng.Submit(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(w.rng.Runtime().Active()); n != 2 {
+			t.Fatalf("%d configurations active after two subscribes, want 2", n)
+		}
+		if lapse {
+			w.rng.StopRenewing(caa.ID())
+			w.clk.Advance(2 * w.rng.Registrar().Lease())
+			if w.rng.Registrar().IsLive(caa.ID()) {
+				t.Fatal("the silenced CAA's lease never lapsed")
+			}
+		} else if err := w.rng.RemoveEntity(caa.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if sts := w.rng.Runtime().Active(); len(sts) != 0 {
+			t.Fatalf("lapse=%v: %d configurations outlive their departed owner: %+v", lapse, len(sts), sts)
+		}
+		if n := w.rng.Mediator().Len(); n != base {
+			t.Fatalf("lapse=%v: Mediator().Len() = %d after the owner departed, want %d", lapse, n, base)
+		}
+		if n := w.rng.Runtime().RepairFailures.Value(); n != 0 {
+			t.Fatalf("an owner's departure counted %d repair failures", n)
+		}
+	}
+}
+
+// TestDeferredQueryOfDepartedOwnerDropped: a deferred query goes with its
+// owner. Its trigger subscription is cancelled and its timer stopped, so
+// its instant passing afterwards executes nothing.
+func TestDeferredQueryOfDepartedOwnerDropped(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	base := w.rng.Mediator().Len()
+	bob := guid.New(guid.KindPerson)
+	q := query.New(w.caa.ID(), query.What{Pattern: ctxtype.LocationPosition}, query.ModeSubscribe)
+	q.When.After = epoch.Add(time.Hour)
+	q.When.Trigger = &event.Filter{Type: ctxtype.LocationSightingDoor, Subject: bob}
+	if res, err := w.rng.Submit(q); err != nil || !res.Deferred {
+		t.Fatalf("Submit = %+v, %v; want a deferred query", res, err)
+	}
+	if err := w.rng.RemoveEntity(w.caa.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.rng.PendingQueries(); len(got) != 0 {
+		t.Fatalf("pending after the owner departed = %v", got)
+	}
+	if n := w.rng.Mediator().Len(); n != base {
+		t.Fatalf("Mediator().Len() = %d after the owner departed, want %d", n, base)
+	}
+	// The manual clock runs a due timer inside Advance, so the instant has
+	// passed, and any execution it caused has happened, when it returns.
+	w.clk.Advance(time.Hour)
+	if n := w.rng.QueriesExecuted.Value(); n != 0 {
+		t.Fatalf("QueriesExecuted = %d after the owner departed, want 0", n)
+	}
+	if n := len(w.rng.Runtime().Active()); n != 0 {
+		t.Fatalf("%d configurations active for a departed owner", n)
+	}
+	if n := w.rng.Mediator().Len(); n != base {
+		t.Fatalf("Mediator().Len() = %d, want %d", n, base)
+	}
+}
+
+// TestSubmitRacingOwnerDeparture: a subscribe racing its owner's departure
+// leaves no configuration, whichever of the two finishes first.
+func TestSubmitRacingOwnerDeparture(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	base := w.rng.Mediator().Len()
+	for i := 0; i < 1000; i++ {
+		caa := entity.NewCAA("racer", nil, w.clk)
+		if err := w.rng.AddApplication(caa); err != nil {
+			t.Fatal(err)
+		}
+		q := query.New(caa.ID(), query.What{Pattern: ctxtype.LocationPosition}, query.ModeSubscribe)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			_, _ = w.rng.Submit(q) // fails once the owner has departed
+		}()
+		if err := w.rng.RemoveEntity(caa.ID()); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		if sts := w.rng.Runtime().Active(); len(sts) != 0 {
+			t.Fatalf("round %d: %d configurations outlive their departed owner", i, len(sts))
+		}
+	}
+	if n := w.rng.Mediator().Len(); n != base {
+		t.Fatalf("Mediator().Len() = %d, want %d", n, base)
+	}
+}
