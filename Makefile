@@ -58,7 +58,8 @@ fuzz-smoke:
 
 # The concurrency-heavy packages, race-checked twice in shuffled order; then
 # the SCINET interest and hierarchy convergence tests ten times over, since
-# their generation rules only break under rare interleavings.
+# their generation rules only break under rare interleavings, and likewise
+# the cache, departure, repair and shared-plan tests.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
@@ -66,6 +67,7 @@ race-suites:
 	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert' ./internal/server/
 	$(GO) test -race -count=10 -run 'Ack|Credit|Piggyback|Depart|Close' ./internal/rangesvc/
 	$(GO) test -race -count=10 -run 'Depart|Teardown|Repair|Churn' ./internal/configuration/ ./internal/mediator/ ./internal/server/
+	$(GO) test -race -count=10 -run 'Plan|Prime' ./internal/configuration/ ./internal/resolver/ ./internal/server/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

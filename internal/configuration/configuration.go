@@ -19,11 +19,19 @@
 // names them all. Its events reach the consumer from one delivery goroutine,
 // in publish order across all of its producers.
 //
+// The wiring comes from the configuration's resolver.Plan, computed once per
+// resolution and shared read-only by every configuration the resolver's
+// cache serves from it: each Input's producers are already a sorted,
+// deduplicated source set, handed to the mediator as they are. Priming
+// looks the plan's leaves up with one Components call per instantiate, not
+// one lookup per leaf.
+//
 // The Runtime is the one record of what it wired: each live configuration
 // keeps its graph and the ids of its subscriptions, and teardown and repair
 // cancel exactly those ids. A departure is handled by one scan of the live
 // configurations: those whose querying application departed are torn down,
-// and those whose graph binds the departed entity are repaired.
+// and those whose graph binds the departed entity are repaired. A repair
+// builds a fresh plan and primes the leaves it newly binds.
 package configuration
 
 import (
@@ -46,7 +54,11 @@ import (
 // the runtime can deliver edge events into CE inputs. A Range's Context
 // Server provides this.
 type Components interface {
+	// Component returns the CE of one local component.
 	Component(guid.GUID) (entity.CE, bool)
+	// Components appends to dst, in order, the CE of every id in ids that is
+	// local, skipping the others, in one lookup.
+	Components(ids []guid.GUID, dst []entity.CE) []entity.CE
 }
 
 // ComponentsFunc adapts a func to Components.
@@ -54,6 +66,17 @@ type ComponentsFunc func(guid.GUID) (entity.CE, bool)
 
 // Component implements Components.
 func (f ComponentsFunc) Component(g guid.GUID) (entity.CE, bool) { return f(g) }
+
+// Components implements Components by calling f once per id.
+func (f ComponentsFunc) Components(ids []guid.GUID, dst []entity.CE) []entity.CE {
+	dst = slices.Grow(dst, len(ids))
+	for _, id := range ids {
+		if ce, ok := f(id); ok {
+			dst = append(dst, ce)
+		}
+	}
+	return dst
+}
 
 // BatchDeliverFunc receives the configuration's root output events in runs:
 // every event queued since the delivery loop's last wakeup arrives as one
@@ -64,9 +87,9 @@ type BatchDeliverFunc func([]event.Event)
 
 // Primer is implemented by source CEs that can re-emit their current state
 // on demand. After instantiating a configuration the runtime primes its
-// sources so subscribers receive an immediate snapshot instead of waiting
-// for the next state change (initial-value semantics; CAPA's printer
-// selection depends on it).
+// leaves, and after a repair the leaves it newly bound, so subscribers
+// receive an immediate snapshot instead of waiting for the next state
+// change (initial-value semantics; CAPA's printer selection depends on it).
 type Primer interface {
 	Prime()
 }
@@ -107,7 +130,7 @@ type Runtime struct {
 }
 
 // activeCfg is one live configuration. A repair replaces cfg.Root,
-// cfg.Edges and subs under Runtime.mu, so read them under it too.
+// cfg.Plan and subs under Runtime.mu, so read them under it too.
 type activeCfg struct {
 	cfg     *resolver.Configuration
 	deliver BatchDeliverFunc
@@ -149,54 +172,49 @@ func New(med *mediator.Mediator, res *resolver.Resolver, comps Components, maxRe
 }
 
 // InstantiateBatch wires cfg into the mediator: one subscription per
-// consumer input, accepting every producer bound to that input and
-// delivering into the consumer CE's HandleInput, plus the root subscription
-// delivering to the querying application through Mediator.SubscribeBatch,
-// so deliver (which may be nil) receives every queued root event of a
-// wakeup as one slice. rctx is remembered for repairs.
+// consumer input of cfg.Plan, accepting every producer bound to that input
+// and delivering into the consumer CE's HandleInput, plus the root
+// subscription delivering to the querying application through
+// Mediator.SubscribeBatch, so deliver (which may be nil) receives every
+// queued root event of a wakeup as one slice. Then it primes the plan's
+// leaves. rctx is remembered for repairs.
 func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Context, deliver BatchDeliverFunc) error {
-	if cfg == nil || cfg.Root == nil {
+	if cfg == nil || cfg.Root == nil || cfg.Plan == nil {
 		return errors.New("configuration: nil configuration")
 	}
-	subs, err := r.wire(cfg.Root, cfg.Edges, cfg.Query, deliver)
+	// Read before the configuration is live: a repair replaces cfg.Plan.
+	plan := cfg.Plan
+	subs, err := r.wire(cfg.Root, plan, cfg.Query, deliver)
 	if err != nil {
 		return err
 	}
 	r.mu.Lock()
 	r.active[cfg.ID] = &activeCfg{cfg: cfg, deliver: deliver, rctx: rctx, subs: subs}
 	r.mu.Unlock()
-	r.primeSources(cfg.Root)
+	r.prime(plan.Leaves)
 	return nil
 }
 
-// primeSources asks every leaf provider that supports it to re-emit its
-// current state.
-func (r *Runtime) primeSources(b *resolver.Binding) {
-	if b == nil {
+// prime asks every local leaf that supports it to re-emit its current
+// state, looking the leaves up in one Components call.
+func (r *Runtime) prime(leaves []guid.GUID) {
+	if len(leaves) == 0 {
 		return
 	}
-	if len(b.Inputs) == 0 {
-		if ce, ok := r.comps.Component(b.Provider); ok {
-			if p, ok := ce.(Primer); ok {
-				p.Prime()
-			}
+	for _, ce := range r.comps.Components(leaves, nil) {
+		if p, ok := ce.(Primer); ok {
+			p.Prime()
 		}
-		return
-	}
-	for _, in := range b.Inputs {
-		r.primeSources(in)
 	}
 }
 
 // wire establishes all subscriptions for a graph and returns their ids:
-// one per consumer input, plus the root delivery to q's owner when deliver
-// is not nil. Flatten orders the edges by (Consumer, Type, Producer), so
-// each input is one run of adjacent edges; edges in another order are
-// still wired correctly, an input split across runs just takes one
-// subscription per run. An input with a single producer keeps the filter
-// {Type, Source}; a fan-in input filters on {Type} and accepts its run's
-// producers as a source set. On error, whatever was wired is cancelled.
-func (r *Runtime) wire(root *resolver.Binding, edges []resolver.Edge, q query.Query, deliver BatchDeliverFunc) (subs []guid.GUID, err error) {
+// one per input of plan, plus the root delivery to q's owner when deliver
+// is not nil. An input with a single producer keeps the filter
+// {Type, Source}; a fan-in input filters on {Type} and hands its producers,
+// already sorted and deduplicated, to the mediator as its source set. On
+// error, whatever was wired is cancelled.
+func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Query, deliver BatchDeliverFunc) (subs []guid.GUID, err error) {
 	var rec mediator.Record
 	defer func() {
 		if err != nil {
@@ -204,28 +222,17 @@ func (r *Runtime) wire(root *resolver.Binding, edges []resolver.Edge, q query.Qu
 			subs = nil
 		}
 	}()
-	for i := 0; i < len(edges); {
-		in := edges[i]
-		j := i + 1
-		for j < len(edges) && edges[j].Consumer == in.Consumer && edges[j].Type == in.Type {
-			j++
-		}
-		run := edges[i:j]
-		i = j
-
+	for _, in := range plan.Inputs {
 		consumer, ok := r.comps.Component(in.Consumer)
 		if !ok {
 			return subs, fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
 		}
 		filter := event.Filter{Type: in.Type}
 		opts := mediator.SubOptions{QueueLen: edgeQueueLen}
-		if len(run) == 1 {
-			filter.Source = in.Producer
+		if len(in.Producers) == 1 {
+			filter.Source = in.Producers[0]
 		} else {
-			opts.Sources = make([]guid.GUID, len(run))
-			for k, e := range run {
-				opts.Sources[k] = e.Producer
-			}
+			opts.Sources = in.Producers
 		}
 		// Batch-capable consumers (remote proxies feeding a wire coalescer)
 		// take a burst as one slice; plain CEs stay per event.
@@ -356,8 +363,9 @@ func binds(b *resolver.Binding, provider guid.GUID) bool {
 }
 
 // Repair rebinds the parts of configuration id that depended on the failed
-// provider, then rewires its subscriptions. Subscription churn during
-// repair can drop in-flight events; consumers detect the gap via sequence
+// provider, then rewires its subscriptions from a fresh plan and primes
+// the leaves the old plan did not have. Subscription churn during repair
+// can drop in-flight events; consumers detect the gap via sequence
 // numbers. A configuration torn down while it is being rewired keeps none
 // of the new subscriptions.
 func (r *Runtime) Repair(id, failed guid.GUID) error {
@@ -372,7 +380,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		r.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrRepairBudget, r.maxRepairs)
 	}
-	root := ac.cfg.Root
+	root, oldPlan := ac.cfg.Root, ac.cfg.Plan
 	r.mu.Unlock()
 
 	rctx := ac.rctx
@@ -384,7 +392,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	if err != nil {
 		return err
 	}
-	edges := resolver.Flatten(newRoot)
+	plan := resolver.NewPlan(newRoot)
 
 	// Rewire: drop the old subscriptions, then create the new set.
 	r.mu.Lock()
@@ -392,7 +400,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	ac.subs = nil
 	r.mu.Unlock()
 	r.cancel(old)
-	subs, err := r.wire(newRoot, edges, ac.cfg.Query, ac.deliver)
+	subs, err := r.wire(newRoot, plan, ac.cfg.Query, ac.deliver)
 	if err != nil {
 		return err
 	}
@@ -403,16 +411,32 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 		r.cancel(subs)
 		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
 	}
-	ac.cfg.Root, ac.cfg.Edges = newRoot, edges
+	ac.cfg.Root, ac.cfg.Plan = newRoot, plan
 	stale := ac.subs // wired by a concurrent repair of the same configuration
 	ac.subs = subs
 	ac.repairs++
 	r.mu.Unlock()
 	r.cancel(stale)
+	r.prime(added(plan.Leaves, oldPlan.Leaves))
 
 	r.Repairs.Inc()
 	r.RepairLatency.Record(nowMonotonic() - start)
 	return nil
+}
+
+// added returns the members of the strictly ascending set now that the
+// strictly ascending set before lacks.
+func added(now, before []guid.GUID) []guid.GUID {
+	var out []guid.GUID
+	for _, g := range now {
+		for len(before) > 0 && guid.Less(before[0], g) {
+			before = before[1:]
+		}
+		if len(before) == 0 || before[0] != g {
+			out = append(out, g)
+		}
+	}
+	return out
 }
 
 // repairBinding returns a binding tree equal to b but with every subtree

@@ -456,7 +456,7 @@ func TestBatchEdgeAndBatchRootDelivery(t *testing.T) {
 			}},
 		},
 	}
-	cfg.Edges = resolver.Flatten(cfg.Root)
+	cfg.Plan = resolver.NewPlan(cfg.Root)
 
 	var mu sync.Mutex
 	var runs [][]event.Event

@@ -64,8 +64,8 @@ func fanInConfiguration(owner guid.GUID, consumer guid.GUID, doors []*sensorCE) 
 		ID:    guid.New(guid.KindConfiguration),
 		Query: query.New(owner, query.What{Pattern: ctxtype.LocationPosition}, query.ModeSubscribe),
 		Root:  root,
+		Plan:  resolver.NewPlan(root),
 	}
-	cfg.Edges = resolver.Flatten(root)
 	return cfg
 }
 
@@ -186,13 +186,9 @@ func TestFanInIsOneSubscription(t *testing.T) {
 		t.Fatal("departed door still bound")
 	}
 	in = inputRecord(t, r, cfg)
-	var producers []guid.GUID
-	for _, e := range cfg.Edges {
-		producers = append(producers, e.Producer)
-	}
-	guid.Sort(producers)
+	producers := cfg.Plan.Inputs[0].Producers
 	if slices.Contains(in.Sources, gone.ID()) || (len(producers) > 1 && !reflect.DeepEqual(in.Sources, producers)) {
-		t.Fatalf("sources after repair = %v, edges' producers %v", in.Sources, producers)
+		t.Fatalf("sources after repair = %v, plan's producers %v", in.Sources, producers)
 	}
 	n := len(rec.events())
 	if err := bound[0].sight(subject, "y"); err != nil {
@@ -282,7 +278,7 @@ func TestDepartureRepairsOrTearsDown(t *testing.T) {
 }
 
 // TestInstantiateCostIndependentOfFanIn: the plumbing of a configuration
-// is O(inputs), not O(edges). Instantiate + Teardown of a position
+// is O(inputs), not O(producers). Instantiate + Teardown of a position
 // configuration allocates the same number of times over 8 doors as over 64,
 // and the 64-door configuration holds exactly two subscriptions.
 func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
@@ -293,8 +289,8 @@ func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(cfg.Edges) != doors {
-			t.Fatalf("%d doors resolved to %d edges", doors, len(cfg.Edges))
+		if in := cfg.Plan.Inputs; len(in) != 1 || len(in[0].Producers) != doors {
+			t.Fatalf("%d doors resolved to inputs %v", doors, in)
 		}
 		if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {
 			t.Fatal(err)
@@ -317,6 +313,6 @@ func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
 	small, large := allocs(8), allocs(64)
 	t.Logf("allocations per Instantiate + Teardown: %v (8 doors), %v (64 doors)", small, large)
 	if small != large {
-		t.Fatalf("Instantiate + Teardown allocates %v times over 8 doors and %v over 64: the plumbing grows with the edges", small, large)
+		t.Fatalf("Instantiate + Teardown allocates %v times over 8 doors and %v over 64: the plumbing grows with the producers", small, large)
 	}
 }

@@ -397,7 +397,8 @@ func WithOwner(owner guid.GUID) SubOption {
 // WithSources restricts the subscription to events whose Source is one of
 // srcs: one subscription serves a consumer input fed by several producers
 // (a configuration's fan-in) instead of one subscription per producer. The
-// bus keeps a sorted, deduplicated copy, so the caller may reuse srcs; an
+// bus keeps one sorted, deduplicated copy, so the caller may reuse srcs; a
+// set already strictly ascending is copied as it is, without a sort. An
 // empty set adds no constraint. It cannot be combined with a filter that
 // names a Source: Subscribe rejects the pair.
 func WithSources(srcs []guid.GUID) SubOption {
@@ -407,9 +408,22 @@ func WithSources(srcs []guid.GUID) SubOption {
 			return
 		}
 		set := slices.Clone(srcs)
-		slices.SortFunc(set, guid.Compare)
-		s.sources = slices.Compact(set)
+		if !strictlyAscending(set) {
+			slices.SortFunc(set, guid.Compare)
+			set = slices.Compact(set)
+		}
+		s.sources = set
 	}
+}
+
+// strictlyAscending reports whether gs is sorted with no duplicates.
+func strictlyAscending(gs []guid.GUID) bool {
+	for i := 1; i < len(gs); i++ {
+		if guid.Compare(gs[i-1], gs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // OneShot makes the subscription cancel itself after the first delivery —
@@ -951,6 +965,11 @@ func (s *Subscription) Owner() guid.GUID { return s.owner }
 
 // Filter returns the subscription's filter.
 func (s *Subscription) Filter() event.Filter { return s.filter }
+
+// Sources returns the subscription's source set (WithSources), sorted and
+// deduplicated; nil when it has none. The slice is the bus's own copy,
+// shared: it is read-only.
+func (s *Subscription) Sources() []guid.GUID { return s.sources }
 
 // Cancel removes the subscription and stops its delivery goroutine, if its
 // first event started one; it never waits for that goroutine. Queued but

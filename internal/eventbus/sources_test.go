@@ -87,6 +87,25 @@ func TestWithSourcesCopiesAndDeduplicates(t *testing.T) {
 	}
 }
 
+// TestWithSourcesCopiesAscendingSet: a set handed in already strictly
+// ascending is kept as it is, and still copied: Sources hands out the bus's
+// copy, which a later write to the caller's slice does not reach.
+func TestWithSourcesCopiesAscendingSet(t *testing.T) {
+	b := New(nil)
+	defer b.Close()
+	caller := sourceSet(4)
+	guid.Sort(caller)
+	want := slices.Clone(caller)
+	sub, _ := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(caller))
+	if !slices.Equal(sub.Sources(), want) {
+		t.Fatalf("Sources() = %v, want %v", sub.Sources(), want)
+	}
+	caller[0] = guid.New(guid.KindDevice)
+	if !slices.Equal(sub.Sources(), want) {
+		t.Fatal("a write to the caller's slice reached the subscription's source set")
+	}
+}
+
 // TestWithSourcesPartialRun: a PublishAll run that mixes bound and unbound
 // producers hands the subscription one ring entry holding only the bound
 // producers' events, in order; a run of unbound producers only is never

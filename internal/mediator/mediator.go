@@ -11,7 +11,10 @@
 // configuration runtime keeps the ids of the subscriptions it wired and
 // cancels them one by one, so the Mediator needs no index of its own for
 // configurations. A fan-in consumer input is one subscription whose record
-// carries the set of producers it accepts (Record.Sources).
+// carries the set of producers it accepts (Record.Sources). A source set is
+// copied once, by the bus, and the record holds that copy; a set handed in
+// already sorted and deduplicated (a resolver plan's producers) is not
+// sorted again. Every Record handed out still carries a copy of its own.
 //
 // The bookkeeping is striped across lock shards exactly like the bus
 // underneath: the primary table shards by subscription id and the owner
@@ -195,9 +198,10 @@ type SubOptions struct {
 	QueueLen int
 	// Sources, when non-empty, restricts delivery to events produced by one
 	// of these entities (eventbus.WithSources): one subscription serves a
-	// consumer input fed by several producers. The Mediator keeps its own
-	// sorted, deduplicated copy. It cannot be combined with a filter that
-	// names a Source.
+	// consumer input fed by several producers. The bus keeps one sorted,
+	// deduplicated copy, which the record shares, so the caller may reuse
+	// the slice; a strictly ascending set is not sorted again. It cannot be
+	// combined with a filter that names a Source.
 	Sources []guid.GUID
 }
 
@@ -231,19 +235,16 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 	if owner.IsNil() {
 		return Record{}, errors.New("mediator: nil owner")
 	}
-	busOpts := []eventbus.SubOption{eventbus.WithOwner(owner)}
+	busOpts := make([]eventbus.SubOption, 1, 4) // owner, one-shot, queue length, sources
+	busOpts[0] = eventbus.WithOwner(owner)
 	if opts.OneShot {
 		busOpts = append(busOpts, eventbus.OneShot())
 	}
 	if opts.QueueLen > 0 {
 		busOpts = append(busOpts, eventbus.WithQueueLen(opts.QueueLen))
 	}
-	var sources []guid.GUID
 	if len(opts.Sources) > 0 {
-		sources = slices.Clone(opts.Sources)
-		slices.SortFunc(sources, guid.Compare)
-		sources = slices.Compact(sources)
-		busOpts = append(busOpts, eventbus.WithSources(sources))
+		busOpts = append(busOpts, eventbus.WithSources(opts.Sources))
 	}
 
 	// ready gates the one-shot cleanup on the record having been indexed:
@@ -284,7 +285,7 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 		ID:      sub.ID(),
 		Owner:   owner,
 		Filter:  f,
-		Sources: sources,
+		Sources: sub.Sources(),
 		OneShot: opts.OneShot,
 	}
 	rs := m.recShard(rec.ID)

@@ -230,9 +230,48 @@ func TestJoinFromSelfRejected(t *testing.T) {
 	}
 }
 
+// silentNet attaches endpoints to a memory network whose sends to a muted
+// endpoint are lost without an error, as to a peer that died without
+// closing its connections. (A send into transport.Memory's Partition fails
+// instead, and a node forgets the peer at once.)
+type silentNet struct {
+	*transport.Memory
+	mu    sync.Mutex
+	muted guid.Set
+}
+
+func (n *silentNet) Attach(id guid.GUID, h transport.Handler) (transport.Endpoint, error) {
+	ep, err := n.Memory.Attach(id, h)
+	if err != nil {
+		return nil, err
+	}
+	return silentEndpoint{Endpoint: ep, net: n}, nil
+}
+
+func (n *silentNet) mute(id guid.GUID) {
+	n.mu.Lock()
+	n.muted.Add(id)
+	n.mu.Unlock()
+}
+
+type silentEndpoint struct {
+	transport.Endpoint
+	net *silentNet
+}
+
+func (e silentEndpoint) Send(m wire.Message) error {
+	e.net.mu.Lock()
+	muted := e.net.muted.Has(m.Dst)
+	e.net.mu.Unlock()
+	if muted {
+		return nil
+	}
+	return e.Endpoint.Send(m)
+}
+
 func TestNodeFailureHeartbeatEviction(t *testing.T) {
 	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
-	net := transport.NewMemory(transport.MemoryConfig{})
+	net := &silentNet{Memory: transport.NewMemory(transport.MemoryConfig{}), muted: guid.NewSet()}
 	defer net.Close()
 
 	mk := func() *Node {
@@ -262,7 +301,7 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 		return guid.NewSet(a.Known()...).Has(b.ID())
 	})
 
-	// Kill b: partition it so pings go unanswered, then advance past
+	// Kill b: mute it so pings go unanswered, then advance past
 	// FailAfter. The heartbeat loop must evict b from a's and c's tables.
 	// Each round waits until the survivors have answered each other's
 	// pings, so a slow pong never reads as a failure.
@@ -276,7 +315,7 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 		}
 		return true
 	}
-	net.Partition(b.ID())
+	net.mute(b.ID())
 	for i := 0; i < 8; i++ {
 		clk.Advance(time.Second)
 		waitFor(t, func() bool { return answered(a) && answered(c) })

@@ -304,6 +304,30 @@ func TestSendFailureMetricAndTransitionLog(t *testing.T) {
 	}
 }
 
+// TestPartitionedSendCountsFailure: a send into a partition of the memory
+// network fails, as one on a broken TCP connection does, so it counts in
+// RemoteSendFailures; once the partition heals the next send arrives and
+// counts nothing.
+func TestPartitionedSendCountsFailure(t *testing.T) {
+	r := newRig(t)
+	defer r.close()
+	dest := guid.New(guid.KindApplication)
+	msgs := tap(t, r.net, dest)
+
+	r.net.Partition(dest)
+	r.host.sendEvent(dest, mkReading(guid.New(guid.KindDevice), 1))
+	if got := r.rng.RemoteSendFailures.Value(); got != 1 {
+		t.Fatalf("RemoteSendFailures = %d after a send into a partition, want 1", got)
+	}
+
+	r.net.Unpartition(dest)
+	r.host.sendEvent(dest, mkReading(guid.New(guid.KindDevice), 2))
+	waitFor(t, func() bool { return len(msgs()) == 1 })
+	if got := r.rng.RemoteSendFailures.Value(); got != 1 {
+		t.Fatalf("RemoteSendFailures = %d after the partition healed, want 1", got)
+	}
+}
+
 // TestBatchFedRemoteCAABudget drives the whole batch-native delivery chain:
 // sensor emissions cross the mediator's batched root subscription into the
 // remote CAA's proxy, whose ConsumeAll feeds the outbound coalescer a slice

@@ -24,10 +24,9 @@ import (
 var errLinkDown = errors.New("test: link down")
 
 // downNet attaches endpoints to a memory network through a switch: while
-// down is set their sends fail, as a broken TCP connection's do.
-// (transport.Memory's Partition loses messages silently, so a carrier sent
-// into a partition never learns that it failed.) It records every message
-// its endpoints offer, and whether the send was refused.
+// down is set their sends fail, as a broken TCP connection's do, whatever
+// their destination. It records every message its endpoints offer, and
+// whether the send was refused.
 type downNet struct {
 	*transport.Memory
 	down atomic.Bool

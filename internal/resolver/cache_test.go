@@ -434,7 +434,7 @@ func TestResolveCacheIsPureMemo(t *testing.T) {
 				if err != nil {
 					continue
 				}
-				if !reflect.DeepEqual(got.Root, want.Root) || !reflect.DeepEqual(got.Edges, want.Edges) {
+				if !reflect.DeepEqual(got.Root, want.Root) || !reflect.DeepEqual(got.Plan, want.Plan) {
 					t.Fatalf("step %d (%s), query %d, owner in %s: cached answer %v, fresh answer %v",
 						step, op, qi, ctx.OwnerLocation.Place, got.Providers(), want.Providers())
 				}
@@ -446,4 +446,60 @@ func TestResolveCacheIsPureMemo(t *testing.T) {
 		t.Fatalf("cache hits %d, misses %d: the churn never exercised both", hits, misses)
 	}
 	t.Logf("cache hits %d, misses %d", hits, misses)
+}
+
+// TestResolveCacheSharesPlan: the plan is computed once per resolution and
+// shared by every configuration the cache serves from it, and each of its
+// inputs holds exactly the producers of one run of Flatten(root).
+func TestResolveCacheSharesPlan(t *testing.T) {
+	profiles := &profile.Manager{}
+	for i := 0; i < 5; i++ {
+		put(t, profiles, profile.Profile{Name: fmt.Sprintf("door-%d", i), Outputs: []ctxtype.Type{ctxtype.LocationSightingDoor}})
+	}
+	putLocator(t, profiles)
+	put(t, profiles, profile.Profile{
+		Entity:  guid.New(guid.KindEntity),
+		Name:    "pathCE",
+		Inputs:  []ctxtype.Type{ctxtype.LocationPosition, ctxtype.LocationPosition},
+		Outputs: []ctxtype.Type{ctxtype.PathRoute},
+	})
+	res := resolver.New(profiles, ctxtype.NewRegistry(), nil)
+	resolve := func() *resolver.Configuration {
+		t.Helper()
+		q := query.New(guid.New(guid.KindApplication), query.What{Pattern: ctxtype.PathRoute}, query.ModeSubscribe)
+		cfg, err := res.Resolve(q, resolver.Context{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	first, second, third := resolve(), resolve(), resolve()
+	if hits, misses := res.CacheStats(); hits != 2 || misses != 1 {
+		t.Fatalf("cache hits %d, misses %d, want 2 and 1", hits, misses)
+	}
+	if second.Plan != third.Plan || first.Plan != second.Plan {
+		t.Fatal("configurations served from one cache entry carry different plans")
+	}
+
+	plan := second.Plan
+	var want []resolver.Input
+	for _, e := range resolver.Flatten(second.Root) {
+		if n := len(want); n > 0 && want[n-1].Consumer == e.Consumer && want[n-1].Type == e.Type {
+			want[n-1].Producers = append(want[n-1].Producers, e.Producer)
+			continue
+		}
+		want = append(want, resolver.Input{Consumer: e.Consumer, Type: e.Type, Producers: []guid.GUID{e.Producer}})
+	}
+	if !reflect.DeepEqual(plan.Inputs, want) {
+		t.Fatalf("plan inputs %v, want the runs of Flatten %v", plan.Inputs, want)
+	}
+	var doors []guid.GUID
+	for _, in := range plan.Inputs {
+		if in.Type == ctxtype.LocationSightingDoor {
+			doors = in.Producers
+		}
+	}
+	if len(doors) != 5 || !reflect.DeepEqual(plan.Leaves, doors) {
+		t.Fatalf("plan leaves %v, want the 5 doors %v", plan.Leaves, doors)
+	}
 }

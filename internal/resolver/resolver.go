@@ -63,19 +63,74 @@ type Binding struct {
 	Profile *profile.Profile `json:"-"`
 }
 
-// Edge is one event subscription to establish: Consumer subscribes to
-// events of Type produced by Producer.
+// Edge is one consumer←producer pair of a graph: Consumer takes events of
+// Type produced by Producer.
 type Edge struct {
 	Consumer guid.GUID    `json:"consumer"`
 	Producer guid.GUID    `json:"producer"`
 	Type     ctxtype.Type `json:"type"`
 }
 
+// Input is one consumer input of a configuration: Consumer takes events of
+// Type from each of Producers. The configuration runtime wires it as one
+// mediator subscription.
+type Input struct {
+	Consumer guid.GUID    `json:"consumer"`
+	Type     ctxtype.Type `json:"type"`
+	// Producers are the entities feeding the input, strictly ascending.
+	Producers []guid.GUID `json:"producers"`
+}
+
+// Plan is what the configuration runtime needs to wire and prime a graph:
+// its consumer inputs, ordered by (Consumer, Type), and its distinct leaves
+// (the bindings with no inputs, the root included when it has none),
+// strictly ascending. It is computed once per resolution, so every
+// configuration the resolver's cache serves from that resolution shares it.
+type Plan struct {
+	Inputs []Input     `json:"inputs,omitempty"`
+	Leaves []guid.GUID `json:"leaves"`
+}
+
+// NewPlan computes the plan of the graph under root. The producer lists of
+// its inputs are the runs of Flatten(root), in one backing array.
+func NewPlan(root *Binding) *Plan {
+	leaves := root.appendLeaves(nil)
+	slices.SortFunc(leaves, guid.Compare)
+	p := &Plan{Leaves: slices.Compact(leaves)}
+	edges := Flatten(root)
+	producers := make([]guid.GUID, len(edges))
+	for i := 0; i < len(edges); {
+		e := edges[i]
+		j := i
+		for ; j < len(edges) && edges[j].Consumer == e.Consumer && edges[j].Type == e.Type; j++ {
+			producers[j] = edges[j].Producer
+		}
+		p.Inputs = append(p.Inputs, Input{Consumer: e.Consumer, Type: e.Type, Producers: producers[i:j:j]})
+		i = j
+	}
+	return p
+}
+
+// appendLeaves appends the provider of every binding reachable from b that
+// has no inputs, in pre-order.
+func (b *Binding) appendLeaves(out []guid.GUID) []guid.GUID {
+	if b == nil {
+		return out
+	}
+	if len(b.Inputs) == 0 {
+		return append(out, b.Provider)
+	}
+	for _, in := range b.Inputs {
+		out = in.appendLeaves(out)
+	}
+	return out
+}
+
 // Configuration is a resolved subscription graph ready for the Event
-// Mediator to instantiate. Root and Edges may be shared with the resolver's
-// cache and with other configurations resolved from it: they are read-only,
-// like the stored profiles the bindings carry.
-// A repair replaces them with a new tree and a new slice.
+// Mediator to instantiate. Root and Plan may be shared with the resolver's
+// cache and with every other configuration resolved from the same entry:
+// they are read-only, like the stored profiles the bindings carry.
+// A repair replaces them with a new tree and a new plan.
 type Configuration struct {
 	// ID names this configuration.
 	ID guid.GUID `json:"id"`
@@ -83,11 +138,8 @@ type Configuration struct {
 	Query query.Query `json:"query"`
 	// Root is the top-level binding answering the query's What.
 	Root *Binding `json:"root"`
-	// Edges flattens the graph into its consumer←producer edges,
-	// deduplicated and sorted by (Consumer, Type, Producer): the edges
-	// feeding one consumer input are adjacent, and the configuration runtime
-	// wires each such run as one subscription.
-	Edges []Edge `json:"edges"`
+	// Plan is Root's wiring: NewPlan(Root).
+	Plan *Plan `json:"plan"`
 }
 
 // Providers returns every distinct provider in the graph, sorted.
@@ -224,12 +276,12 @@ func placeKeyOf(r location.Ref) placeKey {
 	return k
 }
 
-// cacheEntry is one cached resolution. Nothing writes root or edges after
+// cacheEntry is one cached resolution. Nothing writes root or plan after
 // they are stored.
 type cacheEntry struct {
 	constraints map[string]string // the query's Which constraints, copied
 	root        *Binding
-	edges       []Edge
+	plan        *Plan
 }
 
 // MaxDepth bounds backward chaining; deeper graphs indicate a profile cycle.
@@ -268,7 +320,7 @@ func (r *Resolver) CacheStats() (hits, misses uint64) {
 // profile and advertisement modes).
 //
 // A resolution that the cache holds is not repeated: the Configuration
-// returned has its own ID and the caller's q, and shares Root and Edges
+// returned has its own ID and the caller's q, and shares Root and Plan
 // with the cached entry.
 func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 	if err := q.Validate(); err != nil {
@@ -281,7 +333,7 @@ func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 				ID:    guid.New(guid.KindConfiguration),
 				Query: q,
 				Root:  e.root,
-				Edges: e.edges,
+				Plan:  e.plan,
 			}, nil
 		}
 	}
@@ -304,10 +356,10 @@ func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 		ID:    guid.New(guid.KindConfiguration),
 		Query: q,
 		Root:  root,
+		Plan:  NewPlan(root),
 	}
-	cfg.Edges = Flatten(root)
 	if cacheable {
-		r.store(key, gens, q.Which.Constraints, root, cfg.Edges)
+		r.store(key, gens, q.Which.Constraints, root, cfg.Plan)
 	}
 	return cfg, nil
 }
@@ -360,7 +412,7 @@ func (r *Resolver) lookup(k cacheKey, g generations, cons map[string]string) (ca
 
 // store caches a resolution of k under the constraints cons, made at
 // generations g.
-func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root *Binding, edges []Edge) {
+func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root *Binding, plan *Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if !r.adoptLocked(g) {
@@ -375,7 +427,7 @@ func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root
 		clear(r.cache)
 		r.size = 0
 	}
-	r.cache[k] = append(r.cache[k], cacheEntry{constraints: maps.Clone(cons), root: root, edges: edges})
+	r.cache[k] = append(r.cache[k], cacheEntry{constraints: maps.Clone(cons), root: root, plan: plan})
 	r.size++
 }
 
@@ -758,8 +810,8 @@ func bestOutput(p *profile.Profile, want ctxtype.Type, reg *ctxtype.Registry) ct
 
 // Flatten walks a binding graph emitting its consumer←producer edges,
 // deduplicated and sorted by (Consumer, Type, Producer), so that the edges
-// feeding one consumer input form one run. The configuration runtime uses
-// it to recompute edges after a repair graft.
+// feeding one consumer input form one run: NewPlan groups each run into
+// one Input.
 func Flatten(root *Binding) []Edge {
 	// Every binding but the root is the producer end of one edge of the walk.
 	n := root.nodes() - 1

@@ -109,9 +109,10 @@ func TestSection32PathConfiguration(t *testing.T) {
 	}
 	// The graph grounds out at sensor level: every leaf is a source.
 	assertGroundsOut(t, w.profiles, cfg.Root)
-	// Edges: pathCE←objLoc (deduped) and objLoc←door ×3.
-	if len(cfg.Edges) != 4 {
-		t.Fatalf("edges = %v", cfg.Edges)
+	// Plan: pathCE's position input fed by objLoc (deduped) and objLoc's
+	// door input fed by 3 doors.
+	if in := cfg.Plan.Inputs; len(in) != 2 || len(in[0].Producers)+len(in[1].Producers) != 4 {
+		t.Fatalf("plan inputs = %v", in)
 	}
 }
 
@@ -407,7 +408,7 @@ func TestBindEntityAndEntityType(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Root.Provider != w.pathCE || len(cfg.Edges) != 0 {
+	if cfg.Root.Provider != w.pathCE || len(cfg.Plan.Inputs) != 0 {
 		t.Fatal("entity binding wrong")
 	}
 	// Unknown entity.
@@ -509,7 +510,9 @@ func BenchmarkResolvePathQuery(b *testing.B) {
 // TestFlattenOrdersEdgesByInput: Flatten sorts the edges by (Consumer,
 // Type, Producer), so each consumer input is one run of adjacent edges
 // whatever order the graph lists its bindings in, and an edge reached twice
-// through a shared sub-graph appears once.
+// through a shared sub-graph appears once. NewPlan makes each run one
+// input and lists a leaf reached twice once; a lone binding is its own
+// leaf.
 func TestFlattenOrdersEdgesByInput(t *testing.T) {
 	ids := make([]guid.GUID, 6)
 	for i := range ids {
@@ -539,5 +542,21 @@ func TestFlattenOrdersEdgesByInput(t *testing.T) {
 	}
 	if got := Flatten(leaf(ids[0], ctxtype.PathRoute)); got != nil {
 		t.Fatalf("Flatten of a lone binding = %v, want nil", got)
+	}
+
+	plan := &Plan{
+		Inputs: []Input{
+			{Consumer: ids[0], Type: ctxtype.LocationPosition, Producers: []guid.GUID{ids[1]}},
+			{Consumer: ids[1], Type: ctxtype.LocationSightingDoor, Producers: []guid.GUID{ids[3], ids[4], ids[5]}},
+			{Consumer: ids[1], Type: ctxtype.LocationSightingWLAN, Producers: []guid.GUID{ids[2]}},
+		},
+		Leaves: []guid.GUID{ids[2], ids[3], ids[4], ids[5]},
+	}
+	if got := NewPlan(root); !reflect.DeepEqual(got, plan) {
+		t.Fatalf("NewPlan = %+v\nwant      %+v", got, plan)
+	}
+	lone := &Plan{Leaves: []guid.GUID{ids[0]}}
+	if got := NewPlan(leaf(ids[0], ctxtype.PathRoute)); !reflect.DeepEqual(got, lone) {
+		t.Fatalf("NewPlan of a lone binding = %+v, want %+v", got, lone)
 	}
 }

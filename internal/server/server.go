@@ -16,6 +16,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -117,7 +118,9 @@ type Range struct {
 	res       *resolver.Resolver
 	runtime   *configuration.Runtime
 
-	mu       sync.Mutex
+	// mu is read-locked by the lookups on the query and wiring paths
+	// (Submit's owner lookup, Component, Components), which run concurrently.
+	mu       sync.RWMutex
 	comps    map[guid.GUID]entity.CE
 	caas     map[guid.GUID]*entity.CAA
 	silenced guid.Set // components excluded from auto-renewal (failure injection)
@@ -243,7 +246,7 @@ func New(cfg Config) *Range {
 	r.med = mediator.New(cfg.Types, medOpts...)
 	r.res = resolver.New(r.profiles, cfg.Types, cfg.Places)
 	// A zero repair budget takes the configuration runtime's default (8).
-	r.runtime = configuration.New(r.med, r.res, configuration.ComponentsFunc(r.Component), 0)
+	r.runtime = configuration.New(r.med, r.res, r, 0)
 
 	// Departures repair configurations and are announced as events;
 	// arrivals are announced as events (Section 3.4 mobility model).
@@ -302,10 +305,23 @@ func (r *Range) Runtime() *configuration.Runtime { return r.runtime }
 
 // Component implements configuration.Components.
 func (r *Range) Component(id guid.GUID) (entity.CE, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	ce, ok := r.comps[id]
 	return ce, ok
+}
+
+// Components implements configuration.Components under one read lock.
+func (r *Range) Components(ids []guid.GUID, dst []entity.CE) []entity.CE {
+	dst = slices.Grow(dst, len(ids))
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	for _, id := range ids {
+		if ce, ok := r.comps[id]; ok {
+			dst = append(dst, ce)
+		}
+	}
+	return dst
 }
 
 // AddEntity performs the discovery/registration sequence of Fig 5 for a
@@ -401,13 +417,13 @@ func (r *Range) RenewAll() {
 
 // Submit processes a query from a registered CAA, dispatching on mode.
 func (r *Range) Submit(q query.Query) (*Result, error) {
-	r.mu.Lock()
+	r.mu.RLock()
 	if r.closed {
-		r.mu.Unlock()
+		r.mu.RUnlock()
 		return nil, ErrClosed
 	}
 	owner := r.caas[q.Owner]
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}

@@ -126,8 +126,9 @@ func (n *Memory) Close() error {
 }
 
 // Partition simulates a network partition by detaching the given endpoint's
-// inbox from delivery (messages to it are lost) without closing it. Heal
-// with Unpartition. Used by failure-injection tests.
+// inbox from delivery without closing it: a send to it fails with
+// ErrUnreachable, as a send on a broken TCP connection fails, and the
+// message is lost. Heal with Unpartition. Used by failure-injection tests.
 func (n *Memory) Partition(id guid.GUID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -170,7 +171,7 @@ func (n *Memory) deliver(m wire.Message) error {
 	}
 	if dst.partitioned.Load() {
 		n.Lost.Inc()
-		return nil
+		return ErrUnreachable
 	}
 
 	delay := n.cfg.BaseLatency

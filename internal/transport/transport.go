@@ -53,6 +53,9 @@ type Network interface {
 var (
 	ErrUnknownDestination = errors.New("transport: unknown destination")
 	ErrClosed             = errors.New("transport: closed")
+	// ErrUnreachable reports a send to an endpoint the network cannot reach
+	// (Memory.Partition): the message is lost.
+	ErrUnreachable = errors.New("transport: destination unreachable")
 	// ErrProtocolVersion reports a connection whose hello exchange did not
 	// establish the same protocol version on both sides: the peer stated
 	// another version, answered with something else, or did not answer

@@ -190,8 +190,8 @@ func TestMemoryPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.Partition(b)
-	if err := epA.Send(mkMsg(t, a, b, nil)); err != nil {
-		t.Fatal(err)
+	if err := epA.Send(mkMsg(t, a, b, nil)); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("send to a partitioned endpoint: %v, want ErrUnreachable", err)
 	}
 	time.Sleep(10 * time.Millisecond)
 	if rec.count() != 0 {
