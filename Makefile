@@ -68,6 +68,8 @@ race-suites:
 	$(GO) test -race -count=10 -run 'Ack|Credit|Piggyback|Depart|Close' ./internal/rangesvc/
 	$(GO) test -race -count=10 -run 'Depart|Teardown|Repair|Churn' ./internal/configuration/ ./internal/mediator/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Plan|Prime' ./internal/configuration/ ./internal/resolver/ ./internal/server/
+	$(GO) test -race -count=20 -run 'Failure|Eviction|Tomb' ./internal/overlay/
+	$(GO) test -race -count=3 -run 'Concurrent' ./internal/guid/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

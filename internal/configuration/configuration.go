@@ -23,8 +23,9 @@
 // resolution and shared read-only by every configuration the resolver's
 // cache serves from it: each Input's producers are already a sorted,
 // deduplicated source set, handed to the mediator as they are. Priming
-// looks the plan's leaves up with one Components call per instantiate, not
-// one lookup per leaf.
+// asks the Range's primer index which of the plan's leaves can be primed,
+// in one Primers call per instantiate: a plan of many leaves that are no
+// Primers (a building's door sensors) costs no lookup per leaf.
 //
 // The Runtime is the one record of what it wired: each live configuration
 // keeps its graph and the ids of its subscriptions, and teardown and repair
@@ -56,9 +57,10 @@ import (
 type Components interface {
 	// Component returns the CE of one local component.
 	Component(guid.GUID) (entity.CE, bool)
-	// Components appends to dst, in order, the CE of every id in ids that is
-	// local, skipping the others, in one lookup.
-	Components(ids []guid.GUID, dst []entity.CE) []entity.CE
+	// Primers appends to dst, in no particular order, every local
+	// component among leaves that is a Primer, in one lookup. leaves is
+	// strictly ascending.
+	Primers(leaves []guid.GUID, dst []Primer) []Primer
 }
 
 // ComponentsFunc adapts a func to Components.
@@ -67,12 +69,13 @@ type ComponentsFunc func(guid.GUID) (entity.CE, bool)
 // Component implements Components.
 func (f ComponentsFunc) Component(g guid.GUID) (entity.CE, bool) { return f(g) }
 
-// Components implements Components by calling f once per id.
-func (f ComponentsFunc) Components(ids []guid.GUID, dst []entity.CE) []entity.CE {
-	dst = slices.Grow(dst, len(ids))
-	for _, id := range ids {
+// Primers implements Components by calling f once per leaf.
+func (f ComponentsFunc) Primers(leaves []guid.GUID, dst []Primer) []Primer {
+	for _, id := range leaves {
 		if ce, ok := f(id); ok {
-			dst = append(dst, ce)
+			if p, ok := ce.(Primer); ok {
+				dst = append(dst, p)
+			}
 		}
 	}
 	return dst
@@ -195,16 +198,14 @@ func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Co
 	return nil
 }
 
-// prime asks every local leaf that supports it to re-emit its current
-// state, looking the leaves up in one Components call.
+// prime asks every local leaf that is a Primer to re-emit its current
+// state; one Primers call finds them.
 func (r *Runtime) prime(leaves []guid.GUID) {
 	if len(leaves) == 0 {
 		return
 	}
-	for _, ce := range r.comps.Components(leaves, nil) {
-		if p, ok := ce.(Primer); ok {
-			p.Prime()
-		}
+	for _, p := range r.comps.Primers(leaves, nil) {
+		p.Prime()
 	}
 }
 

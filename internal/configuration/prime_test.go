@@ -40,11 +40,11 @@ func (c *countingComps) Component(g guid.GUID) (entity.CE, bool) {
 	return ce, ok
 }
 
-func (c *countingComps) Components(ids []guid.GUID, dst []entity.CE) []entity.CE {
+func (c *countingComps) Primers(leaves []guid.GUID, dst []Primer) []Primer {
 	c.batch.Add(1)
-	for _, id := range ids {
-		if ce, ok := c.r.comps[id]; ok {
-			dst = append(dst, ce)
+	for _, id := range leaves {
+		if p, ok := c.r.comps[id].(Primer); ok {
+			dst = append(dst, p)
 		}
 	}
 	return dst

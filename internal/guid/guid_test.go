@@ -1,9 +1,12 @@
 package guid
 
 import (
+	"bytes"
 	"encoding/json"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -22,6 +25,39 @@ func TestNewAssignsKindAndUniqueness(t *testing.T) {
 			t.Fatalf("duplicate GUID generated: %v", g)
 		}
 		seen[g] = true
+	}
+}
+
+// TestNewConcurrentUnique: a million GUIDs drawn from 8 goroutines at once,
+// each goroutine with its own kind, hold no duplicate, and each keeps its
+// kind byte.
+func TestNewConcurrentUnique(t *testing.T) {
+	const workers, total = 8, 1_000_000
+	all := make([]GUID, total)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(part []GUID, kind Kind) {
+			defer wg.Done()
+			for i := range part {
+				part[i] = New(kind)
+			}
+		}(all[w*total/workers:(w+1)*total/workers], Kind(1+w))
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		want := Kind(1 + w)
+		for _, g := range all[w*total/workers : (w+1)*total/workers] {
+			if g.Kind() != want {
+				t.Fatalf("kind = %v, want %v", g.Kind(), want)
+			}
+		}
+	}
+	slices.SortFunc(all, Compare)
+	for i := 1; i < len(all); i++ {
+		if all[i] == all[i-1] {
+			t.Fatalf("duplicate GUID %v among %d draws", all[i], total)
+		}
 	}
 }
 
@@ -173,6 +209,33 @@ func TestCompareAndLess(t *testing.T) {
 	}
 	if !Less(a, b) || Less(b, a) || Less(a, a) {
 		t.Fatal("Less ordering broken")
+	}
+}
+
+// TestCompareMatchesBytes: Compare is the byte-lexicographic order, on
+// seeded random pairs and on pairs that differ in one byte at either end
+// of either 64-bit half.
+func TestCompareMatchesBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	check := func(a, b GUID) {
+		t.Helper()
+		if got, want := Compare(a, b), bytes.Compare(a[:], b[:]); got != want {
+			t.Fatalf("Compare(%s, %s) = %d, bytes.Compare = %d", a.Hex(), b.Hex(), got, want)
+		}
+	}
+	for i := 0; i < 10_000; i++ {
+		var a, b GUID
+		rng.Read(a[:])
+		rng.Read(b[:])
+		check(a, b)
+		check(b, a)
+		check(a, a)
+		for _, at := range []int{0, 7, 8, 15} {
+			c := a
+			c[at] = byte(rng.Intn(256))
+			check(a, c)
+			check(c, a)
+		}
 	}
 }
 

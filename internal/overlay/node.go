@@ -70,8 +70,10 @@ type Config struct {
 	// Forgot is invoked whenever the node drops a peer from its routing
 	// structures — a heartbeat went unanswered past FailAfter, or a send to
 	// the peer failed. Upper layers (the SCINET fabric) use it to tear down
-	// per-peer state such as remote-query proxies. Called synchronously with
-	// no node locks held; may be nil.
+	// per-peer state such as remote-query proxies. A node that probes
+	// liveness reports a departure once: forgetting the peer again while
+	// it is tombstoned is not reported. Called synchronously with no node
+	// locks held; may be nil.
 	Forgot func(guid.GUID)
 	// MaxTTL bounds forwarding; defaults to guid.Digits+8.
 	MaxTTL int
@@ -90,7 +92,11 @@ type Node struct {
 	waiters      map[guid.GUID]chan wire.Message // correlation → reply slot
 	announceWait map[guid.GUID]chan struct{}     // correlation → announce ack slot
 	pinged       map[guid.GUID]time.Time         // outstanding pings
-	closed       bool
+	// tombs maps each recently forgotten peer to when it was forgotten:
+	// gossip does not bring it back, only a message from the peer itself
+	// does. Nil when the node does not probe liveness.
+	tombs  map[guid.GUID]time.Time
+	closed bool
 
 	hb clock.Timer
 
@@ -142,6 +148,10 @@ const joinTimeout = 5 * time.Second
 // maxCarriedNodes bounds the knowledge piggybacked on join/gossip bodies.
 const maxCarriedNodes = 64
 
+// maxTombstones bounds the table of forgotten peers; when it is full the
+// oldest tombstone goes first.
+const maxTombstones = 1024
+
 // NewNode attaches a node to the network. The node is a one-node overlay
 // until Join is called (the first node of a SCINET simply never joins).
 func NewNode(cfg Config) (*Node, error) {
@@ -169,6 +179,9 @@ func NewNode(cfg Config) (*Node, error) {
 		waiters:      make(map[guid.GUID]chan wire.Message),
 		announceWait: make(map[guid.GUID]chan struct{}),
 		pinged:       make(map[guid.GUID]time.Time),
+	}
+	if cfg.FailAfter > 0 {
+		n.tombs = make(map[guid.GUID]time.Time)
 	}
 	ep, err := cfg.Network.Attach(n.id, n.handle)
 	if err != nil {
@@ -234,12 +247,8 @@ func (n *Node) Join(bootstrap guid.GUID) error {
 		if err := reply.DecodeBody(&jb); err != nil {
 			return err
 		}
-		for _, id := range jb.Nodes {
-			n.st.consider(id)
-		}
-		for _, id := range jb.Leaves {
-			n.st.consider(id)
-		}
+		n.learn(jb.Nodes)
+		n.learn(jb.Leaves)
 		n.st.consider(reply.Src)
 		n.announce()
 		return nil
@@ -294,12 +303,61 @@ cleanup:
 	n.mu.Unlock()
 }
 
-// forget drops a peer from the routing structures and notifies the Forgot
-// hook (peer-departure propagation to the application layer).
+// forget drops a peer from the routing structures, tombstones it, and
+// notifies the Forgot hook (peer-departure propagation to the application
+// layer) unless the peer was already tombstoned.
 func (n *Node) forget(id guid.GUID) {
+	n.mu.Lock()
 	n.st.forget(id)
-	if n.cfg.Forgot != nil {
+	departed := !n.buriedLocked(id)
+	if departed && n.tombs != nil {
+		if len(n.tombs) >= maxTombstones {
+			n.dropOldestTombLocked()
+		}
+		n.tombs[id] = n.clk.Now()
+	}
+	n.mu.Unlock()
+	if departed && n.cfg.Forgot != nil {
 		n.cfg.Forgot(id)
+	}
+}
+
+// buriedLocked reports whether id holds a live tombstone, dropping an
+// expired one. A tombstone lasts 3 × FailAfter: long enough for every
+// survivor's heartbeat to have found the peer dead, so none can gossip it
+// back to another. Callers hold n.mu.
+func (n *Node) buriedLocked(id guid.GUID) bool {
+	at, ok := n.tombs[id]
+	if ok && n.clk.Now().Sub(at) >= 3*n.cfg.FailAfter {
+		delete(n.tombs, id)
+		return false
+	}
+	return ok
+}
+
+// dropOldestTombLocked makes room in a full tombstone table. Callers hold
+// n.mu.
+func (n *Node) dropOldestTombLocked() {
+	var oldest guid.GUID
+	var at time.Time
+	for id, t := range n.tombs {
+		if oldest.IsNil() || t.Before(at) {
+			oldest, at = id, t
+		}
+	}
+	delete(n.tombs, oldest)
+}
+
+// learn considers node ids that another node gossiped, skipping the
+// tombstoned: hearsay does not undo a departure. The check and the insert
+// share n.mu with forget, so a concurrent forget cannot be undone either.
+func (n *Node) learn(ids []guid.GUID) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, id := range ids {
+		if !n.buriedLocked(id) {
+			n.st.consider(id)
+		}
 	}
 }
 
@@ -384,11 +442,13 @@ func (n *Node) deliverLocal(d Delivery) {
 func (n *Node) handle(m wire.Message) {
 	n.mu.Lock()
 	closed := n.closed
+	// Every message is evidence its sender is alive and routable: a
+	// forgotten sender's tombstone goes.
+	delete(n.tombs, m.Src)
 	n.mu.Unlock()
 	if closed {
 		return
 	}
-	// Every message is evidence its sender is alive and routable.
 	n.st.consider(m.Src)
 
 	switch m.Kind {
@@ -416,9 +476,7 @@ func (n *Node) handle(m wire.Message) {
 	case wire.KindOverlayPing:
 		var gb gossipBody
 		if err := m.DecodeBody(&gb); err == nil {
-			for _, id := range gb.Nodes {
-				n.st.consider(id)
-			}
+			n.learn(gb.Nodes)
 		}
 		// Pong carries a sample of our knowledge back (anti-entropy).
 		reply, err := m.Reply(wire.KindOverlayPong, gossipBody{Nodes: n.sampleKnown()})
@@ -441,9 +499,7 @@ func (n *Node) handle(m wire.Message) {
 		}
 		var gb gossipBody
 		if err := m.DecodeBody(&gb); err == nil {
-			for _, id := range gb.Nodes {
-				n.st.consider(id)
-			}
+			n.learn(gb.Nodes)
 		}
 	default:
 		// Any kind the overlay does not own is an application payload Send
@@ -471,7 +527,7 @@ func (n *Node) handleJoin(m wire.Message) {
 	// ring-closest to this id before it existed?" — that node's leaf set is
 	// what seeds the joiner correctly, so routing must continue until it.
 	hop := n.st.nextHopAvoiding(jb.Joiner, jb.Joiner)
-	n.st.consider(jb.Joiner)
+	n.learn([]guid.GUID{jb.Joiner})
 	if hop.IsNil() || m.TTL <= 0 {
 		// This node is the closest existing node. Its leaf set contains the
 		// joiner's true ring neighbours; hand it over complete so the

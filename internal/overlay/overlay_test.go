@@ -269,11 +269,29 @@ func (e silentEndpoint) Send(m wire.Message) error {
 	return e.Endpoint.Send(m)
 }
 
+// TestNodeFailureHeartbeatEviction: a peer that dies silently is evicted
+// when its pings go unanswered past FailAfter.
 func TestNodeFailureHeartbeatEviction(t *testing.T) {
-	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
 	net := &silentNet{Memory: transport.NewMemory(transport.MemoryConfig{}), muted: guid.NewSet()}
 	defer net.Close()
+	checkHeartbeatEviction(t, net, net.mute)
+}
 
+// TestNodeFailureEvictionPartition: a peer whose sends fail at once (a
+// dead peer over TCP refuses connections) is forgotten at the first ping,
+// and the survivors' gossip does not hand it back to one another.
+func TestNodeFailureEvictionPartition(t *testing.T) {
+	net := transport.NewMemory(transport.MemoryConfig{})
+	defer net.Close()
+	checkHeartbeatEviction(t, net, net.Partition)
+}
+
+// checkHeartbeatEviction joins three heartbeating nodes a, b and c, kills
+// b with kill, and checks that a and c both drop b and still route to
+// each other.
+func checkHeartbeatEviction(t *testing.T, net transport.Network, kill func(guid.GUID)) {
+	t.Helper()
+	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
 	mk := func() *Node {
 		n, err := NewNode(Config{
 			Network:        net,
@@ -301,10 +319,9 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 		return guid.NewSet(a.Known()...).Has(b.ID())
 	})
 
-	// Kill b: mute it so pings go unanswered, then advance past
-	// FailAfter. The heartbeat loop must evict b from a's and c's tables.
-	// Each round waits until the survivors have answered each other's
-	// pings, so a slow pong never reads as a failure.
+	// Kill b, then advance past FailAfter. The heartbeat loop must evict b
+	// from a's and c's tables. Each round waits until the survivors have
+	// answered each other's pings, so a slow pong never reads as a failure.
 	answered := func(n *Node) bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()
@@ -315,7 +332,7 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 		}
 		return true
 	}
-	net.mute(b.ID())
+	kill(b.ID())
 	for i := 0; i < 8; i++ {
 		clk.Advance(time.Second)
 		waitFor(t, func() bool { return answered(a) && answered(c) })
@@ -327,17 +344,150 @@ func TestNodeFailureHeartbeatEviction(t *testing.T) {
 	_ = b.Close()
 
 	// Routing between the survivors must still work.
-	var sinkMu sync.Mutex
-	got := 0
-	// Rebuild a with a sink? Instead route c→a and check a.Delivered.
 	before := a.Delivered()
 	if err := c.Route(a.ID(), "after-failure", nil); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return a.Delivered() == before+1 })
-	sinkMu.Lock()
-	_ = got
-	sinkMu.Unlock()
+}
+
+// rawPeer is a bare endpoint on a memory network that speaks the overlay's
+// ping protocol by hand: it answers pings with empty pongs and signals
+// each pong it receives.
+type rawPeer struct {
+	id    guid.GUID
+	ep    transport.Endpoint
+	pongs chan struct{}
+}
+
+func newRawPeer(t *testing.T, net *transport.Memory) *rawPeer {
+	t.Helper()
+	p := &rawPeer{id: guid.New(guid.KindServer), pongs: make(chan struct{}, 1)}
+	ep, err := net.Attach(p.id, func(m wire.Message) {
+		switch m.Kind {
+		case wire.KindOverlayPing:
+			if reply, err := m.Reply(wire.KindOverlayPong, gossipBody{}); err == nil {
+				_ = p.ep.Send(reply)
+			}
+		case wire.KindOverlayPong:
+			p.pongs <- struct{}{}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.ep = ep
+	return p
+}
+
+// ping sends to a a ping from p that gossips nodes, and waits for a's pong.
+func (p *rawPeer) ping(t *testing.T, a *Node, nodes ...guid.GUID) {
+	t.Helper()
+	m, err := wire.NewMessage(p.id, a.ID(), wire.KindOverlayPing, gossipBody{Nodes: nodes})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.ep.Send(m); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-p.pongs:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no pong")
+	}
+}
+
+// TestTombstoneLiftedBySelf: a forgotten peer stays forgotten while its
+// tombstone stands. A third node's gossip does not bring it back, but a
+// ping from the peer itself does, and the one departure is reported to
+// Forgot once. Gossip brings back a peer whose tombstone has expired.
+func TestTombstoneLiftedBySelf(t *testing.T) {
+	clk := clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))
+	net := transport.NewMemory(transport.MemoryConfig{})
+	defer net.Close()
+	var mu sync.Mutex
+	forgot := map[guid.GUID]int{}
+	a, err := NewNode(Config{
+		Network:        net,
+		Clock:          clk,
+		HeartbeatEvery: time.Second,
+		FailAfter:      3 * time.Second,
+		Forgot: func(id guid.GUID) {
+			mu.Lock()
+			forgot[id]++
+			mu.Unlock()
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	forgotten := func(id guid.GUID) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return forgot[id]
+	}
+	knows := func(id guid.GUID) bool { return guid.NewSet(a.Known()...).Has(id) }
+	// tick advances a's heartbeat one period and waits for the pongs of
+	// the peers that answer.
+	tick := func() {
+		clk.Advance(time.Second)
+		waitFor(t, func() bool {
+			a.mu.Lock()
+			defer a.mu.Unlock()
+			return len(a.pinged) == 0
+		})
+	}
+
+	b, c, d := newRawPeer(t, net), newRawPeer(t, net), newRawPeer(t, net)
+	for _, p := range []*rawPeer{b, c, d} {
+		p.ping(t, a)
+	}
+	if !knows(b.id) || !knows(c.id) || !knows(d.id) {
+		t.Fatal("a did not learn the peers that pinged it")
+	}
+
+	// b and d die: a's next heartbeat fails to reach them.
+	net.Partition(b.id)
+	net.Partition(d.id)
+	tick()
+	if knows(b.id) || knows(d.id) || forgotten(b.id) != 1 || forgotten(d.id) != 1 {
+		t.Fatalf("after the failed pings: knows b %v, d %v; Forgot b %d, d %d times; want false, false, 1, 1",
+			knows(b.id), knows(d.id), forgotten(b.id), forgotten(d.id))
+	}
+
+	// c gossips both: hearsay does not undo a departure, so a's next
+	// heartbeat does not ping them and forget them again.
+	c.ping(t, a, b.id, d.id)
+	if knows(b.id) || knows(d.id) {
+		t.Fatal("a third node's gossip brought a tombstoned peer back")
+	}
+	tick()
+	if forgotten(b.id) != 1 || forgotten(d.id) != 1 {
+		t.Fatalf("Forgot reported b %d and d %d times, want once each", forgotten(b.id), forgotten(d.id))
+	}
+
+	// b comes back with the same GUID and pings for itself.
+	net.Unpartition(b.id)
+	b.ping(t, a)
+	if !knows(b.id) {
+		t.Fatal("a peer pinging for itself was not re-added")
+	}
+	if knows(d.id) {
+		t.Fatal("lifting b's tombstone brought d back")
+	}
+
+	// d's tombstone expires after 3 × FailAfter; then gossip may teach it.
+	for i := 0; i < 9; i++ {
+		tick()
+	}
+	c.ping(t, a, d.id)
+	if !knows(d.id) {
+		t.Fatal("gossip did not re-add a peer whose tombstone expired")
+	}
+	if n := forgotten(b.id); n != 1 {
+		t.Fatalf("Forgot reported b %d times, want once", n)
+	}
 }
 
 func TestCloseIsIdempotentAndStopsRouting(t *testing.T) {

@@ -11,7 +11,9 @@
 //     paper's citation [9] builds on — a hexadecimal prefix routing table
 //     for long-range shortcuts plus a ring-ordered leaf set for guaranteed
 //     convergence, greedy strictly-ring-distance-decreasing forwarding,
-//     heartbeat failure detection and gossip repair.
+//     heartbeat failure detection and gossip repair. A peer the heartbeat
+//     found dead is tombstoned: gossip does not revive it, only a message
+//     from the peer itself does.
 //   - Tree: the hierarchical baseline, routing every inter-range message
 //     through the lowest common ancestor (and therefore concentrating load
 //     near the root).

@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"sci/internal/configuration"
 	"sci/internal/ctxtype"
 	"sci/internal/entity"
 	"sci/internal/event"
@@ -14,9 +15,9 @@ import (
 )
 
 // TestSubscribePrimesPrinter: a subscription to a printer delivers the
-// printer's current status at once, through the Range's batch component
-// lookup, without waiting for a change of state; the Range's doors, which
-// are no Primers, are looked up and skipped.
+// printer's current status at once, through the Range's primer index,
+// without waiting for a change of state; the Range's doors, which are no
+// Primers, are skipped.
 func TestSubscribePrimesPrinter(t *testing.T) {
 	w := newWorld(t)
 	defer w.rng.Close()
@@ -35,8 +36,9 @@ func TestSubscribePrimesPrinter(t *testing.T) {
 	}
 
 	ids := []guid.GUID{w.doors["d-lobby"].ID(), guid.New(guid.KindDevice), p1.ID()}
-	if got := w.rng.Components(ids, nil); len(got) != 2 || got[0].ID() != ids[0] || got[1].ID() != p1.ID() {
-		t.Fatalf("Components(%v) = %v, want the door and the printer", ids, got)
+	guid.Sort(ids)
+	if got := w.rng.Primers(ids, nil); len(got) != 1 || got[0] != configuration.Primer(p1) {
+		t.Fatalf("Primers(%v) = %v, want the printer", ids, got)
 	}
 
 	q := query.New(caa.ID(), query.What{Entity: p1.ID()}, query.ModeSubscribe)
@@ -51,4 +53,97 @@ func TestSubscribePrimesPrinter(t *testing.T) {
 	if n := statuses.Load(); n != 1 {
 		t.Fatalf("the printer's status arrived %d times, want once", n)
 	}
+}
+
+// countingPrinter is a printer that counts the times it is primed.
+type countingPrinter struct {
+	*sensor.Printer
+	primes atomic.Int64
+}
+
+func (p *countingPrinter) Prime() {
+	p.primes.Add(1)
+	p.Printer.Prime()
+}
+
+// TestPrimerIndexFollowsMembership: the Range primes from an index of its
+// Primer components that follows membership. A printer that departed is
+// not primed by a later subscribe, and one added after a plan was cached
+// is primed once the resolver cache has rolled over.
+func TestPrimerIndexFollowsMembership(t *testing.T) {
+	w := newWorld(t)
+	defer w.rng.Close()
+	add := func(name string, at location.PlaceID) *countingPrinter {
+		t.Helper()
+		p := &countingPrinter{Printer: sensor.NewPrinter(name, location.AtPlace(at), w.clk)}
+		if err := w.rng.AddEntity(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	subscribe := func(what query.What) {
+		t.Helper()
+		if _, err := w.rng.Submit(query.New(w.caa.ID(), what, query.ModeSubscribe)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Priming runs inside Submit, so the counts are final when it returns.
+	primed := func(p *countingPrinter, want int64) {
+		t.Helper()
+		if n := p.primes.Load(); n != want {
+			t.Fatalf("%s primed %d times, want %d", p.Profile().Name, n, want)
+		}
+	}
+	p1, p2 := add("P1", "corr"), add("P2", "l10.01")
+
+	// Both sides of the index lookup: more leaves than primers, and fewer.
+	leaves := []guid.GUID{p1.ID(), p2.ID()}
+	for _, d := range w.doors {
+		leaves = append(leaves, d.ID())
+	}
+	guid.Sort(leaves)
+	if got := w.rng.Primers(leaves, nil); len(got) != 2 {
+		t.Fatalf("Primers over the doors and both printers = %v, want the 2 printers", got)
+	}
+	if got := w.rng.Primers([]guid.GUID{p2.ID()}, nil); len(got) != 1 || got[0] != configuration.Primer(p2) {
+		t.Fatalf("Primers(P2) = %v, want P2", got)
+	}
+
+	subscribe(query.What{Entity: p1.ID()})
+	primed(p1, 1)
+
+	// P1 departs: the index forgets it, the repair of P1's subscription
+	// primes the P2 it binds instead, and a later printer subscribe primes
+	// P2 again and P1 no more.
+	if err := w.rng.RemoveEntity(p1.ID()); err != nil {
+		t.Fatal(err)
+	}
+	rt := w.rng.Runtime()
+	waitFor(t, func() bool { return rt.Repairs.Value()+rt.RepairFailures.Value() == 1 })
+	if got := w.rng.Primers(leaves, nil); len(got) != 1 || got[0] != configuration.Primer(p2) {
+		t.Fatalf("Primers after P1 departed = %v, want P2 alone", got)
+	}
+	primed(p2, 1)
+	subscribe(query.What{Pattern: ctxtype.PrinterStatus})
+	primed(p1, 1)
+	primed(p2, 2)
+
+	// A second subscribe is served from the cached plan; a printer added
+	// afterwards rolls the cache over and is primed by its first subscribe.
+	subscribe(query.What{Pattern: ctxtype.PrinterStatus})
+	primed(p2, 3)
+	misses := w.rng.StatsMap()["resolver.cache_misses"]
+	p3 := add("P3", "l10.02")
+	subscribe(query.What{Pattern: ctxtype.PrinterStatus})
+	if now := w.rng.StatsMap()["resolver.cache_misses"]; now != misses+1 {
+		t.Fatalf("resolver.cache_misses %v after a printer arrived, was %v: the cache did not roll over", now, misses)
+	}
+	// The fresh plan binds one of the two printers, whichever ranks first.
+	if n := p2.primes.Load() + p3.primes.Load(); n != 4 {
+		t.Fatalf("P2 and P3 primed %d times together, want 4", n)
+	}
+	before := p3.primes.Load()
+	subscribe(query.What{Entity: p3.ID()})
+	primed(p3, before+1)
+	primed(p1, 1)
 }

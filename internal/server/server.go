@@ -119,9 +119,12 @@ type Range struct {
 	runtime   *configuration.Runtime
 
 	// mu is read-locked by the lookups on the query and wiring paths
-	// (Submit's owner lookup, Component, Components), which run concurrently.
-	mu       sync.RWMutex
-	comps    map[guid.GUID]entity.CE
+	// (Submit's owner lookup, Component, Primers), which run concurrently.
+	mu    sync.RWMutex
+	comps map[guid.GUID]entity.CE
+	// primers indexes the members of comps that are configuration.Primers,
+	// so priming a plan never looks up its other leaves.
+	primers  map[guid.GUID]configuration.Primer
 	caas     map[guid.GUID]*entity.CAA
 	silenced guid.Set // components excluded from auto-renewal (failure injection)
 	pending  map[guid.GUID]*pendingQuery
@@ -225,6 +228,7 @@ func New(cfg Config) *Range {
 		coverage: cfg.Coverage,
 		profiles: &profile.Manager{},
 		comps:    make(map[guid.GUID]entity.CE),
+		primers:  make(map[guid.GUID]configuration.Primer),
 		caas:     make(map[guid.GUID]*entity.CAA),
 		silenced: guid.NewSet(),
 		pending:  make(map[guid.GUID]*pendingQuery),
@@ -311,14 +315,24 @@ func (r *Range) Component(id guid.GUID) (entity.CE, bool) {
 	return ce, ok
 }
 
-// Components implements configuration.Components under one read lock.
-func (r *Range) Components(ids []guid.GUID, dst []entity.CE) []entity.CE {
-	dst = slices.Grow(dst, len(ids))
+// Primers implements configuration.Components under one read lock, from
+// whichever side is smaller: with fewer primers than leaves it searches
+// the strictly ascending leaves for each primer, otherwise it looks each
+// leaf up in the primer index.
+func (r *Range) Primers(leaves []guid.GUID, dst []configuration.Primer) []configuration.Primer {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	for _, id := range ids {
-		if ce, ok := r.comps[id]; ok {
-			dst = append(dst, ce)
+	if len(r.primers) < len(leaves) {
+		for id, p := range r.primers {
+			if _, ok := slices.BinarySearchFunc(leaves, id, guid.Compare); ok {
+				dst = append(dst, p)
+			}
+		}
+		return dst
+	}
+	for _, id := range leaves {
+		if p, ok := r.primers[id]; ok {
+			dst = append(dst, p)
 		}
 	}
 	return dst
@@ -334,6 +348,9 @@ func (r *Range) AddEntity(ce entity.CE) error {
 		return ErrClosed
 	}
 	r.comps[ce.ID()] = ce
+	if p, ok := ce.(configuration.Primer); ok {
+		r.primers[ce.ID()] = p
+	}
 	r.mu.Unlock()
 
 	prof := ce.Profile()
@@ -889,6 +906,7 @@ func (r *Range) handleDeparture(reg registry.Registration, why registry.Reason) 
 	r.mu.Lock()
 	ce, isComp := r.comps[reg.Entity]
 	delete(r.comps, reg.Entity)
+	delete(r.primers, reg.Entity)
 	delete(r.caas, reg.Entity)
 	r.silenced.Remove(reg.Entity)
 	for id, pq := range r.pending {
