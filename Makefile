@@ -59,7 +59,8 @@ fuzz-smoke:
 # The concurrency-heavy packages, race-checked twice in shuffled order; then
 # the SCINET interest and hierarchy convergence tests ten times over, since
 # their generation rules only break under rare interleavings, and likewise
-# the cache, departure, repair and shared-plan tests.
+# the cache, departure, repair and shared-plan tests, the owner index, the
+# shared source sets and the read-locked type-equivalence queries.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
@@ -70,6 +71,7 @@ race-suites:
 	$(GO) test -race -count=10 -run 'Plan|Prime' ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=20 -run 'Failure|Eviction|Tomb' ./internal/overlay/
 	$(GO) test -race -count=3 -run 'Concurrent' ./internal/guid/
+	$(GO) test -race -count=10 -run 'Owner|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

@@ -21,8 +21,8 @@
 //
 // The wiring comes from the configuration's resolver.Plan, computed once per
 // resolution and shared read-only by every configuration the resolver's
-// cache serves from it: each Input's producers are already a sorted,
-// deduplicated source set, handed to the mediator as they are. Priming
+// cache serves from it: each Input's producers are an immutable guid.Sorted
+// set, which the mediator and the bus keep as they are. Priming
 // asks the Range's primer index which of the plan's leaves can be primed,
 // in one Primers call per instantiate: a plan of many leaves that are no
 // Primers (a building's door sensors) costs no lookup per leaf.
@@ -158,6 +158,9 @@ const edgeQueueLen = 1024
 var (
 	ErrUnknownConfiguration = errors.New("configuration: unknown configuration")
 	ErrRepairBudget         = errors.New("configuration: repair budget exhausted")
+	// ErrNamedEntityFailed reports a repair after the failure of the entity
+	// the query names (query.What.Entity): no other provider is that entity.
+	ErrNamedEntityFailed = errors.New("configuration: the entity the query names failed")
 )
 
 // New builds a Runtime.
@@ -212,11 +215,12 @@ func (r *Runtime) prime(leaves []guid.GUID) {
 // wire establishes all subscriptions for a graph and returns their ids:
 // one per input of plan, plus the root delivery to q's owner when deliver
 // is not nil. An input with a single producer keeps the filter
-// {Type, Source}; a fan-in input filters on {Type} and hands its producers,
-// already sorted and deduplicated, to the mediator as its source set. On
-// error, whatever was wired is cancelled.
+// {Type, Source}; a fan-in input filters on {Type} and hands its producer
+// set to the mediator as its source set. On error, whatever was wired is
+// cancelled.
 func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Query, deliver BatchDeliverFunc) (subs []guid.GUID, err error) {
 	var rec mediator.Record
+	subs = make([]guid.GUID, 0, len(plan.Inputs)+1)
 	defer func() {
 		if err != nil {
 			r.cancel(subs)
@@ -230,8 +234,8 @@ func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Quer
 		}
 		filter := event.Filter{Type: in.Type}
 		opts := mediator.SubOptions{QueueLen: edgeQueueLen}
-		if len(in.Producers) == 1 {
-			filter.Source = in.Producers[0]
+		if in.Producers.Len() == 1 {
+			filter.Source = in.Producers.At(0)
 		} else {
 			opts.Sources = in.Producers
 		}
@@ -365,10 +369,13 @@ func binds(b *resolver.Binding, provider guid.GUID) bool {
 
 // Repair rebinds the parts of configuration id that depended on the failed
 // provider, then rewires its subscriptions from a fresh plan and primes
-// the leaves the old plan did not have. Subscription churn during repair
-// can drop in-flight events; consumers detect the gap via sequence
-// numbers. A configuration torn down while it is being rewired keeps none
-// of the new subscriptions.
+// the leaves the old plan did not have. A query that names one entity
+// cannot be repaired after that entity fails: Repair returns
+// ErrNamedEntityFailed, and HandleDeparture tears the configuration down
+// rather than answer with another provider's events. Subscription churn
+// during repair can drop in-flight events; consumers detect the gap via
+// sequence numbers. A configuration torn down while it is being rewired
+// keeps none of the new subscriptions.
 func (r *Runtime) Repair(id, failed guid.GUID) error {
 	start := nowMonotonic()
 	r.mu.Lock()
@@ -383,6 +390,9 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	}
 	root, oldPlan := ac.cfg.Root, ac.cfg.Plan
 	r.mu.Unlock()
+	if ac.cfg.Query.What.Entity == failed {
+		return fmt.Errorf("%w: %s", ErrNamedEntityFailed, failed.Short())
+	}
 
 	rctx := ac.rctx
 	if rctx.Exclude == nil {

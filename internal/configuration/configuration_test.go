@@ -314,6 +314,73 @@ func TestRepairFailureTearsDown(t *testing.T) {
 	}
 }
 
+// TestRepairOfNamedEntityFails: a query that names one printer is not
+// rebound to another printer of the same type when the named one departs.
+// The configuration is torn down as a failed repair, and the other
+// printer's status never reaches the application as the departed one's.
+func TestRepairOfNamedEntityFails(t *testing.T) {
+	r := newRig(t)
+	defer r.close()
+	p1 := newSensorCE("P1", ctxtype.PrinterStatus, 0.9, r.clk)
+	p2 := newSensorCE("P2", ctxtype.PrinterStatus, 0.9, r.clk)
+	r.add(t, p1)
+	r.add(t, p2)
+	q := query.New(guid.New(guid.KindApplication), query.What{Entity: p1.ID()}, query.ModeSubscribe)
+	cfg, err := r.res.Resolve(q, resolver.Context{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Root.Provider != p1.ID() {
+		t.Fatalf("query naming P1 bound %s", cfg.Root.Provider.Short())
+	}
+	var mu sync.Mutex
+	var got []event.Event
+	if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func(evs []event.Event) {
+		mu.Lock()
+		got = append(got, evs...)
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	r.profiles.Remove(p1.ID())
+	if err := r.rt.Repair(cfg.ID, p1.ID()); !errors.Is(err, ErrNamedEntityFailed) {
+		t.Fatalf("Repair after P1 failed = %v, want ErrNamedEntityFailed", err)
+	}
+	if n := r.rt.HandleDeparture(p1.ID()); n != 0 {
+		t.Fatalf("HandleDeparture repaired %d configurations, want 0: P1 is the entity the query names", n)
+	}
+	if err := r.rt.Repair(cfg.ID, p1.ID()); !errors.Is(err, ErrUnknownConfiguration) {
+		t.Fatalf("Repair after the teardown = %v, want ErrUnknownConfiguration", err)
+	}
+	if sts := r.rt.Active(); len(sts) != 0 {
+		t.Fatalf("configuration still active: %+v", sts)
+	}
+	if r.rt.RepairFailures.Value() != 1 || r.rt.Repairs.Value() != 0 {
+		t.Fatalf("repairs %d, failures %d; want 0 and 1", r.rt.Repairs.Value(), r.rt.RepairFailures.Value())
+	}
+	if n := r.med.Len(); n != 0 {
+		t.Fatalf("%d subscriptions left after the teardown", n)
+	}
+
+	// P2's status reaches a probe on the mediator, and not the application:
+	// the application has no subscription left that could queue it.
+	seen := make(chan struct{}, 1)
+	if _, err := r.med.Subscribe(guid.New(guid.KindApplication), event.Filter{Type: ctxtype.PrinterStatus, Source: p2.ID()},
+		func(event.Event) { seen <- struct{}{} }, mediator.SubOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p2.sight(guid.New(guid.KindPerson), "print room"); err != nil {
+		t.Fatal(err)
+	}
+	<-seen
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 0 {
+		t.Fatalf("the application received %d events after P1 departed, from %s", len(got), got[0].Source.Short())
+	}
+}
+
 func TestRepairBudgetExhaustion(t *testing.T) {
 	r := newRig(t)
 	defer r.close()

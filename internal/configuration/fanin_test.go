@@ -125,7 +125,7 @@ func TestFanInIsOneSubscription(t *testing.T) {
 	if in.Owner != rec.ID() || in.Filter.Type != ctxtype.LocationSightingDoor || !in.Filter.Source.IsNil() {
 		t.Fatalf("input record = %+v", in)
 	}
-	if !reflect.DeepEqual(in.Sources, want) {
+	if !slices.Equal(in.Sources.Members(), want) {
 		t.Fatalf("input sources = %v, want %v", in.Sources, want)
 	}
 
@@ -187,7 +187,7 @@ func TestFanInIsOneSubscription(t *testing.T) {
 	}
 	in = inputRecord(t, r, cfg)
 	producers := cfg.Plan.Inputs[0].Producers
-	if slices.Contains(in.Sources, gone.ID()) || (len(producers) > 1 && !reflect.DeepEqual(in.Sources, producers)) {
+	if in.Sources.Has(gone.ID()) || (producers.Len() > 1 && !reflect.DeepEqual(in.Sources, producers)) {
 		t.Fatalf("sources after repair = %v, plan's producers %v", in.Sources, producers)
 	}
 	n := len(rec.events())
@@ -289,7 +289,7 @@ func TestInstantiateCostIndependentOfFanIn(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if in := cfg.Plan.Inputs; len(in) != 1 || len(in[0].Producers) != doors {
+		if in := cfg.Plan.Inputs; len(in) != 1 || in[0].Producers.Len() != doors {
 			t.Fatalf("%d doors resolved to inputs %v", doors, in)
 		}
 		if err := r.rt.InstantiateBatch(cfg, resolver.Context{}, func([]event.Event) {}); err != nil {

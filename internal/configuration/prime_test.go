@@ -146,7 +146,7 @@ func TestPlanSharedUnderChurn(t *testing.T) {
 	plan := first.Plan
 	snapshot := resolver.Plan{Leaves: append([]guid.GUID(nil), plan.Leaves...)}
 	for _, in := range plan.Inputs {
-		in.Producers = append([]guid.GUID(nil), in.Producers...)
+		in.Producers = guid.NewSorted(in.Producers.Members()...)
 		snapshot.Inputs = append(snapshot.Inputs, in)
 	}
 

@@ -142,7 +142,7 @@ type Converter func(payload map[string]any) (map[string]any, error)
 type Registry struct {
 	mu      sync.RWMutex
 	types   map[Type]struct{}
-	equiv   map[Type]Type         // union-find parent for equivalence classes
+	equiv   map[Type]Type         // each class member → its class's root, one step
 	conv    map[[2]Type]Converter // exact-pair converters
 	quality map[Type]float64      // default quality score of a representation
 
@@ -247,12 +247,19 @@ func (r *Registry) DeclareEquivalent(a, b Type) error {
 	}
 	ra, rb := r.findLocked(a), r.findLocked(b)
 	if ra != rb {
-		// Union by lexicographic order for determinism.
-		if ra < rb {
-			r.equiv[rb] = ra
-		} else {
-			r.equiv[ra] = rb
+		// Union by lexicographic order for determinism. Every member of the
+		// absorbed class then points at the new root directly, so a find
+		// is one map probe and never writes: readers share the read lock.
+		root, old := ra, rb
+		if rb < ra {
+			root, old = rb, ra
 		}
+		for u, p := range r.equiv {
+			if p == old {
+				r.equiv[u] = root
+			}
+		}
+		r.equiv[old] = root
 		r.gen.Add(1)
 	}
 	return nil
@@ -264,8 +271,8 @@ func (r *Registry) DeclareEquivalent(a, b Type) error {
 // registered, which is what exact-index dispatch needs: a subscription may
 // filter on such a type. A type with no declared equivalences yields nil.
 func (r *Registry) EquivSet(t Type) []Type {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	if r.equiv == nil {
 		return nil
 	}
@@ -306,16 +313,16 @@ func (r *Registry) Equivalent(a, b Type) bool {
 	if a == b {
 		return true
 	}
-	r.mu.Lock() // findLocked performs path compression, so full lock
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	return r.findLocked(a) == r.findLocked(b)
 }
 
 // ClassOf returns all registered types in t's equivalence class, sorted;
 // it always contains t itself if registered.
 func (r *Registry) ClassOf(t Type) []Type {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	root := r.findLocked(t)
 	var out []Type
 	for u := range r.types {
@@ -327,28 +334,14 @@ func (r *Registry) ClassOf(t Type) []Type {
 	return out
 }
 
+// findLocked returns the root of t's class (t itself when t is in none).
+// DeclareEquivalent keeps every member pointing at its root, so it reads
+// one entry and writes nothing; the read lock suffices.
 func (r *Registry) findLocked(t Type) Type {
-	if r.equiv == nil {
-		return t
+	if root, ok := r.equiv[t]; ok {
+		return root
 	}
-	root := t
-	for {
-		p, ok := r.equiv[root]
-		if !ok {
-			break
-		}
-		root = p
-	}
-	// Path compression.
-	for t != root {
-		next, ok := r.equiv[t]
-		if !ok {
-			break
-		}
-		r.equiv[t] = root
-		t = next
-	}
-	return root
+	return t
 }
 
 // Satisfies reports whether a provider of got satisfies a request for want,

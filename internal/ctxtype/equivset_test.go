@@ -1,7 +1,11 @@
 package ctxtype
 
 import (
+	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -99,5 +103,79 @@ func TestGenerationMovesOnQualityChange(t *testing.T) {
 	r.SetQuality("a.x", 0.8)
 	if r.Generation() <= g {
 		t.Fatal("a changed quality did not bump generation")
+	}
+}
+
+// TestEquivalentConcurrentWithDeclare: readers ask Equivalent, ClassOf and
+// EquivSet under the read lock while writers, started after them, merge a chain of types into
+// one class in shuffled order. Run with -race. A pair a reader once saw
+// equivalent stays equivalent, and at the end every type is in one class.
+func TestEquivalentConcurrentWithDeclare(t *testing.T) {
+	const n = 16
+	r := &Registry{}
+	types := make([]Type, n)
+	for i := range types {
+		types[i] = Type(fmt.Sprintf("chain.t%02d", i))
+		if err := r.Register(types[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pairs := rand.New(rand.NewSource(3)).Perm(n - 1) // merge (t_i, t_i+1) in this order
+
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for g := 0; g < 3; g++ {
+		readers.Add(1)
+		go func(g int) {
+			defer readers.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			seen := make(map[[2]int]bool)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				a, b := rng.Intn(n), rng.Intn(n)
+				eq := r.Equivalent(types[a], types[b])
+				if seen[[2]int{a, b}] && !eq {
+					t.Errorf("%s ≡ %s was seen, then lost", types[a], types[b])
+					return
+				}
+				seen[[2]int{a, b}] = eq
+				if class := r.ClassOf(types[a]); !slices.Contains(class, types[a]) {
+					t.Errorf("ClassOf(%s) = %v lacks the type itself", types[a], class)
+					return
+				}
+				if set := r.EquivSet(types[a]); set != nil && !slices.Contains(set, types[a]) {
+					t.Errorf("EquivSet(%s) = %v lacks the type itself", types[a], set)
+					return
+				}
+			}
+		}(g)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := w; k < len(pairs); k += 2 {
+				i := pairs[k]
+				if err := r.DeclareEquivalent(types[i+1], types[i]); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	readers.Wait()
+	for _, u := range types {
+		if !r.Equivalent(types[0], u) {
+			t.Fatalf("%s not equivalent to %s after every merge", u, types[0])
+		}
+	}
+	if class := r.ClassOf(types[n-1]); !reflect.DeepEqual(class, types) {
+		t.Fatalf("ClassOf = %v, want all %d types", class, n)
 	}
 }

@@ -57,7 +57,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -346,9 +345,9 @@ type Subscription struct {
 	// event, letting a batched publish admit a whole run without per-event
 	// evaluation.
 	matchAll bool
-	// sources, when non-empty, is the sorted, deduplicated set of producers
-	// the subscription accepts (WithSources); fixed at Subscribe time.
-	sources []guid.GUID
+	// sources, when non-empty, is the set of producers the subscription
+	// accepts (WithSources); fixed at Subscribe time.
+	sources guid.Sorted
 
 	// limit bounds the total queued *events*; fixed at Subscribe time.
 	limit int
@@ -373,64 +372,40 @@ type Subscription struct {
 	fired   atomic.Bool
 }
 
-// SubOption configures a subscription.
-type SubOption func(*Subscription)
+// SubOption configures a subscription. It is a plain value, so passing
+// options to Subscribe allocates nothing; each sets one field, and
+// Subscribe applies the set ones in order.
+type SubOption struct {
+	limit   int
+	policy  DropPolicy
+	owner   guid.GUID
+	sources guid.Sorted
+	oneShot bool
+}
 
 // WithQueueLen sets the bounded queue capacity in events (min 1;
 // DefaultQueueLen when not given). The capacity is a bound: the ring's
 // memory is committed at the subscription's first event, so a subscription
 // that never receives one costs nothing for it.
-func WithQueueLen(n int) SubOption {
-	return func(s *Subscription) { s.limit = max(n, 1) }
-}
+func WithQueueLen(n int) SubOption { return SubOption{limit: max(n, 1)} }
 
 // WithPolicy sets the full-queue policy.
-func WithPolicy(p DropPolicy) SubOption {
-	return func(s *Subscription) { s.policy = p }
-}
+func WithPolicy(p DropPolicy) SubOption { return SubOption{policy: p} }
 
 // WithOwner records the subscribing entity's GUID.
-func WithOwner(owner guid.GUID) SubOption {
-	return func(s *Subscription) { s.owner = owner }
-}
+func WithOwner(owner guid.GUID) SubOption { return SubOption{owner: owner} }
 
 // WithSources restricts the subscription to events whose Source is one of
 // srcs: one subscription serves a consumer input fed by several producers
 // (a configuration's fan-in) instead of one subscription per producer. The
-// bus keeps one sorted, deduplicated copy, so the caller may reuse srcs; a
-// set already strictly ascending is copied as it is, without a sort. An
-// empty set adds no constraint. It cannot be combined with a filter that
-// names a Source: Subscribe rejects the pair.
-func WithSources(srcs []guid.GUID) SubOption {
-	return func(s *Subscription) {
-		if len(srcs) == 0 {
-			s.sources = nil
-			return
-		}
-		set := slices.Clone(srcs)
-		if !strictlyAscending(set) {
-			slices.SortFunc(set, guid.Compare)
-			set = slices.Compact(set)
-		}
-		s.sources = set
-	}
-}
-
-// strictlyAscending reports whether gs is sorted with no duplicates.
-func strictlyAscending(gs []guid.GUID) bool {
-	for i := 1; i < len(gs); i++ {
-		if guid.Compare(gs[i-1], gs[i]) >= 0 {
-			return false
-		}
-	}
-	return true
-}
+// set is immutable, so the bus keeps it as it is, without a copy or a
+// check of its order. An empty set adds no constraint. It cannot be
+// combined with a filter that names a Source: Subscribe rejects the pair.
+func WithSources(srcs guid.Sorted) SubOption { return SubOption{sources: srcs} }
 
 // OneShot makes the subscription cancel itself after the first delivery —
 // the paper's "one-time subscription" query mode.
-func OneShot() SubOption {
-	return func(s *Subscription) { s.oneShot = true }
-}
+func OneShot() SubOption { return SubOption{oneShot: true} }
 
 // Subscribe registers h for events matching f. The returned Subscription
 // must be Cancelled when no longer needed. No goroutine runs for it until
@@ -468,12 +443,24 @@ func (b *Bus) subscribe(f event.Filter, h Handler, bh BatchHandler, opts []SubOp
 		batch:   bh,
 	}
 	for _, o := range opts {
-		o(s)
+		if o.limit > 0 {
+			s.limit = o.limit
+		}
+		if o.policy != 0 {
+			s.policy = o.policy
+		}
+		if !o.owner.IsNil() {
+			s.owner = o.owner
+		}
+		if o.sources.Len() > 0 {
+			s.sources = o.sources
+		}
+		s.oneShot = s.oneShot || o.oneShot
 	}
 	if s.limit == 0 {
 		s.limit = DefaultQueueLen
 	}
-	if len(s.sources) > 0 && !f.Source.IsNil() {
+	if s.sources.Len() > 0 && !f.Source.IsNil() {
 		return nil, errors.New("eventbus: filter Source and WithSources are exclusive")
 	}
 
@@ -481,7 +468,7 @@ func (b *Bus) subscribe(f event.Filter, h Handler, bh BatchHandler, opts []SubOp
 	// Exact-tier type constraints are resolved by the index and residual
 	// filters are untyped, so in both tiers a filter with no further
 	// constraints accepts every candidate event.
-	s.matchAll = f.Source.IsNil() && f.Subject.IsNil() && f.Range.IsNil() && f.MinQuality <= 0 && len(s.sources) == 0
+	s.matchAll = f.Source.IsNil() && f.Subject.IsNil() && f.Range.IsNil() && f.MinQuality <= 0 && s.sources.Len() == 0
 	if s.residual {
 		s.shard = b.idShard(s.id)
 	} else {
@@ -776,10 +763,8 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 // index, so only the residual constraints remain; residual-tier filters
 // match in full.
 func (s *Subscription) matchesEvent(e *event.Event, reg *ctxtype.Registry) bool {
-	if len(s.sources) > 0 {
-		if _, ok := slices.BinarySearchFunc(s.sources, e.Source, guid.Compare); !ok {
-			return false
-		}
+	if s.sources.Len() > 0 && !s.sources.Has(e.Source) {
+		return false
 	}
 	if s.residual {
 		return s.filter.MatchesIn(e, reg)
@@ -966,10 +951,9 @@ func (s *Subscription) Owner() guid.GUID { return s.owner }
 // Filter returns the subscription's filter.
 func (s *Subscription) Filter() event.Filter { return s.filter }
 
-// Sources returns the subscription's source set (WithSources), sorted and
-// deduplicated; nil when it has none. The slice is the bus's own copy,
-// shared: it is read-only.
-func (s *Subscription) Sources() []guid.GUID { return s.sources }
+// Sources returns the subscription's source set (WithSources): the set it
+// was given, empty when it has none.
+func (s *Subscription) Sources() guid.Sorted { return s.sources }
 
 // Cancel removes the subscription and stops its delivery goroutine, if its
 // first event started one; it never waits for that goroutine. Queued but

@@ -238,7 +238,7 @@ func checkRingModel(t *testing.T, data []byte) {
 		opts := []SubOption{WithQueueLen(m.limit), WithPolicy(m.policy)}
 		if c>>7 == 1 {
 			m.sources = r.srcs[:2]
-			opts = append(opts, WithSources(m.sources))
+			opts = append(opts, WithSources(guid.NewSorted(m.sources...)))
 		}
 		var err error
 		if m.perEvent {

@@ -1,6 +1,7 @@
 package eventbus
 
 import (
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -28,7 +29,7 @@ func TestWithSourcesSelectsProducers(t *testing.T) {
 	defer b.Close()
 	srcs := sourceSet(3)
 	other := guid.New(guid.KindDevice)
-	_, got := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(srcs))
+	_, got := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(guid.NewSorted(srcs...)))
 
 	var want []uint64
 	seq := uint64(0)
@@ -53,20 +54,24 @@ func TestWithSourcesSelectsProducers(t *testing.T) {
 	}
 }
 
-// TestWithSourcesCopiesAndDeduplicates: the bus keeps its own sorted,
-// deduplicated copy of the set, so a later write to the caller's slice
-// changes nothing.
+// TestWithSourcesCopiesAndDeduplicates: guid.NewSorted keeps its own
+// sorted, deduplicated copy of the caller's slice, the bus keeps that set as
+// it is, and a later write to the caller's slice changes nothing.
 func TestWithSourcesCopiesAndDeduplicates(t *testing.T) {
 	b := New(nil)
 	defer b.Close()
 	srcs := sourceSet(3)
 	caller := []guid.GUID{srcs[2], srcs[0], srcs[2], srcs[1], srcs[0]}
-	sub, got := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(caller))
+	set := guid.NewSorted(caller...)
+	sub, got := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(set))
 
 	want := slices.Clone(srcs)
 	guid.Sort(want)
-	if !slices.Equal(sub.sources, want) {
-		t.Fatalf("sources = %v, want %v (sorted, deduplicated)", sub.sources, want)
+	if !slices.Equal(set.Members(), want) {
+		t.Fatalf("set = %v, want %v (sorted, deduplicated)", set.Members(), want)
+	}
+	if !reflect.DeepEqual(sub.Sources(), set) {
+		t.Fatalf("Sources() = %v, want the set handed in %v", sub.Sources().Members(), want)
 	}
 	if sub.matchAll {
 		t.Fatal("a source-set subscription must not match every event")
@@ -78,6 +83,9 @@ func TestWithSourcesCopiesAndDeduplicates(t *testing.T) {
 	for i := range caller {
 		caller[i] = stranger
 	}
+	if !slices.Equal(set.Members(), want) {
+		t.Fatal("a write to the caller's slice reached the set")
+	}
 	if err := b.PublishAll([]event.Event{mkEventFrom(stranger, 1), mkEventFrom(srcs[1], 2)}); err != nil {
 		t.Fatal(err)
 	}
@@ -87,22 +95,32 @@ func TestWithSourcesCopiesAndDeduplicates(t *testing.T) {
 	}
 }
 
-// TestWithSourcesCopiesAscendingSet: a set handed in already strictly
-// ascending is kept as it is, and still copied: Sources hands out the bus's
-// copy, which a later write to the caller's slice does not reach.
+// TestWithSourcesCopiesAscendingSet: a slice handed to guid.NewSorted
+// already strictly ascending is kept in its order, and still copied: a
+// later write to the caller's slice, or to a slice Members handed out, does
+// not reach the set the subscription holds.
 func TestWithSourcesCopiesAscendingSet(t *testing.T) {
 	b := New(nil)
 	defer b.Close()
 	caller := sourceSet(4)
 	guid.Sort(caller)
 	want := slices.Clone(caller)
-	sub, _ := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(caller))
-	if !slices.Equal(sub.Sources(), want) {
-		t.Fatalf("Sources() = %v, want %v", sub.Sources(), want)
+	sub, _ := collect(t, b, event.Filter{Type: ctxtype.TemperatureCelsius}, WithSources(guid.NewSorted(caller...)))
+	if !slices.Equal(sub.Sources().Members(), want) {
+		t.Fatalf("Sources() = %v, want %v", sub.Sources().Members(), want)
 	}
 	caller[0] = guid.New(guid.KindDevice)
-	if !slices.Equal(sub.Sources(), want) {
-		t.Fatal("a write to the caller's slice reached the subscription's source set")
+	sub.Sources().Members()[1] = guid.New(guid.KindDevice)
+	if !slices.Equal(sub.Sources().Members(), want) {
+		t.Fatal("a write to the caller's slice or to Members reached the subscription's source set")
+	}
+	for i, g := range want {
+		if sub.Sources().At(i) != g || !sub.Sources().Has(g) {
+			t.Fatalf("At(%d) = %v, Has = %v; want %v in the set", i, sub.Sources().At(i), sub.Sources().Has(g), g)
+		}
+	}
+	if sub.Sources().Has(caller[0]) {
+		t.Fatal("Has reports a GUID that is not in the set")
 	}
 }
 
@@ -128,7 +146,7 @@ func TestWithSourcesPartialRun(t *testing.T) {
 			<-gate
 		}
 		got = append(got, evs...)
-	}, WithSources(srcs))
+	}, WithSources(guid.NewSorted(srcs...)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +197,7 @@ func TestWithSourcesRejectsFilterSource(t *testing.T) {
 	b := New(nil)
 	defer b.Close()
 	srcs := sourceSet(2)
-	_, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius, Source: srcs[0]}, func(event.Event) {}, WithSources(srcs))
+	_, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius, Source: srcs[0]}, func(event.Event) {}, WithSources(guid.NewSorted(srcs...)))
 	if err == nil {
 		t.Fatal("filter Source together with WithSources accepted")
 	}
@@ -187,7 +205,7 @@ func TestWithSourcesRejectsFilterSource(t *testing.T) {
 		t.Fatalf("rejected subscription indexed: Subs = %d", n)
 	}
 	// An empty set is no constraint, so it combines with a filter Source.
-	if _, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius, Source: srcs[0]}, func(event.Event) {}, WithSources(nil)); err != nil {
+	if _, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius, Source: srcs[0]}, func(event.Event) {}, WithSources(guid.Sorted{})); err != nil {
 		t.Fatalf("empty source set rejected: %v", err)
 	}
 }
@@ -207,7 +225,7 @@ func TestWithSourcesDropsBlameEachProducer(t *testing.T) {
 			entered <- struct{}{}
 			<-gate
 		}
-	}, WithSources(srcs), WithQueueLen(4)); err != nil {
+	}, WithSources(guid.NewSorted(srcs...)), WithQueueLen(4)); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.Publish(mkEventFrom(srcs[0], 0)); err != nil {

@@ -23,9 +23,11 @@ package guid
 import (
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -327,4 +329,82 @@ func (s Set) Members() []GUID {
 	}
 	Sort(out)
 	return out
+}
+
+// Sorted is an immutable set of GUIDs held strictly ascending in Compare
+// order. NewSorted copies, sorts and deduplicates its input once; nothing
+// can write the set afterwards, so a Sorted is shared by value without a
+// copy and without re-checking its order: a resolver plan builds a
+// consumer input's producers once, and the mediator's record and the bus's
+// subscription keep that same set. The zero value is the empty set. Its
+// JSON form is an array of GUIDs.
+type Sorted struct {
+	gs []GUID
+}
+
+// NewSorted returns the set of gs. It never retains gs: the caller may
+// write it afterwards.
+func NewSorted(gs ...GUID) Sorted {
+	if len(gs) == 0 {
+		return Sorted{}
+	}
+	out := slices.Clone(gs)
+	if !strictlyAscending(out) {
+		slices.SortFunc(out, Compare)
+		out = slices.Compact(out)
+	}
+	return Sorted{gs: out}
+}
+
+// strictlyAscending reports whether gs is sorted with no duplicates.
+func strictlyAscending(gs []GUID) bool {
+	for i := 1; i < len(gs); i++ {
+		if Compare(gs[i-1], gs[i]) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Len returns the number of members.
+func (s Sorted) Len() int { return len(s.gs) }
+
+// At returns the i-th smallest member.
+func (s Sorted) At(i int) GUID { return s.gs[i] }
+
+// Has reports membership, without allocating. It inlines into its caller;
+// the binary search is one call.
+func (s Sorted) Has(g GUID) bool {
+	i := s.search(g)
+	return i < len(s.gs) && s.gs[i] == g
+}
+
+// search returns the index of the first member not less than g.
+func (s Sorted) search(g GUID) int {
+	i, j := 0, len(s.gs)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if Less(s.gs[h], g) {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i
+}
+
+// Members returns a copy of the members, ascending.
+func (s Sorted) Members() []GUID { return slices.Clone(s.gs) }
+
+// MarshalJSON encodes the set as an array of GUIDs.
+func (s Sorted) MarshalJSON() ([]byte, error) { return json.Marshal(s.gs) }
+
+// UnmarshalJSON decodes an array of GUIDs into the set.
+func (s *Sorted) UnmarshalJSON(b []byte) error {
+	var gs []GUID
+	if err := json.Unmarshal(b, &gs); err != nil {
+		return err
+	}
+	*s = NewSorted(gs...)
+	return nil
 }

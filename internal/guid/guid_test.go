@@ -306,6 +306,75 @@ func randomGUID(r *rand.Rand) GUID {
 	return g
 }
 
+// TestSortedMatchesModel: NewSorted copies, sorts and deduplicates its
+// input, a later write to the input or to Members reaches no set, and Has
+// agrees with a map on members, strangers and GUIDs that share a member's
+// first eight bytes. The JSON form is an array that decodes back to an
+// equal set.
+func TestSortedMatchesModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := func() GUID {
+		var g GUID
+		rng.Read(g[:])
+		return g
+	}
+	if s := NewSorted(); s.Len() != 0 || s.Has(Nil) || s.Members() != nil {
+		t.Fatalf("empty set: Len %d, Members %v", s.Len(), s.Members())
+	}
+	for round := 0; round < 200; round++ {
+		in := make([]GUID, rng.Intn(40))
+		for i := range in {
+			switch {
+			case i > 0 && rng.Intn(4) == 0:
+				in[i] = in[rng.Intn(i)] // a duplicate
+			case i > 0 && rng.Intn(4) == 0:
+				in[i] = in[rng.Intn(i)] // same first word, other second word
+				rng.Read(in[i][8:])
+			default:
+				in[i] = random()
+			}
+		}
+		model := NewSet(in...)
+		want := model.Members()
+		s := NewSorted(in...)
+		for i := range in {
+			in[i] = Nil
+		}
+		if s.Len() != len(want) || !slices.Equal(s.Members(), want) {
+			t.Fatalf("round %d: Members = %v, want %v", round, s.Members(), want)
+		}
+		if len(want) > 0 {
+			s.Members()[0] = Nil
+		}
+		for i, g := range want {
+			if s.At(i) != g || !s.Has(g) {
+				t.Fatalf("round %d: At(%d) = %v, Has = %v, want member %v", round, i, s.At(i), s.Has(g), g)
+			}
+			near := g
+			near[15] ^= 1
+			if s.Has(near) != model.Has(near) {
+				t.Fatalf("round %d: Has(%v) = %v, model %v", round, near, s.Has(near), model.Has(near))
+			}
+		}
+		if stranger := random(); s.Has(stranger) != model.Has(stranger) {
+			t.Fatalf("round %d: Has(stranger) = %v", round, s.Has(stranger))
+		}
+
+		data, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var list []GUID
+		if err := json.Unmarshal(data, &list); err != nil || !slices.Equal(list, want) {
+			t.Fatalf("round %d: JSON %s is not the array of members (%v)", round, data, err)
+		}
+		var back Sorted
+		if err := json.Unmarshal(data, &back); err != nil || !slices.Equal(back.Members(), want) {
+			t.Fatalf("round %d: decoded %v, want %v (%v)", round, back.Members(), want, err)
+		}
+	}
+}
+
 func TestPropParseFormatRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGUID(rand.New(rand.NewSource(seed)))

@@ -11,17 +11,20 @@
 // configuration runtime keeps the ids of the subscriptions it wired and
 // cancels them one by one, so the Mediator needs no index of its own for
 // configurations. A fan-in consumer input is one subscription whose record
-// carries the set of producers it accepts (Record.Sources). A source set is
-// copied once, by the bus, and the record holds that copy; a set handed in
-// already sorted and deduplicated (a resolver plan's producers) is not
-// sorted again. Every Record handed out still carries a copy of its own.
+// carries the set of producers it accepts (Record.Sources): an immutable
+// guid.Sorted, which the caller, the bus and every Record share uncopied.
+//
+// The owner index is an intrusive list per owner: each subscription's
+// entry holds a slot in its owner stripe's link array, an owner's slots
+// are chained, and the owner map holds the first. Freed slots are reused,
+// so linking and unlinking are O(1) and allocate nothing in steady state.
 //
 // The bookkeeping is striped across lock shards exactly like the bus
 // underneath: the primary table shards by subscription id and the owner
 // index by owner id, so registration churn from unrelated entities never
-// serialises on one mutex. The primary table is the source of truth; the
-// owner index may briefly list an id whose record is already gone, and
-// every read through it re-checks the primary table before trusting it.
+// serialises on one mutex. The primary table is the source of truth: a
+// subscription joins and leaves its owner's list after the table, and a
+// removal through the owner index claims the table entry first.
 //
 // A Range runs eventbus.DefaultShards lock stripes; WithShards sets another
 // count. Dispatch observability (per-shard counters, index-hit ratio)
@@ -32,7 +35,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -51,19 +53,11 @@ type Record struct {
 	Owner guid.GUID
 	// Filter selects the events delivered.
 	Filter event.Filter
-	// Sources, when non-empty, is the sorted, deduplicated set of producers
-	// the subscription accepts on top of Filter (SubOptions.Sources). Every
-	// Record handed out holds its own copy.
-	Sources []guid.GUID
+	// Sources, when non-empty, is the set of producers the subscription
+	// accepts on top of Filter (SubOptions.Sources), shared as it is.
+	Sources guid.Sorted
 	// OneShot marks one-time subscriptions.
 	OneShot bool
-}
-
-// clone returns r with a Sources slice of its own, so that no caller can
-// write through a Record into the Mediator's table.
-func (r Record) clone() Record {
-	r.Sources = slices.Clone(r.Sources)
-	return r
 }
 
 // recShard is one stripe of the primary subscription table.
@@ -72,10 +66,20 @@ type recShard struct {
 	recs map[guid.GUID]*liveSub
 }
 
-// indexShard is one stripe of the owner index (owner → subscription ids).
+// indexShard is one stripe of the owner index: a list of entries per
+// owner, chained through links.
 type indexShard struct {
-	mu   sync.Mutex
-	sets map[guid.GUID]guid.Set
+	mu    sync.Mutex
+	heads map[guid.GUID]int32 // guarded by mu; owner → its first slot
+	links []ownerLink         // guarded by mu; slots, reused through free
+	free  int32               // guarded by mu; first free slot (chained through next), or -1
+}
+
+// ownerLink is one slot of an owner list: the entry it holds (nil while
+// free) and the slots of its neighbours, -1 at either end.
+type ownerLink struct {
+	ls         *liveSub
+	prev, next int32
 }
 
 // Mediator manages a Range's event subscriptions. Construct with New.
@@ -91,6 +95,12 @@ type Mediator struct {
 type liveSub struct {
 	rec Record
 	sub *eventbus.Subscription
+	// slot and dropped belong to the owner index, under its stripe's lock.
+	// slot is the entry's slot in links while links[slot].ls is this entry;
+	// dropped marks an entry removed before it was linked, which link then
+	// skips.
+	slot    int32
+	dropped bool
 }
 
 // ErrUnknownSubscription reports an id with no live subscription.
@@ -115,9 +125,6 @@ func WithQuota(q eventbus.Quota) Option {
 	return func(c *config) { c.quota = &q }
 }
 
-// maxShards mirrors the bus's clamp.
-const maxShards = 1024
-
 // New builds a Mediator over a fresh bus. reg may be nil (no semantic
 // equivalence in filter matching).
 func New(reg *ctxtype.Registry, opts ...Option) *Mediator {
@@ -132,23 +139,17 @@ func New(reg *ctxtype.Registry, opts ...Option) *Mediator {
 	if c.quota != nil {
 		busOpts = append(busOpts, eventbus.WithQuota(*c.quota))
 	}
-	want := c.shards
-	if want <= 0 {
-		want = eventbus.DefaultShards
-	}
-	n := 1
-	for n < want && n < maxShards {
-		n <<= 1
-	}
+	bus := eventbus.New(reg, busOpts...)
+	n := bus.Shards()
 	m := &Mediator{
-		bus:    eventbus.New(reg, busOpts...),
+		bus:    bus,
 		mask:   uint32(n - 1),
 		recs:   make([]*recShard, n),
 		owners: make([]*indexShard, n),
 	}
 	for i := 0; i < n; i++ {
 		m.recs[i] = &recShard{recs: make(map[guid.GUID]*liveSub)}
-		m.owners[i] = &indexShard{sets: make(map[guid.GUID]guid.Set)}
+		m.owners[i] = &indexShard{heads: make(map[guid.GUID]int32), free: -1}
 	}
 	return m
 }
@@ -163,30 +164,59 @@ func (m *Mediator) recShard(id guid.GUID) *recShard { return m.recs[m.stripe(id)
 
 func (m *Mediator) ownerShard(owner guid.GUID) *indexShard { return m.owners[m.stripe(owner)] }
 
-// addOwned records id under owner in the owner index.
-func (m *Mediator) addOwned(owner, id guid.GUID) {
-	is := m.ownerShard(owner)
+// link puts ls at the head of its owner's list.
+func (is *indexShard) link(ls *liveSub) {
 	is.mu.Lock()
-	set, ok := is.sets[owner]
-	if !ok {
-		set = guid.NewSet()
-		is.sets[owner] = set
+	defer is.mu.Unlock()
+	if ls.dropped {
+		return
 	}
-	set.Add(id)
+	slot := is.free
+	if slot < 0 {
+		slot = int32(len(is.links))
+		is.links = append(is.links, ownerLink{})
+	} else {
+		is.free = is.links[slot].next
+	}
+	next, ok := is.heads[ls.rec.Owner]
+	if !ok {
+		next = -1
+	} else {
+		is.links[next].prev = slot
+	}
+	is.links[slot] = ownerLink{ls: ls, prev: -1, next: next}
+	is.heads[ls.rec.Owner] = slot
+	ls.slot = slot
+}
+
+// unlink takes ls, removed from the primary table, off its owner's list,
+// unless CancelOwned or Close already did. One not linked yet never will be.
+func (is *indexShard) unlink(ls *liveSub) {
+	is.mu.Lock()
+	if int(ls.slot) < len(is.links) && is.links[ls.slot].ls == ls {
+		is.unlinkLocked(ls.slot)
+	}
+	ls.dropped = true
 	is.mu.Unlock()
 }
 
-// dropOwned removes id from owner's bucket, deleting the bucket when empty.
-func (m *Mediator) dropOwned(owner, id guid.GUID) {
-	is := m.ownerShard(owner)
-	is.mu.Lock()
-	if set, ok := is.sets[owner]; ok {
-		set.Remove(id)
-		if len(set) == 0 {
-			delete(is.sets, owner)
-		}
+// unlinkLocked takes the entry in slot off its owner's list and frees the
+// slot.
+func (is *indexShard) unlinkLocked(slot int32) {
+	l := is.links[slot]
+	switch {
+	case l.prev >= 0:
+		is.links[l.prev].next = l.next
+	case l.next >= 0:
+		is.heads[l.ls.rec.Owner] = l.next
+	default:
+		delete(is.heads, l.ls.rec.Owner)
 	}
-	is.mu.Unlock()
+	if l.next >= 0 {
+		is.links[l.next].prev = l.prev
+	}
+	is.links[slot] = ownerLink{prev: -1, next: is.free}
+	is.free = slot
 }
 
 // SubOptions configures Subscribe.
@@ -198,11 +228,10 @@ type SubOptions struct {
 	QueueLen int
 	// Sources, when non-empty, restricts delivery to events produced by one
 	// of these entities (eventbus.WithSources): one subscription serves a
-	// consumer input fed by several producers. The bus keeps one sorted,
-	// deduplicated copy, which the record shares, so the caller may reuse
-	// the slice; a strictly ascending set is not sorted again. It cannot be
-	// combined with a filter that names a Source.
-	Sources []guid.GUID
+	// consumer input fed by several producers. The bus and the record keep
+	// the set as it is. It cannot be combined with a filter that names a
+	// Source.
+	Sources guid.Sorted
 }
 
 // Subscribe establishes a subscription for owner. The handler runs on a
@@ -235,32 +264,26 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 	if owner.IsNil() {
 		return Record{}, errors.New("mediator: nil owner")
 	}
-	busOpts := make([]eventbus.SubOption, 1, 4) // owner, one-shot, queue length, sources
-	busOpts[0] = eventbus.WithOwner(owner)
+	var optBuf [4]eventbus.SubOption
+	busOpts := append(optBuf[:0], eventbus.WithOwner(owner), eventbus.WithSources(opts.Sources))
 	if opts.OneShot {
 		busOpts = append(busOpts, eventbus.OneShot())
 	}
 	if opts.QueueLen > 0 {
 		busOpts = append(busOpts, eventbus.WithQueueLen(opts.QueueLen))
 	}
-	if len(opts.Sources) > 0 {
-		busOpts = append(busOpts, eventbus.WithSources(opts.Sources))
-	}
 
-	// ready gates the one-shot cleanup on the record having been indexed:
+	ls := &liveSub{rec: Record{Owner: owner, Filter: f, Sources: opts.Sources, OneShot: opts.OneShot}}
+	// ready gates the one-shot cleanup on the entry having been recorded:
 	// the single delivery can fire before Subscribe returns, and removing
-	// the record before it exists would leave a stale entry behind. Only a
-	// one-shot subscription cleans up after itself, so only it needs one,
-	// and only its closure holds the id it removes.
+	// the entry before it exists would leave a stale one behind. Only a
+	// one-shot subscription cleans up after itself, so only it needs one.
 	var ready chan struct{}
-	var oneShotID *guid.GUID
 	var sub *eventbus.Subscription
 	var err error
 	switch {
 	case opts.OneShot:
 		ready = make(chan struct{})
-		id := new(guid.GUID)
-		oneShotID = id
 		sub, err = m.bus.SubscribeBatch(f, func(events []event.Event) {
 			if h != nil {
 				h(events[0])
@@ -268,7 +291,7 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 				bh(events)
 			}
 			<-ready
-			m.remove(*id)
+			m.remove(ls.rec.ID)
 		}, busOpts...)
 	case h != nil:
 		sub, err = m.bus.Subscribe(f, h, busOpts...)
@@ -278,17 +301,8 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 	if err != nil {
 		return Record{}, fmt.Errorf("mediator: %w", err)
 	}
-	if oneShotID != nil {
-		*oneShotID = sub.ID()
-	}
-	rec := Record{
-		ID:      sub.ID(),
-		Owner:   owner,
-		Filter:  f,
-		Sources: sub.Sources(),
-		OneShot: opts.OneShot,
-	}
-	rs := m.recShard(rec.ID)
+	ls.rec.ID, ls.sub = sub.ID(), sub
+	rs := m.recShard(ls.rec.ID)
 	rs.mu.Lock()
 	// Re-checked under the stripe lock: Close sets the flag before sweeping
 	// the stripes, so either we observe it here or Close observes us there.
@@ -300,13 +314,13 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 		sub.Cancel()
 		return Record{}, fmt.Errorf("mediator: %w", eventbus.ErrClosed)
 	}
-	rs.recs[rec.ID] = &liveSub{rec: rec, sub: sub}
+	rs.recs[ls.rec.ID] = ls
 	rs.mu.Unlock()
-	m.addOwned(owner, rec.ID)
+	m.ownerShard(owner).link(ls)
 	if ready != nil {
 		close(ready)
 	}
-	return rec.clone(), nil
+	return ls.rec, nil
 }
 
 // remove deletes id from the primary table (first remover wins) and then
@@ -323,7 +337,7 @@ func (m *Mediator) remove(id guid.GUID) *liveSub {
 	if !ok {
 		return nil
 	}
-	m.dropOwned(ls.rec.Owner, id)
+	m.ownerShard(ls.rec.Owner).unlink(ls)
 	return ls
 }
 
@@ -371,12 +385,15 @@ func (m *Mediator) Cancel(id guid.GUID) error {
 // proportional to the entity's own subscriptions, not the Range's total.
 func (m *Mediator) CancelOwned(entity guid.GUID) int {
 	is := m.ownerShard(entity)
+	var owned []guid.GUID
 	is.mu.Lock()
-	bucket := is.sets[entity]
-	delete(is.sets, entity)
+	for slot, ok := is.heads[entity]; ok; slot, ok = is.heads[entity] {
+		owned = append(owned, is.links[slot].ls.rec.ID)
+		is.unlinkLocked(slot)
+	}
 	is.mu.Unlock()
 	n := 0
-	for id := range bucket {
+	for _, id := range owned {
 		if ls := m.remove(id); ls != nil {
 			ls.sub.Cancel()
 			n++
@@ -394,7 +411,7 @@ func (m *Mediator) Get(id guid.GUID) (Record, bool) {
 	if !ok {
 		return Record{}, false
 	}
-	return ls.rec.clone(), true
+	return ls.rec, true
 }
 
 // Records returns all live subscription records, ordered by id.
@@ -403,7 +420,7 @@ func (m *Mediator) Records() []Record {
 	for _, rs := range m.recs {
 		rs.mu.Lock()
 		for _, ls := range rs.recs {
-			out = append(out, ls.rec.clone())
+			out = append(out, ls.rec)
 		}
 		rs.mu.Unlock()
 	}
@@ -411,20 +428,17 @@ func (m *Mediator) Records() []Record {
 	return out
 }
 
-// OwnedBy returns the live records owned by entity, ordered by id.
+// OwnedBy returns the live records owned by entity, ordered by id. A
+// record a concurrent Cancel is removing may still be among them.
 func (m *Mediator) OwnedBy(entity guid.GUID) []Record {
 	is := m.ownerShard(entity)
+	var out []Record
 	is.mu.Lock()
-	ids := is.sets[entity].Members()
-	is.mu.Unlock()
-	out := make([]Record, 0, len(ids))
-	for _, id := range ids {
-		// The primary table is the source of truth: skip ids whose record a
-		// concurrent removal already claimed.
-		if rec, ok := m.Get(id); ok {
-			out = append(out, rec)
-		}
+	for slot, ok := is.heads[entity]; ok && slot >= 0; slot = is.links[slot].next {
+		out = append(out, is.links[slot].ls.rec)
 	}
+	is.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return guid.Less(out[i].ID, out[j].ID) })
 	return out
 }
 
@@ -488,7 +502,7 @@ func (m *Mediator) Close() {
 	}
 	for _, is := range m.owners {
 		is.mu.Lock()
-		is.sets = make(map[guid.GUID]guid.Set)
+		is.heads, is.links, is.free = make(map[guid.GUID]int32), nil, -1
 		is.mu.Unlock()
 	}
 	m.bus.Close()

@@ -232,10 +232,11 @@ func TestStatsAndConcurrency(t *testing.T) {
 	}
 }
 
-// TestSubscribeSources: a source-set subscription records its sorted,
-// deduplicated set, every Record handed out holds its own copy, delivery
-// follows the set, and a filter Source alongside a set is refused without
-// leaving a record behind.
+// TestSubscribeSources: a source-set subscription records the sorted,
+// deduplicated set guid.NewSorted built from the caller's slice, a later
+// write to that slice or to a slice Members handed out reaches no Record,
+// delivery follows the set, and a filter Source alongside a set is refused
+// without leaving a record behind.
 func TestSubscribeSources(t *testing.T) {
 	m := New(nil)
 	defer m.Close()
@@ -243,22 +244,24 @@ func TestSubscribeSources(t *testing.T) {
 	a, b := guid.New(guid.KindDevice), guid.New(guid.KindDevice)
 	want := []guid.GUID{a, b}
 	guid.Sort(want)
+	caller := []guid.GUID{b, a, b}
 	var got atomic.Int64
 	rec, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus}, func(event.Event) { got.Add(1) },
-		SubOptions{Sources: []guid.GUID{b, a, b}})
+		SubOptions{Sources: guid.NewSorted(caller...)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rec.Sources, want) {
-		t.Fatalf("Subscribe record sources = %v, want %v", rec.Sources, want)
+	if !slices.Equal(rec.Sources.Members(), want) {
+		t.Fatalf("Subscribe record sources = %v, want %v", rec.Sources.Members(), want)
 	}
-	rec.Sources[0] = guid.Nil
+	caller[0], caller[1] = guid.Nil, guid.Nil
+	rec.Sources.Members()[0] = guid.Nil
 	recs := m.OwnedBy(owner)
-	if len(recs) != 1 || !slices.Equal(recs[0].Sources, want) {
+	if len(recs) != 1 || !slices.Equal(recs[0].Sources.Members(), want) {
 		t.Fatalf("OwnedBy = %+v, want sources %v", recs, want)
 	}
-	recs[0].Sources[0] = guid.Nil
-	if all := m.Records(); len(all) != 1 || !slices.Equal(all[0].Sources, want) {
+	recs[0].Sources.Members()[0] = guid.Nil
+	if all := m.Records(); len(all) != 1 || !slices.Equal(all[0].Sources.Members(), want) {
 		t.Fatalf("Records = %+v, want sources %v", all, want)
 	}
 
@@ -270,7 +273,7 @@ func TestSubscribeSources(t *testing.T) {
 	waitFor(t, func() bool { return got.Load() == 2 })
 
 	if _, err := m.Subscribe(owner, event.Filter{Type: ctxtype.PrinterStatus, Source: a}, func(event.Event) {},
-		SubOptions{Sources: want}); err == nil {
+		SubOptions{Sources: guid.NewSorted(want...)}); err == nil {
 		t.Fatal("filter Source together with Sources accepted")
 	}
 	if n := m.Len(); n != 1 {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -483,20 +484,27 @@ func TestResolveCacheSharesPlan(t *testing.T) {
 
 	plan := second.Plan
 	var want []resolver.Input
+	var runs [][]guid.GUID
 	for _, e := range resolver.Flatten(second.Root) {
 		if n := len(want); n > 0 && want[n-1].Consumer == e.Consumer && want[n-1].Type == e.Type {
-			want[n-1].Producers = append(want[n-1].Producers, e.Producer)
+			runs[n-1] = append(runs[n-1], e.Producer)
 			continue
 		}
-		want = append(want, resolver.Input{Consumer: e.Consumer, Type: e.Type, Producers: []guid.GUID{e.Producer}})
+		want = append(want, resolver.Input{Consumer: e.Consumer, Type: e.Type})
+		runs = append(runs, []guid.GUID{e.Producer})
 	}
-	if !reflect.DeepEqual(plan.Inputs, want) {
-		t.Fatalf("plan inputs %v, want the runs of Flatten %v", plan.Inputs, want)
+	if len(plan.Inputs) != len(want) {
+		t.Fatalf("plan inputs %v, want the runs of Flatten %v", plan.Inputs, runs)
+	}
+	for i, in := range plan.Inputs {
+		if in.Consumer != want[i].Consumer || in.Type != want[i].Type || !slices.Equal(in.Producers.Members(), runs[i]) {
+			t.Fatalf("plan input %d = %v, want the run of Flatten %v %v %v", i, in, want[i].Consumer, want[i].Type, runs[i])
+		}
 	}
 	var doors []guid.GUID
 	for _, in := range plan.Inputs {
 		if in.Type == ctxtype.LocationSightingDoor {
-			doors = in.Producers
+			doors = in.Producers.Members()
 		}
 	}
 	if len(doors) != 5 || !reflect.DeepEqual(plan.Leaves, doors) {

@@ -77,8 +77,10 @@ type Edge struct {
 type Input struct {
 	Consumer guid.GUID    `json:"consumer"`
 	Type     ctxtype.Type `json:"type"`
-	// Producers are the entities feeding the input, strictly ascending.
-	Producers []guid.GUID `json:"producers"`
+	// Producers are the entities feeding the input: an immutable set, built
+	// once per resolution and shared by every configuration wired from it,
+	// down to the bus subscription that filters on it.
+	Producers guid.Sorted `json:"producers"`
 }
 
 // Plan is what the configuration runtime needs to wire and prime a graph:
@@ -91,22 +93,21 @@ type Plan struct {
 	Leaves []guid.GUID `json:"leaves"`
 }
 
-// NewPlan computes the plan of the graph under root. The producer lists of
-// its inputs are the runs of Flatten(root), in one backing array.
+// NewPlan computes the plan of the graph under root. The producer sets of
+// its inputs are the runs of Flatten(root).
 func NewPlan(root *Binding) *Plan {
 	leaves := root.appendLeaves(nil)
 	slices.SortFunc(leaves, guid.Compare)
 	p := &Plan{Leaves: slices.Compact(leaves)}
 	edges := Flatten(root)
-	producers := make([]guid.GUID, len(edges))
+	producers := make([]guid.GUID, 0, len(edges))
 	for i := 0; i < len(edges); {
 		e := edges[i]
-		j := i
-		for ; j < len(edges) && edges[j].Consumer == e.Consumer && edges[j].Type == e.Type; j++ {
-			producers[j] = edges[j].Producer
+		producers = producers[:0]
+		for ; i < len(edges) && edges[i].Consumer == e.Consumer && edges[i].Type == e.Type; i++ {
+			producers = append(producers, edges[i].Producer)
 		}
-		p.Inputs = append(p.Inputs, Input{Consumer: e.Consumer, Type: e.Type, Producers: producers[i:j:j]})
-		i = j
+		p.Inputs = append(p.Inputs, Input{Consumer: e.Consumer, Type: e.Type, Producers: guid.NewSorted(producers...)})
 	}
 	return p
 }

@@ -111,7 +111,7 @@ func TestSection32PathConfiguration(t *testing.T) {
 	assertGroundsOut(t, w.profiles, cfg.Root)
 	// Plan: pathCE's position input fed by objLoc (deduped) and objLoc's
 	// door input fed by 3 doors.
-	if in := cfg.Plan.Inputs; len(in) != 2 || len(in[0].Producers)+len(in[1].Producers) != 4 {
+	if in := cfg.Plan.Inputs; len(in) != 2 || in[0].Producers.Len()+in[1].Producers.Len() != 4 {
 		t.Fatalf("plan inputs = %v", in)
 	}
 }
@@ -546,9 +546,9 @@ func TestFlattenOrdersEdgesByInput(t *testing.T) {
 
 	plan := &Plan{
 		Inputs: []Input{
-			{Consumer: ids[0], Type: ctxtype.LocationPosition, Producers: []guid.GUID{ids[1]}},
-			{Consumer: ids[1], Type: ctxtype.LocationSightingDoor, Producers: []guid.GUID{ids[3], ids[4], ids[5]}},
-			{Consumer: ids[1], Type: ctxtype.LocationSightingWLAN, Producers: []guid.GUID{ids[2]}},
+			{Consumer: ids[0], Type: ctxtype.LocationPosition, Producers: guid.NewSorted(ids[1])},
+			{Consumer: ids[1], Type: ctxtype.LocationSightingDoor, Producers: guid.NewSorted(ids[3], ids[4], ids[5])},
+			{Consumer: ids[1], Type: ctxtype.LocationSightingWLAN, Producers: guid.NewSorted(ids[2])},
 		},
 		Leaves: []guid.GUID{ids[2], ids[3], ids[4], ids[5]},
 	}
