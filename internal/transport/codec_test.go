@@ -7,6 +7,8 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"syscall"
 	"testing"
@@ -373,5 +375,92 @@ func TestFactoryBackends(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("Backends() missing tcp: %v", Backends())
+	}
+}
+
+// TestTCPHelloMatchesGolden: the bytes a dialing endpoint opens a
+// connection with, and the bytes an accept side answers with, are the
+// committed hello goldens of internal/wire, byte for byte. Both endpoints
+// take the goldens' GUIDs.
+func TestTCPHelloMatchesGolden(t *testing.T) {
+	defer leak.Check(t)()
+	read := func(name string) []byte {
+		b, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "golden", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	dialGolden, answerGolden := read("hello_dial.bin"), read("hello_answer.bin")
+	gid := func(n byte) guid.GUID {
+		var g guid.GUID
+		g[0], g[15] = byte(guid.KindServer), n
+		return g
+	}
+	src, dst := gid(1), gid(2)
+
+	// Dial side: a raw listener records the hello and answers with the
+	// golden answer, which the dialer must accept.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	got := make(chan []byte, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			got <- nil
+			return
+		}
+		defer conn.Close()
+		b := make([]byte, len(dialGolden))
+		_, err = io.ReadFull(conn, b)
+		if err == nil {
+			_, err = conn.Write(answerGolden)
+		}
+		if err != nil {
+			t.Error(err)
+		}
+		got <- b
+		_, _ = io.Copy(io.Discard, conn) // park until the dialer gives the socket up
+	}()
+	tn := NewTCP(nil)
+	defer tn.Close()
+	tn.Directory().Register(dst, ln.Addr().String())
+	epSrc, err := tn.Attach(src, func(wire.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := epSrc.Send(mkMsg(t, src, dst, nil)); err != nil {
+		t.Fatalf("the golden answer was not accepted: %v", err)
+	}
+	if b := <-got; !bytes.Equal(b, dialGolden) {
+		t.Fatalf("dialer's hello\n %x\nwant hello_dial.bin\n %x", b, dialGolden)
+	}
+	if err := epSrc.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Accept side: a raw dialer sends the golden hello and reads the answer.
+	epDst, err := tn.Attach(dst, func(wire.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", epDst.(*tcpEndpoint).Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(dialGolden); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	answer := make([]byte, len(answerGolden))
+	if _, err := io.ReadFull(conn, answer); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(answer, answerGolden) {
+		t.Fatalf("accept side's answer\n %x\nwant hello_answer.bin\n %x", answer, answerGolden)
 	}
 }

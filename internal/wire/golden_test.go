@@ -13,6 +13,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -187,6 +188,13 @@ func goldenCases() []goldenCase {
 	keysIn := goldenBatch(KindEventBatch, &NativeBatch{Events: keyEvents(false)})
 	keysOut := goldenBatch(KindEventBatch, &NativeBatch{Events: keyEvents(true)})
 
+	// The connection's opening exchange at protocol version 5: the dialer's
+	// hello, and the accept side's answer on the same socket, each the first
+	// frame its side writes (a Hello{Version: 5} body each way).
+	helloBody := json.RawMessage(`{"version":5}`)
+	hello := Message{Src: gSrc, Dst: gDst, Kind: KindHello, Body: helloBody}
+	helloAnswer := Message{Src: gDst, Dst: gSrc, Kind: KindHello, Body: helloBody}
+
 	return []goldenCase{
 		{
 			name: "dict_first_then_steady",
@@ -212,6 +220,8 @@ func goldenCases() []goldenCase {
 			msgs: []Message{keysIn, keysIn},
 			want: []Message{keysOut, keysOut},
 		},
+		{name: "hello_dial", msgs: []Message{hello}},
+		{name: "hello_answer", msgs: []Message{helloAnswer}},
 	}
 }
 
