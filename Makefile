@@ -60,7 +60,8 @@ fuzz-smoke:
 # the SCINET interest and hierarchy convergence tests ten times over, since
 # their generation rules only break under rare interleavings, and likewise
 # the cache, departure, repair and shared-plan tests, the owner index, the
-# shared source sets and the read-locked type-equivalence queries.
+# shared source sets and the read-locked type-equivalence queries, and the
+# TCP tests, whose connections are read and written at both ends.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
@@ -72,6 +73,7 @@ race-suites:
 	$(GO) test -race -count=20 -run 'Failure|Eviction|Tomb' ./internal/overlay/
 	$(GO) test -race -count=3 -run 'Concurrent' ./internal/guid/
 	$(GO) test -race -count=10 -run 'Owner|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
+	$(GO) test -race -count=10 -run 'TCP' ./internal/transport/ ./internal/rangesvc/ ./internal/scinet/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

@@ -36,14 +36,17 @@ func TestHostForgetsDepartedEndpoints(t *testing.T) {
 		if err := c.Register(srv, profile.Profile{}, true); err != nil {
 			t.Fatal(err)
 		}
-		// Both directions' leading reports leave at once.
+		// Both directions' leading reports leave at once. The connector
+		// publishes only once its report has left on its own: a report
+		// still pending would ride the publish instead.
 		r.host.sendEvents(c.ID(), burstFrom(src, 0, 4))
+		waitFor(t, func() bool { return c.AcksSent() == 1 && received.Load() == 4 })
 		if err := c.PublishAll(burstFrom(c.ID(), 0, 4)); err != nil {
 			t.Fatal(err)
 		}
 		waitFor(t, func() bool {
 			_, acked := c.RemoteCredit()
-			return acked && c.AcksSent() == 1 && received.Load() == 4
+			return acked
 		})
 		// A partial batch waits for the delay timer, and a no-news report
 		// for the ack window.

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -70,9 +69,11 @@ const protocolVersion = 5
 var helloTimeout = 5 * time.Second
 
 // TCP is a Network over real TCP sockets. Each attached endpoint owns a
-// listener; outbound connections are cached per destination and exchange a
-// hello stating the protocol version at dial time (see internal/wire: the
-// version rule). Construct with NewTCP.
+// listener and keeps one connection per peer, used both ways: whichever end
+// dialed it, it carries the sends to the peer and the peer's frames to the
+// handler, so a reply rides the connection its request came on. Each opens
+// with a hello stating the protocol version (see internal/wire: the version
+// rule). Construct with NewTCP.
 type TCP struct {
 	dir *Directory
 
@@ -122,12 +123,12 @@ func (t *TCP) AttachAddr(id guid.GUID, listenAddr string, h Handler) (Endpoint, 
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
 	ep := &tcpEndpoint{
-		id:       id,
-		net:      t,
-		ln:       ln,
-		h:        h,
-		conns:    make(map[guid.GUID]*tcpConn),
-		liveDecs: make(map[*wire.Decoder]struct{}),
+		id:    id,
+		net:   t,
+		ln:    ln,
+		h:     h,
+		live:  make(map[*tcpConn]struct{}),
+		conns: make(map[guid.GUID]*tcpConn),
 	}
 	t.mu.Lock()
 	if t.closed {
@@ -176,11 +177,13 @@ type tcpEndpoint struct {
 	ln  net.Listener
 	h   Handler
 
-	mu       sync.Mutex
-	conns    map[guid.GUID]*tcpConn
-	served   []net.Conn // inbound connections, closed on shutdown
-	liveDecs map[*wire.Decoder]struct{}
-	closed   bool
+	mu sync.Mutex
+	// live holds every connection whose read loop runs, none of them shut;
+	// conns is the one of them to send on, per peer. The Directory is asked
+	// only for a peer with nothing filed in conns.
+	live   map[*tcpConn]struct{}
+	conns  map[guid.GUID]*tcpConn
+	closed bool
 
 	// Bytes accumulated from connections that have since died; live
 	// connections are summed on top in WireStats.
@@ -190,16 +193,35 @@ type tcpEndpoint struct {
 	wg sync.WaitGroup
 }
 
+// tcpConn is one socket with one encoder and one decoder for its whole
+// life, the hello included. Its read loop alone uses the decoder.
 type tcpConn struct {
+	c   net.Conn
+	dec *wire.Decoder
+
 	mu   sync.Mutex // serialises writers
-	c    net.Conn
 	enc  *wire.Encoder
 	dead bool
 }
 
-// finalize marks the connection dead exactly once, folds its byte count into
-// the endpoint totals, returns its pooled buffer, and closes the socket.
-func (c *tcpConn) finalize(ep *tcpEndpoint) {
+func newTCPConn(raw net.Conn) *tcpConn {
+	return &tcpConn{c: raw, dec: wire.NewDecoder(raw), enc: wire.NewEncoder(raw, wire.CodecBinary)}
+}
+
+// write frames m onto the connection, failing once it is shut.
+func (c *tcpConn) write(m wire.Message) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.dead {
+		return net.ErrClosed
+	}
+	return c.enc.Write(m)
+}
+
+// shut marks the connection dead exactly once, folds its sent bytes into
+// the endpoint totals, returns the encoder's pooled buffer, and closes the
+// socket, which ends the read loop.
+func (c *tcpConn) shut(ep *tcpEndpoint) {
 	c.mu.Lock()
 	if !c.dead {
 		c.dead = true
@@ -208,6 +230,25 @@ func (c *tcpConn) finalize(ep *tcpEndpoint) {
 	}
 	c.mu.Unlock()
 	_ = c.c.Close()
+}
+
+// discard shuts c and retires its decoder; the read loop's last act, or
+// the dialer's for a connection that never got one.
+func (ep *tcpEndpoint) discard(c *tcpConn) {
+	c.shut(ep)
+	ep.deadRecv.Add(c.dec.BytesRead())
+	c.dec.Release()
+}
+
+// forget takes c out of the live set and, if it is the one filed for
+// peer, out of conns, so the next send to peer asks the Directory.
+func (ep *tcpEndpoint) forget(peer guid.GUID, c *tcpConn) {
+	ep.mu.Lock()
+	delete(ep.live, c)
+	if ep.conns[peer] == c {
+		delete(ep.conns, peer)
+	}
+	ep.mu.Unlock()
 }
 
 // ID implements Endpoint.
@@ -221,41 +262,28 @@ func (ep *tcpEndpoint) Send(m wire.Message) error {
 	if err := validateOutbound(m); err != nil {
 		return err
 	}
-	conn, err := ep.connTo(m.Dst)
+	c, err := ep.connTo(m.Dst)
 	if err != nil {
 		return err
 	}
-	conn.mu.Lock()
-	if conn.dead {
-		conn.mu.Unlock()
-		return fmt.Errorf("transport: send to %s: %w", m.Dst.Short(), net.ErrClosed)
-	}
-	err = conn.enc.Write(m)
-	conn.mu.Unlock()
-	if err != nil {
+	if err := c.write(m); err != nil {
 		// Connection went bad: forget it so the next send redials.
-		ep.dropConn(m.Dst, conn)
+		ep.forget(m.Dst, c)
+		c.shut(ep)
 		return fmt.Errorf("transport: send to %s: %w", m.Dst.Short(), err)
 	}
 	return nil
 }
 
-// WireStats implements WireStatser: the live outbound connections, every
-// one of them binary, plus bytes across every connection this endpoint
-// ever had.
+// WireStats implements WireStatser: the live connections, every one of
+// them binary, plus bytes across every connection this endpoint ever had.
 func (ep *tcpEndpoint) WireStats() WireStats {
 	st := WireStats{Codecs: make(map[string]int)}
 	ep.mu.Lock()
-	for _, c := range ep.conns {
-		c.mu.Lock()
-		if !c.dead {
-			st.Codecs["binary"]++
-			st.BytesSent += c.enc.BytesWritten()
-		}
-		c.mu.Unlock()
-	}
-	for d := range ep.liveDecs {
-		st.BytesReceived += d.BytesRead()
+	for c := range ep.live {
+		st.Codecs["binary"]++
+		st.BytesSent += c.enc.BytesWritten()
+		st.BytesReceived += c.dec.BytesRead()
 	}
 	ep.mu.Unlock()
 	st.BytesSent += ep.deadSent.Load()
@@ -282,20 +310,14 @@ func (ep *tcpEndpoint) shutdown() {
 		return
 	}
 	ep.closed = true
-	conns := ep.conns
-	ep.conns = make(map[guid.GUID]*tcpConn)
-	served := ep.served
-	ep.served = nil
+	for c := range ep.live {
+		delete(ep.live, c)
+		c.shut(ep)
+	}
 	ep.mu.Unlock()
 
 	ep.net.dir.Unregister(ep.id)
 	_ = ep.ln.Close()
-	for _, c := range conns {
-		c.finalize(ep)
-	}
-	for _, c := range served {
-		_ = c.Close()
-	}
 	ep.wg.Wait()
 }
 
@@ -305,17 +327,20 @@ func (ep *tcpEndpoint) isClosed() bool {
 	return ep.closed
 }
 
+// connTo returns the connection filed for dst, or dials dst's Directory
+// address. A dial that loses a race to a connection filed meanwhile stays
+// live and readable; the one filed first carries the sends.
 func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
+	c, ok := ep.conns[dst]
+	closed := ep.closed
+	ep.mu.Unlock()
+	if closed {
 		return nil, ErrClosed
 	}
-	if c, ok := ep.conns[dst]; ok {
-		ep.mu.Unlock()
+	if ok {
 		return c, nil
 	}
-	ep.mu.Unlock()
 
 	addr, ok := ep.net.dir.Lookup(dst)
 	if !ok {
@@ -325,63 +350,53 @@ func (ep *tcpEndpoint) connTo(dst guid.GUID) (*tcpConn, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s (%s): %w", dst.Short(), addr, err)
 	}
-	enc := wire.NewEncoder(raw, wire.CodecBinary)
-	if err := ep.hello(raw, enc, dst); err != nil {
-		enc.Release()
-		_ = raw.Close()
+	c = newTCPConn(raw)
+	if err := ep.hello(c, dst); err != nil {
+		ep.discard(c)
 		return nil, fmt.Errorf("transport: hello to %s: %w", dst.Short(), err)
 	}
-	c := &tcpConn{c: raw, enc: enc}
 
-	ep.mu.Lock()
-	if ep.closed {
-		ep.mu.Unlock()
-		c.finalize(ep)
-		return nil, ErrClosed
-	}
-	if existing, ok := ep.conns[dst]; ok {
-		// Lost a dial race; use the winner.
-		ep.mu.Unlock()
-		c.finalize(ep)
-		return existing, nil
-	}
-	ep.conns[dst] = c
-	ep.mu.Unlock()
-
-	// Outbound connections are write-only; drain and discard any reverse
-	// traffic so the peer's writes never block. (Peers reply via their own
-	// dialed connections, keyed by GUID, not by socket.)
-	ep.wg.Add(1)
-	go func() {
-		defer ep.wg.Done()
-		_, _ = io.Copy(io.Discard, raw)
-	}()
-	return c, nil
+	return ep.adopt(c, dst)
 }
 
-// hello opens an outbound connection: it states this side's protocol
-// version and waits at most helloTimeout for the accept side's answer — the
-// only read ever issued on an outbound connection; past it, reverse traffic
-// drains to io.Discard. It returns ErrProtocolVersion when the peer answers
-// with another version, with something that is not a well-formed hello, or
-// not at all.
-func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) error {
+// adopt puts c in the live set, files it for peer unless a connection is
+// filed already, and starts its read loop. peer is Nil for an accepted
+// connection until its hello names it. It returns the one filed for peer.
+func (ep *tcpEndpoint) adopt(c *tcpConn, peer guid.GUID) (*tcpConn, error) {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	if ep.closed {
+		ep.discard(c)
+		return nil, ErrClosed
+	}
+	ep.live[c] = struct{}{}
+	if _, ok := ep.conns[peer]; !ok && !peer.IsNil() {
+		ep.conns[peer] = c
+	}
+	ep.wg.Add(1)
+	go ep.serve(c, peer)
+	return ep.conns[peer], nil
+}
+
+// hello opens a dialed connection: it states this side's protocol version
+// and waits at most helloTimeout for the accept side's answer. It returns
+// ErrProtocolVersion when the peer answers with another version, with
+// something that is not a well-formed hello, or not at all.
+func (ep *tcpEndpoint) hello(c *tcpConn, dst guid.GUID) error {
 	m, err := wire.NewMessage(ep.id, dst, wire.KindHello, wire.Hello{Version: protocolVersion})
 	if err != nil {
 		return err
 	}
-	if err := enc.Write(m); err != nil {
+	if err := c.write(m); err != nil {
 		return err
 	}
 	//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
-	_ = raw.SetReadDeadline(time.Now().Add(helloTimeout))
-	dec := wire.NewDecoder(raw)
-	defer dec.Release()
-	answer, err := dec.Read()
+	_ = c.c.SetReadDeadline(time.Now().Add(helloTimeout))
+	answer, err := c.dec.Read()
 	if err != nil {
 		return fmt.Errorf("%w: no hello answer: %v", ErrProtocolVersion, err)
 	}
-	_ = raw.SetReadDeadline(time.Time{})
+	_ = c.c.SetReadDeadline(time.Time{})
 	var h wire.Hello
 	if answer.Kind != wire.KindHello || answer.DecodeBody(&h) != nil {
 		return fmt.Errorf("%w: peer answered with %s, not a hello", ErrProtocolVersion, answer.Kind)
@@ -392,18 +407,9 @@ func (ep *tcpEndpoint) hello(raw net.Conn, enc *wire.Encoder, dst guid.GUID) err
 	return nil
 }
 
-func (ep *tcpEndpoint) dropConn(dst guid.GUID, c *tcpConn) {
-	ep.mu.Lock()
-	if ep.conns[dst] == c {
-		delete(ep.conns, dst)
-	}
-	ep.mu.Unlock()
-	c.finalize(ep)
-}
-
 func (ep *tcpEndpoint) acceptLoop() {
 	for {
-		conn, err := ep.ln.Accept()
+		raw, err := ep.ln.Accept()
 		if err != nil {
 			if ep.isClosed() || errors.Is(err, net.ErrClosed) {
 				return
@@ -411,42 +417,36 @@ func (ep *tcpEndpoint) acceptLoop() {
 			// Transient accept error: keep serving.
 			continue
 		}
-		ep.mu.Lock()
-		if ep.closed {
-			ep.mu.Unlock()
-			_ = conn.Close()
+		if _, err := ep.adopt(newTCPConn(raw), guid.Nil); err != nil {
 			return
 		}
-		ep.served = append(ep.served, conn)
-		ep.wg.Add(1)
-		ep.mu.Unlock()
-		go func() {
-			defer ep.wg.Done()
-			ep.serveConn(conn)
-		}()
 	}
 }
 
-func (ep *tcpEndpoint) serveConn(conn net.Conn) {
-	defer conn.Close()
-	dec := wire.NewDecoder(conn)
-	ep.mu.Lock()
-	ep.liveDecs[dec] = struct{}{}
-	ep.mu.Unlock()
+// serve is a connection's read loop, which hands each frame to the handler.
+// An accepted connection (peer Nil) must open with a hello of this side's
+// version, else nothing of it reaches the handler; once answered, it is
+// filed under the hello's Src unless a connection is filed for that peer.
+func (ep *tcpEndpoint) serve(c *tcpConn, peer guid.GUID) {
+	defer ep.wg.Done()
 	defer func() {
-		ep.mu.Lock()
-		delete(ep.liveDecs, dec)
-		ep.mu.Unlock()
-		ep.deadRecv.Add(dec.BytesRead())
-		dec.Release()
+		ep.forget(peer, c)
+		ep.discard(c)
 	}()
-	// The first frame must be the dialer's hello; nothing reaches the handler
-	// from a connection that has not agreed on the protocol version.
-	if m, err := dec.Read(); err != nil || !ep.answerHello(conn, m) {
-		return
+	if peer.IsNil() {
+		m, err := c.dec.Read()
+		if err != nil || !ep.answerHello(c, m) {
+			return
+		}
+		peer = m.Src
+		ep.mu.Lock()
+		if _, ok := ep.conns[peer]; !ok {
+			ep.conns[peer] = c
+		}
+		ep.mu.Unlock()
 	}
 	for {
-		m, err := dec.Read()
+		m, err := c.dec.Read()
 		if err != nil {
 			return // EOF, peer close, or framing error: drop the connection
 		}
@@ -457,12 +457,11 @@ func (ep *tcpEndpoint) serveConn(conn net.Conn) {
 	}
 }
 
-// answerHello answers a dialer's hello with this side's protocol version —
-// the only bytes the accept side ever writes on an inbound connection — and
-// reports whether the connection may proceed: the frame was a hello, the
-// versions are equal and the answer was written. A dialer of another
+// answerHello answers a dialer's hello with this side's protocol version
+// and reports whether the connection may proceed: the frame was a hello,
+// the versions are equal and the answer was written. A dialer of another
 // version still gets the answer, so its error names both versions.
-func (ep *tcpEndpoint) answerHello(conn net.Conn, m wire.Message) bool {
+func (ep *tcpEndpoint) answerHello(c *tcpConn, m wire.Message) bool {
 	var h wire.Hello
 	if m.Kind != wire.KindHello || m.DecodeBody(&h) != nil {
 		return false
@@ -471,9 +470,7 @@ func (ep *tcpEndpoint) answerHello(conn net.Conn, m wire.Message) bool {
 	if err != nil {
 		return false
 	}
-	enc := wire.NewEncoder(conn, wire.CodecBinary)
-	defer enc.Release()
-	return enc.Write(reply) == nil && h.Version == protocolVersion
+	return c.write(reply) == nil && h.Version == protocolVersion
 }
 
 var (

@@ -7,9 +7,9 @@
 //   - Memory: an in-process network with configurable per-message latency
 //     and loss, driven by an injectable clock. The simulation experiments
 //     (E1, E10) run thousands of Ranges on one machine over this network.
-//   - TCP: a real network over net.Listen/net.Dial with a Directory mapping
-//     GUIDs to listen addresses, used by cmd/scid deployments and the
-//     integration tests.
+//   - TCP: a real network over net.Listen/net.Dial, used by cmd/scid and
+//     the integration tests. A Directory maps GUIDs to listen addresses;
+//     a reply rides the connection its request came on.
 //
 // Both deliver messages to an attached Handler. Delivery per (src,dst) pair
 // is ordered unless latency jitter is configured on the Memory network
@@ -35,7 +35,8 @@ type Endpoint interface {
 	ID() guid.GUID
 	// Send dispatches m to m.Dst. Send never blocks on the destination's
 	// handler; it returns ErrUnknownDestination when the destination is not
-	// attached (Memory) or not in the Directory (TCP).
+	// attached (Memory), or has no connection to it and is not in the
+	// Directory (TCP).
 	Send(m wire.Message) error
 	// Close detaches the endpoint; its inbox drains and its handler stops.
 	Close() error

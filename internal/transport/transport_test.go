@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -274,22 +275,28 @@ func TestMemoryConcurrentSenders(t *testing.T) {
 	waitFor(t, func() bool { return received.Load() == senders*per })
 }
 
+// TestTCPBasicExchange: a and b live on separate networks, and only a's
+// directory knows b's address. a's sends arrive in order, and b's reply
+// rides the connection a dialed.
 func TestTCPBasicExchange(t *testing.T) {
-	dir := &Directory{}
-	n := NewTCP(dir)
-	defer n.Close()
+	defer leak.Check(t)()
+	dirA := &Directory{}
+	netA, netB := NewTCP(dirA), NewTCP(nil)
+	defer netA.Close()
+	defer netB.Close()
 	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
 	var recA, recB recorder
-	epA, err := n.Attach(a, recA.handle)
+	epA, err := netA.Attach(a, recA.handle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epB, err := n.Attach(b, recB.handle)
+	epB, err := netB.Attach(b, recB.handle)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dir.Len() != 2 {
-		t.Fatalf("directory has %d entries, want 2", dir.Len())
+	dirA.Register(b, epB.(*tcpEndpoint).Addr())
+	if dirA.Len() != 2 || netB.Directory().Len() != 1 {
+		t.Fatalf("directories hold %d and %d entries, want 2 and 1", dirA.Len(), netB.Directory().Len())
 	}
 	for i := 0; i < 20; i++ {
 		if err := epA.Send(mkMsg(t, a, b, map[string]int{"i": i})); err != nil {
@@ -306,11 +313,110 @@ func TestTCPBasicExchange(t *testing.T) {
 			t.Fatalf("TCP out of order at %d: %d", i, body["i"])
 		}
 	}
-	// Reverse direction uses B's own dialed connection.
 	if err := epB.Send(mkMsg(t, b, a, nil)); err != nil {
-		t.Fatal(err)
+		t.Fatalf("reply without a's address: %v", err)
 	}
 	waitFor(t, func() bool { return recA.count() == 1 })
+	for _, ep := range []Endpoint{epA, epB} {
+		if st := ep.(WireStatser).WireStats(); st.Codecs["binary"] != 1 {
+			t.Fatalf("%s holds %v connections, want one shared both ways", ep.ID().Short(), st.Codecs)
+		}
+	}
+}
+
+// TestTCPSimultaneousDial: two endpoints that know each other's address
+// send at once, so each may dial the other. Whichever connections win,
+// each direction keeps its order and nothing is lost or duplicated.
+func TestTCPSimultaneousDial(t *testing.T) {
+	defer leak.Check(t)()
+	netA, netB := NewTCP(nil), NewTCP(nil)
+	defer netA.Close()
+	defer netB.Close()
+	a, b := guid.New(guid.KindServer), guid.New(guid.KindServer)
+	var recA, recB recorder
+	epA, err := netA.Attach(a, recA.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := netB.Attach(b, recB.handle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	netA.Directory().Register(b, epB.(*tcpEndpoint).Addr())
+	netB.Directory().Register(a, epA.(*tcpEndpoint).Addr())
+	const n = 50
+	var wg sync.WaitGroup
+	for _, p := range []struct {
+		from     Endpoint
+		src, dst guid.GUID
+	}{{epA, a, b}, {epB, b, a}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < n; i++ {
+				if err := p.from.Send(mkMsg(t, p.src, p.dst, map[string]int{"i": i})); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, rec := range []*recorder{&recA, &recB} {
+		waitFor(t, func() bool { return rec.count() >= n })
+		for i, m := range rec.all() {
+			var body map[string]int
+			if err := m.DecodeBody(&body); err != nil {
+				t.Fatal(err)
+			}
+			if body["i"] != i {
+				t.Fatalf("message %d arrived as %d", body["i"], i)
+			}
+		}
+	}
+}
+
+// TestTCPAcceptedConnectionsReleased: an endpoint that served many short
+// connections holds none of them once their peers have closed.
+func TestTCPAcceptedConnectionsReleased(t *testing.T) {
+	defer leak.Check(t)()
+	n := NewTCP(nil)
+	defer n.Close()
+	b := guid.New(guid.KindServer)
+	ep, err := n.Attach(b, func(wire.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB := ep.(*tcpEndpoint)
+	for i := 0; i < 100; i++ {
+		conn, err := net.Dial("tcp", epB.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := guid.New(guid.KindApplication)
+		hello, err := wire.NewMessage(src, b, wire.KindHello, wire.Hello{Version: protocolVersion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(frame(t, hello)); err != nil {
+			t.Fatal(err)
+		}
+		dec := wire.NewDecoder(conn)
+		m, err := dec.Read()
+		dec.Release()
+		if err != nil || m.Kind != wire.KindHello {
+			t.Fatalf("cycle %d: hello answer %+v, %v", i, m, err)
+		}
+		_ = conn.Close()
+	}
+	waitFor(t, func() bool { return epB.held() == 0 })
+}
+
+// held counts the connections the endpoint keeps: live or filed.
+func (ep *tcpEndpoint) held() int {
+	ep.mu.Lock()
+	defer ep.mu.Unlock()
+	return len(ep.live) + len(ep.conns)
 }
 
 func TestTCPUnknownDestination(t *testing.T) {

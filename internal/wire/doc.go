@@ -132,16 +132,17 @@
 // between two sides that state the same one. A dialing endpoint opens each
 // connection with a binary KindHello frame whose Body is a Hello holding its
 // Version and nothing else, and waits, bounded, for the accept side's
-// answer on the same socket: a hello stating the accept side's Version —
-// the only bytes an accept side ever writes on an inbound connection. A
-// different version, an answer that is not a hello, or no answer within
-// the bound fails the dial with transport.ErrProtocolVersion and closes the
-// socket; the accept side likewise closes a connection whose first frame is
-// not a hello of its own version, delivering nothing from it, and answers a
-// well-formed hello of another version first, so that dialer's error names
-// both versions. There is no downgrade and no per-feature capability: a message a peer
-// of this version sends is a message every peer of this version
-// understands. internal/transport owns the version constant and the check.
+// answer on the same socket: a hello stating the accept side's Version,
+// the first frame the accept side writes on it. After the hello both ends
+// read and write the one connection. A different version, an answer that
+// is not a hello, or no answer within the bound fails the dial with
+// transport.ErrProtocolVersion and closes the socket; the accept side
+// likewise closes a connection whose first frame is not a hello of its own
+// version, delivering nothing from it, and answers a well-formed hello of
+// another version first, so that dialer's error names both versions. There
+// is no downgrade and no per-feature capability: a message a peer of this
+// version sends is a message every peer of this version understands.
+// internal/transport owns the version constant and the check.
 //
 // The version moves whenever a message changes meaning, application
 // payloads that upper layers carry included, so a mixed fleet fails at
