@@ -60,8 +60,9 @@ fuzz-smoke:
 # the SCINET interest and hierarchy convergence tests ten times over, since
 # their generation rules only break under rare interleavings, and likewise
 # the cache, departure, repair and shared-plan tests, the owner index, the
-# shared source sets and the read-locked type-equivalence queries, and the
-# TCP tests, whose connections are read and written at both ends.
+# shared source sets and the read-locked type-equivalence queries, the
+# TCP tests, whose connections are read and written at both ends, and the
+# per-origin loss ledgers, whose tables install under concurrent charges.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
@@ -74,6 +75,7 @@ race-suites:
 	$(GO) test -race -count=3 -run 'Concurrent' ./internal/guid/
 	$(GO) test -race -count=10 -run 'Owner|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
 	$(GO) test -race -count=10 -run 'TCP' ./internal/transport/ ./internal/rangesvc/ ./internal/scinet/
+	$(GO) test -race -count=10 -run 'Ledger|Table|Drop|Quota|Shed' ./internal/guid/ ./internal/metrics/ ./internal/eventbus/ ./internal/flow/ ./internal/server/
 
 # The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
 hotpath-smoke:

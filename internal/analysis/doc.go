@@ -90,9 +90,10 @@
 //	    snapshot, tap demand, digest merges) take one link's lock at a time
 //	    under f.mu; link.mu is a leaf that sends nothing, calls no flow
 //	    entry point and never takes f.mu, and no code holds two at once.
-//	eventbus.Subscription.mu < eventbus.shard.dropMu
-//	    drop attribution runs under a subscription's lock; dropMu is a
-//	    leaf that takes nothing.
+//	eventbus.Subscription.mu < guid.Table.mu
+//	    drops are charged to the bus's drop ledger under a
+//	    subscription's lock; the ledger table's install lock is a leaf
+//	    that takes nothing.
 //
 // leakcheck — every `go` statement in the core packages must have a
 // lifecycle owner: either a sync.WaitGroup.Add precedes the launch in the

@@ -1,7 +1,7 @@
 // Package gaugekey keeps metric cardinality bounded: every key written
 // into a Range's StatsMap render — the one metric surface a stats round
 // trip ships over the wire — must be either a compile-time constant or
-// derived inside a loop over a bounded top-K helper — the topSources-style
+// derived inside a loop over a bounded top-K helper — the Ledger.Top-style
 // reducers that fold an unbounded per-publisher map into at most K named
 // entries plus an "other" bucket.
 //
@@ -39,6 +39,7 @@ var Analyzer = &analysis.Analyzer{
 // directive instead.
 var BoundedHelpers = map[string]bool{
 	"(*sci/internal/mediator.Mediator).ShardStats": true,
+	"(*sci/internal/metrics.Ledger).Top":           true,
 }
 
 type span struct{ from, to token.Pos }

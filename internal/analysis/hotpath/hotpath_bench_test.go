@@ -22,8 +22,8 @@ var allocChecks = map[string]string{
 	"sci/internal/eventbus.Bus.lookupKeys":          "internal/eventbus/hotpath_bench_test.go:TestHotpathLookupKeysZeroAlloc",
 	"sci/internal/eventbus.Subscription.drain":      "internal/eventbus/hotpath_bench_test.go:TestHotpathDrainZeroAlloc",
 	"sci/internal/eventbus.Subscription.enqueueRun": "internal/eventbus/hotpath_bench_test.go:TestHotpathPublishZeroAlloc",
-	"sci/internal/eventbus.shard.dropCounter":       "internal/eventbus/hotpath_bench_test.go:TestHotpathDropCounterZeroAlloc",
 	"sci/internal/flow.Coalescer.doFlush":           "internal/flow/hotpath_bench_test.go:TestHotpathDoFlushZeroAlloc",
+	"sci/internal/guid.Table.Get":                   "internal/guid/table_test.go:TestHotpathTableGetZeroAlloc",
 	"sci/internal/scinet.nativeEvents":              "internal/scinet/hotpath_bench_test.go:TestHotpathIngestZeroCopy",
 	"sci/internal/wire.Encoder.appendBatch":         "internal/wire/hotpath_bench_test.go:TestHotpathEncodeZeroAlloc",
 	"sci/internal/wire.Encoder.appendBinary":        "internal/wire/hotpath_bench_test.go:TestHotpathEncodeZeroAlloc",

@@ -14,7 +14,18 @@ import (
 	"sci/internal/ctxtype"
 	"sci/internal/event"
 	"sci/internal/guid"
+	"sci/internal/metrics"
 )
+
+// shares renders a ledger of at most eight origins as a map
+// of the origins charged something; the nil key is the overflow entry.
+func shares(l *metrics.Ledger) map[guid.GUID]uint64 {
+	out := make(map[guid.GUID]uint64)
+	for _, s := range l.Top() {
+		out[s.Src] = s.N
+	}
+	return out
+}
 
 // parkedSub subscribes with the given queue length and parks the delivery
 // goroutine inside the handler after its first delivery, so subsequent
@@ -66,11 +77,11 @@ func TestDropOldestBlamesTheFlooder(t *testing.T) {
 	if err := b.Publish(event.New(ctxtype.TemperatureCelsius, idle, 1, t0, nil)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DropsFor(flooder); got != 1 {
-		t.Fatalf("DropsFor(flooder) = %d, want 1", got)
+	if got := b.Drops().For(flooder); got != 1 {
+		t.Fatalf("Drops().For(flooder) = %d, want 1", got)
 	}
-	if got := b.DropsFor(idle); got != 0 {
-		t.Fatalf("DropsFor(idle) = %d, want 0 — the eviction is not its fault", got)
+	if got := b.Drops().For(idle); got != 0 {
+		t.Fatalf("Drops().For(idle) = %d, want 0 — the eviction is not its fault", got)
 	}
 	if st := b.Stats(); st.Dropped != 1 {
 		t.Fatalf("total dropped = %d, want 1", st.Dropped)
@@ -93,11 +104,11 @@ func TestDropNewestBlamesTheArrival(t *testing.T) {
 	if err := b.PublishAllOwned(eventsFrom(late, 3, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DropsFor(late); got != 3 {
-		t.Fatalf("DropsFor(late) = %d, want 3", got)
+	if got := b.Drops().For(late); got != 3 {
+		t.Fatalf("Drops().For(late) = %d, want 3", got)
 	}
-	if got := b.DropsFor(early); got != 0 {
-		t.Fatalf("DropsFor(early) = %d, want 0", got)
+	if got := b.Drops().For(early); got != 0 {
+		t.Fatalf("Drops().For(early) = %d, want 0", got)
 	}
 }
 
@@ -118,28 +129,28 @@ func TestExplicitAttributionKeyOverridesSource(t *testing.T) {
 	if err := b.PublishAllOwnedFrom(endpoint, eventsFrom(producer, 5, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DropsFor(endpoint); got != 3 {
-		t.Fatalf("DropsFor(endpoint) = %d, want 3", got)
+	if got := b.Drops().For(endpoint); got != 3 {
+		t.Fatalf("Drops().For(endpoint) = %d, want 3", got)
 	}
-	if got := b.DropsFor(producer); got != 0 {
-		t.Fatalf("DropsFor(producer) = %d, want 0 — the key overrides Source", got)
+	if got := b.Drops().For(producer); got != 0 {
+		t.Fatalf("Drops().For(producer) = %d, want 0 — the key overrides Source", got)
 	}
 	// Later evictions of the retained run still blame the endpoint.
 	if err := b.PublishAllOwnedFrom(endpoint, eventsFrom(producer, 1, 9)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.DropsFor(endpoint); got != 4 {
-		t.Fatalf("DropsFor(endpoint) after eviction = %d, want 4", got)
+	if got := b.Drops().For(endpoint); got != 4 {
+		t.Fatalf("Drops().For(endpoint) after eviction = %d, want 4", got)
 	}
-	snap := b.DropsBySource()
+	snap := shares(b.Drops())
 	if len(snap) != 1 || snap[endpoint] != 4 {
-		t.Fatalf("DropsBySource = %v, want {endpoint: 4}", snap)
+		t.Fatalf("Drops() = %v, want {endpoint: 4}", snap)
 	}
 }
 
 // TestDropAttributionSumsToTotal races mixed-source floods against a slow
 // subscriber and checks the per-publisher attribution always sums to the
-// bus-wide drop counter (run with -race).
+// bus-wide drop total and to the stripes' drop counters (run with -race).
 func TestDropAttributionSumsToTotal(t *testing.T) {
 	b := New(nil, WithShards(4))
 	defer b.Close()
@@ -164,11 +175,14 @@ func TestDropAttributionSumsToTotal(t *testing.T) {
 	}
 	wg.Wait()
 
-	var attributed uint64
-	for _, n := range b.DropsBySource() {
-		attributed += n
+	var attributed, striped uint64
+	for _, key := range keys {
+		attributed += b.Drops().For(key)
 	}
-	if total := b.Stats().Dropped; attributed != total {
-		t.Fatalf("attributed drops = %d, bus total = %d", attributed, total)
+	for _, ss := range b.ShardStats() {
+		striped += ss.Dropped
+	}
+	if total := b.Stats().Dropped; attributed != total || striped != total {
+		t.Fatalf("attributed drops = %d, stripes' drops = %d, bus total = %d", attributed, striped, total)
 	}
 }

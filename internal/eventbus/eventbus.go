@@ -63,6 +63,7 @@ import (
 	"sci/internal/ctxtype"
 	"sci/internal/event"
 	"sci/internal/guid"
+	"sci/internal/metrics"
 )
 
 // DropPolicy selects behaviour when a subscriber's queue is full.
@@ -114,9 +115,6 @@ type Stats struct {
 	Delivered uint64 // handler invocations completed
 	Dropped   uint64 // events discarded by full queues
 	Subs      int    // current live subscriptions
-	// QuotaRejected counts events refused by per-publisher admission
-	// control (WithQuota) before any dispatch work.
-	QuotaRejected uint64
 	// IndexHits counts targets resolved through the exact-pattern index.
 	IndexHits uint64
 	// ResidualScanned counts residual-tier filter evaluations: wildcard
@@ -144,11 +142,6 @@ func WithShards(n int) Option {
 	return func(b *Bus) { b.nshards = n }
 }
 
-// maxDropSources bounds each stripe's per-publisher drop table; an
-// overflowing population (adversarial source churn) folds into the nil-GUID
-// bucket so the table cannot grow without bound.
-const maxDropSources = 4096
-
 // shard is one lock stripe: a slice of the exact-pattern index plus a slice
 // of the residual (wildcard) list, with its own dispatch counters.
 type shard struct {
@@ -164,72 +157,6 @@ type shard struct {
 	published atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-
-	// dropTab attributes every event discarded from a full queue in this
-	// stripe to its publisher (the attribution key the enqueue carried, or
-	// the discarded event's own Source). The table is copy-on-write — a
-	// drop during an overload storm costs one pointer load, one map read
-	// and one atomic add, no lock and no allocation; only the first drop
-	// from a new publisher takes dropMu to install a fresh table.
-	//
-	//lint:lockorder eventbus.Subscription.mu < eventbus.shard.dropMu drop attribution runs under a subscription's lock; dropMu is a leaf and takes nothing
-	dropMu  sync.Mutex // guards table installs only
-	dropTab atomic.Pointer[srcDropTable]
-
-	// quotaTab holds the per-publisher admission buckets homed in this
-	// stripe (the stripe the publisher's id hashes to), with the same
-	// copy-on-write install discipline and nil-GUID overflow bucket as
-	// dropTab. Unused (never populated) when the bus has no quota.
-	quotaMu  sync.Mutex // guards table installs only
-	quotaTab atomic.Pointer[srcQuotaTable]
-}
-
-// srcDropTable is an immutable snapshot of a stripe's per-publisher drop
-// counters; the counters themselves are shared across snapshots and
-// mutated atomically.
-type srcDropTable struct {
-	counts map[guid.GUID]*atomic.Uint64
-}
-
-// dropCounter returns the stripe's drop counter for one publisher,
-// installing it on first use (beyond maxDropSources, the nil-GUID overflow
-// bucket). Safe to call under a subscription's lock: the fast path is
-// lock-free and the install path takes only dropMu, a leaf lock.
-//
-//lint:hotpath
-func (sh *shard) dropCounter(src guid.GUID) *atomic.Uint64 {
-	if t := sh.dropTab.Load(); t != nil {
-		if c, ok := t.counts[src]; ok {
-			return c
-		}
-	}
-	sh.dropMu.Lock()
-	defer sh.dropMu.Unlock()
-	var old map[guid.GUID]*atomic.Uint64
-	if t := sh.dropTab.Load(); t != nil {
-		if c, ok := t.counts[src]; ok {
-			return c // lost the install race
-		}
-		old = t.counts
-	}
-	key := src
-	if len(old) >= maxDropSources {
-		if c, ok := old[guid.Nil]; ok {
-			return c
-		}
-		key = guid.Nil // overflow bucket
-	}
-	//lint:allow hotpath cold install path: once per new publisher per stripe, behind the lock-free table hit
-	nm := make(map[guid.GUID]*atomic.Uint64, len(old)+1)
-	for k, v := range old {
-		nm[k] = v
-	}
-	//lint:allow hotpath cold install path: one counter per new publisher, never per drop
-	c := &atomic.Uint64{}
-	nm[key] = c
-	//lint:allow hotpath cold install path: one table copy per new publisher per stripe
-	sh.dropTab.Store(&srcDropTable{counts: nm})
-	return c
 }
 
 // keyTable memoises event type → index lookup keys for one equivalence
@@ -252,17 +179,27 @@ type Bus struct {
 
 	published       atomic.Uint64
 	delivered       atomic.Uint64
-	dropped         atomic.Uint64
 	indexHits       atomic.Uint64
 	residualScanned atomic.Uint64
 	residuals       atomic.Int64 // live residual subs; publishes skip the sweep at 0
 
 	keys atomic.Pointer[keyTable]
 
+	// drops charges every event discarded from a full queue to its
+	// publisher: the attribution key its enqueue carried, or the discarded
+	// event's own Source. A drop under a queue's lock costs the ledger's
+	// lock-free hit; only a publisher's first drop installs its counter.
+	//
+	//lint:lockorder eventbus.Subscription.mu < guid.Table.mu drops are charged under a subscription's lock; the ledger's install lock is a leaf and takes nothing
+	drops metrics.Ledger
+
 	// quota, when non-nil, is the per-publisher admission config; the
-	// disabled path costs one nil check per publish.
-	quota         *Quota
-	quotaRejected atomic.Uint64
+	// disabled path costs one nil check per publish. buckets holds each
+	// publisher's token bucket and quotaRejects the events each was
+	// refused; neither is touched while quota is nil.
+	quota        *Quota
+	buckets      guid.Table[quotaBucket]
+	quotaRejects metrics.Ledger
 
 	wg sync.WaitGroup
 }
@@ -632,10 +569,10 @@ func (b *Bus) PublishAllOwned(events []event.Event) error {
 
 // PublishAllOwnedFrom is PublishAllOwned with an explicit drop-attribution
 // key: every event of the batch later discarded from a full subscription
-// queue is counted against pub (readable through DropsFor) instead of the
-// event's own Source. Wire and overlay ingest pass the sending endpoint, so
-// a credit ack can report the drops that endpoint's traffic caused — not
-// the Range-wide total, and not the blameless co-tenant whose event a flood
+// queue is charged to pub in the Drops ledger instead of the event's own
+// Source. Wire and overlay ingest pass the sending endpoint, so a credit
+// ack can report the drops that endpoint's traffic caused — not the
+// Range-wide total, and not the blameless co-tenant whose event a flood
 // happened to evict. A nil pub falls back to per-event Source attribution.
 // The slice is handed over as for PublishAllOwned: never written again,
 // still safe to read.
@@ -742,7 +679,6 @@ func (b *Bus) dispatchRuns(shared []event.Event, pub guid.GUID) {
 				hits += uint64(len(toSend))
 			}
 			if n := s.enqueueRun(toSend, pub); n > 0 {
-				b.dropped.Add(uint64(n))
 				s.shard.dropped.Add(uint64(n))
 			}
 		}
@@ -786,44 +722,21 @@ func (b *Bus) Stats() Stats {
 	return Stats{
 		Published:       b.published.Load(),
 		Delivered:       b.delivered.Load(),
-		Dropped:         b.dropped.Load(),
+		Dropped:         b.drops.Total(),
 		Subs:            n,
-		QuotaRejected:   b.quotaRejected.Load(),
 		IndexHits:       b.indexHits.Load(),
 		ResidualScanned: b.residualScanned.Load(),
 	}
 }
 
-// DropsFor returns the cumulative count of events discarded from full
-// subscription queues attributed to the given publisher: the figure a
-// flow-credit ack to that publisher's endpoint should carry. Publishers
-// that never caused a drop read 0.
-func (b *Bus) DropsFor(pub guid.GUID) uint64 {
-	var total uint64
-	for _, sh := range b.shards {
-		if t := sh.dropTab.Load(); t != nil {
-			if c, ok := t.counts[pub]; ok {
-				total += c.Load()
-			}
-		}
-	}
-	return total
-}
+// Drops returns the ledger of events discarded from full subscription
+// queues, each charged to its publisher: For(pub) is the figure a
+// flow-credit ack to that publisher's endpoint carries.
+func (b *Bus) Drops() *metrics.Ledger { return &b.drops }
 
-// DropsBySource returns a merged snapshot of the per-publisher drop
-// attribution across all stripes. The nil-GUID key, when present, is the
-// overflow bucket of publishers beyond the per-stripe tracking bound.
-func (b *Bus) DropsBySource() map[guid.GUID]uint64 {
-	out := make(map[guid.GUID]uint64)
-	for _, sh := range b.shards {
-		if t := sh.dropTab.Load(); t != nil {
-			for src, c := range t.counts {
-				out[src] += c.Load()
-			}
-		}
-	}
-	return out
-}
+// QuotaRejects returns the ledger of events refused by admission control
+// (WithQuota), each charged to the publisher it was refused to.
+func (b *Bus) QuotaRejects() *metrics.Ledger { return &b.quotaRejects }
 
 // ShardStats returns a per-stripe snapshot of dispatch load, index ordered.
 func (b *Bus) ShardStats() []ShardStats {
@@ -1054,17 +967,18 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 	if len(run) == 0 {
 		return 0
 	}
-	// dropRun attributes a clipped stretch of the incoming run: one counter
-	// add when the whole ingest carries an attribution key, per-event
-	// Source otherwise.
+	// dropRun charges a clipped stretch of the incoming run to the drop
+	// ledger: one add when the whole ingest carries an attribution key,
+	// per-event Source otherwise.
+	drops := &s.bus.drops
 	//lint:allow hotpath non-escaping closure, stack-allocated; the benchmark holds it to zero
 	dropRun := func(clipped []event.Event) {
 		if !pub.IsNil() {
-			s.shard.dropCounter(pub).Add(uint64(len(clipped)))
+			drops.Add(pub, uint64(len(clipped)))
 			return
 		}
 		for i := range clipped {
-			s.shard.dropCounter(clipped[i].Source).Add(1)
+			drops.Add(clipped[i].Source, 1)
 		}
 	}
 	s.mu.Lock()
@@ -1094,14 +1008,14 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 		if len(run) >= capEvents {
 			dropped = s.events + len(run) - capEvents
 			for s.count > 0 {
-				s.shard.dropCounter(s.evictOldestLocked()).Add(1)
+				drops.Add(s.evictOldestLocked(), 1)
 			}
 			dropRun(run[:len(run)-capEvents])
 			run = run[len(run)-capEvents:]
 		} else {
 			for s.events+len(run) > capEvents {
 				dropped++
-				s.shard.dropCounter(s.evictOldestLocked()).Add(1)
+				drops.Add(s.evictOldestLocked(), 1)
 			}
 		}
 	}

@@ -2,7 +2,7 @@ package eventbus
 
 // Allocation cross-checks for this package's //lint:hotpath annotations
 // (Bus.dispatchRuns, Bus.lookupKeys, Subscription.enqueueRun,
-// Subscription.drain, shard.dropCounter). The static hotpath analyzer
+// Subscription.drain). The static hotpath analyzer
 // proves the absence of allocating constructs up to its //lint:allow
 // escapes; these tests prove the escapes were justified — the warmed
 // steady-state publish path really is allocation-free. internal/analysis/hotpath's registry test fails if an
@@ -51,7 +51,7 @@ func parkedBus(t testing.TB) (b *Bus, run []event.Event, pub guid.GUID) {
 		run[i] = event.New("bench.hot", pub, uint64(i+1), t0, nil)
 	}
 	// Warm every install path the measured loop touches: the lookup-key
-	// memo, the drop-counter table (the ring must be full so steady state
+	// memo, the publisher's drop counter (the ring must be full so steady state
 	// is the eviction path), the target-slice pool, and park the delivery
 	// loop so drains never interleave with the measurement.
 	for i := 0; i < 12; i++ {
@@ -64,7 +64,7 @@ func parkedBus(t testing.TB) (b *Bus, run []event.Event, pub guid.GUID) {
 }
 
 // TestHotpathPublishZeroAlloc drives the full publish fan-out —
-// dispatchRuns → lookupKeys → enqueueRun → dropCounter — through the
+// dispatchRuns → lookupKeys → enqueueRun → the Drops ledger — through the
 // exported owned-batch API and requires the warmed path to allocate
 // nothing per batch.
 func TestHotpathPublishZeroAlloc(t *testing.T) {
@@ -89,22 +89,6 @@ func TestHotpathLookupKeysZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("lookupKeys hit path allocates %.1f times, want 0", allocs)
-	}
-}
-
-// TestHotpathDropCounterZeroAlloc pins the lock-free table hit of
-// dropCounter once a publisher's counter is installed.
-func TestHotpathDropCounterZeroAlloc(t *testing.T) {
-	b, _, pub := parkedBus(t)
-	sh := b.typeShard("bench.hot")
-	if sh.dropCounter(pub) == nil {
-		t.Fatal("no drop counter after warm-up")
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		sh.dropCounter(pub).Add(0)
-	})
-	if allocs != 0 {
-		t.Fatalf("dropCounter hit path allocates %.1f times, want 0", allocs)
 	}
 }
 
@@ -278,7 +262,7 @@ func BenchmarkHotpathFanout(b *testing.B) {
 	}
 	// A discarded event is a delivery that will never come; counting drops
 	// as settled keeps the closed loop from waiting on one.
-	settled := func() uint64 { return delivered.Load() + bus.dropped.Load() }
+	settled := func() uint64 { return delivered.Load() + bus.drops.Total() }
 	var expected uint64
 	publish := func(n int) {
 		for expected > settled()+window {
@@ -311,5 +295,5 @@ func BenchmarkHotpathFanout(b *testing.B) {
 	events := float64(b.N * chunkLen)
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/events, "ns/event")
 	b.ReportMetric(float64(ms1.Mallocs-ms0.Mallocs)/events, "allocs/event")
-	b.ReportMetric(float64(bus.dropped.Load())/events, "drops/event")
+	b.ReportMetric(float64(bus.drops.Total())/events, "drops/event")
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"sci/internal/clock"
@@ -72,23 +71,14 @@ func WithQuota(q Quota) Option {
 	}
 }
 
-// maxQuotaSources bounds each stripe's per-publisher bucket table; an
-// overflowing population (adversarial source churn) shares the nil-GUID
-// bucket so the table cannot grow without bound. A variable, not a constant,
-// so the bounding test can lower it.
-var maxQuotaSources = 4096
-
-// quotaBucket is one publisher's token bucket plus its rejected-event
-// counter. Buckets live in a per-stripe copy-on-write table mirroring the
-// drop-attribution table: the steady-state lookup is a lock-free pointer
-// load and map probe; only the first publish from a new source takes the
-// stripe's install lock.
+// quotaBucket is one publisher's token bucket. The bus keeps them in a
+// guid.Table: the steady-state lookup is a lock-free pointer load and map
+// probe; only the first publish from a new source takes the install lock.
 type quotaBucket struct {
-	mu       sync.Mutex
-	inited   bool
-	tokens   float64
-	last     time.Time
-	rejected atomic.Uint64
+	mu     sync.Mutex
+	inited bool
+	tokens float64
+	last   time.Time
 }
 
 // admit refills the bucket to now and grants up to n tokens. In all-or-
@@ -127,59 +117,16 @@ func (qb *quotaBucket) refund(n, burst int) {
 	qb.mu.Unlock()
 }
 
-// srcQuotaTable is an immutable snapshot of a stripe's per-publisher
-// buckets; the buckets themselves are shared across snapshots.
-type srcQuotaTable struct {
-	buckets map[guid.GUID]*quotaBucket
-}
-
-// quotaBucketFor returns the stripe's bucket for one publisher, installing
-// it on first use (beyond maxQuotaSources, the shared nil-GUID overflow
-// bucket). The fast path is lock-free; installs take quotaMu, a leaf lock.
-func (sh *shard) quotaBucketFor(src guid.GUID) *quotaBucket {
-	if t := sh.quotaTab.Load(); t != nil {
-		if qb, ok := t.buckets[src]; ok {
-			return qb
-		}
-	}
-	sh.quotaMu.Lock()
-	defer sh.quotaMu.Unlock()
-	var old map[guid.GUID]*quotaBucket
-	if t := sh.quotaTab.Load(); t != nil {
-		if qb, ok := t.buckets[src]; ok {
-			return qb // lost the install race
-		}
-		old = t.buckets
-	}
-	key := src
-	if len(old) >= maxQuotaSources {
-		if qb, ok := old[guid.Nil]; ok {
-			return qb
-		}
-		key = guid.Nil // overflow bucket
-	}
-	nm := make(map[guid.GUID]*quotaBucket, len(old)+1)
-	for k, v := range old {
-		nm[k] = v
-	}
-	qb := &quotaBucket{}
-	nm[key] = qb
-	sh.quotaTab.Store(&srcQuotaTable{buckets: nm})
-	return qb
-}
-
 // admitOne is the single-event admission check for Publish: the event is
 // charged against its own Source. It reports whether the event may be
 // dispatched; a refusal has already been counted, and err is non-nil only
 // in Reject mode.
 func (b *Bus) admitOne(e event.Event) (bool, error) {
 	q := b.quota
-	qb := b.idShard(e.Source).quotaBucketFor(e.Source)
-	if qb.admit(1, q.Clock.Now(), q.Rate, q.Burst, q.Reject) == 1 {
+	if b.buckets.Get(e.Source).admit(1, q.Clock.Now(), q.Rate, q.Burst, q.Reject) == 1 {
 		return true, nil
 	}
-	qb.rejected.Add(1)
-	b.quotaRejected.Add(1)
+	b.quotaRejects.Add(e.Source, 1)
 	if q.Reject {
 		return false, &OverQuotaError{Publisher: e.Source, Rejected: 1}
 	}
@@ -197,14 +144,12 @@ func (b *Bus) admitBatch(pub guid.GUID, events []event.Event) ([]event.Event, er
 	q := b.quota
 	now := q.Clock.Now()
 	if !pub.IsNil() {
-		qb := b.idShard(pub).quotaBucketFor(pub)
-		grant := qb.admit(len(events), now, q.Rate, q.Burst, q.Reject)
+		grant := b.buckets.Get(pub).admit(len(events), now, q.Rate, q.Burst, q.Reject)
 		if grant == len(events) {
 			return events, nil
 		}
 		rej := len(events) - grant
-		qb.rejected.Add(uint64(rej))
-		b.quotaRejected.Add(uint64(rej))
+		b.quotaRejects.Add(pub, uint64(rej))
 		if q.Reject {
 			return nil, &OverQuotaError{Publisher: pub, Rejected: rej}
 		}
@@ -222,15 +167,13 @@ func (b *Bus) admitBatch(pub guid.GUID, events []event.Event) ([]event.Event, er
 		}
 		run := events[i:j]
 		src := run[0].Source
-		qb := b.idShard(src).quotaBucketFor(src)
-		grant := qb.admit(len(run), now, q.Rate, q.Burst, q.Reject)
+		grant := b.buckets.Get(src).admit(len(run), now, q.Rate, q.Burst, q.Reject)
 		if rej := len(run) - grant; rej > 0 {
 			if q.Reject {
 				b.refuseBySource(events, i)
 				return nil, &OverQuotaError{Publisher: src, Rejected: len(events)}
 			}
-			qb.rejected.Add(uint64(rej))
-			b.quotaRejected.Add(uint64(rej))
+			b.quotaRejects.Add(src, uint64(rej))
 			if !shed {
 				shed = true
 				out = append(out, events[:i]...)
@@ -257,45 +200,10 @@ func (b *Bus) refuseBySource(events []event.Event, short int) {
 			j++
 		}
 		src := events[i].Source
-		qb := b.idShard(src).quotaBucketFor(src)
 		if i < short {
-			qb.refund(j-i, b.quota.Burst)
+			b.buckets.Get(src).refund(j-i, b.quota.Burst)
 		}
-		qb.rejected.Add(uint64(j - i))
+		b.quotaRejects.Add(src, uint64(j-i))
 		i = j
 	}
-	b.quotaRejected.Add(uint64(len(events)))
-}
-
-// QuotaRejectedFor returns the cumulative count of events refused by
-// admission control charged against the given publisher. Publishers never
-// refused read 0.
-func (b *Bus) QuotaRejectedFor(pub guid.GUID) uint64 {
-	var total uint64
-	for _, sh := range b.shards {
-		if t := sh.quotaTab.Load(); t != nil {
-			if qb, ok := t.buckets[pub]; ok {
-				total += qb.rejected.Load()
-			}
-		}
-	}
-	return total
-}
-
-// QuotaRejectedBySource returns a merged snapshot of per-publisher
-// quota-refusal counts across all stripes. The nil-GUID key, when present,
-// is the overflow bucket of publishers beyond the per-stripe tracking
-// bound. Publishers tracked but never refused are omitted.
-func (b *Bus) QuotaRejectedBySource() map[guid.GUID]uint64 {
-	out := make(map[guid.GUID]uint64)
-	for _, sh := range b.shards {
-		if t := sh.quotaTab.Load(); t != nil {
-			for src, qb := range t.buckets {
-				if n := qb.rejected.Load(); n > 0 {
-					out[src] += n
-				}
-			}
-		}
-	}
-	return out
 }

@@ -39,18 +39,18 @@ func TestQuotaAdmitsBurstThenClips(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := b.QuotaRejectedFor(src); got != 15 {
+	if got := b.QuotaRejects().For(src); got != 15 {
 		t.Fatalf("rejected = %d, want 15 (25 offered, burst 10)", got)
 	}
-	if st := b.Stats(); st.QuotaRejected != 15 {
-		t.Fatalf("Stats().QuotaRejected = %d, want 15", st.QuotaRejected)
+	if got := b.QuotaRejects().Total(); got != 15 {
+		t.Fatalf("QuotaRejects().Total() = %d, want 15", got)
 	}
 	// Advance the clock: 50ms at 100/s refills 5 tokens.
 	clk.Advance(50 * time.Millisecond)
 	if err := b.PublishAllOwnedFrom(src, mkBatchFrom(src, 10, &seq)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.QuotaRejectedFor(src); got != 20 {
+	if got := b.QuotaRejects().For(src); got != 20 {
 		t.Fatalf("rejected = %d after refill, want 20 (5 of 10 admitted)", got)
 	}
 }
@@ -113,16 +113,16 @@ func TestQuotaRejectRefundsEarlierRuns(t *testing.T) {
 	if err := b.PublishAll(mkBatchFrom(a, 2, &aseq)); err != nil {
 		t.Fatalf("A after refused batch: %v", err)
 	}
-	by := b.QuotaRejectedBySource()
+	by := shares(b.QuotaRejects())
 	if by[a] != 2 || by[c] != 2 {
-		t.Fatalf("QuotaRejectedBySource = %v, want a:2 c:2", by)
+		t.Fatalf("QuotaRejects() = %v, want a:2 c:2", by)
 	}
 	var sum uint64
 	for _, n := range by {
 		sum += n
 	}
-	if st := b.Stats(); st.QuotaRejected != sum {
-		t.Fatalf("Stats().QuotaRejected = %d, per-source sum %d", st.QuotaRejected, sum)
+	if got := b.QuotaRejects().Total(); got != sum {
+		t.Fatalf("QuotaRejects().Total() = %d, per-source sum %d", got, sum)
 	}
 }
 
@@ -139,15 +139,15 @@ func TestQuotaNilPublisherChargesPerSource(t *testing.T) {
 	if err := b.PublishAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.QuotaRejectedFor(a); got != 2 {
+	if got := b.QuotaRejects().For(a); got != 2 {
 		t.Fatalf("source a rejected = %d, want 2 (6 offered, burst 4)", got)
 	}
-	if got := b.QuotaRejectedFor(c); got != 0 {
+	if got := b.QuotaRejects().For(c); got != 0 {
 		t.Fatalf("source c rejected = %d, want 0 (3 within burst)", got)
 	}
-	by := b.QuotaRejectedBySource()
+	by := shares(b.QuotaRejects())
 	if len(by) != 1 || by[a] != 2 {
-		t.Fatalf("QuotaRejectedBySource = %v", by)
+		t.Fatalf("QuotaRejects() = %v", by)
 	}
 }
 
@@ -194,7 +194,7 @@ func TestQuotaConcurrentFloodConservation(t *testing.T) {
 	wg.Wait()
 	for _, src := range srcs {
 		offered := uint64(perG * batchLen)
-		rejected := b.QuotaRejectedFor(src)
+		rejected := b.QuotaRejects().For(src)
 		if admitted := offered - rejected; admitted != burst {
 			t.Fatalf("source %s admitted %d, want exactly burst %d (frozen clock)",
 				src.Short(), admitted, burst)
@@ -214,48 +214,6 @@ func TestQuotaConcurrentFloodConservation(t *testing.T) {
 	})
 }
 
-// TestQuotaTableBounding: beyond maxQuotaSources distinct publishers per
-// shard, newcomers share the nil-GUID overflow bucket instead of growing
-// the table without bound.
-func TestQuotaTableBounding(t *testing.T) {
-	old := maxQuotaSources
-	maxQuotaSources = 4
-	defer func() { maxQuotaSources = old }()
-
-	clk := clock.NewManual(t0)
-	b := New(nil, WithShards(1), WithQuota(Quota{Rate: 100, Burst: 2, Clock: clk}))
-	defer b.Close()
-
-	var srcs []guid.GUID
-	for i := 0; i < 8; i++ {
-		src := guid.New(guid.KindDevice)
-		srcs = append(srcs, src)
-		var seq uint64
-		if err := b.PublishAllOwnedFrom(src, mkBatchFrom(src, 3, &seq)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	by := b.QuotaRejectedBySource()
-	// First 4 sources own buckets (1 rejection each: 3 offered, burst 2);
-	// the remaining 4 share the overflow bucket, whose burst admits 2 of
-	// the 12 overflow events in total.
-	named := 0
-	for _, src := range srcs {
-		if n, ok := by[src]; ok {
-			named++
-			if n != 1 {
-				t.Fatalf("named source rejected %d, want 1", n)
-			}
-		}
-	}
-	if named != 4 {
-		t.Fatalf("named quota buckets = %d, want maxQuotaSources = 4", named)
-	}
-	if got := by[guid.Nil]; got != 10 {
-		t.Fatalf("overflow bucket rejected %d, want 10 (12 offered, burst 2)", got)
-	}
-}
-
 // TestQuotaDisabledNoOverhead: without WithQuota, publishing carries no
 // quota accounting at all.
 func TestQuotaDisabledNoOverhead(t *testing.T) {
@@ -266,10 +224,10 @@ func TestQuotaDisabledNoOverhead(t *testing.T) {
 	if err := b.PublishAllOwnedFrom(src, mkBatchFrom(src, 100, &seq)); err != nil {
 		t.Fatal(err)
 	}
-	if got := b.QuotaRejectedFor(src); got != 0 {
+	if got := b.QuotaRejects().For(src); got != 0 {
 		t.Fatalf("quota accounting active without WithQuota: %d", got)
 	}
-	if st := b.Stats(); st.QuotaRejected != 0 {
-		t.Fatalf("Stats().QuotaRejected = %d without quota", st.QuotaRejected)
+	if got := b.QuotaRejects().Total(); got != 0 {
+		t.Fatalf("QuotaRejects().Total() = %d without quota", got)
 	}
 }

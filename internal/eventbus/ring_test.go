@@ -130,13 +130,13 @@ func TestFirstRunLongerThanLimit(t *testing.T) {
 				if st := b.Stats(); st.Dropped != uint64(len(lost)) {
 					t.Fatalf("Stats().Dropped = %d, want %d", st.Dropped, len(lost))
 				}
-				bySrc := b.DropsBySource()
+				bySrc := shares(b.Drops())
 				if len(bySrc) != len(wantDrops) {
-					t.Fatalf("DropsBySource = %v, want %v", bySrc, wantDrops)
+					t.Fatalf("Drops() = %v, want %v", bySrc, wantDrops)
 				}
 				for pub, n := range wantDrops {
 					if bySrc[pub] != n {
-						t.Fatalf("DropsBySource = %v, want %v", bySrc, wantDrops)
+						t.Fatalf("Drops() = %v, want %v", bySrc, wantDrops)
 					}
 				}
 			})

@@ -3,8 +3,8 @@ package eventbus
 // A reference model of the delivery ring. Random interleavings of Publish,
 // PublishAll and PublishAllOwnedFrom drive a handful of subscriptions with
 // small rings under both drop policies, while the test parks and releases
-// each delivery loop; every delivery, Stats().Dropped, DropsFor and
-// DropsBySource must match a naive per-event bounded FIFO per subscription.
+// each delivery loop; every delivery, Stats().Dropped and the Drops
+// ledger, origin by origin, must match a naive per-event bounded FIFO per subscription.
 
 import (
 	"fmt"
@@ -302,16 +302,15 @@ func checkRingModel(t *testing.T, data []byte) {
 		t.Fatalf("Stats().Dropped = %d, model %d", st.Dropped, total)
 	}
 	for _, k := range append(r.srcs[:], r.pubs[:]...) {
-		if got := r.b.DropsFor(k); got != r.drops[k] {
-			t.Fatalf("DropsFor(%s) = %d, model %d", k.Short(), got, r.drops[k])
+		if got := r.b.Drops().For(k); got != r.drops[k] {
+			t.Fatalf("Drops().For(%s) = %d, model %d", k.Short(), got, r.drops[k])
 		}
 	}
-	// A run that exactly fills a ring installs its key's counter at zero.
-	got := r.b.DropsBySource()
-	maps.DeleteFunc(got, func(_ guid.GUID, n uint64) bool { return n == 0 })
+	// The ledger names only origins charged something; so must the model.
+	got := shares(r.b.Drops())
 	maps.DeleteFunc(r.drops, func(_ guid.GUID, n uint64) bool { return n == 0 })
 	if !maps.Equal(got, r.drops) {
-		t.Fatalf("DropsBySource = %v, model %v", got, r.drops)
+		t.Fatalf("Drops() = %v, model %v", got, r.drops)
 	}
 	r.b.Close()
 }

@@ -239,7 +239,7 @@ func TestWithSourcesDropsBlameEachProducer(t *testing.T) {
 	if err := b.PublishAll(batch); err != nil {
 		t.Fatal(err)
 	}
-	if d0, d1 := b.DropsFor(srcs[0]), b.DropsFor(srcs[1]); d0 != 2 || d1 != 0 {
+	if d0, d1 := b.Drops().For(srcs[0]), b.Drops().For(srcs[1]); d0 != 2 || d1 != 0 {
 		t.Fatalf("drops = %d, %d; want 2, 0", d0, d1)
 	}
 	if st := b.Stats(); st.Dropped != 2 {

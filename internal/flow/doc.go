@@ -64,9 +64,9 @@
 // concurrent publishers. The throttle-buffer shed (previous section)
 // becomes targeted under Fair: the oldest events of the *deepest*
 // sub-queue are shed first, and every shed is attributed to its source
-// through SharedStats.ShedBySource — the flooding tenant eats its own
+// in the SharedStats.Shed ledger — the flooding tenant eats its own
 // losses, and the gauges name it. The sub-queue table is bounded
-// (maxFairSources); past the bound, newcomers share a nil-GUID overflow
+// (guid.TableBound); past the bound, newcomers share a nil-GUID overflow
 // queue so an adversary minting sources cannot grow it without limit.
 //
 // Fair scheduling shares the wire once events are admitted; the admission
@@ -74,13 +74,13 @@
 // (eventbus.Quota, surfaced as server.PublisherQuota): each source earns
 // Rate events/s up to a Burst ceiling, charged at PublishAll* before any
 // dispatch work, with the caller choosing shed-and-count or a typed
-// ErrOverQuota reject. Rejections are counted per source (the
-// eventbus.quota.rejected.from.* gauges) by the same attribution
-// discipline as drops and sheds. The two layers compose: quotas clip what
-// a tenant may offer, weighted-fair flushing divides what the link can
-// carry, and both charge the offender — so one hostile publisher can
-// neither starve a shared Range at the publish edge nor push a shared
-// link's backlog onto its neighbours (experiment E14).
+// ErrOverQuota reject. Rejections are charged per source to the bus's
+// quota-reject ledger (the eventbus.quota.rejected.from.* gauges), the
+// same metrics.Ledger type that holds drops and sheds. The two layers
+// compose: quotas clip what a tenant may offer, weighted-fair flushing
+// divides what the link can carry, and both charge the offender — so one
+// hostile publisher can neither starve a shared Range at the publish edge
+// nor push a shared link's backlog onto its neighbours (experiment E14).
 //
 // # Attributed and transitive credit
 //

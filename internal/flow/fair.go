@@ -20,14 +20,6 @@ type Fair struct {
 	Weights map[guid.GUID]int
 }
 
-// maxFairSources bounds the per-Coalescer sub-queue table; sources beyond
-// the bound share the nil-GUID overflow sub-queue, mirroring the bus's
-// drop-attribution and quota tables.
-const maxFairSources = 4096
-
-// maxShedSources bounds SharedStats' per-source shed table the same way.
-const maxShedSources = 4096
-
 // subQueue is one source's pending events plus its DRR deficit. The deficit
 // carries across flushes while the queue stays backlogged, so a source
 // clipped mid-round by the chunk boundary catches up next round.
@@ -42,7 +34,7 @@ func (c *Coalescer) fairKeyLocked(src guid.GUID) guid.GUID {
 	if _, ok := c.subs[src]; ok {
 		return src
 	}
-	if len(c.subs) >= maxFairSources {
+	if len(c.subs) >= guid.TableBound {
 		return guid.Nil
 	}
 	return src
@@ -146,7 +138,7 @@ func (c *Coalescer) shedFairLocked(excess int) {
 		c.total -= n
 		excess -= n
 		if c.cfg.Stats != nil {
-			c.cfg.Stats.noteShed(bigKey, uint64(n))
+			c.cfg.Stats.Shed.Add(bigKey, uint64(n))
 		}
 		if len(big.events) == 0 {
 			big.deficit = 0

@@ -131,12 +131,11 @@ func TestFairShedTargetsOffender(t *testing.T) {
 	if got := c.PendingLen(); got != limit {
 		t.Fatalf("pending = %d, want bounded at %d", got, limit)
 	}
-	shed := st.ShedBySource()
-	if shed[hot] != 23 {
-		t.Fatalf("flood shed = %d, want 23 (3 + limit + 20 − limit)", shed[hot])
+	if got := st.Shed.For(hot); got != 23 {
+		t.Fatalf("flood shed = %d, want 23 (3 + limit + 20 − limit)", got)
 	}
-	if shed[well] != 0 {
-		t.Fatalf("paced source shed %d events", shed[well])
+	if got := st.Shed.For(well); got != 0 {
+		t.Fatalf("paced source shed %d events", got)
 	}
 	// The flood's survivors are its freshest; the paced events all survive.
 	c.Flush()
@@ -175,7 +174,7 @@ func TestFairTimerFlushShipsEverything(t *testing.T) {
 	}
 }
 
-// TestFairSubQueueTableBounded: beyond maxFairSources distinct sources the
+// TestFairSubQueueTableBounded: beyond guid.TableBound distinct sources the
 // overflow events share the nil-GUID sub-queue; nothing is lost.
 func TestFairSubQueueTableBounded(t *testing.T) {
 	clk := clock.NewManual(epoch)
@@ -183,17 +182,17 @@ func TestFairSubQueueTableBounded(t *testing.T) {
 	c := newFair(clk, 1<<20, time.Hour, rec, nil, nil)
 
 	total := 0
-	for i := 0; i < maxFairSources+10; i++ {
+	for i := 0; i < guid.TableBound+10; i++ {
 		c.Add(mkEventsFrom(guid.New(guid.KindDevice), 1, 0, clk.Now())[0])
 		total++
 	}
 	c.mu.Lock()
 	subs := len(c.subs)
 	c.mu.Unlock()
-	// The bound admits maxFairSources named queues plus the shared nil-GUID
+	// The bound admits guid.TableBound named queues plus the shared nil-GUID
 	// overflow queue.
-	if subs > maxFairSources+1 {
-		t.Fatalf("sub-queue table grew to %d, want ≤ %d", subs, maxFairSources+1)
+	if subs > guid.TableBound+1 {
+		t.Fatalf("sub-queue table grew to %d, want ≤ %d", subs, guid.TableBound+1)
 	}
 	c.Flush()
 	if got := len(rec.events()); got != total {
@@ -246,7 +245,7 @@ func TestFairConcurrentConservation(t *testing.T) {
 		t.Fatalf("delivered %d events, want %d (none shed: never throttled)",
 			got, goroutines*perG)
 	}
-	if got := st.EventsShed.Value(); got != 0 {
+	if got := st.Shed.Total(); got != 0 {
 		t.Fatalf("unthrottled run shed %d events", got)
 	}
 }

@@ -34,63 +34,26 @@ type SharedStats struct {
 	DropsReported metrics.Counter
 	// ThrottleEvents counts penalty raises (credit collapses observed).
 	ThrottleEvents metrics.Counter
-	// EventsShed counts events dropped sender-side because a throttled
-	// queue exceeded its buffer bound.
-	EventsShed metrics.Counter
 	// Throttled gauges how many Coalescers currently hold a penalty above
 	// one.
 	Throttled metrics.Gauge
-
-	// shedBy attributes sender-side sheds to the publishing source the
-	// evicted events belonged to (bounded; overflow folds into the nil
-	// GUID), so a throttled Range can report which tenant's backlog is
-	// being cut.
-	shedMu sync.Mutex
-	shedBy map[guid.GUID]uint64
+	// Shed charges every event dropped sender-side, because a throttled
+	// queue exceeded its buffer bound, to the source it belonged to, so a
+	// throttled Range can report which tenant's backlog is being cut.
+	Shed metrics.Ledger
 }
 
-// noteShed counts n events shed from src's backlog: the EventsShed total
-// plus the bounded per-source attribution table.
-func (s *SharedStats) noteShed(src guid.GUID, n uint64) {
-	if n == 0 {
-		return
-	}
-	s.EventsShed.Add(n)
-	s.shedMu.Lock()
-	if s.shedBy == nil {
-		s.shedBy = make(map[guid.GUID]uint64)
-	}
-	key := src
-	if _, ok := s.shedBy[src]; !ok && len(s.shedBy) >= maxShedSources {
-		key = guid.Nil // overflow bucket
-	}
-	s.shedBy[key] += n
-	s.shedMu.Unlock()
-}
-
-// noteShedEvents attributes a shed stretch event by event (per-event
-// Source), walking it in runs so each run costs one table update.
-func (s *SharedStats) noteShedEvents(events []event.Event) {
+// shedEach charges a shed stretch to each event's own Source, one ledger
+// add per run of same-Source events.
+func shedEach(l *metrics.Ledger, events []event.Event) {
 	for i := 0; i < len(events); {
 		j := i + 1
 		for j < len(events) && events[j].Source == events[i].Source {
 			j++
 		}
-		s.noteShed(events[i].Source, uint64(j-i))
+		l.Add(events[i].Source, uint64(j-i))
 		i = j
 	}
-}
-
-// ShedBySource returns a snapshot of the per-source shed attribution. The
-// nil-GUID key, when present, is the overflow bucket.
-func (s *SharedStats) ShedBySource() map[guid.GUID]uint64 {
-	s.shedMu.Lock()
-	defer s.shedMu.Unlock()
-	out := make(map[guid.GUID]uint64, len(s.shedBy))
-	for k, v := range s.shedBy {
-		out[k] = v
-	}
-	return out
 }
 
 // Config parameterises a Coalescer. Clock, MaxBatch (≥1), MaxDelay and
@@ -201,7 +164,7 @@ func (c *Coalescer) add(app func()) {
 		if limit := c.cfg.MaxBatch * throttleBufferFactor; len(c.pending) > limit {
 			shed := len(c.pending) - limit
 			if c.cfg.Stats != nil {
-				c.cfg.Stats.noteShedEvents(c.pending[:shed])
+				shedEach(&c.cfg.Stats.Shed, c.pending[:shed])
 			}
 			c.pending = append(c.pending[:0], c.pending[shed:]...)
 		}

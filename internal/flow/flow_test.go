@@ -250,8 +250,8 @@ func TestThrottledBufferShedsOldest(t *testing.T) {
 	if got := c.PendingLen(); got != limit {
 		t.Fatalf("pending = %d, want bounded at %d", got, limit)
 	}
-	if got := st.EventsShed.Value(); got != 10 {
-		t.Fatalf("EventsShed = %d, want 10", got)
+	if got := st.Shed.Total(); got != 10 {
+		t.Fatalf("Shed.Total() = %d, want 10", got)
 	}
 	// The survivors are the freshest.
 	c.Flush()
@@ -299,7 +299,7 @@ func TestConcurrentAddFlushCredit(t *testing.T) {
 		c.Flush()
 		discarded := c.PendingLen()
 		c.Discard()
-		delivered, shed := len(rec.events()), int(st.EventsShed.Value())
+		delivered, shed := len(rec.events()), int(st.Shed.Total())
 		if got := delivered + shed + discarded; got != 4*200*3 {
 			t.Fatalf("MaxBatch %d: delivered %d + shed %d + discarded %d = %d events, want %d",
 				maxBatch, delivered, shed, discarded, got, 4*200*3)

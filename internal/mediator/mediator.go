@@ -43,6 +43,7 @@ import (
 	"sci/internal/event"
 	"sci/internal/eventbus"
 	"sci/internal/guid"
+	"sci/internal/metrics"
 )
 
 // Record describes one live subscription.
@@ -363,9 +364,9 @@ func (m *Mediator) PublishAllOwned(events []event.Event) error {
 
 // PublishAllOwnedFrom is PublishAllOwned with an explicit drop-attribution
 // key: events of this batch later discarded from full subscription queues
-// count against pub (see DropsFor) instead of their own Source — the wire
-// and overlay ingest paths pass the sending endpoint so credit acks can
-// name the link responsible.
+// are charged to pub in the Drops ledger instead of their own Source — the
+// wire and overlay ingest paths pass the sending endpoint so credit acks
+// can name the link responsible.
 func (m *Mediator) PublishAllOwnedFrom(pub guid.GUID, events []event.Event) error {
 	return m.bus.PublishAllOwnedFrom(pub, events)
 }
@@ -463,28 +464,13 @@ func (m *Mediator) ShardStats() []eventbus.ShardStats {
 	return m.bus.ShardStats()
 }
 
-// DropsFor exposes the bus's cumulative drop count attributed to one
-// publisher/endpoint.
-func (m *Mediator) DropsFor(pub guid.GUID) uint64 {
-	return m.bus.DropsFor(pub)
-}
+// Drops exposes the bus's ledger of events discarded from full queues,
+// each charged to its publisher or ingest endpoint.
+func (m *Mediator) Drops() *metrics.Ledger { return m.bus.Drops() }
 
-// DropsBySource exposes the bus's per-publisher drop attribution snapshot.
-func (m *Mediator) DropsBySource() map[guid.GUID]uint64 {
-	return m.bus.DropsBySource()
-}
-
-// QuotaRejectedFor exposes the bus's per-publisher quota-refusal count: the
-// number of events admission control refused charged against pub.
-func (m *Mediator) QuotaRejectedFor(pub guid.GUID) uint64 {
-	return m.bus.QuotaRejectedFor(pub)
-}
-
-// QuotaRejectedBySource exposes the bus's per-publisher quota-refusal
-// snapshot (nil-GUID key: the overflow bucket).
-func (m *Mediator) QuotaRejectedBySource() map[guid.GUID]uint64 {
-	return m.bus.QuotaRejectedBySource()
-}
+// QuotaRejects exposes the bus's ledger of events admission control
+// refused, each charged to its publisher.
+func (m *Mediator) QuotaRejects() *metrics.Ledger { return m.bus.QuotaRejects() }
 
 // IndexHitRatio reports the fraction of dispatch work the bus resolved
 // through its exact-pattern index (1 = no wildcard scanning).

@@ -1,6 +1,6 @@
-// Package metrics provides the lightweight counters, gauges and histograms
-// the infrastructure keeps as plain struct fields and the benchmark harness
-// uses to characterise it — hop counts and relay load in the SCINET overlay
+// Package metrics provides the lightweight counters, gauges, histograms and
+// per-origin loss ledgers the infrastructure keeps as plain struct fields
+// and the benchmark harness uses to characterise it — hop counts and relay load in the SCINET overlay
 // (experiment E1), discovery and repair latencies (E5, E8), end-to-end CAPA
 // latency (E7). A Range's figures reach operators through one rendering,
 // server.Range.StatsMap, under dotted layer.metric names.

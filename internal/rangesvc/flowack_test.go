@@ -209,11 +209,11 @@ func TestAckCreditAttributedToEndpoint(t *testing.T) {
 	// The attribution table agrees: every drop is the flooder's (including
 	// its own queued events the innocent batch later evicted), none the
 	// innocent's.
-	if got := r.rng.DispatchDropsFor(flooder.id); got < fcredit.Dropped {
-		t.Fatalf("DispatchDropsFor(flooder) = %d, below the acked %d", got, fcredit.Dropped)
+	if got := r.rng.Drops().For(flooder.id); got < fcredit.Dropped {
+		t.Fatalf("Drops().For(flooder) = %d, below the acked %d", got, fcredit.Dropped)
 	}
-	if got := r.rng.DispatchDropsFor(innocent.id); got != 0 {
-		t.Fatalf("DispatchDropsFor(innocent) = %d, want 0", got)
+	if got := r.rng.Drops().For(innocent.id); got != 0 {
+		t.Fatalf("Drops().For(innocent) = %d, want 0", got)
 	}
 }
 

@@ -122,7 +122,7 @@ var (
 //
 // Credit flows the other way too: batches a remote CE publishes are
 // acknowledged with the drops *that endpoint's traffic* caused (the bus's
-// per-publisher attribution, Range.DispatchDropsFor), never the Range-wide
+// per-publisher attribution, Range.Drops().For), never the Range-wide
 // total. Acks are coalesced per endpoint and ride outbound event.batch
 // messages (NativeBatch.Credit) instead of standalone event.batch_ack
 // frames when reverse-direction traffic is available to carry them; the
@@ -272,7 +272,7 @@ func (h *Host) endpointFor(to guid.GUID) *endpoint {
 		// an unknown queue depth (dispatch rings are per subscription, not
 		// one queue).
 		credit: func(events int) wire.BatchCredit {
-			return wire.BatchCredit{Events: events, Dropped: h.rng.DispatchDropsFor(to), QueueFree: -1}
+			return wire.BatchCredit{Events: events, Dropped: h.rng.Drops().For(to), QueueFree: -1}
 		},
 		sent:        &h.AcksSent,
 		piggybacked: &h.AcksPiggybacked,

@@ -55,7 +55,7 @@ func (f *Fabric) sendAck(to guid.GUID, events int, query bool) error {
 	msg := eventBatchAckMsg{
 		QueryAck:  query,
 		Events:    events,
-		Dropped:   f.rng.DispatchDropsFor(to),
+		Dropped:   f.rng.Drops().For(to),
 		QueueFree: -1,
 	}
 	if !query {
@@ -161,7 +161,7 @@ func (f *Fabric) noteAck(to guid.GUID, events int, query bool) {
 // ackFigure is the cumulative figure an ack toward peer reports: the drops
 // attributed to its traffic, plus (fan path) the downstream accounts.
 func (f *Fabric) ackFigure(peer guid.GUID, query bool) uint64 {
-	n := f.rng.DispatchDropsFor(peer)
+	n := f.rng.Drops().For(peer)
 	if !query {
 		n += f.downstreamFor(peer)
 	}

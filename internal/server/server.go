@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -74,13 +73,14 @@ type Config struct {
 // PublisherQuota configures per-publisher enforcement on a Range. Rate > 0
 // arms a token bucket per publishing source at the mediator's admission
 // edge (Publish/PublishAll/PublishAllFrom), clipping a flooding tenant
-// before it costs dispatch work; over-quota events are shed-and-counted
-// (readable via QuotaRejectedFor) or, with Reject, refused with an error
-// wrapping eventbus.ErrOverQuota. Enabling enforcement (Rate > 0 or any
-// Weights) also switches the Range's outbound coalescers — Range Service
-// endpoints and SCINET fabric queues alike — to weighted-fair per-source
-// draining, so a credit-throttled link sheds the offender's backlog rather
-// than every tenant's.
+// before it costs dispatch work; over-quota events are shed and charged
+// to their publisher in Range.QuotaRejects or, with Reject, refused with
+// an error wrapping eventbus.ErrOverQuota. Enabling enforcement (Rate > 0
+// or any Weights) also switches the Range's outbound coalescers — Range
+// Service endpoints and SCINET fabric queues alike — to weighted-fair
+// per-source draining, so a credit-throttled link sheds the offender's
+// backlog rather than every tenant's, charging it in the Range's shed
+// ledger (FlowStats().Shed).
 type PublisherQuota struct {
 	// Rate is the sustained per-publisher admission rate, events/second
 	// (0 disables admission control).
@@ -668,7 +668,7 @@ func (r *Range) PublishAll(events []event.Event) error {
 
 // PublishAllFrom is PublishAll with an explicit drop-attribution key:
 // events of this batch later discarded from full subscription queues count
-// against pub (see DispatchDropsFor) rather than their own Source, so a
+// against pub in the Drops ledger rather than their own Source, so a
 // flow-credit ack can carry the drops caused by one link's traffic instead
 // of the Range-wide total. A nil pub attributes per event Source. (The
 // Range Service and SCINET ingest paths stamp their events themselves and
@@ -709,36 +709,20 @@ func (r *Range) FairFlush() flow.Fair {
 	return flow.Fair{Enabled: r.quota.enabled(), Weights: r.quota.Weights}
 }
 
-// QuotaRejectedFor returns the cumulative count of events refused by
-// per-publisher admission control charged against pub (0 with quotas
+// QuotaRejects returns the ledger of events per-publisher admission
+// control refused, each charged to its publisher (empty with quotas
 // disabled).
-func (r *Range) QuotaRejectedFor(pub guid.GUID) uint64 {
-	return r.med.QuotaRejectedFor(pub)
-}
-
-// QuotaRejectedBySource returns the per-publisher quota-refusal snapshot
-// (nil-GUID key: the overflow bucket).
-func (r *Range) QuotaRejectedBySource() map[guid.GUID]uint64 {
-	return r.med.QuotaRejectedBySource()
-}
+func (r *Range) QuotaRejects() *metrics.Ledger { return r.med.QuotaRejects() }
 
 // DispatchStats returns the Event Mediator's bus-wide dispatch counters.
 func (r *Range) DispatchStats() eventbus.Stats {
 	return r.med.Stats()
 }
 
-// DispatchDropsFor returns the cumulative count of dispatched events
-// discarded from full subscription queues attributed to one publisher or
-// ingest endpoint — the figure a flow-credit ack to that endpoint carries.
-func (r *Range) DispatchDropsFor(pub guid.GUID) uint64 {
-	return r.med.DropsFor(pub)
-}
-
-// DispatchDropsBySource returns the per-publisher dispatch-drop attribution
-// snapshot (nil-GUID key: the overflow bucket).
-func (r *Range) DispatchDropsBySource() map[guid.GUID]uint64 {
-	return r.med.DropsBySource()
-}
+// Drops returns the ledger of dispatched events discarded from full
+// subscription queues, each charged to its publisher or ingest endpoint:
+// For(pub) is the figure a flow-credit ack to that endpoint carries.
+func (r *Range) Drops() *metrics.Ledger { return r.med.Drops() }
 
 // StatsMap renders the Range's health — the Range's only metric rendering —
 // as the flat float64 map the "dispatch.stats" infrastructure call answers
@@ -755,13 +739,11 @@ func (r *Range) StatsMap() map[string]float64 {
 	out := map[string]float64{
 		"eventbus.published":        float64(st.Published),
 		"eventbus.delivered":        float64(st.Delivered),
-		"eventbus.dropped":          float64(st.Dropped),
 		"eventbus.subs":             float64(st.Subs),
 		"eventbus.index_hits":       float64(st.IndexHits),
 		"eventbus.residual_scanned": float64(st.ResidualScanned),
 		"eventbus.index_hit_ratio":  r.med.IndexHitRatio(),
 		"eventbus.shards":           float64(len(r.med.ShardStats())),
-		"eventbus.quota.rejected":   float64(st.QuotaRejected),
 
 		"queries.submitted": float64(r.QueriesSubmitted.Value()),
 		"queries.deferred":  float64(r.QueriesDeferred.Value()),
@@ -777,7 +759,6 @@ func (r *Range) StatsMap() map[string]float64 {
 		"remote.backpressure.throttled":       float64(r.flowStats.Throttled.Value()),
 		"remote.backpressure.drops_reported":  float64(r.flowStats.DropsReported.Value()),
 		"remote.backpressure.throttle_events": float64(r.flowStats.ThrottleEvents.Value()),
-		"remote.backpressure.shed":            float64(r.flowStats.EventsShed.Value()),
 	}
 	for i, ss := range r.med.ShardStats() {
 		shard := fmt.Sprintf("eventbus.shard%02d.", i)
@@ -785,26 +766,16 @@ func (r *Range) StatsMap() map[string]float64 {
 		out[shard+"delivered"] = float64(ss.Delivered)
 		out[shard+"dropped"] = float64(ss.Dropped)
 	}
-	// Per-publisher attribution: one gauge per top publisher, keyed by its
-	// short GUID form, with the long tail folded into the .other key — the
-	// full maps stay queryable via DispatchDropsBySource and friends, but a
-	// stats round trip must not ship a key per device a high-churn Range
-	// has ever dropped for. The keys sum cleanly in fleet rollups (a
-	// publisher's figures across Ranges add up).
-	for _, fam := range []struct {
-		prefix string
-		all    map[guid.GUID]uint64
-	}{
-		{"eventbus.dropped.from.", r.med.DropsBySource()},
-		{"eventbus.quota.rejected.from.", r.med.QuotaRejectedBySource()},
-		{"remote.backpressure.throttled.by_source.", r.flowStats.ShedBySource()},
-	} {
-		for _, e := range topSources(fam.all) {
-			key := fam.prefix + "other"
-			if !e.src.IsNil() {
-				key = fam.prefix + e.src.Short()
-			}
-			out[key] += float64(e.n)
+	// Per-origin losses: each family's total under its key K, its top eight
+	// origins (Ledger.Top) under K.from.<short GUID> and the rest under
+	// K.from.other, so a stats round trip ships a bounded number of keys
+	// however many devices a high-churn Range has lost events for. The keys
+	// sum cleanly in fleet rollups (an origin's figures across Ranges add
+	// up).
+	for _, fam := range r.lossFamilies() {
+		out[fam.key] = float64(fam.ledger.Total())
+		for _, sh := range fam.ledger.Top() {
+			out[LossKey(fam.key, sh.Src)] += float64(sh.N)
 		}
 	}
 	for _, src := range r.snapshotStatsSources() {
@@ -835,53 +806,33 @@ func (r *Range) snapshotStatsSources() []func() map[string]float64 {
 	return append([]func() map[string]float64(nil), r.statsSources...)
 }
 
-// maxDropSourceGauges bounds how many publishers each per-publisher family
-// of StatsMap exports by name; everything beyond the top offenders is
-// aggregated under "other".
-const maxDropSourceGauges = 8
-
-// dropSourceEntry is one exported per-publisher figure; a nil source is
-// the aggregated remainder.
-type dropSourceEntry struct {
-	src guid.GUID
-	n   uint64
+// lossFamily is one per-origin loss ledger under its StatsMap key.
+type lossFamily struct {
+	key    string
+	ledger *metrics.Ledger
 }
 
-// topSources reduces a per-publisher attribution map to its top
-// maxDropSourceGauges entries by descending count, plus (last, nil-keyed)
-// the aggregated remainder — the bounding every per-tenant gauge family
-// shares.
+// lossFamilies lists the Range's loss ledgers: the events its Event
+// Mediator dropped from full queues and refused at admission, and those its
+// outbound coalescers shed.
 //
 //lint:bounded
-func topSources(all map[guid.GUID]uint64) []dropSourceEntry {
-	if len(all) == 0 {
-		return nil
+func (r *Range) lossFamilies() [3]lossFamily {
+	return [3]lossFamily{
+		{"eventbus.dropped", r.med.Drops()},
+		{"eventbus.quota.rejected", r.med.QuotaRejects()},
+		{"remote.backpressure.shed", &r.flowStats.Shed},
 	}
-	entries := make([]dropSourceEntry, 0, len(all))
-	var other uint64
-	for src, n := range all {
-		if src.IsNil() {
-			other += n // the bus's own overflow bucket
-			continue
-		}
-		entries = append(entries, dropSourceEntry{src: src, n: n})
+}
+
+// LossKey is the StatsMap key of one origin's share of the loss family
+// whose total is under k: k.from.<src.Short()>, or k.from.other for the
+// remainder (a nil src).
+func LossKey(k string, src guid.GUID) string {
+	if src.IsNil() {
+		return k + ".from.other"
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].n != entries[j].n {
-			return entries[i].n > entries[j].n
-		}
-		return guid.Less(entries[i].src, entries[j].src)
-	})
-	if len(entries) > maxDropSourceGauges {
-		for _, e := range entries[maxDropSourceGauges:] {
-			other += e.n
-		}
-		entries = entries[:maxDropSourceGauges]
-	}
-	if other > 0 {
-		entries = append(entries, dropSourceEntry{n: other})
-	}
-	return entries
+	return k + ".from." + src.Short()
 }
 
 // resolveContext builds the resolver context for a query: owner location

@@ -187,7 +187,7 @@ func e12Overload(batch int, maxDelay time.Duration) (*e12Backpressure, error) {
 		overloadFlushPerSec: overloadRate,
 		throttleEvents:      stats.ThrottleEvents.Value(),
 		dropsReported:       stats.DropsReported.Value(),
-		eventsShed:          stats.EventsShed.Value(),
+		eventsShed:          stats.Shed.Total(),
 		throttled:           stats.Throttled.Value() > 0,
 	}, nil
 }

@@ -13,7 +13,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -47,10 +46,9 @@ type e13Result struct {
 	// sinkDropsFromRelay is the sink Range's dispatch-drop count attributed
 	// to the relay's traffic (per-publisher attribution at the sink).
 	sinkDropsFromRelay uint64
-	// fleetDropGauges counts the per-publisher drop gauges visible in the
-	// FleetDispatchStats rollup; fleetDropTotal sums them.
-	fleetDropGauges int
-	fleetDropTotal  float64
+	// fleetRelayDrops is the relay's eventbus.dropped.from.<relay> gauge in
+	// the FleetDispatchStats rollup.
+	fleetRelayDrops float64
 
 	// Ack-economy phase (hot bidirectional Range-Service link).
 	batchesEachWay  uint64 // event.batch messages, both directions summed
@@ -186,11 +184,11 @@ func runE13(Scale, int64) ([]Table, error) {
 	tables := []Table{{
 		Title: "3-hop chain: relay-side overload throttles the origin",
 		Header: []string{"batch", "healthy flush/s", "overload flush/s", "collapse",
-			"origin throttled", "relay downstream", "sink drops (from relay)", "fleet drop gauges"},
+			"origin throttled", "relay downstream", "sink drops (from relay)", "fleet drop gauge (relay)"},
 		Rows: [][]string{{
 			fmt.Sprint(batch), fmt.Sprintf("%.0f", r.healthyFlushPerSec), fmt.Sprintf("%.0f", r.overloadFlushPerSec),
 			fmt.Sprintf("%.1f×", r.collapse), fmt.Sprint(r.originThrottled), fmt.Sprint(r.relayDownstream),
-			fmt.Sprint(r.sinkDropsFromRelay), fmt.Sprintf("%d (Σ %.0f)", r.fleetDropGauges, r.fleetDropTotal),
+			fmt.Sprint(r.sinkDropsFromRelay), fmt.Sprintf("%.0f", r.fleetRelayDrops),
 		}},
 	}, {
 		Title:  "ack economy: hot bidirectional link, credit rides reverse batches",
@@ -218,7 +216,7 @@ func runE13(Scale, int64) ([]Table, error) {
 			bar(r.originThrottled, "e13: origin not throttled at the end of the overload window"),
 			bar(r.relayDownstream > 0, "e13: relay accumulated no downstream drops"),
 			bar(r.sinkDropsFromRelay > 0, "e13: sink attributed no drops to the relay's traffic"),
-			bar(r.fleetDropGauges > 0, "e13: no per-publisher drop gauges in the fleet rollup"),
+			bar(r.fleetRelayDrops > 0, "e13: the relay's drop gauge is missing or zero in the fleet rollup"),
 			bar(r.piggybackedAcks > 0, "e13: hot bidirectional link piggybacked no credit"),
 			bar(r.ackRatio <= 0.55, "e13: %.2f standalone acks per batch, want ≤ 0.55", r.ackRatio))
 	}
@@ -253,16 +251,11 @@ func e13Run(batch int, maxDelay time.Duration) (*e13Result, error) {
 	}
 	res.originThrottled = ch.ranges[0].FlowStats().Throttled.Value() > 0
 	res.relayDownstream = fB.DownstreamDrops()
-	res.sinkDropsFromRelay = ch.ranges[2].DispatchDropsFor(fB.NodeID())
+	res.sinkDropsFromRelay = ch.ranges[2].Drops().For(fB.NodeID())
 
-	// Per-publisher drop gauges in the fleet rollup.
+	// The relay's per-publisher drop gauge in the fleet rollup.
 	if fleet, err := fA.FleetDispatchStats(2 * time.Second); err == nil {
-		for k, v := range fleet.Totals {
-			if strings.HasPrefix(k, "eventbus.dropped.from.") {
-				res.fleetDropGauges++
-				res.fleetDropTotal += v
-			}
-		}
+		res.fleetRelayDrops = fleet.Totals[server.LossKey("eventbus.dropped", fB.NodeID())]
 	}
 
 	if err := e13AckEconomy(batch, maxDelay, res); err != nil {

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +49,9 @@ type e14Result struct {
 	floodAdmitted uint64
 	floodExpected float64
 	floodClipErr  float64
-	// quotaGauge reports whether the hostile source surfaced in the
-	// Range's eventbus.quota.rejected.from.* stats gauges.
+	// quotaGauge reports whether the hostile source's own
+	// eventbus.quota.rejected.from.<source> gauge in the Range's StatsMap
+	// is nonzero.
 	quotaGauge bool
 
 	// Phase B: shared fabric, remote consumer is the bottleneck.
@@ -225,16 +225,12 @@ func e14Local(rate float64, burst, batch int, maxDelay time.Duration, contended 
 
 	if acct != nil {
 		acct.floodOffered = offered.Load()
-		acct.floodAdmitted = offered.Load() - rng.QuotaRejectedFor(hotSrc)
+		acct.floodAdmitted = offered.Load() - rng.QuotaRejects().For(hotSrc)
 		acct.floodExpected = float64(burst) + rate*elapsed.Seconds()
 		if acct.floodExpected > 0 {
 			acct.floodClipErr = math.Abs(float64(acct.floodAdmitted)-acct.floodExpected) / acct.floodExpected
 		}
-		for k, v := range rng.StatsMap() {
-			if strings.HasPrefix(k, "eventbus.quota.rejected.from.") && v > 0 {
-				acct.quotaGauge = true
-			}
-		}
+		acct.quotaGauge = rng.StatsMap()[server.LossKey("eventbus.quota.rejected", hotSrc)] > 0
 	}
 	return lat.p99(), nil
 }
@@ -335,8 +331,8 @@ func e14Remote(quota server.PublisherQuota, batch int, maxDelay time.Duration,
 	wg.Wait()
 	time.Sleep(500 * time.Millisecond) // drain the link and the rings
 
-	sheds := rngA.FlowStats().ShedBySource()
-	return lat.p99(), sheds[wellSrc], sheds[hotSrc],
+	shed := &rngA.FlowStats().Shed
+	return lat.p99(), shed.For(wellSrc), shed.For(hotSrc),
 		rngA.FlowStats().Throttled.Value() > 0, nil
 }
 
@@ -399,7 +395,7 @@ func runE14(Scale, int64) ([]Table, error) {
 	errs := []error{
 		bar(r.localSoloP99 > 0 && r.remoteSoloP99 > 0, "e14: solo baselines unmeasured"),
 		bar(r.floodOffered > 0 && r.floodAdmitted > 0, "e14: hostile flood unmeasured"),
-		bar(r.quotaGauge, "e14: hostile source never surfaced in eventbus.quota.rejected.from.* gauges"),
+		bar(r.quotaGauge, "e14: hostile source's eventbus.quota.rejected.from.<source> gauge is missing or zero"),
 		bar(r.shedWell == 0, "e14: fair shed charged %d events to the well-behaved source", r.shedWell),
 	}
 	// The timing bars hold on real builds only: under -race every handler

@@ -64,8 +64,9 @@ func (d *Directory) Len() int {
 const protocolVersion = 5
 
 // helloTimeout is the connect bound: how long a dialing endpoint waits for
-// the accept side's hello answer before giving the connection up. A variable
-// only so tests can shorten it.
+// the accept side's hello answer, and an accepting endpoint for the dialer's
+// hello, before giving the connection up. A variable only so tests can
+// shorten it.
 var helloTimeout = 5 * time.Second
 
 // TCP is a Network over real TCP sockets. Each attached endpoint owns a
@@ -390,13 +391,10 @@ func (ep *tcpEndpoint) hello(c *tcpConn, dst guid.GUID) error {
 	if err := c.write(m); err != nil {
 		return err
 	}
-	//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
-	_ = c.c.SetReadDeadline(time.Now().Add(helloTimeout))
-	answer, err := c.dec.Read()
+	answer, err := c.readHello()
 	if err != nil {
 		return fmt.Errorf("%w: no hello answer: %v", ErrProtocolVersion, err)
 	}
-	_ = c.c.SetReadDeadline(time.Time{})
 	var h wire.Hello
 	if answer.Kind != wire.KindHello || answer.DecodeBody(&h) != nil {
 		return fmt.Errorf("%w: peer answered with %s, not a hello", ErrProtocolVersion, answer.Kind)
@@ -434,7 +432,7 @@ func (ep *tcpEndpoint) serve(c *tcpConn, peer guid.GUID) {
 		ep.discard(c)
 	}()
 	if peer.IsNil() {
-		m, err := c.dec.Read()
+		m, err := c.readHello()
 		if err != nil || !ep.answerHello(c, m) {
 			return
 		}
@@ -455,6 +453,21 @@ func (ep *tcpEndpoint) serve(c *tcpConn, peer guid.GUID) {
 		}
 		ep.h(m)
 	}
+}
+
+// readHello reads a connection's first frame, the dialer's hello or the
+// accept side's answer, waiting at most helloTimeout: a peer that connects
+// and stays silent gives its connection up instead of holding it, and the
+// read loop behind it, for as long as it likes. A hello read in time
+// clears the deadline for the frames that follow.
+func (c *tcpConn) readHello() (wire.Message, error) {
+	//lint:allow clockcheck kernel socket deadlines are absolute wall-clock instants
+	_ = c.c.SetReadDeadline(time.Now().Add(helloTimeout))
+	m, err := c.dec.Read()
+	if err == nil {
+		_ = c.c.SetReadDeadline(time.Time{})
+	}
+	return m, err
 }
 
 // answerHello answers a dialer's hello with this side's protocol version

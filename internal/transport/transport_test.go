@@ -412,6 +412,28 @@ func TestTCPAcceptedConnectionsReleased(t *testing.T) {
 	waitFor(t, func() bool { return epB.held() == 0 })
 }
 
+// TestTCPSilentDialerReleased: a dialer that connects and never sends its
+// hello loses the connection once helloTimeout has passed; the accept side
+// does not hold a socket and a read loop for it until it closes.
+func TestTCPSilentDialerReleased(t *testing.T) {
+	defer leak.Check(t)()
+	shortHelloTimeout(t)
+	n := NewTCP(nil)
+	defer n.Close()
+	ep, err := n.Attach(guid.New(guid.KindServer), func(wire.Message) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB := ep.(*tcpEndpoint)
+	conn, err := net.Dial("tcp", epB.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	time.Sleep(helloTimeout)
+	waitFor(t, func() bool { return epB.held() == 0 })
+}
+
 // held counts the connections the endpoint keeps: live or filed.
 func (ep *tcpEndpoint) held() int {
 	ep.mu.Lock()

@@ -244,11 +244,14 @@ var NewRange = server.New
 // Event dispatch introspection. The Event Mediator routes publishes through
 // a sharded two-tier subscription index; these snapshots (via
 // Range.DispatchStats and Range.Mediator) expose its throughput, drops and
-// index effectiveness. Drops are additionally attributed per publisher
-// (Range.DispatchDropsFor / Range.DispatchDropsBySource): every event
-// discarded from a full subscription queue counts against the endpoint
-// whose traffic caused it, which is the figure remote flow-credit acks
-// carry.
+// index effectiveness. Every loss is also charged to its origin in one of
+// three ledgers of one type: Range.Drops (each event discarded from a full
+// subscription queue, charged to the endpoint whose traffic caused it; its
+// For(endpoint) is the figure remote flow-credit acks carry),
+// Range.QuotaRejects and Range.FlowStats().Shed. Range.StatsMap renders
+// each as its total K (eventbus.dropped, eventbus.quota.rejected,
+// remote.backpressure.shed) plus K.from.<origin> for the top origins and
+// K.from.other for the rest.
 type (
 	// DispatchStats counts bus-wide publishes, deliveries, drops and
 	// index-hit/residual-scan work.
@@ -278,10 +281,10 @@ type (
 	// Reject with ErrOverQuota) and weighted-fair flush shares (Weights)
 	// inside the outbound coalescers, so one flooding tenant saturates
 	// its own share of a Range and its links rather than its neighbours'.
-	// Rejections and targeted sheds are attributed per source and
-	// surfaced as the eventbus.quota.rejected.from.* /
-	// remote.backpressure.throttled.by_source.* gauges through
-	// Range.StatsMap.
+	// Rejections and targeted sheds are charged per source
+	// (Range.QuotaRejects, Range.FlowStats().Shed) and surfaced as the
+	// eventbus.quota.rejected.from.* / remote.backpressure.shed.from.*
+	// gauges through Range.StatsMap.
 	PublisherQuota = server.PublisherQuota
 	// OverQuotaError carries the offending publisher and rejected count
 	// when PublisherQuota.Reject refuses a publish; it unwraps to
