@@ -59,15 +59,16 @@ fuzz-smoke:
 # The concurrency-heavy packages, race-checked twice in shuffled order; then
 # the SCINET interest and hierarchy convergence tests ten times over, since
 # their generation rules only break under rare interleavings, and likewise
-# the cache, departure, repair and shared-plan tests, the owner index, the
-# shared source sets and the read-locked type-equivalence queries, the
-# TCP tests, whose connections are read and written at both ends, and the
-# per-origin loss ledgers, whose tables install under concurrent charges.
+# the resolver cache and profile memo, departure, repair and shared-plan
+# tests, the owner index, the shared source sets and the read-locked
+# type-equivalence queries, the TCP tests, whose connections are read and
+# written at both ends, and the per-origin loss ledgers, whose tables
+# install under concurrent charges.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
 	$(GO) test -race -count=10 -run 'ResolveCache' ./internal/resolver/
-	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert' ./internal/server/
+	$(GO) test -race -count=10 -run 'ResolveCache|SubmitAnswers|Advert|Memo' ./internal/server/
 	$(GO) test -race -count=10 -run 'Ack|Credit|Piggyback|Depart|Close' ./internal/rangesvc/
 	$(GO) test -race -count=10 -run 'Depart|Teardown|Repair|Churn' ./internal/configuration/ ./internal/mediator/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Plan|Prime' ./internal/configuration/ ./internal/resolver/ ./internal/server/

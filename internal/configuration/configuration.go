@@ -138,10 +138,18 @@ type activeCfg struct {
 	cfg     *resolver.Configuration
 	deliver BatchDeliverFunc
 	rctx    resolver.Context
-	// subs are the ids of the mediator subscriptions wired for cfg.
+	// subs are the ids of the mediator subscriptions wired for cfg. When
+	// InstantiateBatch wires no more than fit, they live in ids, so the
+	// record and its ids are one allocation.
 	subs    []guid.GUID
+	ids     [inlineSubs]guid.GUID
 	repairs int
 }
+
+// inlineSubs is how many subscription ids an activeCfg holds without a
+// slice of its own: one consumer input and the root, the shape of a
+// location query's graph.
+const inlineSubs = 2
 
 // edgeQueueLen is the per-subscription queue capacity for configuration
 // plumbing: generous enough to absorb sensor bursts without dropping
@@ -190,12 +198,14 @@ func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Co
 	}
 	// Read before the configuration is live: a repair replaces cfg.Plan.
 	plan := cfg.Plan
-	subs, err := r.wire(cfg.Root, plan, cfg.Query, deliver)
+	ac := &activeCfg{cfg: cfg, deliver: deliver, rctx: rctx}
+	subs, err := r.wire(cfg.Root, plan, cfg.Query, deliver, ac.ids[:0])
 	if err != nil {
 		return err
 	}
+	ac.subs = subs
 	r.mu.Lock()
-	r.active[cfg.ID] = &activeCfg{cfg: cfg, deliver: deliver, rctx: rctx, subs: subs}
+	r.active[cfg.ID] = ac
 	r.mu.Unlock()
 	r.prime(plan.Leaves)
 	return nil
@@ -212,25 +222,27 @@ func (r *Runtime) prime(leaves []guid.GUID) {
 	}
 }
 
-// wire establishes all subscriptions for a graph and returns their ids:
-// one per input of plan, plus the root delivery to q's owner when deliver
-// is not nil. An input with a single producer keeps the filter
+// wire establishes all subscriptions for a graph and returns their ids,
+// appended to subs (empty; its storage is used when it has room for them
+// all): one per input of plan, plus the root delivery to q's owner when
+// deliver is not nil. An input with a single producer keeps the filter
 // {Type, Source}; a fan-in input filters on {Type} and hands its producer
 // set to the mediator as its source set. On error, whatever was wired is
 // cancelled.
-func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Query, deliver BatchDeliverFunc) (subs []guid.GUID, err error) {
+func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Query, deliver BatchDeliverFunc, subs []guid.GUID) (_ []guid.GUID, err error) {
 	var rec mediator.Record
-	subs = make([]guid.GUID, 0, len(plan.Inputs)+1)
+	if n := len(plan.Inputs) + 1; cap(subs) < n {
+		subs = make([]guid.GUID, 0, n)
+	}
 	defer func() {
 		if err != nil {
 			r.cancel(subs)
-			subs = nil
 		}
 	}()
 	for _, in := range plan.Inputs {
 		consumer, ok := r.comps.Component(in.Consumer)
 		if !ok {
-			return subs, fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
+			return nil, fmt.Errorf("configuration: consumer %s not local", in.Consumer.Short())
 		}
 		filter := event.Filter{Type: in.Type}
 		opts := mediator.SubOptions{QueueLen: edgeQueueLen}
@@ -247,7 +259,7 @@ func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Quer
 			rec, err = r.med.Subscribe(in.Consumer, filter, consumer.HandleInput, opts)
 		}
 		if err != nil {
-			return subs, err
+			return nil, err
 		}
 		subs = append(subs, rec.ID)
 	}
@@ -258,7 +270,7 @@ func (r *Runtime) wire(root *resolver.Binding, plan *resolver.Plan, q query.Quer
 		opts := mediator.SubOptions{OneShot: q.Mode == query.ModeOnce, QueueLen: edgeQueueLen}
 		rec, err = r.med.SubscribeBatch(q.Owner, rootFilter, deliver, opts)
 		if err != nil {
-			return subs, err
+			return nil, err
 		}
 		subs = append(subs, rec.ID)
 	}
@@ -411,7 +423,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	ac.subs = nil
 	r.mu.Unlock()
 	r.cancel(old)
-	subs, err := r.wire(newRoot, plan, ac.cfg.Query, ac.deliver)
+	subs, err := r.wire(newRoot, plan, ac.cfg.Query, ac.deliver, nil)
 	if err != nil {
 		return err
 	}

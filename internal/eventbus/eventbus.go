@@ -23,7 +23,11 @@
 //     members of its declared semantic-equivalence class — a handful of O(1)
 //     map probes whose cost is independent of the total number of
 //     subscriptions. The per-event key set is memoised in a copy-on-write
-//     cache invalidated by the type registry's equivalence generation.
+//     cache invalidated by the type registry's equivalence generation. A
+//     pattern's list is kept once its last subscription leaves (up to
+//     maxKeyCacheTypes empty lists bus-wide), so subscribe-and-cancel churn
+//     on one type neither re-inserts its key nor regrows its list. An empty
+//     list matches nothing and is no pattern in ShardStats.
 //   - The residual tier holds the remaining subscriptions — wildcard or
 //     empty type patterns — which genuinely need per-event matching. Each
 //     residual subscription lives in the shard its id hashes to; publishes
@@ -87,9 +91,10 @@ const DefaultShards = 8
 // shard-stat snapshots cheap.
 const maxShards = 1024
 
-// maxKeyCacheTypes bounds the memoised event-type → lookup-keys table; a
-// running system sees few distinct event types, so the bound exists only to
-// survive adversarial type churn.
+// maxKeyCacheTypes bounds the memoised event-type → lookup-keys table and
+// the exact-index lists the bus keeps once they empty; a running system
+// sees few distinct event types, so the bound exists only to survive
+// adversarial type churn.
 const maxKeyCacheTypes = 4096
 
 // ErrClosed is returned when operating on a closed Bus or subscription.
@@ -127,7 +132,7 @@ type ShardStats struct {
 	Published uint64 // events whose type hashed to this shard
 	Delivered uint64 // deliveries completed by subscriptions in this shard
 	Dropped   uint64 // events discarded by full queues in this shard
-	Patterns  int    // distinct exact-tier patterns indexed here
+	Patterns  int    // distinct exact-tier patterns with a live subscription here
 	Exact     int    // live exact-tier subscriptions
 	Residual  int    // live residual-tier subscriptions
 }
@@ -182,6 +187,9 @@ type Bus struct {
 	indexHits       atomic.Uint64
 	residualScanned atomic.Uint64
 	residuals       atomic.Int64 // live residual subs; publishes skip the sweep at 0
+	// emptyLists counts the exact-index lists kept, empty, for their type's
+	// next subscription; at most maxKeyCacheTypes.
+	emptyLists atomic.Int64
 
 	keys atomic.Pointer[keyTable]
 
@@ -426,7 +434,11 @@ func (b *Bus) subscribe(f event.Filter, h Handler, bh BatchHandler, opts []SubOp
 		sh.nresidual.Add(1)
 		b.residuals.Add(1)
 	} else {
-		sh.exact[s.key] = append(sh.exact[s.key], s)
+		list, ok := sh.exact[s.key]
+		if ok && len(list) == 0 {
+			b.emptyLists.Add(-1)
+		}
+		sh.exact[s.key] = append(list, s)
 	}
 	sh.mu.Unlock()
 	return s, nil
@@ -747,11 +759,13 @@ func (b *Bus) ShardStats() []ShardStats {
 			Published: sh.published.Load(),
 			Delivered: sh.delivered.Load(),
 			Dropped:   sh.dropped.Load(),
-			Patterns:  len(sh.exact),
 			Residual:  len(sh.residual),
 		}
 		for _, list := range sh.exact {
-			st.Exact += len(list)
+			if len(list) > 0 {
+				st.Patterns++
+				st.Exact += len(list)
+			}
 		}
 		sh.mu.RUnlock()
 		out[i] = st
@@ -848,6 +862,7 @@ func (b *Bus) Close() {
 		sh.mu.Unlock()
 	}
 	b.residuals.Store(0)
+	b.emptyLists.Store(0)
 	b.closeMu.Unlock()
 	for _, s := range victims {
 		s.Cancel()
@@ -916,7 +931,10 @@ func (s *Subscription) detach() {
 				list[i] = list[last]
 				list[last] = nil
 				list = list[:last]
-				if len(list) == 0 {
+				// An emptied list is kept, while few are, so that its type's
+				// next subscription neither re-inserts the key nor regrows it.
+				if len(list) == 0 && s.bus.emptyLists.Add(1) > maxKeyCacheTypes {
+					s.bus.emptyLists.Add(-1)
 					delete(sh.exact, s.key)
 				} else {
 					sh.exact[s.key] = list

@@ -13,10 +13,10 @@ import (
 // through one source set, plus a batched root delivery, subscribed and
 // cancelled again. Each subscription allocates what it keeps — the bus's
 // Subscription and the Mediator's entry — and the bookkeeping around them
-// (the owner index, the bus options, the shared source set) allocates
-// nothing.
+// (the owner index, the bus options, the shared source set, the index
+// list its type keeps once emptied) allocates nothing.
 func TestSubscribeCancelAllocs(t *testing.T) {
-	const budget = 6
+	const budget = 4
 	m := New(ctxtype.NewRegistry())
 	defer m.Close()
 	doors := make([]guid.GUID, 68)

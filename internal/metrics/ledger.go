@@ -32,10 +32,12 @@ func (l *Ledger) Add(src guid.GUID, n uint64) {
 // Total returns every loss charged, whoever to.
 func (l *Ledger) Total() uint64 { return l.total.Value() }
 
-// For returns the losses charged to src. An origin never charged reads 0,
-// and so does one first charged past the bound: its losses are guid.Nil's.
+// For returns the losses charged to src. An origin without a counter of
+// its own reads 0 while the ledger has room for it; once the ledger is
+// full, it reads the shared guid.Nil count its losses are charged to,
+// which may include other origins' losses but never leaves out its own.
 func (l *Ledger) For(src guid.GUID) uint64 {
-	if c := l.by.Lookup(src); c != nil {
+	if c := l.by.Find(src); c != nil {
 		return c.Value()
 	}
 	return 0

@@ -65,7 +65,8 @@ func TestLedgerTop(t *testing.T) {
 
 // TestLedgerConcurrent: writers charge fresh origins, past the table's
 // bound, while readers call For and Top (run with -race). Once the writers
-// are done, the shares sum to Total and Total to what was charged.
+// are done, the shares sum to Total and Total to what was charged, and an
+// origin never charged reads the overflow.
 func TestLedgerConcurrent(t *testing.T) {
 	const writers, perWriter = 4, guid.TableBound / 2
 	var l Ledger
@@ -101,8 +102,10 @@ func TestLedgerConcurrent(t *testing.T) {
 					t.Error("Top named more than topShares origins")
 					return
 				}
-				if l.For(probe) != 0 {
-					t.Error("an origin never charged reads nonzero")
+				// A probe never charged reads 0 until the ledger fills, and
+				// then the overflow count, which only grows.
+				if n := l.For(probe); n > l.For(guid.Nil) {
+					t.Errorf("an origin never charged reads %d, more than the overflow", n)
 					return
 				}
 			}
@@ -121,5 +124,43 @@ func TestLedgerConcurrent(t *testing.T) {
 	l.by.Range(func(guid.GUID, *Counter) { origins++ })
 	if origins != guid.TableBound+1 {
 		t.Fatalf("ledger names %d origins, want the bound %d plus the overflow", origins, guid.TableBound)
+	}
+	if got, want := l.For(guid.New(guid.KindDevice)), l.For(guid.Nil); got != want || want == 0 {
+		t.Fatalf("an origin never charged reads %d in a full ledger, want the overflow %d", got, want)
+	}
+}
+
+// TestLedgerForPastBound: once the ledger is full, an origin charged past
+// its bound reads the shared overflow count its losses went to, so a
+// credit ack built from For never claims fewer drops than the origin
+// caused; origins charged before the bound keep their own counts.
+func TestLedgerForPastBound(t *testing.T) {
+	var l Ledger
+	first := make([]guid.GUID, guid.TableBound)
+	for i := range first {
+		first[i] = guid.New(guid.KindDevice)
+		l.Add(first[i], 1)
+	}
+	if n := l.For(guid.New(guid.KindDevice)); n != 0 {
+		t.Fatalf("a full ledger with no overflow reads %d for a new origin, want 0", n)
+	}
+	late := guid.New(guid.KindDevice)
+	l.Add(late, 2)
+	if got := l.For(late); got != 2 {
+		t.Fatalf("For(late) = %d, want its 2 losses, charged to the overflow", got)
+	}
+	if got := l.For(guid.Nil); got != 2 {
+		t.Fatalf("For(Nil) = %d, want 2", got)
+	}
+	for i, src := range first {
+		if got := l.For(src); got != 1 {
+			t.Fatalf("origin %d charged before the bound reads %d, want 1", i, got)
+		}
+	}
+	if got := l.For(guid.New(guid.KindDevice)); got != 2 {
+		t.Fatalf("an origin never charged reads %d in a full ledger, want the overflow 2", got)
+	}
+	if l.Total() != guid.TableBound+2 {
+		t.Fatalf("Total = %d, want %d", l.Total(), guid.TableBound+2)
 	}
 }

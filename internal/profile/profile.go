@@ -19,6 +19,7 @@ import (
 	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"sci/internal/ctxtype"
 	"sci/internal/guid"
@@ -167,7 +168,10 @@ type Manager struct {
 	// byEntityType lists, in entity GUID order, the profiles advertising
 	// each interface or carrying each "kind" attribute value.
 	byEntityType map[string][]*Profile
-	generation   uint64
+	// generation moves inside the write lock with every mutation, so a
+	// reader that reads it before taking the read lock never sees a state
+	// older than the generation it read.
+	generation atomic.Uint64
 }
 
 // bucket lists the providers of one output type. Put appends to it and
@@ -202,7 +206,7 @@ func (m *Manager) Put(p Profile) error {
 	m.profiles[cp.Entity] = &cp
 	m.indexLocked(&cp)
 	m.version[cp.Entity]++
-	m.generation++
+	m.generation.Add(1)
 	return nil
 }
 
@@ -294,12 +298,11 @@ func (m *Manager) orderLocked(b *bucket) {
 }
 
 // Generation counts every mutation (Put or Remove) of the store. Callers
-// caching derived structures (the resolver's cache of whole resolutions)
-// compare generations to detect staleness.
+// caching derived structures (the resolver's cache of whole resolutions, a
+// Range's profile memo) compare generations to detect staleness. It takes
+// no lock.
 func (m *Manager) Generation() uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.generation
+	return m.generation.Load()
 }
 
 // Lookup returns the stored profile for entity: frozen and shared, so read
@@ -337,7 +340,7 @@ func (m *Manager) Remove(entity guid.GUID) {
 	defer m.mu.Unlock()
 	if old, ok := m.profiles[entity]; ok {
 		m.unindexLocked(old)
-		m.generation++
+		m.generation.Add(1)
 	}
 	delete(m.profiles, entity)
 	delete(m.version, entity)

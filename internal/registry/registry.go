@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sci/internal/clock"
@@ -91,9 +92,12 @@ type Registrar struct {
 	lease    time.Duration
 	sweepGap time.Duration
 
-	mu       sync.Mutex
-	entries  map[guid.GUID]Registration
-	gen      uint64 // guarded by mu; moves when entries gains or loses an entity
+	// mu is read-locked by Lookup and IsLive, which every query calls.
+	mu      sync.RWMutex
+	entries map[guid.GUID]Registration
+	// gen moves, inside mu's write lock, when entries gains or loses an
+	// entity; it is read without the lock.
+	gen      atomic.Uint64
 	watchers map[int]Watcher
 	nextW    int
 	sweep    clock.Timer
@@ -135,9 +139,9 @@ func New(cfg Config) *Registrar {
 		lease:    cfg.Lease,
 		sweepGap: cfg.SweepEvery,
 		entries:  make(map[guid.GUID]Registration),
-		gen:      1,
 		watchers: make(map[int]Watcher),
 	}
+	r.gen.Store(1)
 	r.mu.Lock()
 	r.scheduleSweepLocked()
 	r.mu.Unlock()
@@ -171,7 +175,7 @@ func (r *Registrar) Register(entity guid.GUID, name string) (Registration, error
 	_, existed := r.entries[entity]
 	r.entries[entity] = reg
 	if !existed {
-		r.gen++
+		r.gen.Add(1)
 	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
@@ -213,7 +217,7 @@ func (r *Registrar) Deregister(entity guid.GUID) error {
 		return fmt.Errorf("%w: %s", ErrNotRegistered, entity.Short())
 	}
 	delete(r.entries, entity)
-	r.gen++
+	r.gen.Add(1)
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
 
@@ -225,8 +229,8 @@ func (r *Registrar) Deregister(entity guid.GUID) error {
 
 // Lookup returns the registration for entity.
 func (r *Registrar) Lookup(entity guid.GUID) (Registration, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.mu.RLock()
+	defer r.mu.RUnlock()
 	reg, ok := r.entries[entity]
 	return reg, ok
 }
@@ -243,9 +247,7 @@ func (r *Registrar) IsLive(entity guid.GUID) bool {
 // The resolver's cache compares it to tell whether a cached resolution's
 // liveness filter still holds.
 func (r *Registrar) Generation() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gen
+	return r.gen.Load()
 }
 
 // List returns all registrations ordered by entity GUID.
@@ -339,7 +341,7 @@ func (r *Registrar) expire() {
 		}
 	}
 	if len(dead) > 0 {
-		r.gen++
+		r.gen.Add(1)
 	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()

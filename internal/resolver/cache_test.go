@@ -170,15 +170,17 @@ func TestResolveCacheFollowsLiveness(t *testing.T) {
 	}
 }
 
-// TestResolveCacheHitAllocs: a cache hit builds the Configuration and
-// nothing else of note.
-func TestResolveCacheHitAllocs(t *testing.T) {
+// cachedAdvert is a resolver over a floor of idle printers, a closest-idle
+// printer advertisement query and the context it is resolved in, with the
+// resolution already cached.
+func cachedAdvert(t *testing.T) (*resolver.Resolver, query.Query, resolver.Context) {
+	t.Helper()
 	b, err := sim.NewBuilding(2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := registry.New(registry.Config{Clock: clock.NewManual(time.Date(2003, 6, 17, 9, 0, 0, 0, time.UTC))})
-	defer reg.Close()
+	t.Cleanup(reg.Close)
 	profiles := &profile.Manager{}
 	for i, room := range b.Rooms[0] {
 		id := put(t, profiles, profile.Profile{
@@ -199,6 +201,13 @@ func TestResolveCacheHitAllocs(t *testing.T) {
 	if _, err := res.Resolve(q, ctx); err != nil {
 		t.Fatal(err)
 	}
+	return res, q, ctx
+}
+
+// TestResolveCacheHitAllocs: a cache hit builds the Configuration and
+// nothing else of note.
+func TestResolveCacheHitAllocs(t *testing.T) {
+	res, q, ctx := cachedAdvert(t)
 	h0, _ := res.CacheStats()
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, err := res.Resolve(q, ctx); err != nil {
@@ -210,6 +219,29 @@ func TestResolveCacheHitAllocs(t *testing.T) {
 	}
 	if allocs > 2 {
 		t.Fatalf("a cache hit makes %v allocations, want at most 2", allocs)
+	}
+}
+
+// TestHotpathResolveRootZeroAlloc: a cache hit through ResolveRoot, the
+// advertisement path, returns the cached root and allocates nothing.
+func TestHotpathResolveRootZeroAlloc(t *testing.T) {
+	res, q, ctx := cachedAdvert(t)
+	cfg, err := res.Resolve(q, ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h0, _ := res.CacheStats()
+	allocs := testing.AllocsPerRun(100, func() {
+		root, err := res.ResolveRoot(q, ctx)
+		if err != nil || root != cfg.Root {
+			t.Fatalf("ResolveRoot = %p, %v; want the cached root %p", root, err, cfg.Root)
+		}
+	})
+	if h1, _ := res.CacheStats(); h1 <= h0 {
+		t.Fatal("the measured resolutions were not cache hits")
+	}
+	if allocs != 0 {
+		t.Fatalf("a ResolveRoot cache hit makes %v allocations, want 0", allocs)
 	}
 }
 

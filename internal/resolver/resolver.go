@@ -24,7 +24,10 @@
 // were resolved under, and are dropped wholesale when any of the three
 // moves. A Range passes its Registrar's generation with its liveness filter
 // (Context.LiveGen), so every query submitted to it can be served from the
-// cache; a repair (a non-empty Exclude) never is.
+// cache; a repair (a non-empty Exclude) never is. Resolve mints a
+// Configuration around a resolution; ResolveRoot, for a caller that reads
+// only the chosen root provider (an advertisement), returns the root alone
+// and so answers a cache hit without allocating.
 package resolver
 
 import (
@@ -36,6 +39,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"sci/internal/ctxtype"
 	"sci/internal/guid"
@@ -231,12 +235,14 @@ type Resolver struct {
 	types    *ctxtype.Registry
 	places   *location.Map // may be nil: distance criteria degrade gracefully
 
-	mu     sync.Mutex
+	// mu is read-locked by lookups, which run concurrently, and
+	// write-locked by stores.
+	mu     sync.RWMutex
 	gens   generations               // guarded by mu; what every cached entry was resolved under
 	cache  map[cacheKey][]cacheEntry // guarded by mu
 	size   int                       // guarded by mu; entries across all keys
-	hits   uint64                    // guarded by mu
-	misses uint64                    // guarded by mu
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 // maxCacheEntries caps the resolution cache: storing into a full cache
@@ -310,9 +316,7 @@ func New(profiles *profile.Manager, types *ctxtype.Registry, places *location.Ma
 // resolution the cache may not serve, a repair or a liveness filter without
 // a generation, counts as neither.
 func (r *Resolver) CacheStats() (hits, misses uint64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.hits, r.misses
+	return r.hits.Load(), r.misses.Load()
 }
 
 // Resolve builds a configuration for q. For What=pattern queries this is
@@ -324,18 +328,38 @@ func (r *Resolver) CacheStats() (hits, misses uint64) {
 // returned has its own ID and the caller's q, and shares Root and Plan
 // with the cached entry.
 func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
-	if err := q.Validate(); err != nil {
+	root, plan, err := r.resolve(q, ctx)
+	if err != nil {
 		return nil, err
+	}
+	return &Configuration{
+		ID:    guid.New(guid.KindConfiguration),
+		Query: q,
+		Root:  root,
+		Plan:  plan,
+	}, nil
+}
+
+// ResolveRoot is Resolve for a caller that reads only the root binding (an
+// advertisement reads the provider's profile from it): the same resolution,
+// served from the same cache, with no Configuration minted. The root is
+// shared and read-only, like Configuration.Root.
+func (r *Resolver) ResolveRoot(q query.Query, ctx Context) (*Binding, error) {
+	root, _, err := r.resolve(q, ctx)
+	return root, err
+}
+
+// resolve returns the root and plan of q's resolution under ctx: the
+// cached ones when the cache holds them, otherwise fresh ones, which it
+// stores when the resolution may be cached.
+func (r *Resolver) resolve(q query.Query, ctx Context) (*Binding, *Plan, error) {
+	if err := q.Validate(); err != nil {
+		return nil, nil, err
 	}
 	key, gens, cacheable := r.cacheKey(q, ctx)
 	if cacheable {
 		if e, ok := r.lookup(key, gens, q.Which.Constraints); ok {
-			return &Configuration{
-				ID:    guid.New(guid.KindConfiguration),
-				Query: q,
-				Root:  e.root,
-				Plan:  e.plan,
-			}, nil
+			return e.root, e.plan, nil
 		}
 	}
 	var root *Binding
@@ -348,21 +372,16 @@ func (r *Resolver) Resolve(q query.Query, ctx Context) (*Configuration, error) {
 	case "entity-type":
 		root, err = r.bindEntityType(q.What.EntityType, q, ctx)
 	default:
-		return nil, ErrBadWhat
+		return nil, nil, ErrBadWhat
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	cfg := &Configuration{
-		ID:    guid.New(guid.KindConfiguration),
-		Query: q,
-		Root:  root,
-		Plan:  NewPlan(root),
-	}
+	plan := NewPlan(root)
 	if cacheable {
-		r.store(key, gens, q.Which.Constraints, root, cfg.Plan)
+		r.store(key, gens, q.Which.Constraints, root, plan)
 	}
-	return cfg, nil
+	return root, plan, nil
 }
 
 // cacheKey returns the key and generations a resolution of q under ctx is
@@ -395,24 +414,32 @@ func (r *Resolver) cacheKey(q query.Query, ctx Context) (cacheKey, generations, 
 	return k, g, true
 }
 
-// lookup returns the entry cached under k for the constraints cons.
+// lookup returns the entry cached under k for the constraints cons: the
+// hit of every cached resolution, Resolve's and ResolveRoot's.
+//
+//lint:hotpath
 func (r *Resolver) lookup(k cacheKey, g generations, cons map[string]string) (cacheEntry, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.adoptLocked(g) {
+	r.mu.RLock()
+	if g.live == 0 {
+		g.live = r.gens.live
+	}
+	if g == r.gens {
 		for _, e := range r.cache[k] {
 			if sameConstraints(e.constraints, cons) {
-				r.hits++
+				r.mu.RUnlock()
+				r.hits.Add(1)
 				return e, true
 			}
 		}
 	}
-	r.misses++
+	r.mu.RUnlock()
+	r.misses.Add(1)
 	return cacheEntry{}, false
 }
 
 // store caches a resolution of k under the constraints cons, made at
-// generations g.
+// generations g. A lookup at newer generations than the cache's misses
+// without dropping anything: the store after it brings the cache to them.
 func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root *Binding, plan *Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -16,8 +16,10 @@ package server
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sci/internal/clock"
@@ -117,6 +119,14 @@ type Range struct {
 	med       *mediator.Mediator
 	res       *resolver.Resolver
 	runtime   *configuration.Runtime
+	// isLive is registrar.IsLive bound once: a method value built per query
+	// would cost an allocation each time.
+	isLive func(guid.GUID) bool
+
+	// memo holds the pattern profile answers (memoised); memoMu serialises
+	// the installs that replace it.
+	memo   atomic.Pointer[profileMemo]
+	memoMu sync.Mutex
 
 	// mu is read-locked by the lookups on the query and wiring paths
 	// (Submit's owner lookup, Component, Primers), which run concurrently.
@@ -183,7 +193,9 @@ type Result struct {
 	// profiles themselves: frozen and shared with the store and every other
 	// answer, so read-only, under the same contract as
 	// profile.Candidate.Profile and resolver.Configuration.Root. A caller
-	// that wants to change one changes a Clone.
+	// that wants to change one changes a Clone. The slice is read-only too:
+	// a pattern query's answer is one slice shared by every answer to that
+	// pattern, its capacity equal to its length so that an append copies.
 	Profiles []*profile.Profile
 	// Advertisement and Provider answer ModeAdvertisement. Advertisement is
 	// the stored profile's own, read-only like Profiles.
@@ -238,6 +250,7 @@ func New(cfg Config) *Range {
 		quota:          cfg.PublisherQuota,
 	}
 	r.registrar = registry.New(registry.Config{Clock: cfg.Clock, Lease: cfg.Lease})
+	r.isLive = r.registrar.IsLive
 	var medOpts []mediator.Option
 	if cfg.PublisherQuota.Rate > 0 {
 		medOpts = append(medOpts, mediator.WithQuota(eventbus.Quota{
@@ -478,26 +491,85 @@ func (r *Range) submitProfile(q query.Query) (*Result, error) {
 	case "entity-type":
 		res.Profiles = r.profiles.FindByEntityType(q.What.EntityType)
 	case "pattern":
-		cands := r.profiles.FindProviders(q.What.Pattern, r.types)
-		res.Profiles = make([]*profile.Profile, len(cands))
-		for i, c := range cands {
-			res.Profiles[i] = c.Profile
+		ps, ok := r.memoised(q.What.Pattern)
+		if !ok {
+			ps = r.findProfiles(q.What.Pattern)
 		}
+		res.Profiles = ps
 	}
 	return res, nil
 }
 
+// profileMemo is a set of pattern profile answers found while the profile
+// store and the type registry stood at the generations it names. Nothing
+// writes it once it is published.
+type profileMemo struct {
+	profiles, types uint64
+	answers         map[ctxtype.Type][]*profile.Profile
+}
+
+// maxProfileMemo bounds the wanted types a profile memo holds: a miss
+// that finds the memo full starts a new one.
+const maxProfileMemo = 64
+
+// memoised returns the memo's answer for want: the stored profiles that
+// provide it, in FindProviders order, as one frozen slice shared by every
+// caller while neither the profile store nor the type registry moves. It
+// reads the memo through an atomic pointer and takes no lock of the
+// Range's own.
+//
+//lint:hotpath
+func (r *Range) memoised(want ctxtype.Type) ([]*profile.Profile, bool) {
+	m := r.memo.Load()
+	if m == nil || m.profiles != r.profiles.Generation() || m.types != r.types.Generation() {
+		return nil, false
+	}
+	ps, ok := m.answers[want]
+	return ps, ok
+}
+
+// findProfiles answers a memo miss from the Profile Manager, and memoises
+// the answer under the generations read before it was found unless the
+// memo has moved past either of them meanwhile.
+func (r *Range) findProfiles(want ctxtype.Type) []*profile.Profile {
+	gp, gt := r.profiles.Generation(), r.types.Generation()
+	cands := r.profiles.FindProviders(want, r.types)
+	ps := make([]*profile.Profile, len(cands))
+	for i, c := range cands {
+		ps[i] = c.Profile
+	}
+	r.memoMu.Lock()
+	defer r.memoMu.Unlock()
+	next := &profileMemo{profiles: gp, types: gt}
+	switch old := r.memo.Load(); {
+	case old == nil:
+	case old.profiles == gp && old.types == gt:
+		if len(old.answers) < maxProfileMemo {
+			next.answers = maps.Clone(old.answers)
+		}
+	case gp < old.profiles || gt < old.types:
+		return ps
+	}
+	if next.answers == nil {
+		next.answers = make(map[ctxtype.Type][]*profile.Profile, 1)
+	}
+	next.answers[want] = ps
+	r.memo.Store(next)
+	return ps
+}
+
 // submitAdvertisement resolves the best service provider and returns its
 // advertisement, read from the profile the resolver ranked: a provider that
-// departs once resolved is still this query's answer.
+// departs once resolved is still this query's answer. Only the root of the
+// resolution is read, so none is minted as a configuration.
 func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
 	start := time.Now()
-	cfg, err := r.res.Resolve(q, r.resolveContext(q))
+	root, err := r.res.ResolveRoot(q, r.resolveContext(q))
 	r.ResolveLatency.RecordDuration(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
-	p := cfg.Root.Profile
+	p := root.Profile
 	return &Result{
 		Query:         q.ID,
 		Advertisement: p.Advertisement,
@@ -840,7 +912,7 @@ func LossKey(k string, src guid.GUID) string {
 // read before resolving so that the resolver's cache can serve the query.
 func (r *Range) resolveContext(q query.Query) resolver.Context {
 	ctx := resolver.Context{
-		LiveOnly: r.registrar.IsLive,
+		LiveOnly: r.isLive,
 		LiveGen:  r.registrar.Generation(),
 	}
 	if p, err := r.profiles.Lookup(q.Owner); err == nil {

@@ -234,7 +234,9 @@ type (
 	RangeConfig = server.Config
 	// QueryResult is the synchronous answer to Submit. Its Profiles and
 	// Advertisement are the Range's stored records themselves, shared with
-	// every other reader: read them, and Clone one before changing it.
+	// every other reader: read them, and Clone one before changing it. The
+	// Profiles slice is shared too (every answer to one pattern is the same
+	// slice): never write into it.
 	QueryResult = server.Result
 )
 
