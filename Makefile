@@ -74,7 +74,7 @@ race-suites:
 	$(GO) test -race -count=10 -run 'Plan|Prime' ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=20 -run 'Failure|Eviction|Tomb' ./internal/overlay/
 	$(GO) test -race -count=3 -run 'Concurrent' ./internal/guid/
-	$(GO) test -race -count=10 -run 'Owner|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
+	$(GO) test -race -count=10 -run 'Owne|Table|Race|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
 	$(GO) test -race -count=10 -run 'TCP' ./internal/transport/ ./internal/rangesvc/ ./internal/scinet/
 	$(GO) test -race -count=10 -run 'Ledger|Table|Drop|Quota|Shed' ./internal/guid/ ./internal/metrics/ ./internal/eventbus/ ./internal/flow/ ./internal/server/
 

@@ -205,14 +205,6 @@ func NewCAA(name string, handler func(event.Event), clk clock.Clock) *CAA {
 	return &CAA{Base: base, handler: handler}
 }
 
-// NewRemoteCAA builds a CAA proxy with a fixed id whose Consume forwards to
-// fn — the Range-side stand-in for an application living across the
-// transport.
-func NewRemoteCAA(id guid.GUID, name string, fn func(event.Event), clk clock.Clock) *CAA {
-	base := NewBaseWithID(id, profile.Profile{Name: name}, clk)
-	return &CAA{Base: base, handler: fn}
-}
-
 // NewRemoteBatchCAA builds a CAA proxy whose ConsumeAll hands whole event
 // runs to fn — the stand-in for remote applications whose deliveries flow
 // through an outbound coalescer (rangesvc, scinet). The slice may be a run

@@ -140,7 +140,7 @@ func TestPublishAllOneShotDeliversExactlyOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return sub.isClosed() })
-	waitFor(t, func() bool { return len(b.SubscriptionIDs()) == 0 })
+	waitFor(t, func() bool { return b.Stats().Subs == 0 })
 	if got := n.Load(); got != 1 {
 		t.Fatalf("one-shot delivered %d events, want 1", got)
 	}
@@ -277,7 +277,7 @@ func TestConcurrentPublishAllAndChurn(t *testing.T) {
 	churnWG.Wait() // churners are bounded; publishers run until stopped
 	close(stop)
 	pubWG.Wait()
-	if len(b.SubscriptionIDs()) != 0 {
-		t.Fatal("cancelled subscriptions left in the index")
+	if n := b.Stats().Subs; n != 0 {
+		t.Fatalf("%d cancelled subscriptions left in the index", n)
 	}
 }

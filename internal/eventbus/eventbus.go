@@ -11,6 +11,11 @@
 // both started at its first event: a subscription that never receives one
 // costs an index entry and nothing else.
 //
+// The bus dispatches and keeps no bookkeeping beyond its dispatch index: a
+// Subscription carries its owner, filter and source set for whoever made
+// it, and the Event Mediator (internal/mediator) keeps the table of live
+// subscriptions by id, and with it every removal by owner.
+//
 // # Dispatch architecture
 //
 // Dispatch is a two-tier subscription index, lock-striped across a
@@ -279,7 +284,7 @@ func (en *entry) attribution(e event.Event) guid.GUID {
 type Subscription struct {
 	id     guid.GUID
 	filter event.Filter
-	owner  guid.GUID // the subscribing entity, for bookkeeping/diagnostics
+	owner  guid.GUID // the subscribing entity (WithOwner), read back by Owner
 	bus    *Bus
 
 	// Index placement, fixed at Subscribe time.
@@ -337,7 +342,8 @@ func WithQueueLen(n int) SubOption { return SubOption{limit: max(n, 1)} }
 // WithPolicy sets the full-queue policy.
 func WithPolicy(p DropPolicy) SubOption { return SubOption{policy: p} }
 
-// WithOwner records the subscribing entity's GUID.
+// WithOwner records the subscribing entity's GUID on the subscription
+// (Subscription.Owner); dispatch never reads it.
 func WithOwner(owner guid.GUID) SubOption { return SubOption{owner: owner} }
 
 // WithSources restricts the subscription to events whose Source is one of
@@ -786,53 +792,6 @@ func (b *Bus) IndexHitRatio() float64 {
 	return float64(hits) / float64(hits+res)
 }
 
-// SubscriptionIDs returns the ids of live subscriptions (sorted, for tests
-// and the registrar's diagnostics).
-func (b *Bus) SubscriptionIDs() []guid.GUID {
-	var out []guid.GUID
-	for _, sh := range b.shards {
-		sh.mu.RLock()
-		for _, list := range sh.exact {
-			for _, s := range list {
-				out = append(out, s.id)
-			}
-		}
-		for _, s := range sh.residual {
-			out = append(out, s.id)
-		}
-		sh.mu.RUnlock()
-	}
-	guid.Sort(out)
-	return out
-}
-
-// CancelOwned cancels every subscription owned by the given entity; used by
-// the Mediator when an entity departs its Range (Section 3.4). It returns
-// the number cancelled.
-func (b *Bus) CancelOwned(owner guid.GUID) int {
-	var victims []*Subscription
-	for _, sh := range b.shards {
-		sh.mu.RLock()
-		for _, list := range sh.exact {
-			for _, s := range list {
-				if s.owner == owner {
-					victims = append(victims, s)
-				}
-			}
-		}
-		for _, s := range sh.residual {
-			if s.owner == owner {
-				victims = append(victims, s)
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	for _, s := range victims {
-		s.Cancel()
-	}
-	return len(victims)
-}
-
 // Close cancels all subscriptions and waits for delivery goroutines to exit.
 // Further Publish/Subscribe calls fail with ErrClosed. Subscriptions that
 // never received an event have no goroutine, so nothing is waited for them.
@@ -882,6 +841,10 @@ func (s *Subscription) Filter() event.Filter { return s.filter }
 // Sources returns the subscription's source set (WithSources): the set it
 // was given, empty when it has none.
 func (s *Subscription) Sources() guid.Sorted { return s.sources }
+
+// OneShot reports whether the subscription cancels itself after its first
+// delivery (the OneShot option).
+func (s *Subscription) OneShot() bool { return s.oneShot }
 
 // Cancel removes the subscription and stops its delivery goroutine, if its
 // first event started one; it never waits for that goroutine. Queued but

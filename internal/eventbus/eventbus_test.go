@@ -225,24 +225,6 @@ func TestCancelStopsDelivery(t *testing.T) {
 	}
 }
 
-func TestCancelOwned(t *testing.T) {
-	b := New(nil)
-	defer b.Close()
-	owner := guid.New(guid.KindApplication)
-	other := guid.New(guid.KindApplication)
-	collect(t, b, event.Filter{}, WithOwner(owner))
-	collect(t, b, event.Filter{}, WithOwner(owner))
-	_, gotOther := collect(t, b, event.Filter{}, WithOwner(other))
-	if n := b.CancelOwned(owner); n != 2 {
-		t.Fatalf("CancelOwned = %d, want 2", n)
-	}
-	if s := b.Stats(); s.Subs != 1 {
-		t.Fatalf("Subs = %d, want 1", s.Subs)
-	}
-	_ = b.Publish(mkEvent(ctxtype.TemperatureCelsius, 1))
-	waitFor(t, func() bool { return len(gotOther()) == 1 })
-}
-
 func TestCloseRejectsFurtherUse(t *testing.T) {
 	b := New(nil)
 	collect(t, b, event.Filter{})
@@ -318,9 +300,11 @@ func TestSubscriptionAccessors(t *testing.T) {
 	if sub.String() == "" {
 		t.Fatal("empty String")
 	}
-	ids := b.SubscriptionIDs()
-	if len(ids) != 1 || ids[0] != sub.ID() {
-		t.Fatal("SubscriptionIDs mismatch")
+	if sub.OneShot() {
+		t.Fatal("OneShot set without the option")
+	}
+	if n := b.Stats().Subs; n != 1 {
+		t.Fatalf("Subs = %d, want 1", n)
 	}
 }
 

@@ -12,11 +12,12 @@ import (
 // location-shaped wiring: a door-sighting input fed by 68 producers
 // through one source set, plus a batched root delivery, subscribed and
 // cancelled again. Each subscription allocates what it keeps — the bus's
-// Subscription and the Mediator's entry — and the bookkeeping around them
-// (the owner index, the bus options, the shared source set, the index
-// list its type keeps once emptied) allocates nothing.
+// Subscription, which the Mediator's table holds as it is — and the
+// bookkeeping around it (the table entry, the bus options, the shared
+// source set, the index list its type keeps once emptied) allocates
+// nothing.
 func TestSubscribeCancelAllocs(t *testing.T) {
-	const budget = 4
+	const budget = 2
 	m := New(ctxtype.NewRegistry())
 	defer m.Close()
 	doors := make([]guid.GUID, 68)
@@ -43,7 +44,7 @@ func TestSubscribeCancelAllocs(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("subscribe + cancel of an input and a root: %.0f allocations, budget %d", allocs, budget)
 	}
-	if m.Len() != 0 || len(m.OwnedBy(consumer)) != 0 || len(m.OwnedBy(app)) != 0 {
+	if m.Len() != 0 || len(ownedBy(m, consumer)) != 0 || len(ownedBy(m, app)) != 0 {
 		t.Fatalf("Len %d after cancelling everything", m.Len())
 	}
 }

@@ -64,7 +64,7 @@ func TestSubscribeBatchReceivesSlices(t *testing.T) {
 	}
 }
 
-// TestStripedBookkeepingAcrossOwners exercises the sharded record tables:
+// TestStripedBookkeepingAcrossOwners exercises the striped subscription table:
 // many owners register, publish and tear down concurrently, by record id
 // and by owner; run with -race to check stripe independence.
 func TestStripedBookkeepingAcrossOwners(t *testing.T) {
@@ -84,8 +84,8 @@ func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if len(m.OwnedBy(owner)) == 0 {
-					t.Error("owner index missing fresh subscription")
+				if len(ownedBy(m, owner)) == 0 {
+					t.Error("table missing the owner's fresh subscription")
 					return
 				}
 				// Every third record stays live until the owner's teardown.
@@ -100,7 +100,7 @@ func TestStripedBookkeepingAcrossOwners(t *testing.T) {
 				}
 			}
 			m.CancelOwned(owner)
-			if n := len(m.OwnedBy(owner)); n != 0 {
+			if n := len(ownedBy(m, owner)); n != 0 {
 				t.Errorf("owner still holds %d records after teardown", n)
 			}
 		}()

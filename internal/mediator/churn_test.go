@@ -18,7 +18,7 @@ import (
 // TestConcurrentTeardownVsPublish rebuilds and tears down subscription
 // graphs, cancelling each by the record ids its Subscribe calls returned,
 // while publishers hammer the bus. Every subscription must be gone at the
-// end and the owner index must agree with the bus.
+// end and the table must agree with the bus.
 func TestConcurrentTeardownVsPublish(t *testing.T) {
 	m := New(ctxtype.NewRegistry(), WithShards(4))
 	defer m.Close()
@@ -100,7 +100,7 @@ func TestConcurrentTeardownVsPublish(t *testing.T) {
 		t.Fatalf("%d records survived teardown churn", n)
 	}
 	waitFor(t, func() bool { return m.Stats().Subs == 0 })
-	if rs := m.OwnedBy(owner); len(rs) != 0 {
+	if rs := ownedBy(m, owner); len(rs) != 0 {
 		t.Fatalf("owner still has %d records", len(rs))
 	}
 }

@@ -3,28 +3,23 @@
 // subscriptions between Context Entities and Context Aware Applications."
 //
 // The Mediator wraps the lock-striped, index-dispatched event bus
-// (internal/eventbus) with the bookkeeping the rest of a Range needs. Every
-// live subscription is recorded two ways: in the primary table by
-// subscription id, and in an owner index (who subscribed). The owner index
-// makes the bulk-teardown path of an entity departing its Range (Section
-// 3.4) O(subscriptions removed) instead of a scan of every record. The
-// configuration runtime keeps the ids of the subscriptions it wired and
-// cancels them one by one, so the Mediator needs no index of its own for
-// configurations. A fan-in consumer input is one subscription whose record
-// carries the set of producers it accepts (Record.Sources): an immutable
-// guid.Sorted, which the caller, the bus and every Record share uncopied.
+// (internal/eventbus) with the one table the rest of a Range needs: live
+// subscriptions by id. The table holds the bus's own Subscription, which
+// keeps the owner, filter and source set it was made with, so a Record is
+// rendered from it on demand and nothing is booked twice. A fan-in
+// consumer input is one subscription whose record carries the set of
+// producers it accepts (Record.Sources): an immutable guid.Sorted, which
+// the caller, the bus and every Record share uncopied.
 //
-// The owner index is an intrusive list per owner: each subscription's
-// entry holds a slot in its owner stripe's link array, an owner's slots
-// are chained, and the owner map holds the first. Freed slots are reused,
-// so linking and unlinking are O(1) and allocate nothing in steady state.
-//
-// The bookkeeping is striped across lock shards exactly like the bus
-// underneath: the primary table shards by subscription id and the owner
-// index by owner id, so registration churn from unrelated entities never
-// serialises on one mutex. The primary table is the source of truth: a
-// subscription joins and leaves its owner's list after the table, and a
-// removal through the owner index claims the table entry first.
+// The table is striped by subscription id across as many lock shards as
+// the bus underneath, so subscribe and cancel from unrelated entities never
+// serialise on one mutex. The configuration runtime keeps the ids of the
+// subscriptions it wired and cancels them one by one. Departure of an
+// entity (Section 3.4) is the one removal by owner: CancelOwned scans the
+// table once, claiming the owner's entries under each stripe lock and
+// cancelling them outside it. Departures are rare next to subscribes and
+// cancels, so an owner index would cost every subscription to speed up the
+// rarest path.
 //
 // A Range runs eventbus.DefaultShards lock stripes; WithShards sets another
 // count. Dispatch observability (per-shard counters, index-hit ratio)
@@ -61,26 +56,15 @@ type Record struct {
 	OneShot bool
 }
 
-// recShard is one stripe of the primary subscription table.
-type recShard struct {
+// record renders the Record of a bus subscription.
+func record(s *eventbus.Subscription) Record {
+	return Record{ID: s.ID(), Owner: s.Owner(), Filter: s.Filter(), Sources: s.Sources(), OneShot: s.OneShot()}
+}
+
+// subShard is one stripe of the subscription table.
+type subShard struct {
 	mu   sync.Mutex
-	recs map[guid.GUID]*liveSub
-}
-
-// indexShard is one stripe of the owner index: a list of entries per
-// owner, chained through links.
-type indexShard struct {
-	mu    sync.Mutex
-	heads map[guid.GUID]int32 // guarded by mu; owner → its first slot
-	links []ownerLink         // guarded by mu; slots, reused through free
-	free  int32               // guarded by mu; first free slot (chained through next), or -1
-}
-
-// ownerLink is one slot of an owner list: the entry it holds (nil while
-// free) and the slots of its neighbours, -1 at either end.
-type ownerLink struct {
-	ls         *liveSub
-	prev, next int32
+	subs map[guid.GUID]*eventbus.Subscription // guarded by mu
 }
 
 // Mediator manages a Range's event subscriptions. Construct with New.
@@ -89,19 +73,7 @@ type Mediator struct {
 
 	closed atomic.Bool
 	mask   uint32
-	recs   []*recShard
-	owners []*indexShard
-}
-
-type liveSub struct {
-	rec Record
-	sub *eventbus.Subscription
-	// slot and dropped belong to the owner index, under its stripe's lock.
-	// slot is the entry's slot in links while links[slot].ls is this entry;
-	// dropped marks an entry removed before it was linked, which link then
-	// skips.
-	slot    int32
-	dropped bool
+	shards []*subShard
 }
 
 // ErrUnknownSubscription reports an id with no live subscription.
@@ -116,7 +88,7 @@ type config struct {
 }
 
 // WithShards sets the lock-stripe count for both the underlying bus and the
-// Mediator's own record bookkeeping (0 = default).
+// Mediator's own subscription table (0 = default).
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -142,82 +114,17 @@ func New(reg *ctxtype.Registry, opts ...Option) *Mediator {
 	}
 	bus := eventbus.New(reg, busOpts...)
 	n := bus.Shards()
-	m := &Mediator{
-		bus:    bus,
-		mask:   uint32(n - 1),
-		recs:   make([]*recShard, n),
-		owners: make([]*indexShard, n),
-	}
-	for i := 0; i < n; i++ {
-		m.recs[i] = &recShard{recs: make(map[guid.GUID]*liveSub)}
-		m.owners[i] = &indexShard{heads: make(map[guid.GUID]int32), free: -1}
+	m := &Mediator{bus: bus, mask: uint32(n - 1), shards: make([]*subShard, n)}
+	for i := range m.shards {
+		m.shards[i] = &subShard{subs: make(map[guid.GUID]*eventbus.Subscription)}
 	}
 	return m
 }
 
-// stripe hashes a GUID to a shard index. Byte 0 is the kind tag (constant
+// shard returns the table stripe of id. Byte 0 is the kind tag (constant
 // within a population of ids), so hash the random bytes, like the bus.
-func (m *Mediator) stripe(id guid.GUID) uint32 {
-	return binary.BigEndian.Uint32(id[1:5]) & m.mask
-}
-
-func (m *Mediator) recShard(id guid.GUID) *recShard { return m.recs[m.stripe(id)] }
-
-func (m *Mediator) ownerShard(owner guid.GUID) *indexShard { return m.owners[m.stripe(owner)] }
-
-// link puts ls at the head of its owner's list.
-func (is *indexShard) link(ls *liveSub) {
-	is.mu.Lock()
-	defer is.mu.Unlock()
-	if ls.dropped {
-		return
-	}
-	slot := is.free
-	if slot < 0 {
-		slot = int32(len(is.links))
-		is.links = append(is.links, ownerLink{})
-	} else {
-		is.free = is.links[slot].next
-	}
-	next, ok := is.heads[ls.rec.Owner]
-	if !ok {
-		next = -1
-	} else {
-		is.links[next].prev = slot
-	}
-	is.links[slot] = ownerLink{ls: ls, prev: -1, next: next}
-	is.heads[ls.rec.Owner] = slot
-	ls.slot = slot
-}
-
-// unlink takes ls, removed from the primary table, off its owner's list,
-// unless CancelOwned or Close already did. One not linked yet never will be.
-func (is *indexShard) unlink(ls *liveSub) {
-	is.mu.Lock()
-	if int(ls.slot) < len(is.links) && is.links[ls.slot].ls == ls {
-		is.unlinkLocked(ls.slot)
-	}
-	ls.dropped = true
-	is.mu.Unlock()
-}
-
-// unlinkLocked takes the entry in slot off its owner's list and frees the
-// slot.
-func (is *indexShard) unlinkLocked(slot int32) {
-	l := is.links[slot]
-	switch {
-	case l.prev >= 0:
-		is.links[l.prev].next = l.next
-	case l.next >= 0:
-		is.heads[l.ls.rec.Owner] = l.next
-	default:
-		delete(is.heads, l.ls.rec.Owner)
-	}
-	if l.next >= 0 {
-		is.links[l.next].prev = l.prev
-	}
-	is.links[slot] = ownerLink{prev: -1, next: is.free}
-	is.free = slot
+func (m *Mediator) shard(id guid.GUID) *subShard {
+	return m.shards[binary.BigEndian.Uint32(id[1:5])&m.mask]
 }
 
 // SubOptions configures Subscribe.
@@ -274,25 +181,24 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 		busOpts = append(busOpts, eventbus.WithQueueLen(opts.QueueLen))
 	}
 
-	ls := &liveSub{rec: Record{Owner: owner, Filter: f, Sources: opts.Sources, OneShot: opts.OneShot}}
-	// ready gates the one-shot cleanup on the entry having been recorded:
-	// the single delivery can fire before Subscribe returns, and removing
-	// the entry before it exists would leave a stale one behind. Only a
-	// one-shot subscription cleans up after itself, so only it needs one.
-	var ready chan struct{}
+	// ready hands a one-shot's cleanup its id once the entry is in the
+	// table: the single delivery can fire before Subscribe returns, and
+	// removing the entry before it exists would leave a stale one behind.
+	// Only a one-shot subscription cleans up after itself, so only it needs
+	// one.
+	var ready chan guid.GUID
 	var sub *eventbus.Subscription
 	var err error
 	switch {
 	case opts.OneShot:
-		ready = make(chan struct{})
+		ready = make(chan guid.GUID, 1)
 		sub, err = m.bus.SubscribeBatch(f, func(events []event.Event) {
 			if h != nil {
 				h(events[0])
 			} else {
 				bh(events)
 			}
-			<-ready
-			m.remove(ls.rec.ID)
+			m.remove(<-ready)
 		}, busOpts...)
 	case h != nil:
 		sub, err = m.bus.Subscribe(f, h, busOpts...)
@@ -302,44 +208,35 @@ func (m *Mediator) subscribe(owner guid.GUID, f event.Filter, h eventbus.Handler
 	if err != nil {
 		return Record{}, fmt.Errorf("mediator: %w", err)
 	}
-	ls.rec.ID, ls.sub = sub.ID(), sub
-	rs := m.recShard(ls.rec.ID)
-	rs.mu.Lock()
+	id := sub.ID()
+	sh := m.shard(id)
+	sh.mu.Lock()
 	// Re-checked under the stripe lock: Close sets the flag before sweeping
 	// the stripes, so either we observe it here or Close observes us there.
-	if m.closed.Load() {
-		rs.mu.Unlock()
-		if ready != nil {
-			close(ready)
-		}
+	closed := m.closed.Load()
+	if !closed {
+		sh.subs[id] = sub
+	}
+	sh.mu.Unlock()
+	if ready != nil {
+		ready <- id
+	}
+	if closed {
 		sub.Cancel()
 		return Record{}, fmt.Errorf("mediator: %w", eventbus.ErrClosed)
 	}
-	rs.recs[ls.rec.ID] = ls
-	rs.mu.Unlock()
-	m.ownerShard(owner).link(ls)
-	if ready != nil {
-		close(ready)
-	}
-	return ls.rec, nil
+	return record(sub), nil
 }
 
-// remove deletes id from the primary table (first remover wins) and then
-// from the owner index. It returns the removed entry, or nil when
-// the id was unknown or already removed by a concurrent caller.
-func (m *Mediator) remove(id guid.GUID) *liveSub {
-	rs := m.recShard(id)
-	rs.mu.Lock()
-	ls, ok := rs.recs[id]
-	if ok {
-		delete(rs.recs, id)
-	}
-	rs.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	m.ownerShard(ls.rec.Owner).unlink(ls)
-	return ls
+// remove deletes id from the table and returns its subscription, or nil
+// when the id was unknown or a concurrent caller removed it first.
+func (m *Mediator) remove(id guid.GUID) *eventbus.Subscription {
+	sh := m.shard(id)
+	sh.mu.Lock()
+	sub := sh.subs[id]
+	delete(sh.subs, id)
+	sh.mu.Unlock()
+	return sub
 }
 
 // Publish dispatches an event to all matching subscriptions.
@@ -373,72 +270,57 @@ func (m *Mediator) PublishAllOwnedFrom(pub guid.GUID, events []event.Event) erro
 
 // Cancel removes one subscription.
 func (m *Mediator) Cancel(id guid.GUID) error {
-	ls := m.remove(id)
-	if ls == nil {
+	sub := m.remove(id)
+	if sub == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownSubscription, id.Short())
 	}
-	ls.sub.Cancel()
+	sub.Cancel()
 	return nil
 }
 
 // CancelOwned removes every subscription owned by entity (departure
-// handling); returns the number cancelled. The owner index makes this
-// proportional to the entity's own subscriptions, not the Range's total.
+// handling) and returns the number cancelled. It scans the table once:
+// departure is rare, so no owner index is kept for it.
 func (m *Mediator) CancelOwned(entity guid.GUID) int {
-	is := m.ownerShard(entity)
-	var owned []guid.GUID
-	is.mu.Lock()
-	for slot, ok := is.heads[entity]; ok; slot, ok = is.heads[entity] {
-		owned = append(owned, is.links[slot].ls.rec.ID)
-		is.unlinkLocked(slot)
-	}
-	is.mu.Unlock()
-	n := 0
-	for _, id := range owned {
-		if ls := m.remove(id); ls != nil {
-			ls.sub.Cancel()
-			n++
+	var owned []*eventbus.Subscription
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for id, sub := range sh.subs {
+			if sub.Owner() == entity {
+				owned = append(owned, sub)
+				delete(sh.subs, id)
+			}
 		}
+		sh.mu.Unlock()
 	}
-	return n
+	for _, sub := range owned {
+		sub.Cancel()
+	}
+	return len(owned)
 }
 
 // Get returns the record for a live subscription.
 func (m *Mediator) Get(id guid.GUID) (Record, bool) {
-	rs := m.recShard(id)
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	ls, ok := rs.recs[id]
+	sh := m.shard(id)
+	sh.mu.Lock()
+	sub, ok := sh.subs[id]
+	sh.mu.Unlock()
 	if !ok {
 		return Record{}, false
 	}
-	return ls.rec, true
+	return record(sub), true
 }
 
 // Records returns all live subscription records, ordered by id.
 func (m *Mediator) Records() []Record {
 	var out []Record
-	for _, rs := range m.recs {
-		rs.mu.Lock()
-		for _, ls := range rs.recs {
-			out = append(out, ls.rec)
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		for _, sub := range sh.subs {
+			out = append(out, record(sub))
 		}
-		rs.mu.Unlock()
+		sh.mu.Unlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return guid.Less(out[i].ID, out[j].ID) })
-	return out
-}
-
-// OwnedBy returns the live records owned by entity, ordered by id. A
-// record a concurrent Cancel is removing may still be among them.
-func (m *Mediator) OwnedBy(entity guid.GUID) []Record {
-	is := m.ownerShard(entity)
-	var out []Record
-	is.mu.Lock()
-	for slot, ok := is.heads[entity]; ok && slot >= 0; slot = is.links[slot].next {
-		out = append(out, is.links[slot].ls.rec)
-	}
-	is.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return guid.Less(out[i].ID, out[j].ID) })
 	return out
 }
@@ -446,10 +328,10 @@ func (m *Mediator) OwnedBy(entity guid.GUID) []Record {
 // Len returns the number of live subscriptions.
 func (m *Mediator) Len() int {
 	n := 0
-	for _, rs := range m.recs {
-		rs.mu.Lock()
-		n += len(rs.recs)
-		rs.mu.Unlock()
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		n += len(sh.subs)
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -481,15 +363,10 @@ func (m *Mediator) IndexHitRatio() float64 {
 // Close tears down the bus and all subscriptions.
 func (m *Mediator) Close() {
 	m.closed.Store(true)
-	for _, rs := range m.recs {
-		rs.mu.Lock()
-		rs.recs = make(map[guid.GUID]*liveSub)
-		rs.mu.Unlock()
-	}
-	for _, is := range m.owners {
-		is.mu.Lock()
-		is.heads, is.links, is.free = make(map[guid.GUID]int32), nil, -1
-		is.mu.Unlock()
+	for _, sh := range m.shards {
+		sh.mu.Lock()
+		clear(sh.subs)
+		sh.mu.Unlock()
 	}
 	m.bus.Close()
 }

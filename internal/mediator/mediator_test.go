@@ -19,6 +19,12 @@ func mkEvent(ty ctxtype.Type, seq uint64) event.Event {
 	return event.New(ty, guid.New(guid.KindDevice), seq, t0, nil)
 }
 
+// ownedBy returns the live records owned by owner, ordered by id: the
+// owner's share of Records.
+func ownedBy(m *Mediator, owner guid.GUID) []Record {
+	return slices.DeleteFunc(m.Records(), func(rec Record) bool { return rec.Owner != owner })
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -109,14 +115,17 @@ func TestCancelOwned(t *testing.T) {
 	if _, err := m.Subscribe(john, event.Filter{}, func(event.Event) {}, SubOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if len(m.OwnedBy(bob)) != 3 {
-		t.Fatal("OwnedBy(bob) != 3")
+	if len(ownedBy(m, bob)) != 3 {
+		t.Fatal("bob does not own 3 records")
 	}
 	if n := m.CancelOwned(bob); n != 3 {
 		t.Fatalf("CancelOwned = %d", n)
 	}
-	if m.Len() != 1 || len(m.OwnedBy(bob)) != 0 || len(m.OwnedBy(john)) != 1 {
+	if m.Len() != 1 || len(ownedBy(m, bob)) != 0 || len(ownedBy(m, john)) != 1 {
 		t.Fatal("ownership bookkeeping broken")
+	}
+	if n := m.CancelOwned(bob); n != 0 {
+		t.Fatalf("second CancelOwned = %d, want 0", n)
 	}
 }
 
@@ -146,8 +155,8 @@ func TestCancelByRecordID(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if m.Len() != 2 || len(m.OwnedBy(owner)) != 2 {
-		t.Fatalf("Len = %d, OwnedBy = %d after teardown, want 2 and 2", m.Len(), len(m.OwnedBy(owner)))
+	if m.Len() != 2 || len(ownedBy(m, owner)) != 2 {
+		t.Fatalf("Len = %d, owned = %d after teardown, want 2 and 2", m.Len(), len(ownedBy(m, owner)))
 	}
 	if err := m.Cancel(graph[0]); !errors.Is(err, ErrUnknownSubscription) {
 		t.Fatalf("second cancel: %v, want ErrUnknownSubscription", err)
@@ -256,9 +265,9 @@ func TestSubscribeSources(t *testing.T) {
 	}
 	caller[0], caller[1] = guid.Nil, guid.Nil
 	rec.Sources.Members()[0] = guid.Nil
-	recs := m.OwnedBy(owner)
+	recs := ownedBy(m, owner)
 	if len(recs) != 1 || !slices.Equal(recs[0].Sources.Members(), want) {
-		t.Fatalf("OwnedBy = %+v, want sources %v", recs, want)
+		t.Fatalf("owned records = %+v, want sources %v", recs, want)
 	}
 	recs[0].Sources.Members()[0] = guid.Nil
 	if all := m.Records(); len(all) != 1 || !slices.Equal(all[0].Sources.Members(), want) {

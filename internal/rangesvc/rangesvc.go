@@ -680,13 +680,6 @@ func (c *Connector) SetDeliveryQueueCap(n int) {
 	}
 }
 
-// DeliveryQueueCap reports the current queue bound.
-func (c *Connector) DeliveryQueueCap() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.dqCap
-}
-
 // DeliveryDrops reports how many pushed events overflowed the delivery
 // queue — the figure acked back to the Range Service as flow credit.
 func (c *Connector) DeliveryDrops() uint64 {

@@ -2,6 +2,7 @@ package scinet
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"maps"
 	"math"
@@ -804,6 +805,74 @@ func TestUnsubscribeRemoteSymmetricTeardown(t *testing.T) {
 	time.Sleep(20 * time.Millisecond)
 	if got := recv.total(); got != 0 {
 		t.Fatalf("cancelled remote subscription still delivered %d events", got)
+	}
+}
+
+// TestDepartedOwnerWithdrawsRemoteInterest: when the owner of a
+// SubscribeRemote subscription departs its Range, the fabric withdraws the
+// interest as UnsubscribeRemote would, one reference per subscription, so
+// the peer stops shipping events nobody consumes and drops its tap. A
+// later UnsubscribeRemote of a departed subscription withdraws nothing.
+func TestDepartedOwnerWithdrawsRemoteInterest(t *testing.T) {
+	fn := newFanNet(t, 2, 8)
+	defer fn.close()
+	fA, fB := fn.fabrics[0], fn.fabrics[1]
+	rB := fn.ranges[1]
+	waitCoverage(t, fn)
+
+	flt := event.Filter{Type: ctxtype.TemperatureCelsius}
+	recv := newCounter()
+	var caas []*entity.CAA
+	var recs []mediator.Record
+	for _, name := range []string{"first", "second"} {
+		caa := entity.NewCAA(name, nil, fn.clk)
+		if err := rB.AddApplication(caa); err != nil {
+			t.Fatal(err)
+		}
+		rec, err := fB.SubscribeRemote(caa.ID(), flt, recv.handle)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caas, recs = append(caas, caa), append(recs, rec)
+	}
+	waitFor(t, func() bool { return fA.knowsInterest(fB.NodeID()) && fA.hasTap() })
+	refs := func() int {
+		fB.mu.Lock()
+		defer fB.mu.Unlock()
+		n := 0
+		for _, li := range fB.local {
+			n += li.refs
+		}
+		return n
+	}
+
+	if err := rB.RemoveEntity(caas[0].ID()); err != nil {
+		t.Fatal(err)
+	}
+	if n := refs(); n != 1 {
+		t.Fatalf("%d interest references after one of two owners departed, want 1", n)
+	}
+	if err := fB.UnsubscribeRemote(recs[0]); !errors.Is(err, mediator.ErrUnknownSubscription) {
+		t.Fatalf("UnsubscribeRemote of a departed subscription: %v, want ErrUnknownSubscription", err)
+	}
+	if n := refs(); n != 1 {
+		t.Fatalf("%d interest references after unsubscribing a departed subscription, want 1", n)
+	}
+
+	if err := rB.RemoveEntity(caas[1].ID()); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return !fA.knowsInterest(fB.NodeID()) && !fA.hasTap() })
+	ingested := fB.EventsIngested.Value()
+	if err := fn.ranges[0].PublishAll(makeEvents(8, fn.clk)); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := fB.EventsIngested.Value() - ingested; got != 0 {
+		t.Fatalf("%d events shipped to and ingested by a fabric whose subscribers departed", got)
+	}
+	if got := recv.total(); got != 0 {
+		t.Fatalf("departed owners' subscriptions delivered %d events", got)
 	}
 }
 

@@ -13,6 +13,7 @@ import (
 	"sci/internal/guid"
 	"sci/internal/mediator"
 	"sci/internal/overlay"
+	"sci/internal/registry"
 )
 
 // interestMsg announces one fabric's whole cross-range interest set.
@@ -110,13 +111,22 @@ func (f *Fabric) interestsChanged() {
 // SubscribeRemote subscribes owner to events matching flt published
 // anywhere in the SCINET: a local mediator subscription receives both local
 // publishes and ingested cross-range batches, and the filter is announced
-// as an interest so sibling fabrics forward matching events here.
+// as an interest so sibling fabrics forward matching events here. The
+// interest lasts until UnsubscribeRemote or until owner departs the Range.
 func (f *Fabric) SubscribeRemote(owner guid.GUID, flt event.Filter, h func(event.Event)) (mediator.Record, error) {
 	rec, err := f.rng.Mediator().Subscribe(owner, flt, h, mediator.SubOptions{QueueLen: tapQueueLen})
 	if err != nil {
 		return mediator.Record{}, err
 	}
+	f.mu.Lock()
+	f.remote[rec.ID] = rec
+	f.mu.Unlock()
 	f.AddInterest(flt)
+	// An owner departing meanwhile had the subscription cancelled, perhaps
+	// before ownerDeparted could find it here.
+	if _, ok := f.rng.Mediator().Get(rec.ID); !ok {
+		f.withdrawRemote(func(r mediator.Record) bool { return r.ID == rec.ID })
+	}
 	return rec, nil
 }
 
@@ -126,8 +136,33 @@ func (f *Fabric) SubscribeRemote(owner guid.GUID, flt event.Filter, h func(event
 // shipping events nobody consumes.
 func (f *Fabric) UnsubscribeRemote(rec mediator.Record) error {
 	err := f.rng.Mediator().Cancel(rec.ID)
-	f.RemoveInterest(rec.Filter)
+	f.withdrawRemote(func(r mediator.Record) bool { return r.ID == rec.ID })
 	return err
+}
+
+// ownerDeparted watches the Range's registrar: the Range cancels a
+// departed entity's subscriptions, and this withdraws the interests its
+// SubscribeRemote subscriptions announced.
+func (f *Fabric) ownerDeparted(reg registry.Registration, _ registry.Reason) {
+	f.withdrawRemote(func(r mediator.Record) bool { return r.Owner == reg.Entity })
+}
+
+// withdrawRemote forgets the SubscribeRemote subscriptions that match and
+// drops one interest reference for each. A subscription is forgotten once,
+// whichever of UnsubscribeRemote and a departure comes first.
+func (f *Fabric) withdrawRemote(match func(mediator.Record) bool) {
+	var flts []event.Filter
+	f.mu.Lock()
+	for id, rec := range f.remote {
+		if match(rec) {
+			delete(f.remote, id)
+			flts = append(flts, rec.Filter)
+		}
+	}
+	f.mu.Unlock()
+	for _, flt := range flts {
+		f.RemoveInterest(flt)
+	}
 }
 
 // ForgetInterest drops one fabric's entry from the local interest table

@@ -98,8 +98,10 @@ import (
 	"sci/internal/flow"
 	"sci/internal/guid"
 	"sci/internal/location"
+	"sci/internal/mediator"
 	"sci/internal/metrics"
 	"sci/internal/overlay"
+	"sci/internal/registry"
 	"sci/internal/server"
 	"sci/internal/transport"
 	"sci/internal/wire"
@@ -214,6 +216,8 @@ type Fabric struct {
 	links     map[guid.GUID]*link               // guarded by mu; remote fabric → everything known about it (link.go)
 	ownerRefs map[guid.GUID]int                 // guarded by mu; remote owner → live served queries
 	local     []localInterest                   // guarded by mu; this fabric's own interests, refcounted
+	remote    map[guid.GUID]mediator.Record     // guarded by mu; live SubscribeRemote subscriptions by id
+	unwatch   func()                            // stops the registrar departure watch (ownerDeparted)
 	taps      map[ctxtype.Type]guid.GUID        // guarded by mu; mediator taps by tap type (Wildcard key = residual tap)
 	fan       *flow.Coalescer                   // outbound coalescer, fan-out traffic
 	downObs   map[guid.GUID]uint64              // guarded by mu; downstream accounts: observing fabric → max cumulative drops seen
@@ -297,6 +301,7 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 		maxDelay:  rng.BatchMaxDelay(),
 		links:     make(map[guid.GUID]*link),
 		ownerRefs: make(map[guid.GUID]int),
+		remote:    make(map[guid.GUID]mediator.Record),
 		taps:      make(map[ctxtype.Type]guid.GUID),
 		downObs:   make(map[guid.GUID]uint64),
 		statsWait: make(map[guid.GUID]chan statsResultMsg),
@@ -326,6 +331,7 @@ func NewFabric(rng *server.Range, net transport.Network, clk clock.Clock) (*Fabr
 	rng.AddStatsSource(func() map[string]float64 {
 		return map[string]float64{"remote.forward_failures": float64(f.ForwardFailures.Value())}
 	})
+	f.unwatch = rng.Registrar().Watch(registry.FuncWatcher{Departure: f.ownerDeparted})
 	return f, nil
 }
 
@@ -647,6 +653,7 @@ func (f *Fabric) Close() error {
 	f.links = make(map[guid.GUID]*link)
 	f.refreshInterestSnapLocked() // fanOut/relay match nothing once closed
 	f.mu.Unlock()
+	f.unwatch()
 
 	for _, w := range withdraw {
 		_ = f.sendMsg(w.to, appDigest, w.msg)
