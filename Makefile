@@ -19,8 +19,10 @@ fmt:
 lint:
 	$(GO) run ./cmd/scilint ./...
 
-# Finding/suppression counts as JSON, for the CI artifact that tracks the
-# lint surface over time. Always exits 0; `make lint` is the gate.
+# Finding/suppression counts and the sizes of the reachability report's
+# groups (exported names only experiments, or nothing, reach) as JSON, for
+# the CI artifact that tracks the lint surface over time. Always exits 0;
+# `make lint` is the gate.
 lint-stats:
 	$(GO) run ./cmd/scilint -stats ./... | tee lint-stats.json
 
@@ -87,10 +89,15 @@ hotpath-smoke:
 bench:
 	$(GO) run ./bench
 
-# Two seconds of the headline workload over TCP and the binary codec; fails
-# unless the result line says the delivery oracle held.
+# Two seconds each of the headline workload over TCP and the binary codec,
+# the query path (resolver, configuration, server) and local dispatch; fails
+# unless every result line says the workload's oracle held.
+BENCH_SMOKE := xr-stream query-mix local-fanout
+
 bench-smoke:
-	$(GO) run ./bench -workload xr-stream -seconds 2 | tee /dev/stderr | grep -q '"correct":true'
+	@for w in $(BENCH_SMOKE); do \
+		$(GO) run ./bench -workload $$w -seconds 2 | tee /dev/stderr | grep -q '"correct":true' || { echo "bench-smoke: $$w failed"; exit 1; }; \
+	done
 
 # Every CI gate that needs no download, in CI's order. CI also installs and
 # runs staticcheck and govulncheck, and records lint-stats (never a gate).

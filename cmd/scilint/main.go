@@ -12,6 +12,11 @@
 //	go run ./cmd/scilint -stats ./...    # counts only, for the CI artifact
 //	go run ./cmd/scilint -annotate ./... # dry-run: print suggested annotations
 //
+// -json and -stats also carry the whole-program reachability report
+// (interproc.FindUnreached): the exported names of internal/ that no
+// deployed program reaches, listed under -json and counted under -stats.
+// The report is never a gate.
+//
 // Suppressions: //lint:allow <analyzer> <reason> on the flagged line or the
 // line above; the reason must be longer than ten characters. See
 // internal/analysis/doc.go for the enforced contracts.
@@ -21,6 +26,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"go/token"
 	"os"
 
 	"sci/internal/analysis"
@@ -29,6 +35,7 @@ import (
 	"sci/internal/analysis/gaugekey"
 	"sci/internal/analysis/guardedby"
 	"sci/internal/analysis/hotpath"
+	"sci/internal/analysis/interproc"
 	"sci/internal/analysis/leakcheck"
 	"sci/internal/analysis/lockorder"
 )
@@ -44,14 +51,22 @@ type finding struct {
 
 // report is the JSON document -json emits.
 type report struct {
-	Findings []finding       `json:"findings"`
-	Stats    *analysis.Stats `json:"stats"`
+	Findings  []finding            `json:"findings"`
+	Stats     statsDoc             `json:"stats"`
+	Unreached *interproc.Unreached `json:"unreached"`
+}
+
+// statsDoc is the JSON document -stats emits: the analyzer counts plus
+// the size of each group of the reachability report.
+type statsDoc struct {
+	*analysis.Stats
+	Unreached map[string]int `json:"unreached"`
 }
 
 func main() {
 	only := flag.String("only", "", "comma-separated analyzer names to run (default: all)")
 	asJSON := flag.Bool("json", false, "emit findings and stats as JSON on stdout")
-	statsOnly := flag.Bool("stats", false, "emit only the finding/suppression counts as JSON (exit 0 regardless of findings)")
+	statsOnly := flag.Bool("stats", false, "emit only the finding/suppression counts and the unreached-group sizes as JSON (exit 0 regardless of findings)")
 	annotate := flag.Bool("annotate", false, "dry run: print a suggested //lint:allow annotation for each finding and exit 0")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: scilint [-only a,b] [-json|-stats|-annotate] <packages>\n\nanalyzers:\n")
@@ -72,18 +87,33 @@ func main() {
 		os.Exit(2)
 	}
 
-	diags, fset, stats, err := analysis.RunWithStats("", patterns, analyzers)
+	pkgs, err := analysis.Load("", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "scilint: %v\n", err)
 		os.Exit(2)
 	}
+	var fset *token.FileSet
+	for _, p := range pkgs {
+		fset = p.Fset
+	}
+	diags, stats, err := analysis.Run(pkgs, analyzers)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "scilint: %v\n", err)
+		os.Exit(2)
+	}
+	var unreached *interproc.Unreached
+	var counts statsDoc
+	if *statsOnly || *asJSON {
+		unreached = interproc.FindUnreached(pkgs, "sci")
+		counts = statsDoc{stats, map[string]int{"sim_only": len(unreached.SimOnly), "nothing": len(unreached.Nothing)}}
+	}
 
 	switch {
 	case *statsOnly:
-		json.NewEncoder(os.Stdout).Encode(stats)
+		json.NewEncoder(os.Stdout).Encode(counts)
 		return
 	case *asJSON:
-		rep := report{Findings: []finding{}, Stats: stats}
+		rep := report{Findings: []finding{}, Stats: counts, Unreached: unreached}
 		for _, d := range diags {
 			p := fset.Position(d.Pos)
 			rep.Findings = append(rep.Findings, finding{

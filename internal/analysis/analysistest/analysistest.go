@@ -31,18 +31,20 @@ type want struct {
 	matched bool
 }
 
-// Run loads dir as a fixture package, applies a and compares diagnostics
-// with the fixture's want comments.
+// Run loads dir through analysis.Load, as the package at its full import
+// path, applies a and compares diagnostics with the fixture's want
+// comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer) {
 	t.Helper()
 	abs, err := filepath.Abs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkg, err := analysis.LoadFixture(abs)
-	if err != nil {
-		t.Fatalf("loading fixture: %v", err)
+	pkgs, err := analysis.Load(abs, []string{"."})
+	if err != nil || len(pkgs) != 1 {
+		t.Fatalf("loading fixture: %d packages, %v", len(pkgs), err)
 	}
+	pkg := pkgs[0]
 	diags, err := analysis.RunPackage(pkg, []*analysis.Analyzer{a}, false)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)

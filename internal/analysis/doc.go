@@ -142,6 +142,9 @@
 // suppressions cannot outlive the code they excused. CI publishes the
 // finding and suppression counts per analyzer as the lint-stats artifact
 // (`make lint-stats`), so the suppression surface is tracked over time.
+// The same counts carry the reachability report (interproc.FindUnreached):
+// the exported names of internal/ that only the experiments reach, and
+// those nothing deployed reaches. `scilint -json` lists them; no gate.
 //
 // # Writing a new analyzer
 //

@@ -201,29 +201,11 @@ func RunPackage(p *Package, analyzers []*Analyzer, applyFilter bool) ([]Diagnost
 	return diags, err
 }
 
-// Run loads the packages matching patterns (relative to dir; "" = cwd) and
-// applies every analyzer, returning the surviving diagnostics sorted by
-// position.
-func Run(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, error) {
-	diags, fset, _, err := RunWithStats(dir, patterns, analyzers)
-	return diags, fset, err
-}
-
-// RunWithStats is Run plus the per-analyzer finding/suppression counts.
-func RunWithStats(dir string, patterns []string, analyzers []*Analyzer) ([]Diagnostic, *token.FileSet, *Stats, error) {
-	pkgs, err := Load(dir, patterns)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var fset *token.FileSet
-	for _, p := range pkgs {
-		fset = p.Fset
-	}
-	diags, stats, err := runPackages(pkgs, analyzers, true)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return diags, fset, stats, nil
+// Run applies every analyzer to packages Load returned, returning the
+// surviving diagnostics sorted by position plus the per-analyzer
+// finding/suppression counts.
+func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, *Stats, error) {
+	return runPackages(pkgs, analyzers, true)
 }
 
 // Select filters analyzers by a comma-separated name list (the -only

@@ -38,7 +38,6 @@ type Func struct {
 // Program indexes every function declaration of a loaded package set.
 type Program struct {
 	Funcs map[string]*Func
-	pkgs  []*analysis.Package
 }
 
 // MaxDepth is the default call-graph exploration bound. Summaries are
@@ -79,7 +78,7 @@ func Key(obj *types.Func) string {
 // (the real load, a fixture load) join the same program as long as their
 // import paths agree.
 func Build(pkgs []*analysis.Package) *Program {
-	p := &Program{Funcs: make(map[string]*Func), pkgs: pkgs}
+	p := &Program{Funcs: make(map[string]*Func)}
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -98,9 +97,6 @@ func Build(pkgs []*analysis.Package) *Program {
 	}
 	return p
 }
-
-// Packages returns the indexed package set.
-func (p *Program) Packages() []*analysis.Package { return p.pkgs }
 
 // FuncOf returns the indexed entry for a declaration in pkg, or nil.
 func (p *Program) FuncOf(pkg *analysis.Package, fd *ast.FuncDecl) *Func {

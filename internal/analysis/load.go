@@ -13,7 +13,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -110,9 +109,9 @@ func newInfo() *types.Info {
 	}
 }
 
-// CheckFiles type-checks parsed files as one package using export data for
-// its imports. Shared by the driver and analysistest.
-func CheckFiles(fset *token.FileSet, path string, files []*ast.File, imp *exportImporter) (*types.Package, *types.Info, error) {
+// checkFiles type-checks parsed files as one package using export data for
+// its imports.
+func checkFiles(fset *token.FileSet, path string, files []*ast.File, imp *exportImporter) (*types.Package, *types.Info, error) {
 	info := newInfo()
 	conf := types.Config{Importer: imp, FakeImportC: true}
 	pkg, err := conf.Check(path, fset, files, info)
@@ -159,69 +158,11 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 		}
 		imp := newExportImporter(fset, exports)
 		imp.importMap = p.ImportMap
-		pkg, info, err := CheckFiles(fset, p.ImportPath, files, imp)
+		pkg, info, err := checkFiles(fset, p.ImportPath, files, imp)
 		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %v", p.ImportPath, err)
 		}
 		out = append(out, &Package{Path: p.ImportPath, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info})
 	}
 	return out, nil
-}
-
-// LoadFixture parses and type-checks one directory of fixture files as a
-// standalone package (import path = directory base name). Imports resolve
-// against the enclosing module, so fixtures may use the real sci/internal
-// packages. Used by analysistest.
-func LoadFixture(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	importSet := map[string]bool{}
-	for _, e := range entries {
-		if e.IsDir() || filepath.Ext(e.Name()) != ".go" {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-		for _, im := range f.Imports {
-			if p, err := strconv.Unquote(im.Path.Value); err == nil && p != "unsafe" {
-				importSet[p] = true
-			}
-		}
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no fixture files in %s", dir)
-	}
-	exports := make(map[string]string)
-	if len(importSet) > 0 {
-		args := make([]string, 0, len(importSet))
-		for p := range importSet {
-			args = append(args, p)
-		}
-		listed, err := goList(dir, args)
-		if err != nil {
-			return nil, err
-		}
-		for _, p := range listed {
-			if p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-			if p.Error != nil {
-				return nil, fmt.Errorf("fixture import %s: %s", p.ImportPath, p.Error.Err)
-			}
-		}
-	}
-	imp := newExportImporter(fset, exports)
-	path := filepath.Base(dir)
-	pkg, info, err := CheckFiles(fset, path, files, imp)
-	if err != nil {
-		return nil, fmt.Errorf("type-checking fixture %s: %v", dir, err)
-	}
-	return &Package{Path: path, Fset: fset, Files: files, Pkg: pkg, TypesInfo: info}, nil
 }

@@ -54,13 +54,13 @@ func lockC() {
 
 func cThenD() {
 	cv.mu.Lock()
-	lockD() // want `lockorder.D.mu acquired via call to lockorder.lockD while holding lockorder.C.mu`
+	lockD() // want `lockorder.D.mu acquired via call to sci/internal/analysis/lockorder/testdata/lockorder.lockD while holding lockorder.C.mu`
 	cv.mu.Unlock()
 }
 
 func dThenC() {
 	dv.mu.Lock()
-	lockC() // want `lockorder.C.mu acquired via call to lockorder.lockC while holding lockorder.D.mu`
+	lockC() // want `lockorder.C.mu acquired via call to sci/internal/analysis/lockorder/testdata/lockorder.lockC while holding lockorder.D.mu`
 	dv.mu.Unlock()
 }
 
@@ -99,7 +99,7 @@ func recurHolding(n int) {
 		return
 	}
 	cv2.mu.Lock()
-	recurHolding(n - 1) // want `lockorder.C2.mu acquired via call to lockorder.recurHolding while holding lockorder.C2.mu`
+	recurHolding(n - 1) // want `lockorder.C2.mu acquired via call to sci/internal/analysis/lockorder/testdata/lockorder.recurHolding while holding lockorder.C2.mu`
 	cv2.mu.Unlock()
 }
 

@@ -39,12 +39,16 @@ func TestTreeIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("invokes the go tool; skipped in -short")
 	}
-	diags, fset, err := analysis.Run("../..", []string{"./..."}, suite())
+	pkgs, err := analysis.Load("../..", []string{"./..."})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	diags, _, err := analysis.Run(pkgs, suite())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, d := range diags {
-		p := fset.Position(d.Pos)
+		p := pkgs[0].Fset.Position(d.Pos)
 		t.Errorf("%s:%d:%d: %s (%s)", p.Filename, p.Line, p.Column, d.Message, d.Analyzer)
 	}
 }
@@ -119,10 +123,15 @@ func TestRevertedFixIsCaught(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	diags, fset, err := analysis.Run(tmp, []string{"./..."}, []*analysis.Analyzer{hotpath.Analyzer})
+	pkgs, err := analysis.Load(tmp, []string{"./..."})
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
+	diags, _, err := analysis.Run(pkgs, []*analysis.Analyzer{hotpath.Analyzer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := pkgs[0].Fset
 	found := false
 	for _, d := range diags {
 		if d.Analyzer == "hotpath" && strings.Contains(d.Message, "allocates") {

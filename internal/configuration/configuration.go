@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"sci/internal/entity"
 	"sci/internal/event"
@@ -125,9 +124,7 @@ type Runtime struct {
 	mu     sync.Mutex
 	active map[guid.GUID]*activeCfg // guarded by mu
 
-	// RepairLatency records time from failure report to repaired plumbing
-	// (experiment E8); Repairs/RepairFailures count outcomes.
-	RepairLatency  metrics.Histogram
+	// Repairs/RepairFailures count repair outcomes.
 	Repairs        metrics.Counter
 	RepairFailures metrics.Counter
 }
@@ -389,7 +386,6 @@ func binds(b *resolver.Binding, provider guid.GUID) bool {
 // sequence numbers. A configuration torn down while it is being rewired
 // keeps none of the new subscriptions.
 func (r *Runtime) Repair(id, failed guid.GUID) error {
-	start := nowMonotonic()
 	r.mu.Lock()
 	ac, ok := r.active[id]
 	if !ok {
@@ -443,7 +439,6 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	r.prime(added(plan.Leaves, oldPlan.Leaves))
 
 	r.Repairs.Inc()
-	r.RepairLatency.Record(nowMonotonic() - start)
 	return nil
 }
 
@@ -486,8 +481,3 @@ func (r *Runtime) repairBinding(b *resolver.Binding, q query.Query, failed guid.
 	}
 	return out, nil
 }
-
-// nowMonotonic returns a monotonic nanosecond reading for latency metrics.
-func nowMonotonic() int64 { return int64(time.Since(processStart)) }
-
-var processStart = time.Now()

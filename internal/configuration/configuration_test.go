@@ -278,8 +278,8 @@ func TestRepairRebindsToEquivalentProvider(t *testing.T) {
 		defer mu.Unlock()
 		return len(got) >= 1
 	})
-	if r.rt.Repairs.Value() != 1 || r.rt.RepairLatency.Count() != 1 {
-		t.Fatal("repair metrics not recorded")
+	if r.rt.Repairs.Value() != 1 {
+		t.Fatal("repair not counted")
 	}
 }
 

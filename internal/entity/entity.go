@@ -57,11 +57,6 @@ type CE interface {
 	Serve(op string, args map[string]any) (map[string]any, error)
 }
 
-// Consumer is the ConsumeInterface of Fig 4 (CAAs).
-type Consumer interface {
-	Consume(event.Event)
-}
-
 // BatchInput is implemented by CEs that can absorb a whole run of
 // configuration input events in one call. The configuration runtime wires
 // such consumers through Mediator.SubscribeBatch, so a publish burst
@@ -214,7 +209,8 @@ func NewRemoteBatchCAA(id guid.GUID, name string, fn func([]event.Event), clk cl
 	return &CAA{Base: base, batch: fn}
 }
 
-// Consume implements Consumer.
+// Consume is the ConsumeInterface of Fig 4: it hands one event to the
+// CAA's handler, or appends it to the inbox when the CAA has none.
 func (c *CAA) Consume(e event.Event) {
 	c.mu.Lock()
 	h, bh := c.handler, c.batch
@@ -274,7 +270,6 @@ func (c *CAA) PendingEvents() int {
 var (
 	_ Component = (*Base)(nil)
 	_ CE        = (*Base)(nil)
-	_ Consumer  = (*CAA)(nil)
 )
 
 // Sequenced returns the base's current sequence number (diagnostics).

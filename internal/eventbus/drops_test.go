@@ -30,7 +30,7 @@ func shares(l *metrics.Ledger) map[guid.GUID]uint64 {
 // parkedSub subscribes with the given queue length and parks the delivery
 // goroutine inside the handler after its first delivery, so subsequent
 // publishes fill the ring deterministically.
-func parkedSub(t *testing.T, b *Bus, queueLen int, policy DropPolicy) (release func()) {
+func parkedSub(t *testing.T, b *Bus, queueLen int) (release func()) {
 	t.Helper()
 	entered := make(chan struct{})
 	gate := make(chan struct{})
@@ -40,7 +40,7 @@ func parkedSub(t *testing.T, b *Bus, queueLen int, policy DropPolicy) (release f
 			entered <- struct{}{}
 			<-gate
 		}
-	}, WithQueueLen(queueLen), WithPolicy(policy))
+	}, WithQueueLen(queueLen))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,12 +66,12 @@ func eventsFrom(src guid.GUID, n int, base uint64) []event.Event {
 func TestDropOldestBlamesTheFlooder(t *testing.T) {
 	b := New(nil)
 	defer b.Close()
-	release := parkedSub(t, b, 4, DropOldest)
+	release := parkedSub(t, b, 4)
 	defer release()
 
 	flooder := guid.New(guid.KindDevice)
 	idle := guid.New(guid.KindDevice)
-	if err := b.PublishAllOwned(eventsFrom(flooder, 4, 1)); err != nil {
+	if err := b.PublishAllOwnedFrom(guid.Nil, eventsFrom(flooder, 4, 1)); err != nil {
 		t.Fatal(err) // ring now full of the flooder's events
 	}
 	if err := b.Publish(event.New(ctxtype.TemperatureCelsius, idle, 1, t0, nil)); err != nil {
@@ -88,30 +88,6 @@ func TestDropOldestBlamesTheFlooder(t *testing.T) {
 	}
 }
 
-// TestDropNewestBlamesTheArrival: under DropNewest the discarded events are
-// the incoming ones, attributed to their own publisher.
-func TestDropNewestBlamesTheArrival(t *testing.T) {
-	b := New(nil)
-	defer b.Close()
-	release := parkedSub(t, b, 2, DropNewest)
-	defer release()
-
-	early := guid.New(guid.KindDevice)
-	late := guid.New(guid.KindDevice)
-	if err := b.PublishAllOwned(eventsFrom(early, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.PublishAllOwned(eventsFrom(late, 3, 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := b.Drops().For(late); got != 3 {
-		t.Fatalf("Drops().For(late) = %d, want 3", got)
-	}
-	if got := b.Drops().For(early); got != 0 {
-		t.Fatalf("Drops().For(early) = %d, want 0", got)
-	}
-}
-
 // TestExplicitAttributionKeyOverridesSource: a PublishAllOwnedFrom ingest
 // counts drops against the given endpoint key even though the events carry
 // different Source GUIDs — the wire/overlay ingest case, where the link's
@@ -119,7 +95,7 @@ func TestDropNewestBlamesTheArrival(t *testing.T) {
 func TestExplicitAttributionKeyOverridesSource(t *testing.T) {
 	b := New(nil)
 	defer b.Close()
-	release := parkedSub(t, b, 2, DropOldest)
+	release := parkedSub(t, b, 2)
 	defer release()
 
 	endpoint := guid.New(guid.KindApplication)

@@ -75,17 +75,6 @@ import (
 	"sci/internal/metrics"
 )
 
-// DropPolicy selects behaviour when a subscriber's queue is full.
-type DropPolicy int
-
-const (
-	// DropOldest discards the oldest queued event to admit the new one
-	// (default: context data is freshest-wins).
-	DropOldest DropPolicy = iota + 1
-	// DropNewest discards the incoming event.
-	DropNewest
-)
-
 // DefaultQueueLen is the per-subscription queue capacity when none is given.
 const DefaultQueueLen = 64
 
@@ -312,7 +301,6 @@ type Subscription struct {
 	head   int     // guarded by mu
 	count  int     // guarded by mu; entries in the ring
 	events int     // guarded by mu; events across those entries
-	policy DropPolicy
 	// wake signals the delivery goroutine. It is made, and the goroutine
 	// started, with the ring at the first enqueue: nil means no goroutine.
 	wake   chan struct{} // guarded by mu
@@ -327,7 +315,6 @@ type Subscription struct {
 // Subscribe applies the set ones in order.
 type SubOption struct {
 	limit   int
-	policy  DropPolicy
 	owner   guid.GUID
 	sources guid.Sorted
 	oneShot bool
@@ -338,9 +325,6 @@ type SubOption struct {
 // memory is committed at the subscription's first event, so a subscription
 // that never receives one costs nothing for it.
 func WithQueueLen(n int) SubOption { return SubOption{limit: max(n, 1)} }
-
-// WithPolicy sets the full-queue policy.
-func WithPolicy(p DropPolicy) SubOption { return SubOption{policy: p} }
 
 // WithOwner records the subscribing entity's GUID on the subscription
 // (Subscription.Owner); dispatch never reads it.
@@ -389,16 +373,12 @@ func (b *Bus) subscribe(f event.Filter, h Handler, bh BatchHandler, opts []SubOp
 		id:      guid.New(guid.KindSubscription),
 		filter:  f,
 		bus:     b,
-		policy:  DropOldest,
 		handler: h,
 		batch:   bh,
 	}
 	for _, o := range opts {
 		if o.limit > 0 {
 			s.limit = o.limit
-		}
-		if o.policy != 0 {
-			s.policy = o.policy
 		}
 		if !o.owner.IsNil() {
 			s.owner = o.owner
@@ -574,26 +554,21 @@ func (b *Bus) PublishAll(events []event.Event) error {
 	return nil
 }
 
-// PublishAllOwned is PublishAll for callers that hand the slice over: the
-// bus retains it and shares read-only views of it with subscriber rings,
-// so the caller must never write it again. Reads stay safe — the bus never
-// writes into it either — so a caller may keep reading the slice, or share
-// it with other readers, after the call. It exists to spare batch
-// pipelines that already hold a slice nobody will write (the Range
-// Service's filtering copy, SCINET's decoded batches) the defensive copy.
-func (b *Bus) PublishAllOwned(events []event.Event) error {
-	return b.PublishAllOwnedFrom(guid.Nil, events)
-}
-
-// PublishAllOwnedFrom is PublishAllOwned with an explicit drop-attribution
-// key: every event of the batch later discarded from a full subscription
-// queue is charged to pub in the Drops ledger instead of the event's own
-// Source. Wire and overlay ingest pass the sending endpoint, so a credit
-// ack can report the drops that endpoint's traffic caused — not the
-// Range-wide total, and not the blameless co-tenant whose event a flood
-// happened to evict. A nil pub falls back to per-event Source attribution.
-// The slice is handed over as for PublishAllOwned: never written again,
-// still safe to read.
+// PublishAllOwnedFrom is PublishAll for callers that hand the slice over,
+// with an explicit drop-attribution key. The bus retains the slice and
+// shares read-only views of it with subscriber rings, so the caller must
+// never write it again. Reads stay safe — the bus never writes into it
+// either — so a caller may keep reading the slice, or share it with other
+// readers, after the call. It spares batch pipelines that already hold a
+// slice nobody will write (the Range Service's filtering copy, SCINET's
+// decoded batches) the defensive copy.
+//
+// Every event of the batch later discarded from a full subscription queue
+// is charged to pub in the Drops ledger instead of the event's own Source.
+// Wire and overlay ingest pass the sending endpoint, so a credit ack can
+// report the drops that endpoint's traffic caused — not the Range-wide
+// total, and not the blameless co-tenant whose event a flood happened to
+// evict. A nil pub falls back to per-event Source attribution.
 func (b *Bus) PublishAllOwnedFrom(pub guid.GUID, events []event.Event) error {
 	if len(events) == 0 {
 		return nil
@@ -973,43 +948,27 @@ func (s *Subscription) enqueueRun(run []event.Event, pub guid.GUID) int {
 	}
 	capEvents := s.limit
 	dropped := 0
-	admitted := true
-	if s.policy == DropNewest {
-		free := capEvents - s.events
-		if free <= 0 {
-			admitted = false
-			dropped = len(run)
-			dropRun(run)
-		} else if len(run) > free {
-			dropped = len(run) - free
-			dropRun(run[free:])
-			run = run[:free]
+	// A full queue drops its oldest events: the final content is the
+	// newest capEvents events, since context data is freshest-wins.
+	if len(run) >= capEvents {
+		dropped = s.events + len(run) - capEvents
+		for s.count > 0 {
+			drops.Add(s.evictOldestLocked(), 1)
 		}
-	} else { // DropOldest: final content is the newest capEvents events
-		if len(run) >= capEvents {
-			dropped = s.events + len(run) - capEvents
-			for s.count > 0 {
-				drops.Add(s.evictOldestLocked(), 1)
-			}
-			dropRun(run[:len(run)-capEvents])
-			run = run[len(run)-capEvents:]
-		} else {
-			for s.events+len(run) > capEvents {
-				dropped++
-				drops.Add(s.evictOldestLocked(), 1)
-			}
+		dropRun(run[:len(run)-capEvents])
+		run = run[len(run)-capEvents:]
+	} else {
+		for s.events+len(run) > capEvents {
+			dropped++
+			drops.Add(s.evictOldestLocked(), 1)
 		}
 	}
-	if admitted {
-		s.pushLocked(entry{run: run, pub: pub})
-	}
+	s.pushLocked(entry{run: run, pub: pub})
 	wake := s.wake
 	s.mu.Unlock()
-	if admitted {
-		select {
-		case wake <- struct{}{}:
-		default:
-		}
+	select {
+	case wake <- struct{}{}:
+	default:
 	}
 	return dropped
 }

@@ -118,7 +118,7 @@ func TestDropOldestPolicy(t *testing.T) {
 		mu.Lock()
 		got = append(got, e.Seq)
 		mu.Unlock()
-	}, WithQueueLen(2), WithPolicy(DropOldest))
+	}, WithQueueLen(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,46 +146,6 @@ func TestDropOldestPolicy(t *testing.T) {
 	}
 	if s := b.Stats(); s.Dropped != 2 {
 		t.Fatalf("Dropped = %d, want 2", s.Dropped)
-	}
-}
-
-func TestDropNewestPolicy(t *testing.T) {
-	b := New(nil)
-	defer b.Close()
-	block := make(chan struct{})
-	var mu sync.Mutex
-	var got []uint64
-	first := make(chan struct{})
-	var once sync.Once
-	_, err := b.Subscribe(event.Filter{}, func(e event.Event) {
-		once.Do(func() { close(first) })
-		<-block
-		mu.Lock()
-		got = append(got, e.Seq)
-		mu.Unlock()
-	}, WithQueueLen(2), WithPolicy(DropNewest))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(mkEvent(ctxtype.TemperatureCelsius, 0)); err != nil {
-		t.Fatal(err)
-	}
-	<-first
-	for i := 1; i <= 4; i++ { // 1,2 admitted; 3,4 dropped
-		if err := b.Publish(mkEvent(ctxtype.TemperatureCelsius, uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(block)
-	waitFor(t, func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(got) == 3
-	})
-	mu.Lock()
-	defer mu.Unlock()
-	if got[0] != 0 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("DropNewest delivered %v, want [0 1 2]", got)
 	}
 }
 

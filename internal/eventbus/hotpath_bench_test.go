@@ -182,7 +182,7 @@ func TestSubscribeBatchOneRunInPlace(t *testing.T) {
 		event.New("bench.hot", src, 1, t0, nil),
 		event.New("bench.hot", src, 2, t0, nil),
 	}
-	if err := b.PublishAllOwned(owned); err != nil {
+	if err := b.PublishAllOwnedFrom(guid.Nil, owned); err != nil {
 		t.Fatal(err)
 	}
 	var evs []event.Event

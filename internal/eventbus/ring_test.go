@@ -74,73 +74,69 @@ func TestRingCommittedAtFirstEvent(t *testing.T) {
 
 // TestFirstRunLongerThanLimit: when a subscription's very first enqueue is
 // a run longer than its capacity, the freshly committed ring keeps exactly
-// the events the policy says — the newest under DropOldest, the oldest under
-// DropNewest — and every discarded event is attributed, to the ingest key
-// when one is given and to each event's own Source otherwise.
+// the newest limit events, and every discarded event is attributed, to the
+// ingest key when one is given and to each event's own Source otherwise.
+// The subtests keep the "policy=1" in their names from when the bus had a
+// second drop policy, so a run's results stay comparable by name.
 func TestFirstRunLongerThanLimit(t *testing.T) {
 	const limit, runLen = 4, 10
 	srcs := [2]guid.GUID{guid.New(guid.KindDevice), guid.New(guid.KindDevice)}
-	for _, policy := range []DropPolicy{DropOldest, DropNewest} {
-		for _, keyed := range []bool{false, true} {
-			t.Run(fmt.Sprintf("policy=%d/keyed=%v", policy, keyed), func(t *testing.T) {
-				b := New(nil)
-				defer b.Close()
-				got := make(chan uint64, runLen)
-				sub, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius}, func(e event.Event) {
-					got <- e.Seq
-				}, WithQueueLen(limit), WithPolicy(policy))
-				if err != nil {
-					t.Fatal(err)
+	for _, keyed := range []bool{false, true} {
+		t.Run(fmt.Sprintf("policy=1/keyed=%v", keyed), func(t *testing.T) {
+			b := New(nil)
+			defer b.Close()
+			got := make(chan uint64, runLen)
+			sub, err := b.Subscribe(event.Filter{Type: ctxtype.TemperatureCelsius}, func(e event.Event) {
+				got <- e.Seq
+			}, WithQueueLen(limit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			run := make([]event.Event, runLen)
+			for i := range run {
+				run[i] = event.New(ctxtype.TemperatureCelsius, srcs[i%2], uint64(i+1), t0, nil)
+			}
+			kept, lost := run[runLen-limit:], run[:runLen-limit]
+			wantDrops := map[guid.GUID]uint64{}
+			var key guid.GUID
+			if keyed {
+				key = guid.New(guid.KindApplication)
+				wantDrops[key] = uint64(len(lost))
+			} else {
+				for _, e := range lost {
+					wantDrops[e.Source]++
 				}
-				run := make([]event.Event, runLen)
-				for i := range run {
-					run[i] = event.New(ctxtype.TemperatureCelsius, srcs[i%2], uint64(i+1), t0, nil)
-				}
-				kept, lost := run[runLen-limit:], run[:runLen-limit]
-				if policy == DropNewest {
-					kept, lost = run[:limit], run[limit:]
-				}
-				wantDrops := map[guid.GUID]uint64{}
-				var key guid.GUID
-				if keyed {
-					key = guid.New(guid.KindApplication)
-					wantDrops[key] = uint64(len(lost))
-				} else {
-					for _, e := range lost {
-						wantDrops[e.Source]++
-					}
-				}
-				if err := b.PublishAllOwnedFrom(key, append([]event.Event(nil), run...)); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := b.PublishAllOwnedFrom(key, append([]event.Event(nil), run...)); err != nil {
+				t.Fatal(err)
+			}
 
-				for _, want := range kept {
-					select {
-					case seq := <-got:
-						if seq != want.Seq {
-							t.Fatalf("delivered seq %d, want %d (kept %v)", seq, want.Seq, seqs(kept))
-						}
-					case <-time.After(5 * time.Second):
-						t.Fatal("kept events not delivered")
+			for _, want := range kept {
+				select {
+				case seq := <-got:
+					if seq != want.Seq {
+						t.Fatalf("delivered seq %d, want %d (kept %v)", seq, want.Seq, seqs(kept))
 					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("kept events not delivered")
 				}
-				if n, _ := ringLen(sub); n != limit {
-					t.Fatalf("ring length = %d, want %d", n, limit)
-				}
-				if st := b.Stats(); st.Dropped != uint64(len(lost)) {
-					t.Fatalf("Stats().Dropped = %d, want %d", st.Dropped, len(lost))
-				}
-				bySrc := shares(b.Drops())
-				if len(bySrc) != len(wantDrops) {
+			}
+			if n, _ := ringLen(sub); n != limit {
+				t.Fatalf("ring length = %d, want %d", n, limit)
+			}
+			if st := b.Stats(); st.Dropped != uint64(len(lost)) {
+				t.Fatalf("Stats().Dropped = %d, want %d", st.Dropped, len(lost))
+			}
+			bySrc := shares(b.Drops())
+			if len(bySrc) != len(wantDrops) {
+				t.Fatalf("Drops() = %v, want %v", bySrc, wantDrops)
+			}
+			for pub, n := range wantDrops {
+				if bySrc[pub] != n {
 					t.Fatalf("Drops() = %v, want %v", bySrc, wantDrops)
 				}
-				for pub, n := range wantDrops {
-					if bySrc[pub] != n {
-						t.Fatalf("Drops() = %v, want %v", bySrc, wantDrops)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,7 @@ package eventbus
 
 // A reference model of the delivery ring. Random interleavings of Publish,
 // PublishAll and PublishAllOwnedFrom drive a handful of subscriptions with
-// small rings under both drop policies, while the test parks and releases
+// small rings, while the test parks and releases
 // each delivery loop; every delivery, Stats().Dropped and the Drops
 // ledger, origin by origin, must match a naive per-event bounded FIFO per subscription.
 
@@ -31,7 +31,6 @@ type modelSub struct {
 	typ      ctxtype.Type
 	sources  []guid.GUID // nil: any source
 	limit    int
-	policy   DropPolicy
 	perEvent bool
 
 	queue   []modelEvent // in the ring
@@ -49,14 +48,10 @@ func (m *modelSub) matches(e *event.Event) bool {
 	return m.sources == nil || slices.Contains(m.sources, e.Source)
 }
 
-// enqueue is the naive bounded FIFO: one event at a time, drops charged to
-// the discarded event's attribution.
+// enqueue is the naive bounded FIFO: one event at a time, a full queue
+// dropping its oldest, drops charged to the discarded event's attribution.
 func (m *modelSub) enqueue(ev modelEvent, drops map[guid.GUID]uint64) {
 	if len(m.queue) == m.limit {
-		if m.policy == DropNewest {
-			drops[ev.attr]++
-			return
-		}
 		drops[m.queue[0].attr]++
 		m.queue = m.queue[1:]
 	}
@@ -99,8 +94,8 @@ func (r *ringModel) expect(i int, m *modelSub) {
 	select {
 	case got := <-m.got:
 		if !slices.Equal(got, want) {
-			r.t.Fatalf("sub %d (limit %d, policy %d, per-event %v) delivered %v, model %v",
-				i, m.limit, m.policy, m.perEvent, got, want)
+			r.t.Fatalf("sub %d (limit %d, per-event %v) delivered %v, model %v",
+				i, m.limit, m.perEvent, got, want)
 		}
 		r.delivered += uint64(len(got))
 		m.parked = true
@@ -229,13 +224,12 @@ func checkRingModel(t *testing.T, data []byte) {
 		c := next()
 		m := &modelSub{
 			limit:    1 + int(c&7),
-			policy:   DropOldest + DropPolicy(c>>3&1),
 			typ:      types[int(c>>4&3)%3],
 			perEvent: c>>6&1 == 1,
 			got:      make(chan []uint64),
 			release:  make(chan struct{}),
 		}
-		opts := []SubOption{WithQueueLen(m.limit), WithPolicy(m.policy)}
+		opts := []SubOption{WithQueueLen(m.limit)}
 		if c>>7 == 1 {
 			m.sources = r.srcs[:2]
 			opts = append(opts, WithSources(guid.NewSorted(m.sources...)))

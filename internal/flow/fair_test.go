@@ -122,7 +122,7 @@ func TestFairShedTargetsOffender(t *testing.T) {
 
 	c.UpdateCredit(0, 100)
 	c.UpdateCredit(9, 0)
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("not throttled")
 	}
 	limit := 2 * throttleBufferFactor

@@ -344,15 +344,8 @@ func (c *Coalescer) PendingLen() int {
 	return c.pendingLocked()
 }
 
-// Throttled reports whether credit collapse currently suppresses size
-// flushes.
-func (c *Coalescer) Throttled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.penalty > 1
-}
-
-// Penalty reports the current flush-rate penalty (1 = none).
+// Penalty reports the current flush-rate penalty (1 = none; above 1, credit
+// collapse suppresses size flushes).
 func (c *Coalescer) Penalty() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -188,11 +188,11 @@ func TestCreditCollapseThrottlesFlushRate(t *testing.T) {
 	c := newStatic(clk, 8, 10*time.Millisecond, rec, st)
 
 	c.UpdateCredit(0, 100) // baseline: healthy
-	if c.Throttled() {
+	if c.Penalty() > 1 {
 		t.Fatal("healthy credit throttled the coalescer")
 	}
 	c.UpdateCredit(5, 3) // 5 new drops: credit collapsed
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("drop report did not throttle")
 	}
 	if got := st.Throttled.Value(); got != 1 {
@@ -217,10 +217,10 @@ func TestCreditCollapseThrottlesFlushRate(t *testing.T) {
 	}
 
 	// Healthy acks decay the penalty; size flushing resumes.
-	for i := 0; i < 4 && c.Throttled(); i++ {
+	for i := 0; i < 4 && c.Penalty() > 1; i++ {
 		c.UpdateCredit(5, 100)
 	}
-	if c.Throttled() {
+	if c.Penalty() > 1 {
 		t.Fatal("penalty did not decay on healthy credit")
 	}
 	if got := st.Throttled.Value(); got != 0 {
@@ -242,7 +242,7 @@ func TestThrottledBufferShedsOldest(t *testing.T) {
 
 	c.UpdateCredit(0, 100)
 	c.UpdateCredit(9, 0)
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("not throttled")
 	}
 	limit := 2 * throttleBufferFactor
@@ -319,25 +319,25 @@ func TestReceiverRestartRebaselinesCredit(t *testing.T) {
 
 	c.UpdateCredit(1000, 100) // baseline, far along the old counter
 	c.UpdateCredit(1050, 3)   // 50 new drops: throttled
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("drop report did not throttle")
 	}
-	for i := 0; i < 10 && c.Throttled(); i++ {
+	for i := 0; i < 10 && c.Penalty() > 1; i++ {
 		c.UpdateCredit(1050, 100)
 	}
-	if c.Throttled() {
+	if c.Penalty() > 1 {
 		t.Fatal("healthy reports did not recover")
 	}
 
 	// Restart: the counter regresses to zero. Not congestion — no throttle.
 	c.UpdateCredit(0, 100)
-	if c.Throttled() {
+	if c.Penalty() > 1 {
 		t.Fatal("counter regression read as congestion")
 	}
 	// The stale 1050 baseline must be gone: 5 post-restart drops are a
 	// fresh delta, not a report still 1045 short of the high-water mark.
 	c.UpdateCredit(5, 3)
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("post-restart drops frozen behind the stale baseline")
 	}
 	if got := st.DropsReported.Value(); got != 55 {
@@ -468,7 +468,7 @@ func TestSendMayKeepChunks(t *testing.T) {
 
 	c.UpdateCredit(0, 100)
 	c.UpdateCredit(5, 0) // throttled: no size flushes, sheds past the bound
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("not throttled")
 	}
 	limit := 4 * throttleBufferFactor

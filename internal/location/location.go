@@ -413,29 +413,12 @@ func (r Route) Hops() int {
 	return len(r.Places) - 1
 }
 
-// RouteOption tunes ShortestRoute.
-type RouteOption func(*routeOpts)
-
-type routeOpts struct {
-	throughLocked bool
-}
-
-// ThroughLockedDoors permits traversing locked links (for planners that
-// model keyholders).
-func ThroughLockedDoors() RouteOption {
-	return func(o *routeOpts) { o.throughLocked = true }
-}
-
 // ShortestRoute computes the minimum-cost route between two refs using
-// Dijkstra over the place graph. Locked doors are impassable by default.
+// Dijkstra over the place graph. Locked doors are impassable.
 // Among equal-cost routes the search keeps the one it discovers first,
 // settling places in (distance, PlaceID) order, so the answer is
 // deterministic.
-func (m *Map) ShortestRoute(from, to Ref, opts ...RouteOption) (Route, error) {
-	var o routeOpts
-	for _, opt := range opts {
-		opt(&o)
-	}
+func (m *Map) ShortestRoute(from, to Ref) (Route, error) {
 	src, err := m.placeIndex(from)
 	if err != nil {
 		return Route{}, fmt.Errorf("location: route source: %w", err)
@@ -447,7 +430,7 @@ func (m *Map) ShortestRoute(from, to Ref, opts ...RouteOption) (Route, error) {
 	if src == dst {
 		return Route{Places: []PlaceID{m.ids[src]}}, nil
 	}
-	nodes := m.search(src, o.throughLocked, func(at int32) bool { return at == dst })
+	nodes := m.search(src, func(at int32) bool { return at == dst })
 	if nodes[dst].state != settled {
 		return Route{}, fmt.Errorf("%w: %s → %s", ErrNoPath, m.ids[src], m.ids[dst])
 	}
@@ -507,7 +490,7 @@ func (m *Map) TravelDistances(from Ref, to []Ref) []float64 {
 	if pending == 0 {
 		return out
 	}
-	nodes := m.search(src, false, func(at int32) bool {
+	nodes := m.search(src, func(at int32) bool {
 		if wanted[at] {
 			pending--
 		}
@@ -554,7 +537,7 @@ func (a queueItem) less(b queueItem) bool {
 // equal-cost route discovered is kept. The search stops once done reports
 // true for a place it has just settled, or when every reachable place has
 // settled. All state is per call: the Map is never written.
-func (m *Map) search(src int32, throughLocked bool, done func(at int32) bool) []searchNode {
+func (m *Map) search(src int32, done func(at int32) bool) []searchNode {
 	nodes := make([]searchNode, len(m.ids))
 	for i := range nodes {
 		nodes[i].dist = math.Inf(1)
@@ -573,7 +556,7 @@ func (m *Map) search(src int32, throughLocked bool, done func(at int32) bool) []
 			break
 		}
 		for _, e := range m.adj[cur.at] {
-			if e.locked && !throughLocked {
+			if e.locked {
 				continue
 			}
 			to := &nodes[e.to]

@@ -247,14 +247,6 @@ func TestShortestRouteLockedDoors(t *testing.T) {
 	if _, err := m.ShortestRoute(AtPlace("l10.lobby"), AtPlace("l10.02")); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("locked door traversed: %v", err)
 	}
-	// With the option it opens.
-	r, err := m.ShortestRoute(AtPlace("l10.lobby"), AtPlace("l10.02"), ThroughLockedDoors())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Places[len(r.Places)-1] != "l10.02" {
-		t.Fatalf("route = %v", r.Places)
-	}
 }
 
 func TestShortestRouteCrossFloor(t *testing.T) {
@@ -402,7 +394,10 @@ func TestPropRouteConsistency(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		a := ids[rng.Intn(len(ids))]
 		b := ids[rng.Intn(len(ids))]
-		r, err := m.ShortestRoute(AtPlace(a), AtPlace(b), ThroughLockedDoors())
+		r, err := m.ShortestRoute(AtPlace(a), AtPlace(b))
+		if errors.Is(err, ErrNoPath) {
+			continue // behind a locked door
+		}
 		if err != nil {
 			t.Fatalf("route %s→%s: %v", a, b, err)
 		}
@@ -435,7 +430,7 @@ func BenchmarkShortestRoute(b *testing.B) {
 // indexed one: Dijkstra over map-keyed state, extracting the next place by a
 // linear scan for the minimum distance, ties to the lower PlaceID. It builds
 // its own adjacency from Links, in link order.
-func referenceRoute(m *Map, from, to Ref, throughLocked bool) (Route, error) {
+func referenceRoute(m *Map, from, to Ref) (Route, error) {
 	type refEdge struct {
 		to     PlaceID
 		weight float64
@@ -491,7 +486,7 @@ func referenceRoute(m *Map, from, to Ref, throughLocked bool) (Route, error) {
 		}
 		visited[cur] = true
 		for _, e := range adj[cur] {
-			if e.locked && !throughLocked {
+			if e.locked {
 				continue
 			}
 			nd := curD + e.weight
@@ -563,8 +558,7 @@ func randomMap(t *testing.T, rng *rand.Rand) *Map {
 
 // TestRouteMatchesReference: on seeded random maps, the indexed search
 // returns the reference search's route — places, doors and length — for
-// every ordered pair of places, with and without ThroughLockedDoors, and
-// fails with ErrNoPath exactly where the reference does. TravelDistances
+// every ordered pair of places, and fails with ErrNoPath exactly where the reference does. TravelDistances
 // agrees with TravelDistance for every target, including unresolvable ones.
 func TestRouteMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
@@ -579,26 +573,20 @@ func TestRouteMatchesReference(t *testing.T) {
 		targets = append(targets, Ref{}, AtPath("site/nowhere"))
 		for _, a := range ids {
 			for _, b := range ids {
-				for _, locked := range []bool{false, true} {
-					var opts []RouteOption
-					if locked {
-						opts = append(opts, ThroughLockedDoors())
+				got, err := m.ShortestRoute(AtPlace(a), AtPlace(b))
+				want, werr := referenceRoute(m, AtPlace(a), AtPlace(b))
+				if errors.Is(werr, ErrNoPath) {
+					unreachable++
+					if !errors.Is(err, ErrNoPath) {
+						t.Fatalf("trial %d %s→%s: got %+v, %v; reference finds no path", trial, a, b, got, err)
 					}
-					got, err := m.ShortestRoute(AtPlace(a), AtPlace(b), opts...)
-					want, werr := referenceRoute(m, AtPlace(a), AtPlace(b), locked)
-					if errors.Is(werr, ErrNoPath) {
-						unreachable++
-						if !errors.Is(err, ErrNoPath) {
-							t.Fatalf("trial %d %s→%s locked=%v: got %+v, %v; reference finds no path", trial, a, b, locked, got, err)
-						}
-						continue
-					}
-					if werr != nil || err != nil {
-						t.Fatalf("trial %d %s→%s: err %v, reference err %v", trial, a, b, err, werr)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("trial %d %s→%s locked=%v:\n got %+v\nwant %+v", trial, a, b, locked, got, want)
-					}
+					continue
+				}
+				if werr != nil || err != nil {
+					t.Fatalf("trial %d %s→%s: err %v, reference err %v", trial, a, b, err, werr)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("trial %d %s→%s:\n got %+v\nwant %+v", trial, a, b, got, want)
 				}
 			}
 			ds := m.TravelDistances(AtPlace(a), targets)
@@ -642,7 +630,7 @@ func TestConcurrentSearches(t *testing.T) {
 	wantRoute := make([]Route, len(ids))
 	for i, id := range ids {
 		want[i] = m.TravelDistances(AtPlace(id), targets)
-		wantRoute[i], _ = m.ShortestRoute(AtPlace(id), targets[0], ThroughLockedDoors())
+		wantRoute[i], _ = m.ShortestRoute(AtPlace(id), targets[0])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -655,7 +643,7 @@ func TestConcurrentSearches(t *testing.T) {
 						t.Errorf("concurrent distances from %s = %v, want %v", id, got, want[i])
 						return
 					}
-					if got, _ := m.ShortestRoute(AtPlace(id), targets[0], ThroughLockedDoors()); !reflect.DeepEqual(got, wantRoute[i]) {
+					if got, _ := m.ShortestRoute(AtPlace(id), targets[0]); !reflect.DeepEqual(got, wantRoute[i]) {
 						t.Errorf("concurrent route from %s = %+v, want %+v", id, got, wantRoute[i])
 						return
 					}

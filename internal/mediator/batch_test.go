@@ -24,7 +24,7 @@ func TestPublishAllThroughMediator(t *testing.T) {
 		mkEvent(ctxtype.PathRoute, 2), // filtered out
 		mkEvent(ctxtype.PrinterStatus, 3),
 	}
-	if err := m.PublishAll(batch); err != nil {
+	if err := m.PublishAllOwnedFrom(guid.Nil, batch); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool { return got.Load() == 2 })
@@ -49,7 +49,7 @@ func TestSubscribeBatchReceivesSlices(t *testing.T) {
 	for i := range batch {
 		batch[i] = mkEvent(ctxtype.PrinterStatus, uint64(i))
 	}
-	if err := m.PublishAll(batch); err != nil {
+	if err := m.PublishAllOwnedFrom(guid.Nil, batch); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, func() bool {
@@ -68,7 +68,7 @@ func TestSubscribeBatchReceivesSlices(t *testing.T) {
 // many owners register, publish and tear down concurrently, by record id
 // and by owner; run with -race to check stripe independence.
 func TestStripedBookkeepingAcrossOwners(t *testing.T) {
-	m := New(nil, WithShards(8))
+	m := New(nil)
 	defer m.Close()
 	const owners = 16
 	var wg sync.WaitGroup

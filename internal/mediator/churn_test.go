@@ -20,7 +20,7 @@ import (
 // while publishers hammer the bus. Every subscription must be gone at the
 // end and the table must agree with the bus.
 func TestConcurrentTeardownVsPublish(t *testing.T) {
-	m := New(ctxtype.NewRegistry(), WithShards(4))
+	m := New(ctxtype.NewRegistry())
 	defer m.Close()
 	owner := guid.New(guid.KindApplication)
 	const graphs = 4
@@ -108,7 +108,7 @@ func TestConcurrentTeardownVsPublish(t *testing.T) {
 // TestConcurrentDepartureVsPublish races CancelOwned (entity departure)
 // against publishes and fresh subscriptions from the same owner.
 func TestConcurrentDepartureVsPublish(t *testing.T) {
-	m := New(nil, WithShards(2))
+	m := New(nil)
 	defer m.Close()
 	owners := []guid.GUID{guid.New(guid.KindPerson), guid.New(guid.KindPerson)}
 

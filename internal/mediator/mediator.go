@@ -21,8 +21,7 @@
 // cancels, so an owner index would cost every subscription to speed up the
 // rarest path.
 //
-// A Range runs eventbus.DefaultShards lock stripes; WithShards sets another
-// count. Dispatch observability (per-shard counters, index-hit ratio)
+// A Mediator runs eventbus.DefaultShards lock stripes. Dispatch observability (per-shard counters, index-hit ratio)
 // flows back up through Stats, ShardStats and IndexHitRatio.
 package mediator
 
@@ -83,14 +82,7 @@ var ErrUnknownSubscription = errors.New("mediator: unknown subscription")
 type Option func(*config)
 
 type config struct {
-	shards int
-	quota  *eventbus.Quota
-}
-
-// WithShards sets the lock-stripe count for both the underlying bus and the
-// Mediator's own subscription table (0 = default).
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
+	quota *eventbus.Quota
 }
 
 // WithQuota enables per-publisher admission control on the underlying bus.
@@ -106,9 +98,6 @@ func New(reg *ctxtype.Registry, opts ...Option) *Mediator {
 		o(&c)
 	}
 	var busOpts []eventbus.Option
-	if c.shards > 0 {
-		busOpts = append(busOpts, eventbus.WithShards(c.shards))
-	}
 	if c.quota != nil {
 		busOpts = append(busOpts, eventbus.WithQuota(*c.quota))
 	}
@@ -244,26 +233,13 @@ func (m *Mediator) Publish(e event.Event) error {
 	return m.bus.Publish(e)
 }
 
-// PublishAll dispatches a batch of events in one call; the bus resolves its
-// subscription index once per run of same-type events and appends each
-// subscriber's share of a run under a single ring-buffer lock acquisition.
-func (m *Mediator) PublishAll(events []event.Event) error {
-	return m.bus.PublishAll(events)
-}
-
-// PublishAllOwned is PublishAll with ownership transfer: the slice is
-// retained and shared read-only with subscriber rings, so the caller must
-// never write it again; reading it stays safe. Use from pipelines that
-// already hold a slice nobody will write.
-func (m *Mediator) PublishAllOwned(events []event.Event) error {
-	return m.bus.PublishAllOwned(events)
-}
-
-// PublishAllOwnedFrom is PublishAllOwned with an explicit drop-attribution
-// key: events of this batch later discarded from full subscription queues
-// are charged to pub in the Drops ledger instead of their own Source — the
-// wire and overlay ingest paths pass the sending endpoint so credit acks
-// can name the link responsible.
+// PublishAllOwnedFrom dispatches a batch of events in one call and hands
+// the slice over: it is retained and shared read-only with subscriber
+// rings, so the caller must never write it again. Events of this batch
+// later discarded from full subscription queues are charged to pub in the
+// Drops ledger instead of their own Source — the wire and overlay ingest
+// paths pass the sending endpoint so credit acks can name the link
+// responsible.
 func (m *Mediator) PublishAllOwnedFrom(pub guid.GUID, events []event.Event) error {
 	return m.bus.PublishAllOwnedFrom(pub, events)
 }

@@ -16,7 +16,7 @@ import (
 // every CancelOwned count must equal a brute-force model: owner → the ids
 // it holds.
 func TestSubscriptionTableChurnMatchesModel(t *testing.T) {
-	m := New(nil, WithShards(2))
+	m := New(nil)
 	defer m.Close()
 	rng := rand.New(rand.NewSource(7))
 	owners := make([]guid.GUID, 12)

@@ -1,19 +1,17 @@
 // Package metrics provides the lightweight counters, gauges, histograms and
-// per-origin loss ledgers the infrastructure keeps as plain struct fields
-// and the benchmark harness uses to characterise it — hop counts and relay load in the SCINET overlay
-// (experiment E1), discovery and repair latencies (E5, E8), end-to-end CAPA
-// latency (E7). A Range's figures reach operators through one rendering,
-// server.Range.StatsMap, under dotted layer.metric names.
+// per-origin loss ledgers the infrastructure keeps as plain struct fields.
+// The experiments record their distributions in histograms: hop counts in
+// the SCINET overlay (experiment E1) and discovery latency (E5). A Range's
+// figures reach operators through one rendering, server.Range.StatsMap,
+// under dotted layer.metric names.
 //
 // Histograms use fixed logarithmic buckets so recording is allocation-free
 // and safe to call from hot paths and many goroutines at once.
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -37,9 +35,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
 // Add adjusts by delta.
 func (g *Gauge) Add(delta int64) { g.v.Add(delta) }
 
@@ -56,10 +51,7 @@ const histBuckets = 64
 type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 	count   atomic.Uint64
-	sum     atomic.Int64
 	max     atomic.Int64
-	min     atomic.Int64 // stored negated-with-offset; see Record
-	minInit sync.Once
 }
 
 // Record adds one sample. Negative samples are clamped to zero.
@@ -67,7 +59,6 @@ func (h *Histogram) Record(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.minInit.Do(func() { h.min.Store(math.MaxInt64) })
 	idx := 0
 	if v > 0 {
 		idx = 64 - bits.LeadingZeros64(uint64(v))
@@ -77,16 +68,9 @@ func (h *Histogram) Record(v int64) {
 	}
 	h.buckets[idx].Add(1)
 	h.count.Add(1)
-	h.sum.Add(v)
 	for {
 		cur := h.max.Load()
 		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			break
-		}
-	}
-	for {
-		cur := h.min.Load()
-		if v >= cur || h.min.CompareAndSwap(cur, v) {
 			break
 		}
 	}
@@ -98,25 +82,8 @@ func (h *Histogram) RecordDuration(d time.Duration) { h.Record(int64(d)) }
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
 
-// Mean returns the arithmetic mean, or 0 with no samples.
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Max returns the largest recorded sample (0 with no samples).
 func (h *Histogram) Max() int64 { return h.max.Load() }
-
-// Min returns the smallest recorded sample (0 with no samples).
-func (h *Histogram) Min() int64 {
-	if h.count.Load() == 0 {
-		return 0
-	}
-	return h.min.Load()
-}
 
 // Quantile returns an upper-bound estimate of the q-quantile (0 ≤ q ≤ 1)
 // using bucket upper edges; exact for values that are powers of two.
@@ -150,35 +117,4 @@ func (h *Histogram) Quantile(q float64) int64 {
 		}
 	}
 	return h.max.Load()
-}
-
-// Snapshot summarises the histogram for reporting.
-type Snapshot struct {
-	Count uint64
-	Mean  float64
-	Min   int64
-	P50   int64
-	P90   int64
-	P99   int64
-	Max   int64
-}
-
-// Snapshot returns a point-in-time summary.
-func (h *Histogram) Snapshot() Snapshot {
-	return Snapshot{
-		Count: h.Count(),
-		Mean:  h.Mean(),
-		Min:   h.Min(),
-		P50:   h.Quantile(0.50),
-		P90:   h.Quantile(0.90),
-		P99:   h.Quantile(0.99),
-		Max:   h.Max(),
-	}
-}
-
-// DurationString renders a nanosecond-valued snapshot with duration units.
-func (s Snapshot) DurationString() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v max=%v",
-		s.Count, time.Duration(int64(s.Mean)).Round(time.Microsecond),
-		time.Duration(s.P50), time.Duration(s.P99), time.Duration(s.Max))
 }

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math/rand"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -21,7 +20,7 @@ func TestCounter(t *testing.T) {
 
 func TestGauge(t *testing.T) {
 	var g Gauge
-	g.Set(10)
+	g.Add(10)
 	g.Add(-3)
 	if g.Value() != 7 {
 		t.Fatalf("Value = %d, want 7", g.Value())
@@ -30,7 +29,7 @@ func TestGauge(t *testing.T) {
 
 func TestHistogramBasics(t *testing.T) {
 	var h Histogram
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 || h.Min() != 0 || h.Quantile(0.5) != 0 {
+	if h.Count() != 0 || h.Max() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("empty histogram not all-zero")
 	}
 	for _, v := range []int64{1, 2, 3, 4, 100} {
@@ -39,18 +38,15 @@ func TestHistogramBasics(t *testing.T) {
 	if h.Count() != 5 {
 		t.Fatalf("Count = %d", h.Count())
 	}
-	if h.Mean() != 22 {
-		t.Fatalf("Mean = %v, want 22", h.Mean())
-	}
-	if h.Max() != 100 || h.Min() != 1 {
-		t.Fatalf("Max/Min = %d/%d", h.Max(), h.Min())
+	if h.Max() != 100 {
+		t.Fatalf("Max = %d", h.Max())
 	}
 }
 
 func TestHistogramNegativeClamped(t *testing.T) {
 	var h Histogram
 	h.Record(-5)
-	if h.Max() != 0 || h.Min() != 0 || h.Count() != 1 {
+	if h.Max() != 0 || h.Count() != 1 {
 		t.Fatal("negative sample not clamped to zero")
 	}
 }
@@ -82,12 +78,8 @@ func TestHistogramRecordDurationAndSnapshot(t *testing.T) {
 	var h Histogram
 	h.RecordDuration(time.Millisecond)
 	h.RecordDuration(2 * time.Millisecond)
-	s := h.Snapshot()
-	if s.Count != 2 || s.Max != int64(2*time.Millisecond) {
-		t.Fatalf("snapshot = %+v", s)
-	}
-	if !strings.Contains(s.DurationString(), "n=2") {
-		t.Fatalf("DurationString = %q", s.DurationString())
+	if h.Count() != 2 || h.Max() != int64(2*time.Millisecond) {
+		t.Fatalf("Count/Max = %d/%d", h.Count(), h.Max())
 	}
 }
 
@@ -108,9 +100,6 @@ func TestHistogramConcurrent(t *testing.T) {
 	wg.Wait()
 	if h.Count() != workers*per {
 		t.Fatalf("Count = %d, want %d", h.Count(), workers*per)
-	}
-	if h.Min() > h.Max() {
-		t.Fatal("min > max")
 	}
 }
 
@@ -136,23 +125,6 @@ func TestPropQuantileMonotone(t *testing.T) {
 				}
 				return true
 			}()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPropMeanWithinMinMax(t *testing.T) {
-	f := func(vals []uint32) bool {
-		if len(vals) == 0 {
-			return true
-		}
-		var h Histogram
-		for _, v := range vals {
-			h.Record(int64(v))
-		}
-		m := h.Mean()
-		return m >= float64(h.Min()) && m <= float64(h.Max())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

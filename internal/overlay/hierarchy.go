@@ -17,12 +17,6 @@ import (
 // climb to the lowest common ancestor, so nodes near the root relay a
 // disproportionate share of the traffic. Experiment E1 measures exactly
 // that concentration.
-//
-// The same tree shape also powers live routing now: PlanTree computes the
-// per-node attachment spec (parent, children, level mates) that the SCINET
-// fabric hierarchy (scinet.HierarchyConfig) wires into super-peer digest
-// routing, so the Section-3 topology and the grid-scale interest hierarchy
-// cannot drift apart.
 type TreeNode struct {
 	id      guid.GUID
 	parent  guid.GUID // nil at the root
@@ -33,10 +27,7 @@ type TreeNode struct {
 	children map[guid.GUID]guid.Set // child id → set of ids in that child's subtree (incl. child)
 	closed   bool
 
-	relayed   metrics.Counter
-	delivered metrics.Counter
-	// RouteHops records hop counts observed at delivery.
-	RouteHops metrics.Histogram
+	relayed metrics.Counter
 }
 
 type treeRouteBody struct {
@@ -107,62 +98,6 @@ func BuildTree(net transport.Network, ids []guid.GUID, branching int, deliver fu
 	return t, nil
 }
 
-// TreeSpec is one node's place in a planned hierarchy: who it attaches to,
-// which nodes attach to it, and which nodes share its parent (its level
-// mates — the peers a super-peer exchanges level-wise digests with when the
-// plan is a forest of roots).
-type TreeSpec struct {
-	// Parent is the node's super-peer (nil at a root).
-	Parent guid.GUID
-	// Children are the nodes attached directly below, in plan order.
-	Children []guid.GUID
-	// Peers are the other nodes at the same level sharing Parent (for
-	// roots: the other roots). A single-rooted plan needs no root peers;
-	// forests exchange digests across the root clique.
-	Peers []guid.GUID
-	// Level is the distance from the root (0 at a root).
-	Level int
-}
-
-// PlanTree lays ids out as the same complete k-ary tree BuildTree wires —
-// ids[0] the root, level order, branching children per node — but returns
-// only the attachment plan instead of constructing TreeNodes: the caller
-// (the SCINET fabric hierarchy, the E16 simulation) attaches content
-// routing to the shape. Branching below 2 is raised to 2.
-func PlanTree(ids []guid.GUID, branching int) map[guid.GUID]TreeSpec {
-	if branching < 2 {
-		branching = 2
-	}
-	plan := make(map[guid.GUID]TreeSpec, len(ids))
-	level := func(i int) int {
-		l := 0
-		for i > 0 {
-			i = (i - 1) / branching
-			l++
-		}
-		return l
-	}
-	for i, id := range ids {
-		spec := TreeSpec{Level: level(i)}
-		if i > 0 {
-			spec.Parent = ids[(i-1)/branching]
-		}
-		for c := i*branching + 1; c <= i*branching+branching && c < len(ids); c++ {
-			spec.Children = append(spec.Children, ids[c])
-		}
-		for j, other := range ids {
-			if j == i || level(j) != spec.Level {
-				continue
-			}
-			if i == 0 || (j-1)/branching == (i-1)/branching {
-				spec.Peers = append(spec.Peers, other)
-			}
-		}
-		plan[id] = spec
-	}
-	return plan
-}
-
 // Close detaches every node.
 func (t *Tree) Close() error {
 	var first error
@@ -174,16 +109,13 @@ func (t *Tree) Close() error {
 	return first
 }
 
-// ID implements Router.
+// ID returns the node's identifier.
 func (n *TreeNode) ID() guid.GUID { return n.id }
 
-// Relayed implements Router.
+// Relayed returns how many payloads this node forwarded for others.
 func (n *TreeNode) Relayed() uint64 { return n.relayed.Value() }
 
-// Delivered returns how many payloads terminated here.
-func (n *TreeNode) Delivered() uint64 { return n.delivered.Value() }
-
-// Route implements Router.
+// Route sends payload towards target through the tree.
 func (n *TreeNode) Route(target guid.GUID, appKind string, payload []byte) error {
 	return n.forward(treeRouteBody{
 		Target:  target,
@@ -195,8 +127,6 @@ func (n *TreeNode) Route(target guid.GUID, appKind string, payload []byte) error
 
 func (n *TreeNode) forward(body treeRouteBody) error {
 	if body.Target == n.id {
-		n.delivered.Inc()
-		n.RouteHops.Record(int64(body.Hops))
 		if n.deliver != nil {
 			n.deliver(Delivery{
 				Target:  body.Target,
@@ -252,7 +182,7 @@ func (n *TreeNode) handle(m wire.Message) {
 	_ = n.forward(body)
 }
 
-// Close implements Router.
+// Close detaches the node.
 func (n *TreeNode) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -263,5 +193,3 @@ func (n *TreeNode) Close() error {
 	n.mu.Unlock()
 	return n.ep.Close()
 }
-
-var _ Router = (*TreeNode)(nil)

@@ -36,20 +36,6 @@ type Delivery struct {
 // DeliverFunc consumes routed payloads at their destination.
 type DeliverFunc func(Delivery)
 
-// Router is the interface common to the structured overlay Node and the
-// hierarchical Tree baseline, so experiment E1 can drive both identically.
-type Router interface {
-	// ID returns the node identifier.
-	ID() guid.GUID
-	// Route forwards an application payload toward target.
-	Route(target guid.GUID, appKind string, payload []byte) error
-	// Relayed returns how many messages this node has forwarded on behalf
-	// of others — the per-node load measure for the bottleneck experiment.
-	Relayed() uint64
-	// Close detaches the node.
-	Close() error
-}
-
 // Config parameterises a Node.
 type Config struct {
 	// ID is the node's GUID; a fresh KindServer GUID is generated when nil.
@@ -102,8 +88,6 @@ type Node struct {
 
 	relayed   metrics.Counter
 	delivered metrics.Counter
-	// RouteHops records hop counts observed at delivery (experiment E1).
-	RouteHops metrics.Histogram
 }
 
 // Body types for overlay control messages.
@@ -194,10 +178,11 @@ func NewNode(cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// ID implements Router.
+// ID returns the node's identifier.
 func (n *Node) ID() guid.GUID { return n.id }
 
-// Relayed implements Router.
+// Relayed returns how many messages this node has forwarded on behalf
+// of others: the per-node load measure of experiment E1.
 func (n *Node) Relayed() uint64 { return n.relayed.Value() }
 
 // Delivered returns how many payloads terminated here.
@@ -361,7 +346,7 @@ func (n *Node) learn(ids []guid.GUID) {
 	}
 }
 
-// Route implements Router: the key-based routing primitive experiment E1
+// Route is the key-based routing primitive experiment E1
 // measures. The payload travels greedily toward target; it is delivered at
 // target itself, or at the closest reachable node when the target is
 // unknown. An application that already knows its peer uses Send instead.
@@ -432,7 +417,6 @@ func (n *Node) forward(body routeBody) error {
 
 func (n *Node) deliverLocal(d Delivery) {
 	n.delivered.Inc()
-	n.RouteHops.Record(int64(d.Hops))
 	if n.cfg.Deliver != nil {
 		n.cfg.Deliver(d)
 	}
@@ -629,7 +613,7 @@ func (n *Node) heartbeat() {
 	n.scheduleHeartbeat()
 }
 
-// Close implements Router.
+// Close detaches the node.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {
@@ -643,5 +627,3 @@ func (n *Node) Close() error {
 	n.mu.Unlock()
 	return n.ep.Close()
 }
-
-var _ Router = (*Node)(nil)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -792,21 +793,26 @@ func TestTreeRootConcentration(t *testing.T) {
 	for i := range ids {
 		ids[i] = guid.New(guid.KindServer)
 	}
-	tree, err := BuildTree(net, ids, 2, nil)
+	// Route between the leftmost and rightmost leaves repeatedly.
+	left, right := ids[15], ids[30]
+	var delivered atomic.Int64
+	tree, err := BuildTree(net, ids, 2, func(at guid.GUID, _ Delivery) {
+		if at == right {
+			delivered.Add(1)
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer tree.Close()
 
-	// Route between the leftmost and rightmost leaves repeatedly.
-	left, right := ids[15], ids[30]
 	const n = 50
 	for i := 0; i < n; i++ {
 		if err := tree.Nodes[left].Route(right, "x", nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, func() bool { return tree.Nodes[right].Delivered() == n })
+	waitFor(t, func() bool { return delivered.Load() == n })
 	if got := tree.Root.Relayed(); got != n {
 		t.Fatalf("root relayed %d, want %d (all cross-subtree traffic)", got, n)
 	}

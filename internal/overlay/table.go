@@ -18,9 +18,8 @@
 //     through the lowest common ancestor (and therefore concentrating load
 //     near the root).
 //
-// Both satisfy Router so the benchmark harness can drive them identically.
-// Router.Route is key-based routing — the primitive E1 measures, delivered
-// at the closest node when the target is unknown. An application that
+// Experiment E1 drives both through their Route method: key-based
+// routing, delivered at the closest node when the target is unknown. An application that
 // already holds its peer's GUID reaches it with Node.Send instead: one hop
 // on the direct link, and a failed send is an error plus a forgotten peer,
 // never a delivery somewhere else.

@@ -264,17 +264,6 @@ func (r *Registrar) List() []Registration {
 	return out
 }
 
-// ListKind returns registrations of one kind, ordered by entity GUID.
-func (r *Registrar) ListKind(k guid.Kind) []Registration {
-	var out []Registration
-	for _, reg := range r.List() {
-		if reg.Kind == k {
-			out = append(out, reg)
-		}
-	}
-	return out
-}
-
 // Len returns the number of live registrations.
 func (r *Registrar) Len() int {
 	r.mu.Lock()

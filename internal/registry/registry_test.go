@@ -258,9 +258,6 @@ func TestListAndListKind(t *testing.T) {
 			t.Fatal("List not sorted")
 		}
 	}
-	if got := r.ListKind(guid.KindApplication); len(got) != 3 {
-		t.Fatalf("ListKind(application) = %d", len(got))
-	}
 }
 
 func TestWatchCancel(t *testing.T) {

@@ -81,7 +81,7 @@ func TestChainOriginThrottlesOnRelayDownstream(t *testing.T) {
 		_, ok := fA.peerDropBaseline(fB.NodeID())
 		return ok
 	})
-	if fA.fan.Throttled() || fB.fan.Throttled() {
+	if fA.fan.Penalty() > 1 || fB.fan.Penalty() > 1 {
 		t.Fatal("healthy chain throttled")
 	}
 
@@ -94,7 +94,7 @@ func TestChainOriginThrottlesOnRelayDownstream(t *testing.T) {
 	injectAck(t, fB, fC.NodeID(), 0) // baseline at B
 	injectAckBy(t, fB, fC.NodeID(), 0, map[guid.GUID]uint64{phantom: 50})
 	injectAckBy(t, fB, fC.NodeID(), 0, map[guid.GUID]uint64{phantom: 120})
-	if !fB.fan.Throttled() {
+	if fB.fan.Penalty() <= 1 {
 		t.Fatal("relay did not throttle on its receiver's collapse")
 	}
 	if got := fB.DownstreamDrops(); got != 120 {
@@ -109,7 +109,7 @@ func TestChainOriginThrottlesOnRelayDownstream(t *testing.T) {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for !fA.fan.Throttled() {
+	for fA.fan.Penalty() <= 1 {
 		if time.Now().After(deadline) {
 			t.Fatal("origin never throttled on the relay-reported collapse")
 		}
@@ -179,25 +179,25 @@ func TestPeerRejoinRebaselinesFanCredit(t *testing.T) {
 
 	injectAck(t, fA, peer, 1000) // baseline
 	injectAck(t, fA, peer, 1050) // 50 fresh drops: throttled
-	if !fA.fan.Throttled() {
+	if fA.fan.Penalty() <= 1 {
 		t.Fatal("drop delta did not throttle")
 	}
-	for i := 0; i < 10 && fA.fan.Throttled(); i++ {
+	for i := 0; i < 10 && fA.fan.Penalty() > 1; i++ {
 		injectAck(t, fA, peer, 1050)
 	}
-	if fA.fan.Throttled() {
+	if fA.fan.Penalty() > 1 {
 		t.Fatal("healthy acks did not recover")
 	}
 
 	// Restart: the peer's counter resets. Regression is not congestion.
 	injectAck(t, fA, peer, 0)
-	if fA.fan.Throttled() {
+	if fA.fan.Penalty() > 1 {
 		t.Fatal("counter regression read as congestion")
 	}
 	// The stale 1050 baseline must be gone: 5 post-restart drops throttle
 	// immediately instead of waiting for the counter to re-pass 1050.
 	injectAck(t, fA, peer, 5)
-	if !fA.fan.Throttled() {
+	if fA.fan.Penalty() <= 1 {
 		t.Fatal("post-restart drops frozen behind the stale baseline")
 	}
 	// The peer's own account follows its authoritative (reset) counter, so

@@ -137,9 +137,9 @@ func TestRoutedQueryAckFrameBudget(t *testing.T) {
 		}
 		fA.handleBatchAck(overlay.Delivery{Origin: fB.NodeID(), AppKind: appEventBatchAck, Payload: payload})
 	}
-	if !q1.Throttled() || !q2.Throttled() {
+	if q1.Penalty() <= 1 || q2.Penalty() <= 1 {
 		t.Fatalf("shared QueryAck credited q1=%v q2=%v, want both throttled",
-			q1.Throttled(), q2.Throttled())
+			q1.Penalty() > 1, q2.Penalty() > 1)
 	}
 }
 

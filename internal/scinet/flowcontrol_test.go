@@ -196,7 +196,7 @@ func TestFanOutAcksFlowBack(t *testing.T) {
 		_, ok := fA.peerDropBaseline(fB.NodeID())
 		return ok
 	})
-	if fA.fan.Throttled() {
+	if fA.fan.Penalty() > 1 {
 		t.Fatal("healthy acks throttled the fan-out coalescer")
 	}
 }
@@ -229,7 +229,7 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 	ack(0)   // baseline
 	ack(50)  // 50 new drops: credit collapsed
 	ack(120) // still collapsing
-	if !fA.fan.Throttled() {
+	if fA.fan.Penalty() <= 1 {
 		t.Fatal("collapsing credit did not throttle the fan-out coalescer")
 	}
 
@@ -267,10 +267,10 @@ func TestReceiverOverloadThrottlesFanOut(t *testing.T) {
 
 	// Healthy credit recovers the flush rate (the penalty decays
 	// multiplicatively, so a few clean reports are needed).
-	for i := 0; i < 10 && fA.fan.Throttled(); i++ {
+	for i := 0; i < 10 && fA.fan.Penalty() > 1; i++ {
 		ack(120)
 	}
-	if fA.fan.Throttled() {
+	if fA.fan.Penalty() > 1 {
 		t.Fatal("healthy acks did not recover the fan-out coalescer")
 	}
 	if got := fn.ranges[0].StatsMap()["remote.backpressure.throttled"]; got != 0 {

@@ -6,7 +6,8 @@ package scinet
 // peer — O(fleet²) messages per interest change and O(fleet) interest state
 // per fabric, the wide-area scaling wall grid middleware hit at hundreds of
 // sites. The hierarchy replaces that with summarized digests along a
-// configured super-peer tree (overlay.PlanTree supplies the shape):
+// configured super-peer tree (the caller supplies the shape, one
+// HierarchyConfig per fabric):
 //
 //   - a leaf announces its interests only to its super-peer, as a
 //     wire.Digest (coarsened ctxtype prefixes + a Bloom filter over full
@@ -57,8 +58,9 @@ const defaultDigestWindow = 100 * time.Millisecond
 
 // HierarchyConfig attaches a fabric to a super-peer interest hierarchy.
 // The zero value means flat (existing behavior): every field is opt-in, so
-// small fleets run exactly the PR 3 flood protocol. Plans typically come
-// from overlay.PlanTree.
+// small fleets run exactly the flat flood protocol. The caller plans the
+// tree: experiment e16 builds a root forest of super-peers with leaves
+// attached round-robin.
 type HierarchyConfig struct {
 	// Parent is the super-peer this fabric announces its subtree digest
 	// to (nil at a root).

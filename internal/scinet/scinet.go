@@ -50,8 +50,8 @@
 //
 // Flat interest gossip costs O(fleet²) messages per interest change and
 // O(fleet) interest state per fabric. Fleets beyond a few dozen fabrics
-// attach to a super-peer hierarchy (SetHierarchy, typically planned with
-// overlay.PlanTree): a leaf announces its interests only to its
+// attach to a super-peer hierarchy (SetHierarchy, with a tree the caller
+// plans): a leaf announces its interests only to its
 // super-peer, as a compact digest (coarse ctxtype prefixes plus a Bloom
 // filter — wire.Digest) rather than as filters; a super-peer aggregates
 // its children's digests with its own interests and announces the summary

@@ -79,7 +79,7 @@ func TestLossFamiliesShape(t *testing.T) {
 	defer c.Discard()
 	c.UpdateCredit(0, 100)
 	c.UpdateCredit(1, 0)
-	if !c.Throttled() {
+	if c.Penalty() <= 1 {
 		t.Fatal("coalescer not throttled")
 	}
 	c.AddAll(mk(ctxtype.TemperatureCelsius, shedSrc, 65))

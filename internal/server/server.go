@@ -161,7 +161,6 @@ type Range struct {
 	QueriesSubmitted metrics.Counter
 	QueriesDeferred  metrics.Counter
 	QueriesExecuted  metrics.Counter
-	ResolveLatency   metrics.Histogram
 	// RemoteBatchesSent / RemoteEventsSent count the Range Service's
 	// outbound event traffic to remote endpoints: wire messages shipped and
 	// the events they carried (coalesced or not).
@@ -563,9 +562,7 @@ func (r *Range) findProfiles(want ctxtype.Type) []*profile.Profile {
 // departs once resolved is still this query's answer. Only the root of the
 // resolution is read, so none is minted as a configuration.
 func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
-	start := time.Now()
 	root, err := r.res.ResolveRoot(q, r.resolveContext(q))
-	r.ResolveLatency.RecordDuration(time.Since(start))
 	if err != nil {
 		return nil, err
 	}
@@ -579,10 +576,8 @@ func (r *Range) submitAdvertisement(q query.Query) (*Result, error) {
 
 // execute resolves and instantiates a subscription-mode query now.
 func (r *Range) execute(q query.Query, owner *entity.CAA) (*Result, error) {
-	start := time.Now()
 	rctx := r.resolveContext(q)
 	cfg, err := r.res.Resolve(q, rctx)
-	r.ResolveLatency.RecordDuration(time.Since(start))
 	if err != nil {
 		return nil, err
 	}

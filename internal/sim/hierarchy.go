@@ -171,8 +171,7 @@ func runE16One(n, perPub int, hier bool) (e16Row, error) {
 	}
 	if hier {
 		// ⌈√N⌉ super-peers form a root forest exchanging digests as a
-		// clique; every leaf attaches round-robin below one of them — the
-		// overlay.PlanTree shape with the roots' Peers filled in.
+		// clique; every leaf attaches round-robin below one of them.
 		ids := make([]guid.GUID, n)
 		for i, f := range fabrics {
 			ids[i] = f.NodeID()

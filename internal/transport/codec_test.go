@@ -263,7 +263,7 @@ func TestTCPAcceptSideVersionCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	addr := epB.(*tcpEndpoint).Addr()
+	addr := epB.(*tcpEndpoint).ln.Addr().String()
 	src := guid.New(guid.KindServer)
 	hb := wire.Message{Src: src, Dst: b, Kind: wire.KindHeartbeat}
 	otherHello, err := wire.NewMessage(src, b, wire.KindHello, wire.Hello{Version: protocolVersion + 1})
@@ -447,7 +447,7 @@ func TestTCPHelloMatchesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", epDst.(*tcpEndpoint).Addr())
+	conn, err := net.Dial("tcp", epDst.(*tcpEndpoint).ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

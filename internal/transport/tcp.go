@@ -255,9 +255,6 @@ func (ep *tcpEndpoint) forget(peer guid.GUID, c *tcpConn) {
 // ID implements Endpoint.
 func (ep *tcpEndpoint) ID() guid.GUID { return ep.id }
 
-// Addr returns the endpoint's listen address.
-func (ep *tcpEndpoint) Addr() string { return ep.ln.Addr().String() }
-
 // Send implements Endpoint.
 func (ep *tcpEndpoint) Send(m wire.Message) error {
 	if err := validateOutbound(m); err != nil {

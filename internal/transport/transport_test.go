@@ -294,7 +294,7 @@ func TestTCPBasicExchange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirA.Register(b, epB.(*tcpEndpoint).Addr())
+	dirA.Register(b, epB.(*tcpEndpoint).ln.Addr().String())
 	if dirA.Len() != 2 || netB.Directory().Len() != 1 {
 		t.Fatalf("directories hold %d and %d entries, want 2 and 1", dirA.Len(), netB.Directory().Len())
 	}
@@ -342,8 +342,8 @@ func TestTCPSimultaneousDial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	netA.Directory().Register(b, epB.(*tcpEndpoint).Addr())
-	netB.Directory().Register(a, epA.(*tcpEndpoint).Addr())
+	netA.Directory().Register(b, epB.(*tcpEndpoint).ln.Addr().String())
+	netB.Directory().Register(a, epA.(*tcpEndpoint).ln.Addr().String())
 	const n = 50
 	var wg sync.WaitGroup
 	for _, p := range []struct {
@@ -389,7 +389,7 @@ func TestTCPAcceptedConnectionsReleased(t *testing.T) {
 	}
 	epB := ep.(*tcpEndpoint)
 	for i := 0; i < 100; i++ {
-		conn, err := net.Dial("tcp", epB.Addr())
+		conn, err := net.Dial("tcp", epB.ln.Addr().String())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -425,7 +425,7 @@ func TestTCPSilentDialerReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	epB := ep.(*tcpEndpoint)
-	conn, err := net.Dial("tcp", epB.Addr())
+	conn, err := net.Dial("tcp", epB.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}

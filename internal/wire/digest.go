@@ -242,24 +242,6 @@ func (d *Digest) Equal(o *Digest) bool {
 	return true
 }
 
-// Clone returns an independent copy.
-func (d *Digest) Clone() *Digest {
-	if d == nil {
-		return nil
-	}
-	c := &Digest{Gen: d.Gen, wildcard: d.wildcard}
-	if d.prefixes != nil {
-		c.prefixes = make(map[string]bool, len(d.prefixes))
-		for p := range d.prefixes {
-			c.prefixes[p] = true
-		}
-	}
-	if d.bloom != nil {
-		c.bloom = append([]byte(nil), d.bloom...)
-	}
-	return c
-}
-
 // Digest wire flags.
 const (
 	digestFlagWildcard = 1 << 0
