@@ -64,8 +64,10 @@ fuzz-smoke:
 # the resolver cache and profile memo, departure, repair and shared-plan
 # tests, the owner index, the shared source sets and the read-locked
 # type-equivalence queries, the TCP tests, whose connections are read and
-# written at both ends, and the per-origin loss ledgers, whose tables
-# install under concurrent charges.
+# written at both ends, the per-origin loss ledgers, whose tables
+# install under concurrent charges, and the lock-free snapshots the query
+# path reads (the Range's members, the live set, the profile index, the
+# resolver cache), which writers clear before the generation moves.
 race-suites:
 	$(GO) test -race -shuffle=on -count=2 ./internal/flow/ ./internal/eventbus/ ./internal/rangesvc/ ./internal/scinet/ ./internal/transport/ ./internal/wire/ ./internal/mediator/ ./internal/profile/ ./internal/configuration/ ./internal/resolver/ ./internal/server/
 	$(GO) test -race -count=10 -run 'Interest|Hierarchy|SuperPeer' ./internal/scinet/
@@ -79,10 +81,12 @@ race-suites:
 	$(GO) test -race -count=10 -run 'Owne|Table|Race|Sources|Equivalent|Named' ./internal/mediator/ ./internal/eventbus/ ./internal/ctxtype/ ./internal/configuration/
 	$(GO) test -race -count=10 -run 'TCP' ./internal/transport/ ./internal/rangesvc/ ./internal/scinet/
 	$(GO) test -race -count=10 -run 'Ledger|Table|Drop|Quota|Shed' ./internal/guid/ ./internal/metrics/ ./internal/eventbus/ ./internal/flow/ ./internal/server/
+	$(GO) test -race -count=10 -run 'Snapshot' ./internal/profile/ ./internal/registry/ ./internal/resolver/ ./internal/server/
 
-# The zero-allocation hot-path checks, run as benchmarks for 100 iterations.
+# The zero-allocation hot-path checks, run as benchmarks for 100 iterations,
+# and the query path run from every processor at once.
 hotpath-smoke:
-	$(GO) test -run xxx -bench Hotpath -benchtime 100x ./internal/eventbus/ ./internal/wire/ ./internal/flow/ ./internal/scinet/
+	$(GO) test -run xxx -bench Hotpath -benchtime 100x ./internal/eventbus/ ./internal/wire/ ./internal/flow/ ./internal/scinet/ ./internal/server/
 
 # The repository's benchmark (BENCHMARK.json, bench/README.md): every
 # workload at full length, end-to-end and per-layer metrics.

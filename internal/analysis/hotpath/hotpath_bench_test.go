@@ -24,8 +24,13 @@ var allocChecks = map[string]string{
 	"sci/internal/eventbus.Subscription.enqueueRun": "internal/eventbus/hotpath_bench_test.go:TestHotpathPublishZeroAlloc",
 	"sci/internal/flow.Coalescer.doFlush":           "internal/flow/hotpath_bench_test.go:TestHotpathDoFlushZeroAlloc",
 	"sci/internal/guid.Table.Get":                   "internal/guid/table_test.go:TestHotpathTableGetZeroAlloc",
+	"sci/internal/profile.Manager.Lookup":           "internal/profile/index_test.go:TestLookupAndEntityTypeAllocs",
+	"sci/internal/registry.Registrar.IsLive":        "internal/registry/snapshot_test.go:TestHotpathIsLiveZeroAlloc",
 	"sci/internal/resolver.Resolver.lookup":         "internal/resolver/cache_test.go:TestHotpathResolveRootZeroAlloc",
 	"sci/internal/scinet.nativeEvents":              "internal/scinet/hotpath_bench_test.go:TestHotpathIngestZeroCopy",
+	"sci/internal/server.Range.Component":           "internal/server/snapshot_test.go:TestHotpathMembersZeroAlloc",
+	"sci/internal/server.Range.Primers":             "internal/server/snapshot_test.go:TestHotpathMembersZeroAlloc",
+	"sci/internal/server.Range.members":             "internal/server/snapshot_test.go:TestHotpathMembersZeroAlloc",
 	"sci/internal/server.Range.memoised":            "internal/server/memo_test.go:TestHotpathProfileMemoZeroAlloc",
 	"sci/internal/wire.Encoder.appendBatch":         "internal/wire/hotpath_bench_test.go:TestHotpathEncodeZeroAlloc",
 	"sci/internal/wire.Encoder.appendBinary":        "internal/wire/hotpath_bench_test.go:TestHotpathEncodeZeroAlloc",

@@ -27,15 +27,19 @@
 // in one Primers call per instantiate: a plan of many leaves that are no
 // Primers (a building's door sensors) costs no lookup per leaf.
 //
-// The Runtime is the one record of what it wired: each live configuration
-// keeps its graph and the ids of its subscriptions, and teardown and repair
-// cancel exactly those ids. A departure is handled by one scan of the live
+// The Runtime's table of live configurations, striped by configuration id
+// as the mediator's subscription table is, is the one record of what it
+// wired: each live configuration keeps its graph and the ids of its
+// subscriptions, and teardown and repair cancel exactly those ids. Queries
+// wiring and tearing down different configurations take different stripe
+// locks. A departure is handled by one scan of every stripe's live
 // configurations: those whose querying application departed are torn down,
 // and those whose graph binds the departed entity are repaired. A repair
 // builds a fresh plan and primes the leaves it newly binds.
 package configuration
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -121,16 +125,36 @@ type Runtime struct {
 	// default 8.
 	maxRepairs int
 
-	mu     sync.Mutex
-	active map[guid.GUID]*activeCfg // guarded by mu
+	// stripes hold the live configurations, striped by configuration id as
+	// the mediator's subscription table is, so that instantiates and
+	// teardowns of different configurations take different locks.
+	stripes [cfgStripes]cfgStripe
 
 	// Repairs/RepairFailures count repair outcomes.
 	Repairs        metrics.Counter
 	RepairFailures metrics.Counter
 }
 
+// cfgStripes is how many stripes a Runtime's table of live configurations
+// has.
+const cfgStripes = 16
+
+// cfgStripe is one stripe of the live configurations, padded to a cache
+// line of its own.
+type cfgStripe struct {
+	mu     sync.Mutex
+	active map[guid.GUID]*activeCfg // guarded by mu
+	_      [48]byte
+}
+
+// stripe returns the stripe of configuration id. Byte 0 is the kind tag,
+// the same for every configuration id, so hash the random bytes.
+func (r *Runtime) stripe(id guid.GUID) *cfgStripe {
+	return &r.stripes[binary.BigEndian.Uint32(id[1:5])%cfgStripes]
+}
+
 // activeCfg is one live configuration. A repair replaces cfg.Root,
-// cfg.Plan and subs under Runtime.mu, so read them under it too.
+// cfg.Plan and subs under its stripe's lock, so read them under it too.
 type activeCfg struct {
 	cfg     *resolver.Configuration
 	deliver BatchDeliverFunc
@@ -173,13 +197,16 @@ func New(med *mediator.Mediator, res *resolver.Resolver, comps Components, maxRe
 	if maxRepairs <= 0 {
 		maxRepairs = 8
 	}
-	return &Runtime{
+	r := &Runtime{
 		med:        med,
 		res:        res,
 		comps:      comps,
 		maxRepairs: maxRepairs,
-		active:     make(map[guid.GUID]*activeCfg),
 	}
+	for i := range r.stripes {
+		r.stripes[i].active = make(map[guid.GUID]*activeCfg)
+	}
+	return r
 }
 
 // InstantiateBatch wires cfg into the mediator: one subscription per
@@ -201,9 +228,10 @@ func (r *Runtime) InstantiateBatch(cfg *resolver.Configuration, rctx resolver.Co
 		return err
 	}
 	ac.subs = subs
-	r.mu.Lock()
-	r.active[cfg.ID] = ac
-	r.mu.Unlock()
+	st := r.stripe(cfg.ID)
+	st.mu.Lock()
+	st.active[cfg.ID] = ac
+	st.mu.Unlock()
 	r.prime(plan.Leaves)
 	return nil
 }
@@ -285,14 +313,15 @@ func (r *Runtime) cancel(subs []guid.GUID) {
 
 // Teardown removes the configuration and its subscriptions.
 func (r *Runtime) Teardown(id guid.GUID) error {
-	r.mu.Lock()
-	ac, ok := r.active[id]
+	st := r.stripe(id)
+	st.mu.Lock()
+	ac, ok := st.active[id]
 	var subs []guid.GUID
 	if ok {
-		delete(r.active, id)
+		delete(st.active, id)
 		subs = ac.subs
 	}
-	r.mu.Unlock()
+	st.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
 	}
@@ -302,22 +331,25 @@ func (r *Runtime) Teardown(id guid.GUID) error {
 
 // Active returns the status of every live configuration, ordered by id.
 func (r *Runtime) Active() []Status {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]Status, 0, len(r.active))
-	for id, ac := range r.active {
-		live := 0
-		for _, s := range ac.subs {
-			if _, ok := r.med.Get(s); ok {
-				live++
+	var out []Status
+	for i := range r.stripes {
+		st := &r.stripes[i]
+		st.mu.Lock()
+		for id, ac := range st.active {
+			live := 0
+			for _, s := range ac.subs {
+				if _, ok := r.med.Get(s); ok {
+					live++
+				}
 			}
+			out = append(out, Status{
+				ID:            id,
+				Providers:     ac.cfg.Providers(),
+				Repairs:       ac.repairs,
+				Subscriptions: live,
+			})
 		}
-		out = append(out, Status{
-			ID:            id,
-			Providers:     ac.cfg.Providers(),
-			Repairs:       ac.repairs,
-			Subscriptions: live,
-		})
+		st.mu.Unlock()
 	}
 	slices.SortFunc(out, func(a, b Status) int { return guid.Compare(a.ID, b.ID) })
 	return out
@@ -330,17 +362,20 @@ func (r *Runtime) Active() []Status {
 // one whose repair fails is torn down and counted in RepairFailures.
 func (r *Runtime) HandleDeparture(entity guid.GUID) int {
 	var orphaned, affected []guid.GUID
-	r.mu.Lock()
-	for id, ac := range r.active {
-		switch {
-		case ac.cfg.Query.Owner == entity:
-			delete(r.active, id)
-			orphaned = append(orphaned, ac.subs...)
-		case binds(ac.cfg.Root, entity):
-			affected = append(affected, id)
+	for i := range r.stripes {
+		st := &r.stripes[i]
+		st.mu.Lock()
+		for id, ac := range st.active {
+			switch {
+			case ac.cfg.Query.Owner == entity:
+				delete(st.active, id)
+				orphaned = append(orphaned, ac.subs...)
+			case binds(ac.cfg.Root, entity):
+				affected = append(affected, id)
+			}
 		}
+		st.mu.Unlock()
 	}
-	r.mu.Unlock()
 	r.cancel(orphaned)
 	guid.Sort(affected)
 
@@ -386,18 +421,19 @@ func binds(b *resolver.Binding, provider guid.GUID) bool {
 // sequence numbers. A configuration torn down while it is being rewired
 // keeps none of the new subscriptions.
 func (r *Runtime) Repair(id, failed guid.GUID) error {
-	r.mu.Lock()
-	ac, ok := r.active[id]
+	st := r.stripe(id)
+	st.mu.Lock()
+	ac, ok := st.active[id]
 	if !ok {
-		r.mu.Unlock()
+		st.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
 	}
 	if ac.repairs >= r.maxRepairs {
-		r.mu.Unlock()
+		st.mu.Unlock()
 		return fmt.Errorf("%w: %d", ErrRepairBudget, r.maxRepairs)
 	}
 	root, oldPlan := ac.cfg.Root, ac.cfg.Plan
-	r.mu.Unlock()
+	st.mu.Unlock()
 	if ac.cfg.Query.What.Entity == failed {
 		return fmt.Errorf("%w: %s", ErrNamedEntityFailed, failed.Short())
 	}
@@ -414,19 +450,19 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	plan := resolver.NewPlan(newRoot)
 
 	// Rewire: drop the old subscriptions, then create the new set.
-	r.mu.Lock()
+	st.mu.Lock()
 	old := ac.subs
 	ac.subs = nil
-	r.mu.Unlock()
+	st.mu.Unlock()
 	r.cancel(old)
 	subs, err := r.wire(newRoot, plan, ac.cfg.Query, ac.deliver, nil)
 	if err != nil {
 		return err
 	}
 
-	r.mu.Lock()
-	if r.active[id] != ac {
-		r.mu.Unlock()
+	st.mu.Lock()
+	if st.active[id] != ac {
+		st.mu.Unlock()
 		r.cancel(subs)
 		return fmt.Errorf("%w: %s", ErrUnknownConfiguration, id.Short())
 	}
@@ -434,7 +470,7 @@ func (r *Runtime) Repair(id, failed guid.GUID) error {
 	stale := ac.subs // wired by a concurrent repair of the same configuration
 	ac.subs = subs
 	ac.repairs++
-	r.mu.Unlock()
+	st.mu.Unlock()
 	r.cancel(stale)
 	r.prime(added(plan.Leaves, oldPlan.Leaves))
 

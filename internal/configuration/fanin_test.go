@@ -72,9 +72,10 @@ func fanInConfiguration(owner guid.GUID, consumer guid.GUID, doors []*sensorCE) 
 // subscriptions returns the ids of the subscriptions the runtime wired for
 // configuration id.
 func (r *Runtime) subscriptions(id guid.GUID) []guid.GUID {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if ac := r.active[id]; ac != nil {
+	st := r.stripe(id)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if ac := st.active[id]; ac != nil {
 		return slices.Clone(ac.subs)
 	}
 	return nil

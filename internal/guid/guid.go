@@ -17,7 +17,7 @@
 //
 // The overlay (internal/overlay) routes on the hexadecimal digit string of
 // the GUID using prefix distance, so this package also provides the digit,
-// prefix and XOR-distance primitives the routing tables need.
+// prefix and ring-distance primitives the routing tables need.
 package guid
 
 import (
@@ -237,23 +237,6 @@ func Compare(a, b GUID) int {
 
 // Less reports a < b in Compare order.
 func Less(a, b GUID) bool { return Compare(a, b) < 0 }
-
-// Distance fills dst with the XOR distance |a ^ b|. The magnitude ordering of
-// XOR distances is what the overlay uses to pick the numerically closest
-// node when no better prefix match exists.
-func Distance(a, b GUID) GUID {
-	var d GUID
-	for i := 0; i < Size; i++ {
-		d[i] = a[i] ^ b[i]
-	}
-	return d
-}
-
-// CloserTo reports whether a is strictly closer to target than b is, in XOR
-// distance.
-func CloserTo(target, a, b GUID) bool {
-	return Compare(Distance(target, a), Distance(target, b)) < 0
-}
 
 // Sub returns (a - b) mod 2^128, treating GUIDs as big-endian 128-bit
 // unsigned integers. It is the primitive for ring (circular identifier

@@ -60,10 +60,12 @@ func record(s *eventbus.Subscription) Record {
 	return Record{ID: s.ID(), Owner: s.Owner(), Filter: s.Filter(), Sources: s.Sources(), OneShot: s.OneShot()}
 }
 
-// subShard is one stripe of the subscription table.
+// subShard is one stripe of the subscription table, padded to a cache
+// line of its own: subscribes in different stripes write different lines.
 type subShard struct {
 	mu   sync.Mutex
 	subs map[guid.GUID]*eventbus.Subscription // guarded by mu
+	_    [48]byte
 }
 
 // Mediator manages a Range's event subscriptions. Construct with New.

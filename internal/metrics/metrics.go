@@ -10,10 +10,13 @@
 package metrics
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"sci/internal/guid"
 )
 
 // Counter is a monotonically increasing event count.
@@ -29,6 +32,35 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
+
+// StripedCounter is a Counter for a path that several cores run at once:
+// each increment names a key (a query's owner) and lands in that key's
+// stripe, each stripe on a cache line of its own, so that increments for
+// different keys write different lines. The zero value is ready to use.
+type StripedCounter struct {
+	stripes [counterStripes]struct {
+		v atomic.Uint64
+		_ [56]byte
+	}
+}
+
+// counterStripes is how many stripes a StripedCounter has.
+const counterStripes = 16
+
+// Inc adds one in key's stripe. Byte 0 of a GUID is its kind tag, the
+// same for every key of a kind, so the stripe comes from the random bytes.
+func (c *StripedCounter) Inc(key guid.GUID) {
+	c.stripes[binary.BigEndian.Uint32(key[1:5])%counterStripes].v.Add(1)
+}
+
+// Value returns the current count: the sum of the stripes.
+func (c *StripedCounter) Value() uint64 {
+	var n uint64
+	for i := range c.stripes {
+		n += c.stripes[i].v.Load()
+	}
+	return n
+}
 
 // Gauge is a settable instantaneous value.
 type Gauge struct {

@@ -703,7 +703,7 @@ func TestStateLeafSetBoundedAndAccurate(t *testing.T) {
 	}
 }
 
-// Property: nextHop always strictly decreases XOR distance, so any route
+// Property: nextHop always strictly decreases ring distance, so any route
 // terminates within TTL.
 func TestPropNextHopStrictlyCloser(t *testing.T) {
 	f := func(seed int64) bool {

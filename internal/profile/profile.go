@@ -159,20 +159,34 @@ func (a *Advertisement) Clone() *Advertisement {
 // and a later Put swaps in a new one. So Lookup, FindProviders and
 // FindByEntityType hand out the stored profiles themselves, shared and
 // read-only, and a holder keeps seeing the profile as it was when read.
-// Get and All return copies, for callers that may write.
+// Get and All return copies, for callers that may write. Lookup, which
+// every query makes, takes no lock.
 type Manager struct {
+	// generation moves inside the write lock with every mutation, after
+	// the mutation is visible to Lookup, so a reader that reads it first
+	// never sees a state older than the generation it read.
+	generation atomic.Uint64
+	// index is the entities' slots as Lookup reads them, without a lock.
+	// Storing a new entity or removing one clears it, and the first Lookup
+	// after rebuilds it under mu, so storing n profiles copies the index
+	// once, not n times; a Put of a stored entity swaps the profile in its
+	// slot and leaves the index as it is.
+	index atomic.Pointer[map[guid.GUID]*slot]
+	// The words above are read by every query; the padding keeps the
+	// reader count of mu off their cache line.
+	_ [64]byte
+
 	mu       sync.RWMutex
-	profiles map[guid.GUID]*Profile
-	version  map[guid.GUID]uint64
+	profiles map[guid.GUID]*slot
 	byOutput map[ctxtype.Type]*bucket
 	// byEntityType lists, in entity GUID order, the profiles advertising
 	// each interface or carrying each "kind" attribute value.
 	byEntityType map[string][]*Profile
-	// generation moves inside the write lock with every mutation, so a
-	// reader that reads it before taking the read lock never sees a state
-	// older than the generation it read.
-	generation atomic.Uint64
 }
+
+// slot holds one stored entity's current profile, and nil once the entity
+// is removed.
+type slot = atomic.Pointer[Profile]
 
 // bucket lists the providers of one output type. Put appends to it and
 // FindProviders orders it, by quality descending and then entity GUID
@@ -186,7 +200,7 @@ type bucket struct {
 // ErrNotFound reports a missing profile.
 var ErrNotFound = errors.New("profile: not found")
 
-// Put stores (or replaces) a profile after validation, bumping its version.
+// Put stores (or replaces) a profile after validation.
 func (m *Manager) Put(p Profile) error {
 	if err := p.Validate(); err != nil {
 		return err
@@ -195,17 +209,20 @@ func (m *Manager) Put(p Profile) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.profiles == nil {
-		m.profiles = make(map[guid.GUID]*Profile)
-		m.version = make(map[guid.GUID]uint64)
+		m.profiles = make(map[guid.GUID]*slot)
 		m.byOutput = make(map[ctxtype.Type]*bucket)
 		m.byEntityType = make(map[string][]*Profile)
 	}
-	if old, ok := m.profiles[cp.Entity]; ok {
-		m.unindexLocked(old)
+	if s, ok := m.profiles[cp.Entity]; ok {
+		m.unindexLocked(s.Load())
+		s.Store(&cp)
+	} else {
+		s = new(slot)
+		s.Store(&cp)
+		m.profiles[cp.Entity] = s
+		m.index.Store(nil)
 	}
-	m.profiles[cp.Entity] = &cp
 	m.indexLocked(&cp)
-	m.version[cp.Entity]++
 	m.generation.Add(1)
 	return nil
 }
@@ -306,15 +323,36 @@ func (m *Manager) Generation() uint64 {
 }
 
 // Lookup returns the stored profile for entity: frozen and shared, so read
-// it and never write through it. Get returns a copy.
+// it and never write through it. Get returns a copy. It reads the index
+// and takes no lock, unless an entity was stored or removed since the last
+// Lookup.
+//
+//lint:hotpath
 func (m *Manager) Lookup(entity guid.GUID) (*Profile, error) {
-	m.mu.RLock()
-	p, ok := m.profiles[entity]
-	m.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, entity.Short())
+	idx := m.index.Load()
+	if idx == nil {
+		idx = m.rebuildIndex()
 	}
-	return p, nil
+	if s := (*idx)[entity]; s != nil {
+		if p := s.Load(); p != nil {
+			return p, nil
+		}
+	}
+	//lint:allow hotpath a miss names the entity it missed; the query path looks up stored entities
+	return nil, fmt.Errorf("%w: %s", ErrNotFound, entity.Short())
+}
+
+// rebuildIndex publishes a copy of the entities' slots under mu, unless
+// another Lookup has since the last change, and returns it.
+func (m *Manager) rebuildIndex() *map[guid.GUID]*slot {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if idx := m.index.Load(); idx != nil {
+		return idx
+	}
+	idx := maps.Clone(m.profiles)
+	m.index.Store(&idx)
+	return &idx
 }
 
 // Get returns a copy of the profile for entity.
@@ -326,24 +364,17 @@ func (m *Manager) Get(entity guid.GUID) (Profile, error) {
 	return p.Clone(), nil
 }
 
-// Version returns the profile's update count (0 when absent). Only tests
-// call it.
-func (m *Manager) Version(entity guid.GUID) uint64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.version[entity]
-}
-
 // Remove deletes the profile for entity; it is not an error if absent.
 func (m *Manager) Remove(entity guid.GUID) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if old, ok := m.profiles[entity]; ok {
-		m.unindexLocked(old)
+	if s, ok := m.profiles[entity]; ok {
+		m.unindexLocked(s.Load())
+		s.Store(nil)
+		delete(m.profiles, entity)
+		m.index.Store(nil)
 		m.generation.Add(1)
 	}
-	delete(m.profiles, entity)
-	delete(m.version, entity)
 }
 
 // Len returns the number of stored profiles.
@@ -358,8 +389,8 @@ func (m *Manager) Len() int {
 func (m *Manager) All() []Profile {
 	m.mu.RLock()
 	ps := make([]*Profile, 0, len(m.profiles))
-	for _, p := range m.profiles {
-		ps = append(ps, p)
+	for _, s := range m.profiles {
+		ps = append(ps, s.Load())
 	}
 	m.mu.RUnlock()
 	slices.SortFunc(ps, func(a, b *Profile) int { return guid.Compare(a.Entity, b.Entity) })

@@ -152,23 +152,6 @@ func TestManagerPutGetRemove(t *testing.T) {
 	m.Remove(p.Entity) // idempotent
 }
 
-func TestManagerVersioning(t *testing.T) {
-	var m Manager
-	p := validProfile()
-	if m.Version(p.Entity) != 0 {
-		t.Fatal("absent profile must have version 0")
-	}
-	_ = m.Put(p)
-	if m.Version(p.Entity) != 1 {
-		t.Fatal("first Put must set version 1")
-	}
-	p.Name = "renamed"
-	_ = m.Put(p)
-	if m.Version(p.Entity) != 2 {
-		t.Fatal("second Put must bump version")
-	}
-}
-
 func TestFindProvidersOrdering(t *testing.T) {
 	reg := ctxtype.NewRegistry()
 	var m Manager

@@ -92,12 +92,23 @@ type Registrar struct {
 	lease    time.Duration
 	sweepGap time.Duration
 
-	// mu is read-locked by Lookup and IsLive, which every query calls.
-	mu      sync.RWMutex
-	entries map[guid.GUID]Registration
-	// gen moves, inside mu's write lock, when entries gains or loses an
-	// entity; it is read without the lock.
-	gen      atomic.Uint64
+	// live is the set of registered entities IsLive answers from, read
+	// without a lock. A change of the live set clears it, and the first
+	// IsLive after the change rebuilds it under mu, so registering n
+	// entities copies the set once, not n times.
+	live atomic.Pointer[guid.Set]
+	// gen moves, inside mu and after live is cleared, when entries gains or
+	// loses an entity; it is read without the lock. A reader that has read
+	// a generation therefore never gets an IsLive answer from before it.
+	gen atomic.Uint64
+	// The words above are read by every query; the padding keeps mu's
+	// writes off their cache line.
+	_ [64]byte
+
+	// mu serialises the changes of the registrations and their watchers.
+	// No query takes it.
+	mu       sync.Mutex
+	entries  map[guid.GUID]Registration
 	watchers map[int]Watcher
 	nextW    int
 	sweep    clock.Timer
@@ -175,7 +186,7 @@ func (r *Registrar) Register(entity guid.GUID, name string) (Registration, error
 	_, existed := r.entries[entity]
 	r.entries[entity] = reg
 	if !existed {
-		r.gen.Add(1)
+		r.changedLocked()
 	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
@@ -217,7 +228,7 @@ func (r *Registrar) Deregister(entity guid.GUID) error {
 		return fmt.Errorf("%w: %s", ErrNotRegistered, entity.Short())
 	}
 	delete(r.entries, entity)
-	r.gen.Add(1)
+	r.changedLocked()
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()
 
@@ -227,18 +238,49 @@ func (r *Registrar) Deregister(entity guid.GUID) error {
 	return nil
 }
 
+// changedLocked records a change of the live set: it clears the snapshot
+// IsLive reads, then moves the generation, in that order (see gen).
+func (r *Registrar) changedLocked() {
+	r.live.Store(nil)
+	r.gen.Add(1)
+}
+
 // Lookup returns the registration for entity.
 func (r *Registrar) Lookup(entity guid.GUID) (Registration, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	reg, ok := r.entries[entity]
 	return reg, ok
 }
 
-// IsLive reports whether entity is currently registered.
+// IsLive reports whether entity is currently registered. It reads the
+// live-set snapshot and takes no lock, unless the live set has changed
+// since the last IsLive.
+//
+//lint:hotpath
 func (r *Registrar) IsLive(entity guid.GUID) bool {
-	_, ok := r.Lookup(entity)
-	return ok
+	s := r.live.Load()
+	if s == nil {
+		//lint:allow hotpath cold rebuild: once per change of the live set, by the first IsLive after it
+		s = r.liveSet()
+	}
+	return s.Has(entity)
+}
+
+// liveSet rebuilds the live-set snapshot under mu, unless another caller
+// has rebuilt it since the last change, and returns it.
+func (r *Registrar) liveSet() *guid.Set {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if s := r.live.Load(); s != nil {
+		return s
+	}
+	s := make(guid.Set, len(r.entries))
+	for id := range r.entries {
+		s[id] = struct{}{}
+	}
+	r.live.Store(&s)
+	return &s
 }
 
 // Generation counts changes of the live set: it moves when an entity
@@ -330,7 +372,7 @@ func (r *Registrar) expire() {
 		}
 	}
 	if len(dead) > 0 {
-		r.gen.Add(1)
+		r.changedLocked()
 	}
 	watchers := r.watcherListLocked()
 	r.mu.Unlock()

@@ -5,7 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
+	"strconv"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -542,4 +546,118 @@ func TestResolveCacheSharesPlan(t *testing.T) {
 	if len(doors) != 5 || !reflect.DeepEqual(plan.Leaves, doors) {
 		t.Fatalf("plan leaves %v, want the 5 doors %v", plan.Leaves, doors)
 	}
+}
+
+// TestResolveCacheSnapshotNeverServesOlder: lookups read the cache
+// without a lock while stores replace it and the profile store and the
+// liveness generation move under them. A resolution that starts after a
+// change never answers from before it. Printer k outranks printers below
+// k and is registered before printer k-1 departs; the display's profile
+// is Put afresh each round with its round number.
+func TestResolveCacheSnapshotNeverServesOlder(t *testing.T) {
+	const rounds, readers = 200, 2
+	profiles := &profile.Manager{}
+	reg := registry.New(registry.Config{Lease: time.Hour})
+	defer reg.Close()
+	printers := make([]guid.GUID, rounds)
+	rank := make(map[guid.GUID]int, rounds)
+	for k := range printers {
+		printers[k] = put(t, profiles, profile.Profile{
+			Name:          fmt.Sprintf("p%d", k),
+			Quality:       0.5 + 0.5*float64(k)/rounds,
+			Advertisement: &profile.Advertisement{Interface: "printer"},
+		})
+		rank[printers[k]] = k
+	}
+	display := profile.Profile{
+		Entity:        guid.New(guid.KindDevice),
+		Name:          "display",
+		Attributes:    map[string]string{"round": "0"},
+		Advertisement: &profile.Advertisement{Interface: "display"},
+	}
+	put(t, profiles, display)
+	for _, id := range []guid.GUID{printers[0], display.Entity} {
+		if _, err := reg.Register(id, "device"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res := resolver.New(profiles, ctxtype.NewRegistry(), nil)
+	owner := guid.New(guid.KindApplication)
+	printerQ := query.New(owner, query.What{EntityType: "printer"}, query.ModeAdvertisement)
+	displayQ := query.New(owner, query.What{Entity: display.Entity}, query.ModeAdvertisement)
+
+	var latest atomic.Int64 // the printer every resolution from now on must bind, or a later one
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				k0 := int(latest.Load())
+				p, err := profiles.Lookup(display.Entity)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				round0 := p.Attributes["round"]
+				ctx := resolver.Context{LiveOnly: reg.IsLive, LiveGen: reg.Generation()}
+				root, err := res.ResolveRoot(printerQ, ctx)
+				if errors.Is(err, resolver.ErrNoProvider) {
+					// The liveness filter asks one printer at a time, so a
+					// resolution can miss the arrival and see the departure.
+					continue
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if k := rank[root.Provider]; k < k0 {
+					t.Errorf("bound printer %d after printer %d was live and %d departed", k, k0, k0-1)
+					return
+				}
+				root, err = res.ResolveRoot(displayQ, ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, _ := strconv.Atoi(root.Profile.Attributes["round"]); got < mustAtoi(t, round0) {
+					t.Errorf("answered the display's round %d profile after round %s was stored", got, round0)
+					return
+				}
+				runtime.Gosched() // let the writer on
+			}
+		}()
+	}
+	for k := 1; k < rounds; k++ {
+		if _, err := reg.Register(printers[k], "printer"); err != nil {
+			t.Fatal(err)
+		}
+		if err := reg.Deregister(printers[k-1]); err != nil {
+			t.Fatal(err)
+		}
+		latest.Store(int64(k))
+		display.Attributes = map[string]string{"round": strconv.Itoa(k)}
+		put(t, profiles, display)
+		runtime.Gosched()
+	}
+	close(done)
+	wg.Wait()
+	if hits, misses := res.CacheStats(); hits+misses == 0 {
+		t.Fatal("no cacheable resolution was made")
+	}
+}
+
+func mustAtoi(t *testing.T, s string) int {
+	t.Helper()
+	n, err := strconv.Atoi(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
 }

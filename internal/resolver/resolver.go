@@ -33,6 +33,7 @@ package resolver
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"math"
 	"slices"
@@ -44,6 +45,7 @@ import (
 	"sci/internal/ctxtype"
 	"sci/internal/guid"
 	"sci/internal/location"
+	"sci/internal/metrics"
 	"sci/internal/profile"
 	"sci/internal/query"
 )
@@ -235,19 +237,41 @@ type Resolver struct {
 	types    *ctxtype.Registry
 	places   *location.Map // may be nil: distance criteria degrade gracefully
 
-	// mu is read-locked by lookups, which run concurrently, and
-	// write-locked by stores.
-	mu     sync.RWMutex
-	gens   generations               // guarded by mu; what every cached entry was resolved under
-	cache  map[cacheKey][]cacheEntry // guarded by mu
-	size   int                       // guarded by mu; entries across all keys
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	// table is the resolution cache as lookups read it, without a lock.
+	// Each store publishes a new table under mu.
+	table atomic.Pointer[cacheTable]
+	seed  maphash.Seed // hashes a cacheKey to its shard and its slot there
+	// mu serialises the stores. No lookup takes it.
+	mu sync.Mutex
+	// hits and misses count the lookups, striped by the query's owner so
+	// that concurrent lookups of different owners write different words.
+	hits, misses metrics.StripedCounter
 }
 
-// maxCacheEntries caps the resolution cache: storing into a full cache
-// first drops every entry.
-const maxCacheEntries = 1024
+// The resolution cache holds at most maxCacheEntries entries, in
+// cacheShards shards by key hash: storing into a full shard first drops
+// that shard's entries, so a store copies one shard, never the cache.
+const (
+	maxCacheEntries = 1024
+	cacheShards     = 16
+	maxShardEntries = maxCacheEntries / cacheShards
+)
+
+// cacheTable is one state of the resolution cache: the entries resolved
+// at gens, in shards by key hash. Nothing writes a table, a shard or an
+// entry list once it is published; a store publishes a new table that
+// shares every shard but the one it changes.
+type cacheTable struct {
+	gens   generations
+	shards [cacheShards]*cacheShard // nil: empty
+}
+
+// cacheShard holds the entries of the keys that hash into one shard, by
+// key hash.
+type cacheShard struct {
+	entries map[uint64][]cacheEntry
+	size    int
+}
 
 // generations are the store versions a resolution read: the profile store,
 // the type registry and the liveness source.
@@ -286,6 +310,7 @@ func placeKeyOf(r location.Ref) placeKey {
 // cacheEntry is one cached resolution. Nothing writes root or plan after
 // they are stored.
 type cacheEntry struct {
+	key         cacheKey
 	constraints map[string]string // the query's Which constraints, copied
 	root        *Binding
 	plan        *Plan
@@ -303,12 +328,14 @@ var (
 
 // New builds a Resolver. places may be nil.
 func New(profiles *profile.Manager, types *ctxtype.Registry, places *location.Map) *Resolver {
-	return &Resolver{
+	r := &Resolver{
 		profiles: profiles,
 		types:    types,
 		places:   places,
-		cache:    make(map[cacheKey][]cacheEntry),
+		seed:     maphash.MakeSeed(),
 	}
+	r.table.Store(&cacheTable{})
+	return r
 }
 
 // CacheStats reports how many cacheable resolutions were served from the
@@ -316,7 +343,7 @@ func New(profiles *profile.Manager, types *ctxtype.Registry, places *location.Ma
 // resolution the cache may not serve, a repair or a liveness filter without
 // a generation, counts as neither.
 func (r *Resolver) CacheStats() (hits, misses uint64) {
-	return r.hits.Load(), r.misses.Load()
+	return r.hits.Value(), r.misses.Value()
 }
 
 // Resolve builds a configuration for q. For What=pattern queries this is
@@ -357,8 +384,10 @@ func (r *Resolver) resolve(q query.Query, ctx Context) (*Binding, *Plan, error) 
 		return nil, nil, err
 	}
 	key, gens, cacheable := r.cacheKey(q, ctx)
+	var h uint64
 	if cacheable {
-		if e, ok := r.lookup(key, gens, q.Which.Constraints); ok {
+		h = maphash.Comparable(r.seed, key)
+		if e := r.lookup(&key, h, gens, q.Which.Constraints, q.Owner); e != nil {
 			return e.root, e.plan, nil
 		}
 	}
@@ -379,7 +408,7 @@ func (r *Resolver) resolve(q query.Query, ctx Context) (*Binding, *Plan, error) 
 	}
 	plan := NewPlan(root)
 	if cacheable {
-		r.store(key, gens, q.Which.Constraints, root, plan)
+		r.store(key, h, gens, q.Which.Constraints, root, plan)
 	}
 	return root, plan, nil
 }
@@ -414,71 +443,78 @@ func (r *Resolver) cacheKey(q query.Query, ctx Context) (cacheKey, generations, 
 	return k, g, true
 }
 
-// lookup returns the entry cached under k for the constraints cons: the
-// hit of every cached resolution, Resolve's and ResolveRoot's.
+// lookup returns the entry cached under k, whose hash is h, for the
+// constraints cons, or nil, and counts the hit or miss for the querying
+// owner: the hit of every cached resolution, Resolve's and ResolveRoot's.
+// It reads the published table and takes no lock.
 //
 //lint:hotpath
-func (r *Resolver) lookup(k cacheKey, g generations, cons map[string]string) (cacheEntry, bool) {
-	r.mu.RLock()
+func (r *Resolver) lookup(k *cacheKey, h uint64, g generations, cons map[string]string, owner guid.GUID) *cacheEntry {
+	t := r.table.Load()
 	if g.live == 0 {
-		g.live = r.gens.live
+		g.live = t.gens.live
 	}
-	if g == r.gens {
-		for _, e := range r.cache[k] {
-			if sameConstraints(e.constraints, cons) {
-				r.mu.RUnlock()
-				r.hits.Add(1)
-				return e, true
+	if sh := t.shards[h%cacheShards]; sh != nil && g == t.gens {
+		list := sh.entries[h]
+		for i := range list {
+			if e := &list[i]; e.key == *k && sameConstraints(e.constraints, cons) {
+				r.hits.Inc(owner)
+				return e
 			}
 		}
 	}
-	r.mu.RUnlock()
-	r.misses.Add(1)
-	return cacheEntry{}, false
+	r.misses.Inc(owner)
+	return nil
 }
 
-// store caches a resolution of k under the constraints cons, made at
-// generations g. A lookup at newer generations than the cache's misses
-// without dropping anything: the store after it brings the cache to them.
-func (r *Resolver) store(k cacheKey, g generations, cons map[string]string, root *Binding, plan *Plan) {
+// store caches a resolution of k, whose hash is h, under the constraints
+// cons, made at generations g, by publishing a table that differs from
+// the current one in h's shard alone, or an empty table at g when some
+// store has moved on since the current one's entries were resolved. A
+// lookup at newer generations than the cache's misses without dropping
+// anything: the store after it brings the cache to them. A resolution
+// that began before a mutation the cache has already seen (g older than
+// the table in some store) is not stored, and one that read no liveness
+// leaves the cache's liveness generation as it is.
+func (r *Resolver) store(k cacheKey, h uint64, g generations, cons map[string]string, root *Binding, plan *Plan) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.adoptLocked(g) {
+	t := r.table.Load()
+	if g.live == 0 {
+		g.live = t.gens.live
+	}
+	next := cacheTable{gens: g}
+	switch {
+	case g == t.gens:
+		next = *t
+	case g.profiles < t.gens.profiles || g.types < t.gens.types || g.live < t.gens.live:
 		return
 	}
-	for _, e := range r.cache[k] {
-		if sameConstraints(e.constraints, cons) {
-			return // a concurrent resolution stored it first
+	i := h % cacheShards
+	sh := &cacheShard{}
+	var list []cacheEntry
+	if old := next.shards[i]; old != nil {
+		list = old.entries[h]
+		for j := range list {
+			if list[j].key == k && sameConstraints(list[j].constraints, cons) {
+				return // a concurrent resolution stored it first
+			}
+		}
+		if old.size < maxShardEntries {
+			sh.entries, sh.size = maps.Clone(old.entries), old.size
+		} else {
+			list = nil
 		}
 	}
-	if r.size >= maxCacheEntries {
-		clear(r.cache)
-		r.size = 0
+	if sh.entries == nil {
+		sh.entries = make(map[uint64][]cacheEntry, 1)
 	}
-	r.cache[k] = append(r.cache[k], cacheEntry{constraints: maps.Clone(cons), root: root, plan: plan})
-	r.size++
-}
-
-// adoptLocked brings the cache to generations g, dropping every entry when
-// a store has moved on since the entries were resolved. It reports false
-// when g is older than the cache in some store: that resolution began
-// before a mutation the cache has already seen, and must neither be served
-// nor stored. A resolution that read no liveness leaves the cache's
-// liveness generation as it is.
-func (r *Resolver) adoptLocked(g generations) bool {
-	if g.live == 0 {
-		g.live = r.gens.live
-	}
-	if g == r.gens {
-		return true
-	}
-	if g.profiles < r.gens.profiles || g.types < r.gens.types || g.live < r.gens.live {
-		return false
-	}
-	clear(r.cache)
-	r.size = 0
-	r.gens = g
-	return true
+	// Clipped, so that the append copies rather than write into a list
+	// the published table shares.
+	sh.entries[h] = append(slices.Clip(list), cacheEntry{key: k, constraints: maps.Clone(cons), root: root, plan: plan})
+	sh.size++
+	next.shards[i] = sh
+	r.table.Store(&next)
 }
 
 // sameConstraints reports whether two constraint sets are equal; nil and

@@ -128,9 +128,17 @@ type Range struct {
 	memo   atomic.Pointer[profileMemo]
 	memoMu sync.Mutex
 
-	// mu is read-locked by the lookups on the query and wiring paths
-	// (Submit's owner lookup, Component, Primers), which run concurrently.
-	mu    sync.RWMutex
+	// snap is the member tables below as the query and wiring paths read
+	// them (Submit's owner lookup, Component, Primers), without a lock. A
+	// change under mu clears it, and the first reader after the change
+	// rebuilds it under mu, so adding n members copies the tables once, not
+	// n times.
+	snap atomic.Pointer[members]
+
+	// mu serialises the changes of the member tables and guards the
+	// deferred queries, the silenced set and the stats sources. A query
+	// takes it only to defer itself.
+	mu    sync.Mutex
 	comps map[guid.GUID]entity.CE
 	// primers indexes the members of comps that are configuration.Primers,
 	// so priming a plan never looks up its other leaves.
@@ -157,10 +165,12 @@ type Range struct {
 	// Service endpoints and SCINET fabric peers alike).
 	flowStats flow.SharedStats
 
-	// Metrics.
-	QueriesSubmitted metrics.Counter
+	// Metrics. Every query counts in QueriesSubmitted, and every executed
+	// one in QueriesExecuted, striped by the query's owner so that
+	// concurrent queries of different owners write different words.
+	QueriesSubmitted metrics.StripedCounter
 	QueriesDeferred  metrics.Counter
-	QueriesExecuted  metrics.Counter
+	QueriesExecuted  metrics.StripedCounter
 	// RemoteBatchesSent / RemoteEventsSent count the Range Service's
 	// outbound event traffic to remote endpoints: wire messages shipped and
 	// the events they carried (coalesced or not).
@@ -174,6 +184,16 @@ type Range struct {
 // DefaultBatchMaxDelay is the outbound flush deadline used when
 // Config.BatchMaxDelay is not positive.
 const DefaultBatchMaxDelay = 2 * time.Millisecond
+
+// members is one state of a Range's member tables: the components, the
+// Primers among them, the applications, and whether the Range is closed.
+// Nothing writes it once it is published.
+type members struct {
+	comps   map[guid.GUID]entity.CE
+	primers map[guid.GUID]configuration.Primer
+	caas    map[guid.GUID]*entity.CAA
+	closed  bool
+}
 
 // pendingQuery is a stored query awaiting its When condition. trigger and
 // timer are written under Range.mu while the query is pending, and read by
@@ -319,23 +339,54 @@ func (r *Range) Profiles() *profile.Manager { return r.profiles }
 // Runtime exposes the configuration runtime.
 func (r *Range) Runtime() *configuration.Runtime { return r.runtime }
 
-// Component implements configuration.Components.
+// members returns the current member snapshot: a pointer load, unless
+// the members changed since the last reader.
+//
+//lint:hotpath
+func (r *Range) members() *members {
+	if m := r.snap.Load(); m != nil {
+		return m
+	}
+	//lint:allow hotpath cold rebuild: once per membership change, by the first reader after it
+	return r.rebuildMembers()
+}
+
+// rebuildMembers publishes a snapshot of the member tables under mu,
+// unless another reader has since the last change, and returns it.
+func (r *Range) rebuildMembers() *members {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m := r.snap.Load(); m != nil {
+		return m
+	}
+	m := &members{
+		comps:   maps.Clone(r.comps),
+		primers: maps.Clone(r.primers),
+		caas:    maps.Clone(r.caas),
+		closed:  r.closed,
+	}
+	r.snap.Store(m)
+	return m
+}
+
+// Component implements configuration.Components from the member snapshot.
+//
+//lint:hotpath
 func (r *Range) Component(id guid.GUID) (entity.CE, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	ce, ok := r.comps[id]
+	ce, ok := r.members().comps[id]
 	return ce, ok
 }
 
-// Primers implements configuration.Components under one read lock, from
-// whichever side is smaller: with fewer primers than leaves it searches
-// the strictly ascending leaves for each primer, otherwise it looks each
-// leaf up in the primer index.
+// Primers implements configuration.Components from one member snapshot,
+// from whichever side is smaller: with fewer primers than leaves it
+// searches the strictly ascending leaves for each primer, otherwise it
+// looks each leaf up in the primer index.
+//
+//lint:hotpath
 func (r *Range) Primers(leaves []guid.GUID, dst []configuration.Primer) []configuration.Primer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.primers) < len(leaves) {
-		for id, p := range r.primers {
+	primers := r.members().primers
+	if len(primers) < len(leaves) {
+		for id, p := range primers {
 			if _, ok := slices.BinarySearchFunc(leaves, id, guid.Compare); ok {
 				dst = append(dst, p)
 			}
@@ -343,7 +394,7 @@ func (r *Range) Primers(leaves []guid.GUID, dst []configuration.Primer) []config
 		return dst
 	}
 	for _, id := range leaves {
-		if p, ok := r.primers[id]; ok {
+		if p, ok := primers[id]; ok {
 			dst = append(dst, p)
 		}
 	}
@@ -363,6 +414,7 @@ func (r *Range) AddEntity(ce entity.CE) error {
 	if p, ok := ce.(configuration.Primer); ok {
 		r.primers[ce.ID()] = p
 	}
+	r.snap.Store(nil)
 	r.mu.Unlock()
 
 	prof := ce.Profile()
@@ -388,6 +440,7 @@ func (r *Range) AddApplication(caa *entity.CAA) error {
 		return ErrClosed
 	}
 	r.caas[caa.ID()] = caa
+	r.snap.Store(nil)
 	r.mu.Unlock()
 
 	prof := caa.Profile()
@@ -446,17 +499,15 @@ func (r *Range) RenewAll() {
 
 // Submit processes a query from a registered CAA, dispatching on mode.
 func (r *Range) Submit(q query.Query) (*Result, error) {
-	r.mu.RLock()
-	if r.closed {
-		r.mu.RUnlock()
+	m := r.members()
+	if m.closed {
 		return nil, ErrClosed
 	}
-	owner := r.caas[q.Owner]
-	r.mu.RUnlock()
+	owner := m.caas[q.Owner]
 	if err := q.Validate(); err != nil {
 		return nil, err
 	}
-	r.QueriesSubmitted.Inc()
+	r.QueriesSubmitted.Inc(q.Owner)
 
 	switch q.Mode {
 	case query.ModeProfile:
@@ -594,7 +645,7 @@ func (r *Range) execute(q query.Query, owner *entity.CAA) (*Result, error) {
 		_ = r.runtime.Teardown(cfg.ID)
 		return nil, fmt.Errorf("%w: %s", ErrNoCAA, q.Owner.Short())
 	}
-	r.QueriesExecuted.Inc()
+	r.QueriesExecuted.Inc(q.Owner)
 	return &Result{Query: q.ID, Configuration: cfg.ID}, nil
 }
 
@@ -923,9 +974,13 @@ func (r *Range) handleDeparture(reg registry.Registration, why registry.Reason) 
 	var dropped []*pendingQuery
 	r.mu.Lock()
 	ce, isComp := r.comps[reg.Entity]
-	delete(r.comps, reg.Entity)
-	delete(r.primers, reg.Entity)
-	delete(r.caas, reg.Entity)
+	_, isCAA := r.caas[reg.Entity]
+	if isComp || isCAA {
+		delete(r.comps, reg.Entity)
+		delete(r.primers, reg.Entity)
+		delete(r.caas, reg.Entity)
+		r.snap.Store(nil)
+	}
 	r.silenced.Remove(reg.Entity)
 	for id, pq := range r.pending {
 		if pq.q.Owner == reg.Entity {
@@ -949,9 +1004,7 @@ func (r *Range) handleDeparture(reg registry.Registration, why registry.Reason) 
 
 // handleProfileUpdate refreshes the stored profile of a live component.
 func (r *Range) handleProfileUpdate(e event.Event) {
-	r.mu.Lock()
-	ce, ok := r.comps[e.Source]
-	r.mu.Unlock()
+	ce, ok := r.Component(e.Source)
 	if !ok {
 		return
 	}
@@ -993,6 +1046,7 @@ func (r *Range) Close() {
 		return
 	}
 	r.closed = true
+	r.snap.Store(nil)
 	if r.renewTimer != nil {
 		r.renewTimer.Stop()
 	}
